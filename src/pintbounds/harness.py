@@ -25,7 +25,9 @@ from . import tap as tap_mod
 from . import toeplitz as tp
 
 RATIO_FLOOR = 1e-300
-VALUE_FLOOR = 1e-250
+# a ratio whose previous error is at most this times the series' initial
+# error measures round-off, not convergence, and is not checked
+ROUNDOFF_FLOOR = 1e3 * np.finfo(float).eps
 
 
 class ConfigError(ValueError):
@@ -48,6 +50,13 @@ def _require_keys(section: dict, allowed: set, where: str):
     unknown = set(section) - allowed
     if unknown:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+
+
+def _convert(value, convert, where: str):
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -76,21 +85,22 @@ class ExperimentConfig:
         coarse = data.get("coarse", "rediscretized")
         if coarse != "rediscretized":
             _require_keys(coarse, _SCHEME_KEYS, "coarse")
-        k = int(data["k"])
-        n_time = int(data["n_time"])
+        k = _convert(data["k"], int, "k")
+        n_time = _convert(data["n_time"], int, "n_time")
         if k < 1:
             raise ConfigError("k: must be positive")
         if n_time < 2 or (n_time - 1) % k != 0:
             raise ConfigError("n_time: (n_time - 1) must be divisible by k")
-        iterations = int(data["iterations"])
+        iterations = _convert(data["iterations"], int, "iterations")
         if iterations < 2:
             raise ConfigError("iterations: need at least 2 (one is excluded "
                               "from bound checks)")
-        relaxations = tuple(data.get("relaxations", ["F"]))
+        relaxations = _convert(data.get("relaxations", ["F"]), tuple,
+                               "relaxations")
         for r in relaxations:
             if r not in ("F", "FCF"):
                 raise ConfigError(f"relaxations: unknown entry {r!r}")
-        norms = tuple(data.get("norms", ["l2", "AstarA"]))
+        norms = _convert(data.get("norms", ["l2", "AstarA"]), tuple, "norms")
         for nname in norms:
             if nname not in ("l2", "AstarA", "modified"):
                 raise ConfigError(f"norms: unknown entry {nname!r}")
@@ -99,18 +109,25 @@ class ExperimentConfig:
             raise ConfigError(f"initial_error: unknown mode {initial_error!r}")
         tols = data.get("tolerances", {})
         _require_keys(tols, _TOL_KEYS, "tolerances")
-        margin = float(tols.get("bound_margin", 1e-8))
+        margin = _convert(tols.get("bound_margin", 1e-8), float,
+                          "tolerances.bound_margin")
+        seed = _convert(data.get("seed", 0), int, "seed")
+        if seed < 0:
+            raise ConfigError("seed: must be non-negative")
         return ExperimentConfig(
             problem=dict(data["problem"]), fine=dict(data["fine"]),
             coarse=coarse if coarse == "rediscretized" else dict(coarse),
             k=k, n_time=n_time, relaxations=relaxations, norms=norms,
             iterations=iterations, initial_error=initial_error,
-            seed=int(data.get("seed", 0)), bound_margin=margin, raw=data)
+            seed=seed, bound_margin=margin, raw=data)
 
 
 def load_config(path: str) -> ExperimentConfig:
     with open(path) as fh:
-        data = yaml.safe_load(fh)
+        try:
+            data = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"{path}: malformed YAML: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: config must be a mapping")
     return ExperimentConfig.from_dict(data)
@@ -130,21 +147,27 @@ def _build_scheme(section: dict) -> ops.SchemeSpec:
 
 
 def build_pair(cfg: ExperimentConfig) -> ops.StepperPair:
+    """The configured stepper pair; an operator, scheme or stepper that the
+    config asks for but that cannot be built is a ConfigError."""
     prob = cfg.problem
-    spatial = ops.build_spatial(
-        prob.get("kind", "laplacian-1d-dirichlet"), int(prob.get("n", 1)),
-        float(prob.get("h", 1.0)), velocity=float(prob.get("velocity", 1.0)),
-        path=prob.get("path"))
-    fine_scheme = _build_scheme(cfg.fine)
-    if cfg.coarse == "rediscretized":
-        coarse_scheme = ops.SchemeSpec(
-            fine_scheme.kind, fine_scheme.dt * cfg.k, theta=fine_scheme.theta,
-            numerator=fine_scheme.numerator, denominator=fine_scheme.denominator)
-    else:
-        coarse_scheme = _build_scheme(cfg.coarse)
-    fine = ops.build_stepper(spatial, fine_scheme)
-    coarse = ops.build_stepper(spatial, coarse_scheme)
-    return ops.make_pair(fine, coarse, cfg.k)
+    try:
+        spatial = ops.build_spatial(
+            prob.get("kind", "laplacian-1d-dirichlet"), int(prob.get("n", 1)),
+            float(prob.get("h", 1.0)), velocity=float(prob.get("velocity", 1.0)),
+            path=prob.get("path"))
+        fine_scheme = _build_scheme(cfg.fine)
+        if cfg.coarse == "rediscretized":
+            coarse_scheme = ops.SchemeSpec(
+                fine_scheme.kind, fine_scheme.dt * cfg.k, theta=fine_scheme.theta,
+                numerator=fine_scheme.numerator,
+                denominator=fine_scheme.denominator)
+        else:
+            coarse_scheme = _build_scheme(cfg.coarse)
+        fine = ops.build_stepper(spatial, fine_scheme)
+        coarse = ops.build_stepper(spatial, coarse_scheme)
+        return ops.make_pair(fine, coarse, cfg.k)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -183,21 +206,18 @@ def _vector_norm(e: np.ndarray, norm: str, sys: st.SpaceTimeSystem,
     raise ConfigError(f"unknown norm {norm!r}")
 
 
-def _worst_case_error(sys: st.SpaceTimeSystem, relaxation: str) -> np.ndarray:
-    """Initial error whose first measured A*A ratio equals the dense norm of
-    the coarse-level propagation block: interpolate the leading right singular
-    vector through the exact coarse solve."""
-    pair, grid = sys.pair, sys.grid
-    cgc_res, _, relax = st.coarse_defect_blocks(pair, grid)
-    block = cgc_res if relaxation == "F" else cgc_res @ relax
-    _, _, vh = np.linalg.svd(block)
-    w = vh[0].conj()
-    lifted = st.coarse_forward_solve(pair.fine_power, w)
+def _worst_case_error(sys: st.SpaceTimeSystem, w: np.ndarray) -> np.ndarray:
+    """Initial error whose first measured A*A ratio equals the norm of the
+    coarse-level propagation block: interpolate its leading right singular
+    vector w through the exact coarse solve."""
+    lifted = st.coarse_forward_solve(sys.pair.fine_power, w)
     return st.lift_coarse(sys, lifted)
 
 
-def _bound_rows(pair: ops.StepperPair, grid: st.GridSpec, relaxation: str):
-    """All applicable bounds for one relaxation scheme."""
+def _bound_rows(pair: ops.StepperPair, grid: st.GridSpec, relaxation: str,
+                cnorm: float | None = None):
+    """All applicable bounds for one relaxation scheme; cnorm is the coarse
+    block norm when the caller already has it."""
     rows = []
     q = tap_mod.TapQuery(pair, relaxation, 1, "TAP")
     tap_res = tap_mod.tap_constant(q)
@@ -220,11 +240,10 @@ def _bound_rows(pair: ops.StepperPair, grid: st.GridSpec, relaxation: str):
                      "lower": nb.value, "upper": math.inf, "certified": True,
                      "slack_constant": nb.slack_constant})
     if grid.n_coarse * pair.dim <= st.DENSE_CAP:
-        cgc_res, _, relax = st.coarse_defect_blocks(pair, grid)
-        block = cgc_res if relaxation == "F" else cgc_res @ relax
+        if cnorm is None:
+            cnorm, _ = st.coarse_norm(pair, grid, relaxation)
         rows.append({"relaxation": relaxation, "kind": "coarse-norm",
-                     "lower": float(np.linalg.svd(block, compute_uv=False)[0]),
-                     "upper": math.inf, "certified": True})
+                     "lower": cnorm, "upper": math.inf, "certified": True})
     try:
         kind = "F-relaxation" if relaxation == "F" else "FCF-relaxation"
         sym = tp.build_symbol(pair, grid, kind)
@@ -234,11 +253,14 @@ def _bound_rows(pair: ops.StepperPair, grid: st.GridSpec, relaxation: str):
     except ValueError:
         pass
     if pair.shared_eig is not None:
+        # a mode's FCF block is |lambda^k| times its F block at N_c - 1
+        n_bracket = grid.n_coarse - (relaxation == "FCF")
         db = tp.diag_bounds(pair.shared_eig.fine_values,
                             pair.shared_eig.coarse_values, pair.k,
-                            grid.n_coarse, 1, relaxation)
+                            n_bracket, 1, relaxation)
         rows.append({"relaxation": relaxation, "kind": "diagonalizable-bracket",
-                     "lower": db.lower, "upper": db.upper, "certified": True,
+                     "lower": db.lower, "upper": db.upper,
+                     "certified": n_bracket >= tp.BRACKET_MIN_N,
                      "asymptote": db.asymptote})
     return rows, tap_res
 
@@ -261,9 +283,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentRecord:
     u_exact = st.sequential_solve(sys, f_rhs)
 
     trace, bounds, excluded = [], [], []
+    worst_case = cfg.initial_error == "worst-case"
     for relaxation in cfg.relaxations:
-        if cfg.initial_error == "worst-case":
-            e0 = _worst_case_error(sys, relaxation)
+        cnorm, w = st.coarse_norm(pair, grid, relaxation, with_vector=worst_case)
+        if worst_case:
+            e0 = _worst_case_error(sys, w)
         else:
             e0 = rng.standard_normal(sys.dim) \
                 + 1j * rng.standard_normal(sys.dim)
@@ -283,7 +307,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentRecord:
                 trace.append({"iteration": i, "relaxation": relaxation,
                               "norm": n, "value": values[n][i],
                               "ratio": ratio})
-        rows, _ = _bound_rows(pair, grid, relaxation)
+        rows, _ = _bound_rows(pair, grid, relaxation, cnorm)
         bounds.extend(rows)
         # one non-contractive iteration per theory: the interpolation factor
         # enters the first measured ratio except under worst-case seeding,
@@ -327,12 +351,13 @@ def check_bounds(cfg: ExperimentConfig, rec: ExperimentRecord) -> list:
                              if r["relaxation"] == relaxation
                              and r["norm"] == n),
                             key=lambda r: r["iteration"])
+            floor = ROUNDOFF_FLOOR * series[0]["value"]
             checked = []
             for prev, row in zip(series, series[1:]):
                 if (relaxation, n, row["iteration"]) in skip:
                     continue
-                if prev["value"] <= VALUE_FLOOR:
-                    continue   # underflowed denominator, ratio meaningless
+                if prev["value"] <= floor:
+                    continue
                 checked.append(row)
             if suff is not None:
                 for row in checked:

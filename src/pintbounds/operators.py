@@ -6,6 +6,7 @@ matrices Phi and Psi as stability functions R(dt*L) of one-step schemes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -273,11 +274,11 @@ class StepperPair:
     def dim(self) -> int:
         return self.fine.dim
 
-    @property
+    @functools.cached_property
     def fine_power(self) -> np.ndarray:
         return matrix_power(self.fine.matrix, self.k)
 
-    @property
+    @functools.cached_property
     def coarse_defect(self) -> np.ndarray:
         """Psi - Phi^k, the quantity every bound is built from."""
         return self.coarse.matrix - self.fine_power

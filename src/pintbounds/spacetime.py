@@ -196,6 +196,60 @@ def coarse_defect_blocks(pair: StepperPair, grid: GridSpec):
     return cgc_res, cgc_err, relax
 
 
+def mode_coarse_blocks(pair: StepperPair, grid: GridSpec,
+                       relaxation: str) -> np.ndarray:
+    """Per-mode residual-side coarse blocks of a pair whose shared eigenbasis
+    U is unitary, shape (N_x, N_c, N_c). The dense block of
+    coarse_defect_blocks is unitarily similar to their direct sum, so its
+    norm is the largest mode norm and mode m's vector v lifts to kron(v, U[:, m]).
+
+    With lam = lambda_m^k and mu = mu_m, block m is I - A_m B_m^{-1} (A_m unit
+    lower bidiagonal with subdiagonal -lam, B_m^{-1} lower triangular with
+    entries mu^(i-j)), whose entries are (lam - mu) mu^(i-j-1) below the
+    diagonal; for FCF it is multiplied by the relaxation factor lam S (S the
+    unit subdiagonal, a zero factor when k = 1)."""
+    if relaxation not in ("F", "FCF"):
+        raise ValueError(f"unknown relaxation {relaxation!r}")
+    eig = pair.shared_eig
+    lam = eig.fine_values ** pair.k
+    mu = eig.coarse_values
+    nc = grid.n_coarse
+    powers = np.ones((mu.size, nc), dtype=complex)
+    powers[:, 1:] = np.cumprod(np.broadcast_to(mu[:, None], (mu.size, nc - 1)),
+                               axis=1)
+    lag = np.subtract.outer(np.arange(nc), np.arange(nc))
+    blocks = (lam - mu)[:, None, None] * powers[:, np.maximum(lag - 1, 0)]
+    blocks[:, lag < 1] = 0.0
+    if relaxation == "F":
+        return blocks
+    out = np.zeros_like(blocks)
+    if grid.k >= 2:
+        out[:, :, :-1] = lam[:, None, None] * blocks[:, :, 1:]
+    return out
+
+
+def coarse_norm(pair: StepperPair, grid: GridSpec, relaxation: str,
+                with_vector: bool = False):
+    """(spectral norm of the residual-side coarse block, its leading right
+    singular vector or None). Per mode when the pair has a unitary shared
+    eigenbasis, otherwise from the dense block."""
+    eig = pair.shared_eig
+    if eig is not None and eig.normal:
+        blocks = mode_coarse_blocks(pair, grid, relaxation)
+        top = np.linalg.svd(blocks, compute_uv=False)[:, 0]
+        m = int(np.argmax(top))
+        if not with_vector:
+            return float(top[m]), None
+        _, _, vh = np.linalg.svd(blocks[m])
+        return float(top[m]), np.kron(vh[0].conj(), eig.vectors[:, m])
+    cgc_res, _, relax = coarse_defect_blocks(pair, grid)
+    block = cgc_res if relaxation == "F" else cgc_res @ relax
+    if not with_vector:
+        return float(np.linalg.svd(block, compute_uv=False)[0]), None
+    _, s, vh = np.linalg.svd(block)
+    return float(s[0]), vh[0].conj()
+
+
 @dataclass(frozen=True)
 class PropagatorSet:
     e_f: np.ndarray

@@ -21,6 +21,7 @@ from . import tap as _tap
 
 COND_CAP = 1e12
 FOURIER_POINTS = 4096
+BRACKET_MIN_N = 10     # smallest N_c for which the bracket is proven
 
 SYMBOL_KINDS = ("F-relaxation", "FCF-relaxation", "error-side-F", "error-side-FCF")
 
@@ -328,7 +329,7 @@ def tridiag_perturbed_min_eig(mu: complex, n: int):
     diag[-1] = 1.0
     off = np.full(n - 1, -m)
     value = tridiag_min_eig(diag, off)
-    if n < 10:
+    if n < BRACKET_MIN_N:
         return value, None, None
     lower = (1.0 - m) ** 2 + np.pi**2 * m / (6.0 * n * n)
     upper = (1.0 - m) ** 2 + np.pi**2 * m / (n * n)
@@ -455,6 +456,34 @@ def timedep_exact_norm(spec: TimeDepSpec):
 # ---------------------------------------------------------------------------
 # necessary lower bounds on propagator norms
 
+def _ill_conditioned(sv: np.ndarray) -> bool:
+    return sv.min() == 0 or sv.max() / sv.min() > COND_CAP
+
+
+def _mode_t_hat_min_sv(mu: np.ndarray, lam_k: np.ndarray, relaxation: str,
+                       side: str, n: int, p: int) -> float:
+    """Smallest singular value of t_hat for a pair with a unitary shared
+    eigenbasis (Psi eigenvalues mu, Phi^k eigenvalues lam_k): t_hat is
+    unitarily similar to the direct sum of its scalar per-mode versions, whose
+    T0 is upper bidiagonal with diagonal -f/(h g) and superdiagonal 1/(h g)."""
+    defect = mu - lam_k
+    one = np.ones_like(mu)
+    if side == "residual":
+        g, h = defect, one if relaxation == "F" else lam_k
+    else:
+        g, h = one, defect if relaxation == "F" else defect * lam_k
+    hg = h * g
+    t0 = np.zeros((mu.size, n, n), dtype=complex)
+    idx = np.arange(n)
+    t0[:, idx, idx] = (-mu / hg)[:, None]
+    t0[:, idx[:-1], idx[1:]] = (1.0 / hg)[:, None]
+    power = t0
+    for _ in range(p - 1):
+        power = power @ t0
+    sv = np.linalg.svd(power[:, :n - p, p:], compute_uv=False)
+    return float(np.min(sv[:, -1]))
+
+
 @dataclass(frozen=True)
 class NecessaryBound:
     value: float
@@ -477,32 +506,44 @@ def necessary_lower_bound(pair: StepperPair, grid: GridSpec,
     psi = pair.coarse.matrix
     phik = pair.fine_power
     defect = pair.coarse_defect
-    s = np.linalg.svd(defect, compute_uv=False)
-    if s[-1] == 0 or s[0] / s[-1] > COND_CAP:
+    eig = pair.shared_eig
+    per_mode = eig is not None and eig.normal
+    if per_mode:
+        # singular values of normal matrices are their eigenvalue moduli
+        lam_k = eig.fine_values ** pair.k
+        defect_sv, phik_sv = np.abs(eig.coarse_values - lam_k), np.abs(lam_k)
+    else:
+        defect_sv = np.linalg.svd(defect, compute_uv=False)
+        if relaxation == "FCF":
+            phik_sv = np.linalg.svd(phik, compute_uv=False)
+    if _ill_conditioned(defect_sv):
         return NecessaryBound(0.0, 0.0, False,
                               "coarse defect singular; pseudoinverse path unavailable")
     if relaxation == "FCF":
-        sp = np.linalg.svd(phik, compute_uv=False)
-        if sp[-1] == 0 or sp[0] / sp[-1] > COND_CAP:
+        if _ill_conditioned(phik_sv):
             return NecessaryBound(0.0, 0.0, False,
                                   "fine-propagator power singular")
         if p > 1 and not pair.commuting:
             return NecessaryBound(0.0, 0.0, False,
                                   "FCF power bound needs commuting steppers")
-    eye = np.eye(psi.shape[0], dtype=complex)
-    if side == "residual":
-        g, h = defect, eye if relaxation == "F" else phik
-    else:
-        g = eye
-        h = defect if relaxation == "F" else defect @ phik
     # the offset-2 FCF block to the p-th power equals a zero-padded p-th power
     # of the offset-1 family with p fewer block rows
     n_eff = grid.n_coarse if relaxation == "F" else grid.n_coarse - p
     if p >= n_eff / 2:
         return NecessaryBound(0.0, 0.0, False,
                               "too few coarse points for the requested power")
-    spec = PinvSpec(psi, g, h, n_eff, p)
-    sigma = np.linalg.svd(t_hat(spec), compute_uv=False)[-1]
+    if per_mode:
+        sigma = _mode_t_hat_min_sv(eig.coarse_values, lam_k, relaxation, side,
+                                   n_eff, p)
+    else:
+        eye = np.eye(psi.shape[0], dtype=complex)
+        if side == "residual":
+            g, h = defect, eye if relaxation == "F" else phik
+        else:
+            g = eye
+            h = defect if relaxation == "F" else defect @ phik
+        spec = PinvSpec(psi, g, h, n_eff, p)
+        sigma = np.linalg.svd(t_hat(spec), compute_uv=False)[-1]
     value = 1.0 / sigma
 
     try:

@@ -26,9 +26,31 @@ def random_contraction(rng, d, norm_bound=0.9):
 
 
 def heat_pair(nx=8, dt=0.02, k=4, scheme="backward-euler", theta=None,
-              attach_eig=True):
+              attach_eig=True, coarse_scheme=None):
     spatial = ops.build_spatial("laplacian-1d-dirichlet", nx, 1.0 / (nx + 1))
     kw = {} if theta is None else {"theta": theta}
     fine = ops.build_stepper(spatial, ops.SchemeSpec(scheme, dt, **kw))
-    coarse = ops.build_stepper(spatial, ops.SchemeSpec(scheme, dt * k, **kw))
+    coarse = ops.build_stepper(
+        spatial, ops.SchemeSpec(coarse_scheme or scheme, dt * k, **kw))
     return ops.make_pair(fine, coarse, k, attach_eig=attach_eig)
+
+
+def normal_pair(k, attach_eig=True):
+    """Heat pair with a unitary shared eigenbasis (a dense-path twin without
+    it when attach_eig is False) and a nonzero defect also at k = 1, where
+    SDIRK2 fine steps meet a backward-Euler coarse step."""
+    fine = "sdirk2" if k == 1 else "backward-euler"
+    return heat_pair(nx=4, dt=0.02, k=k, scheme=fine, attach_eig=attach_eig,
+                     coarse_scheme="backward-euler")
+
+
+def skewed_pair(k=2):
+    """Backward-Euler pair whose shared eigenbasis is not unitary."""
+    v = np.array([[1.0, 0.5], [0.0, 1.0]], dtype=complex)
+    v_inv = np.linalg.inv(v)
+    values = np.array([-1.0, -3.0], dtype=complex)
+    eig = ops.Eigendecomposition(values, v, v_inv)
+    spatial = ops.SpatialOperator(v @ np.diag(values) @ v_inv, "skewed", eig)
+    fine = ops.build_stepper(spatial, ops.SchemeSpec("backward-euler", 0.1))
+    coarse = ops.build_stepper(spatial, ops.SchemeSpec("backward-euler", 0.1 * k))
+    return ops.make_pair(fine, coarse, k)

@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import yaml
 
+import pintbounds
 from pintbounds import cli, harness
+from pintbounds import spacetime as st
 from pintbounds import toeplitz as tp
 
 
@@ -55,6 +60,14 @@ class TestConfig:
         with pytest.raises(harness.ConfigError):
             harness.ExperimentConfig.from_dict(base_config(relaxations=["FCFF"]))
 
+    @pytest.mark.parametrize("overrides", [
+        {"k": "two"}, {"n_time": None}, {"iterations": [4]}, {"seed": -1},
+        {"seed": "x"}, {"relaxations": 5}, {"norms": 5},
+        {"tolerances": {"bound_margin": "tight"}}])
+    def test_malformed_values(self, overrides):
+        with pytest.raises(harness.ConfigError):
+            harness.ExperimentConfig.from_dict(base_config(**overrides))
+
     def test_missing_required(self):
         cfg = base_config()
         del cfg["problem"]
@@ -102,6 +115,61 @@ class TestRunExperiment:
                          and r["norm"] == "AstarA" and r["iteration"] == 1)
             assert first == pytest.approx(dense, rel=1e-10)
         assert not rec.violations
+
+    def test_worst_case_first_ratio_non_normal(self):
+        cfg = harness.ExperimentConfig.from_dict(base_config(
+            problem={"kind": "advection-1d-upwind", "n": 3, "h": 0.25},
+            initial_error="worst-case", norms=["AstarA"], iterations=3,
+            relaxations=["F", "FCF"], n_time=33, k=2))
+        rec = harness.run_experiment(cfg)
+        assert not rec.meta["normal"]
+        for relaxation in ("F", "FCF"):
+            dense = next(r["lower"] for r in rec.bounds
+                         if r["relaxation"] == relaxation
+                         and r["kind"] == "coarse-norm")
+            first = next(r["ratio"] for r in rec.trace
+                         if r["relaxation"] == relaxation
+                         and r["norm"] == "AstarA" and r["iteration"] == 1)
+            assert first == pytest.approx(dense, rel=1e-10)
+
+    @pytest.mark.parametrize("k", [2, 1])
+    def test_roundoff_is_not_a_violation(self, k):
+        # FCF is exact after a few sweeps: the error drops to round-off and
+        # the ratio of two round-off errors is about 1
+        cfg = harness.ExperimentConfig.from_dict(base_config(
+            k=k, n_time=9, relaxations=["FCF"], norms=["AstarA"],
+            iterations=4, initial_error="worst-case", seed=7))
+        rec = harness.run_experiment(cfg)
+        values = [r["value"] for r in rec.trace]
+        assert min(values[1:]) <= 1e-14 * values[0]
+        assert max(r["ratio"] for r in rec.trace[2:]) > 0.5
+        assert rec.violations == []
+
+    def test_fcf_bracket_lower_end_below_coarse_norm(self):
+        cfg = harness.ExperimentConfig.from_dict(base_config(
+            problem={"kind": "laplacian-1d-dirichlet", "n": 12, "h": 1 / 13},
+            fine={"scheme": "sdirk2", "dt": 2e-3}, k=4, n_time=257,
+            relaxations=["FCF"]))
+        pair = harness.build_pair(cfg)
+        rows, _ = harness._bound_rows(pair, st.GridSpec(257, 4), "FCF")
+        rows = {r["kind"]: r for r in rows}
+        bracket = rows["diagonalizable-bracket"]
+        assert bracket["certified"]
+        assert bracket["lower"] <= rows["coarse-norm"]["lower"]
+        assert rows["coarse-norm"]["lower"] <= bracket["upper"]
+
+    @pytest.mark.parametrize("n_coarse,relaxation,certified", [
+        (9, "F", False), (10, "F", True), (10, "FCF", False),
+        (11, "FCF", True)])
+    def test_bracket_certified_from_ten(self, n_coarse, relaxation, certified):
+        cfg = harness.ExperimentConfig.from_dict(base_config(
+            n_time=2 * n_coarse - 1, relaxations=[relaxation]))
+        pair = harness.build_pair(cfg)
+        rows, _ = harness._bound_rows(pair, st.GridSpec(cfg.n_time, 2),
+                                      relaxation)
+        bracket = next(r for r in rows
+                       if r["kind"] == "diagonalizable-bracket")
+        assert bracket["certified"] is certified
 
     def test_bound_rows_present(self):
         cfg = harness.ExperimentConfig.from_dict(base_config())
@@ -195,6 +263,27 @@ class TestCli:
         path = tmp_path / "cfg.yaml"
         path.write_text(yaml.safe_dump(base_config(typo=True)))
         assert cli.main(["run", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize("text", [
+        yaml.safe_dump(base_config(problem={"kind": "heat-2d", "n": 4,
+                                            "h": 0.2})),
+        yaml.safe_dump(base_config(fine={"scheme": "backward-euler",
+                                         "dt": -1})),
+        yaml.safe_dump(base_config(k="two")),
+        "problem: {kind: [unclosed\n",
+    ], ids=["unknown-kind", "negative-dt", "non-integer-k", "malformed-yaml"])
+    def test_bad_config_exits_2_without_traceback(self, tmp_path, text):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(text)
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(pintbounds.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "pintbounds.cli", "run", "--config",
+             str(path), "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "configuration error" in proc.stderr
 
     def test_missing_file_exits_2(self, tmp_path):
         assert cli.main(["run", "--config", str(tmp_path / "nope.yaml")]) == 2

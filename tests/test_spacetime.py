@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
 
-from helpers import heat_pair, random_contraction, raw_pair, raw_stepper
+from helpers import (heat_pair, normal_pair, random_contraction, raw_pair,
+                     raw_stepper, skewed_pair)
 from pintbounds import operators as ops
 from pintbounds import spacetime as st
 
@@ -309,3 +310,49 @@ class TestOperatorNorm:
             st.operator_norm(np.eye(2), "modified")
         with pytest.raises(ValueError):
             st.operator_norm(np.eye(2), "nuclear")
+
+
+class TestModeBlocks:
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    @pytest.mark.parametrize("relaxation", ["F", "FCF"])
+    def test_direct_sum_of_dense_block(self, k, relaxation):
+        pair = normal_pair(k)
+        grid = st.GridSpec(8 * k + 1, k)
+        cgc_res, _, relax = st.coarse_defect_blocks(pair, grid)
+        dense = cgc_res if relaxation == "F" else cgc_res @ relax
+        u = pair.shared_eig.vectors
+        nx, nc = pair.dim, grid.n_coarse
+        modal = st.block_diag_transform(dense, u, u.conj().T)
+        expected = np.zeros((nc, nx, nc, nx), dtype=complex)
+        idx = np.arange(nx)
+        expected[:, idx, :, idx] = st.mode_coarse_blocks(pair, grid, relaxation)
+        assert np.allclose(modal.reshape(nc, nx, nc, nx), expected,
+                           rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    @pytest.mark.parametrize("relaxation", ["F", "FCF"])
+    def test_norm_and_vector_match_dense(self, k, relaxation):
+        pair = normal_pair(k)
+        grid = st.GridSpec(8 * k + 1, k)
+        norm, w = st.coarse_norm(pair, grid, relaxation, True)
+        dense, _ = st.coarse_norm(normal_pair(k, attach_eig=False), grid,
+                                  relaxation)
+        assert norm == pytest.approx(dense, rel=1e-12)
+        cgc_res, _, relax = st.coarse_defect_blocks(pair, grid)
+        block = cgc_res if relaxation == "F" else cgc_res @ relax
+        assert np.linalg.norm(w) == pytest.approx(1.0, rel=1e-14)
+        assert np.linalg.norm(block @ w) == pytest.approx(dense, rel=1e-12,
+                                                          abs=1e-15)
+
+    def test_non_unitary_basis_takes_dense_path(self, monkeypatch):
+        pair = skewed_pair()
+        assert pair.shared_eig is not None and not pair.shared_eig.normal
+
+        def refuse(*args):
+            raise AssertionError("per-mode path taken")
+
+        monkeypatch.setattr(st, "mode_coarse_blocks", refuse)
+        grid = st.GridSpec(17, 2)
+        cgc_res, _, _ = st.coarse_defect_blocks(pair, grid)
+        norm, _ = st.coarse_norm(pair, grid, "F")
+        assert norm == pytest.approx(np.linalg.norm(cgc_res, 2), rel=1e-12)

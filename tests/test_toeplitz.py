@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from helpers import heat_pair, random_contraction, raw_pair
+from helpers import (heat_pair, normal_pair, random_contraction, raw_pair,
+                     skewed_pair)
+from pintbounds import operators as ops
 from pintbounds import spacetime as st
 from pintbounds import toeplitz as tp
 
@@ -342,6 +344,42 @@ class TestNecessaryLowerBound:
         cgc_res, _, _ = st.coarse_defect_blocks(pair, grid)
         assert nb.available
         assert nb.value <= np.linalg.norm(cgc_res, 2) * (1 + 1e-12)
+
+    def test_exact_normal_coarse_unavailable(self):
+        # Psi = Phi^2 exactly: backward Euler against (1 - w/2)^-2 at w = 2 dt L
+        spatial = ops.build_spatial("laplacian-1d-dirichlet", 4, 0.2)
+        fine = ops.build_stepper(spatial, ops.SchemeSpec("backward-euler", 0.02))
+        coarse = ops.build_stepper(spatial, ops.SchemeSpec(
+            "custom-rational", 0.04, numerator=(1.0,),
+            denominator=(1.0, -1.0, 0.25)))
+        pair = ops.make_pair(fine, coarse, 2)
+        assert pair.shared_eig.normal
+        nb = tp.necessary_lower_bound(pair, st.GridSpec(17, 2))
+        assert not nb.available and "defect" in nb.reason
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    @pytest.mark.parametrize("relaxation", ["F", "FCF"])
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("side", ["residual", "error"])
+    def test_per_mode_matches_dense(self, k, relaxation, p, side):
+        grid = st.GridSpec(8 * k + 1, k)
+        nb = tp.necessary_lower_bound(normal_pair(k), grid, relaxation, p, side)
+        dense = tp.necessary_lower_bound(normal_pair(k, attach_eig=False), grid,
+                                         relaxation, p, side)
+        assert nb.available and dense.available
+        assert nb.value == pytest.approx(dense.value, rel=1e-12)
+
+    def test_non_unitary_basis_takes_dense_path(self, monkeypatch):
+        pair = skewed_pair()
+        grid = st.GridSpec(17, 2)
+        expected = tp.necessary_lower_bound(
+            ops.make_pair(pair.fine, pair.coarse, 2, attach_eig=False), grid)
+
+        def refuse(*args):
+            raise AssertionError("per-mode path taken")
+
+        monkeypatch.setattr(tp, "_mode_t_hat_min_sv", refuse)
+        assert tp.necessary_lower_bound(pair, grid).value == expected.value
 
     def test_fcf_noncommuting_power_flagged(self):
         rng = np.random.default_rng(6)

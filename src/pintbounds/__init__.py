@@ -20,7 +20,7 @@ from .toeplitz import (DiagBound, PinvSpec, SymbolFunction, TimeDepSpec,
                        pinv_a0, pinv_power, power_symbol, symbol_max_sv,
                        symbol_min_eig, timedep_exact_norm,
                        tridiag_perturbed_min_eig, tridiag_toeplitz_eigs)
-from .tridiag import COMPILED, tridiag_min_eig
+from .tridiag import tridiag_min_eig
 from .harness import (ExperimentConfig, ExperimentRecord, load_config,
                       report_emit, run_experiment, verify_suite)
 

@@ -2,8 +2,9 @@
 
 Computes the phase-minimized norms min_x ||(I - e^{ix} Psi)^p v|| and the
 approximation constants that bound two-level convergence: the vector form
-(sup over v), its inverse form, and the eigenvalue form for simultaneously
-diagonalizable pairs, for F- and FCF-relaxation.
+(sup over v, evaluated as a phase sweep of largest singular values), its
+inverse form, and the eigenvalue form for simultaneously diagonalizable
+pairs, for F- and FCF-relaxation.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ class TapQuery:
     p: int = 1
     variant: str = "TAP"
     phase_grid: int = PHASE_GRID
-    restarts: int = 32
 
     def __post_init__(self):
         if self.relaxation not in ("F", "FCF"):
@@ -99,14 +99,14 @@ def _extremum_over_phases(fun, phase_grid=PHASE_GRID, minimize=False, skip=None)
     return float(best_x % (2.0 * np.pi)), sign * best_v
 
 
-def _phase_poly_coeffs(a: np.ndarray, b: np.ndarray, v: np.ndarray, p: int):
-    """Coefficient vectors c_m of (a - e^{ix} b)^p v = sum_m e^{imx} c_m."""
+def _phase_poly_coeffs(psi: np.ndarray, v: np.ndarray, p: int):
+    """Coefficient vectors c_m of (I - e^{ix} psi)^p v = sum_m e^{imx} c_m."""
     coeffs = [np.asarray(v, dtype=complex)]
     for _ in range(p):
-        nxt = [a @ coeffs[0]]
+        nxt = [coeffs[0]]
         for m in range(1, len(coeffs)):
-            nxt.append(a @ coeffs[m] - b @ coeffs[m - 1])
-        nxt.append(-b @ coeffs[-1])
+            nxt.append(coeffs[m] - psi @ coeffs[m - 1])
+        nxt.append(-psi @ coeffs[-1])
         coeffs = nxt
     return np.array(coeffs)
 
@@ -152,25 +152,9 @@ def min_phase_norm(psi, v: np.ndarray, p: int = 1,
         val = math.sqrt(max(0.0, nv**2 + np.linalg.norm(mv)**2 - 2.0 * abs(inner)))
         x = float((-np.angle(inner)) % (2.0 * np.pi)) if inner != 0 else 0.0
         return val, x
-    coeffs = _phase_poly_coeffs(np.eye(m.shape[0], dtype=complex), m, v, p)
+    coeffs = _phase_poly_coeffs(m, v, p)
     val, x = _min_phase_poly(coeffs, min(phase_grid, 512))
     return val, x
-
-
-def _den_factors(pair: StepperPair, relaxation: str):
-    """Matrices (a, b) with denominator factor a - e^{ix} b."""
-    psi = pair.coarse.matrix
-    eye = np.eye(psi.shape[0], dtype=complex)
-    if relaxation == "F":
-        return eye, psi
-    phik_inv = np.linalg.inv(pair.fine_power)
-    return phik_inv, phik_inv @ psi
-
-
-def _min_phase_den(q: TapQuery, v: np.ndarray) -> float:
-    a, b = _den_factors(q.pair, q.relaxation)
-    coeffs = _phase_poly_coeffs(a, b, v, q.p)
-    return _min_phase_poly(coeffs)[0]
 
 
 def _psi_poles(pair: StepperPair):
@@ -212,59 +196,14 @@ def _gsv_sweep(q: TapQuery):
     return x, val, num
 
 
-def _vector_ascent(q: TapQuery, num: np.ndarray, rng) -> tuple[float, np.ndarray]:
-    """Projected ascent on ||num v|| / min_x den(v), with random restarts.
-    Heuristic; reduced by max with the phase sweep."""
-    n = num.shape[0]
-
-    def ratio(v):
-        den = _min_phase_den(q, v)
-        if den <= 1e-300:
-            return 0.0
-        return float(np.linalg.norm(num @ v)) / den
-
-    best, best_v = 0.0, None
-    for _ in range(q.restarts):
-        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        v /= np.linalg.norm(v)
-        r = ratio(v)
-        step = 0.25
-        stalled = False
-        for _ in range(60):
-            g = np.zeros(n, dtype=complex)
-            h = 1e-6
-            for j in range(n):
-                e = np.zeros(n, dtype=complex)
-                e[j] = h
-                g[j] = (ratio(v + e) - r) / h + 1j * (ratio(v + 1j * e) - r) / h
-            gn = np.linalg.norm(g)
-            if gn == 0:
-                break
-            moved = False
-            while step > 1e-10:
-                cand = v + step * g / gn
-                cand /= np.linalg.norm(cand)
-                rc = ratio(cand)
-                if rc > r:
-                    stalled = rc <= r * (1.0 + 1e-8)
-                    v, r = cand, rc
-                    step *= 1.6
-                    moved = True
-                    break
-                step *= 0.5
-            if not moved or stalled:
-                break
-        if r > best:
-            best, best_v = r, v
-    return best, best_v
-
-
-def tap_constant(q: TapQuery, rng=None) -> TapResult:
+def tap_constant(q: TapQuery) -> TapResult:
     """sup over v of ||(Psi - Phi^k)^p v|| / min_x ||denominator(x)^p v||.
 
-    Certified through the eigenvalue path for normal shared-eigendecomposition
-    pairs; otherwise a phase sweep of generalized singular values reduced by
-    max with a multi-restart vector ascent.
+    The two maxima swap, so away from the poles of Psi this is
+    max_x sigma_max((Psi - Phi^k)^p denominator(x)^{-p}). Certified through
+    the eigenvalue path for normal shared-eigendecomposition pairs; otherwise
+    that phase sweep, whose maximizer is the top right singular vector at the
+    best phase mapped through denominator(x)^{-p}.
     """
     pair = q.pair
     if q.relaxation == "FCF" and not _power_invertible(pair):
@@ -279,16 +218,7 @@ def tap_constant(q: TapQuery, rng=None) -> TapResult:
     _, _, vh = np.linalg.svd(num @ di)
     v = di @ vh[0].conj()
     v /= np.linalg.norm(v)
-
-    value, maximizer = sweep, v
-    if q.restarts > 0:
-        if rng is None:
-            rng = np.random.default_rng(0)
-        asc, asc_v = _vector_ascent(q, num, rng)
-        if asc > value:
-            value, maximizer = asc, asc_v
-    value = max(value, sweep)   # never below the cross-check lower bound
-    return TapResult(float(value), maximizer, float(x_hat), "phase-sweep+ascent", False)
+    return TapResult(float(sweep), v, float(x_hat), "phase-sweep", False)
 
 
 def itap_constant(q: TapQuery) -> TapResult:

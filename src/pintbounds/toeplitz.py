@@ -487,7 +487,6 @@ def _mode_t_hat_min_sv(mu: np.ndarray, lam_k: np.ndarray, relaxation: str,
 @dataclass(frozen=True)
 class NecessaryBound:
     value: float
-    slack_constant: float
     available: bool
     reason: str = ""
 
@@ -497,8 +496,7 @@ def necessary_lower_bound(pair: StepperPair, grid: GridSpec,
                           side: str = "residual") -> NecessaryBound:
     """Certified lower bound on the norm of the p-th power of the coarse-level
     propagation block, through the minimum singular value of the structured
-    pseudoinverse's invertible Toeplitz sub-block. The reported slack constant
-    scales the gap to the approximation constant by sqrt(N_c)."""
+    pseudoinverse's invertible Toeplitz sub-block."""
     if relaxation not in ("F", "FCF"):
         raise ValueError(f"unknown relaxation {relaxation!r}")
     if side not in ("residual", "error"):
@@ -517,25 +515,29 @@ def necessary_lower_bound(pair: StepperPair, grid: GridSpec,
         if relaxation == "FCF":
             phik_sv = np.linalg.svd(phik, compute_uv=False)
     if _ill_conditioned(defect_sv):
-        return NecessaryBound(0.0, 0.0, False,
+        return NecessaryBound(0.0, False,
                               "coarse defect singular; pseudoinverse path unavailable")
     if relaxation == "FCF":
         if _ill_conditioned(phik_sv):
-            return NecessaryBound(0.0, 0.0, False,
+            return NecessaryBound(0.0, False,
                                   "fine-propagator power singular")
         if p > 1 and not pair.commuting:
-            return NecessaryBound(0.0, 0.0, False,
+            return NecessaryBound(0.0, False,
                                   "FCF power bound needs commuting steppers")
     # the offset-2 FCF block to the p-th power equals a zero-padded p-th power
     # of the offset-1 family with p fewer block rows
     n_eff = grid.n_coarse if relaxation == "F" else grid.n_coarse - p
     if p >= n_eff / 2:
-        return NecessaryBound(0.0, 0.0, False,
+        return NecessaryBound(0.0, False,
                               "too few coarse points for the requested power")
     if per_mode:
         sigma = _mode_t_hat_min_sv(eig.coarse_values, lam_k, relaxation, side,
                                    n_eff, p)
     else:
+        if _ill_conditioned(np.linalg.svd(psi, compute_uv=False)):
+            return NecessaryBound(0.0, False,
+                                  "coarse stepper singular; pseudoinverse "
+                                  "path unavailable")
         eye = np.eye(psi.shape[0], dtype=complex)
         if side == "residual":
             g, h = defect, eye if relaxation == "F" else phik
@@ -544,16 +546,4 @@ def necessary_lower_bound(pair: StepperPair, grid: GridSpec,
             h = defect if relaxation == "F" else defect @ phik
         spec = PinvSpec(psi, g, h, n_eff, p)
         sigma = np.linalg.svd(t_hat(spec), compute_uv=False)[-1]
-    value = 1.0 / sigma
-
-    try:
-        if side == "residual":
-            phi = _tap.tap_constant(
-                _tap.TapQuery(pair, relaxation, p, "TAP", restarts=0)).value
-        else:
-            phi = _tap.itap_constant(
-                _tap.TapQuery(pair, relaxation, 1, "ITAP")).value ** p
-    except ValueError:
-        phi = value
-    slack = (phi / value - 1.0) * math.sqrt(grid.n_coarse)
-    return NecessaryBound(float(value), float(slack), True)
+    return NecessaryBound(float(1.0 / sigma), True)

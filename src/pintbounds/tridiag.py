@@ -1,23 +1,36 @@
 """Hermitian tridiagonal minimum-eigenvalue solver.
 
-Bisection on the Sturm sequence. The inner recurrence runs in a compiled
-extension when available and falls back to pure Python otherwise; a phase
-similarity reduces the Hermitian problem to real symmetric form, so only the
-off-diagonal magnitudes enter.
+Bisection on the Sturm sequence; a phase similarity reduces the Hermitian
+problem to real symmetric form, so only the off-diagonal magnitudes enter.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-try:
-    from ._sturm import min_eig as _min_eig
-    COMPILED = True
-except ImportError:       # pragma: no cover - depends on build environment
-    from ._sturm_py import min_eig as _min_eig
-    COMPILED = False
-
 BISECT_ITERS = 120
+
+
+def _min_eig(d, b2, lo, hi, iters):
+    """Smallest eigenvalue of the real symmetric tridiagonal matrix with
+    diagonal d and squared off-diagonal b2, by bisection on the Sturm
+    sequence count over [lo, hi]."""
+    n = len(d)
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        q = d[0] - mid
+        cnt = 1 if q < 0.0 else 0
+        for i in range(1, n):
+            if q == 0.0:
+                q = 1e-300
+            q = d[i] - mid - b2[i - 1] / q
+            if q < 0.0:
+                cnt += 1
+        if cnt >= 1:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
 
 
 def tridiag_min_eig(diag, off) -> float:

@@ -10,6 +10,7 @@ import yaml
 import pintbounds
 from pintbounds import cli, harness
 from pintbounds import spacetime as st
+from pintbounds import tap
 from pintbounds import toeplitz as tp
 
 
@@ -171,6 +172,29 @@ class TestRunExperiment:
                        if r["kind"] == "diagonalizable-bracket")
         assert bracket["certified"] is certified
 
+    @pytest.mark.parametrize("problem", [
+        {"kind": "laplacian-1d-dirichlet", "n": 4, "h": 0.2},
+        {"kind": "advection-1d-upwind", "n": 3, "h": 0.25}],
+        ids=["normal", "non-normal"])
+    @pytest.mark.parametrize("relaxation", ["F", "FCF"])
+    def test_necessary_slack_from_tap_row(self, problem, relaxation,
+                                          monkeypatch):
+        cfg = harness.ExperimentConfig.from_dict(base_config(problem=problem))
+        pair = harness.build_pair(cfg)
+        grid = st.GridSpec(cfg.n_time, cfg.k)
+        calls = []
+        original = tap.tap_constant
+        monkeypatch.setattr(tap, "tap_constant",
+                            lambda q: calls.append(q) or original(q))
+        rows, _ = harness._bound_rows(pair, grid, relaxation)
+        assert len(calls) == 1
+        rows = {r["kind"]: r for r in rows}
+        slack = rows["necessary"]["slack_constant"]
+        assert np.isfinite(slack)
+        nb = tp.necessary_lower_bound(pair, grid, relaxation)
+        expected = (rows["tap"]["lower"] / nb.value - 1) * np.sqrt(grid.n_coarse)
+        assert slack == pytest.approx(expected, rel=1e-12)
+
     def test_bound_rows_present(self):
         cfg = harness.ExperimentConfig.from_dict(base_config())
         rec = harness.run_experiment(cfg)
@@ -284,6 +308,27 @@ class TestCli:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert "configuration error" in proc.stderr
+
+    def test_singular_coarse_stepper_without_traceback(self, tmp_path):
+        # upwind at Courant number 1 with a forward-Euler coarse step: Psi is
+        # the nilpotent shift, so the pseudoinverse path is unavailable
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(base_config(
+            problem={"kind": "advection-1d-upwind", "n": 4, "h": 0.25},
+            fine={"scheme": "backward-euler", "dt": 0.125},
+            coarse={"scheme": "forward-euler", "dt": 0.25},
+            relaxations=["F", "FCF"])))
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(pintbounds.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "pintbounds.cli", "run", "--config",
+             str(path), "--out", str(tmp_path / "out"), "--format", "json"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode in (0, 1)
+        assert "Traceback" not in proc.stderr
+        rec = json.load(open(tmp_path / "out" / "experiment.json"))
+        kinds = {r["kind"] for r in rec["bounds"]}
+        assert "tap" in kinds and "necessary" not in kinds
 
     def test_missing_file_exits_2(self, tmp_path):
         assert cli.main(["run", "--config", str(tmp_path / "nope.yaml")]) == 2

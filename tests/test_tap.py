@@ -8,15 +8,17 @@ from pintbounds import spacetime as st
 from pintbounds import tap
 
 
-def grid_min_phase(psi, v, p, samples=4096):
-    """Brute-force oracle: dense phase grid plus a local ternary polish of the
-    best cell (the raw grid min carries O(h^2) discretization error)."""
+def grid_min_phase(psi, v, p, samples=4096, left=None):
+    """Brute-force oracle for min_x ||left (I - e^{ix} psi)^p v||: dense phase
+    grid plus a local ternary polish of the best cell (the raw grid min
+    carries O(h^2) discretization error)."""
     psi = np.asarray(psi, dtype=complex)
     eye = np.eye(psi.shape[0])
+    left = eye if left is None else left
 
     def fun(x):
         return np.linalg.norm(
-            np.linalg.matrix_power(eye - np.exp(1j * x) * psi, p) @ v)
+            left @ np.linalg.matrix_power(eye - np.exp(1j * x) * psi, p) @ v)
 
     xs = np.linspace(0, 2 * np.pi, samples, endpoint=False)
     vals = [fun(x) for x in xs]
@@ -86,12 +88,12 @@ class TestTapConstant:
         rng = np.random.default_rng(2)
         phi = random_contraction(rng, 2)
         pair = raw_pair(phi, phi @ phi, 2)
-        res = tap.tap_constant(tap.TapQuery(pair, "F", 1, restarts=2))
+        res = tap.tap_constant(tap.TapQuery(pair, "F", 1))
         assert res.value < 1e-12
 
     def test_scalar_value(self):
         pair = raw_pair([[0.5]], [[0.6]], 1)
-        res = tap.tap_constant(tap.TapQuery(pair, "F", 1, restarts=2))
+        res = tap.tap_constant(tap.TapQuery(pair, "F", 1))
         assert res.value == pytest.approx(0.25, rel=1e-8)
 
     def test_normal_pair_certified(self):
@@ -106,16 +108,35 @@ class TestTapConstant:
         bare = heat_pair(nx=5, dt=0.03, k=2, attach_eig=False)
         for relaxation in ("F", "FCF"):
             teap = tap.teap_constant(tap.TapQuery(full, relaxation, 1, "TEAP"))
-            gen = tap.tap_constant(tap.TapQuery(bare, relaxation, 1, restarts=2))
+            gen = tap.tap_constant(tap.TapQuery(bare, relaxation, 1))
             assert not gen.certified
             assert abs(gen.value - teap.value) <= 1e-8 * teap.value
 
-    def test_value_never_below_sweep(self):
+    @pytest.mark.parametrize("relaxation", ["F", "FCF"])
+    def test_value_is_sup_over_vectors(self, relaxation):
+        # the definition: sup over v of ||(Psi - Phi^k) v|| / min_x ||D(x) v||
+        # with D(x) = I - e^{ix} Psi for F and Phi^{-k} (I - e^{ix} Psi) for FCF
         rng = np.random.default_rng(3)
-        pair = raw_pair(random_contraction(rng, 3), random_contraction(rng, 3), 2)
-        q = tap.TapQuery(pair, "F", 1, restarts=4)
-        _, sweep, _ = tap._gsv_sweep(q)
-        assert tap.tap_constant(q).value >= sweep - 1e-14
+        for _ in range(3):
+            phi = random_contraction(rng, 3)
+            psi = random_contraction(rng, 3)
+            pair = raw_pair(phi, psi, 2)
+            left = None if relaxation == "F" else np.linalg.inv(phi @ phi)
+            res = tap.tap_constant(tap.TapQuery(pair, relaxation, 1))
+            assert res.method == "phase-sweep" and not res.certified
+
+            def ratio(v):
+                # for p = 1 the denominator is a sinusoid in x, so a coarse
+                # grid brackets its one minimum
+                return (np.linalg.norm((psi - phi @ phi) @ v)
+                        / grid_min_phase(psi, v, 1, samples=256, left=left))
+
+            for _ in range(6):
+                v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+                assert ratio(v) <= res.value * (1 + 1e-10)
+                near = res.maximizer + 1e-3 * v
+                assert ratio(near) <= res.value * (1 + 1e-10)
+            assert ratio(res.maximizer) == pytest.approx(res.value, rel=1e-8)
 
     def test_power_on_normal_pair(self):
         pair = heat_pair(nx=4, dt=0.02, k=2)

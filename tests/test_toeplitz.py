@@ -335,7 +335,12 @@ class TestNecessaryLowerBound:
         block = base if relaxation == "F" else base @ relax
         dense = np.linalg.norm(np.linalg.matrix_power(block, p), 2)
         assert nb.value <= dense * (1 + 1e-10)
-        assert np.isfinite(nb.slack_constant)
+
+    def test_singular_coarse_stepper_unavailable(self):
+        shift = np.array([[0.0, 1.0], [0.0, 0.0]])
+        pair = raw_pair(0.5 * np.eye(2), shift, 2)
+        nb = tp.necessary_lower_bound(pair, st.GridSpec(17, 2))
+        assert not nb.available and "coarse stepper" in nb.reason
 
     def test_scalar_pair(self):
         pair = raw_pair([[np.sqrt(0.5)]], [[0.6]], 2)

@@ -241,7 +241,7 @@ def _bound_rows(pair: ops.StepperPair, grid: st.GridSpec, relaxation: str,
         rows.append({"relaxation": relaxation, "kind": "necessary",
                      "lower": nb.value, "upper": math.inf, "certified": True,
                      "slack_constant": slack})
-    if grid.n_coarse * pair.dim <= st.DENSE_CAP:
+    if pair.normal or grid.n_coarse * pair.dim <= st.DENSE_CAP:
         if cnorm is None:
             cnorm, _ = st.coarse_norm(pair, grid, relaxation)
         rows.append({"relaxation": relaxation, "kind": "coarse-norm",
@@ -272,8 +272,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentRecord:
     pair = build_pair(cfg)
     grid = st.GridSpec(cfg.n_time, cfg.k)
     sys = st.assemble_system(pair, grid)
-    if grid.n_coarse * pair.dim > st.DENSE_CAP:
-        raise ConfigError("coarse problem exceeds the dense analysis cap")
+    if not pair.normal and grid.n_coarse * pair.dim > st.DENSE_CAP:
+        raise ConfigError("non-normal pair exceeds the dense analysis cap")
     u_inv = None
     if pair.shared_eig is not None:
         u_inv = pair.shared_eig.vectors_inv
@@ -325,8 +325,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentRecord:
 
     meta = {"dim": sys.dim, "n_coarse": grid.n_coarse,
             "spatial_dim": pair.dim, "commuting": bool(pair.commuting),
-            "normal": bool(pair.shared_eig is not None
-                           and pair.shared_eig.normal),
+            "normal": pair.normal,
             "wall_time": time.perf_counter() - t0}
     rec = ExperimentRecord(config=cfg.raw, seed=cfg.seed, meta=meta,
                            trace=trace, bounds=bounds, excluded=excluded)

@@ -274,6 +274,11 @@ class StepperPair:
     def dim(self) -> int:
         return self.fine.dim
 
+    @property
+    def normal(self) -> bool:
+        """Whether Phi and Psi share a unitary eigenbasis."""
+        return bool(self.shared_eig is not None and self.shared_eig.normal)
+
     @functools.cached_property
     def fine_power(self) -> np.ndarray:
         return matrix_power(self.fine.matrix, self.k)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import StepperPair, matrix_power
+from .tridiag import bidiagonal_gram, tridiag_min_eig
 
 DENSE_CAP = 4096
 
@@ -50,20 +51,15 @@ class GridSpec:
 class SpaceTimeSystem:
     pair: StepperPair
     grid: GridSpec
-    dense_cap: int = DENSE_CAP
 
     @property
     def dim(self) -> int:
         return self.grid.n_time * self.pair.dim
 
-    @property
-    def dense_ok(self) -> bool:
-        return self.dim <= self.dense_cap
-
     def _require_dense(self):
-        if not self.dense_ok:
+        if self.dim > DENSE_CAP:
             raise ValueError(
-                f"problem size {self.dim} exceeds dense cap {self.dense_cap}; "
+                f"problem size {self.dim} exceeds dense cap {DENSE_CAP}; "
                 "only the action path is available")
 
     @property
@@ -92,9 +88,8 @@ class SpaceTimeSystem:
         return ap[:nf, :nf], ap[:nf, nf:], ap[nf:, :nf], ap[nf:, nf:]
 
 
-def assemble_system(pair: StepperPair, grid: GridSpec,
-                    dense_cap: int = DENSE_CAP) -> SpaceTimeSystem:
-    return SpaceTimeSystem(pair, grid, dense_cap)
+def assemble_system(pair: StepperPair, grid: GridSpec) -> SpaceTimeSystem:
+    return SpaceTimeSystem(pair, grid)
 
 
 def apply_full(sys: SpaceTimeSystem, u: np.ndarray) -> np.ndarray:
@@ -108,14 +103,7 @@ def apply_full(sys: SpaceTimeSystem, u: np.ndarray) -> np.ndarray:
 
 def sequential_solve(sys: SpaceTimeSystem, f: np.ndarray) -> np.ndarray:
     """Exact solve of A u = f by forward substitution."""
-    nx, nt = sys.pair.dim, sys.grid.n_time
-    fb = f.reshape(nt, nx)
-    phi = sys.pair.fine.matrix
-    u = np.empty_like(fb, dtype=complex)
-    u[0] = fb[0]
-    for i in range(1, nt):
-        u[i] = fb[i] + phi @ u[i - 1]
-    return u.ravel()
+    return coarse_forward_solve(sys.pair.fine.matrix, f)
 
 
 def fine_block_inverse(sys: SpaceTimeSystem) -> np.ndarray:
@@ -196,36 +184,33 @@ def coarse_defect_blocks(pair: StepperPair, grid: GridSpec):
     return cgc_res, cgc_err, relax
 
 
-def mode_coarse_blocks(pair: StepperPair, grid: GridSpec,
-                       relaxation: str) -> np.ndarray:
-    """Per-mode residual-side coarse blocks of a pair whose shared eigenbasis
-    U is unitary, shape (N_x, N_c, N_c). The dense block of
-    coarse_defect_blocks is unitarily similar to their direct sum, so its
-    norm is the largest mode norm and mode m's vector v lifts to kron(v, U[:, m]).
+def _mode_grams(mu: np.ndarray, n: int):
+    """Per mode, C C^* for C unit lower bidiagonal of order n, subdiagonal -mu."""
+    return bidiagonal_gram(np.repeat(-mu[:, None], n - 1, axis=1),
+                           np.ones((mu.size, n)))
+
+
+def mode_norms(pair: StepperPair, grid: GridSpec, relaxation: str) -> np.ndarray:
+    """Norms of the per-mode residual-side coarse blocks of a pair whose
+    shared eigenbasis U is unitary. The dense block of coarse_defect_blocks is
+    unitarily similar to their direct sum, so its norm is the largest.
 
     With lam = lambda_m^k and mu = mu_m, block m is I - A_m B_m^{-1} (A_m unit
     lower bidiagonal with subdiagonal -lam, B_m^{-1} lower triangular with
     entries mu^(i-j)), whose entries are (lam - mu) mu^(i-j-1) below the
-    diagonal; for FCF it is multiplied by the relaxation factor lam S (S the
-    unit subdiagonal, a zero factor when k = 1)."""
+    diagonal. Past its zero first row and last column it is (lam - mu) C^{-1},
+    C unit lower bidiagonal of order N_c - 1 with subdiagonal -mu, so its norm
+    is |lam - mu| / sqrt(lambda_min(C C^*)). The FCF block is lam times the F
+    block at N_c - 1, and zero when k = 1 (no F-points)."""
     if relaxation not in ("F", "FCF"):
         raise ValueError(f"unknown relaxation {relaxation!r}")
     eig = pair.shared_eig
-    lam = eig.fine_values ** pair.k
-    mu = eig.coarse_values
-    nc = grid.n_coarse
-    powers = np.ones((mu.size, nc), dtype=complex)
-    powers[:, 1:] = np.cumprod(np.broadcast_to(mu[:, None], (mu.size, nc - 1)),
-                               axis=1)
-    lag = np.subtract.outer(np.arange(nc), np.arange(nc))
-    blocks = (lam - mu)[:, None, None] * powers[:, np.maximum(lag - 1, 0)]
-    blocks[:, lag < 1] = 0.0
-    if relaxation == "F":
-        return blocks
-    out = np.zeros_like(blocks)
-    if grid.k >= 2:
-        out[:, :, :-1] = lam[:, None, None] * blocks[:, :, 1:]
-    return out
+    lam, mu = eig.fine_values ** pair.k, eig.coarse_values
+    n = grid.n_coarse - (1 if relaxation == "F" else 2)
+    if n == 0 or (relaxation == "FCF" and grid.k == 1):
+        return np.zeros(mu.size)
+    norms = np.abs(lam - mu) / np.sqrt(tridiag_min_eig(*_mode_grams(mu, n)))
+    return norms if relaxation == "F" else np.abs(lam) * norms
 
 
 def coarse_norm(pair: StepperPair, grid: GridSpec, relaxation: str,
@@ -233,15 +218,20 @@ def coarse_norm(pair: StepperPair, grid: GridSpec, relaxation: str,
     """(spectral norm of the residual-side coarse block, its leading right
     singular vector or None). Per mode when the pair has a unitary shared
     eigenbasis, otherwise from the dense block."""
-    eig = pair.shared_eig
-    if eig is not None and eig.normal:
-        blocks = mode_coarse_blocks(pair, grid, relaxation)
-        top = np.linalg.svd(blocks, compute_uv=False)[:, 0]
-        m = int(np.argmax(top))
+    if pair.normal:
+        eig = pair.shared_eig
+        norms = mode_norms(pair, grid, relaxation)
+        m = int(np.argmax(norms))
         if not with_vector:
-            return float(top[m]), None
-        _, _, vh = np.linalg.svd(blocks[m])
-        return float(top[m]), np.kron(vh[0].conj(), eig.vectors[:, m])
+            return float(norms[m]), None
+        # mode m's block is zero past its first n columns, where its right
+        # singular vector is the eigenvector of C C^* at lambda_min
+        n = max(grid.n_coarse - (1 if relaxation == "F" else 2), 1)
+        diag, off = _mode_grams(eig.coarse_values[m:m + 1], n)
+        gram = np.diag(diag[0]) + np.diag(off[0], 1) + np.diag(off[0].conj(), -1)
+        v = np.zeros(grid.n_coarse, dtype=complex)
+        v[:n] = np.linalg.eigh(gram)[1][:, 0]
+        return float(norms[m]), np.kron(v, eig.vectors[:, m])
     cgc_res, _, relax = coarse_defect_blocks(pair, grid)
     block = cgc_res if relaxation == "F" else cgc_res @ relax
     if not with_vector:
@@ -313,7 +303,8 @@ def lift_coarse(sys: SpaceTimeSystem, w: np.ndarray) -> np.ndarray:
 
 
 def coarse_forward_solve(mat_step: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve the coarse bidiagonal system with subdiagonal -mat_step."""
+    """Forward substitution for the block unit lower bidiagonal system with
+    subdiagonal -mat_step (the coarse system, or A itself with Phi)."""
     nx = mat_step.shape[0]
     rb = rhs.reshape(-1, nx)
     out = np.empty_like(rb, dtype=complex)
@@ -351,16 +342,10 @@ def apply_iteration(sys: SpaceTimeSystem, relaxation: str, u: np.ndarray,
 
     # coarse correction: restrict residual by injection, solve with Psi steps,
     # interpolate ideally
-    r = fb - u_reshaped_residual(sys, ub)
+    r = fb - apply_full(sys, ub).reshape(nt, nx)
     rc = r[sys.grid.c_points].ravel()
     w = coarse_forward_solve(sys.pair.coarse.matrix, rc)
     return ub.ravel() + lift_coarse(sys, w)
-
-
-def u_reshaped_residual(sys: SpaceTimeSystem, ub: np.ndarray) -> np.ndarray:
-    out = ub.copy()
-    out[1:] -= ub[:-1] @ sys.pair.fine.matrix.T
-    return out
 
 
 def block_diag_transform(m: np.ndarray, u: np.ndarray, u_inv: np.ndarray) -> np.ndarray:

@@ -92,7 +92,10 @@ def _extremum_over_phases(fun, phase_grid=PHASE_GRID, minimize=False, skip=None)
     best_v = float(np.min(sv))
     h = 2.0 * np.pi / phase_grid
     for i in range(phase_grid):
-        if np.isfinite(sv[i]) and sv[i] <= sv[i - 1] and sv[i] <= sv[(i + 1) % phase_grid]:
+        left, right = sv[i - 1], sv[(i + 1) % phase_grid]
+        # a point of a flat stretch is no extremum to refine
+        if (np.isfinite(sv[i]) and sv[i] <= min(left, right)
+                and sv[i] < max(left, right)):
             x, v = _refine_extremum(fun, xs[i] - h, xs[i] + h, minimize=minimize)
             if sign * v < best_v:
                 best_x, best_v = x, sign * v
@@ -208,7 +211,7 @@ def tap_constant(q: TapQuery) -> TapResult:
     pair = q.pair
     if q.relaxation == "FCF" and not _power_invertible(pair):
         raise ValueError("fine-propagator power is singular; FCF constant undefined")
-    if pair.shared_eig is not None and pair.shared_eig.normal:
+    if pair.normal:
         res = teap_constant(TapQuery(pair, q.relaxation, 1, "TEAP"))
         return TapResult(res.value ** q.p, res.maximizer, res.phase,
                          "eigenvalue", True)

@@ -16,7 +16,8 @@ import numpy as np
 
 from .operators import StepperPair, matrix_power
 from .spacetime import GridSpec
-from .tridiag import tridiag_min_eig
+from .tridiag import bidiagonal_gram, gershgorin_min, tridiag_min_eig
+from . import spacetime as _st
 from . import tap as _tap
 
 COND_CAP = 1e12
@@ -52,10 +53,8 @@ def build_symbol(pair: StepperPair, grid: GridSpec, kind: str) -> SymbolFunction
     psi_nc = matrix_power(psi, nc)
     eye = np.eye(psi.shape[0], dtype=complex)
     fcf = kind in ("FCF-relaxation", "error-side-FCF")
-    if fcf:
-        s = np.linalg.svd(pair.fine_power, compute_uv=False)
-        if s[-1] == 0 or s[0] / s[-1] > COND_CAP:
-            raise ValueError("fine-propagator power is singular")
+    if fcf and _ill_conditioned(np.linalg.svd(pair.fine_power, compute_uv=False)):
+        raise ValueError("fine-propagator power is singular")
     phik = pair.fine_power
 
     def evaluator(x):
@@ -128,8 +127,7 @@ def _as_block(m) -> np.ndarray:
 
 
 def _check_invertible(m: np.ndarray, name: str):
-    s = np.linalg.svd(m, compute_uv=False)
-    if s[-1] == 0 or s[0] / s[-1] > COND_CAP:
+    if _ill_conditioned(np.linalg.svd(m, compute_uv=False)):
         raise ValueError(f"block {name} is singular or too ill-conditioned")
 
 
@@ -221,13 +219,10 @@ def pinv_power(spec: PinvSpec) -> np.ndarray:
     """Moore-Penrose pseudoinverse of A0^p: the p-th power of the
     upper-bidiagonal Toeplitz with its last p block rows and first p block
     columns zeroed."""
-    if spec.p >= spec.n / 2:
-        raise ValueError("power too large for the block count (need p < n/2)")
     d, n, p = spec.dim, spec.n, spec.p
-    tp = matrix_power(toeplitz_t0(spec), p)
-    tp[(n - p) * d:, :] = 0.0
-    tp[:, :p * d] = 0.0
-    return tp
+    out = np.zeros((n * d, n * d), dtype=complex)
+    out[:(n - p) * d, p * d:] = t_hat(spec)
+    return out
 
 
 def t_hat(spec: PinvSpec) -> np.ndarray:
@@ -288,7 +283,8 @@ def diag_bounds(fine_values, coarse_values, k: int, n_coarse: int,
     lam_k = lam ** k
     num = np.abs(mu - lam_k)
     if relaxation == "FCF":
-        num = num * np.abs(lam_k)
+        # with k = 1 there are no F-points: FCF relaxation solves exactly
+        num = num * np.abs(lam_k) * (k >= 2)
     den_lo = np.sqrt((1.0 - mu_abs) ** 2 + np.pi**2 * mu_abs / n_coarse**2)
     den_up = np.sqrt((1.0 - mu_abs) ** 2 + np.pi**2 * mu_abs / (6.0 * n_coarse**2))
     low_i = (num / den_lo) ** p
@@ -373,14 +369,10 @@ class TimeDepSpec:
     @property
     def slice_products(self) -> np.ndarray:
         """Per coarse step, the product of the k fine eigenvalues it spans."""
-        k = self.k
         fv = self.fine_values
-        out = np.ones_like(self.coarse_values)
-        for j in range(self.coarse_values.shape[0]):
-            out[j] = np.prod(fv[j * k:(j + 1) * k], axis=0)
-        return out
+        return np.prod(fv.reshape(-1, self.k, fv.shape[1]), axis=1)
 
-    def defects(self, index: int) -> np.ndarray:
+    def defects(self, index=slice(None)) -> np.ndarray:
         d = self.slice_products[:, index] - self.coarse_values[:, index]
         if np.any(np.abs(d) < 1e-300):
             raise ValueError("zero per-step defect; tridiagonal entries diverge")
@@ -390,44 +382,27 @@ class TimeDepSpec:
 def assemble_timedep(spec: TimeDepSpec, index: int) -> np.ndarray:
     """Coarse-level residual-propagation matrix of one spatial mode for the
     time-dependent sequences (first row zero, strictly lower)."""
-    nc = spec.n_coarse
-    mu = spec.coarse_values[:, index]
-    lam = spec.slice_products[:, index]
-    a = np.eye(nc, dtype=complex)
-    b = np.eye(nc, dtype=complex)
-    for j in range(nc - 1):
-        a[j + 1, j] = -lam[j]
-        b[j + 1, j] = -mu[j]
-    return np.eye(nc) - a @ np.linalg.inv(b)
+    eye = np.eye(spec.n_coarse)
+    a = eye - np.diag(spec.slice_products[:, index], -1)
+    b = eye - np.diag(spec.coarse_values[:, index], -1)
+    return eye - a @ np.linalg.inv(b)
 
 
 def timedep_pinv(spec: TimeDepSpec, index: int) -> np.ndarray:
     """Closed-form Moore-Penrose pseudoinverse of the time-dependent
     coarse-level residual-propagation matrix of one mode."""
-    nc = spec.n_coarse
-    m = nc - 1
     mu = spec.coarse_values[:, index]
     d = spec.defects(index)
-    out = np.zeros((nc, nc), dtype=complex)
-    for i in range(m):
-        out[i, i + 1] = 1.0 / d[i]
-    for i in range(1, m):
-        out[i, i] = -mu[i - 1] / d[i - 1]
-    return out
+    return np.diag(1.0 / d, 1) + np.diag(np.r_[0.0, -mu[:-1] / d[:-1], 0.0])
 
 
-def timedep_tridiagonal(spec: TimeDepSpec, index: int):
-    """Diagonal and superdiagonal of the Hermitian tridiagonal matrix whose
-    minimum eigenvalue gives the exact mode norm."""
-    m = spec.n_coarse - 1
-    mu = spec.coarse_values[:, index]
-    delta = np.abs(spec.defects(index)) ** 2
-    diag = np.empty(m)
-    diag[0] = 1.0 / delta[0]
-    for i in range(1, m):
-        diag[i] = np.abs(mu[i - 1]) ** 2 / delta[i - 1] + 1.0 / delta[i]
-    off = np.array([-np.conj(mu[t]) / delta[t] for t in range(m - 1)])
-    return diag, off
+def timedep_tridiagonal(spec: TimeDepSpec):
+    """Diagonals (n_modes, N_c - 1) and superdiagonals (n_modes, N_c - 2) of
+    the Hermitian tridiagonal matrices whose minimum eigenvalues give the
+    exact mode norms: C diag(1/|d|^2) C^*, with d the per-step defects and C
+    unit lower bidiagonal with subdiagonal -mu."""
+    mu = spec.coarse_values[:-1].T
+    return bidiagonal_gram(-mu, np.abs(spec.defects().T) ** 2)
 
 
 def timedep_exact_norm(spec: TimeDepSpec):
@@ -435,22 +410,13 @@ def timedep_exact_norm(spec: TimeDepSpec):
     sufficient bound). The exact value is max over modes of
     1/sqrt(lambda_min) of the tridiagonal reduction; the bound replaces
     lambda_min by its smallest Gershgorin disc edge."""
-    exact = 0.0
-    bound = 0.0
-    for i in range(spec.n_modes):
-        diag, off = timedep_tridiagonal(spec, i)
-        lam_min = tridiag_min_eig(diag, off)
-        if lam_min <= 0:
-            raise ValueError("nonpositive tridiagonal minimum eigenvalue")
-        exact = max(exact, 1.0 / math.sqrt(lam_min))
-        radius = np.zeros_like(diag)
-        if diag.size > 1:
-            absoff = np.abs(off)
-            radius[:-1] += absoff
-            radius[1:] += absoff
-        g = float(np.min(diag - radius))
-        bound = max(bound, 1.0 / math.sqrt(g) if g > 0 else math.inf)
-    return exact, bound
+    diag, off = timedep_tridiagonal(spec)
+    lam_min = tridiag_min_eig(diag, off)
+    if np.any(lam_min <= 0):
+        raise ValueError("nonpositive tridiagonal minimum eigenvalue")
+    g = np.min(gershgorin_min(diag, off))
+    bound = 1.0 / math.sqrt(g) if g > 0 else math.inf
+    return 1.0 / math.sqrt(np.min(lam_min)), bound
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +431,8 @@ def _mode_t_hat_min_sv(mu: np.ndarray, lam_k: np.ndarray, relaxation: str,
     """Smallest singular value of t_hat for a pair with a unitary shared
     eigenbasis (Psi eigenvalues mu, Phi^k eigenvalues lam_k): t_hat is
     unitarily similar to the direct sum of its scalar per-mode versions, whose
-    T0 is upper bidiagonal with diagonal -f/(h g) and superdiagonal 1/(h g)."""
+    T0 is upper bidiagonal with diagonal -f/(h g) and superdiagonal 1/(h g).
+    Only for p >= 2: the Gram matrix of T0^p is then banded, not tridiagonal."""
     defect = mu - lam_k
     one = np.ones_like(mu)
     if side == "residual":
@@ -496,17 +463,20 @@ def necessary_lower_bound(pair: StepperPair, grid: GridSpec,
                           side: str = "residual") -> NecessaryBound:
     """Certified lower bound on the norm of the p-th power of the coarse-level
     propagation block, through the minimum singular value of the structured
-    pseudoinverse's invertible Toeplitz sub-block."""
+    pseudoinverse's invertible Toeplitz sub-block. At p = 1 for a pair with a
+    unitary shared eigenbasis it is exact: the coarse-block norm itself."""
     if relaxation not in ("F", "FCF"):
         raise ValueError(f"unknown relaxation {relaxation!r}")
     if side not in ("residual", "error"):
         raise ValueError(f"unknown side {side!r}")
+    if relaxation == "FCF" and grid.k == 1:
+        return NecessaryBound(0.0, False, "FCF relaxation at k = 1 is a "
+                              "sequential solve; the coarse block is zero")
     psi = pair.coarse.matrix
     phik = pair.fine_power
     defect = pair.coarse_defect
     eig = pair.shared_eig
-    per_mode = eig is not None and eig.normal
-    if per_mode:
+    if pair.normal:
         # singular values of normal matrices are their eigenvalue moduli
         lam_k = eig.fine_values ** pair.k
         defect_sv, phik_sv = np.abs(eig.coarse_values - lam_k), np.abs(lam_k)
@@ -530,10 +500,16 @@ def necessary_lower_bound(pair: StepperPair, grid: GridSpec,
     if p >= n_eff / 2:
         return NecessaryBound(0.0, False,
                               "too few coarse points for the requested power")
-    if per_mode:
+    if pair.normal and p == 1:
+        # 1/sigma_min of a mode's t_hat is its coarse-block norm, on both sides
+        return NecessaryBound(float(np.max(_st.mode_norms(pair, grid,
+                                                          relaxation))), True)
+    if pair.normal:
         sigma = _mode_t_hat_min_sv(eig.coarse_values, lam_k, relaxation, side,
                                    n_eff, p)
     else:
+        if grid.n_coarse * psi.shape[0] > _st.DENSE_CAP:
+            return NecessaryBound(0.0, False, "exceeds dense cap")
         if _ill_conditioned(np.linalg.svd(psi, compute_uv=False)):
             return NecessaryBound(0.0, False,
                                   "coarse stepper singular; pseudoinverse "

@@ -1,58 +1,85 @@
 """Hermitian tridiagonal minimum-eigenvalue solver.
 
-Bisection on the Sturm sequence; a phase similarity reduces the Hermitian
-problem to real symmetric form, so only the off-diagonal magnitudes enter.
+Sturm-sequence multisection, batched over a stack of matrices: each sweep
+counts the negative pivots of T - x I for a fan of shifts x in every matrix's
+bracket at once, and keeps the bracket between the last shift below the
+smallest eigenvalue and the first above it. A phase similarity reduces the
+Hermitian problem to real symmetric form, so only the off-diagonal magnitudes
+enter.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-BISECT_ITERS = 120
+SHIFTS = 31        # interior shifts per sweep; a sweep cuts a bracket 32-fold
+MAX_SWEEPS = 32    # cap on sweeps: 160 bits of bracket reduction
 
 
-def _min_eig(d, b2, lo, hi, iters):
-    """Smallest eigenvalue of the real symmetric tridiagonal matrix with
-    diagonal d and squared off-diagonal b2, by bisection on the Sturm
-    sequence count over [lo, hi]."""
-    n = len(d)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        q = d[0] - mid
-        cnt = 1 if q < 0.0 else 0
-        for i in range(1, n):
-            if q == 0.0:
-                q = 1e-300
-            q = d[i] - mid - b2[i - 1] / q
-            if q < 0.0:
-                cnt += 1
-        if cnt >= 1:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+def bidiagonal_gram(sub, scale):
+    """Diagonal and superdiagonal of C diag(1/scale) C^*, where C is unit lower
+    bidiagonal with subdiagonal sub. The last axis runs along the matrix;
+    leading axes stack matrices."""
+    diag = 1.0 / scale
+    diag[..., 1:] += np.abs(sub) ** 2 / scale[..., :-1]
+    return diag, np.conj(sub) / scale[..., :-1]
 
 
-def tridiag_min_eig(diag, off) -> float:
+def gershgorin_min(diag, off):
+    """Smallest Gershgorin disc edge of each Hermitian tridiagonal matrix in a
+    stack (last axis along the matrix): a lower bound on its eigenvalues."""
+    b = np.abs(off)
+    radius = np.zeros(np.shape(diag))
+    radius[..., :-1] += b
+    radius[..., 1:] += b
+    return np.min(diag - radius, axis=-1)
+
+
+def tridiag_min_eig(diag, off):
     """Smallest eigenvalue of the Hermitian tridiagonal matrix with the given
-    diagonal and first superdiagonal."""
+    diagonal and first superdiagonal; for a stack of diagonals (M, n) and
+    off-diagonals (M, n - 1), the M smallest eigenvalues."""
     d = np.asarray(diag)
-    if d.ndim != 1 or d.size == 0:
-        raise ValueError("diagonal must be a nonempty 1-d array")
+    if d.ndim not in (1, 2) or d.size == 0:
+        raise ValueError("diagonal must be a nonempty 1-d array or a stack of them")
     if np.iscomplexobj(d):
         if np.max(np.abs(d.imag)) > 1e-12 * max(1.0, np.max(np.abs(d))):
             raise ValueError("Hermitian matrix needs a real diagonal")
         d = d.real
-    d = np.ascontiguousarray(d, dtype=float)
     b = np.abs(np.asarray(off, dtype=complex))
-    if b.shape != (d.size - 1,):
+    if b.shape != d.shape[:-1] + (d.shape[-1] - 1,):
         raise ValueError("off-diagonal length must be n - 1")
-    if d.size == 1:
-        return float(d[0])
-    r = np.zeros_like(d)
-    r[:-1] += b
-    r[1:] += b
-    lo = float(np.min(d - r))
-    hi = float(np.max(d + r))
-    b2 = np.ascontiguousarray(b * b, dtype=float)
-    return float(_min_eig(d, b2, lo, hi, BISECT_ITERS))
+    d2 = np.atleast_2d(d).astype(float)
+    b = b.reshape(d2.shape[0], -1)
+    b2 = b * b
+    lo = gershgorin_min(d2, b)
+    # Rayleigh quotients of unit vectors and of the constant vector, the
+    # latter taken for the similar matrix with off-diagonals -|b|
+    hi = np.minimum(np.min(d2, axis=1),
+                    (d2.sum(axis=1) - 2.0 * b.sum(axis=1)) / d2.shape[1])
+    # one column per matrix row, so each step of the recurrence is one slice
+    dcol = list(np.ascontiguousarray(d2.T)[:, :, None])
+    bcol = list(np.ascontiguousarray(b2.T)[:, :, None])
+    fan = np.arange(SHIFTS + 2) / (SHIFTS + 1)
+    with np.errstate(over="ignore"):
+        for _ in range(MAX_SWEEPS):
+            # the fan spans the bracket, ends included
+            x = lo[:, None] + (hi - lo)[:, None] * fan
+            x[:, 0], x[:, -1] = lo, hi
+            if not np.any((x > lo[:, None]) & (x < hi[:, None])):
+                break    # every bracket is at rounding level: none can shrink
+            q = dcol[0] - x
+            qmin = q.copy()
+            for i in range(1, d2.shape[1]):
+                if not q.all():
+                    q[q == 0.0] = 1e-300
+                q = dcol[i] - x - bcol[i - 1] / q
+                np.minimum(qmin, q, out=qmin)
+            # a shift with a negative pivot lies above the smallest eigenvalue;
+            # keep the bracket between the first such shift and the one below
+            neg = qmin < 0.0
+            neg[:, -1] = True
+            j = 1 + np.argmax(neg[:, 1:], axis=1)[:, None]
+            lo, hi = np.take_along_axis(x, np.hstack([j - 1, j]), axis=1).T
+    mid = 0.5 * (lo + hi)
+    return float(mid[0]) if d.ndim == 1 else mid

@@ -330,6 +330,74 @@ class TestCli:
         kinds = {r["kind"] for r in rec["bounds"]}
         assert "tap" in kinds and "necessary" not in kinds
 
+    def test_fcf_at_k1_without_false_violation(self, tmp_path):
+        # with k = 1 FCF relaxation is a sequential solve and its coarse block
+        # is zero, so no lower bound may claim more
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(base_config(
+            problem={"kind": "laplacian-1d-dirichlet", "n": 6, "h": 1 / 7},
+            fine={"scheme": "sdirk2", "dt": 0.02},
+            coarse={"scheme": "backward-euler", "dt": 0.02}, k=1, n_time=12,
+            relaxations=["F", "FCF"], norms=["AstarA"],
+            initial_error="worst-case", seed=7)))
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(pintbounds.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "pintbounds.cli", "run", "--config",
+             str(path), "--out", str(tmp_path / "out"), "--format", "json"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        rec = json.load(open(tmp_path / "out" / "experiment.json"))
+        rows = {r["kind"]: r for r in rec["bounds"] if r["relaxation"] == "FCF"}
+        assert "necessary" not in rows
+        assert rows["coarse-norm"]["lower"] == 0.0
+        assert rows["diagonalizable-bracket"]["lower"] == 0.0
+
+    def test_normal_pair_past_dense_cap(self, tmp_path):
+        # N_x * N_c = 4128 > DENSE_CAP: a normal pair builds no dense block
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(base_config(
+            problem={"kind": "laplacian-1d-dirichlet", "n": 32, "h": 1 / 33},
+            fine={"scheme": "backward-euler", "dt": 1e-3}, k=2, n_time=257,
+            norms=["AstarA"], iterations=2, initial_error="worst-case")))
+        assert 32 * 129 > st.DENSE_CAP
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(path), "--out", str(out),
+                         "--format", "json"]) == 0
+        rec = json.load(open(out / "experiment.json"))
+        rows = {r["kind"]: r for r in rec["bounds"]}
+        assert rows["necessary"]["lower"] == pytest.approx(
+            rows["coarse-norm"]["lower"], rel=1e-12)
+        first = next(r["ratio"] for r in rec["trace"] if r["iteration"] == 1)
+        assert first == pytest.approx(rows["coarse-norm"]["lower"], rel=1e-10)
+
+    def test_non_normal_pair_past_dense_cap_exits_2(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(st, "DENSE_CAP", 16)
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(base_config(
+            problem={"kind": "advection-1d-upwind", "n": 3, "h": 0.25})))
+        assert cli.main(["run", "--config", str(path), "--out",
+                         str(tmp_path)]) == 2
+
+    def test_run_does_not_import_scipy(self, tmp_path):
+        # importing scipy.linalg would add about 26 MB to a run's peak memory
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(base_config(
+            relaxations=["F", "FCF"], initial_error="worst-case")))
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(pintbounds.__file__)))
+        script = ("import sys\n"
+                  "from pintbounds import cli\n"
+                  f"code = cli.main(['run', '--config', {str(path)!r}, '--out', "
+                  f"{str(tmp_path / 'out')!r}, '--format', 'json'])\n"
+                  "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+                  "sys.exit(code)\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().splitlines()[-1] == "[]"
+
     def test_missing_file_exits_2(self, tmp_path):
         assert cli.main(["run", "--config", str(tmp_path / "nope.yaml")]) == 2
 

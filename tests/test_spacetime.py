@@ -62,9 +62,10 @@ class TestAssembly:
         u = rng.standard_normal(sys.dim) + 1j * rng.standard_normal(sys.dim)
         assert np.allclose(st.apply_full(sys, u), sys.full_matrix() @ u)
 
-    def test_dense_cap(self):
+    def test_dense_cap(self, monkeypatch):
+        monkeypatch.setattr(st, "DENSE_CAP", 10)
         pair = heat_pair(nx=8)
-        sys = st.assemble_system(pair, st.GridSpec(9, 4), dense_cap=10)
+        sys = st.assemble_system(pair, st.GridSpec(9, 4))
         with pytest.raises(ValueError, match="dense cap"):
             sys.full_matrix()
 
@@ -316,6 +317,8 @@ class TestModeBlocks:
     @pytest.mark.parametrize("k", [1, 2, 4])
     @pytest.mark.parametrize("relaxation", ["F", "FCF"])
     def test_direct_sum_of_dense_block(self, k, relaxation):
+        # in the shared eigenbasis the dense block is a direct sum of one
+        # N_c x N_c block per mode, whose norms mode_norms gives
         pair = normal_pair(k)
         grid = st.GridSpec(8 * k + 1, k)
         cgc_res, _, relax = st.coarse_defect_blocks(pair, grid)
@@ -323,11 +326,16 @@ class TestModeBlocks:
         u = pair.shared_eig.vectors
         nx, nc = pair.dim, grid.n_coarse
         modal = st.block_diag_transform(dense, u, u.conj().T)
-        expected = np.zeros((nc, nx, nc, nx), dtype=complex)
+        modal = modal.reshape(nc, nx, nc, nx).transpose(1, 3, 0, 2)
         idx = np.arange(nx)
-        expected[:, idx, :, idx] = st.mode_coarse_blocks(pair, grid, relaxation)
-        assert np.allclose(modal.reshape(nc, nx, nc, nx), expected,
-                           rtol=0, atol=1e-14)
+        blocks = modal[idx, idx]
+        modal[idx, idx] = 0.0
+        assert np.max(np.abs(modal)) <= 1e-14
+        expected = np.linalg.svd(blocks, compute_uv=False)[:, 0]
+        norms = st.mode_norms(pair, grid, relaxation)
+        assert np.allclose(norms, expected, rtol=1e-12, atol=1e-15)
+        if relaxation == "FCF" and k == 1:
+            assert np.all(norms == 0.0)
 
     @pytest.mark.parametrize("k", [1, 2, 4])
     @pytest.mark.parametrize("relaxation", ["F", "FCF"])
@@ -344,6 +352,18 @@ class TestModeBlocks:
         assert np.linalg.norm(block @ w) == pytest.approx(dense, rel=1e-12,
                                                           abs=1e-15)
 
+    @pytest.mark.parametrize("relaxation", ["F", "FCF"])
+    def test_long_horizon_matches_dense(self, relaxation):
+        # N_c = 257, where the slowest mode's tridiagonal is nearly singular
+        pair = heat_pair(nx=2, dt=0.002, k=4)
+        grid = st.GridSpec(4 * 256 + 1, 4)
+        norm, w = st.coarse_norm(pair, grid, relaxation, True)
+        cgc_res, _, relax = st.coarse_defect_blocks(pair, grid)
+        block = cgc_res if relaxation == "F" else cgc_res @ relax
+        dense = np.linalg.norm(block, 2)
+        assert norm == pytest.approx(dense, rel=1e-12)
+        assert np.linalg.norm(block @ w) == pytest.approx(dense, rel=1e-12)
+
     def test_non_unitary_basis_takes_dense_path(self, monkeypatch):
         pair = skewed_pair()
         assert pair.shared_eig is not None and not pair.shared_eig.normal
@@ -351,7 +371,7 @@ class TestModeBlocks:
         def refuse(*args):
             raise AssertionError("per-mode path taken")
 
-        monkeypatch.setattr(st, "mode_coarse_blocks", refuse)
+        monkeypatch.setattr(st, "mode_norms", refuse)
         grid = st.GridSpec(17, 2)
         cgc_res, _, _ = st.coarse_defect_blocks(pair, grid)
         norm, _ = st.coarse_norm(pair, grid, "F")

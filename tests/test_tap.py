@@ -91,6 +91,19 @@ class TestTapConstant:
         res = tap.tap_constant(tap.TapQuery(pair, "F", 1))
         assert res.value < 1e-12
 
+    def test_flat_sweep_not_refined(self, monkeypatch):
+        # the sweep of an exact coarse pair is identically zero: no grid point
+        # is a strict extremum, so nothing is refined
+        rng = np.random.default_rng(2)
+        phi = random_contraction(rng, 2)
+        pair = raw_pair(phi, phi @ phi, 2)
+        calls = []
+        original = tap._refine_extremum
+        monkeypatch.setattr(tap, "_refine_extremum",
+                            lambda *a, **kw: calls.append(a) or original(*a, **kw))
+        tap.tap_constant(tap.TapQuery(pair, "F", 1))
+        assert len(calls) <= 2
+
     def test_scalar_value(self):
         pair = raw_pair([[0.5]], [[0.6]], 1)
         res = tap.tap_constant(tap.TapQuery(pair, "F", 1))

@@ -191,6 +191,11 @@ class TestDiagBounds:
         db = tp.diag_bounds([0.5, 0.25], [0.25, 0.0625], 2, 50)
         assert db.lower == 0.0 and db.upper == 0.0
 
+    def test_fcf_without_f_points_is_zero(self):
+        # k = 1 has no F-points, so FCF relaxation solves exactly
+        db = tp.diag_bounds([0.5], [0.6], 1, 100, relaxation="FCF")
+        assert db.lower == 0.0 and db.upper == 0.0
+
     @pytest.mark.parametrize("relaxation", ["F", "FCF"])
     def test_bracket_contains_dense_norm(self, relaxation):
         pair = heat_pair(nx=4, dt=0.02, k=2)
@@ -277,6 +282,23 @@ class TestTimeDependent:
             tp.TimeDepSpec(np.full((4, 1), 0.5), np.full((3, 1), 0.5), 2)
         with pytest.raises(ValueError):
             tp.TimeDepSpec(np.full((4, 1), 0.5), np.full((2, 1), 1.5), 2)
+
+    def test_vectorized_reduction_matches_loops(self):
+        rng = np.random.default_rng(5)
+        spec = random_timedep(rng, k=3)
+        k, fv, mu = spec.k, spec.fine_values, spec.coarse_values
+        prods = spec.slice_products
+        diag, off = tp.timedep_tridiagonal(spec)
+        for j in range(mu.shape[0]):
+            assert np.array_equal(prods[j], np.prod(fv[j * k:(j + 1) * k], axis=0))
+        delta = np.abs(prods - mu) ** 2
+        for m in range(spec.n_modes):
+            assert diag[m, 0] == 1.0 / delta[0, m]
+            for i in range(1, mu.shape[0]):
+                assert diag[m, i] == (np.abs(mu[i - 1, m]) ** 2 / delta[i - 1, m]
+                                      + 1.0 / delta[i, m])
+                if i < mu.shape[0] - 1:
+                    assert off[m, i - 1] == -np.conj(mu[i - 1, m]) / delta[i - 1, m]
 
     def test_pinv_moore_penrose(self):
         rng = np.random.default_rng(3)
@@ -371,8 +393,34 @@ class TestNecessaryLowerBound:
         nb = tp.necessary_lower_bound(normal_pair(k), grid, relaxation, p, side)
         dense = tp.necessary_lower_bound(normal_pair(k, attach_eig=False), grid,
                                          relaxation, p, side)
+        if relaxation == "FCF" and k == 1:
+            # FCF relaxation at k = 1 is a sequential solve: the block is zero
+            assert not nb.available and not dense.available
+            assert "k = 1" in nb.reason and "k = 1" in dense.reason
+            return
         assert nb.available and dense.available
         assert nb.value == pytest.approx(dense.value, rel=1e-12)
+
+    @pytest.mark.parametrize("k", [2, 4])
+    @pytest.mark.parametrize("relaxation", ["F", "FCF"])
+    @pytest.mark.parametrize("side", ["residual", "error"])
+    def test_normal_p1_equals_coarse_norm(self, k, relaxation, side):
+        # the pseudoinverse bound is exact for a normal pair at p = 1
+        pair = heat_pair(nx=6, dt=0.01, k=k, scheme="sdirk2",
+                         coarse_scheme="backward-euler")
+        grid = st.GridSpec(k * 32 + 1, k)
+        nb = tp.necessary_lower_bound(pair, grid, relaxation, 1, side)
+        cnorm, _ = st.coarse_norm(pair, grid, relaxation)
+        assert nb.available
+        assert nb.value == pytest.approx(cnorm, rel=1e-12)
+
+    def test_dense_path_capped(self, monkeypatch):
+        pair = skewed_pair()
+        grid = st.GridSpec(17, 2)
+        assert tp.necessary_lower_bound(pair, grid).available
+        monkeypatch.setattr(st, "DENSE_CAP", grid.n_coarse * pair.dim - 1)
+        nb = tp.necessary_lower_bound(pair, grid)
+        assert not nb.available and "dense cap" in nb.reason
 
     def test_non_unitary_basis_takes_dense_path(self, monkeypatch):
         pair = skewed_pair()
@@ -384,6 +432,7 @@ class TestNecessaryLowerBound:
             raise AssertionError("per-mode path taken")
 
         monkeypatch.setattr(tp, "_mode_t_hat_min_sv", refuse)
+        monkeypatch.setattr(st, "mode_norms", refuse)
         assert tp.necessary_lower_bound(pair, grid).value == expected.value
 
     def test_fcf_noncommuting_power_flagged(self):

@@ -53,6 +53,31 @@ class TestTridiagMinEig:
         with pytest.raises(ValueError):
             tridiag.tridiag_min_eig([], [])
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 40])
+    def test_batch_matches_dense_eigensolver_per_row(self, n):
+        rng = np.random.default_rng(n)
+        diag = rng.uniform(-2.0, 5.0, (6, n))
+        diag[1] -= 10.0                      # all-negative diagonal
+        off = rng.uniform(-1.0, 1.0, (6, n - 1)) \
+            * np.exp(1j * rng.uniform(0, 7, (6, n - 1)))
+        off[2] = 0.0                         # diagonal matrix
+        diag[3] = 1.0                        # repeated diagonal entries
+        off[4] *= 1e-8                       # nearly decoupled rows
+        got = tridiag.tridiag_min_eig(diag, off)
+        assert got.shape == (6,)
+        for m in range(6):
+            dense = assemble(diag[m], off[m])
+            oracle = np.min(np.linalg.eigvalsh(dense))
+            # the sweeps run to rounding level, well inside 1e-12
+            assert abs(got[m] - oracle) <= 1e-14 * np.linalg.norm(dense, 1)
+            assert got[m] == tridiag.tridiag_min_eig(diag[m], off[m])
+
+    def test_batch_validation(self):
+        with pytest.raises(ValueError):
+            tridiag.tridiag_min_eig(np.ones((2, 3)), np.ones((2, 3)))
+        with pytest.raises(ValueError):
+            tridiag.tridiag_min_eig(np.ones((2, 2, 2)), np.ones((2, 2, 1)))
+
     @pytest.mark.parametrize("n", [50, 200])
     def test_long_matrix_matches_dense_eigensolver(self, n):
         rng = np.random.default_rng(7)

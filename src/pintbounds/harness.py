@@ -234,24 +234,34 @@ def _bound_rows(pair: ops.StepperPair, grid: st.GridSpec, relaxation: str,
                      "lower": amp, "upper": amp, "certified": True})
     except ValueError:
         pass
-    nb = tp.necessary_lower_bound(pair, grid, relaxation, 1, "residual")
+    if pair.normal or grid.n_coarse * pair.dim <= st.DENSE_CAP:
+        if cnorm is None:
+            cnorm, _ = st.coarse_norm(pair, grid, relaxation)
+    # a normal pair's necessary bound at p = 1 is this same coarse norm
+    nb = tp.necessary_lower_bound(pair, grid, relaxation, 1, "residual",
+                                  coarse_norm=cnorm)
     if nb.available:
         # the gap to the approximation constant, scaled by sqrt(N_c)
         slack = (tap_res.value / nb.value - 1.0) * math.sqrt(grid.n_coarse)
         rows.append({"relaxation": relaxation, "kind": "necessary",
                      "lower": nb.value, "upper": math.inf, "certified": True,
                      "slack_constant": slack})
-    if pair.normal or grid.n_coarse * pair.dim <= st.DENSE_CAP:
-        if cnorm is None:
-            cnorm, _ = st.coarse_norm(pair, grid, relaxation)
+    if cnorm is not None:
         rows.append({"relaxation": relaxation, "kind": "coarse-norm",
                      "lower": cnorm, "upper": math.inf, "certified": True})
     try:
-        kind = "F-relaxation" if relaxation == "F" else "FCF-relaxation"
-        sym = tp.build_symbol(pair, grid, kind)
+        # a normal pair's symbol splits into scalar modes with a closed-form
+        # maximum; any other symbol is swept over sampled phases
+        if pair.normal:
+            upper = tp.normal_symbol_max(pair, grid, relaxation)
+            method = "closed-form"
+        else:
+            kind = "F-relaxation" if relaxation == "F" else "FCF-relaxation"
+            upper = tp.symbol_max_sv(tp.build_symbol(pair, grid, kind), 512)
+            method = "phase-sweep"
         rows.append({"relaxation": relaxation, "kind": "symbol",
-                     "lower": 0.0, "upper": tp.symbol_max_sv(sym, 512),
-                     "certified": True})
+                     "lower": 0.0, "upper": upper, "certified": pair.normal,
+                     "method": method})
     except ValueError:
         pass
     if pair.shared_eig is not None:

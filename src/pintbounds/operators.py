@@ -284,6 +284,14 @@ class StepperPair:
         return matrix_power(self.fine.matrix, self.k)
 
     @functools.cached_property
+    def fine_power_sv(self) -> np.ndarray:
+        """Singular values of Phi^k, in no particular order; those of a normal
+        pair are its eigenvalue moduli."""
+        if self.normal:
+            return np.abs(self.shared_eig.fine_values ** self.k)
+        return np.linalg.svd(self.fine_power, compute_uv=False)
+
+    @functools.cached_property
     def coarse_defect(self) -> np.ndarray:
         """Psi - Phi^k, the quantity every bound is built from."""
         return self.coarse.matrix - self.fine_power

@@ -173,8 +173,8 @@ def _psi_poles(pair: StepperPair):
 
 
 def _power_invertible(pair: StepperPair) -> bool:
-    s = np.linalg.svd(pair.fine_power, compute_uv=False)
-    return s[0] > 0 and s[-1] / s[0] > 1e-12
+    s = pair.fine_power_sv
+    return s.max() > 0 and s.min() / s.max() > 1e-12
 
 
 def _den_inverse(pair: StepperPair, relaxation: str, p: int, x: float) -> np.ndarray:
@@ -242,8 +242,9 @@ def itap_constant(q: TapQuery) -> TapResult:
         m = np.linalg.solve(eye - np.exp(1j * x) * psi, tail)
         return float(np.linalg.svd(m, compute_uv=False)[0])
 
+    # a sampled sweep, so not a proven maximum
     x, val = _extremum_over_phases(fun, q.phase_grid)
-    return TapResult(float(val), None, float(x), "phase-sweep", True)
+    return TapResult(float(val), None, float(x), "phase-sweep", False)
 
 
 def teap_constant(q: TapQuery) -> TapResult:

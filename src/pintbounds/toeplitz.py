@@ -53,7 +53,7 @@ def build_symbol(pair: StepperPair, grid: GridSpec, kind: str) -> SymbolFunction
     psi_nc = matrix_power(psi, nc)
     eye = np.eye(psi.shape[0], dtype=complex)
     fcf = kind in ("FCF-relaxation", "error-side-FCF")
-    if fcf and _ill_conditioned(np.linalg.svd(pair.fine_power, compute_uv=False)):
+    if fcf and _ill_conditioned(pair.fine_power_sv):
         raise ValueError("fine-propagator power is singular")
     phik = pair.fine_power
 
@@ -81,6 +81,32 @@ def symbol_max_sv(sym: SymbolFunction, phase_grid: int = 1024) -> float:
         return float(np.linalg.svd(sym(x), compute_uv=False)[0])
 
     return _tap._extremum_over_phases(fun, phase_grid, skip=sym.skip)[1]
+
+
+def normal_symbol_max(pair: StepperPair, grid: GridSpec,
+                      relaxation: str = "F") -> float:
+    """Exact max over phase of the largest singular value of the F- or
+    FCF-relaxation symbol of a pair with a unitary shared eigenbasis.
+
+    The symbol splits into scalar modes z (mu - lam) sum_{j<N_c} (z mu)^j,
+    times lam for FCF, with lam = lambda^k. Since |sum_j (z mu)^j| <=
+    sum_j |mu|^j with equality at z mu = |mu|, mode m peaks at
+    |mu - lam| (1 - |mu|^N_c) / (1 - |mu|); make_pair attaches the eigenbasis
+    only when every |mu| < 1."""
+    if relaxation not in ("F", "FCF"):
+        raise ValueError(f"unknown relaxation {relaxation!r}")
+    if not pair.normal:
+        raise ValueError("closed-form symbol needs a unitary shared eigenbasis")
+    eig = pair.shared_eig
+    lam = eig.fine_values ** pair.k
+    mu_abs = np.abs(eig.coarse_values)
+    vals = (np.abs(eig.coarse_values - lam)
+            * (1.0 - mu_abs ** grid.n_coarse) / (1.0 - mu_abs))
+    if relaxation == "FCF":
+        if _ill_conditioned(pair.fine_power_sv):
+            raise ValueError("fine-propagator power is singular")
+        vals = vals * np.abs(lam)
+    return float(np.max(vals))
 
 
 def symbol_min_eig(sym: SymbolFunction, phase_grid: int = 1024) -> float:
@@ -460,11 +486,13 @@ class NecessaryBound:
 
 def necessary_lower_bound(pair: StepperPair, grid: GridSpec,
                           relaxation: str = "F", p: int = 1,
-                          side: str = "residual") -> NecessaryBound:
+                          side: str = "residual", *,
+                          coarse_norm: float | None = None) -> NecessaryBound:
     """Certified lower bound on the norm of the p-th power of the coarse-level
     propagation block, through the minimum singular value of the structured
     pseudoinverse's invertible Toeplitz sub-block. At p = 1 for a pair with a
-    unitary shared eigenbasis it is exact: the coarse-block norm itself."""
+    unitary shared eigenbasis it is exact: the coarse-block norm itself, taken
+    from coarse_norm when the caller already has it."""
     if relaxation not in ("F", "FCF"):
         raise ValueError(f"unknown relaxation {relaxation!r}")
     if side not in ("residual", "error"):
@@ -479,16 +507,14 @@ def necessary_lower_bound(pair: StepperPair, grid: GridSpec,
     if pair.normal:
         # singular values of normal matrices are their eigenvalue moduli
         lam_k = eig.fine_values ** pair.k
-        defect_sv, phik_sv = np.abs(eig.coarse_values - lam_k), np.abs(lam_k)
+        defect_sv = np.abs(eig.coarse_values - lam_k)
     else:
         defect_sv = np.linalg.svd(defect, compute_uv=False)
-        if relaxation == "FCF":
-            phik_sv = np.linalg.svd(phik, compute_uv=False)
     if _ill_conditioned(defect_sv):
         return NecessaryBound(0.0, False,
                               "coarse defect singular; pseudoinverse path unavailable")
     if relaxation == "FCF":
-        if _ill_conditioned(phik_sv):
+        if _ill_conditioned(pair.fine_power_sv):
             return NecessaryBound(0.0, False,
                                   "fine-propagator power singular")
         if p > 1 and not pair.commuting:
@@ -502,8 +528,9 @@ def necessary_lower_bound(pair: StepperPair, grid: GridSpec,
                               "too few coarse points for the requested power")
     if pair.normal and p == 1:
         # 1/sigma_min of a mode's t_hat is its coarse-block norm, on both sides
-        return NecessaryBound(float(np.max(_st.mode_norms(pair, grid,
-                                                          relaxation))), True)
+        if coarse_norm is None:
+            coarse_norm = np.max(_st.mode_norms(pair, grid, relaxation))
+        return NecessaryBound(float(coarse_norm), True)
     if pair.normal:
         sigma = _mode_t_hat_min_sv(eig.coarse_values, lam_k, relaxation, side,
                                    n_eff, p)

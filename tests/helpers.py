@@ -54,3 +54,18 @@ def skewed_pair(k=2):
     fine = ops.build_stepper(spatial, ops.SchemeSpec("backward-euler", 0.1))
     coarse = ops.build_stepper(spatial, ops.SchemeSpec("backward-euler", 0.1 * k))
     return ops.make_pair(fine, coarse, k)
+
+
+def rotating_pair(k=2):
+    """Backward-Euler pair on a normal operator with complex eigenvalues in a
+    random unitary basis, so that mu and lambda^k are complex."""
+    rng = np.random.default_rng(5)
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3))
+                        + 1j * rng.standard_normal((3, 3)))
+    values = np.array([-1.0 + 3.0j, -2.0 - 1.0j, -0.5 + 0.2j])
+    eig = ops.Eigendecomposition(values, q, q.conj().T)
+    spatial = ops.SpatialOperator(q @ np.diag(values) @ q.conj().T, "rotating",
+                                  eig)
+    fine = ops.build_stepper(spatial, ops.SchemeSpec("backward-euler", 0.1))
+    coarse = ops.build_stepper(spatial, ops.SchemeSpec("backward-euler", 0.1 * k))
+    return ops.make_pair(fine, coarse, k)

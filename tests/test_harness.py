@@ -217,6 +217,86 @@ class TestRunExperiment:
             harness.run_experiment(cfg)
 
 
+ROW_KINDS = ["tap", "sufficient", "stability-decay", "necessary", "coarse-norm",
+             "symbol", "diagonalizable-bracket"]
+
+
+class TestNormalPairPath:
+    """A normal pair's rows come from closed forms and one tridiagonal kernel
+    pass per relaxation; no phase is swept."""
+
+    @pytest.fixture
+    def no_sweep(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("phase sweep on the normal-pair path")
+
+        monkeypatch.setattr(tap, "_extremum_over_phases", refuse)
+        monkeypatch.setattr(tp, "build_symbol", refuse)
+        monkeypatch.setattr(tp, "symbol_max_sv", refuse)
+
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        calls = []
+        original = st.tridiag_min_eig
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(st, "tridiag_min_eig", counted)
+        monkeypatch.setattr(tp, "tridiag_min_eig", counted)
+        return calls
+
+    @staticmethod
+    def _check_rows(rows):
+        for relaxation in ("F", "FCF"):
+            mine = [r for r in rows if r["relaxation"] == relaxation]
+            assert [r["kind"] for r in mine] == ROW_KINDS
+            by_kind = {r["kind"]: r for r in mine}
+            assert by_kind["symbol"]["certified"] is True
+            assert by_kind["symbol"]["method"] == "closed-form"
+            assert by_kind["necessary"]["lower"] == by_kind["coarse-norm"]["lower"]
+
+    def test_run_without_phase_sweep(self, no_sweep):
+        cfg = harness.ExperimentConfig.from_dict(base_config(
+            relaxations=["F", "FCF"], initial_error="worst-case"))
+        rec = harness.run_experiment(cfg)
+        self._check_rows(rec.bounds)
+        assert rec.violations == []
+
+    def test_bounds_command_without_phase_sweep(self, no_sweep, tmp_path,
+                                                capsys):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(base_config(relaxations=["F", "FCF"])))
+        assert cli.main(["bounds", "--config", str(path)]) == 0
+        self._check_rows(json.loads(capsys.readouterr().out))
+
+    @pytest.mark.parametrize("relaxation", ["F", "FCF"])
+    def test_one_kernel_pass_in_bound_rows(self, relaxation, kernel_calls):
+        cfg = harness.ExperimentConfig.from_dict(base_config())
+        pair = harness.build_pair(cfg)
+        harness._bound_rows(pair, st.GridSpec(cfg.n_time, cfg.k), relaxation)
+        assert len(kernel_calls) == 1
+
+    @pytest.mark.parametrize("initial_error", ["random", "worst-case"])
+    def test_one_kernel_pass_per_relaxation_in_run(self, initial_error,
+                                                   kernel_calls):
+        # run passes its coarse norm to the bound rows
+        cfg = harness.ExperimentConfig.from_dict(base_config(
+            relaxations=["F", "FCF"], initial_error=initial_error))
+        harness.run_experiment(cfg)
+        assert len(kernel_calls) == 2
+
+    def test_non_normal_symbol_is_sampled(self):
+        cfg = harness.ExperimentConfig.from_dict(base_config(
+            problem={"kind": "advection-1d-upwind", "n": 3, "h": 0.25}))
+        rec = harness.run_experiment(cfg)
+        symbol = next(r for r in rec.bounds if r["kind"] == "symbol")
+        assert symbol["certified"] is False
+        assert symbol["method"] == "phase-sweep"
+        assert symbol["upper"] > 0
+
+
 class TestReports:
     def test_json_roundtrip(self, tmp_path):
         cfg = harness.ExperimentConfig.from_dict(base_config(iterations=2))

@@ -180,6 +180,18 @@ class TestPairs:
         assert pair.shared_eig.normal
         assert np.all(np.abs(pair.shared_eig.coarse_values) < 1.0)
 
+    def test_fine_power_singular_values(self):
+        # a normal pair takes them from its eigenvalues, any other from an SVD
+        for scheme in ("backward-euler", "sdirk2"):
+            pair = heat_pair(nx=5, dt=0.03, k=3, scheme=scheme)
+            assert pair.normal
+            dense = np.linalg.svd(pair.fine_power, compute_uv=False)
+            assert np.allclose(np.sort(pair.fine_power_sv)[::-1], dense,
+                               rtol=1e-12, atol=0)
+        skewed = raw_pair([[0.5, 0.3], [0.0, 0.2]], [[0.4, 0.1], [0.0, 0.3]], 2)
+        assert np.array_equal(skewed.fine_power_sv, np.linalg.svd(
+            skewed.fine_power, compute_uv=False))
+
     def test_attach_eig_false(self):
         pair = heat_pair(attach_eig=False)
         assert pair.shared_eig is None

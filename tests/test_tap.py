@@ -168,6 +168,8 @@ class TestItapConstant:
         pair = raw_pair([[np.sqrt(0.5)]], [[0.6]], 2)   # Phi^k = 0.5
         res = tap.itap_constant(tap.TapQuery(pair, "F", 1, "ITAP"))
         assert res.value == pytest.approx(0.1 / 0.4, rel=1e-10)
+        # a sampled sweep proves no maximum
+        assert res.method == "phase-sweep" and not res.certified
         assert min(res.phase, 2 * np.pi - res.phase) < 1e-6
 
     def test_exact_coarse_gives_zero(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import (heat_pair, normal_pair, random_contraction, raw_pair,
-                     skewed_pair)
+                     rotating_pair, skewed_pair)
 from pintbounds import operators as ops
 from pintbounds import spacetime as st
 from pintbounds import toeplitz as tp
@@ -147,6 +147,70 @@ class TestSymbols:
         for n in (25, 50, 100, 200):
             lam_min = float(np.min(tp.tridiag_toeplitz_eigs(mu, n)))
             assert 0 < lam_min - sym_min <= np.pi**2 * mu / n**2
+
+
+# each k meets three of the four N_c, and each N_c three of the four k
+_N_COARSE = (5, 17, 65, 257)
+_NORMAL_SYMBOL_CASES = [
+    (scheme, k, _N_COARSE[(i + s) % 4])
+    for s, scheme in enumerate(("backward-euler", "sdirk2", "theta"))
+    for i, k in enumerate((1, 2, 4, 8))]
+
+
+def _symbol_case_pair(scheme, k):
+    # at k = 1 a rediscretized coarse step is the fine step, so the coarse
+    # step takes another scheme to keep the defect nonzero
+    coarse = None
+    if k == 1:
+        coarse = "sdirk2" if scheme == "backward-euler" else "backward-euler"
+    return heat_pair(nx=4, dt=0.02, k=k, scheme=scheme,
+                     theta=0.6 if scheme == "theta" else None,
+                     coarse_scheme=coarse)
+
+
+class TestNormalSymbol:
+    @pytest.mark.parametrize("relaxation", ["F", "FCF"])
+    @pytest.mark.parametrize("scheme,k,n_coarse", _NORMAL_SYMBOL_CASES)
+    def test_matches_phase_sweep(self, scheme, k, n_coarse, relaxation):
+        self._check(_symbol_case_pair(scheme, k), n_coarse, relaxation)
+
+    @pytest.mark.parametrize("relaxation", ["F", "FCF"])
+    @pytest.mark.parametrize("n_coarse", [5, 65])
+    def test_complex_eigenvalues(self, n_coarse, relaxation):
+        pair = rotating_pair(2)
+        assert np.min(np.abs(pair.shared_eig.coarse_values.imag)) > 0.03
+        self._check(pair, n_coarse, relaxation)
+
+    @staticmethod
+    def _check(pair, n_coarse, relaxation):
+        grid = st.GridSpec(pair.k * (n_coarse - 1) + 1, pair.k)
+        closed = tp.normal_symbol_max(pair, grid, relaxation)
+        sym = tp.build_symbol(pair, grid, f"{relaxation}-relaxation")
+        sweep = tp.symbol_max_sv(sym, 4096)
+        assert sweep > 0
+        assert abs(closed - sweep) <= 1e-12 * sweep
+        assert st.coarse_norm(pair, grid, relaxation)[0] <= closed
+
+    def test_needs_unitary_basis(self):
+        with pytest.raises(ValueError, match="unitary"):
+            tp.normal_symbol_max(skewed_pair(), st.GridSpec(9, 2))
+
+    def test_fcf_singular_power_rejected_like_sweep(self):
+        # forward Euler at dt * ell = -1 zeroes one fine eigenvalue
+        values = np.array([-2.0, -1.0], dtype=complex)
+        eye = np.eye(2, dtype=complex)
+        spatial = ops.SpatialOperator(np.diag(values), "diagonal",
+                                      ops.Eigendecomposition(values, eye, eye))
+        fine = ops.build_stepper(spatial, ops.SchemeSpec("forward-euler", 0.5))
+        coarse = ops.build_stepper(spatial, ops.SchemeSpec("backward-euler", 1.0))
+        pair = ops.make_pair(fine, coarse, 2)
+        grid = st.GridSpec(17, 2)
+        assert pair.normal
+        for call in (lambda: tp.normal_symbol_max(pair, grid, "FCF"),
+                     lambda: tp.build_symbol(pair, grid, "FCF-relaxation")):
+            with pytest.raises(ValueError, match="singular"):
+                call()
+        assert tp.normal_symbol_max(pair, grid, "F") > 0
 
 
 class TestPowerSymbol:

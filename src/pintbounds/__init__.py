@@ -13,8 +13,8 @@ from .operators import (SchemeSpec, SpatialOperator, Stepper, StepperPair,
 from .spacetime import (GridSpec, PropagatorSet, SpaceTimeSystem,
                         apply_iteration, assemble_system, build_propagators,
                         operator_norm, schur_complement, ideal_transfer)
-from .tap import (TapQuery, TapResult, itap_constant, min_phase_norm,
-                  stability_decay, tap_constant, teap_constant)
+from .tap import (TapResult, itap_constant, min_phase_norm, stability_decay,
+                  tap_constant, teap_constant)
 from .toeplitz import (DiagBound, PinvSpec, SymbolFunction, TimeDepSpec,
                        build_symbol, diag_bounds, necessary_lower_bound,
                        pinv_a0, pinv_power, power_symbol, symbol_max_sv,

@@ -219,25 +219,22 @@ def _bound_rows(pair: ops.StepperPair, grid: st.GridSpec, relaxation: str,
     """All applicable bounds for one relaxation scheme; cnorm is the coarse
     block norm when the caller already has it."""
     rows = []
-    q = tap_mod.TapQuery(pair, relaxation, 1, "TAP")
-    tap_res = tap_mod.tap_constant(q)
+    tap_res = tap_mod.tap_constant(pair, relaxation)
     rows.append({"relaxation": relaxation, "kind": "tap",
                  "lower": tap_res.value, "upper": tap_res.value,
                  "certified": tap_res.certified})
-    try:
-        decay = tap_mod.stability_decay(pair, grid)
-        amp = decay[0] if relaxation == "F" else decay[1]
+    # the FCF factor is None when Phi^k is singular
+    amp = tap_mod.stability_decay(pair, grid)[relaxation == "FCF"]
+    if amp is not None:
         suff = tap_res.value * (1.0 + amp)
         rows.append({"relaxation": relaxation, "kind": "sufficient",
                      "lower": 0.0, "upper": suff, "certified": tap_res.certified})
         rows.append({"relaxation": relaxation, "kind": "stability-decay",
                      "lower": amp, "upper": amp, "certified": True})
-    except ValueError:
-        pass
     if pair.normal or grid.n_coarse * pair.dim <= st.DENSE_CAP:
         if cnorm is None:
             cnorm, _ = st.coarse_norm(pair, grid, relaxation)
-    # a normal pair's necessary bound at p = 1 is this same coarse norm
+    # the necessary bound at p = 1 is this same coarse norm
     nb = tp.necessary_lower_bound(pair, grid, relaxation, 1, "residual",
                                   coarse_norm=cnorm)
     if nb.available:
@@ -257,7 +254,7 @@ def _bound_rows(pair: ops.StepperPair, grid: st.GridSpec, relaxation: str,
             method = "closed-form"
         else:
             kind = "F-relaxation" if relaxation == "F" else "FCF-relaxation"
-            upper = tp.symbol_max_sv(tp.build_symbol(pair, grid, kind), 512)
+            upper = tp.symbol_max_sv(tp.build_symbol(pair, grid, kind))
             method = "phase-sweep"
         rows.append({"relaxation": relaxation, "kind": "symbol",
                      "lower": 0.0, "upper": upper, "certified": pair.normal,
@@ -553,10 +550,8 @@ def verify_suite(filter_name: str | None = None) -> list:
             bare = ops.make_pair(pair.fine, pair.coarse, pair.k,
                                  attach_eig=False)
             for relaxation in ("F", "FCF"):
-                teap = tap_mod.teap_constant(
-                    tap_mod.TapQuery(pair, relaxation, 1, "TEAP")).value
-                gen = tap_mod.tap_constant(
-                    tap_mod.TapQuery(bare, relaxation, 1)).value
+                teap = tap_mod.teap_constant(pair, relaxation).value
+                gen = tap_mod.tap_constant(bare, relaxation).value
                 worst = max(worst, abs(gen - teap) / max(teap, 1e-12))
         results.append(_check("tap-teap", worst <= 1e-8, 1e-8 - worst))
 

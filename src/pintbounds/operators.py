@@ -185,11 +185,15 @@ def stability_matrix(scheme: SchemeSpec, z: np.ndarray) -> np.ndarray:
         raise ValueError(f"singular implicit solve for scheme {scheme.kind}") from exc
 
 
-def _rcond(m: np.ndarray) -> float:
-    s = np.linalg.svd(m, compute_uv=False)
-    if s[0] == 0:
-        return 0.0
-    return float(s[-1] / s[0])
+def _rcond(sv: np.ndarray) -> float:
+    """Smallest over largest of the singular values sv; 0 for a zero matrix."""
+    return float(sv.min() / sv.max()) if sv.max() > 0 else 0.0
+
+
+def ill_conditioned(sv: np.ndarray) -> bool:
+    """Whether the singular values sv are those of a singular or numerically
+    singular matrix."""
+    return _rcond(sv) <= RCOND_CAP
 
 
 @dataclass(frozen=True)
@@ -225,8 +229,7 @@ def build_stepper(L: SpatialOperator, scheme: SchemeSpec) -> Stepper:
         raise ValueError("overflow in stability-function evaluation")
     s = np.linalg.svd(m, compute_uv=False)
     rho = float(np.max(np.abs(np.linalg.eigvals(m))))
-    rcond = float(s[-1] / s[0]) if s[0] > 0 else 0.0
-    return Stepper(m, scheme, L, float(s[0]), rho, rcond)
+    return Stepper(m, scheme, L, float(s[0]), rho, _rcond(s))
 
 
 def rk4_defect(L: SpatialOperator, dt: float) -> np.ndarray:
@@ -334,7 +337,7 @@ class PairDiagnostics:
 def verify_pair(pair: StepperPair, rcond_cap: float = RCOND_CAP) -> PairDiagnostics:
     phi, psi = pair.fine.matrix, pair.coarse.matrix
     comm = float(np.linalg.norm(phi @ psi - psi @ phi))
-    rc = _rcond(pair.coarse_defect)
+    rc = _rcond(np.linalg.svd(pair.coarse_defect, compute_uv=False))
     max_mu = None
     if pair.shared_eig is not None:
         max_mu = float(np.max(np.abs(pair.shared_eig.coarse_values)))

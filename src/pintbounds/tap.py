@@ -14,32 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import StepperPair, matrix_power
+from .operators import StepperPair, ill_conditioned, matrix_power
 
-PHASE_GRID = 1024
-GOLDEN_ITERS = 80
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-@dataclass(frozen=True)
-class TapQuery:
-    pair: StepperPair
-    relaxation: str = "F"
-    p: int = 1
-    variant: str = "TAP"
-    phase_grid: int = PHASE_GRID
-
-    def __post_init__(self):
-        if self.relaxation not in ("F", "FCF"):
-            raise ValueError(f"unknown relaxation {self.relaxation!r}")
-        if self.p < 1:
-            raise ValueError("power must be >= 1")
-        if self.variant not in ("TAP", "ITAP", "TEAP"):
-            raise ValueError(f"unknown variant {self.variant!r}")
-        if self.variant == "ITAP" and self.p != 1:
-            raise ValueError("inverse constant is defined only for p = 1")
-        if self.variant == "TEAP" and self.pair.shared_eig is None:
-            raise ValueError("eigenvalue constant needs a shared eigendecomposition")
+PHASE_GRID = 1024      # uniform phases sampled before refinement
+FAN = 33               # phases per refinement fan; 32 cells, two are kept
+REFINE_ROUNDS = 8      # each round narrows every interval 16-fold
+STACK_ENTRIES = 2**18  # most matrix entries one stacked evaluation holds
 
 
 @dataclass(frozen=True)
@@ -55,51 +35,58 @@ def _as_matrix(psi) -> np.ndarray:
     return psi.matrix if hasattr(psi, "matrix") else np.asarray(psi, dtype=complex)
 
 
-def _refine_extremum(fun, x_left, x_right, minimize=False, iters=GOLDEN_ITERS):
-    """Golden-section refinement of an extremum inside [x_left, x_right]."""
+def _check_relaxation(relaxation: str):
+    if relaxation not in ("F", "FCF"):
+        raise ValueError(f"unknown relaxation {relaxation!r}")
+
+
+def _evaluate(fun, xs: np.ndarray, dim: int, skip) -> np.ndarray:
+    """fun at the phases xs, passed in chunks whose dim x dim stacks hold at
+    most STACK_ENTRIES entries; NaN at the phases skip masks, which fun never
+    sees."""
+    vals = np.full(xs.shape, np.nan)
+    keep = np.arange(xs.size) if skip is None else np.flatnonzero(~skip(xs))
+    chunk = max(1, STACK_ENTRIES // dim**2)
+    for start in range(0, keep.size, chunk):
+        idx = keep[start:start + chunk]
+        vals[idx] = fun(xs[idx])
+    return vals
+
+
+def _extremum_over_phases(fun, dim: int, minimize=False, skip=None):
+    """(phase, value) of the extremum of a smooth 2*pi-periodic function.
+
+    fun maps an array of phases to an array of values, through stacks of
+    dim x dim matrices; skip, if given, maps phases to a mask of those not to
+    evaluate. A uniform grid is refined at all its local extrema at once:
+    each round evaluates a fan across every candidate's interval and narrows
+    the interval to the two cells around the fan's best phase."""
     sign = 1.0 if minimize else -1.0
-    a, b = x_left, x_right
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = sign * fun(c), sign * fun(d)
-    for _ in range(iters):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = sign * fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = sign * fun(d)
-    x = c if fc < fd else d
-    return x, fun(x)
-
-
-def _extremum_over_phases(fun, phase_grid=PHASE_GRID, minimize=False, skip=None):
-    """Extremum of a smooth 2*pi-periodic function: uniform grid, then
-    golden-section refinement around every local extremum."""
-    xs = np.linspace(0.0, 2.0 * np.pi, phase_grid, endpoint=False)
-    vals = np.full(phase_grid, np.nan)
-    for i, x in enumerate(xs):
-        if skip is not None and skip(x):
-            continue
-        vals[i] = fun(x)
-    if np.all(np.isnan(vals)):
+    xs = np.linspace(0.0, 2.0 * np.pi, PHASE_GRID, endpoint=False)
+    sv = sign * _evaluate(fun, xs, dim, skip)
+    if np.all(np.isnan(sv)):
         raise ValueError("no admissible phase samples")
-    sign = 1.0 if minimize else -1.0
-    sv = np.where(np.isnan(vals), np.inf, sign * vals)
-    best_x = xs[int(np.argmin(sv))]
-    best_v = float(np.min(sv))
-    h = 2.0 * np.pi / phase_grid
-    for i in range(phase_grid):
-        left, right = sv[i - 1], sv[(i + 1) % phase_grid]
-        # a point of a flat stretch is no extremum to refine
-        if (np.isfinite(sv[i]) and sv[i] <= min(left, right)
-                and sv[i] < max(left, right)):
-            x, v = _refine_extremum(fun, xs[i] - h, xs[i] + h, minimize=minimize)
-            if sign * v < best_v:
-                best_x, best_v = x, sign * v
-    return float(best_x % (2.0 * np.pi)), sign * best_v
+    sv = np.where(np.isnan(sv), np.inf, sv)
+    best = int(np.argmin(sv))
+    best_x, best_v = xs[best], sv[best]
+    left, right = np.roll(sv, 1), np.roll(sv, -1)
+    # a point of a flat stretch is no extremum to refine
+    centers = xs[np.isfinite(sv) & (sv <= np.minimum(left, right))
+                 & (sv < np.maximum(left, right))]
+    half = 2.0 * np.pi / PHASE_GRID
+    offsets = np.linspace(-1.0, 1.0, FAN)
+    rows = np.arange(centers.size)
+    for _ in range(REFINE_ROUNDS if centers.size else 0):
+        fan = centers[:, None] + half * offsets
+        vals = sign * _evaluate(fun, fan.ravel(), dim, skip).reshape(fan.shape)
+        vals = np.where(np.isnan(vals), np.inf, vals)
+        j = np.argmin(vals, axis=1)
+        centers, tops = fan[rows, j], vals[rows, j]
+        i = int(np.argmin(tops))
+        if tops[i] < best_v:
+            best_x, best_v = centers[i], tops[i]
+        half *= 2.0 / (FAN - 1)     # one fan cell either side
+    return float(best_x % (2.0 * np.pi)), float(sign * best_v)
 
 
 def _phase_poly_coeffs(psi: np.ndarray, v: np.ndarray, p: int):
@@ -114,35 +101,11 @@ def _phase_poly_coeffs(psi: np.ndarray, v: np.ndarray, p: int):
     return np.array(coeffs)
 
 
-def _min_phase_poly(coeffs: np.ndarray, phase_grid: int = 256):
-    """Minimize ||sum_m e^{imx} c_m|| over x given stacked coefficients."""
-    if coeffs.shape[0] == 2:
-        c0, c1 = coeffs
-        val = math.sqrt(max(0.0, np.linalg.norm(c0)**2 + np.linalg.norm(c1)**2
-                            - 2.0 * abs(np.vdot(c1, c0))))
-        x = float((-np.angle(np.vdot(c1, c0))) % (2.0 * np.pi))
-        return val, x
-    xs = np.linspace(0.0, 2.0 * np.pi, phase_grid, endpoint=False)
-    m = np.arange(coeffs.shape[0])
-    z = np.exp(1j * np.outer(xs, m))          # (grid, p+1)
-    norms = np.linalg.norm(z @ coeffs, axis=1)
-    i = int(np.argmin(norms))
-    h = 2.0 * np.pi / phase_grid
-
-    def fun(x):
-        zz = np.exp(1j * m * x)
-        return float(np.linalg.norm(zz @ coeffs))
-
-    x, val = _refine_extremum(fun, xs[i] - h, xs[i] + h, minimize=True)
-    return val, float(x % (2.0 * np.pi))
-
-
-def min_phase_norm(psi, v: np.ndarray, p: int = 1,
-                   phase_grid: int = PHASE_GRID):
+def min_phase_norm(psi, v: np.ndarray, p: int = 1):
     """min over x of ||(I - e^{ix} Psi)^p v|| and the minimizing phase.
 
     For p = 1 the closed form sqrt(||v||^2 + ||Psi v||^2 - 2 |<Psi v, v>|)
-    holds, attained at x = -arg <Psi v, v>.
+    holds, attained at x = -arg <Psi v, v>; higher powers are swept.
     """
     m = _as_matrix(psi)
     v = np.asarray(v, dtype=complex)
@@ -156,50 +119,58 @@ def min_phase_norm(psi, v: np.ndarray, p: int = 1,
         x = float((-np.angle(inner)) % (2.0 * np.pi)) if inner != 0 else 0.0
         return val, x
     coeffs = _phase_poly_coeffs(m, v, p)
-    val, x = _min_phase_poly(coeffs, min(phase_grid, 512))
+    powers = np.arange(p + 1)
+
+    def fun(xs):
+        return np.linalg.norm(np.exp(1j * np.outer(xs, powers)) @ coeffs, axis=1)
+
+    x, val = _extremum_over_phases(fun, m.shape[0], minimize=True)
     return val, x
 
 
 def _psi_poles(pair: StepperPair):
+    """Mask of the phases x at which I - e^{ix} Psi is within 1e-8 of
+    singular, or None when no eigenvalue of Psi lies that near the unit
+    circle."""
     eigs = np.linalg.eigvals(pair.coarse.matrix)
     on_circle = eigs[np.abs(np.abs(eigs) - 1.0) < 1e-8]
+    if on_circle.size == 0:
+        return None
 
-    def skip(x):
-        if on_circle.size == 0:
-            return False
-        return bool(np.min(np.abs(1.0 - np.exp(1j * x) * on_circle)) < 1e-8)
+    def skip(xs):
+        z = np.exp(1j * xs)[:, None]
+        return np.any(np.abs(1.0 - z * on_circle) < 1e-8, axis=1)
 
     return skip
 
 
-def _power_invertible(pair: StepperPair) -> bool:
-    s = pair.fine_power_sv
-    return s.max() > 0 and s.min() / s.max() > 1e-12
-
-
-def _den_inverse(pair: StepperPair, relaxation: str, p: int, x: float) -> np.ndarray:
+def _den_inverse(pair: StepperPair, relaxation: str, p: int,
+                 xs: np.ndarray) -> np.ndarray:
+    """Stack of denominator(x)^{-p} over the phases xs: (I - e^{ix} Psi)^{-1},
+    times Phi^k for FCF, to the p-th power."""
     psi = pair.coarse.matrix
-    eye = np.eye(psi.shape[0], dtype=complex)
-    base = np.linalg.inv(eye - np.exp(1j * x) * psi)
+    z = np.exp(1j * xs)[:, None, None]
+    base = np.linalg.inv(np.eye(psi.shape[0]) - z * psi)
     if relaxation == "FCF":
         base = base @ pair.fine_power
-    return matrix_power(base, p)
+    return np.linalg.matrix_power(base, p)
 
 
-def _gsv_sweep(q: TapQuery):
+def _gsv_sweep(pair: StepperPair, relaxation: str, p: int):
     """max over x of the largest generalized singular value of the pair
     {(Psi - Phi^k)^p, denominator(x)^p}."""
-    num = matrix_power(q.pair.coarse_defect, q.p)
+    num = matrix_power(pair.coarse_defect, p)
 
-    def fun(x):
-        m = num @ _den_inverse(q.pair, q.relaxation, q.p, x)
-        return float(np.linalg.svd(m, compute_uv=False)[0])
+    def fun(xs):
+        m = num @ _den_inverse(pair, relaxation, p, xs)
+        return np.linalg.svd(m, compute_uv=False)[:, 0]
 
-    x, val = _extremum_over_phases(fun, q.phase_grid, skip=_psi_poles(q.pair))
+    x, val = _extremum_over_phases(fun, pair.dim, skip=_psi_poles(pair))
     return x, val, num
 
 
-def tap_constant(q: TapQuery) -> TapResult:
+def tap_constant(pair: StepperPair, relaxation: str = "F",
+                 p: int = 1) -> TapResult:
     """sup over v of ||(Psi - Phi^k)^p v|| / min_x ||denominator(x)^p v||.
 
     The two maxima swap, so away from the poles of Psi this is
@@ -208,68 +179,72 @@ def tap_constant(q: TapQuery) -> TapResult:
     that phase sweep, whose maximizer is the top right singular vector at the
     best phase mapped through denominator(x)^{-p}.
     """
-    pair = q.pair
-    if q.relaxation == "FCF" and not _power_invertible(pair):
+    _check_relaxation(relaxation)
+    if p < 1:
+        raise ValueError("power must be >= 1")
+    if relaxation == "FCF" and ill_conditioned(pair.fine_power_sv):
         raise ValueError("fine-propagator power is singular; FCF constant undefined")
     if pair.normal:
-        res = teap_constant(TapQuery(pair, q.relaxation, 1, "TEAP"))
-        return TapResult(res.value ** q.p, res.maximizer, res.phase,
+        res = teap_constant(pair, relaxation)
+        return TapResult(res.value ** p, res.maximizer, res.phase,
                          "eigenvalue", True)
 
-    x_hat, sweep, num = _gsv_sweep(q)
-    di = _den_inverse(pair, q.relaxation, q.p, x_hat)
+    x_hat, sweep, num = _gsv_sweep(pair, relaxation, p)
+    di = _den_inverse(pair, relaxation, p, np.array([x_hat]))[0]
     _, _, vh = np.linalg.svd(num @ di)
     v = di @ vh[0].conj()
     v /= np.linalg.norm(v)
     return TapResult(float(sweep), v, float(x_hat), "phase-sweep", False)
 
 
-def itap_constant(q: TapQuery) -> TapResult:
+def itap_constant(pair: StepperPair, relaxation: str = "F") -> TapResult:
     """max_x sigma_max((I - e^{ix} Psi)^{-1} (Psi - Phi^k) [Phi^k])."""
-    pair = q.pair
-    eigs = np.abs(np.linalg.eigvals(pair.coarse.matrix))
-    if np.any(np.abs(eigs - 1.0) < 1e-8):
+    _check_relaxation(relaxation)
+    if _psi_poles(pair) is not None:
         raise ValueError("phase singularity: coarse stepper has a unit-circle eigenvalue")
-    if q.relaxation == "FCF" and not _power_invertible(pair):
+    if relaxation == "FCF" and ill_conditioned(pair.fine_power_sv):
         raise ValueError("fine-propagator power is singular; FCF constant undefined")
     psi = pair.coarse.matrix
     eye = np.eye(psi.shape[0])
     tail = pair.coarse_defect
-    if q.relaxation == "FCF":
+    if relaxation == "FCF":
         tail = tail @ pair.fine_power
 
-    def fun(x):
-        m = np.linalg.solve(eye - np.exp(1j * x) * psi, tail)
-        return float(np.linalg.svd(m, compute_uv=False)[0])
+    def fun(xs):
+        den = eye - np.exp(1j * xs)[:, None, None] * psi
+        return np.linalg.svd(np.linalg.solve(den, tail),
+                             compute_uv=False)[:, 0]
 
     # a sampled sweep, so not a proven maximum
-    x, val = _extremum_over_phases(fun, q.phase_grid)
+    x, val = _extremum_over_phases(fun, pair.dim)
     return TapResult(float(val), None, float(x), "phase-sweep", False)
 
 
-def teap_constant(q: TapQuery) -> TapResult:
+def teap_constant(pair: StepperPair, relaxation: str = "F") -> TapResult:
     """max_i |mu_i - lambda_i^k| (|lambda_i^k| for FCF) / (1 - |mu_i|)."""
-    e = q.pair.shared_eig
+    _check_relaxation(relaxation)
+    e = pair.shared_eig
     if e is None:
         raise ValueError("eigenvalue constant needs a shared eigendecomposition")
     mu_abs = np.abs(e.coarse_values)
     if np.any(mu_abs >= 1.0):
         raise ValueError("coarse eigenvalue magnitude >= 1")
-    lam_k = e.fine_values ** q.pair.k
+    lam_k = e.fine_values ** pair.k
     vals = np.abs(e.coarse_values - lam_k) / (1.0 - mu_abs)
-    if q.relaxation == "FCF":
+    if relaxation == "FCF":
         vals = vals * np.abs(lam_k)
     idx = int(np.argmax(vals))
     phase = float(np.angle(e.coarse_values[idx]) % (2.0 * np.pi))
     return TapResult(float(vals[idx]), idx, phase, "eigenvalue", True)
 
 
-def stability_decay(pair: StepperPair, grid) -> tuple[float, float]:
-    """Amplification factors ||Psi^{N_c}|| and ||Phi^{-k} Psi^{N_c} Phi^k||."""
+def stability_decay(pair: StepperPair, grid) -> tuple[float, float | None]:
+    """Amplification factors ||Psi^{N_c}|| and ||Phi^{-k} Psi^{N_c} Phi^k||;
+    the second is None when Phi^k is singular."""
     psi_nc = matrix_power(pair.coarse.matrix, grid.n_coarse)
     first = float(np.linalg.svd(psi_nc, compute_uv=False)[0])
-    if not _power_invertible(pair):
-        raise ValueError("fine-propagator power is singular")
+    if ill_conditioned(pair.fine_power_sv):
+        return first, None
     phik = pair.fine_power
     second = float(np.linalg.svd(np.linalg.solve(phik, psi_nc @ phik),
                                  compute_uv=False)[0])

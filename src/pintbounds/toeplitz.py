@@ -14,13 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import StepperPair, matrix_power
+from .operators import StepperPair, ill_conditioned, matrix_power
 from .spacetime import GridSpec
 from .tridiag import bidiagonal_gram, gershgorin_min, tridiag_min_eig
 from . import spacetime as _st
 from . import tap as _tap
 
-COND_CAP = 1e12
 FOURIER_POINTS = 4096
 BRACKET_MIN_N = 10     # smallest N_c for which the bracket is proven
 
@@ -32,15 +31,21 @@ SYMBOL_KINDS = ("F-relaxation", "FCF-relaxation", "error-side-F", "error-side-FC
 
 @dataclass(frozen=True)
 class SymbolFunction:
-    """Phase-indexed matrix symbol x -> F(x) of a block-Toeplitz family."""
+    """Phase-indexed matrix symbol x -> F(x) of a block-Toeplitz family. The
+    evaluator maps a 1-d array of phases to the stack of F over them, or to
+    one matrix that holds for every phase."""
     evaluator: object
     kind: str
     dim: int
     n_coarse: int = 0
-    skip: object = None   # optional pole predicate on x
+    skip: object = None   # optional pole mask over an array of phases
 
-    def __call__(self, x: float) -> np.ndarray:
-        return self.evaluator(float(x))
+    def __call__(self, x) -> np.ndarray:
+        """F(x) at one phase, or the stack of F over an array of phases."""
+        x = np.asarray(x, dtype=float)
+        m = np.broadcast_to(self.evaluator(x.reshape(-1)),
+                            (x.size, self.dim, self.dim))
+        return m.reshape(x.shape + (self.dim, self.dim))
 
 
 def build_symbol(pair: StepperPair, grid: GridSpec, kind: str) -> SymbolFunction:
@@ -53,12 +58,12 @@ def build_symbol(pair: StepperPair, grid: GridSpec, kind: str) -> SymbolFunction
     psi_nc = matrix_power(psi, nc)
     eye = np.eye(psi.shape[0], dtype=complex)
     fcf = kind in ("FCF-relaxation", "error-side-FCF")
-    if fcf and _ill_conditioned(pair.fine_power_sv):
+    if fcf and ill_conditioned(pair.fine_power_sv):
         raise ValueError("fine-propagator power is singular")
     phik = pair.fine_power
 
     def evaluator(x):
-        z = np.exp(1j * x)
+        z = np.exp(1j * x)[:, None, None]
         osc = eye - z**nc * psi_nc
         inv = np.linalg.inv(eye - z * psi)
         if kind.startswith("error"):
@@ -73,14 +78,14 @@ def build_symbol(pair: StepperPair, grid: GridSpec, kind: str) -> SymbolFunction
                           skip=_tap._psi_poles(pair))
 
 
-def symbol_max_sv(sym: SymbolFunction, phase_grid: int = 1024) -> float:
+def symbol_max_sv(sym: SymbolFunction) -> float:
     """max over phase of the largest singular value; upper-bounds the l2 norm
     of every finite assembly of the corresponding block-Toeplitz operator."""
 
     def fun(x):
-        return float(np.linalg.svd(sym(x), compute_uv=False)[0])
+        return np.linalg.svd(sym(x), compute_uv=False)[:, 0]
 
-    return _tap._extremum_over_phases(fun, phase_grid, skip=sym.skip)[1]
+    return _tap._extremum_over_phases(fun, sym.dim, skip=sym.skip)[1]
 
 
 def normal_symbol_max(pair: StepperPair, grid: GridSpec,
@@ -103,27 +108,25 @@ def normal_symbol_max(pair: StepperPair, grid: GridSpec,
     vals = (np.abs(eig.coarse_values - lam)
             * (1.0 - mu_abs ** grid.n_coarse) / (1.0 - mu_abs))
     if relaxation == "FCF":
-        if _ill_conditioned(pair.fine_power_sv):
+        if ill_conditioned(pair.fine_power_sv):
             raise ValueError("fine-propagator power is singular")
         vals = vals * np.abs(lam)
     return float(np.max(vals))
 
 
-def symbol_min_eig(sym: SymbolFunction, phase_grid: int = 1024) -> float:
+def symbol_min_eig(sym: SymbolFunction) -> float:
     """min over phase of the smallest eigenvalue of a Hermitian-valued symbol;
     the asymptotic minimum eigenvalue of the assembled operators."""
 
-    def check_hermitian(m):
-        scale = max(1.0, float(np.max(np.abs(m))))
-        if np.max(np.abs(m - m.conj().T)) > 1e-10 * scale:
-            raise ValueError("symbol is not Hermitian")
-
     def fun(x):
         m = sym(x)
-        check_hermitian(m)
-        return float(np.min(np.linalg.eigvalsh(m)))
+        scale = np.maximum(1.0, np.max(np.abs(m), axis=(1, 2)))
+        if np.any(np.max(np.abs(m - m.conj().swapaxes(1, 2)), axis=(1, 2))
+                  > 1e-10 * scale):
+            raise ValueError("symbol is not Hermitian")
+        return np.linalg.eigvalsh(m)[:, 0]
 
-    return _tap._extremum_over_phases(fun, phase_grid, minimize=True,
+    return _tap._extremum_over_phases(fun, sym.dim, minimize=True,
                                       skip=sym.skip)[1]
 
 
@@ -132,7 +135,7 @@ def symbol_coefficients(sym: SymbolFunction, modes: int,
     """Toeplitz coefficients c_m = (1/2pi) int F(x) e^{-imx} dx recovered by
     trapezoidal Fourier quadrature, for |m| <= modes."""
     xs = 2.0 * np.pi * np.arange(n_quad) / n_quad
-    vals = np.array([sym(x) for x in xs])
+    vals = sym(xs)
     out = {}
     for m in range(-modes, modes + 1):
         w = np.exp(-1j * m * xs)
@@ -153,7 +156,7 @@ def _as_block(m) -> np.ndarray:
 
 
 def _check_invertible(m: np.ndarray, name: str):
-    if _ill_conditioned(np.linalg.svd(m, compute_uv=False)):
+    if ill_conditioned(np.linalg.svd(m, compute_uv=False)):
         raise ValueError(f"block {name} is singular or too ill-conditioned")
 
 
@@ -272,8 +275,8 @@ def power_symbol(a, b, p: int) -> SymbolFunction:
         raise ValueError("power must be >= 1")
 
     def evaluator(x):
-        m = matrix_power(-a + np.exp(1j * x) * b, p)
-        return m @ m.conj().T
+        m = np.linalg.matrix_power(-a + np.exp(1j * x)[:, None, None] * b, p)
+        return m @ m.conj().swapaxes(1, 2)
 
     return SymbolFunction(evaluator, "power-normal", a.shape[0])
 
@@ -448,10 +451,6 @@ def timedep_exact_norm(spec: TimeDepSpec):
 # ---------------------------------------------------------------------------
 # necessary lower bounds on propagator norms
 
-def _ill_conditioned(sv: np.ndarray) -> bool:
-    return sv.min() == 0 or sv.max() / sv.min() > COND_CAP
-
-
 def _mode_t_hat_min_sv(mu: np.ndarray, lam_k: np.ndarray, relaxation: str,
                        side: str, n: int, p: int) -> float:
     """Smallest singular value of t_hat for a pair with a unitary shared
@@ -490,9 +489,10 @@ def necessary_lower_bound(pair: StepperPair, grid: GridSpec,
                           coarse_norm: float | None = None) -> NecessaryBound:
     """Certified lower bound on the norm of the p-th power of the coarse-level
     propagation block, through the minimum singular value of the structured
-    pseudoinverse's invertible Toeplitz sub-block. At p = 1 for a pair with a
-    unitary shared eigenbasis it is exact: the coarse-block norm itself, taken
-    from coarse_norm when the caller already has it."""
+    pseudoinverse's invertible Toeplitz sub-block. At p = 1 it is exact: the
+    residual-side coarse-block norm itself, taken from coarse_norm when the
+    caller already has it, and also the error-side one when the steppers
+    commute, because the two blocks then coincide."""
     if relaxation not in ("F", "FCF"):
         raise ValueError(f"unknown relaxation {relaxation!r}")
     if side not in ("residual", "error"):
@@ -510,11 +510,11 @@ def necessary_lower_bound(pair: StepperPair, grid: GridSpec,
         defect_sv = np.abs(eig.coarse_values - lam_k)
     else:
         defect_sv = np.linalg.svd(defect, compute_uv=False)
-    if _ill_conditioned(defect_sv):
+    if ill_conditioned(defect_sv):
         return NecessaryBound(0.0, False,
                               "coarse defect singular; pseudoinverse path unavailable")
     if relaxation == "FCF":
-        if _ill_conditioned(pair.fine_power_sv):
+        if ill_conditioned(pair.fine_power_sv):
             return NecessaryBound(0.0, False,
                                   "fine-propagator power singular")
         if p > 1 and not pair.commuting:
@@ -526,21 +526,23 @@ def necessary_lower_bound(pair: StepperPair, grid: GridSpec,
     if p >= n_eff / 2:
         return NecessaryBound(0.0, False,
                               "too few coarse points for the requested power")
-    if pair.normal and p == 1:
-        # 1/sigma_min of a mode's t_hat is its coarse-block norm, on both sides
+    if not pair.normal:
+        if grid.n_coarse * psi.shape[0] > _st.DENSE_CAP:
+            return NecessaryBound(0.0, False, "exceeds dense cap")
+        if ill_conditioned(np.linalg.svd(psi, compute_uv=False)):
+            return NecessaryBound(0.0, False,
+                                  "coarse stepper singular; pseudoinverse "
+                                  "path unavailable")
+    if p == 1 and (side == "residual" or pair.commuting):
+        # the block's pseudoinverse is t_hat padded with zeros, so
+        # 1/sigma_min(t_hat) is the block norm
         if coarse_norm is None:
-            coarse_norm = np.max(_st.mode_norms(pair, grid, relaxation))
+            coarse_norm, _ = _st.coarse_norm(pair, grid, relaxation)
         return NecessaryBound(float(coarse_norm), True)
     if pair.normal:
         sigma = _mode_t_hat_min_sv(eig.coarse_values, lam_k, relaxation, side,
                                    n_eff, p)
     else:
-        if grid.n_coarse * psi.shape[0] > _st.DENSE_CAP:
-            return NecessaryBound(0.0, False, "exceeds dense cap")
-        if _ill_conditioned(np.linalg.svd(psi, compute_uv=False)):
-            return NecessaryBound(0.0, False,
-                                  "coarse stepper singular; pseudoinverse "
-                                  "path unavailable")
         eye = np.eye(psi.shape[0], dtype=complex)
         if side == "residual":
             g, h = defect, eye if relaxation == "F" else phik

@@ -69,3 +69,36 @@ def rotating_pair(k=2):
     fine = ops.build_stepper(spatial, ops.SchemeSpec("backward-euler", 0.1))
     coarse = ops.build_stepper(spatial, ops.SchemeSpec("backward-euler", 0.1 * k))
     return ops.make_pair(fine, coarse, k)
+
+
+def phase_oracle(fun, minimize=False, samples=4096):
+    """Brute-force extremum over x of a 2*pi-periodic function fun, which maps
+    an array of phases to an array of values: the best of a dense grid,
+    polished by a ternary search over the two cells around it. Returns the
+    grid samples and the polished value."""
+    sign = 1.0 if minimize else -1.0
+    xs = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
+    vals = fun(xs)
+    i = int(np.argmin(sign * vals))
+    h = 2.0 * np.pi / samples
+    lo, hi = xs[i] - h, xs[i] + h
+    for _ in range(100):
+        a, b = lo + (hi - lo) / 3, hi - (hi - lo) / 3
+        fa, fb = sign * fun(np.array([a, b]))
+        if fa < fb:
+            hi = b
+        else:
+            lo = a
+    return vals, float(fun(np.array([0.5 * (lo + hi)]))[0])
+
+
+def assert_not_beaten(value, fun, minimize=False):
+    """No oracle sample of fun is better than value by more than 1e-12
+    relative."""
+    samples, polished = phase_oracle(fun, minimize)
+    best = np.min(samples) if minimize else np.max(samples)
+    for oracle in (best, polished):
+        if minimize:
+            assert value <= oracle + 1e-12 * abs(oracle)
+        else:
+            assert value >= oracle - 1e-12 * abs(oracle)

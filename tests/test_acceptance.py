@@ -212,10 +212,8 @@ def test_criterion_07_tap_teap_equivalence():
         assert full.shared_eig is not None and full.shared_eig.normal
         assert bare.commuting
         for relaxation in ("F", "FCF"):
-            teap = tap.teap_constant(
-                tap.TapQuery(full, relaxation, 1, "TEAP")).value
-            gen = tap.tap_constant(
-                tap.TapQuery(bare, relaxation, 1)).value
+            teap = tap.teap_constant(full, relaxation).value
+            gen = tap.tap_constant(bare, relaxation).value
             worst = max(worst, abs(gen - teap) / max(teap, 1e-300))
     ok = worst <= 1e-8
     assert report(7, "tap-teap-equivalence", ok,

@@ -9,6 +9,7 @@ import yaml
 
 import pintbounds
 from pintbounds import cli, harness
+from pintbounds import operators as ops
 from pintbounds import spacetime as st
 from pintbounds import tap
 from pintbounds import toeplitz as tp
@@ -185,7 +186,7 @@ class TestRunExperiment:
         calls = []
         original = tap.tap_constant
         monkeypatch.setattr(tap, "tap_constant",
-                            lambda q: calls.append(q) or original(q))
+                            lambda *a: calls.append(a) or original(*a))
         rows, _ = harness._bound_rows(pair, grid, relaxation)
         assert len(calls) == 1
         rows = {r["kind"]: r for r in rows}
@@ -194,6 +195,25 @@ class TestRunExperiment:
         nb = tp.necessary_lower_bound(pair, grid, relaxation)
         expected = (rows["tap"]["lower"] / nb.value - 1) * np.sqrt(grid.n_coarse)
         assert slack == pytest.approx(expected, rel=1e-12)
+
+    def test_singular_fine_power_drops_only_fcf_rows(self):
+        # forward Euler at dt * ell = -1 zeroes one eigenvalue of Phi^k; only
+        # the FCF stability factor needs Phi^{-k}
+        values = np.array([-2.0, -1.0], dtype=complex)
+        eye = np.eye(2, dtype=complex)
+        spatial = ops.SpatialOperator(np.diag(values), "diagonal",
+                                      ops.Eigendecomposition(values, eye, eye))
+        fine = ops.build_stepper(spatial, ops.SchemeSpec("forward-euler", 0.5))
+        coarse = ops.build_stepper(spatial,
+                                   ops.SchemeSpec("backward-euler", 1.0))
+        pair = ops.make_pair(fine, coarse, 2)
+        grid = st.GridSpec(17, 2)
+        amp, fcf_amp = tap.stability_decay(pair, grid)
+        assert fcf_amp is None
+        rows, tap_res = harness._bound_rows(pair, grid, "F")
+        rows = {r["kind"]: r for r in rows}
+        assert rows["stability-decay"]["lower"] == amp
+        assert rows["sufficient"]["upper"] == tap_res.value * (1 + amp)
 
     def test_bound_rows_present(self):
         cfg = harness.ExperimentConfig.from_dict(base_config())

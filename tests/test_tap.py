@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
 
-from helpers import heat_pair, random_contraction, raw_pair, raw_stepper
+from helpers import (assert_not_beaten, heat_pair, random_contraction,
+                     raw_pair, raw_stepper)
 from pintbounds import operators as ops
 from pintbounds import spacetime as st
 from pintbounds import tap
@@ -33,6 +34,116 @@ def grid_min_phase(psi, v, p, samples=4096, left=None):
         else:
             lo = a
     return fun(0.5 * (lo + hi))
+
+
+def count_sweep_calls(monkeypatch):
+    """Record the number of phases of every call the phase sweep makes to
+    the function it maximizes."""
+    calls = []
+    original = tap._extremum_over_phases
+
+    def counting(fun, dim, **kw):
+        def counted(xs):
+            calls.append(len(xs))
+            return fun(xs)
+        return original(counted, dim, **kw)
+
+    monkeypatch.setattr(tap, "_extremum_over_phases", counting)
+    return calls
+
+
+def tap_samples(pair, relaxation, p=1):
+    """sigma_max((Psi - Phi^k)^p D(x)^{-p}) over an array of phases, with
+    D(x)^{-1} = (I - e^{ix} Psi)^{-1}, times Phi^k for FCF."""
+    psi, phik = pair.coarse.matrix, pair.fine_power
+    num = np.linalg.matrix_power(psi - phik, p)
+
+    def fun(xs):
+        den = np.eye(pair.dim) - np.exp(1j * xs)[:, None, None] * psi
+        di = np.linalg.inv(den)
+        if relaxation == "FCF":
+            di = di @ phik
+        m = num @ np.linalg.matrix_power(di, p)
+        return np.linalg.svd(m, compute_uv=False)[:, 0]
+
+    return fun
+
+
+class TestPhaseSweep:
+    def test_calls_bounded_by_grid_and_rounds(self, monkeypatch):
+        # a 3x3 stack of every phase fits in one chunk: one grid call, then
+        # one call per refinement round
+        rng = np.random.default_rng(8)
+        pair = raw_pair(random_contraction(rng, 3), random_contraction(rng, 3), 2)
+        calls = count_sweep_calls(monkeypatch)
+        tap.tap_constant(pair, "F")
+        assert calls[0] == tap.PHASE_GRID
+        assert 1 < len(calls) <= 1 + tap.REFINE_ROUNDS
+        assert all(n % tap.FAN == 0 for n in calls[1:])
+
+    def test_chunks_hold_at_most_stack_entries(self):
+        # N_x = 256: a chunk holds four phases' 256 x 256 matrices
+        dim, sizes = 256, []
+
+        def fun(xs):
+            sizes.append(len(xs) * dim**2)
+            return np.cos(3.0 * xs)
+
+        x, val = tap._extremum_over_phases(fun, dim)
+        assert val == pytest.approx(1.0, abs=1e-15)
+        assert max(sizes) == tap.STACK_ENTRIES
+        chunk = tap.STACK_ENTRIES // dim**2
+        # the grid, then three candidate fans in each of the rounds
+        rounds = -(-3 * tap.FAN // chunk)
+        assert len(sizes) == tap.PHASE_GRID // chunk + tap.REFINE_ROUNDS * rounds
+
+    def test_poles_never_evaluated(self):
+        seen = []
+        pole = 1.0
+
+        def skip(xs):
+            return np.abs(np.angle(np.exp(1j * (xs - pole)))) < 1e-2
+
+        def fun(xs):
+            seen.append(xs)
+            assert not np.any(skip(xs))
+            return 1.0 / np.abs(1.0 - np.exp(1j * (xs - pole)))
+
+        x, val = tap._extremum_over_phases(fun, 1, skip=skip)
+        assert np.all(np.isfinite(np.concatenate(seen)))
+        assert 1e-2 <= abs(x - pole) <= 2e-2
+
+    def test_all_phases_skipped_rejected(self):
+        with pytest.raises(ValueError, match="no admissible"):
+            tap._extremum_over_phases(np.cos, 1, skip=lambda xs: xs == xs)
+
+    @pytest.mark.parametrize("relaxation", ["F", "FCF"])
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_tap_not_beaten_by_oracle(self, relaxation, p):
+        rng = np.random.default_rng(9)
+        for _ in range(3):
+            d = int(rng.integers(2, 5))
+            pair = raw_pair(random_contraction(rng, d),
+                            random_contraction(rng, d, norm_bound=0.97), 2)
+            res = tap.tap_constant(pair, relaxation, p)
+            assert_not_beaten(res.value, tap_samples(pair, relaxation, p))
+
+    @pytest.mark.parametrize("relaxation", ["F", "FCF"])
+    def test_itap_not_beaten_by_oracle(self, relaxation):
+        rng = np.random.default_rng(10)
+        for _ in range(3):
+            d = int(rng.integers(2, 5))
+            pair = raw_pair(random_contraction(rng, d),
+                            random_contraction(rng, d, norm_bound=0.97), 2)
+            psi, phik = pair.coarse.matrix, pair.fine_power
+            tail = (psi - phik) @ (phik if relaxation == "FCF" else np.eye(d))
+
+            def fun(xs):
+                den = np.eye(d) - np.exp(1j * xs)[:, None, None] * psi
+                return np.linalg.svd(np.linalg.inv(den) @ tail,
+                                     compute_uv=False)[:, 0]
+
+            assert_not_beaten(tap.itap_constant(pair, relaxation).value, fun)
 
 
 class TestMinPhaseNorm:
@@ -82,37 +193,51 @@ class TestMinPhaseNorm:
             oracle = grid_min_phase(psi, v, 2)
             assert abs(val - oracle) <= 1e-8 * max(oracle, 1e-12)
 
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_higher_powers_not_beaten_by_oracle(self, p):
+        rng = np.random.default_rng(11)
+        for _ in range(5):
+            d = int(rng.integers(1, 5))
+            psi = random_contraction(rng, d, norm_bound=0.95)
+            v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+
+            def fun(xs):
+                den = np.eye(d) - np.exp(1j * xs)[:, None, None] * psi
+                return np.linalg.norm(np.linalg.matrix_power(den, p) @ v,
+                                      axis=1)
+
+            val, x = tap.min_phase_norm(psi, v, p)
+            assert_not_beaten(val, fun, minimize=True)
+            assert fun(np.array([x]))[0] == pytest.approx(val, rel=1e-12)
+
 
 class TestTapConstant:
     def test_exact_coarse_gives_zero(self):
         rng = np.random.default_rng(2)
         phi = random_contraction(rng, 2)
         pair = raw_pair(phi, phi @ phi, 2)
-        res = tap.tap_constant(tap.TapQuery(pair, "F", 1))
+        res = tap.tap_constant(pair, "F")
         assert res.value < 1e-12
 
     def test_flat_sweep_not_refined(self, monkeypatch):
         # the sweep of an exact coarse pair is identically zero: no grid point
-        # is a strict extremum, so nothing is refined
+        # is a strict extremum, so the grid is the only evaluation
         rng = np.random.default_rng(2)
         phi = random_contraction(rng, 2)
         pair = raw_pair(phi, phi @ phi, 2)
-        calls = []
-        original = tap._refine_extremum
-        monkeypatch.setattr(tap, "_refine_extremum",
-                            lambda *a, **kw: calls.append(a) or original(*a, **kw))
-        tap.tap_constant(tap.TapQuery(pair, "F", 1))
-        assert len(calls) <= 2
+        calls = count_sweep_calls(monkeypatch)
+        assert tap.tap_constant(pair, "F").value == 0.0
+        assert calls == [tap.PHASE_GRID]
 
     def test_scalar_value(self):
         pair = raw_pair([[0.5]], [[0.6]], 1)
-        res = tap.tap_constant(tap.TapQuery(pair, "F", 1))
+        res = tap.tap_constant(pair, "F")
         assert res.value == pytest.approx(0.25, rel=1e-8)
 
     def test_normal_pair_certified(self):
         pair = heat_pair(nx=6, dt=0.02, k=2)
-        res = tap.tap_constant(tap.TapQuery(pair, "F", 1))
-        teap = tap.teap_constant(tap.TapQuery(pair, "F", 1, "TEAP"))
+        res = tap.tap_constant(pair, "F")
+        teap = tap.teap_constant(pair, "F")
         assert res.certified
         assert res.value == pytest.approx(teap.value, rel=1e-12)
 
@@ -120,8 +245,8 @@ class TestTapConstant:
         full = heat_pair(nx=5, dt=0.03, k=2)
         bare = heat_pair(nx=5, dt=0.03, k=2, attach_eig=False)
         for relaxation in ("F", "FCF"):
-            teap = tap.teap_constant(tap.TapQuery(full, relaxation, 1, "TEAP"))
-            gen = tap.tap_constant(tap.TapQuery(bare, relaxation, 1))
+            teap = tap.teap_constant(full, relaxation)
+            gen = tap.tap_constant(bare, relaxation)
             assert not gen.certified
             assert abs(gen.value - teap.value) <= 1e-8 * teap.value
 
@@ -135,7 +260,7 @@ class TestTapConstant:
             psi = random_contraction(rng, 3)
             pair = raw_pair(phi, psi, 2)
             left = None if relaxation == "F" else np.linalg.inv(phi @ phi)
-            res = tap.tap_constant(tap.TapQuery(pair, relaxation, 1))
+            res = tap.tap_constant(pair, relaxation)
             assert res.method == "phase-sweep" and not res.certified
 
             def ratio(v):
@@ -153,20 +278,28 @@ class TestTapConstant:
 
     def test_power_on_normal_pair(self):
         pair = heat_pair(nx=4, dt=0.02, k=2)
-        one = tap.tap_constant(tap.TapQuery(pair, "F", 1)).value
-        two = tap.tap_constant(tap.TapQuery(pair, "F", 2)).value
+        one = tap.tap_constant(pair, "F").value
+        two = tap.tap_constant(pair, "F", 2).value
         assert two == pytest.approx(one ** 2, rel=1e-12)
+
+    def test_arguments_validated(self):
+        pair = raw_pair([[0.5]], [[0.6]], 1)
+        for call in (lambda: tap.tap_constant(pair, "CF"),
+                     lambda: tap.tap_constant(pair, "F", 0),
+                     lambda: tap.itap_constant(pair, "CF")):
+            with pytest.raises(ValueError):
+                call()
 
     def test_fcf_singular_power_rejected(self):
         pair = raw_pair(np.zeros((2, 2)), 0.5 * np.eye(2), 2)
         with pytest.raises(ValueError, match="singular"):
-            tap.tap_constant(tap.TapQuery(pair, "FCF", 1))
+            tap.tap_constant(pair, "FCF")
 
 
 class TestItapConstant:
     def test_scalar_value_at_zero_phase(self):
         pair = raw_pair([[np.sqrt(0.5)]], [[0.6]], 2)   # Phi^k = 0.5
-        res = tap.itap_constant(tap.TapQuery(pair, "F", 1, "ITAP"))
+        res = tap.itap_constant(pair, "F")
         assert res.value == pytest.approx(0.1 / 0.4, rel=1e-10)
         # a sampled sweep proves no maximum
         assert res.method == "phase-sweep" and not res.certified
@@ -176,17 +309,12 @@ class TestItapConstant:
         rng = np.random.default_rng(4)
         phi = random_contraction(rng, 2)
         pair = raw_pair(phi, phi @ phi, 2)
-        assert tap.itap_constant(tap.TapQuery(pair, "F", 1, "ITAP")).value < 1e-12
+        assert tap.itap_constant(pair, "F").value < 1e-12
 
     def test_unit_circle_eigenvalue_rejected(self):
         pair = raw_pair(0.5 * np.eye(1), np.eye(1), 2)
         with pytest.raises(ValueError, match="phase singularity"):
-            tap.itap_constant(tap.TapQuery(pair, "F", 1, "ITAP"))
-
-    def test_power_restriction(self):
-        pair = raw_pair([[0.5]], [[0.6]], 1)
-        with pytest.raises(ValueError):
-            tap.TapQuery(pair, "F", 2, "ITAP")
+            tap.itap_constant(pair, "F")
 
 
 class TestTeapConstant:
@@ -200,12 +328,12 @@ class TestTeapConstant:
 
     def test_exact_modes_give_zero(self):
         pair = self._pair_with_eig([0.5, 0.2], [0.5, 0.2])
-        assert tap.teap_constant(tap.TapQuery(pair, "F", 1, "TEAP")).value == 0.0
+        assert tap.teap_constant(pair, "F").value == 0.0
 
     def test_single_mode_values(self):
         pair = self._pair_with_eig([0.5], [0.6])
-        f = tap.teap_constant(tap.TapQuery(pair, "F", 1, "TEAP"))
-        fcf = tap.teap_constant(tap.TapQuery(pair, "FCF", 1, "TEAP"))
+        f = tap.teap_constant(pair, "F")
+        fcf = tap.teap_constant(pair, "FCF")
         assert f.value == pytest.approx(0.25)
         assert fcf.value == pytest.approx(0.125)
         assert f.maximizer == 0
@@ -215,19 +343,25 @@ class TestTeapConstant:
         e = pair.shared_eig
         best = max(abs(m - l ** 2) / (1 - abs(m))
                    for l, m in zip(e.fine_values, e.coarse_values))
-        res = tap.teap_constant(tap.TapQuery(pair, "F", 1, "TEAP"))
+        res = tap.teap_constant(pair, "F")
         assert res.value == pytest.approx(best, rel=1e-12)
 
     def test_requires_shared_eig(self):
         pair = raw_pair([[0.5]], [[0.6]], 1)
         with pytest.raises(ValueError):
-            tap.TapQuery(pair, "F", 1, "TEAP")
+            tap.teap_constant(pair, "F")
 
 
 class TestStabilityDecay:
     def test_zero_coarse(self):
         pair = raw_pair(0.5 * np.eye(2), np.zeros((2, 2)), 2)
         assert tap.stability_decay(pair, st.GridSpec(9, 2)) == (0.0, 0.0)
+
+    def test_singular_fine_power_has_no_fcf_factor(self):
+        pair = raw_pair(np.diag([0.0, 0.5]), 0.5 * np.eye(2), 2)
+        first, second = tap.stability_decay(pair, st.GridSpec(9, 2))
+        assert first == pytest.approx(0.5 ** 5, rel=1e-14)
+        assert second is None
 
     def test_matches_power_oracle(self):
         rng = np.random.default_rng(5)

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from helpers import (heat_pair, normal_pair, random_contraction, raw_pair,
-                     rotating_pair, skewed_pair)
+from helpers import (assert_not_beaten, heat_pair, normal_pair, phase_oracle,
+                     random_contraction, raw_pair, rotating_pair, skewed_pair)
 from pintbounds import operators as ops
 from pintbounds import spacetime as st
 from pintbounds import toeplitz as tp
@@ -88,7 +88,7 @@ class TestSymbols:
         pair = raw_pair(phi, phi @ phi, 2)
         sym = tp.build_symbol(pair, st.GridSpec(17, 2), "F-relaxation")
         assert np.max(np.abs(sym(0.7))) < 1e-14
-        assert tp.symbol_max_sv(sym, 64) < 1e-14
+        assert tp.symbol_max_sv(sym) < 1e-14
 
     def test_scalar_limit_value(self):
         pair = raw_pair([[0.5]], [[0.6]], 1)
@@ -120,7 +120,7 @@ class TestSymbols:
         from pintbounds import tap
         pair = heat_pair(nx=4, dt=0.05, k=2)
         grid = st.GridSpec(2 * 15 + 1, 2)
-        phi = tap.tap_constant(tap.TapQuery(pair, "F", 1)).value
+        phi = tap.tap_constant(pair, "F").value
         decay, _ = tap.stability_decay(pair, grid)
         sym = tp.build_symbol(pair, grid, "F-relaxation")
         assert tp.symbol_max_sv(sym) <= phi * (1 + decay) + 1e-10
@@ -132,14 +132,65 @@ class TestSymbols:
     def test_min_eig_constant_symbol(self):
         const = np.diag([2.0, 5.0]).astype(complex)
         sym = tp.SymbolFunction(lambda x: const, "constant", 2)
-        assert tp.symbol_min_eig(sym, 64) == pytest.approx(2.0)
+        assert tp.symbol_min_eig(sym) == pytest.approx(2.0)
 
     def test_min_eig_rejects_non_hermitian(self):
         sym = tp.SymbolFunction(
             lambda x: np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex),
             "bad", 2)
         with pytest.raises(ValueError, match="Hermitian"):
-            tp.symbol_min_eig(sym, 16)
+            tp.symbol_min_eig(sym)
+
+    def test_stacked_evaluation(self):
+        pair = heat_pair(nx=3, dt=0.02, k=2)
+        sym = tp.build_symbol(pair, st.GridSpec(17, 2), "FCF-relaxation")
+        xs = np.array([[0.1, 1.3], [2.0, 5.5]])
+        stack = sym(xs)
+        assert stack.shape == (2, 2, 3, 3)
+        for idx in np.ndindex(xs.shape):
+            assert np.allclose(stack[idx], sym(xs[idx]), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("kind", tp.SYMBOL_KINDS)
+    def test_non_normal_max_not_beaten_by_oracle(self, kind):
+        # the generating function written out: z (I - z^N Psi^N)(I - z Psi)^{-1}
+        # on either side of Psi - Phi^k, times Phi^k for FCF
+        rng = np.random.default_rng(12)
+        for _ in range(2):
+            d = int(rng.integers(2, 5))
+            pair = raw_pair(random_contraction(rng, d),
+                            random_contraction(rng, d, norm_bound=0.95), 2)
+            grid = st.GridSpec(2 * 16 + 1, 2)
+            psi, phik = pair.coarse.matrix, pair.fine_power
+            psi_n = np.linalg.matrix_power(psi, grid.n_coarse)
+
+            def fun(xs):
+                z = np.exp(1j * xs)[:, None, None]
+                osc = np.eye(d) - z**grid.n_coarse * psi_n
+                geo = np.linalg.inv(np.eye(d) - z * psi)
+                m = (z * osc @ geo @ (psi - phik) if kind.startswith("error")
+                     else z * (psi - phik) @ osc @ geo)
+                if "FCF" in kind:
+                    m = m @ phik
+                return np.linalg.svd(m, compute_uv=False)[:, 0]
+
+            value = tp.symbol_max_sv(tp.build_symbol(pair, grid, kind))
+            assert_not_beaten(value, fun)
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_min_eig_not_beaten_by_oracle(self, p):
+        rng = np.random.default_rng(13)
+        for _ in range(3):
+            a = 0.5 * (rng.standard_normal((2, 2))
+                       + 1j * rng.standard_normal((2, 2)))
+            b = np.eye(2) + 0.3 * rng.standard_normal((2, 2))
+
+            def fun(xs):
+                m = np.linalg.matrix_power(
+                    -a + np.exp(1j * xs)[:, None, None] * b, p)
+                return np.linalg.eigvalsh(m @ m.conj().swapaxes(1, 2))[:, 0]
+
+            value = tp.symbol_min_eig(tp.power_symbol(a, b, p))
+            assert_not_beaten(value, fun, minimize=True)
 
     def test_min_eig_gap_order(self):
         mu = 0.5
@@ -186,7 +237,8 @@ class TestNormalSymbol:
         grid = st.GridSpec(pair.k * (n_coarse - 1) + 1, pair.k)
         closed = tp.normal_symbol_max(pair, grid, relaxation)
         sym = tp.build_symbol(pair, grid, f"{relaxation}-relaxation")
-        sweep = tp.symbol_max_sv(sym, 4096)
+        sweep = phase_oracle(
+            lambda xs: np.linalg.svd(sym(xs), compute_uv=False)[:, 0])[1]
         assert sweep > 0
         assert abs(closed - sweep) <= 1e-12 * sweep
         assert st.coarse_norm(pair, grid, relaxation)[0] <= closed
@@ -477,6 +529,44 @@ class TestNecessaryLowerBound:
         cnorm, _ = st.coarse_norm(pair, grid, relaxation)
         assert nb.available
         assert nb.value == pytest.approx(cnorm, rel=1e-12)
+
+    @pytest.mark.parametrize("relaxation", ["F", "FCF"])
+    @pytest.mark.parametrize("side", ["residual", "error"])
+    def test_non_normal_p1_is_coarse_norm(self, relaxation, side, monkeypatch):
+        # upwind advection: 1/sigma_min of the dense t_hat is the block norm
+        spatial = ops.build_spatial("advection-1d-upwind", 4, 0.25)
+        fine = ops.build_stepper(spatial, ops.SchemeSpec("backward-euler", 0.05))
+        coarse = ops.build_stepper(spatial, ops.SchemeSpec("backward-euler", 0.1))
+        pair = ops.make_pair(fine, coarse, 2)
+        grid = st.GridSpec(33, 2)
+        psi, phik, defect = pair.coarse.matrix, pair.fine_power, pair.coarse_defect
+        eye = np.eye(4)
+        if side == "residual":
+            g, h = defect, eye if relaxation == "F" else phik
+        else:
+            g, h = eye, defect if relaxation == "F" else defect @ phik
+        n_eff = grid.n_coarse - (relaxation == "FCF")
+        spec = tp.PinvSpec(psi, g, h, n_eff)
+        dense = 1.0 / np.linalg.svd(tp.t_hat(spec), compute_uv=False)[-1]
+        monkeypatch.setattr(tp, "t_hat", None)
+        nb = tp.necessary_lower_bound(pair, grid, relaxation, 1, side)
+        assert nb.available
+        assert nb.value == st.coarse_norm(pair, grid, relaxation)[0]
+        assert nb.value == pytest.approx(dense, rel=1e-12)
+
+    def test_non_commuting_error_side_keeps_its_norm(self):
+        # without commuting steppers the error-side block differs from the
+        # residual-side one, whose norm the residual side returns
+        rng = np.random.default_rng(3)
+        pair = raw_pair(random_contraction(rng, 3), random_contraction(rng, 3), 2)
+        grid = st.GridSpec(33, 2)
+        assert not pair.commuting
+        _, cgc_err, relax = st.coarse_defect_blocks(pair, grid)
+        for relaxation, block in (("F", cgc_err), ("FCF", cgc_err @ relax)):
+            nb = tp.necessary_lower_bound(pair, grid, relaxation, 1, "error")
+            norm = np.linalg.norm(block, 2)
+            assert nb.value == pytest.approx(norm, rel=1e-12)
+            assert abs(st.coarse_norm(pair, grid, relaxation)[0] - norm) > 0.1
 
     def test_dense_path_capped(self, monkeypatch):
         pair = skewed_pair()

@@ -219,16 +219,18 @@ def _bound_rows(pair: ops.StepperPair, grid: st.GridSpec, relaxation: str,
     """All applicable bounds for one relaxation scheme; cnorm is the coarse
     block norm when the caller already has it."""
     rows = []
-    tap_res = tap_mod.tap_constant(pair, relaxation)
-    rows.append({"relaxation": relaxation, "kind": "tap",
-                 "lower": tap_res.value, "upper": tap_res.value,
-                 "certified": tap_res.certified})
-    # the FCF factor is None when Phi^k is singular
+    # the FCF factor is None when Phi^k is singular, and FCF then has no
+    # approximation constant either
     amp = tap_mod.stability_decay(pair, grid)[relaxation == "FCF"]
+    tap_res = None
     if amp is not None:
-        suff = tap_res.value * (1.0 + amp)
+        tap_res = tap_mod.tap_constant(pair, relaxation)
+        rows.append({"relaxation": relaxation, "kind": "tap",
+                     "lower": tap_res.value, "upper": tap_res.upper,
+                     "certified": tap_res.certified, "method": tap_res.method})
         rows.append({"relaxation": relaxation, "kind": "sufficient",
-                     "lower": 0.0, "upper": suff, "certified": tap_res.certified})
+                     "lower": 0.0, "upper": tap_res.upper * (1.0 + amp),
+                     "certified": tap_res.certified, "method": tap_res.method})
         rows.append({"relaxation": relaxation, "kind": "stability-decay",
                      "lower": amp, "upper": amp, "certified": True})
     if pair.normal or grid.n_coarse * pair.dim <= st.DENSE_CAP:
@@ -238,11 +240,13 @@ def _bound_rows(pair: ops.StepperPair, grid: st.GridSpec, relaxation: str,
     nb = tp.necessary_lower_bound(pair, grid, relaxation, 1, "residual",
                                   coarse_norm=cnorm)
     if nb.available:
-        # the gap to the approximation constant, scaled by sqrt(N_c)
-        slack = (tap_res.value / nb.value - 1.0) * math.sqrt(grid.n_coarse)
-        rows.append({"relaxation": relaxation, "kind": "necessary",
-                     "lower": nb.value, "upper": math.inf, "certified": True,
-                     "slack_constant": slack})
+        row = {"relaxation": relaxation, "kind": "necessary",
+               "lower": nb.value, "upper": math.inf, "certified": True}
+        if tap_res is not None:
+            # the gap to the approximation constant, scaled by sqrt(N_c)
+            row["slack_constant"] = ((tap_res.value / nb.value - 1.0)
+                                     * math.sqrt(grid.n_coarse))
+        rows.append(row)
     if cnorm is not None:
         rows.append({"relaxation": relaxation, "kind": "coarse-norm",
                      "lower": cnorm, "upper": math.inf, "certified": True})

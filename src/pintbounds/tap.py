@@ -2,9 +2,10 @@
 
 Computes the phase-minimized norms min_x ||(I - e^{ix} Psi)^p v|| and the
 approximation constants that bound two-level convergence: the vector form
-(sup over v, evaluated as a phase sweep of largest singular values), its
-inverse form, and the eigenvalue form for simultaneously diagonalizable
-pairs, for F- and FCF-relaxation.
+(sup over v, evaluated as the largest singular value over the unit circle
+of a transfer function, by a certified level-set iteration), its inverse
+form, and the eigenvalue form for simultaneously diagonalizable pairs, for
+F- and FCF-relaxation.
 """
 
 from __future__ import annotations
@@ -21,6 +22,11 @@ FAN = 33               # phases per refinement fan; 32 cells, two are kept
 REFINE_ROUNDS = 8      # each round narrows every interval 16-fold
 STACK_ENTRIES = 2**18  # most matrix entries one stacked evaluation holds
 
+POLE_GAP = 1e-8        # |1 - e^{ix} mu| below which phase x is a pole of Psi
+TOL = 1e-12            # relative width of a certified level-set bracket
+LEVEL_ROUNDS = 30      # most level-set rounds before a result is uncertified
+DISC = 0.5 * np.exp(1j)  # disc automorphism parameter, |DISC| < 1
+
 
 @dataclass(frozen=True)
 class TapResult:
@@ -29,6 +35,7 @@ class TapResult:
     phase: float
     method: str
     certified: bool
+    upper: float        # no phase exceeds it when certified
 
 
 def _as_matrix(psi) -> np.ndarray:
@@ -129,44 +136,164 @@ def min_phase_norm(psi, v: np.ndarray, p: int = 1):
 
 
 def _psi_poles(pair: StepperPair):
-    """Mask of the phases x at which I - e^{ix} Psi is within 1e-8 of
+    """Mask of the phases x at which I - e^{ix} Psi is within POLE_GAP of
     singular, or None when no eigenvalue of Psi lies that near the unit
     circle."""
     eigs = np.linalg.eigvals(pair.coarse.matrix)
-    on_circle = eigs[np.abs(np.abs(eigs) - 1.0) < 1e-8]
-    if on_circle.size == 0:
-        return None
+    on_circle = eigs[np.abs(np.abs(eigs) - 1.0) < POLE_GAP]
+    return _PoleMask(on_circle) if on_circle.size else None
 
-    def skip(xs):
+
+@dataclass(frozen=True)
+class _PoleMask:
+    """The phases x at which |1 - e^{ix} mu| < POLE_GAP for an eigenvalue mu
+    of Psi in poles; calling it on an array of phases gives their mask."""
+    poles: np.ndarray
+
+    def __call__(self, xs: np.ndarray) -> np.ndarray:
         z = np.exp(1j * xs)[:, None]
-        return np.any(np.abs(1.0 - z * on_circle) < 1e-8, axis=1)
+        return np.any(np.abs(1.0 - z * self.poles) < POLE_GAP, axis=1)
 
-    return skip
-
-
-def _den_inverse(pair: StepperPair, relaxation: str, p: int,
-                 xs: np.ndarray) -> np.ndarray:
-    """Stack of denominator(x)^{-p} over the phases xs: (I - e^{ix} Psi)^{-1},
-    times Phi^k for FCF, to the p-th power."""
-    psi = pair.coarse.matrix
-    z = np.exp(1j * xs)[:, None, None]
-    base = np.linalg.inv(np.eye(psi.shape[0]) - z * psi)
-    if relaxation == "FCF":
-        base = base @ pair.fine_power
-    return np.linalg.matrix_power(base, p)
+    def arcs(self):
+        """(centre, half): the centre of each pole's masked arc and a
+        half-width just past its edges."""
+        rho = np.abs(self.poles)
+        # |1 - e^{ix} mu|^2 = (1 - rho)^2 + 4 rho sin^2((x + arg mu) / 2)
+        gap = np.maximum(POLE_GAP**2 - (1.0 - rho) ** 2, 0.0)
+        half = 2.0 * np.arcsin(np.sqrt(gap / (4.0 * rho)))
+        return -np.angle(self.poles), half * (1.0 + 1e-6)   # clear of round-off
 
 
-def _gsv_sweep(pair: StepperPair, relaxation: str, p: int):
-    """max over x of the largest generalized singular value of the pair
-    {(Psi - Phi^k)^p, denominator(x)^p}."""
-    num = matrix_power(pair.coarse_defect, p)
+def _gain(a, b, c, xs: np.ndarray) -> np.ndarray:
+    """sigma_max(C (I - e^{ix} A)^{-1} B) at each phase of xs."""
+    eye = np.eye(a.shape[0])
 
-    def fun(xs):
-        m = num @ _den_inverse(pair, relaxation, p, xs)
-        return np.linalg.svd(m, compute_uv=False)[:, 0]
+    def fun(chunk):
+        den = eye - np.exp(1j * chunk)[:, None, None] * a
+        return np.linalg.svd(c @ np.linalg.solve(den, b),
+                             compute_uv=False)[:, 0]
 
-    x, val = _extremum_over_phases(fun, pair.dim, skip=_psi_poles(pair))
-    return x, val, num
+    return _evaluate(fun, xs, a.shape[0], None)
+
+
+def _crossings(a, b, c, gamma: float, skip=None):
+    """(phases, exact): sorted phases x, outside the mask skip, at which gamma
+    may be a singular value of C (I - e^{ix} A)^{-1} B.
+
+    These are the unit-circle eigenvalues z = e^{ix} of the pencil L - z R
+    with L = [[I, -BB*/gamma], [0, -A*]] and R = [[A, 0], [C*C/gamma, -I]].
+    The disc automorphism z = (s + DISC) / (1 + conj(DISC) s) keeps the
+    circle and turns the pencil into one eigenvalue problem in s, also where
+    R is singular. Rounding moves its eigenvalues by about err = eps cond(R -
+    conj(DISC) L), and a nearly tangent pair of crossings by about
+    sqrt(err), so every eigenvalue within 10 sqrt(err) of the circle is
+    kept: a phase too many only splits an interval. A tangency blurred that
+    much can hide a maximum about err above gamma, so exact is False when err
+    exceeds TOL."""
+    n = a.shape[0]
+    eye, zero = np.eye(n), np.zeros((n, n))
+    lft = np.block([[eye, -(b @ b.conj().T) / gamma], [zero, -a.conj().T]])
+    rgt = np.block([[a, zero], [(c.conj().T @ c) / gamma, -eye]])
+    den = rgt - np.conj(DISC) * lft
+    err = np.finfo(float).eps * np.linalg.cond(den)
+    s = np.linalg.eigvals(np.linalg.solve(den, lft - DISC * rgt))
+    s = s[np.abs(np.abs(s) - 1.0) < 10.0 * math.sqrt(err)]
+    xs = np.sort(np.angle((s + DISC) / (1.0 + np.conj(DISC) * s))
+                 % (2.0 * np.pi))
+    return (xs if skip is None else xs[~skip(xs)]), bool(err <= TOL)
+
+
+def _hinf(a, b, c, skip=None):
+    """(phase, gamma, certified): the largest sigma_max(C (I - e^{ix} A)^{-1} B)
+    over the phases x outside the mask skip, by the level-set iteration of
+    Boyd and Balakrishnan.
+
+    Each round finds the crossings of the level gamma (1 + 2 TOL) and
+    evaluates the midpoints between consecutive ones; gamma rises to their
+    largest value. Between two crossings sigma_max stays on one side of the
+    level, so a round with no midpoint above it proves that no phase outside
+    the mask exceeds it. The edges of masked arcs cut the circle too, and so
+    does the best phase: where it is a local minimum, as 0 and pi can be, the
+    level's two crossings near it are nearly tangent and may be missed. The
+    result is certified when the proof is reached within LEVEL_ROUNDS with
+    exact crossings and not on the flank of a pole."""
+    edges = np.empty(0)
+    if skip is not None:
+        centre, half = skip.arcs()
+        edges = np.concatenate([centre - half, centre + half]) % (2.0 * np.pi)
+    starts = [[0.0, np.pi], -np.angle(np.linalg.eigvals(a)), edges]
+    xs = np.concatenate(starts) % (2.0 * np.pi)
+    if skip is not None:
+        xs = xs[~skip(xs)]
+    if not (b.any() and c.any()):
+        return float(xs[0]), 0.0, True
+    # G scales with B and C: entries of unit size keep the pencil's blocks
+    # balanced, also for subnormal or huge operators
+    (b, eb), (c, ec) = _unit(b), _unit(c)
+    vals = _gain(a, b, c, xs)
+    i = int(np.argmax(vals))
+    x, gamma = float(xs[i]), float(vals[i])
+    certified = False
+    for _ in range(LEVEL_ROUNDS):
+        level = gamma * (1.0 + 2.0 * TOL)
+        cross, exact = _crossings(a, b, c, level, skip)
+        cuts = np.sort(np.concatenate([cross, edges, [x]]))
+        gaps = np.diff(np.append(cuts, cuts[0] + 2.0 * np.pi))
+        mids = (cuts + 0.5 * gaps) % (2.0 * np.pi)
+        if skip is not None:
+            mids = mids[~skip(mids)]
+        vals = _gain(a, b, c, mids)
+        if vals.size and vals.max() > gamma:
+            i = int(np.argmax(vals))
+            x, gamma = float(mids[i]), float(vals[i])
+        if gamma <= level:
+            certified = exact and not _on_pole_flank(a, b, c, skip, x, gamma)
+            break
+    return x, math.ldexp(gamma, eb + ec), certified
+
+
+def _unit(m: np.ndarray):
+    """(m 2^-e, e): m scaled by a power of two, exactly, to entries of size
+    below one."""
+    e = math.frexp(float(np.abs(m).max()))[1]
+    return np.ldexp(m.real, -e) + 1j * np.ldexp(m.imag, -e), e
+
+
+def _on_pole_flank(a, b, c, skip, x: float, gamma: float) -> bool:
+    """Whether the maximum gamma at phase x outside the mask skip may be no
+    stationary point: x lies within twice an arc's half-width of its centre
+    and gamma exceeds the value there by more than 2 TOL, so the value still
+    rises towards the arc (a cancelled pole's neighbourhood is flat); or the
+    mask holds unit-circle eigenvalues within sqrt(POLE_GAP) of each other,
+    whose defective cluster blurs the crossings near it by about eps^(1/4)."""
+    if skip is None:
+        return False
+    poles = skip.poles
+    if np.any(np.abs(poles[:, None] - poles) + np.eye(poles.size)
+              < math.sqrt(POLE_GAP)):
+        return True
+    centre, half = skip.arcs()
+    near = np.abs(np.angle(np.exp(1j * (x - centre)))) < 2.0 * half
+    if not near.any():
+        return False
+    beyond = np.concatenate([centre[near] - 2.0 * half[near],
+                             centre[near] + 2.0 * half[near]])
+    return bool(gamma > (1.0 + 2.0 * TOL) * _gain(a, b, c, beyond).max())
+
+
+def _tap_realization(pair: StepperPair, relaxation: str, p: int):
+    """(A, B, C) with C (I - zA)^{-1} B = (Psi - Phi^k)^p ((I - z Psi)^{-1} M)^p,
+    M = I for F and Phi^k for FCF: the state stacks the p partial products,
+    so A = (I - S)^{-1} (I_p x Psi), B = (I - S)^{-1} E_1 M and
+    C = (Psi - Phi^k)^p E_p^T, with M on the block subdiagonal of S."""
+    n = pair.dim
+    m = pair.fine_power if relaxation == "FCF" else np.eye(n)
+    blocks = np.eye(p)
+    lhs = np.eye(p * n) - np.kron(np.eye(p, k=-1), m)
+    a = np.linalg.solve(lhs, np.kron(blocks, pair.coarse.matrix))
+    b = np.linalg.solve(lhs, np.kron(blocks[:, :1], m))
+    c = np.kron(blocks[-1:], matrix_power(pair.coarse_defect, p))
+    return a, b, c
 
 
 def tap_constant(pair: StepperPair, relaxation: str = "F",
@@ -174,10 +301,11 @@ def tap_constant(pair: StepperPair, relaxation: str = "F",
     """sup over v of ||(Psi - Phi^k)^p v|| / min_x ||denominator(x)^p v||.
 
     The two maxima swap, so away from the poles of Psi this is
-    max_x sigma_max((Psi - Phi^k)^p denominator(x)^{-p}). Certified through
-    the eigenvalue path for normal shared-eigendecomposition pairs; otherwise
-    that phase sweep, whose maximizer is the top right singular vector at the
-    best phase mapped through denominator(x)^{-p}.
+    max_x sigma_max((Psi - Phi^k)^p denominator(x)^{-p}). Normal
+    shared-eigendecomposition pairs take the eigenvalue path; any other pair
+    the level-set iteration on a realization of that transfer function,
+    whose maximizer is the top right singular vector at the best phase
+    mapped through denominator(x)^{-p}.
     """
     _check_relaxation(relaxation)
     if p < 1:
@@ -186,15 +314,18 @@ def tap_constant(pair: StepperPair, relaxation: str = "F",
         raise ValueError("fine-propagator power is singular; FCF constant undefined")
     if pair.normal:
         res = teap_constant(pair, relaxation)
-        return TapResult(res.value ** p, res.maximizer, res.phase,
-                         "eigenvalue", True)
+        value = res.value ** p
+        return TapResult(value, res.maximizer, res.phase, "eigenvalue", True,
+                         value)
 
-    x_hat, sweep, num = _gsv_sweep(pair, relaxation, p)
-    di = _den_inverse(pair, relaxation, p, np.array([x_hat]))[0]
-    _, _, vh = np.linalg.svd(num @ di)
-    v = di @ vh[0].conj()
+    a, b, c = _tap_realization(pair, relaxation, p)
+    x, gamma, certified = _hinf(a, b, c, _psi_poles(pair))
+    state = np.linalg.solve(np.eye(a.shape[0]) - np.exp(1j * x) * a, b)
+    _, _, vh = np.linalg.svd(c @ state)
+    v = state[-pair.dim:] @ vh[0].conj()
     v /= np.linalg.norm(v)
-    return TapResult(float(sweep), v, float(x_hat), "phase-sweep", False)
+    return TapResult(gamma, v, x, "level-set", certified,
+                     gamma * (1.0 + 2.0 * TOL))
 
 
 def itap_constant(pair: StepperPair, relaxation: str = "F") -> TapResult:
@@ -205,19 +336,12 @@ def itap_constant(pair: StepperPair, relaxation: str = "F") -> TapResult:
     if relaxation == "FCF" and ill_conditioned(pair.fine_power_sv):
         raise ValueError("fine-propagator power is singular; FCF constant undefined")
     psi = pair.coarse.matrix
-    eye = np.eye(psi.shape[0])
     tail = pair.coarse_defect
     if relaxation == "FCF":
         tail = tail @ pair.fine_power
-
-    def fun(xs):
-        den = eye - np.exp(1j * xs)[:, None, None] * psi
-        return np.linalg.svd(np.linalg.solve(den, tail),
-                             compute_uv=False)[:, 0]
-
-    # a sampled sweep, so not a proven maximum
-    x, val = _extremum_over_phases(fun, pair.dim)
-    return TapResult(float(val), None, float(x), "phase-sweep", False)
+    x, gamma, certified = _hinf(psi, tail, np.eye(pair.dim))
+    return TapResult(gamma, None, x, "level-set", certified,
+                     gamma * (1.0 + 2.0 * TOL))
 
 
 def teap_constant(pair: StepperPair, relaxation: str = "F") -> TapResult:
@@ -235,7 +359,8 @@ def teap_constant(pair: StepperPair, relaxation: str = "F") -> TapResult:
         vals = vals * np.abs(lam_k)
     idx = int(np.argmax(vals))
     phase = float(np.angle(e.coarse_values[idx]) % (2.0 * np.pi))
-    return TapResult(float(vals[idx]), idx, phase, "eigenvalue", True)
+    value = float(vals[idx])
+    return TapResult(value, idx, phase, "eigenvalue", True, value)
 
 
 def stability_decay(pair: StepperPair, grid) -> tuple[float, float | None]:

@@ -3,6 +3,7 @@
 import numpy as np
 
 from pintbounds import operators as ops
+from pintbounds import tap
 
 
 def raw_stepper(m, dt=1.0):
@@ -102,3 +103,25 @@ def assert_not_beaten(value, fun, minimize=False):
             assert value <= oracle + 1e-12 * abs(oracle)
         else:
             assert value >= oracle - 1e-12 * abs(oracle)
+
+
+def tap_samples(pair, relaxation, p=1):
+    """sigma_max((Psi - Phi^k)^p D(x)^{-p}) over an array of phases, with
+    D(x)^{-1} = (I - e^{ix} Psi)^{-1}, times Phi^k for FCF; 0 at the phases
+    the pole mask of Psi covers."""
+    psi, phik = pair.coarse.matrix, pair.fine_power
+    num = np.linalg.matrix_power(psi - phik, p)
+    skip = tap._psi_poles(pair)
+
+    def fun(xs):
+        vals = np.zeros(len(xs))
+        keep = np.ones(len(xs), bool) if skip is None else ~skip(xs)
+        den = np.eye(pair.dim) - np.exp(1j * xs[keep])[:, None, None] * psi
+        di = np.linalg.inv(den)
+        if relaxation == "FCF":
+            di = di @ phik
+        m = num @ np.linalg.matrix_power(di, p)
+        vals[keep] = np.linalg.svd(m, compute_uv=False)[:, 0]
+        return vals
+
+    return fun

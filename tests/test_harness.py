@@ -1,11 +1,17 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as hst
+
+from helpers import phase_oracle, tap_samples
 
 import pintbounds
 from pintbounds import cli, harness
@@ -480,6 +486,32 @@ class TestCli:
         assert cli.main(["run", "--config", str(path), "--out",
                          str(tmp_path)]) == 2
 
+    def test_fcf_singular_fine_power_non_normal_without_traceback(
+            self, tmp_path, capsys):
+        # forward Euler at dt * ell = -1 zeroes an eigenvalue of Phi^k; a
+        # from-file operator has no attached eigenbasis, so the pair is
+        # analysed as non-normal
+        (tmp_path / "op.txt").write_text("-2 0\n0 -1\n")
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(base_config(
+            problem={"kind": "from-file", "path": str(tmp_path / "op.txt")},
+            fine={"scheme": "forward-euler", "dt": 0.5},
+            coarse={"scheme": "backward-euler", "dt": 1.0},
+            relaxations=["F", "FCF"])))
+        out = tmp_path / "out"
+        code = cli.main(["run", "--config", str(path), "--out", str(out),
+                         "--format", "json"])
+        assert code in (0, 1)
+        assert "Traceback" not in capsys.readouterr().err
+        rec = json.load(open(out / "experiment.json"))
+        kinds = {rel: {r["kind"]: r for r in rec["bounds"]
+                       if r["relaxation"] == rel} for rel in ("F", "FCF")}
+        assert {"tap", "sufficient", "stability-decay"} <= set(kinds["F"])
+        assert "slack_constant" in kinds["F"]["necessary"]
+        assert not {"tap", "sufficient"} & set(kinds["FCF"])
+        assert "slack_constant" not in kinds["FCF"].get("necessary", {})
+        assert "coarse-norm" in kinds["FCF"]
+
     def test_run_does_not_import_scipy(self, tmp_path):
         # importing scipy.linalg would add about 26 MB to a run's peak memory
         path = tmp_path / "cfg.yaml"
@@ -511,3 +543,58 @@ class TestCli:
         assert cli.main(["bounds", "--config", str(path)]) == 0
         rows = json.loads(capsys.readouterr().out)
         assert any(r["kind"] == "tap" for r in rows)
+
+
+SCHEMES = ["forward-euler", "backward-euler", "theta", "rk4", "sdirk2"]
+
+
+def _scheme(name, dt):
+    section = {"scheme": name, "dt": dt}
+    if name == "theta":
+        section["theta"] = 0.6
+    return section
+
+
+class TestConfigFuzz:
+    @settings(max_examples=25, deadline=None)
+    @given(dim=hst.sampled_from([2, 3]), data=hst.data(),
+           fine=hst.sampled_from(SCHEMES),
+           coarse=hst.sampled_from(SCHEMES + ["rediscretized"]),
+           dt=hst.floats(0.01, 1.0), k=hst.integers(1, 3),
+           n_coarse=hst.integers(2, 6))
+    def test_run_exits_cleanly_and_taps_bracket_the_oracle(
+            self, dim, data, fine, coarse, dt, k, n_coarse):
+        entries = data.draw(hst.lists(hst.floats(-4.0, 4.0), min_size=dim**2,
+                                      max_size=dim**2))
+        with tempfile.TemporaryDirectory() as tmp:
+            op = os.path.join(tmp, "op.txt")
+            with open(op, "w") as fh:
+                for row in np.reshape(entries, (dim, dim)):
+                    fh.write(" ".join(repr(float(v)) for v in row) + "\n")
+            path = os.path.join(tmp, "cfg.yaml")
+            with open(path, "w") as fh:
+                yaml.safe_dump(base_config(
+                    problem={"kind": "from-file", "path": op},
+                    fine=_scheme(fine, dt),
+                    coarse=(coarse if coarse == "rediscretized"
+                            else _scheme(coarse, dt * k)),
+                    k=k, n_time=k * (n_coarse - 1) + 1,
+                    relaxations=["F", "FCF"]), fh)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(["run", "--config", path, "--out", tmp,
+                                 "--format", "json"])
+            assert code in (0, 1, 2)
+            assert "Traceback" not in err.getvalue()
+            if code == 2:
+                return
+            with open(os.path.join(tmp, "experiment.json")) as fh:
+                rec = json.load(fh)
+            pair = harness.build_pair(harness.load_config(path))
+        for row in rec["bounds"]:
+            if row["kind"] != "tap" or not row["certified"]:
+                continue
+            samples, _ = phase_oracle(tap_samples(pair, row["relaxation"]))
+            best = float(np.max(samples))
+            assert best * (1 - 1e-12) <= row["lower"]
+            assert best <= row["upper"] * (1 + 1e-12)

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
 
-from helpers import (assert_not_beaten, heat_pair, random_contraction,
-                     raw_pair, raw_stepper)
+from helpers import (assert_not_beaten, heat_pair, phase_oracle,
+                     random_contraction, raw_pair, raw_stepper, tap_samples)
+from pintbounds import harness
 from pintbounds import operators as ops
 from pintbounds import spacetime as st
 from pintbounds import tap
+from pintbounds import toeplitz as tp
 
 
 def grid_min_phase(psi, v, p, samples=4096, left=None):
@@ -52,23 +54,6 @@ def count_sweep_calls(monkeypatch):
     return calls
 
 
-def tap_samples(pair, relaxation, p=1):
-    """sigma_max((Psi - Phi^k)^p D(x)^{-p}) over an array of phases, with
-    D(x)^{-1} = (I - e^{ix} Psi)^{-1}, times Phi^k for FCF."""
-    psi, phik = pair.coarse.matrix, pair.fine_power
-    num = np.linalg.matrix_power(psi - phik, p)
-
-    def fun(xs):
-        den = np.eye(pair.dim) - np.exp(1j * xs)[:, None, None] * psi
-        di = np.linalg.inv(den)
-        if relaxation == "FCF":
-            di = di @ phik
-        m = num @ np.linalg.matrix_power(di, p)
-        return np.linalg.svd(m, compute_uv=False)[:, 0]
-
-    return fun
-
-
 class TestPhaseSweep:
     def test_calls_bounded_by_grid_and_rounds(self, monkeypatch):
         # a 3x3 stack of every phase fits in one chunk: one grid call, then
@@ -76,10 +61,19 @@ class TestPhaseSweep:
         rng = np.random.default_rng(8)
         pair = raw_pair(random_contraction(rng, 3), random_contraction(rng, 3), 2)
         calls = count_sweep_calls(monkeypatch)
-        tap.tap_constant(pair, "F")
+        tp.symbol_max_sv(tp.build_symbol(pair, st.GridSpec(17, 2),
+                                         "F-relaxation"))
         assert calls[0] == tap.PHASE_GRID
         assert 1 < len(calls) <= 1 + tap.REFINE_ROUNDS
         assert all(n % tap.FAN == 0 for n in calls[1:])
+
+    def test_flat_sweep_not_refined(self, monkeypatch):
+        # with Psi = 0 the swept norm is ||v|| at every phase: no grid point
+        # is a strict extremum, so the grid is the only evaluation
+        calls = count_sweep_calls(monkeypatch)
+        val, _ = tap.min_phase_norm(np.zeros((2, 2)), np.array([3.0, 4.0]), 2)
+        assert val == 5.0
+        assert calls == [tap.PHASE_GRID]
 
     def test_chunks_hold_at_most_stack_entries(self):
         # N_x = 256: a chunk holds four phases' 256 x 256 matrices
@@ -219,16 +213,6 @@ class TestTapConstant:
         res = tap.tap_constant(pair, "F")
         assert res.value < 1e-12
 
-    def test_flat_sweep_not_refined(self, monkeypatch):
-        # the sweep of an exact coarse pair is identically zero: no grid point
-        # is a strict extremum, so the grid is the only evaluation
-        rng = np.random.default_rng(2)
-        phi = random_contraction(rng, 2)
-        pair = raw_pair(phi, phi @ phi, 2)
-        calls = count_sweep_calls(monkeypatch)
-        assert tap.tap_constant(pair, "F").value == 0.0
-        assert calls == [tap.PHASE_GRID]
-
     def test_scalar_value(self):
         pair = raw_pair([[0.5]], [[0.6]], 1)
         res = tap.tap_constant(pair, "F")
@@ -247,7 +231,7 @@ class TestTapConstant:
         for relaxation in ("F", "FCF"):
             teap = tap.teap_constant(full, relaxation)
             gen = tap.tap_constant(bare, relaxation)
-            assert not gen.certified
+            assert gen.certified and gen.method == "level-set"
             assert abs(gen.value - teap.value) <= 1e-8 * teap.value
 
     @pytest.mark.parametrize("relaxation", ["F", "FCF"])
@@ -261,7 +245,7 @@ class TestTapConstant:
             pair = raw_pair(phi, psi, 2)
             left = None if relaxation == "F" else np.linalg.inv(phi @ phi)
             res = tap.tap_constant(pair, relaxation)
-            assert res.method == "phase-sweep" and not res.certified
+            assert res.method == "level-set" and res.certified
 
             def ratio(v):
                 # for p = 1 the denominator is a sinusoid in x, so a coarse
@@ -301,8 +285,7 @@ class TestItapConstant:
         pair = raw_pair([[np.sqrt(0.5)]], [[0.6]], 2)   # Phi^k = 0.5
         res = tap.itap_constant(pair, "F")
         assert res.value == pytest.approx(0.1 / 0.4, rel=1e-10)
-        # a sampled sweep proves no maximum
-        assert res.method == "phase-sweep" and not res.certified
+        assert res.method == "level-set" and res.certified
         assert min(res.phase, 2 * np.pi - res.phase) < 1e-6
 
     def test_exact_coarse_gives_zero(self):
@@ -315,6 +298,128 @@ class TestItapConstant:
         pair = raw_pair(0.5 * np.eye(1), np.eye(1), 2)
         with pytest.raises(ValueError, match="phase singularity"):
             tap.itap_constant(pair, "F")
+
+
+def upwind_pair(coarse_scheme="backward-euler", n=4):
+    """Upwind advection pair at Courant number 1 on the coarse level, with
+    backward-Euler fine steps: a forward-Euler coarse step makes Psi the
+    nilpotent shift."""
+    spatial = ops.build_spatial("advection-1d-upwind", n, 1.0 / n)
+    fine = ops.build_stepper(spatial,
+                             ops.SchemeSpec("backward-euler", 0.5 / n))
+    coarse = ops.build_stepper(spatial, ops.SchemeSpec(coarse_scheme, 1.0 / n))
+    return ops.make_pair(fine, coarse, 2)
+
+
+def assert_matches_oracle(res, fun):
+    """The level-set bracket [value, upper] holds the oracle's maximum, and
+    value is within 3e-12 of it, the certificate's 2 TOL plus round-off."""
+    samples, polished = phase_oracle(fun)
+    assert res.certified and res.method == "level-set"
+    for oracle in (np.max(samples), polished):
+        assert oracle <= res.upper * (1 + 1e-12)
+    assert abs(res.value - polished) <= 3e-12 * polished
+
+
+class TestLevelSet:
+    @pytest.mark.parametrize("relaxation", ["F", "FCF"])
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_certificate_at_upper(self, relaxation, p):
+        # no midpoint between the crossings of upper rises above it, which
+        # proves that no phase does; just below the maximum the level is
+        # crossed
+        rng = np.random.default_rng(12)
+        pairs = [upwind_pair(n=6)] + [
+            raw_pair(random_contraction(rng, d),
+                     random_contraction(rng, d, norm_bound=0.97), 2)
+            for d in (2, 3, 5)]
+        for pair in pairs:
+            res = tap.tap_constant(pair, relaxation, p)
+            a, b, c = tap._tap_realization(pair, relaxation, p)
+            (b, eb), (c, ec) = tap._unit(b), tap._unit(c)
+            upper = np.ldexp(res.upper, -eb - ec)
+            assert res.certified
+            assert res.upper == res.value * (1 + 2 * tap.TOL)
+            cross, exact = tap._crossings(a, b, c, upper)
+            assert exact
+            cuts = np.sort(np.append(cross, res.phase))
+            mids = cuts + 0.5 * np.diff(np.append(cuts, cuts[0] + 2 * np.pi))
+            assert tap._gain(a, b, c, mids).max() <= upper
+            below, _ = tap._crossings(a, b, c, upper * (1 - 1e-6))
+            assert below.size >= 2
+
+    @pytest.mark.parametrize("relaxation", ["F", "FCF"])
+    def test_singular_coarse_step_matches_oracle(self, relaxation):
+        # the pencil's R = [[Psi, 0], [C*C/gamma, -I]] is singular here, so
+        # the crossings need the disc map
+        pair = upwind_pair("forward-euler")
+        assert np.linalg.matrix_rank(pair.coarse.matrix) < pair.dim
+        for p in (1, 2):
+            assert_matches_oracle(tap.tap_constant(pair, relaxation, p),
+                                  tap_samples(pair, relaxation, p))
+
+    @pytest.mark.parametrize("relaxation", ["F", "FCF"])
+    def test_power_three_matches_oracle(self, relaxation):
+        rng = np.random.default_rng(13)
+        for d in (2, 3, 4):
+            pair = raw_pair(random_contraction(rng, d),
+                            random_contraction(rng, d, norm_bound=0.97), 2)
+            assert_matches_oracle(tap.tap_constant(pair, relaxation, 3),
+                                  tap_samples(pair, relaxation, 3))
+
+    def test_constants_sweep_no_phase(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("phase sweep for an approximation constant")
+
+        monkeypatch.setattr(tap, "_extremum_over_phases", refuse)
+        pair = upwind_pair(n=5)
+        for relaxation in ("F", "FCF"):
+            for p in (1, 2):
+                assert tap.tap_constant(pair, relaxation, p).certified
+            assert tap.itap_constant(pair, relaxation).certified
+
+    def test_run_sweeps_only_for_the_symbol_row(self, monkeypatch):
+        sweeps, symbols = [], []
+        sweep, symbol = tap._extremum_over_phases, tp.symbol_max_sv
+        monkeypatch.setattr(tap, "_extremum_over_phases",
+                            lambda *a, **kw: sweeps.append(a) or sweep(*a, **kw))
+        monkeypatch.setattr(tp, "symbol_max_sv",
+                            lambda *a, **kw: symbols.append(a) or symbol(*a, **kw))
+        cfg = harness.ExperimentConfig.from_dict({
+            "problem": {"kind": "advection-1d-upwind", "n": 4, "h": 0.25},
+            "fine": {"scheme": "backward-euler", "dt": 0.05}, "k": 2,
+            "n_time": 17, "relaxations": ["F", "FCF"], "iterations": 3})
+        rec = harness.run_experiment(cfg)
+        assert len(sweeps) == len(symbols) == 2
+        taps = [r for r in rec.bounds if r["kind"] in ("tap", "sufficient")]
+        assert len(taps) == 4
+        assert all(r["certified"] and r["method"] == "level-set" for r in taps)
+
+    def test_unit_circle_pole_uncertified(self):
+        # Psi has the eigenvalue 1: the maximum outside the masked arc sits
+        # at its edge, on the flank of the pole
+        pair = raw_pair(np.diag([0.5, 0.3]), np.diag([1.0, 0.5]), 2)
+        for relaxation in ("F", "FCF"):
+            res = tap.tap_constant(pair, relaxation)
+            assert not res.certified
+            assert res.value > 1e7
+
+    def test_cancelled_pole_keeps_finite_certified_value(self, tmp_path):
+        # Psi and Phi^k share the eigenvalue 1 on the null vector of L, which
+        # Psi - Phi^k annihilates: G is analytic across the masked arc
+        path = tmp_path / "op.txt"
+        path.write_text("0 0\n1 -1\n")
+        cfg = harness.ExperimentConfig.from_dict({
+            "problem": {"kind": "from-file", "path": str(path)},
+            "fine": {"scheme": "backward-euler", "dt": 0.1},
+            "coarse": {"scheme": "backward-euler", "dt": 0.2}, "k": 2,
+            "n_time": 17, "relaxations": ["F"], "iterations": 3})
+        pair = harness.build_pair(cfg)
+        assert tap._psi_poles(pair) is not None
+        rows, res = harness._bound_rows(pair, st.GridSpec(17, 2), "F")
+        row = next(r for r in rows if r["kind"] == "tap")
+        assert row["certified"] is True
+        assert row["lower"] == pytest.approx(0.05843857695756814, rel=1e-10)
 
 
 class TestTeapConstant:

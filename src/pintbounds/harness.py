@@ -252,16 +252,16 @@ def _bound_rows(pair: ops.StepperPair, grid: st.GridSpec, relaxation: str,
                      "lower": cnorm, "upper": math.inf, "certified": True})
     try:
         # a normal pair's symbol splits into scalar modes with a closed-form
-        # maximum; any other symbol is swept over sampled phases
+        # maximum; any other symbol is bounded from its coefficient blocks
         if pair.normal:
             upper = tp.normal_symbol_max(pair, grid, relaxation)
-            method = "closed-form"
+            certified, method = True, "closed-form"
         else:
             kind = "F-relaxation" if relaxation == "F" else "FCF-relaxation"
-            upper = tp.symbol_max_sv(tp.build_symbol(pair, grid, kind))
-            method = "phase-sweep"
+            res = tp.symbol_max_sv(tp.build_symbol(pair, grid, kind))
+            upper, certified, method = res.upper, res.certified, res.method
         rows.append({"relaxation": relaxation, "kind": "symbol",
-                     "lower": 0.0, "upper": upper, "certified": pair.normal,
+                     "lower": 0.0, "upper": upper, "certified": certified,
                      "method": method})
     except ValueError:
         pass
@@ -558,6 +558,21 @@ def verify_suite(filter_name: str | None = None) -> list:
                 gen = tap_mod.tap_constant(bare, relaxation).value
                 worst = max(worst, abs(gen - teap) / max(teap, 1e-12))
         results.append(_check("tap-teap", worst <= 1e-8, 1e-8 - worst))
+
+    if want("symbol-closed-form"):
+        worst, ok = 0.0, True
+        for _ in range(3):
+            pair, grid = _random_pair(rng, n_coarse=33)
+            bare = ops.make_pair(pair.fine, pair.coarse, pair.k,
+                                 attach_eig=False)
+            for relaxation in ("F", "FCF"):
+                closed = tp.normal_symbol_max(pair, grid, relaxation)
+                res = tp.symbol_max_sv(tp.build_symbol(
+                    bare, grid, f"{relaxation}-relaxation"))
+                ok = ok and res.certified
+                worst = max(worst, abs(res.upper - closed) / closed)
+        results.append(_check("symbol-closed-form", ok and worst <= 1e-11,
+                              1e-11 - worst))
 
     if want("sandwich"):
         ok = True

@@ -47,46 +47,37 @@ def _check_relaxation(relaxation: str):
         raise ValueError(f"unknown relaxation {relaxation!r}")
 
 
-def _evaluate(fun, xs: np.ndarray, dim: int, skip) -> np.ndarray:
-    """fun at the phases xs, passed in chunks whose dim x dim stacks hold at
-    most STACK_ENTRIES entries; NaN at the phases skip masks, which fun never
-    sees."""
-    vals = np.full(xs.shape, np.nan)
-    keep = np.arange(xs.size) if skip is None else np.flatnonzero(~skip(xs))
-    chunk = max(1, STACK_ENTRIES // dim**2)
-    for start in range(0, keep.size, chunk):
-        idx = keep[start:start + chunk]
-        vals[idx] = fun(xs[idx])
+def _evaluate(fun, xs: np.ndarray, entries: int) -> np.ndarray:
+    """fun at the phases xs, passed in chunks that hold at most STACK_ENTRIES
+    array entries, given entries per phase."""
+    vals = np.empty(xs.shape)
+    chunk = max(1, STACK_ENTRIES // entries)
+    for start in range(0, xs.size, chunk):
+        vals[start:start + chunk] = fun(xs[start:start + chunk])
     return vals
 
 
-def _extremum_over_phases(fun, dim: int, minimize=False, skip=None):
+def _extremum_over_phases(fun, dim: int, minimize=False):
     """(phase, value) of the extremum of a smooth 2*pi-periodic function.
 
     fun maps an array of phases to an array of values, through stacks of
-    dim x dim matrices; skip, if given, maps phases to a mask of those not to
-    evaluate. A uniform grid is refined at all its local extrema at once:
-    each round evaluates a fan across every candidate's interval and narrows
-    the interval to the two cells around the fan's best phase."""
+    dim x dim matrices. A uniform grid is refined at all its local extrema at
+    once: each round evaluates a fan across every candidate's interval and
+    narrows the interval to the two cells around the fan's best phase."""
     sign = 1.0 if minimize else -1.0
     xs = np.linspace(0.0, 2.0 * np.pi, PHASE_GRID, endpoint=False)
-    sv = sign * _evaluate(fun, xs, dim, skip)
-    if np.all(np.isnan(sv)):
-        raise ValueError("no admissible phase samples")
-    sv = np.where(np.isnan(sv), np.inf, sv)
+    sv = sign * _evaluate(fun, xs, dim**2)
     best = int(np.argmin(sv))
     best_x, best_v = xs[best], sv[best]
     left, right = np.roll(sv, 1), np.roll(sv, -1)
     # a point of a flat stretch is no extremum to refine
-    centers = xs[np.isfinite(sv) & (sv <= np.minimum(left, right))
-                 & (sv < np.maximum(left, right))]
+    centers = xs[(sv <= np.minimum(left, right)) & (sv < np.maximum(left, right))]
     half = 2.0 * np.pi / PHASE_GRID
     offsets = np.linspace(-1.0, 1.0, FAN)
     rows = np.arange(centers.size)
     for _ in range(REFINE_ROUNDS if centers.size else 0):
         fan = centers[:, None] + half * offsets
-        vals = sign * _evaluate(fun, fan.ravel(), dim, skip).reshape(fan.shape)
-        vals = np.where(np.isnan(vals), np.inf, vals)
+        vals = sign * _evaluate(fun, fan.ravel(), dim**2).reshape(fan.shape)
         j = np.argmin(vals, axis=1)
         centers, tops = fan[rows, j], vals[rows, j]
         i = int(np.argmin(tops))
@@ -173,7 +164,7 @@ def _gain(a, b, c, xs: np.ndarray) -> np.ndarray:
         return np.linalg.svd(c @ np.linalg.solve(den, b),
                              compute_uv=False)[:, 0]
 
-    return _evaluate(fun, xs, a.shape[0], None)
+    return _evaluate(fun, xs, a.shape[0]**2)
 
 
 def _crossings(a, b, c, gamma: float, skip=None):

@@ -22,6 +22,8 @@ from . import tap as _tap
 
 FOURIER_POINTS = 4096
 BRACKET_MIN_N = 10     # smallest N_c for which the bracket is proven
+BISECT_ROUNDS = 40     # most bisection rounds of a certified symbol maximum
+BISECT_CELLS = 1024    # most phase cells one bisection round may split
 
 SYMBOL_KINDS = ("F-relaxation", "FCF-relaxation", "error-side-F", "error-side-FCF")
 
@@ -33,12 +35,12 @@ SYMBOL_KINDS = ("F-relaxation", "FCF-relaxation", "error-side-F", "error-side-FC
 class SymbolFunction:
     """Phase-indexed matrix symbol x -> F(x) of a block-Toeplitz family. The
     evaluator maps a 1-d array of phases to the stack of F over them, or to
-    one matrix that holds for every phase."""
+    one matrix that holds for every phase. coeffs, when given, holds the
+    blocks C_j of F(x) = sum_{j < len(coeffs)} e^{i(j+1)x} C_j."""
     evaluator: object
     kind: str
     dim: int
-    n_coarse: int = 0
-    skip: object = None   # optional pole mask over an array of phases
+    coeffs: np.ndarray | None = None
 
     def __call__(self, x) -> np.ndarray:
         """F(x) at one phase, or the stack of F over an array of phases."""
@@ -48,44 +50,109 @@ class SymbolFunction:
         return m.reshape(x.shape + (self.dim, self.dim))
 
 
+def _fir(coeffs: np.ndarray, turns: np.ndarray) -> np.ndarray:
+    """The stack of sum_j e^{2 pi i (j+1) t} coeffs[j] over the phases t of
+    turns, given in turns (x = 2 pi t). The exponent is reduced mod 1 before
+    it is scaled by 2 pi, exactly for dyadic t, so its rounding error does
+    not grow with j."""
+    n, d = coeffs.shape[0], coeffs.shape[1]
+    z = np.exp(2j * np.pi * (np.outer(turns, np.arange(1, n + 1)) % 1.0))
+    return (z @ coeffs.reshape(n, d * d)).reshape(-1, d, d)
+
+
 def build_symbol(pair: StepperPair, grid: GridSpec, kind: str) -> SymbolFunction:
-    """Generating function of the assembled coarse-level propagation block."""
+    """Generating function of the assembled coarse-level propagation block.
+
+    It is the polynomial z (I - z^{N_c} Psi^{N_c}) (I - z Psi)^{-1} =
+    sum_{j < N_c} z^{j+1} Psi^j on either side of the defect: F(z) =
+    sum_j z^{j+1} L Psi^j R with (L, R) = (Psi - Phi^k, M) on the residual
+    side and (I, (Psi - Phi^k) M) on the error side, M = I for F and Phi^k
+    for FCF."""
     if kind not in SYMBOL_KINDS:
         raise ValueError(f"unknown symbol kind {kind!r}")
     psi = pair.coarse.matrix
     defect = pair.coarse_defect
-    nc = grid.n_coarse
-    psi_nc = matrix_power(psi, nc)
-    eye = np.eye(psi.shape[0], dtype=complex)
+    d = psi.shape[0]
     fcf = kind in ("FCF-relaxation", "error-side-FCF")
     if fcf and ill_conditioned(pair.fine_power_sv):
         raise ValueError("fine-propagator power is singular")
-    phik = pair.fine_power
-
-    def evaluator(x):
-        z = np.exp(1j * x)[:, None, None]
-        osc = eye - z**nc * psi_nc
-        inv = np.linalg.inv(eye - z * psi)
-        if kind.startswith("error"):
-            m = z * osc @ inv @ defect
-        else:
-            m = z * defect @ osc @ inv
-        if fcf:
-            m = m @ phik
-        return m
-
-    return SymbolFunction(evaluator, kind, psi.shape[0], nc,
-                          skip=_tap._psi_poles(pair))
+    m = pair.fine_power if fcf else np.eye(d)
+    lft, rgt = (np.eye(d), defect @ m) if kind.startswith("error") \
+        else (defect, m)
+    coeffs = np.empty((grid.n_coarse, d, d), dtype=complex)
+    coeffs[0] = rgt
+    for j in range(1, grid.n_coarse):
+        coeffs[j] = psi @ coeffs[j - 1]
+    coeffs = lft @ coeffs
+    return SymbolFunction(lambda x: _fir(coeffs, x / (2.0 * np.pi)), kind,
+                          d, coeffs)
 
 
-def symbol_max_sv(sym: SymbolFunction) -> float:
-    """max over phase of the largest singular value; upper-bounds the l2 norm
-    of every finite assembly of the corresponding block-Toeplitz operator."""
+def symbol_max_sv(sym: SymbolFunction) -> _tap.TapResult:
+    """Certified max over phase of the largest singular value of a polynomial
+    symbol; it upper-bounds the l2 norm of every finite assembly of the
+    corresponding block-Toeplitz operator.
 
-    def fun(x):
-        return np.linalg.svd(sym(x), compute_uv=False)[:, 0]
+    Over the nonzero blocks C_lo..C_hi each Re(u* e^{-icx} F(x) v), c the
+    centre frequency and u, v unit, is a trigonometric polynomial of degree
+    n = (hi - lo) / 2 bounded by the maximum M, so Bernstein's inequality
+    gives |g''| <= n^2 M. On a phase cell [a, b] of width h, sigma_max then
+    stays below max(f(a), f(b)) + n^2 M h^2 / 8, and M below the largest
+    max(f(a), f(b)) / (1 - n^2 h^2 / 8) over the cells. From a uniform grid,
+    every cell whose bound exceeds the best sample by more than TOL / 2 is
+    bisected. upper is that bound with every sample raised by a pad for the
+    rounding of its evaluation. The result is certified when every cell
+    settles within BISECT_ROUNDS rounds of at most BISECT_CELLS splits, and
+    upper is within TOL of the value."""
+    if sym.coeffs is None:
+        raise ValueError("certified maximum needs the symbol's coefficients")
+    norms = np.linalg.norm(sym.coeffs, axis=(1, 2))
+    live = np.flatnonzero(norms)
+    if live.size == 0:
+        return _tap.TapResult(0.0, None, 0.0, "bernstein", True, 0.0)
+    coeffs = sym.coeffs[live[0]:live[-1] + 1]
+    terms = coeffs.shape[0]
+    deg2 = (0.5 * np.pi * (terms - 1)) ** 2 / 2.0    # n^2 (2 pi)^2 / 8
+    pad = 2.0 * (terms + sym.dim) * np.finfo(float).eps * float(norms.sum())
 
-    return _tap._extremum_over_phases(fun, sym.dim, skip=sym.skip)[1]
+    def fun(t):
+        f = _fir(coeffs, t)
+        gram = f.conj().swapaxes(1, 2) @ f
+        return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
+
+    def evaluate(t):
+        return _tap._evaluate(fun, t, max(terms, sym.dim**2))
+
+    # cells [a, a + h] in turns, with dyadic ends; a real symbol has
+    # F(-x) = conj F(x), and half the circle holds its maximum
+    m = 1 << max(4, math.ceil(math.log2(max(1, 2 * (terms - 1)))))
+    cells = m if coeffs.imag.any() else m // 2
+    grid = np.arange(cells + 1) / m
+    vals = evaluate(grid)
+    a, fa, fb, h = grid[:-1], vals[:-1], vals[1:], np.full(cells, 1.0 / m)
+    best = int(np.argmax(vals))
+    t_best, value = float(grid[best]), float(vals[best])
+    upper = 0.0
+    for _ in range(BISECT_ROUNDS):
+        top, shrink = np.maximum(fa, fb), 1.0 - deg2 * h * h
+        split = top > value * (1.0 + 0.5 * _tap.TOL) * shrink
+        upper = max(upper, np.max(((top + pad) / shrink)[~split], initial=0.0))
+        a, fa, fb, h = a[split], fa[split], fb[split], h[split]
+        if a.size == 0 or a.size > BISECT_CELLS:
+            break
+        h = 0.5 * h
+        mid = a + h
+        fm = evaluate(mid)
+        i = int(np.argmax(fm))
+        if fm[i] > value:
+            t_best, value = float(mid[i]), float(fm[i])
+        a, fa, fb, h = (np.concatenate([a, mid]), np.concatenate([fa, fm]),
+                        np.concatenate([fm, fb]), np.concatenate([h, h]))
+    upper = float(max(upper, np.max((np.maximum(fa, fb) + pad)
+                                    / (1.0 - deg2 * h * h), initial=0.0)))
+    certified = bool(a.size == 0 and upper <= value * (1.0 + _tap.TOL))
+    return _tap.TapResult(value, None, 2.0 * np.pi * t_best, "bernstein",
+                          certified, upper)
 
 
 def normal_symbol_max(pair: StepperPair, grid: GridSpec,
@@ -126,8 +193,7 @@ def symbol_min_eig(sym: SymbolFunction) -> float:
             raise ValueError("symbol is not Hermitian")
         return np.linalg.eigvalsh(m)[:, 0]
 
-    return _tap._extremum_over_phases(fun, sym.dim, minimize=True,
-                                      skip=sym.skip)[1]
+    return _tap._extremum_over_phases(fun, sym.dim, minimize=True)[1]
 
 
 def symbol_coefficients(sym: SymbolFunction, modes: int,

@@ -286,7 +286,7 @@ def test_criterion_09_symbol_bounds():
                          "error-side-F": cgc_err,
                          "error-side-FCF": cgc_err @ relax}
             for kind, block in assembled.items():
-                bound = tp.symbol_max_sv(tp.build_symbol(pair, grid, kind))
+                bound = tp.symbol_max_sv(tp.build_symbol(pair, grid, kind)).upper
                 excess = np.linalg.norm(block, 2) - bound
                 worst_excess = max(worst_excess, excess)
                 ok = ok and excess <= 1e-10

@@ -11,7 +11,7 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as hst
 
-from helpers import phase_oracle, tap_samples
+from helpers import phase_oracle, raw_pair, tap_samples
 
 import pintbounds
 from pintbounds import cli, harness
@@ -313,14 +313,36 @@ class TestNormalPairPath:
         harness.run_experiment(cfg)
         assert len(kernel_calls) == 2
 
-    def test_non_normal_symbol_is_sampled(self):
+    def test_non_normal_symbol_is_certified(self):
         cfg = harness.ExperimentConfig.from_dict(base_config(
             problem={"kind": "advection-1d-upwind", "n": 3, "h": 0.25}))
         rec = harness.run_experiment(cfg)
-        symbol = next(r for r in rec.bounds if r["kind"] == "symbol")
-        assert symbol["certified"] is False
-        assert symbol["method"] == "phase-sweep"
-        assert symbol["upper"] > 0
+        rows = {r["kind"]: r for r in rec.bounds}
+        symbol = rows["symbol"]
+        assert symbol["certified"] is True
+        assert symbol["method"] == "bernstein"
+        assert symbol["upper"] >= rows["coarse-norm"]["lower"] > 0
+
+
+class TestNonNormalSymbolRow:
+    @pytest.mark.parametrize("relaxation", ["F", "FCF"])
+    @pytest.mark.parametrize("mu", [1.0, -1.0, 1j])
+    @pytest.mark.parametrize("lam", [0.5, 0.9])
+    @pytest.mark.parametrize("n_coarse", [17, 33, 64])
+    def test_unit_circle_coarse_eigenvalue(self, n_coarse, lam, mu,
+                                           relaxation):
+        # the symbol N_c-term sum z^{j+1} (mu - lam^k) mu^j [lam^k] peaks at
+        # z mu = 1, which the pole mask of a rational evaluation covered
+        pair = raw_pair([[lam]], [[mu]], 2)
+        rows, _ = harness._bound_rows(pair, st.GridSpec(2 * n_coarse - 1, 2),
+                                      relaxation)
+        row = next(r for r in rows if r["kind"] == "symbol")
+        exact = n_coarse * abs(mu - lam**2)
+        if relaxation == "FCF":
+            exact *= lam**2
+        assert row["certified"] is True
+        assert row["method"] == "bernstein"
+        assert exact <= row["upper"] <= exact * (1.0 + tap.TOL)
 
 
 class TestReports:

@@ -59,10 +59,9 @@ class TestPhaseSweep:
         # a 3x3 stack of every phase fits in one chunk: one grid call, then
         # one call per refinement round
         rng = np.random.default_rng(8)
-        pair = raw_pair(random_contraction(rng, 3), random_contraction(rng, 3), 2)
+        a, b = random_contraction(rng, 3), np.eye(3) + random_contraction(rng, 3)
         calls = count_sweep_calls(monkeypatch)
-        tp.symbol_max_sv(tp.build_symbol(pair, st.GridSpec(17, 2),
-                                         "F-relaxation"))
+        tp.symbol_min_eig(tp.power_symbol(a, b, 2))
         assert calls[0] == tap.PHASE_GRID
         assert 1 < len(calls) <= 1 + tap.REFINE_ROUNDS
         assert all(n % tap.FAN == 0 for n in calls[1:])
@@ -90,26 +89,6 @@ class TestPhaseSweep:
         # the grid, then three candidate fans in each of the rounds
         rounds = -(-3 * tap.FAN // chunk)
         assert len(sizes) == tap.PHASE_GRID // chunk + tap.REFINE_ROUNDS * rounds
-
-    def test_poles_never_evaluated(self):
-        seen = []
-        pole = 1.0
-
-        def skip(xs):
-            return np.abs(np.angle(np.exp(1j * (xs - pole)))) < 1e-2
-
-        def fun(xs):
-            seen.append(xs)
-            assert not np.any(skip(xs))
-            return 1.0 / np.abs(1.0 - np.exp(1j * (xs - pole)))
-
-        x, val = tap._extremum_over_phases(fun, 1, skip=skip)
-        assert np.all(np.isfinite(np.concatenate(seen)))
-        assert 1e-2 <= abs(x - pole) <= 2e-2
-
-    def test_all_phases_skipped_rejected(self):
-        with pytest.raises(ValueError, match="no admissible"):
-            tap._extremum_over_phases(np.cos, 1, skip=lambda xs: xs == xs)
 
     @pytest.mark.parametrize("relaxation", ["F", "FCF"])
     @pytest.mark.parametrize("p", [1, 2])
@@ -378,7 +357,7 @@ class TestLevelSet:
                 assert tap.tap_constant(pair, relaxation, p).certified
             assert tap.itap_constant(pair, relaxation).certified
 
-    def test_run_sweeps_only_for_the_symbol_row(self, monkeypatch):
+    def test_run_sweeps_no_phase(self, monkeypatch):
         sweeps, symbols = [], []
         sweep, symbol = tap._extremum_over_phases, tp.symbol_max_sv
         monkeypatch.setattr(tap, "_extremum_over_phases",
@@ -390,10 +369,14 @@ class TestLevelSet:
             "fine": {"scheme": "backward-euler", "dt": 0.05}, "k": 2,
             "n_time": 17, "relaxations": ["F", "FCF"], "iterations": 3})
         rec = harness.run_experiment(cfg)
-        assert len(sweeps) == len(symbols) == 2
+        assert sweeps == []
+        assert len(symbols) == 2
         taps = [r for r in rec.bounds if r["kind"] in ("tap", "sufficient")]
         assert len(taps) == 4
         assert all(r["certified"] and r["method"] == "level-set" for r in taps)
+        rows = [r for r in rec.bounds if r["kind"] == "symbol"]
+        assert len(rows) == 2
+        assert all(r["certified"] and r["method"] == "bernstein" for r in rows)
 
     def test_unit_circle_pole_uncertified(self):
         # Psi has the eigenvalue 1: the maximum outside the masked arc sits

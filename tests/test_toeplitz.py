@@ -7,6 +7,7 @@ from helpers import (assert_not_beaten, heat_pair, normal_pair, phase_oracle,
                      random_contraction, raw_pair, rotating_pair, skewed_pair)
 from pintbounds import operators as ops
 from pintbounds import spacetime as st
+from pintbounds import tap
 from pintbounds import toeplitz as tp
 
 
@@ -88,7 +89,9 @@ class TestSymbols:
         pair = raw_pair(phi, phi @ phi, 2)
         sym = tp.build_symbol(pair, st.GridSpec(17, 2), "F-relaxation")
         assert np.max(np.abs(sym(0.7))) < 1e-14
-        assert tp.symbol_max_sv(sym) < 1e-14
+        res = tp.symbol_max_sv(sym)
+        assert res.value == res.upper == 0.0
+        assert res.certified
 
     def test_scalar_limit_value(self):
         pair = raw_pair([[0.5]], [[0.6]], 1)
@@ -114,16 +117,15 @@ class TestSymbols:
                          "error-side-FCF": cgc_err @ relax}
             for kind, block in assembled.items():
                 sym = tp.build_symbol(pair, grid, kind)
-                assert np.linalg.norm(block, 2) <= tp.symbol_max_sv(sym) + 1e-10
+                assert np.linalg.norm(block, 2) <= tp.symbol_max_sv(sym).upper + 1e-10
 
     def test_bounded_by_sufficient_chain(self):
-        from pintbounds import tap
         pair = heat_pair(nx=4, dt=0.05, k=2)
         grid = st.GridSpec(2 * 15 + 1, 2)
         phi = tap.tap_constant(pair, "F").value
         decay, _ = tap.stability_decay(pair, grid)
         sym = tp.build_symbol(pair, grid, "F-relaxation")
-        assert tp.symbol_max_sv(sym) <= phi * (1 + decay) + 1e-10
+        assert tp.symbol_max_sv(sym).upper <= phi * (1 + decay) + 1e-10
 
     def test_min_eig_scalar(self):
         sym = tp.power_symbol(0.5, 1.0, 1)
@@ -152,29 +154,20 @@ class TestSymbols:
 
     @pytest.mark.parametrize("kind", tp.SYMBOL_KINDS)
     def test_non_normal_max_not_beaten_by_oracle(self, kind):
-        # the generating function written out: z (I - z^N Psi^N)(I - z Psi)^{-1}
-        # on either side of Psi - Phi^k, times Phi^k for FCF
         rng = np.random.default_rng(12)
         for _ in range(2):
             d = int(rng.integers(2, 5))
             pair = raw_pair(random_contraction(rng, d),
                             random_contraction(rng, d, norm_bound=0.95), 2)
             grid = st.GridSpec(2 * 16 + 1, 2)
-            psi, phik = pair.coarse.matrix, pair.fine_power
-            psi_n = np.linalg.matrix_power(psi, grid.n_coarse)
+            rational = rational_symbol(pair, grid, kind)
 
             def fun(xs):
-                z = np.exp(1j * xs)[:, None, None]
-                osc = np.eye(d) - z**grid.n_coarse * psi_n
-                geo = np.linalg.inv(np.eye(d) - z * psi)
-                m = (z * osc @ geo @ (psi - phik) if kind.startswith("error")
-                     else z * (psi - phik) @ osc @ geo)
-                if "FCF" in kind:
-                    m = m @ phik
-                return np.linalg.svd(m, compute_uv=False)[:, 0]
+                return np.linalg.svd(rational(xs), compute_uv=False)[:, 0]
 
-            value = tp.symbol_max_sv(tp.build_symbol(pair, grid, kind))
-            assert_not_beaten(value, fun)
+            res = tp.symbol_max_sv(tp.build_symbol(pair, grid, kind))
+            assert res.certified
+            assert_not_beaten(res.value, fun)
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_min_eig_not_beaten_by_oracle(self, p):
@@ -198,6 +191,81 @@ class TestSymbols:
         for n in (25, 50, 100, 200):
             lam_min = float(np.min(tp.tridiag_toeplitz_eigs(mu, n)))
             assert 0 < lam_min - sym_min <= np.pi**2 * mu / n**2
+
+
+def rational_symbol(pair, grid, kind):
+    """The generating function written out as a rational function of z:
+    z (I - z^N Psi^N)(I - z Psi)^{-1} on either side of Psi - Phi^k, times
+    Phi^k for FCF. Maps an array of phases to the stack of symbols."""
+    d = pair.dim
+    psi, phik = pair.coarse.matrix, pair.fine_power
+    psi_n = np.linalg.matrix_power(psi, grid.n_coarse)
+
+    def fun(xs):
+        z = np.exp(1j * xs)[:, None, None]
+        osc = np.eye(d) - z**grid.n_coarse * psi_n
+        geo = np.linalg.inv(np.eye(d) - z * psi)
+        m = (z * osc @ geo @ (psi - phik) if kind.startswith("error")
+             else z * (psi - phik) @ osc @ geo)
+        return m @ phik if "FCF" in kind else m
+
+    return fun
+
+
+def sampled_max(fun, samples=2**16, chunk=2**14):
+    """Largest sigma_max of the symbols fun gives on a uniform grid of
+    samples phases. sigma_max is at most the Frobenius norm, so only the
+    phases whose Frobenius norm reaches the best sigma_max among the 64
+    largest of them are decomposed."""
+    xs = 2.0 * np.pi * np.arange(samples) / samples
+    stack = np.concatenate([fun(xs[i:i + chunk])
+                            for i in range(0, samples, chunk)])
+    fro = np.linalg.norm(stack, axis=(1, 2))
+    low = np.linalg.svd(stack[np.argsort(fro)[-64:]], compute_uv=False)[:, 0]
+    keep = stack[fro >= low.max()]
+    return float(np.linalg.svd(keep, compute_uv=False)[:, 0].max())
+
+
+def random_symbol_case(rng, d, n_coarse):
+    pair = raw_pair(random_contraction(rng, d),
+                    random_contraction(rng, d, norm_bound=0.95), 2)
+    return pair, st.GridSpec(2 * (n_coarse - 1) + 1, 2)
+
+
+class TestCertifiedSymbol:
+    """symbol_max_sv on the coefficient blocks against the rational formula
+    of the symbol."""
+
+    @pytest.mark.parametrize("kind", tp.SYMBOL_KINDS)
+    def test_bounds_dense_oracle(self, kind):
+        rng = np.random.default_rng(14)
+        shift = tp.SYMBOL_KINDS.index(kind)
+        for i, n_coarse in enumerate((2, 3, 17, 64)):
+            # every kind meets every d in {2, 3, 4}
+            pair, grid = random_symbol_case(rng, 2 + (i + shift) % 3, n_coarse)
+            res = tp.symbol_max_sv(tp.build_symbol(pair, grid, kind))
+            top = sampled_max(rational_symbol(pair, grid, kind))
+            assert res.certified and res.method == "bernstein"
+            assert res.upper >= top
+            assert res.value >= top * (1.0 - 1e-12)
+            assert res.upper <= res.value * (1.0 + tap.TOL)
+
+    @pytest.mark.parametrize("kind", tp.SYMBOL_KINDS)
+    def test_coefficients_match_rational_formula(self, kind):
+        rng = np.random.default_rng(15)
+        for n_coarse in (2, 3, 17, 64):
+            pair, grid = random_symbol_case(rng, int(rng.integers(2, 5)),
+                                            n_coarse)
+            xs = rng.uniform(0.0, 2.0 * np.pi, 64)
+            want = rational_symbol(pair, grid, kind)(xs)
+            got = tp.build_symbol(pair, grid, kind)(xs)
+            assert np.all(np.linalg.norm(got - want, axis=(1, 2))
+                          <= 1e-13 * np.linalg.norm(want, axis=(1, 2)))
+
+    def test_needs_coefficients(self):
+        sym = tp.power_symbol(0.5, 1.0, 1)
+        with pytest.raises(ValueError, match="coefficients"):
+            tp.symbol_max_sv(sym)
 
 
 # each k meets three of the four N_c, and each N_c three of the four k

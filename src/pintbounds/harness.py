@@ -215,13 +215,16 @@ def _worst_case_error(sys: st.SpaceTimeSystem, w: np.ndarray) -> np.ndarray:
 
 
 def _bound_rows(pair: ops.StepperPair, grid: st.GridSpec, relaxation: str,
-                cnorm: float | None = None):
+                cnorm: st.CoarseNorm | None = None):
     """All applicable bounds for one relaxation scheme; cnorm is the coarse
     block norm when the caller already has it."""
     rows = []
+    decay = tap_mod.stability_decay(pair, grid)
+    if math.isinf(decay[0]):
+        raise ConfigError(f"Psi^N_c overflows at N_c = {grid.n_coarse}")
     # the FCF factor is None when Phi^k is singular, and FCF then has no
     # approximation constant either
-    amp = tap_mod.stability_decay(pair, grid)[relaxation == "FCF"]
+    amp = decay[relaxation == "FCF"]
     tap_res = None
     if amp is not None:
         tap_res = tap_mod.tap_constant(pair, relaxation)
@@ -233,12 +236,11 @@ def _bound_rows(pair: ops.StepperPair, grid: st.GridSpec, relaxation: str,
                      "certified": tap_res.certified, "method": tap_res.method})
         rows.append({"relaxation": relaxation, "kind": "stability-decay",
                      "lower": amp, "upper": amp, "certified": True})
-    if pair.normal or grid.n_coarse * pair.dim <= st.DENSE_CAP:
-        if cnorm is None:
-            cnorm, _ = st.coarse_norm(pair, grid, relaxation)
+    if cnorm is None:
+        cnorm = st.coarse_norm(pair, grid, relaxation)
     # the necessary bound at p = 1 is this same coarse norm
     nb = tp.necessary_lower_bound(pair, grid, relaxation, 1, "residual",
-                                  coarse_norm=cnorm)
+                                  coarse_norm=cnorm.value)
     if nb.available:
         row = {"relaxation": relaxation, "kind": "necessary",
                "lower": nb.value, "upper": math.inf, "certified": True}
@@ -247,9 +249,9 @@ def _bound_rows(pair: ops.StepperPair, grid: st.GridSpec, relaxation: str,
             row["slack_constant"] = ((tap_res.value / nb.value - 1.0)
                                      * math.sqrt(grid.n_coarse))
         rows.append(row)
-    if cnorm is not None:
-        rows.append({"relaxation": relaxation, "kind": "coarse-norm",
-                     "lower": cnorm, "upper": math.inf, "certified": True})
+    rows.append({"relaxation": relaxation, "kind": "coarse-norm",
+                 "lower": cnorm.value, "upper": math.inf,
+                 "certified": cnorm.certified, "method": cnorm.method})
     try:
         # a normal pair's symbol splits into scalar modes with a closed-form
         # maximum; any other symbol is bounded from its coefficient blocks
@@ -283,8 +285,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentRecord:
     pair = build_pair(cfg)
     grid = st.GridSpec(cfg.n_time, cfg.k)
     sys = st.assemble_system(pair, grid)
-    if not pair.normal and grid.n_coarse * pair.dim > st.DENSE_CAP:
-        raise ConfigError("non-normal pair exceeds the dense analysis cap")
     u_inv = None
     if pair.shared_eig is not None:
         u_inv = pair.shared_eig.vectors_inv
@@ -298,9 +298,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentRecord:
     trace, bounds, excluded = [], [], []
     worst_case = cfg.initial_error == "worst-case"
     for relaxation in cfg.relaxations:
-        cnorm, w = st.coarse_norm(pair, grid, relaxation, with_vector=worst_case)
+        cnorm = st.coarse_norm(pair, grid, relaxation, with_vector=worst_case)
         if worst_case:
-            e0 = _worst_case_error(sys, w)
+            e0 = _worst_case_error(sys, cnorm.vector)
         else:
             e0 = rng.standard_normal(sys.dim) \
                 + 1j * rng.standard_normal(sys.dim)
@@ -393,7 +393,7 @@ def check_bounds(cfg: ExperimentConfig, rec: ExperimentRecord) -> list:
             if nec > cnorm * (1.0 + tol) + tol:
                 violations.append(
                     f"{relaxation}: necessary bound {nec:.6e} exceeds the "
-                    f"worst-case ratio (dense block norm) {cnorm:.6e}")
+                    f"worst-case ratio (coarse block norm) {cnorm:.6e}")
     return violations
 
 
@@ -587,6 +587,21 @@ def verify_suite(filter_name: str | None = None) -> list:
                     margin = min(margin, brows["sufficient"]["upper"]
                                  - brows["necessary"]["lower"])
         results.append(_check("sandwich", ok, margin))
+
+    if want("coarse-norm-lanczos"):
+        worst, ok = 0.0, True
+        for _ in range(3):
+            pair, grid = _random_pair(rng, n_coarse=33)
+            bare = ops.make_pair(pair.fine, pair.coarse, pair.k,
+                                 attach_eig=False)
+            cgc_res, _, relax = st.coarse_defect_blocks(bare, grid)
+            for relaxation, block in (("F", cgc_res), ("FCF", cgc_res @ relax)):
+                dense = float(np.linalg.svd(block, compute_uv=False)[0])
+                res = st.coarse_norm(bare, grid, relaxation)
+                ok = ok and res.certified and res.upper >= dense
+                worst = max(worst, abs(res.value - dense) / dense)
+        results.append(_check("coarse-norm-lanczos", ok and worst <= 1e-12,
+                              1e-12 - worst))
 
     return results
 

@@ -9,14 +9,18 @@ F- and FCF-relaxation are derived from that partition.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .operators import StepperPair, matrix_power
+from .tap import TOL
 from .tridiag import bidiagonal_gram, tridiag_min_eig
 
-DENSE_CAP = 4096
+DENSE_CAP = 4096       # largest order of a dense oracle block
+LANCZOS_SEED = 0       # seed of the fixed Lanczos start vector
+RITZ_STRIDE = 4        # fewest Lanczos steps between two Ritz-value checks
 
 
 @dataclass(frozen=True)
@@ -201,7 +205,9 @@ def mode_norms(pair: StepperPair, grid: GridSpec, relaxation: str) -> np.ndarray
     diagonal. Past its zero first row and last column it is (lam - mu) C^{-1},
     C unit lower bidiagonal of order N_c - 1 with subdiagonal -mu, so its norm
     is |lam - mu| / sqrt(lambda_min(C C^*)). The FCF block is lam times the F
-    block at N_c - 1, and zero when k = 1 (no F-points)."""
+    block at N_c - 1, and zero when k = 1 (no F-points). This is
+    CoarseOperator with 1 x 1 blocks, one per mode, and needs no dense
+    block."""
     if relaxation not in ("F", "FCF"):
         raise ValueError(f"unknown relaxation {relaxation!r}")
     eig = pair.shared_eig
@@ -213,31 +219,202 @@ def mode_norms(pair: StepperPair, grid: GridSpec, relaxation: str) -> np.ndarray
     return norms if relaxation == "F" else np.abs(lam) * norms
 
 
+@dataclass(frozen=True)
+class CoarseNorm:
+    """Spectral norm of the residual-side coarse block. value is attained by
+    vector (a lower bound); when certified no singular value exceeds upper."""
+    value: float
+    upper: float
+    certified: bool
+    method: str                  # "per-mode" or "lanczos"
+    vector: np.ndarray | None    # unit right singular vector, when asked for
+
+
 def coarse_norm(pair: StepperPair, grid: GridSpec, relaxation: str,
-                with_vector: bool = False):
-    """(spectral norm of the residual-side coarse block, its leading right
-    singular vector or None). Per mode when the pair has a unitary shared
-    eigenbasis, otherwise from the dense block."""
-    if pair.normal:
-        eig = pair.shared_eig
-        norms = mode_norms(pair, grid, relaxation)
-        m = int(np.argmax(norms))
-        if not with_vector:
-            return float(norms[m]), None
-        # mode m's block is zero past its first n columns, where its right
-        # singular vector is the eigenvector of C C^* at lambda_min
-        n = max(grid.n_coarse - (1 if relaxation == "F" else 2), 1)
-        diag, off = _mode_grams(eig.coarse_values[m:m + 1], n)
-        gram = np.diag(diag[0]) + np.diag(off[0], 1) + np.diag(off[0].conj(), -1)
-        v = np.zeros(grid.n_coarse, dtype=complex)
-        v[:n] = np.linalg.eigh(gram)[1][:, 0]
-        return float(norms[m]), np.kron(v, eig.vectors[:, m])
-    cgc_res, _, relax = coarse_defect_blocks(pair, grid)
-    block = cgc_res if relaxation == "F" else cgc_res @ relax
+                with_vector: bool = False) -> CoarseNorm:
+    """Norm of the residual-side coarse block and, with with_vector, its
+    leading right singular vector. Per mode when the pair has a unitary
+    shared eigenbasis, otherwise matrix-free by Golub-Kahan-Lanczos with a
+    block LDL* certificate (_lanczos_norm); no dense block is built."""
+    if relaxation not in ("F", "FCF"):
+        raise ValueError(f"unknown relaxation {relaxation!r}")
+    if not pair.normal:
+        return _lanczos_norm(CoarseOperator(pair, grid, relaxation),
+                             grid.n_coarse * pair.dim, with_vector)
+    eig = pair.shared_eig
+    norms = mode_norms(pair, grid, relaxation)
+    m = int(np.argmax(norms))
+    value = float(norms[m])
     if not with_vector:
-        return float(np.linalg.svd(block, compute_uv=False)[0]), None
-    _, s, vh = np.linalg.svd(block)
-    return float(s[0]), vh[0].conj()
+        return CoarseNorm(value, value, True, "per-mode", None)
+    # mode m's block is zero past its first n columns, where its right
+    # singular vector is the eigenvector of C C^* at lambda_min
+    n = max(grid.n_coarse - (1 if relaxation == "F" else 2), 1)
+    diag, off = _mode_grams(eig.coarse_values[m:m + 1], n)
+    gram = np.diag(diag[0]) + np.diag(off[0], 1) + np.diag(off[0].conj(), -1)
+    v = np.zeros(grid.n_coarse, dtype=complex)
+    v[:n] = np.linalg.eigh(gram)[1][:, 0]
+    return CoarseNorm(value, value, True, "per-mode",
+                      np.kron(v, eig.vectors[:, m]))
+
+
+class CoarseOperator:
+    """K = (I_n x D) B_n^{-1} (I_n x M), the residual-side coarse block past
+    its zero first block row and its zero last block column (two of them
+    for FCF): D = Psi - Phi^k, B_n block unit lower bidiagonal of order n
+    with -Psi below the diagonal, and (M, n) = (I, N_c - 1) for F,
+    (Phi^k, N_c - 2) for FCF. n is 0 where the block is zero: FCF at k = 1
+    has no F-points."""
+
+    def __init__(self, pair: StepperPair, grid: GridSpec, relaxation: str):
+        self.psi, self.defect = pair.coarse.matrix, pair.coarse_defect
+        if relaxation == "F":
+            self.m, self.n = np.eye(pair.dim), grid.n_coarse - 1
+        else:
+            self.m = pair.fine_power
+            self.n = grid.n_coarse - 2 if grid.k >= 2 else 0
+        # Psi^(2^l) for 2^l < n, transposed for blocks held as rows
+        powers = [self.psi.T]
+        while 2 ** len(powers) < self.n:
+            powers.append(powers[-1] @ powers[-1])
+        self._down = powers
+        self._up = [p.conj().T for p in powers]
+
+    def _solve(self, rhs: np.ndarray, adjoint: bool) -> np.ndarray:
+        """B_n^{-1} rhs, or B_n^{-*} rhs, for rhs with one block per row: the
+        prefix sums y_i = sum_{j <= i} Psi^{i-j} rhs_j (the suffix sums with
+        Psi^* for the adjoint) in log2(n) doubling steps of one product each."""
+        y = (rhs[::-1] if adjoint else rhs).astype(complex)
+        for level, power in enumerate(self._up if adjoint else self._down):
+            shift = 1 << level
+            y[shift:] += y[:-shift] @ power
+        return y[::-1] if adjoint else y
+
+    def apply(self, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
+        """K x, or K^* x with adjoint."""
+        xb = x.reshape(self.n, -1)
+        if adjoint:
+            return (self._solve(xb @ self.defect.conj(), True)
+                    @ self.m.conj()).ravel()
+        return (self._solve(xb @ self.m.T, False) @ self.defect.T).ravel()
+
+    def definite(self, s: float) -> bool:
+        """Whether s I - K^* K is positive definite: a block LDL* of it from
+        its last block, by the backward recursion P = Q - D^* D,
+        H = s I + M^* P M = L L^*, G = L^{-1} M^* P Psi,
+        Q <- Psi^* P Psi - G^* G from Q = 0, a finite-horizon bounded-real
+        Riccati recursion. The n pivots H are its Schur complements, so by
+        Sylvester's law of inertia it is positive definite exactly when every
+        Cholesky factorization succeeds. No inverse of Psi, Phi^k or D is
+        taken. numpy's Cholesky passes NaN through, so a pivot that overflows
+        fails the test too."""
+        if not (s > 0.0 and math.isfinite(s)):
+            return False
+        psi, m = self.psi, self.m
+        dd = self.defect.conj().T @ self.defect
+        eye = np.eye(psi.shape[0])
+        q = np.zeros_like(dd)
+        for i in range(self.n):
+            p = q - dd
+            mp = m.conj().T @ p
+            try:
+                chol = np.linalg.cholesky(s * eye + mp @ m)
+            except np.linalg.LinAlgError:
+                return False
+            if not np.isfinite(chol).all():
+                return False
+            if i < self.n - 1:
+                g = np.linalg.solve(chol, mp @ psi)
+                q = psi.conj().T @ p @ psi - g.conj().T @ g
+        return True
+
+
+def _orthonormalize(w: np.ndarray, basis: np.ndarray, rng):
+    """(unit vector, coefficient): w less its components along the
+    orthonormal rows of basis, and its norm. A Gram-Schmidt pass that
+    cancels more than half of w is repeated (Daniel, Gragg, Kaufman and
+    Stewart); a w that a second pass cancels too lies in the span of basis
+    to rounding, and a fresh random direction with coefficient 0 replaces
+    it, which keeps the Lanczos relations exact."""
+    size = float(np.linalg.norm(w))
+    if not math.isfinite(size):
+        return w, size
+    for _ in range(2):
+        w = w - (basis @ w.conj()).conj() @ basis
+        norm = float(np.linalg.norm(w))
+        if norm > 0.5 * size:
+            return w / norm, norm
+        size = norm
+    w = rng.standard_normal(w.size).astype(complex)
+    for _ in range(2):
+        w = w - (basis @ w.conj()).conj() @ basis
+    return w / np.linalg.norm(w), 0.0
+
+
+def _lanczos_norm(op: CoarseOperator, size: int,
+                  with_vector: bool) -> CoarseNorm:
+    """Certified norm of the CoarseOperator K and, with with_vector, its
+    Ritz right vector padded with zero blocks to length size.
+
+    Golub-Kahan-Lanczos with full reorthogonalization from a fixed seeded
+    start vector builds K V = U B with B upper bidiagonal; the largest
+    singular value of B is a Ritz value, attained by the Ritz vector, so it
+    never exceeds the norm. Once its residual is at TOL, one LDL* pass
+    (CoarseOperator.definite) at s = (value (1 + 2 TOL))^2 proves that no
+    singular value exceeds upper = value (1 + 2 TOL); otherwise Lanczos
+    continues, and the result is uncertified when no pass succeeds by step
+    n N_x, where the Krylov space is the whole space. A block that
+    overflows gives an infinite, uncertified value."""
+    dim = op.n * op.psi.shape[0]
+    vector = np.zeros(size, dtype=complex)
+    vector[0] = 1.0       # attains a zero norm
+
+    def result(value, certified):
+        return CoarseNorm(value, value * (1.0 + 2.0 * TOL), certified,
+                          "lanczos", vector if with_vector else None)
+
+    if not (dim and op.defect.any() and op.m.any()):
+        return result(0.0, True)
+    rng = np.random.default_rng(LANCZOS_SEED)
+    vs = np.zeros((min(dim, 32), dim), dtype=complex)
+    us = np.zeros_like(vs)
+    vs[0] = rng.standard_normal(dim)
+    vs[0] /= np.linalg.norm(vs[0])
+    alphas, betas = [], []
+    beta, failed, certified, check = 0.0, 0.0, False, RITZ_STRIDE
+    for j in range(dim):
+        u = op.apply(vs[j])
+        if j:
+            u -= beta * us[j - 1]
+        us[j], alpha = _orthonormalize(u, us[:j], rng)
+        w = op.apply(us[j], adjoint=True) - alpha * vs[j]
+        beta = 0.0
+        if j + 1 < dim:
+            if j + 1 == vs.shape[0]:
+                vs = np.concatenate([vs, np.zeros_like(vs)])[:dim]
+                us = np.concatenate([us, np.zeros_like(us)])[:dim]
+            vs[j + 1], beta = _orthonormalize(w, vs[:j + 1], rng)
+        if not (math.isfinite(alpha) and math.isfinite(beta)):
+            return result(math.inf, False)
+        alphas.append(alpha)
+        betas.append(beta)
+        if j + 1 < min(check, dim):
+            continue
+        check = j + 1 + max(RITZ_STRIDE, (j + 1) // 8)
+        left, sv, right = np.linalg.svd(np.diag(alphas)
+                                        + np.diag(betas[:-1], 1))
+        # K^* K x - sv^2 x = sv beta p_last v_{j+1} for the Ritz vector
+        # x = V q: try a pass once that residual is at TOL and the value has
+        # risen past the last failed one
+        small = beta * abs(left[-1, 0]) <= TOL * sv[0]
+        if (small or j + 1 == dim) and sv[0] > failed * (1.0 + TOL):
+            certified = op.definite((sv[0] * (1.0 + 2.0 * TOL)) ** 2)
+            if certified:
+                break
+            failed = sv[0]
+    ritz = right[0].conj() @ vs[:len(alphas)]
+    vector[:dim] = ritz / np.linalg.norm(ritz)
+    return result(float(sv[0]), certified)
 
 
 @dataclass(frozen=True)

@@ -93,11 +93,15 @@ def symbol_max_sv(sym: SymbolFunction) -> _tap.TapResult:
     symbol; it upper-bounds the l2 norm of every finite assembly of the
     corresponding block-Toeplitz operator.
 
-    Over the nonzero blocks C_lo..C_hi each Re(u* e^{-icx} F(x) v), c the
-    centre frequency and u, v unit, is a trigonometric polynomial of degree
-    n = (hi - lo) / 2 bounded by the maximum M, so Bernstein's inequality
-    gives |g''| <= n^2 M. On a phase cell [a, b] of width h, sigma_max then
-    stays below max(f(a), f(b)) + n^2 M h^2 / 8, and M below the largest
+    The tail blocks whose Frobenius norms sum below
+    TOL / 16 max_j ||C_j||_F / sqrt(N_x), at most TOL / 16 of the maximum,
+    are left out, and their sum, which bounds their share of every
+    sigma_max, is added to upper. Over the kept blocks C_lo..C_hi, from the
+    first nonzero one, each Re(u* e^{-icx} F(x) v), c the centre frequency
+    and u, v unit, is a trigonometric polynomial of degree n = (hi - lo) / 2
+    bounded by the maximum M, so Bernstein's inequality gives
+    |g''| <= n^2 M. On a phase cell [a, b] of width h, sigma_max then stays
+    below max(f(a), f(b)) + n^2 M h^2 / 8, and M below the largest
     max(f(a), f(b)) / (1 - n^2 h^2 / 8) over the cells. From a uniform grid,
     every cell whose bound exceeds the best sample by more than TOL / 2 is
     bisected. upper is that bound with every sample raised by a pad for the
@@ -110,10 +114,15 @@ def symbol_max_sv(sym: SymbolFunction) -> _tap.TapResult:
     live = np.flatnonzero(norms)
     if live.size == 0:
         return _tap.TapResult(0.0, None, 0.0, "bernstein", True, 0.0)
-    coeffs = sym.coeffs[live[0]:live[-1] + 1]
+    tails = np.cumsum(norms[::-1])[::-1]     # sum of the norms from j on
+    floor = _tap.TOL / 16.0 * norms.max() / math.sqrt(sym.dim)
+    cut = int(np.flatnonzero(tails >= floor)[-1]) + 1
+    tail = float(tails[cut]) if cut < norms.size else 0.0
+    coeffs = sym.coeffs[live[0]:cut]
     terms = coeffs.shape[0]
     deg2 = (0.5 * np.pi * (terms - 1)) ** 2 / 2.0    # n^2 (2 pi)^2 / 8
-    pad = 2.0 * (terms + sym.dim) * np.finfo(float).eps * float(norms.sum())
+    pad = 2.0 * (terms + sym.dim) * np.finfo(float).eps \
+        * float(norms[live[0]:cut].sum())
 
     def fun(t):
         f = _fir(coeffs, t)
@@ -149,7 +158,7 @@ def symbol_max_sv(sym: SymbolFunction) -> _tap.TapResult:
         a, fa, fb, h = (np.concatenate([a, mid]), np.concatenate([fa, fm]),
                         np.concatenate([fm, fb]), np.concatenate([h, h]))
     upper = float(max(upper, np.max((np.maximum(fa, fb) + pad)
-                                    / (1.0 - deg2 * h * h), initial=0.0)))
+                                    / (1.0 - deg2 * h * h), initial=0.0))) + tail
     certified = bool(a.size == 0 and upper <= value * (1.0 + _tap.TOL))
     return _tap.TapResult(value, None, 2.0 * np.pi * t_best, "bernstein",
                           certified, upper)
@@ -558,7 +567,8 @@ def necessary_lower_bound(pair: StepperPair, grid: GridSpec,
     pseudoinverse's invertible Toeplitz sub-block. At p = 1 it is exact: the
     residual-side coarse-block norm itself, taken from coarse_norm when the
     caller already has it, and also the error-side one when the steppers
-    commute, because the two blocks then coincide."""
+    commute, because the two blocks then coincide. Only the assembled
+    sub-block of the other cases is subject to the dense cap."""
     if relaxation not in ("F", "FCF"):
         raise ValueError(f"unknown relaxation {relaxation!r}")
     if side not in ("residual", "error"):
@@ -592,19 +602,18 @@ def necessary_lower_bound(pair: StepperPair, grid: GridSpec,
     if p >= n_eff / 2:
         return NecessaryBound(0.0, False,
                               "too few coarse points for the requested power")
-    if not pair.normal:
-        if grid.n_coarse * psi.shape[0] > _st.DENSE_CAP:
-            return NecessaryBound(0.0, False, "exceeds dense cap")
-        if ill_conditioned(np.linalg.svd(psi, compute_uv=False)):
-            return NecessaryBound(0.0, False,
-                                  "coarse stepper singular; pseudoinverse "
-                                  "path unavailable")
+    if not pair.normal and ill_conditioned(np.linalg.svd(psi, compute_uv=False)):
+        return NecessaryBound(0.0, False, "coarse stepper singular; "
+                              "pseudoinverse path unavailable")
     if p == 1 and (side == "residual" or pair.commuting):
         # the block's pseudoinverse is t_hat padded with zeros, so
-        # 1/sigma_min(t_hat) is the block norm
+        # 1/sigma_min(t_hat) is the block norm, which coarse_norm computes
+        # without assembling either
         if coarse_norm is None:
-            coarse_norm, _ = _st.coarse_norm(pair, grid, relaxation)
+            coarse_norm = _st.coarse_norm(pair, grid, relaxation).value
         return NecessaryBound(float(coarse_norm), True)
+    if not pair.normal and grid.n_coarse * psi.shape[0] > _st.DENSE_CAP:
+        return NecessaryBound(0.0, False, "exceeds dense cap")
     if pair.normal:
         sigma = _mode_t_hat_min_sv(eig.coarse_values, lam_k, relaxation, side,
                                    n_eff, p)

@@ -423,7 +423,12 @@ class TestCli:
                                          "dt": -1})),
         yaml.safe_dump(base_config(k="two")),
         "problem: {kind: [unclosed\n",
-    ], ids=["unknown-kind", "negative-dt", "non-integer-k", "malformed-yaml"])
+        # |mu| = 2.6 over N_c = 801 coarse steps overflows double precision
+        yaml.safe_dump(base_config(
+            coarse={"scheme": "forward-euler", "dt": 0.04}, k=4,
+            n_time=3201)),
+    ], ids=["unknown-kind", "negative-dt", "non-integer-k", "malformed-yaml",
+            "overflowing-coarse-power"])
     def test_bad_config_exits_2_without_traceback(self, tmp_path, text):
         path = tmp_path / "cfg.yaml"
         path.write_text(text)
@@ -500,13 +505,48 @@ class TestCli:
         first = next(r["ratio"] for r in rec["trace"] if r["iteration"] == 1)
         assert first == pytest.approx(rows["coarse-norm"]["lower"], rel=1e-10)
 
-    def test_non_normal_pair_past_dense_cap_exits_2(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(st, "DENSE_CAP", 16)
+    def test_non_normal_pair_past_dense_cap(self, tmp_path):
+        # N_x * N_c = 4160 > DENSE_CAP: the coarse norm is matrix-free and
+        # certified, and it seeds the worst-case error
         path = tmp_path / "cfg.yaml"
         path.write_text(yaml.safe_dump(base_config(
-            problem={"kind": "advection-1d-upwind", "n": 3, "h": 0.25})))
-        assert cli.main(["run", "--config", str(path), "--out",
-                         str(tmp_path)]) == 2
+            problem={"kind": "advection-1d-upwind", "n": 64, "h": 1 / 64},
+            fine={"scheme": "backward-euler", "dt": 0.01}, k=2, n_time=129,
+            relaxations=["F", "FCF"], norms=["AstarA"], iterations=2,
+            initial_error="worst-case")))
+        assert 64 * 65 > st.DENSE_CAP
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(path), "--out", str(out),
+                         "--format", "json"]) == 0
+        rec = json.load(open(out / "experiment.json"))
+        assert not rec["meta"]["normal"]
+        for relaxation in ("F", "FCF"):
+            rows = {r["kind"]: r for r in rec["bounds"]
+                    if r["relaxation"] == relaxation}
+            cnorm = rows["coarse-norm"]
+            assert cnorm["certified"] is True and cnorm["method"] == "lanczos"
+            assert rows["necessary"]["lower"] == cnorm["lower"]
+            first = next(r["ratio"] for r in rec["trace"]
+                         if r["relaxation"] == relaxation
+                         and r["iteration"] == 1)
+            assert first == pytest.approx(cnorm["lower"], rel=1e-10)
+
+    def test_run_builds_no_dense_block(self, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("dense coarse block built")
+
+        monkeypatch.setattr(st, "coarse_defect_blocks", refuse)
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(base_config(
+            problem={"kind": "advection-1d-upwind", "n": 4, "h": 0.25},
+            fine={"scheme": "backward-euler", "dt": 0.05}, n_time=33,
+            relaxations=["F", "FCF"], initial_error="worst-case")))
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(path), "--out", str(out),
+                         "--format", "json"]) == 0
+        rows = json.load(open(out / "experiment.json"))["bounds"]
+        assert [r["method"] for r in rows if r["kind"] == "coarse-norm"] \
+            == ["lanczos", "lanczos"]
 
     def test_fcf_singular_fine_power_non_normal_without_traceback(
             self, tmp_path, capsys):

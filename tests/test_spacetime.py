@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
@@ -342,12 +344,13 @@ class TestModeBlocks:
     def test_norm_and_vector_match_dense(self, k, relaxation):
         pair = normal_pair(k)
         grid = st.GridSpec(8 * k + 1, k)
-        norm, w = st.coarse_norm(pair, grid, relaxation, True)
-        dense, _ = st.coarse_norm(normal_pair(k, attach_eig=False), grid,
-                                  relaxation)
-        assert norm == pytest.approx(dense, rel=1e-12)
+        res = st.coarse_norm(pair, grid, relaxation, True)
+        norm, w = res.value, res.vector
+        assert res.certified and res.method == "per-mode"
         cgc_res, _, relax = st.coarse_defect_blocks(pair, grid)
         block = cgc_res if relaxation == "F" else cgc_res @ relax
+        dense = np.linalg.norm(block, 2)
+        assert norm == pytest.approx(dense, rel=1e-12)
         assert np.linalg.norm(w) == pytest.approx(1.0, rel=1e-14)
         assert np.linalg.norm(block @ w) == pytest.approx(dense, rel=1e-12,
                                                           abs=1e-15)
@@ -357,7 +360,8 @@ class TestModeBlocks:
         # N_c = 257, where the slowest mode's tridiagonal is nearly singular
         pair = heat_pair(nx=2, dt=0.002, k=4)
         grid = st.GridSpec(4 * 256 + 1, 4)
-        norm, w = st.coarse_norm(pair, grid, relaxation, True)
+        res = st.coarse_norm(pair, grid, relaxation, True)
+        norm, w = res.value, res.vector
         cgc_res, _, relax = st.coarse_defect_blocks(pair, grid)
         block = cgc_res if relaxation == "F" else cgc_res @ relax
         dense = np.linalg.norm(block, 2)
@@ -374,5 +378,119 @@ class TestModeBlocks:
         monkeypatch.setattr(st, "mode_norms", refuse)
         grid = st.GridSpec(17, 2)
         cgc_res, _, _ = st.coarse_defect_blocks(pair, grid)
-        norm, _ = st.coarse_norm(pair, grid, "F")
+        norm = st.coarse_norm(pair, grid, "F").value
         assert norm == pytest.approx(np.linalg.norm(cgc_res, 2), rel=1e-12)
+
+
+def _upwind_pair(nx, dt, k, scheme="backward-euler", coarse_scheme=None):
+    spatial = ops.build_spatial("advection-1d-upwind", nx, 1.0 / nx)
+    fine = ops.build_stepper(spatial, ops.SchemeSpec(scheme, dt))
+    coarse = ops.build_stepper(
+        spatial, ops.SchemeSpec(coarse_scheme or scheme, dt * k))
+    return ops.make_pair(fine, coarse, k)
+
+
+def lanczos_case(name):
+    """(pair, grid) of a non-normal pair whose coarse norm takes the
+    Lanczos path."""
+    rng = np.random.default_rng(21)
+    if name.startswith("upwind"):
+        nx = int(name[6:])
+        k, n_coarse = (4, 33) if nx == 8 else (2, 33 if nx == 3 else 17)
+        pair = _upwind_pair(nx, 0.02 if nx == 8 else 0.05, k)
+    elif name == "contractions":
+        pair, n_coarse = raw_pair(random_contraction(rng, 3),
+                                  random_contraction(rng, 3), 2), 17
+        assert not pair.commuting
+    elif name == "singular-phik":
+        # forward Euler at dt * ell = -1 zeroes an eigenvalue of Phi^2; the
+        # operator carries no eigenbasis, as one read from a file
+        spatial = ops.SpatialOperator(np.diag([-2.0, -1.0]).astype(complex),
+                                      "from-file")
+        fine = ops.build_stepper(spatial, ops.SchemeSpec("forward-euler", 0.5))
+        coarse = ops.build_stepper(spatial,
+                                   ops.SchemeSpec("backward-euler", 1.0))
+        pair, n_coarse = ops.make_pair(fine, coarse, 2), 9
+    elif name == "ill-conditioned-phik":
+        # rcond(Phi^2) is about 1e-14
+        pair, n_coarse = _upwind_pair(16, 0.125, 2, "sdirk2",
+                                      "backward-euler"), 17
+    elif name == "unstable-psi":
+        # forward-Euler coarse steps of the heat equation: |mu| up to 11.6
+        pair = heat_pair(nx=8, dt=0.01, k=4, coarse_scheme="forward-euler",
+                         attach_eig=False)
+        n_coarse = 17
+    elif name == "exact-coarse":
+        phi = random_contraction(rng, 3)
+        pair, n_coarse = raw_pair(phi, phi @ phi, 2), 9
+        assert not pair.coarse_defect.any()
+    else:   # "k1": no F-points, so the FCF block is zero
+        pair = raw_pair(random_contraction(rng, 2), random_contraction(rng, 2),
+                        1)
+        n_coarse = 9
+    return pair, st.GridSpec(pair.k * (n_coarse - 1) + 1, pair.k)
+
+
+LANCZOS_CASES = ["upwind3", "upwind4", "upwind8", "contractions",
+                 "singular-phik", "ill-conditioned-phik", "unstable-psi",
+                 "exact-coarse", "k1"]
+
+
+class TestLanczosNorm:
+    """The matrix-free coarse norm of non-normal pairs against the dense
+    SVD of the assembled block."""
+
+    @pytest.mark.parametrize("relaxation", ["F", "FCF"])
+    @pytest.mark.parametrize("name", LANCZOS_CASES)
+    def test_matches_dense_block(self, name, relaxation):
+        pair, grid = lanczos_case(name)
+        assert not pair.normal
+        cgc_res, _, relax = st.coarse_defect_blocks(pair, grid)
+        block = cgc_res if relaxation == "F" else cgc_res @ relax
+        dense = np.linalg.norm(block, 2)
+        res = st.coarse_norm(pair, grid, relaxation, with_vector=True)
+        assert res.method == "lanczos" and res.certified
+        # an exact coarse stepper leaves only rounding in the dense block
+        assert res.value == pytest.approx(dense, rel=3e-12, abs=1e-14)
+        assert res.upper >= dense - 1e-14
+        assert np.linalg.norm(res.vector) == pytest.approx(1.0, rel=1e-14)
+        assert np.linalg.norm(block @ res.vector) == pytest.approx(
+            res.value, rel=3e-12, abs=1e-14)
+        op = st.CoarseOperator(pair, grid, relaxation)
+        assert not op.definite((res.value * (1.0 - 1e-9)) ** 2)
+        assert res.value == 0.0 or op.definite(res.upper ** 2)
+
+    @pytest.mark.parametrize("relaxation", ["F", "FCF"])
+    def test_operator_is_the_trimmed_block(self, relaxation):
+        pair, grid = lanczos_case("contractions")
+        cgc_res, _, relax = st.coarse_defect_blocks(pair, grid)
+        block = cgc_res if relaxation == "F" else cgc_res @ relax
+        op = st.CoarseOperator(pair, grid, relaxation)
+        nx, n = pair.dim, op.n
+        # past the zero first block row(s) and zero last block column(s),
+        # up to the sign of I - A B^{-1}
+        trimmed = -block[(grid.n_coarse - n) * nx:, :n * nx]
+        eye = np.eye(n * nx)
+        dense = np.column_stack([op.apply(e) for e in eye])
+        adjoint = np.column_stack([op.apply(e, adjoint=True) for e in eye])
+        assert np.allclose(dense, trimmed, rtol=0, atol=1e-13)
+        assert np.allclose(adjoint, trimmed.conj().T, rtol=0, atol=1e-13)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_overflowing_pivot_is_not_definite(self):
+        # D^* D overflows to entries of both signs, and M = Phi^2 sums them
+        # into a NaN pivot, which numpy's Cholesky does not reject
+        phi = np.array([[1.0, 0.0], [1.0, 0.0]])
+        psi = 1e200 * np.array([[1.0, -1.0], [1.0, 1.0]]) + phi
+        op = st.CoarseOperator(raw_pair(phi, psi, 2), st.GridSpec(7, 2), "FCF")
+        assert not op.definite(1.0)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_non_finite_block_is_uncertified(self):
+        # |mu| = 10 over N_c = 400 coarse steps overflows double precision
+        pair = raw_pair([[0.5]], [[10.0]], 2)
+        res = st.coarse_norm(pair, st.GridSpec(2 * 399 + 1, 2), "F", True)
+        assert res.value == math.inf and not res.certified
+        assert np.linalg.norm(res.vector) == 1.0

@@ -262,6 +262,23 @@ class TestCertifiedSymbol:
             assert np.all(np.linalg.norm(got - want, axis=(1, 2))
                           <= 1e-13 * np.linalg.norm(want, axis=(1, 2)))
 
+    @pytest.mark.parametrize("kind", ["F-relaxation", "FCF-relaxation"])
+    def test_decayed_tail_left_out(self, kind):
+        # upwind N_x = 8 at N_c = 512: the blocks C_j = L Psi^j R fall below
+        # the tail floor long before j = 511, and only the kept ones set the
+        # Bernstein degree and the rounding pad
+        spatial = ops.build_spatial("advection-1d-upwind", 8, 0.125)
+        fine = ops.build_stepper(spatial, ops.SchemeSpec("backward-euler", 0.02))
+        coarse = ops.build_stepper(spatial,
+                                   ops.SchemeSpec("backward-euler", 0.04))
+        pair = ops.make_pair(fine, coarse, 2)
+        grid = st.GridSpec(2 * 511 + 1, 2)
+        res = tp.symbol_max_sv(tp.build_symbol(pair, grid, kind))
+        top = sampled_max(rational_symbol(pair, grid, kind), samples=2**15)
+        assert res.certified
+        assert res.upper >= top
+        assert res.upper <= res.value * (1.0 + tap.TOL)
+
     def test_needs_coefficients(self):
         sym = tp.power_symbol(0.5, 1.0, 1)
         with pytest.raises(ValueError, match="coefficients"):
@@ -309,7 +326,7 @@ class TestNormalSymbol:
             lambda xs: np.linalg.svd(sym(xs), compute_uv=False)[:, 0])[1]
         assert sweep > 0
         assert abs(closed - sweep) <= 1e-12 * sweep
-        assert st.coarse_norm(pair, grid, relaxation)[0] <= closed
+        assert st.coarse_norm(pair, grid, relaxation).value <= closed
 
     def test_needs_unitary_basis(self):
         with pytest.raises(ValueError, match="unitary"):
@@ -594,7 +611,7 @@ class TestNecessaryLowerBound:
                          coarse_scheme="backward-euler")
         grid = st.GridSpec(k * 32 + 1, k)
         nb = tp.necessary_lower_bound(pair, grid, relaxation, 1, side)
-        cnorm, _ = st.coarse_norm(pair, grid, relaxation)
+        cnorm = st.coarse_norm(pair, grid, relaxation).value
         assert nb.available
         assert nb.value == pytest.approx(cnorm, rel=1e-12)
 
@@ -619,7 +636,7 @@ class TestNecessaryLowerBound:
         monkeypatch.setattr(tp, "t_hat", None)
         nb = tp.necessary_lower_bound(pair, grid, relaxation, 1, side)
         assert nb.available
-        assert nb.value == st.coarse_norm(pair, grid, relaxation)[0]
+        assert nb.value == st.coarse_norm(pair, grid, relaxation).value
         assert nb.value == pytest.approx(dense, rel=1e-12)
 
     def test_non_commuting_error_side_keeps_its_norm(self):
@@ -634,15 +651,19 @@ class TestNecessaryLowerBound:
             nb = tp.necessary_lower_bound(pair, grid, relaxation, 1, "error")
             norm = np.linalg.norm(block, 2)
             assert nb.value == pytest.approx(norm, rel=1e-12)
-            assert abs(st.coarse_norm(pair, grid, relaxation)[0] - norm) > 0.1
+            assert abs(st.coarse_norm(pair, grid, relaxation).value - norm) > 0.1
 
     def test_dense_path_capped(self, monkeypatch):
+        # the cap guards the assembled sub-block of p >= 2; p = 1 is the
+        # matrix-free coarse norm
         pair = skewed_pair()
         grid = st.GridSpec(17, 2)
-        assert tp.necessary_lower_bound(pair, grid).available
+        assert tp.necessary_lower_bound(pair, grid, "F", 2).available
         monkeypatch.setattr(st, "DENSE_CAP", grid.n_coarse * pair.dim - 1)
-        nb = tp.necessary_lower_bound(pair, grid)
+        nb = tp.necessary_lower_bound(pair, grid, "F", 2)
         assert not nb.available and "dense cap" in nb.reason
+        assert tp.necessary_lower_bound(pair, grid).value == \
+            st.coarse_norm(pair, grid, "F").value
 
     def test_non_unitary_basis_takes_dense_path(self, monkeypatch):
         pair = skewed_pair()

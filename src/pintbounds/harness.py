@@ -214,14 +214,22 @@ def _worst_case_error(sys: st.SpaceTimeSystem, w: np.ndarray) -> np.ndarray:
     return st.lift_coarse(sys, lifted)
 
 
-def _bound_rows(pair: ops.StepperPair, grid: st.GridSpec, relaxation: str,
-                cnorm: st.CoarseNorm | None = None):
-    """All applicable bounds for one relaxation scheme; cnorm is the coarse
-    block norm when the caller already has it."""
-    rows = []
+def _stability_decay(pair: ops.StepperPair, grid: st.GridSpec):
+    """tap.stability_decay; a Psi^N_c that overflows is a ConfigError."""
     decay = tap_mod.stability_decay(pair, grid)
     if math.isinf(decay[0]):
         raise ConfigError(f"Psi^N_c overflows at N_c = {grid.n_coarse}")
+    return decay
+
+
+def _bound_rows(pair: ops.StepperPair, grid: st.GridSpec, relaxation: str,
+                cnorm: st.CoarseNorm | None = None, decay=None):
+    """All applicable bounds for one relaxation scheme; cnorm is the coarse
+    block norm and decay the stability decay when the caller already has
+    them."""
+    rows = []
+    if decay is None:
+        decay = _stability_decay(pair, grid)
     # the FCF factor is None when Phi^k is singular, and FCF then has no
     # approximation constant either
     amp = decay[relaxation == "FCF"]
@@ -244,8 +252,9 @@ def _bound_rows(pair: ops.StepperPair, grid: st.GridSpec, relaxation: str,
     if nb.available:
         row = {"relaxation": relaxation, "kind": "necessary",
                "lower": nb.value, "upper": math.inf, "certified": True}
-        if tap_res is not None:
-            # the gap to the approximation constant, scaled by sqrt(N_c)
+        if tap_res is not None and nb.value > 0.0:
+            # the gap to the approximation constant, scaled by sqrt(N_c);
+            # none when Psi = Phi^k makes the coarse block zero
             row["slack_constant"] = ((tap_res.value / nb.value - 1.0)
                                      * math.sqrt(grid.n_coarse))
         rows.append(row)
@@ -291,6 +300,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentRecord:
     if "modified" in cfg.norms and u_inv is None:
         raise ConfigError("modified norm requested without a shared "
                           "eigendecomposition")
+    # refuse a coarse stepper whose powers overflow before iterating with it
+    decay = _stability_decay(pair, grid)
     rng = np.random.default_rng(cfg.seed)
     f_rhs = rng.standard_normal(sys.dim)
     u_exact = st.sequential_solve(sys, f_rhs)
@@ -320,7 +331,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentRecord:
                 trace.append({"iteration": i, "relaxation": relaxation,
                               "norm": n, "value": values[n][i],
                               "ratio": ratio})
-        rows, _ = _bound_rows(pair, grid, relaxation, cnorm)
+        rows, _ = _bound_rows(pair, grid, relaxation, cnorm, decay)
         bounds.extend(rows)
         # one non-contractive iteration per theory: the interpolation factor
         # enters the first measured ratio except under worst-case seeding,

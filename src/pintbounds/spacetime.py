@@ -465,17 +465,28 @@ def build_propagators(sys: SpaceTimeSystem) -> PropagatorSet:
                          p_ideal, cgc_res, cgc_err, relax, sys.permutation)
 
 
+def _march_intervals(phi: np.ndarray, ub: np.ndarray, k: int,
+                     fb: np.ndarray | None = None) -> None:
+    """Step every coarse interval of the time grid ub, shape (N_t, N_x), from
+    its C-point through its k - 1 F-points in place: u_{ck+j} = f_{ck+j} +
+    Phi u_{ck+j-1}, with f = 0 when fb is None. The intervals are
+    independent, so on the (N_c - 1, k, N_x) view of points 0 ... N_t - 2
+    step j is one product over all of them."""
+    nx = ub.shape[1]
+    view = ub[:-1].reshape(-1, k, nx)
+    fview = None if fb is None else fb[:-1].reshape(-1, k, nx)
+    phi_t = phi.T
+    for j in range(1, k):
+        step = view[:, j - 1] @ phi_t
+        view[:, j] = step if fview is None else fview[:, j] + step
+
+
 def lift_coarse(sys: SpaceTimeSystem, w: np.ndarray) -> np.ndarray:
     """Action of P_ideal on a coarse vector, returned in fine time ordering."""
     nx, k = sys.pair.dim, sys.grid.k
-    nc, nt = sys.grid.n_coarse, sys.grid.n_time
-    wb = w.reshape(nc, nx)
-    out = np.zeros((nt, nx), dtype=complex)
-    phi = sys.pair.fine.matrix
-    out[sys.grid.c_points] = wb
-    for c in range(nc - 1):
-        for j in range(1, k):
-            out[c * k + j] = phi @ out[c * k + j - 1]
+    out = np.zeros((sys.grid.n_time, nx), dtype=complex)
+    out[::k] = w.reshape(-1, nx)
+    _march_intervals(sys.pair.fine.matrix, out, k)
     return out.ravel()
 
 
@@ -497,25 +508,18 @@ def apply_iteration(sys: SpaceTimeSystem, relaxation: str, u: np.ndarray,
     if relaxation not in ("F", "FCF"):
         raise ValueError(f"unknown relaxation {relaxation!r}")
     nx, k, nt = sys.pair.dim, sys.grid.k, sys.grid.n_time
-    nc = sys.grid.n_coarse
     phi = sys.pair.fine.matrix
     ub = u.reshape(nt, nx).astype(complex)
     fb = f.reshape(nt, nx).astype(complex)
-
-    def f_relax():
-        for c in range(nc - 1):
-            for j in range(1, k):
-                ub[c * k + j] = fb[c * k + j] + phi @ ub[c * k + j - 1]
-
-    def c_relax():
-        ub[0] = fb[0]
-        for c in range(1, nc):
-            ub[c * k] = fb[c * k] + phi @ ub[c * k - 1]
-
-    f_relax()
+    _march_intervals(phi, ub, k, fb)
     if relaxation == "FCF":
-        c_relax()
-        f_relax()
+        if k == 1:
+            # every point is a C-point: C-relaxation is the sequential solve
+            ub = coarse_forward_solve(phi, fb).reshape(nt, nx)
+        else:
+            ub[0] = fb[0]
+            ub[k::k] = fb[k::k] + ub[k - 1:-1:k] @ phi.T
+            _march_intervals(phi, ub, k, fb)
 
     # coarse correction: restrict residual by injection, solve with Psi steps,
     # interpolate ideally

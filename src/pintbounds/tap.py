@@ -358,7 +358,8 @@ def stability_decay(pair: StepperPair, grid) -> tuple[float, float | None]:
     """Amplification factors ||Psi^{N_c}|| and ||Phi^{-k} Psi^{N_c} Phi^k||;
     the second is None when Phi^k is singular. A power that overflows gives
     infinite factors."""
-    psi_nc = matrix_power(pair.coarse.matrix, grid.n_coarse)
+    with np.errstate(over="ignore", invalid="ignore"):
+        psi_nc = matrix_power(pair.coarse.matrix, grid.n_coarse)
     if not np.isfinite(psi_nc).all():
         return math.inf, None if ill_conditioned(pair.fine_power_sv) else math.inf
     first = float(np.linalg.svd(psi_nc, compute_uv=False)[0])

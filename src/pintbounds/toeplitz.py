@@ -567,7 +567,8 @@ def necessary_lower_bound(pair: StepperPair, grid: GridSpec,
     pseudoinverse's invertible Toeplitz sub-block. At p = 1 it is exact: the
     residual-side coarse-block norm itself, taken from coarse_norm when the
     caller already has it, and also the error-side one when the steppers
-    commute, because the two blocks then coincide. Only the assembled
+    commute, because the two blocks then coincide; it inverts nothing, so a
+    singular D, Psi or Phi^k leaves it available. Only the assembled
     sub-block of the other cases is subject to the dense cap."""
     if relaxation not in ("F", "FCF"):
         raise ValueError(f"unknown relaxation {relaxation!r}")
@@ -576,6 +577,19 @@ def necessary_lower_bound(pair: StepperPair, grid: GridSpec,
     if relaxation == "FCF" and grid.k == 1:
         return NecessaryBound(0.0, False, "FCF relaxation at k = 1 is a "
                               "sequential solve; the coarse block is zero")
+    # the offset-2 FCF block to the p-th power equals a zero-padded p-th power
+    # of the offset-1 family with p fewer block rows
+    n_eff = grid.n_coarse if relaxation == "F" else grid.n_coarse - p
+    if p >= n_eff / 2:
+        return NecessaryBound(0.0, False,
+                              "too few coarse points for the requested power")
+    if p == 1 and (side == "residual" or pair.commuting):
+        # the block's pseudoinverse is t_hat padded with zeros, so
+        # 1/sigma_min(t_hat) is the block norm, which coarse_norm computes
+        # without assembling or inverting anything
+        if coarse_norm is None:
+            coarse_norm = _st.coarse_norm(pair, grid, relaxation).value
+        return NecessaryBound(float(coarse_norm), True)
     psi = pair.coarse.matrix
     phik = pair.fine_power
     defect = pair.coarse_defect
@@ -596,22 +610,9 @@ def necessary_lower_bound(pair: StepperPair, grid: GridSpec,
         if p > 1 and not pair.commuting:
             return NecessaryBound(0.0, False,
                                   "FCF power bound needs commuting steppers")
-    # the offset-2 FCF block to the p-th power equals a zero-padded p-th power
-    # of the offset-1 family with p fewer block rows
-    n_eff = grid.n_coarse if relaxation == "F" else grid.n_coarse - p
-    if p >= n_eff / 2:
-        return NecessaryBound(0.0, False,
-                              "too few coarse points for the requested power")
     if not pair.normal and ill_conditioned(np.linalg.svd(psi, compute_uv=False)):
         return NecessaryBound(0.0, False, "coarse stepper singular; "
                               "pseudoinverse path unavailable")
-    if p == 1 and (side == "residual" or pair.commuting):
-        # the block's pseudoinverse is t_hat padded with zeros, so
-        # 1/sigma_min(t_hat) is the block norm, which coarse_norm computes
-        # without assembling either
-        if coarse_norm is None:
-            coarse_norm = _st.coarse_norm(pair, grid, relaxation).value
-        return NecessaryBound(float(coarse_norm), True)
     if not pair.normal and grid.n_coarse * psi.shape[0] > _st.DENSE_CAP:
         return NecessaryBound(0.0, False, "exceeds dense cap")
     if pair.normal:

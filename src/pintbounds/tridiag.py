@@ -51,7 +51,9 @@ def tridiag_min_eig(diag, off):
         raise ValueError("off-diagonal length must be n - 1")
     d2 = np.atleast_2d(d).astype(float)
     b = b.reshape(d2.shape[0], -1)
-    b2 = b * b
+    # b^2 floored at the smallest normal number, as in LAPACK's dlaneg: a
+    # zero pivot gives b^2/0 = +inf and the next pivot -inf, never 0/0
+    b2 = np.maximum(b * b, np.finfo(float).tiny)
     lo = gershgorin_min(d2, b)
     # Rayleigh quotients of unit vectors and of the constant vector, the
     # latter taken for the similar matrix with off-diagonals -|b|
@@ -61,19 +63,21 @@ def tridiag_min_eig(diag, off):
     dcol = list(np.ascontiguousarray(d2.T)[:, :, None])
     bcol = list(np.ascontiguousarray(b2.T)[:, :, None])
     fan = np.arange(SHIFTS + 2) / (SHIFTS + 1)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", divide="ignore"):
         for _ in range(MAX_SWEEPS):
             # the fan spans the bracket, ends included
             x = lo[:, None] + (hi - lo)[:, None] * fan
             x[:, 0], x[:, -1] = lo, hi
             if not np.any((x > lo[:, None]) & (x < hi[:, None])):
                 break    # every bracket is at rounding level: none can shrink
+            # pivots q_i = d_i - x - b_{i-1}^2 / q_{i-1}, in two rolling buffers
             q = dcol[0] - x
             qmin = q.copy()
+            ratio = np.empty_like(q)
             for i in range(1, d2.shape[1]):
-                if not q.all():
-                    q[q == 0.0] = 1e-300
-                q = dcol[i] - x - bcol[i - 1] / q
+                np.divide(bcol[i - 1], q, out=ratio)
+                np.subtract(dcol[i], x, out=q)
+                np.subtract(q, ratio, out=q)
                 np.minimum(qmin, q, out=qmin)
             # a shift with a negative pivot lies above the smallest eigenvalue;
             # keep the bracket between the first such shift and the one below

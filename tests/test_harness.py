@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -440,11 +441,34 @@ class TestCli:
             capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
         assert "configuration error" in proc.stderr
+
+    def test_overflowing_coarse_power_refused_before_iterating(
+            self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(base_config(
+            coarse={"scheme": "forward-euler", "dt": 0.04}, k=4,
+            n_time=3201)))
+
+        def refuse(*args):
+            raise AssertionError("iterated before the overflow check")
+
+        monkeypatch.setattr(st, "apply_iteration", refuse)
+        monkeypatch.setattr(st, "sequential_solve", refuse)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(["run", "--config", str(path), "--out",
+                             str(tmp_path / "out")])
+        assert code == 2
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        err = capsys.readouterr().err
+        assert "RuntimeWarning" not in err and "overflows" in err
 
     def test_singular_coarse_stepper_without_traceback(self, tmp_path):
         # upwind at Courant number 1 with a forward-Euler coarse step: Psi is
-        # the nilpotent shift, so the pseudoinverse path is unavailable
+        # the nilpotent shift; the necessary bound at p = 1 inverts nothing
+        # and is the coarse norm
         path = tmp_path / "cfg.yaml"
         path.write_text(yaml.safe_dump(base_config(
             problem={"kind": "advection-1d-upwind", "n": 4, "h": 0.25},
@@ -461,7 +485,11 @@ class TestCli:
         assert "Traceback" not in proc.stderr
         rec = json.load(open(tmp_path / "out" / "experiment.json"))
         kinds = {r["kind"] for r in rec["bounds"]}
-        assert "tap" in kinds and "necessary" not in kinds
+        assert "tap" in kinds
+        for relaxation in ("F", "FCF"):
+            rows = {r["kind"]: r for r in rec["bounds"]
+                    if r["relaxation"] == relaxation}
+            assert rows["necessary"]["lower"] == rows["coarse-norm"]["lower"]
 
     def test_fcf_at_k1_without_false_violation(self, tmp_path):
         # with k = 1 FCF relaxation is a sequential solve and its coarse block

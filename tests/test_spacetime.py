@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -280,6 +281,113 @@ class TestApplyIteration:
         lifted = st.lift_coarse(sys, w)
         perm = sys.permutation
         assert np.allclose(lifted[perm], p_ideal @ w)
+
+
+def loop_lift(sys, w):
+    """P_ideal w stepped one fine point at a time: the per-point reference
+    for the interval-batched lift_coarse."""
+    nx, k, nc = sys.pair.dim, sys.grid.k, sys.grid.n_coarse
+    phi = sys.pair.fine.matrix
+    out = np.zeros((sys.grid.n_time, nx), dtype=complex)
+    out[sys.grid.c_points] = w.reshape(nc, nx)
+    for c in range(nc - 1):
+        for j in range(1, k):
+            out[c * k + j] = phi @ out[c * k + j - 1]
+    return out.ravel()
+
+
+def loop_iteration(sys, relaxation, u, f):
+    """One two-level iteration stepped one fine point at a time: the
+    per-point reference for the interval-batched apply_iteration."""
+    nx, k, nt = sys.pair.dim, sys.grid.k, sys.grid.n_time
+    nc = sys.grid.n_coarse
+    phi = sys.pair.fine.matrix
+    ub = u.reshape(nt, nx).astype(complex)
+    fb = f.reshape(nt, nx).astype(complex)
+
+    def f_relax():
+        for c in range(nc - 1):
+            for j in range(1, k):
+                ub[c * k + j] = fb[c * k + j] + phi @ ub[c * k + j - 1]
+
+    f_relax()
+    if relaxation == "FCF":
+        ub[0] = fb[0]
+        for c in range(1, nc):
+            ub[c * k] = fb[c * k] + phi @ ub[c * k - 1]
+        f_relax()
+    r = fb - st.apply_full(sys, ub).reshape(nt, nx)
+    psi = sys.pair.coarse.matrix
+    w = np.zeros((nc, nx), dtype=complex)
+    w[0] = r[0]
+    for c in range(1, nc):
+        w[c] = r[c * k] + psi @ w[c - 1]
+    return ub.ravel() + loop_lift(sys, w.ravel())
+
+
+def counting_pair(pair):
+    """pair with a fine matrix that counts the matrix products it enters,
+    and that count."""
+    count = [0]
+
+    class Counting(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            count[0] += ufunc is np.matmul
+            inputs = tuple(np.asarray(x) for x in inputs)
+            return getattr(ufunc, method)(*inputs, **kwargs)
+
+    fine = dataclasses.replace(pair.fine,
+                               matrix=pair.fine.matrix.view(Counting))
+    return dataclasses.replace(pair, fine=fine), count
+
+
+class TestIntervalBatching:
+    @pytest.mark.parametrize("k", [1, 2, 3, 8])
+    @pytest.mark.parametrize("nc", [2, 3, 17])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_matches_per_point_loops(self, k, nc, dtype):
+        rng = np.random.default_rng(100 * k + nc)
+        pair = raw_pair(random_contraction(rng, 3), random_contraction(rng, 3), k)
+        assert not np.allclose(pair.fine.matrix @ pair.fine.matrix.conj().T,
+                               pair.fine.matrix.conj().T @ pair.fine.matrix)
+        sys = st.assemble_system(pair, st.GridSpec(k * (nc - 1) + 1, k))
+
+        def draw(n):
+            x = rng.standard_normal(n)
+            return x + 1j * rng.standard_normal(n) if dtype is complex else x
+
+        u, f, w = draw(sys.dim), draw(sys.dim), draw(nc * 3)
+        for relaxation in ("F", "FCF"):
+            got = st.apply_iteration(sys, relaxation, u, f)
+            want = loop_iteration(sys, relaxation, u, f)
+            assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+        want = loop_lift(sys, w)
+        assert np.linalg.norm(st.lift_coarse(sys, w) - want) \
+            <= 1e-14 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_products_per_sweep_independent_of_n_coarse(self, k):
+        rng = np.random.default_rng(k)
+        base = raw_pair(random_contraction(rng, 2), random_contraction(rng, 2), k)
+        pair, count = counting_pair(base)
+        calls = {"F": set(), "FCF": set()}
+        for nc in (2, 3, 17):
+            sys = st.assemble_system(pair, st.GridSpec(k * (nc - 1) + 1, k))
+            u = rng.standard_normal((sys.grid.n_time, 2)).astype(complex)
+            count[0] = 0
+            st._march_intervals(pair.fine.matrix, u, k, np.zeros_like(u))
+            assert count[0] == k - 1
+            count[0] = 0
+            st.lift_coarse(sys, rng.standard_normal(nc * 2))
+            assert count[0] == k - 1
+            for relaxation in calls:
+                count[0] = 0
+                st.apply_iteration(sys, relaxation, u.ravel(), u.ravel())
+                calls[relaxation].add(count[0])
+        assert len(calls["F"]) == 1
+        # at k = 1 every point is a C-point and C-relaxation is the
+        # sequential solve, one product per time step
+        assert len(calls["FCF"]) == (1 if k > 1 else 3)
 
 
 class TestOperatorNorm:

@@ -537,12 +537,16 @@ class TestTimeDependent:
 
 class TestNecessaryLowerBound:
     def test_exact_coarse_unavailable(self):
+        # the pseudoinverse path needs an invertible defect; p = 1 inverts
+        # nothing and is the coarse norm, here zero
         rng = np.random.default_rng(5)
         phi = random_contraction(rng, 2)
         pair = raw_pair(phi, phi @ phi, 2)
-        nb = tp.necessary_lower_bound(pair, st.GridSpec(17, 2))
-        assert not nb.available
-        assert nb.reason
+        grid = st.GridSpec(17, 2)
+        nb = tp.necessary_lower_bound(pair, grid, p=2)
+        assert not nb.available and "defect" in nb.reason
+        nb = tp.necessary_lower_bound(pair, grid)
+        assert nb.available and nb.value == 0.0
 
     @pytest.mark.parametrize("relaxation", ["F", "FCF"])
     @pytest.mark.parametrize("p", [1, 2])
@@ -562,8 +566,13 @@ class TestNecessaryLowerBound:
     def test_singular_coarse_stepper_unavailable(self):
         shift = np.array([[0.0, 1.0], [0.0, 0.0]])
         pair = raw_pair(0.5 * np.eye(2), shift, 2)
-        nb = tp.necessary_lower_bound(pair, st.GridSpec(17, 2))
+        grid = st.GridSpec(17, 2)
+        nb = tp.necessary_lower_bound(pair, grid, p=2)
         assert not nb.available and "coarse stepper" in nb.reason
+        for relaxation in ("F", "FCF"):
+            nb = tp.necessary_lower_bound(pair, grid, relaxation)
+            assert nb.available
+            assert nb.value == st.coarse_norm(pair, grid, relaxation).value
 
     def test_scalar_pair(self):
         pair = raw_pair([[np.sqrt(0.5)]], [[0.6]], 2)
@@ -582,8 +591,12 @@ class TestNecessaryLowerBound:
             denominator=(1.0, -1.0, 0.25)))
         pair = ops.make_pair(fine, coarse, 2)
         assert pair.shared_eig.normal
-        nb = tp.necessary_lower_bound(pair, st.GridSpec(17, 2))
+        grid = st.GridSpec(17, 2)
+        nb = tp.necessary_lower_bound(pair, grid, p=2)
         assert not nb.available and "defect" in nb.reason
+        nb = tp.necessary_lower_bound(pair, grid)
+        assert nb.available
+        assert nb.value == st.coarse_norm(pair, grid, "F").value
 
     @pytest.mark.parametrize("k", [1, 2, 4])
     @pytest.mark.parametrize("relaxation", ["F", "FCF"])

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
@@ -86,3 +88,34 @@ class TestTridiagMinEig:
         oracle = np.min(np.linalg.eigvalsh(assemble(diag, off)))
         assert tridiag.tridiag_min_eig(diag, off) == pytest.approx(oracle,
                                                                    abs=1e-12)
+
+
+class TestZeroPivots:
+    """Shifts that meet an exact zero pivot: b^2 is floored at the smallest
+    normal number, so the next pivot is -inf and 0/0 never occurs."""
+
+    @pytest.mark.parametrize("diag, off", [
+        ([1.0, 1.0, 1.0], [0.0, 0.0]),                  # decoupled 1 x 1 blocks
+        ([2.0, 2.0, 2.0, 2.0], [1.0, 0.0, 1.0]),        # decoupled 2 x 2 blocks
+        ([0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0]),        # the zero matrix
+        ([-1.0, 2.0, -3.0, 0.5], [1.0, 0.5, 2.0]),      # indefinite
+        # brackets [0, 0.5], [0.1, 0.5] and [0, 0.25]: the first sweep's top
+        # shift is a diagonal entry, which makes that row's pivot exactly
+        # zero; in the last two the off-diagonal entry after it is zero too
+        ([0.5, 4.0, 4.0], [0.5, 0.0]),
+        ([0.5, 4.0, 0.6], [0.0, 0.5]),
+        ([0.5, 4.0, 0.25, 4.0], [0.5, 0.0, 0.1]),
+    ], ids=["decoupled-1x1", "decoupled-2x2", "zero", "indefinite",
+            "shift-on-diagonal", "shift-on-diagonal-then-zero",
+            "shift-on-decoupled-diagonal"])
+    def test_matches_dense_eigensolver_without_warnings(self, diag, off):
+        dense = assemble(diag, off)
+        oracle = np.min(np.linalg.eigvalsh(dense))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = tridiag.tridiag_min_eig(diag, off)
+            batch = tridiag.tridiag_min_eig(np.array([diag, diag]),
+                                            np.array([off, off]))
+        scale = max(np.linalg.norm(dense, 1), 1.0)
+        assert abs(got - oracle) <= 1e-14 * scale
+        assert np.array_equal(batch, [got, got])

@@ -47,10 +47,8 @@ def _cmd_bounds(args) -> int:
     cfg = harness.load_config(args.config)
     pair = harness.build_pair(cfg)
     grid = st.GridSpec(cfg.n_time, cfg.k)
-    rows = []
-    for relaxation in cfg.relaxations:
-        rel_rows, _ = harness._bound_rows(pair, grid, relaxation)
-        rows.extend(rel_rows)
+    rows = [row for relaxation in cfg.relaxations
+            for row in harness._bound_rows(pair, grid, relaxation)]
     print(json.dumps(rows, indent=2, sort_keys=True))
     return 0
 

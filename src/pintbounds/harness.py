@@ -286,7 +286,7 @@ def _bound_rows(pair: ops.StepperPair, grid: st.GridSpec, relaxation: str,
                      "lower": db.lower, "upper": db.upper,
                      "certified": n_bracket >= tp.BRACKET_MIN_N,
                      "asymptote": db.asymptote})
-    return rows, tap_res
+    return rows
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentRecord:
@@ -331,8 +331,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentRecord:
                 trace.append({"iteration": i, "relaxation": relaxation,
                               "norm": n, "value": values[n][i],
                               "ratio": ratio})
-        rows, _ = _bound_rows(pair, grid, relaxation, cnorm, decay)
-        bounds.extend(rows)
+        bounds.extend(_bound_rows(pair, grid, relaxation, cnorm, decay))
         # one non-contractive iteration per theory: the interpolation factor
         # enters the first measured ratio except under worst-case seeding,
         # and the final ratio on the error side

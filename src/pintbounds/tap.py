@@ -1,6 +1,7 @@
 """Temporal approximation constants.
 
-Computes the phase-minimized norms min_x ||(I - e^{ix} Psi)^p v|| and the
+Computes the phase-minimized norms min_x ||(I - e^{ix} Psi)^p v||, in closed
+form for p = 1 and from the roots of one polynomial otherwise, and the
 approximation constants that bound two-level convergence: the vector form
 (sup over v, evaluated as the largest singular value over the unit circle
 of a transfer function, by a certified level-set iteration), its inverse
@@ -17,9 +18,6 @@ import numpy as np
 
 from .operators import StepperPair, ill_conditioned, matrix_power
 
-PHASE_GRID = 1024      # uniform phases sampled before refinement
-FAN = 33               # phases per refinement fan; 32 cells, two are kept
-REFINE_ROUNDS = 8      # each round narrows every interval 16-fold
 STACK_ENTRIES = 2**18  # most matrix entries one stacked evaluation holds
 
 POLE_GAP = 1e-8        # |1 - e^{ix} mu| below which phase x is a pole of Psi
@@ -35,7 +33,7 @@ class TapResult:
     phase: float
     method: str
     certified: bool
-    upper: float        # no phase exceeds it when certified
+    upper: float        # certified: no phase exceeds it (falls below, for a min)
 
 
 def _as_matrix(psi) -> np.ndarray:
@@ -57,54 +55,31 @@ def _evaluate(fun, xs: np.ndarray, entries: int) -> np.ndarray:
     return vals
 
 
-def _extremum_over_phases(fun, dim: int, minimize=False):
-    """(phase, value) of the extremum of a smooth 2*pi-periodic function.
-
-    fun maps an array of phases to an array of values, through stacks of
-    dim x dim matrices. A uniform grid is refined at all its local extrema at
-    once: each round evaluates a fan across every candidate's interval and
-    narrows the interval to the two cells around the fan's best phase."""
-    sign = 1.0 if minimize else -1.0
-    xs = np.linspace(0.0, 2.0 * np.pi, PHASE_GRID, endpoint=False)
-    sv = sign * _evaluate(fun, xs, dim**2)
-    best = int(np.argmin(sv))
-    best_x, best_v = xs[best], sv[best]
-    left, right = np.roll(sv, 1), np.roll(sv, -1)
-    # a point of a flat stretch is no extremum to refine
-    centers = xs[(sv <= np.minimum(left, right)) & (sv < np.maximum(left, right))]
-    half = 2.0 * np.pi / PHASE_GRID
-    offsets = np.linspace(-1.0, 1.0, FAN)
-    rows = np.arange(centers.size)
-    for _ in range(REFINE_ROUNDS if centers.size else 0):
-        fan = centers[:, None] + half * offsets
-        vals = sign * _evaluate(fun, fan.ravel(), dim**2).reshape(fan.shape)
-        j = np.argmin(vals, axis=1)
-        centers, tops = fan[rows, j], vals[rows, j]
-        i = int(np.argmin(tops))
-        if tops[i] < best_v:
-            best_x, best_v = centers[i], tops[i]
-        half *= 2.0 / (FAN - 1)     # one fan cell either side
-    return float(best_x % (2.0 * np.pi)), float(sign * best_v)
-
-
-def _phase_poly_coeffs(psi: np.ndarray, v: np.ndarray, p: int):
-    """Coefficient vectors c_m of (I - e^{ix} psi)^p v = sum_m e^{imx} c_m."""
-    coeffs = [np.asarray(v, dtype=complex)]
+def _power_coeffs(c0, c1, p: int, x) -> np.ndarray:
+    """Coefficient blocks X_0..X_p of (c0 + z c1)^p x = sum_m z^m X_m, for a
+    matrix x: each factor maps X_m to c0 X_m + c1 X_{m-1}."""
+    coeffs = np.asarray(x, dtype=complex)[None]
     for _ in range(p):
-        nxt = [coeffs[0]]
-        for m in range(1, len(coeffs)):
-            nxt.append(coeffs[m] - psi @ coeffs[m - 1])
-        nxt.append(-psi @ coeffs[-1])
+        nxt = np.zeros((coeffs.shape[0] + 1,) + coeffs.shape[1:], dtype=complex)
+        nxt[:-1] = c0 @ coeffs
+        nxt[1:] += c1 @ coeffs
         coeffs = nxt
-    return np.array(coeffs)
+    return coeffs
 
 
 def min_phase_norm(psi, v: np.ndarray, p: int = 1):
     """min over x of ||(I - e^{ix} Psi)^p v|| and the minimizing phase.
 
     For p = 1 the closed form sqrt(||v||^2 + ||Psi v||^2 - 2 |<Psi v, v>|)
-    holds, attained at x = -arg <Psi v, v>; higher powers are swept.
+    holds, attained at x = -arg <Psi v, v>. For higher powers, with
+    (I - z Psi)^p v = sum_m z^m c_m, the square norm sum_d r_d e^{idx},
+    r_d = sum_m <c_{m+d}, c_m>, is critical at the unit-circle roots of
+    sum_d d r_d z^{d+p}. Near an eigenvalue of Psi close to the circle these
+    roots are ill-conditioned, so each root, projected onto the circle, is
+    polished by Newton steps on the product form while its value falls.
     """
+    if p < 1:
+        raise ValueError("power must be >= 1")
     m = _as_matrix(psi)
     v = np.asarray(v, dtype=complex)
     nv = np.linalg.norm(v)
@@ -116,14 +91,42 @@ def min_phase_norm(psi, v: np.ndarray, p: int = 1):
         val = math.sqrt(max(0.0, nv**2 + np.linalg.norm(mv)**2 - 2.0 * abs(inner)))
         x = float((-np.angle(inner)) % (2.0 * np.pi)) if inner != 0 else 0.0
         return val, x
-    coeffs = _phase_poly_coeffs(m, v, p)
-    powers = np.arange(p + 1)
+    c = _power_coeffs(np.eye(m.shape[0]), -m, p, v[:, None])[:, :, 0]
+    gram = c.conj() @ c.T        # gram[j, l] = <c_l, c_j>
+    ds = np.arange(p, -p - 1, -1)
+    poly = ds * np.array([np.trace(gram, offset=d) for d in ds])
+    # a constant norm has no critical points; phase 0 then attains it
+    xs = np.append(np.angle(np.roots(poly)), 0.0)
+    f, step = _phase_newton(m, v, p, xs)
+    better = step != 0.0
+    while better.any():
+        f_new, step_new = _phase_newton(m, v, p, xs + step)
+        better = f_new < f
+        xs, f = np.where(better, xs + step, xs), np.where(better, f_new, f)
+        step = np.where(better, step_new, 0.0)
+    i = int(np.argmin(f))
+    return math.sqrt(f[i]), float(xs[i] % (2.0 * np.pi))
 
-    def fun(xs):
-        return np.linalg.norm(np.exp(1j * np.outer(xs, powers)) @ coeffs, axis=1)
 
-    x, val = _extremum_over_phases(fun, m.shape[0], minimize=True)
-    return val, x
+def _phase_newton(m, v, p: int, xs: np.ndarray):
+    """(f, step): f = ||g||^2, g = (I - z Psi)^p v, at the phases xs in
+    product form, and the Newton step -f' / (f'' - (1 - 1/p) f'^2 / f) on
+    f^{1/p}, which is nearly quadratic at a minimum one eigenvalue of Psi
+    near the circle dominates. With u_j = (I - z Psi)^{p-j} v,
+    g' = -ip z Psi u_1 and g'' = p z Psi u_1 - p (p - 1) z^2 Psi^2 u_2."""
+    z = np.exp(1j * xs)[:, None]
+    us = [np.tile(v, (xs.size, 1))]
+    for _ in range(p):
+        us.append(us[-1] - z * (us[-1] @ m.T))
+    g, zu1, zzu2 = us[-1], z * (us[-2] @ m.T), z**2 * (us[-3] @ m.T @ m.T)
+    g1 = -1j * p * zu1
+    f = np.sum(np.abs(g) ** 2, axis=1)
+    f1 = 2.0 * np.real(np.sum(g.conj() * g1, axis=1))
+    f2 = 2.0 * (np.real(np.sum(g.conj() * (p * zu1 - p * (p - 1) * zzu2), axis=1))
+                + np.sum(np.abs(g1) ** 2, axis=1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        step = -f1 / (f2 - (1.0 - 1.0 / p) * f1**2 / f)
+    return f, np.where(np.isfinite(step), step, 0.0)
 
 
 def _psi_poles(pair: StepperPair):
@@ -216,8 +219,10 @@ def _hinf(a, b, c, skip=None):
     xs = np.concatenate(starts) % (2.0 * np.pi)
     if skip is not None:
         xs = xs[~skip(xs)]
-    if not (b.any() and c.any()):
-        return float(xs[0]), 0.0, True
+    if not (a.any() and b.any() and c.any()):
+        # G is constant: its one value is the maximum, and the crossing
+        # pencil at that level is too ill-conditioned to certify it
+        return float(xs[0]), float(np.linalg.svd(c @ b, compute_uv=False)[0]), True
     # G scales with B and C: entries of unit size keep the pencil's blocks
     # balanced, also for subnormal or huge operators
     (b, eb), (c, ec) = _unit(b), _unit(c)
@@ -272,18 +277,17 @@ def _on_pole_flank(a, b, c, skip, x: float, gamma: float) -> bool:
     return bool(gamma > (1.0 + 2.0 * TOL) * _gain(a, b, c, beyond).max())
 
 
-def _tap_realization(pair: StepperPair, relaxation: str, p: int):
-    """(A, B, C) with C (I - zA)^{-1} B = (Psi - Phi^k)^p ((I - z Psi)^{-1} M)^p,
-    M = I for F and Phi^k for FCF: the state stacks the p partial products,
-    so A = (I - S)^{-1} (I_p x Psi), B = (I - S)^{-1} E_1 M and
-    C = (Psi - Phi^k)^p E_p^T, with M on the block subdiagonal of S."""
-    n = pair.dim
-    m = pair.fine_power if relaxation == "FCF" else np.eye(n)
+def _tap_realization(psi, m, left, p: int):
+    """(A, B, C) with C (I - zA)^{-1} B = left ((I - z psi)^{-1} m)^p: the
+    state stacks the p partial products, so A = (I - S)^{-1} (I_p x psi),
+    B = (I - S)^{-1} E_1 m and C = left E_p^T, with m on the block subdiagonal
+    of S."""
+    n = psi.shape[0]
     blocks = np.eye(p)
     lhs = np.eye(p * n) - np.kron(np.eye(p, k=-1), m)
-    a = np.linalg.solve(lhs, np.kron(blocks, pair.coarse.matrix))
+    a = np.linalg.solve(lhs, np.kron(blocks, psi))
     b = np.linalg.solve(lhs, np.kron(blocks[:, :1], m))
-    c = np.kron(blocks[-1:], matrix_power(pair.coarse_defect, p))
+    c = np.kron(blocks[-1:], left)
     return a, b, c
 
 
@@ -309,7 +313,9 @@ def tap_constant(pair: StepperPair, relaxation: str = "F",
         return TapResult(value, res.maximizer, res.phase, "eigenvalue", True,
                          value)
 
-    a, b, c = _tap_realization(pair, relaxation, p)
+    m = pair.fine_power if relaxation == "FCF" else np.eye(pair.dim)
+    a, b, c = _tap_realization(pair.coarse.matrix, m,
+                               matrix_power(pair.coarse_defect, p), p)
     x, gamma, certified = _hinf(a, b, c, _psi_poles(pair))
     state = np.linalg.solve(np.eye(a.shape[0]) - np.exp(1j * x) * a, b)
     _, _, vh = np.linalg.svd(c @ state)

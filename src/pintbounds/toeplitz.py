@@ -1,10 +1,11 @@
 """Block-Toeplitz symbols, closed-form pseudoinverses, tridiagonal spectra,
 and the convergence-bound formulas built on them.
 
-Covers the symbol-side norm predictors (max singular value / min eigenvalue
-over phase), explicit pseudoinverses of the structured strictly-lower
-block-Toeplitz operators and their powers, the two-sided diagonalizable-case
-convergence brackets, and the time-dependent tridiagonal reduction.
+Covers the symbol-side norm predictors (certified max singular value / min
+eigenvalue over phase of symbols held as coefficient blocks), explicit
+pseudoinverses of the structured strictly-lower block-Toeplitz operators and
+their powers, the two-sided diagonalizable-case convergence brackets, and the
+time-dependent tridiagonal reduction.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .tridiag import bidiagonal_gram, gershgorin_min, tridiag_min_eig
 from . import spacetime as _st
 from . import tap as _tap
 
-FOURIER_POINTS = 4096
 BRACKET_MIN_N = 10     # smallest N_c for which the bracket is proven
 BISECT_ROUNDS = 40     # most bisection rounds of a certified symbol maximum
 BISECT_CELLS = 1024    # most phase cells one bisection round may split
@@ -33,30 +33,30 @@ SYMBOL_KINDS = ("F-relaxation", "FCF-relaxation", "error-side-F", "error-side-FC
 
 @dataclass(frozen=True)
 class SymbolFunction:
-    """Phase-indexed matrix symbol x -> F(x) of a block-Toeplitz family. The
-    evaluator maps a 1-d array of phases to the stack of F over them, or to
-    one matrix that holds for every phase. coeffs, when given, holds the
-    blocks C_j of F(x) = sum_{j < len(coeffs)} e^{i(j+1)x} C_j."""
-    evaluator: object
-    kind: str
-    dim: int
-    coeffs: np.ndarray | None = None
+    """Phase-indexed matrix symbol F(x) = sum_j e^{i(low + j)x} coeffs[j] of
+    a block-Toeplitz family: its coefficient blocks and their lowest
+    frequency."""
+    coeffs: np.ndarray
+    low: int
+
+    @property
+    def dim(self) -> int:
+        return self.coeffs.shape[1]
 
     def __call__(self, x) -> np.ndarray:
         """F(x) at one phase, or the stack of F over an array of phases."""
         x = np.asarray(x, dtype=float)
-        m = np.broadcast_to(self.evaluator(x.reshape(-1)),
-                            (x.size, self.dim, self.dim))
+        m = _fir(self.coeffs, x.reshape(-1) / (2.0 * np.pi), self.low)
         return m.reshape(x.shape + (self.dim, self.dim))
 
 
-def _fir(coeffs: np.ndarray, turns: np.ndarray) -> np.ndarray:
-    """The stack of sum_j e^{2 pi i (j+1) t} coeffs[j] over the phases t of
-    turns, given in turns (x = 2 pi t). The exponent is reduced mod 1 before
-    it is scaled by 2 pi, exactly for dyadic t, so its rounding error does
-    not grow with j."""
+def _fir(coeffs: np.ndarray, turns: np.ndarray, low: int) -> np.ndarray:
+    """The stack of sum_j e^{2 pi i (low + j) t} coeffs[j] over the phases t
+    of turns, given in turns (x = 2 pi t). The exponent is reduced mod 1
+    before it is scaled by 2 pi, exactly for dyadic t, so its rounding error
+    does not grow with j."""
     n, d = coeffs.shape[0], coeffs.shape[1]
-    z = np.exp(2j * np.pi * (np.outer(turns, np.arange(1, n + 1)) % 1.0))
+    z = np.exp(2j * np.pi * (np.outer(turns, np.arange(low, low + n)) % 1.0))
     return (z @ coeffs.reshape(n, d * d)).reshape(-1, d, d)
 
 
@@ -83,9 +83,7 @@ def build_symbol(pair: StepperPair, grid: GridSpec, kind: str) -> SymbolFunction
     coeffs[0] = rgt
     for j in range(1, grid.n_coarse):
         coeffs[j] = psi @ coeffs[j - 1]
-    coeffs = lft @ coeffs
-    return SymbolFunction(lambda x: _fir(coeffs, x / (2.0 * np.pi)), kind,
-                          d, coeffs)
+    return SymbolFunction(lft @ coeffs, 1)
 
 
 def symbol_max_sv(sym: SymbolFunction) -> _tap.TapResult:
@@ -108,8 +106,6 @@ def symbol_max_sv(sym: SymbolFunction) -> _tap.TapResult:
     rounding of its evaluation. The result is certified when every cell
     settles within BISECT_ROUNDS rounds of at most BISECT_CELLS splits, and
     upper is within TOL of the value."""
-    if sym.coeffs is None:
-        raise ValueError("certified maximum needs the symbol's coefficients")
     norms = np.linalg.norm(sym.coeffs, axis=(1, 2))
     live = np.flatnonzero(norms)
     if live.size == 0:
@@ -118,14 +114,14 @@ def symbol_max_sv(sym: SymbolFunction) -> _tap.TapResult:
     floor = _tap.TOL / 16.0 * norms.max() / math.sqrt(sym.dim)
     cut = int(np.flatnonzero(tails >= floor)[-1]) + 1
     tail = float(tails[cut]) if cut < norms.size else 0.0
-    coeffs = sym.coeffs[live[0]:cut]
+    coeffs, low = sym.coeffs[live[0]:cut], sym.low + int(live[0])
     terms = coeffs.shape[0]
     deg2 = (0.5 * np.pi * (terms - 1)) ** 2 / 2.0    # n^2 (2 pi)^2 / 8
     pad = 2.0 * (terms + sym.dim) * np.finfo(float).eps \
         * float(norms[live[0]:cut].sum())
 
     def fun(t):
-        f = _fir(coeffs, t)
+        f = _fir(coeffs, t, low)
         gram = f.conj().swapaxes(1, 2) @ f
         return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
 
@@ -188,34 +184,6 @@ def normal_symbol_max(pair: StepperPair, grid: GridSpec,
             raise ValueError("fine-propagator power is singular")
         vals = vals * np.abs(lam)
     return float(np.max(vals))
-
-
-def symbol_min_eig(sym: SymbolFunction) -> float:
-    """min over phase of the smallest eigenvalue of a Hermitian-valued symbol;
-    the asymptotic minimum eigenvalue of the assembled operators."""
-
-    def fun(x):
-        m = sym(x)
-        scale = np.maximum(1.0, np.max(np.abs(m), axis=(1, 2)))
-        if np.any(np.max(np.abs(m - m.conj().swapaxes(1, 2)), axis=(1, 2))
-                  > 1e-10 * scale):
-            raise ValueError("symbol is not Hermitian")
-        return np.linalg.eigvalsh(m)[:, 0]
-
-    return _tap._extremum_over_phases(fun, sym.dim, minimize=True)[1]
-
-
-def symbol_coefficients(sym: SymbolFunction, modes: int,
-                        n_quad: int = FOURIER_POINTS) -> dict:
-    """Toeplitz coefficients c_m = (1/2pi) int F(x) e^{-imx} dx recovered by
-    trapezoidal Fourier quadrature, for |m| <= modes."""
-    xs = 2.0 * np.pi * np.arange(n_quad) / n_quad
-    vals = sym(xs)
-    out = {}
-    for m in range(-modes, modes + 1):
-        w = np.exp(-1j * m * xs)
-        out[m] = np.tensordot(w, vals, axes=(0, 0)) / n_quad
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -339,21 +307,49 @@ def t_hat(spec: PinvSpec) -> np.ndarray:
     return tp[0:(n - p) * d, p * d:]
 
 
-def power_symbol(a, b, p: int) -> SymbolFunction:
-    """Hermitian normal-equation symbol F_p(x) = M(x) M(x)^* with
-    M(x) = (-a + b e^{ix})^p."""
-    a = _as_block(a)
-    b = _as_block(b)
+def _power_factors(a, b, p: int):
+    a, b = _as_block(a), _as_block(b)
     if a.shape != b.shape:
         raise ValueError("a and b must share one dimension")
     if p < 1:
         raise ValueError("power must be >= 1")
+    return a, b
 
-    def evaluator(x):
-        m = np.linalg.matrix_power(-a + np.exp(1j * x)[:, None, None] * b, p)
-        return m @ m.conj().swapaxes(1, 2)
 
-    return SymbolFunction(evaluator, "power-normal", a.shape[0])
+def power_symbol(a, b, p: int) -> SymbolFunction:
+    """Hermitian normal-equation symbol F_p(x) = M(x) M(x)^* with
+    M(x) = (-a + b e^{ix})^p = sum_j e^{ijx} M_j: its 2p + 1 blocks
+    sum_{j - l = d} M_j M_l^*, for d from -p."""
+    a, b = _power_factors(a, b, p)
+    m = _tap._power_coeffs(-a, b, p, np.eye(a.shape[0]))
+    prods = m[:, None] @ m.conj().swapaxes(1, 2)     # [j, l] = M_j M_l^*
+    coeffs = np.array([np.diagonal(prods, -d).sum(axis=-1)
+                       for d in range(-p, p + 1)])
+    return SymbolFunction(coeffs, -p)
+
+
+def symbol_min_eig(a, b, p: int = 1) -> _tap.TapResult:
+    """Certified min over phase of lambda_min of the power symbol
+    F_p(x) = M(x) M(x)^*, M(x) = (-a + b e^{ix})^p; the asymptotic minimum
+    eigenvalue of the assembled normal-equation operators.
+
+    On the unit circle -a + bz = z b (I - wA), w = conj(z), A = b^{-1} a, so
+    lambda_min(F_p) = 1 / gamma^2, gamma = max_w sigma_max(((I - wA)^{-1}
+    b^{-1})^p): the TAP's realization with left factor I, which the
+    level-set iteration certifies. value is 1 / gamma^2 at the returned
+    phase; no phase falls below upper = 1 / (gamma (1 + 2 TOL))^2. A
+    singular b, or an eigenvalue of A within POLE_GAP of the unit circle, is
+    a ValueError."""
+    a, b = _power_factors(a, b, p)
+    _check_invertible(b, "b")
+    psi = np.linalg.solve(b, a)
+    if np.any(np.abs(np.abs(np.linalg.eigvals(psi)) - 1.0) < _tap.POLE_GAP):
+        raise ValueError("phase singularity: b^{-1} a has a unit-circle eigenvalue")
+    w, gamma, certified = _tap._hinf(*_tap._tap_realization(
+        psi, np.linalg.inv(b), np.eye(psi.shape[0]), p))
+    return _tap.TapResult(1.0 / gamma**2, None, float(-w % (2.0 * np.pi)),
+                          "level-set", certified,
+                          1.0 / (gamma * (1.0 + 2.0 * _tap.TOL)) ** 2)
 
 
 # ---------------------------------------------------------------------------

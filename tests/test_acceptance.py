@@ -293,7 +293,7 @@ def test_criterion_09_symbol_bounds():
 
     gap_ok = True
     for mu in (0.3, 0.5, 0.8):
-        sym_min = tp.symbol_min_eig(tp.power_symbol(mu, 1.0, 1))
+        sym_min = tp.symbol_min_eig(mu, 1.0, 1).value
         prev = math.inf
         for n in (25, 50, 100, 200):
             gap = float(np.min(tp.tridiag_toeplitz_eigs(mu, n))) - sym_min

@@ -160,7 +160,7 @@ class TestRunExperiment:
             fine={"scheme": "sdirk2", "dt": 2e-3}, k=4, n_time=257,
             relaxations=["FCF"]))
         pair = harness.build_pair(cfg)
-        rows, _ = harness._bound_rows(pair, st.GridSpec(257, 4), "FCF")
+        rows = harness._bound_rows(pair, st.GridSpec(257, 4), "FCF")
         rows = {r["kind"]: r for r in rows}
         bracket = rows["diagonalizable-bracket"]
         assert bracket["certified"]
@@ -174,8 +174,8 @@ class TestRunExperiment:
         cfg = harness.ExperimentConfig.from_dict(base_config(
             n_time=2 * n_coarse - 1, relaxations=[relaxation]))
         pair = harness.build_pair(cfg)
-        rows, _ = harness._bound_rows(pair, st.GridSpec(cfg.n_time, 2),
-                                      relaxation)
+        rows = harness._bound_rows(pair, st.GridSpec(cfg.n_time, 2),
+                                   relaxation)
         bracket = next(r for r in rows
                        if r["kind"] == "diagonalizable-bracket")
         assert bracket["certified"] is certified
@@ -194,7 +194,7 @@ class TestRunExperiment:
         original = tap.tap_constant
         monkeypatch.setattr(tap, "tap_constant",
                             lambda *a: calls.append(a) or original(*a))
-        rows, _ = harness._bound_rows(pair, grid, relaxation)
+        rows = harness._bound_rows(pair, grid, relaxation)
         assert len(calls) == 1
         rows = {r["kind"]: r for r in rows}
         slack = rows["necessary"]["slack_constant"]
@@ -217,10 +217,10 @@ class TestRunExperiment:
         grid = st.GridSpec(17, 2)
         amp, fcf_amp = tap.stability_decay(pair, grid)
         assert fcf_amp is None
-        rows, tap_res = harness._bound_rows(pair, grid, "F")
+        rows = harness._bound_rows(pair, grid, "F")
         rows = {r["kind"]: r for r in rows}
         assert rows["stability-decay"]["lower"] == amp
-        assert rows["sufficient"]["upper"] == tap_res.value * (1 + amp)
+        assert rows["sufficient"]["upper"] == rows["tap"]["lower"] * (1 + amp)
 
     def test_bound_rows_present(self):
         cfg = harness.ExperimentConfig.from_dict(base_config())
@@ -257,7 +257,6 @@ class TestNormalPairPath:
         def refuse(*args, **kwargs):
             raise AssertionError("phase sweep on the normal-pair path")
 
-        monkeypatch.setattr(tap, "_extremum_over_phases", refuse)
         monkeypatch.setattr(tp, "build_symbol", refuse)
         monkeypatch.setattr(tp, "symbol_max_sv", refuse)
 
@@ -335,8 +334,8 @@ class TestNonNormalSymbolRow:
         # the symbol N_c-term sum z^{j+1} (mu - lam^k) mu^j [lam^k] peaks at
         # z mu = 1, which the pole mask of a rational evaluation covered
         pair = raw_pair([[lam]], [[mu]], 2)
-        rows, _ = harness._bound_rows(pair, st.GridSpec(2 * n_coarse - 1, 2),
-                                      relaxation)
+        rows = harness._bound_rows(pair, st.GridSpec(2 * n_coarse - 1, 2),
+                                   relaxation)
         row = next(r for r in rows if r["kind"] == "symbol")
         exact = n_coarse * abs(mu - lam**2)
         if relaxation == "FCF":
@@ -674,7 +673,8 @@ class TestConfigFuzz:
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = cli.main(["run", "--config", path, "--out", tmp,
                                  "--format", "json"])
-            assert code in (0, 1, 2)
+                bounds_code = cli.main(["bounds", "--config", path])
+            assert code in (0, 1, 2) and bounds_code in (0, 1, 2)
             assert "Traceback" not in err.getvalue()
             if code == 2:
                 return
@@ -688,3 +688,15 @@ class TestConfigFuzz:
             best = float(np.max(samples))
             assert best * (1 - 1e-12) <= row["lower"]
             assert best <= row["upper"] * (1 + 1e-12)
+        grid = st.GridSpec(k * (n_coarse - 1) + 1, k)
+        xs = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
+        for relaxation in ("F", "FCF"):
+            rows = {r["kind"]: r for r in rec["bounds"]
+                    if r["relaxation"] == relaxation}
+            symbol = rows.get("symbol")
+            if symbol is None or not symbol["certified"]:
+                continue
+            sym = tp.build_symbol(pair, grid, f"{relaxation}-relaxation")
+            top = float(np.max(np.linalg.svd(sym(xs), compute_uv=False)[:, 0]))
+            assert top <= symbol["upper"] * (1 + 1e-12)
+            assert rows["coarse-norm"]["lower"] <= symbol["upper"] * (1 + 1e-12)

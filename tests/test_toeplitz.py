@@ -128,20 +128,26 @@ class TestSymbols:
         assert tp.symbol_max_sv(sym).upper <= phi * (1 + decay) + 1e-10
 
     def test_min_eig_scalar(self):
-        sym = tp.power_symbol(0.5, 1.0, 1)
-        assert tp.symbol_min_eig(sym) == pytest.approx(0.25, abs=1e-12)
+        res = tp.symbol_min_eig(0.5, 1.0, 1)
+        assert res.certified
+        assert res.value == pytest.approx(0.25, abs=1e-12)
 
-    def test_min_eig_constant_symbol(self):
-        const = np.diag([2.0, 5.0]).astype(complex)
-        sym = tp.SymbolFunction(lambda x: const, "constant", 2)
-        assert tp.symbol_min_eig(sym) == pytest.approx(2.0)
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_min_eig_zero_a(self, p):
+        # F_p = b^p b^p* for every phase; a Hermitian b has
+        # sigma_min(b^p) = sigma_min(b)^p
+        b = np.array([[2.0, 0.5j], [-0.5j, 1.5]])
+        res = tp.symbol_min_eig(np.zeros((2, 2)), b, p)
+        expected = np.linalg.svd(b, compute_uv=False)[-1] ** (2 * p)
+        assert res.certified
+        assert res.value == pytest.approx(expected, rel=1e-14)
+        assert res.upper <= res.value
 
-    def test_min_eig_rejects_non_hermitian(self):
-        sym = tp.SymbolFunction(
-            lambda x: np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex),
-            "bad", 2)
-        with pytest.raises(ValueError, match="Hermitian"):
-            tp.symbol_min_eig(sym)
+    def test_min_eig_rejects_singular_factors(self):
+        with pytest.raises(ValueError, match="singular"):
+            tp.symbol_min_eig(np.eye(2), np.diag([1.0, 0.0]), 2)
+        with pytest.raises(ValueError, match="unit-circle"):
+            tp.symbol_min_eig(np.diag([0.5, 2.0j]), 2.0 * np.eye(2), 1)
 
     def test_stacked_evaluation(self):
         pair = heat_pair(nx=3, dt=0.02, k=2)
@@ -180,14 +186,17 @@ class TestSymbols:
             def fun(xs):
                 m = np.linalg.matrix_power(
                     -a + np.exp(1j * xs)[:, None, None] * b, p)
-                return np.linalg.eigvalsh(m @ m.conj().swapaxes(1, 2))[:, 0]
+                return np.linalg.svd(m, compute_uv=False)[:, -1] ** 2
 
-            value = tp.symbol_min_eig(tp.power_symbol(a, b, p))
-            assert_not_beaten(value, fun, minimize=True)
+            res = tp.symbol_min_eig(a, b, p)
+            assert res.certified and res.method == "level-set"
+            assert_not_beaten(res.value, fun, minimize=True)
+            assert fun(np.array([res.phase]))[0] == pytest.approx(
+                res.value, rel=1e-12)
 
     def test_min_eig_gap_order(self):
         mu = 0.5
-        sym_min = tp.symbol_min_eig(tp.power_symbol(mu, 1.0, 1))
+        sym_min = tp.symbol_min_eig(mu, 1.0, 1).value
         for n in (25, 50, 100, 200):
             lam_min = float(np.min(tp.tridiag_toeplitz_eigs(mu, n)))
             assert 0 < lam_min - sym_min <= np.pi**2 * mu / n**2
@@ -279,11 +288,6 @@ class TestCertifiedSymbol:
         assert res.upper >= top
         assert res.upper <= res.value * (1.0 + tap.TOL)
 
-    def test_needs_coefficients(self):
-        sym = tp.power_symbol(0.5, 1.0, 1)
-        with pytest.raises(ValueError, match="coefficients"):
-            tp.symbol_max_sv(sym)
-
 
 # each k meets three of the four N_c, and each N_c three of the four k
 _N_COARSE = (5, 17, 65, 257)
@@ -364,16 +368,18 @@ class TestPowerSymbol:
         tp_hat = np.linalg.matrix_power(t, p)[: n - p, p:]
         gram = tp_hat @ tp_hat.conj().T
         sym = tp.power_symbol(a, b, p)
-        coeffs = tp.symbol_coefficients(sym, p + 1)
+        assert sym.low == -p and sym.coeffs.shape == (2 * p + 1, 1, 1)
         row = (n - p) // 2
         for m in range(p + 1):
-            assert abs(coeffs[m][0, 0] - gram[row, row + m]) < 1e-11
+            assert abs(sym.coeffs[p + m][0, 0] - gram[row, row + m]) < 1e-11
 
     def test_scalar_min_is_contraction_power(self):
-        for p in (1, 2, 3):
-            sym = tp.power_symbol(0.6, 1.0, p)
-            assert tp.symbol_min_eig(sym) == pytest.approx((1 - 0.6) ** (2 * p),
-                                                           rel=1e-10)
+        for mu in (0.6, -0.3, 0.4 + 0.3j):
+            for p in (1, 2, 3):
+                res = tp.symbol_min_eig(mu, 1.0, p)
+                assert res.certified
+                assert res.value == pytest.approx((1 - abs(mu)) ** (2 * p),
+                                                  rel=1e-14)
 
 
 class TestDiagBounds:

@@ -13,7 +13,6 @@ import csv
 import json
 import math
 import os
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -183,11 +182,8 @@ class ExperimentRecord:
     excluded: list        # (relaxation, norm, iteration) not checked
     violations: list = field(default_factory=list)
 
-    def to_dict(self, include_timing: bool = False) -> dict:
-        meta = dict(self.meta)
-        if not include_timing:
-            meta.pop("wall_time", None)
-        return {"config": self.config, "seed": self.seed, "meta": meta,
+    def to_dict(self) -> dict:
+        return {"config": self.config, "seed": self.seed, "meta": self.meta,
                 "trace": self.trace, "bounds": self.bounds,
                 "excluded": self.excluded, "violations": self.violations}
 
@@ -215,7 +211,12 @@ def _worst_case_error(sys: st.SpaceTimeSystem, w: np.ndarray) -> np.ndarray:
 
 
 def _stability_decay(pair: ops.StepperPair, grid: st.GridSpec):
-    """tap.stability_decay; a Psi^N_c that overflows is a ConfigError."""
+    """tap.stability_decay; a Phi^k or Psi^N_c that overflows is a
+    ConfigError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.isfinite(pair.fine_power).all()
+    if not finite:
+        raise ConfigError(f"Phi^k overflows at k = {pair.k}")
     decay = tap_mod.stability_decay(pair, grid)
     if math.isinf(decay[0]):
         raise ConfigError(f"Psi^N_c overflows at N_c = {grid.n_coarse}")
@@ -230,15 +231,14 @@ def _bound_rows(pair: ops.StepperPair, grid: st.GridSpec, relaxation: str,
     rows = []
     if decay is None:
         decay = _stability_decay(pair, grid)
-    # the FCF factor is None when Phi^k is singular, and FCF then has no
-    # approximation constant either
+    # the FCF factor needs Phi^{-k}: it is None when Phi^k is singular, and
+    # the sufficient bound built on it is left out too
     amp = decay[relaxation == "FCF"]
-    tap_res = None
+    tap_res = tap_mod.tap_constant(pair, relaxation)
+    rows.append({"relaxation": relaxation, "kind": "tap",
+                 "lower": tap_res.value, "upper": tap_res.upper,
+                 "certified": tap_res.certified, "method": tap_res.method})
     if amp is not None:
-        tap_res = tap_mod.tap_constant(pair, relaxation)
-        rows.append({"relaxation": relaxation, "kind": "tap",
-                     "lower": tap_res.value, "upper": tap_res.upper,
-                     "certified": tap_res.certified, "method": tap_res.method})
         rows.append({"relaxation": relaxation, "kind": "sufficient",
                      "lower": 0.0, "upper": tap_res.upper * (1.0 + amp),
                      "certified": tap_res.certified, "method": tap_res.method})
@@ -252,7 +252,7 @@ def _bound_rows(pair: ops.StepperPair, grid: st.GridSpec, relaxation: str,
     if nb.available:
         row = {"relaxation": relaxation, "kind": "necessary",
                "lower": nb.value, "upper": math.inf, "certified": True}
-        if tap_res is not None and nb.value > 0.0:
+        if nb.value > 0.0:
             # the gap to the approximation constant, scaled by sqrt(N_c);
             # none when Psi = Phi^k makes the coarse block zero
             row["slack_constant"] = ((tap_res.value / nb.value - 1.0)
@@ -261,21 +261,17 @@ def _bound_rows(pair: ops.StepperPair, grid: st.GridSpec, relaxation: str,
     rows.append({"relaxation": relaxation, "kind": "coarse-norm",
                  "lower": cnorm.value, "upper": math.inf,
                  "certified": cnorm.certified, "method": cnorm.method})
-    try:
-        # a normal pair's symbol splits into scalar modes with a closed-form
-        # maximum; any other symbol is bounded from its coefficient blocks
-        if pair.normal:
-            upper = tp.normal_symbol_max(pair, grid, relaxation)
-            certified, method = True, "closed-form"
-        else:
-            kind = "F-relaxation" if relaxation == "F" else "FCF-relaxation"
-            res = tp.symbol_max_sv(tp.build_symbol(pair, grid, kind))
-            upper, certified, method = res.upper, res.certified, res.method
-        rows.append({"relaxation": relaxation, "kind": "symbol",
-                     "lower": 0.0, "upper": upper, "certified": certified,
-                     "method": method})
-    except ValueError:
-        pass
+    # a normal pair's symbol splits into scalar modes with a closed-form
+    # maximum; any other symbol is bounded from its coefficient blocks
+    if pair.normal:
+        upper = tp.normal_symbol_max(pair, grid, relaxation)
+        certified, method = True, "closed-form"
+    else:
+        res = tp.symbol_max_sv(tp.build_symbol(pair, grid, relaxation))
+        upper, certified, method = res.upper, res.certified, res.method
+    rows.append({"relaxation": relaxation, "kind": "symbol",
+                 "lower": 0.0, "upper": upper, "certified": certified,
+                 "method": method})
     if pair.shared_eig is not None:
         # a mode's FCF block is |lambda^k| times its F block at N_c - 1
         n_bracket = grid.n_coarse - (relaxation == "FCF")
@@ -290,7 +286,6 @@ def _bound_rows(pair: ops.StepperPair, grid: st.GridSpec, relaxation: str,
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentRecord:
-    t0 = time.perf_counter()
     pair = build_pair(cfg)
     grid = st.GridSpec(cfg.n_time, cfg.k)
     sys = st.assemble_system(pair, grid)
@@ -346,8 +341,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentRecord:
 
     meta = {"dim": sys.dim, "n_coarse": grid.n_coarse,
             "spatial_dim": pair.dim, "commuting": bool(pair.commuting),
-            "normal": pair.normal,
-            "wall_time": time.perf_counter() - t0}
+            "normal": pair.normal}
     rec = ExperimentRecord(config=cfg.raw, seed=cfg.seed, meta=meta,
                            trace=trace, bounds=bounds, excluded=excluded)
     rec.violations = check_bounds(cfg, rec)
@@ -577,8 +571,7 @@ def verify_suite(filter_name: str | None = None) -> list:
                                  attach_eig=False)
             for relaxation in ("F", "FCF"):
                 closed = tp.normal_symbol_max(pair, grid, relaxation)
-                res = tp.symbol_max_sv(tp.build_symbol(
-                    bare, grid, f"{relaxation}-relaxation"))
+                res = tp.symbol_max_sv(tp.build_symbol(bare, grid, relaxation))
                 ok = ok and res.certified
                 worst = max(worst, abs(res.upper - closed) / closed)
         results.append(_check("symbol-closed-form", ok and worst <= 1e-11,
@@ -599,17 +592,29 @@ def verify_suite(filter_name: str | None = None) -> list:
         results.append(_check("sandwich", ok, margin))
 
     if want("coarse-norm-lanczos"):
+        # the coarse norm, and the necessary bound at p = 2 on both sides,
+        # through the matrix-free operator against the dense block
         worst, ok = 0.0, True
         for _ in range(3):
             pair, grid = _random_pair(rng, n_coarse=33)
             bare = ops.make_pair(pair.fine, pair.coarse, pair.k,
                                  attach_eig=False)
-            cgc_res, _, relax = st.coarse_defect_blocks(bare, grid)
-            for relaxation, block in (("F", cgc_res), ("FCF", cgc_res @ relax)):
-                dense = float(np.linalg.svd(block, compute_uv=False)[0])
+            cgc_res, cgc_err, relax = st.coarse_defect_blocks(bare, grid)
+            for relaxation in ("F", "FCF"):
+                blocks = {"residual": cgc_res, "error": cgc_err}
+                if relaxation == "FCF":
+                    blocks = {side: b @ relax for side, b in blocks.items()}
+                dense = float(np.linalg.svd(blocks["residual"],
+                                            compute_uv=False)[0])
                 res = st.coarse_norm(bare, grid, relaxation)
                 ok = ok and res.certified and res.upper >= dense
                 worst = max(worst, abs(res.value - dense) / dense)
+                for side, block in blocks.items():
+                    dense = float(np.linalg.svd(ops.matrix_power(block, 2),
+                                                compute_uv=False)[0])
+                    nb = tp.necessary_lower_bound(bare, grid, relaxation, 2,
+                                                  side)
+                    worst = max(worst, abs(nb.value - dense) / dense)
         results.append(_check("coarse-norm-lanczos", ok and worst <= 1e-12,
                               1e-12 - worst))
 

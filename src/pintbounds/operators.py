@@ -300,6 +300,21 @@ class StepperPair:
         return self.coarse.matrix - self.fine_power
 
 
+def coarse_factors(pair: StepperPair, relaxation: str, side: str):
+    """(L, R) with G(z) = L (I - z Psi)^{-1} R the generating function of the
+    coarse-level propagation block, up to its leading power of z and its
+    sign: (D, M) on the residual side and (I, D M) on the error side, with
+    D = Psi - Phi^k and M = I for F-relaxation, Phi^k for FCF."""
+    if relaxation not in ("F", "FCF"):
+        raise ValueError(f"unknown relaxation {relaxation!r}")
+    if side not in ("residual", "error"):
+        raise ValueError(f"unknown side {side!r}")
+    m = pair.fine_power if relaxation == "FCF" else np.eye(pair.dim)
+    if side == "residual":
+        return pair.coarse_defect, m
+    return np.eye(pair.dim), pair.coarse_defect @ m
+
+
 def make_pair(fine: Stepper, coarse: Stepper, k: int,
               attach_eig: bool = True) -> StepperPair:
     phi, psi = fine.matrix, coarse.matrix

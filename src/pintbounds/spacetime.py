@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import StepperPair, matrix_power
+from .operators import StepperPair, coarse_factors, matrix_power
 from .tap import TOL
 from .tridiag import bidiagonal_gram, tridiag_min_eig
 
@@ -194,6 +194,21 @@ def _mode_grams(mu: np.ndarray, n: int):
                            np.ones((mu.size, n)))
 
 
+def block_rows(grid: GridSpec, relaxation: str, p: int = 1) -> int:
+    """The order n of the section T_n(G^p) whose norm is that of the p-th
+    power of the coarse block. With s = 1 for F and 2 for FCF the block is
+    T_{N_c}(z^s G), G = L (I - z Psi)^{-1} R (coarse_factors), and products
+    of lower block-Toeplitz sections are exact, so its p-th power is
+    T_{N_c}(z^{sp} G^p): zero first sp block rows and last sp block columns
+    around T_n(G^p), n = N_c - s p. n is 0 where the power is zero, also
+    for FCF at k = 1, which has no F-points."""
+    if relaxation not in ("F", "FCF"):
+        raise ValueError(f"unknown relaxation {relaxation!r}")
+    if relaxation == "FCF" and grid.k == 1:
+        return 0
+    return max(grid.n_coarse - (1 if relaxation == "F" else 2) * p, 0)
+
+
 def mode_norms(pair: StepperPair, grid: GridSpec, relaxation: str) -> np.ndarray:
     """Norms of the per-mode residual-side coarse blocks of a pair whose
     shared eigenbasis U is unitary. The dense block of coarse_defect_blocks is
@@ -208,12 +223,10 @@ def mode_norms(pair: StepperPair, grid: GridSpec, relaxation: str) -> np.ndarray
     block at N_c - 1, and zero when k = 1 (no F-points). This is
     CoarseOperator with 1 x 1 blocks, one per mode, and needs no dense
     block."""
-    if relaxation not in ("F", "FCF"):
-        raise ValueError(f"unknown relaxation {relaxation!r}")
+    n = block_rows(grid, relaxation)
     eig = pair.shared_eig
     lam, mu = eig.fine_values ** pair.k, eig.coarse_values
-    n = grid.n_coarse - (1 if relaxation == "F" else 2)
-    if n == 0 or (relaxation == "FCF" and grid.k == 1):
+    if n == 0:
         return np.zeros(mu.size)
     norms = np.abs(lam - mu) / np.sqrt(tridiag_min_eig(*_mode_grams(mu, n)))
     return norms if relaxation == "F" else np.abs(lam) * norms
@@ -236,10 +249,10 @@ def coarse_norm(pair: StepperPair, grid: GridSpec, relaxation: str,
     leading right singular vector. Per mode when the pair has a unitary
     shared eigenbasis, otherwise matrix-free by Golub-Kahan-Lanczos with a
     block LDL* certificate (_lanczos_norm); no dense block is built."""
-    if relaxation not in ("F", "FCF"):
-        raise ValueError(f"unknown relaxation {relaxation!r}")
+    n = block_rows(grid, relaxation)
     if not pair.normal:
-        return _lanczos_norm(CoarseOperator(pair, grid, relaxation),
+        lft, rgt = coarse_factors(pair, relaxation, "residual")
+        return _lanczos_norm(CoarseOperator(pair.coarse.matrix, rgt, lft, n),
                              grid.n_coarse * pair.dim, with_vector)
     eig = pair.shared_eig
     norms = mode_norms(pair, grid, relaxation)
@@ -249,7 +262,7 @@ def coarse_norm(pair: StepperPair, grid: GridSpec, relaxation: str,
         return CoarseNorm(value, value, True, "per-mode", None)
     # mode m's block is zero past its first n columns, where its right
     # singular vector is the eigenvector of C C^* at lambda_min
-    n = max(grid.n_coarse - (1 if relaxation == "F" else 2), 1)
+    n = max(n, 1)
     diag, off = _mode_grams(eig.coarse_values[m:m + 1], n)
     gram = np.diag(diag[0]) + np.diag(off[0], 1) + np.diag(off[0].conj(), -1)
     v = np.zeros(grid.n_coarse, dtype=complex)
@@ -259,31 +272,28 @@ def coarse_norm(pair: StepperPair, grid: GridSpec, relaxation: str,
 
 
 class CoarseOperator:
-    """K = (I_n x D) B_n^{-1} (I_n x M), the residual-side coarse block past
-    its zero first block row and its zero last block column (two of them
-    for FCF): D = Psi - Phi^k, B_n block unit lower bidiagonal of order n
-    with -Psi below the diagonal, and (M, n) = (I, N_c - 1) for F,
-    (Phi^k, N_c - 2) for FCF. n is 0 where the block is zero: FCF at k = 1
-    has no F-points."""
+    """K = T_n(c (I - z a)^{-1} b), the lower block-Toeplitz section of order
+    n with blocks c a^j b below and on the diagonal: K = (I_n x c) B_n^{-1}
+    (I_n x b), B_n block unit lower bidiagonal with -a below the diagonal.
+    The residual-side coarse block past its zero first block row and its
+    zero last block column (two of them for FCF) is (a, b, c) = (Psi, M, D)
+    at n = block_rows; its p-th power is a realization of G^p
+    (tap._tap_realization) at n = block_rows(grid, relaxation, p). n is 0
+    where the block is zero."""
 
-    def __init__(self, pair: StepperPair, grid: GridSpec, relaxation: str):
-        self.psi, self.defect = pair.coarse.matrix, pair.coarse_defect
-        if relaxation == "F":
-            self.m, self.n = np.eye(pair.dim), grid.n_coarse - 1
-        else:
-            self.m = pair.fine_power
-            self.n = grid.n_coarse - 2 if grid.k >= 2 else 0
-        # Psi^(2^l) for 2^l < n, transposed for blocks held as rows
-        powers = [self.psi.T]
-        while 2 ** len(powers) < self.n:
+    def __init__(self, a: np.ndarray, b: np.ndarray, c: np.ndarray, n: int):
+        self.a, self.b, self.c, self.n = a, b, c, n
+        # a^(2^l) for 2^l < n, transposed for blocks held as rows
+        powers = [a.T]
+        while 2 ** len(powers) < n:
             powers.append(powers[-1] @ powers[-1])
         self._down = powers
         self._up = [p.conj().T for p in powers]
 
     def _solve(self, rhs: np.ndarray, adjoint: bool) -> np.ndarray:
         """B_n^{-1} rhs, or B_n^{-*} rhs, for rhs with one block per row: the
-        prefix sums y_i = sum_{j <= i} Psi^{i-j} rhs_j (the suffix sums with
-        Psi^* for the adjoint) in log2(n) doubling steps of one product each."""
+        prefix sums y_i = sum_{j <= i} a^{i-j} rhs_j (the suffix sums with
+        a^* for the adjoint) in log2(n) doubling steps of one product each."""
         y = (rhs[::-1] if adjoint else rhs).astype(complex)
         for level, power in enumerate(self._up if adjoint else self._down):
             shift = 1 << level
@@ -294,38 +304,38 @@ class CoarseOperator:
         """K x, or K^* x with adjoint."""
         xb = x.reshape(self.n, -1)
         if adjoint:
-            return (self._solve(xb @ self.defect.conj(), True)
-                    @ self.m.conj()).ravel()
-        return (self._solve(xb @ self.m.T, False) @ self.defect.T).ravel()
+            return (self._solve(xb @ self.c.conj(), True)
+                    @ self.b.conj()).ravel()
+        return (self._solve(xb @ self.b.T, False) @ self.c.T).ravel()
 
     def definite(self, s: float) -> bool:
         """Whether s I - K^* K is positive definite: a block LDL* of it from
-        its last block, by the backward recursion P = Q - D^* D,
-        H = s I + M^* P M = L L^*, G = L^{-1} M^* P Psi,
-        Q <- Psi^* P Psi - G^* G from Q = 0, a finite-horizon bounded-real
+        its last block, by the backward recursion P = Q - c^* c,
+        H = s I + b^* P b = L L^*, G = L^{-1} b^* P a,
+        Q <- a^* P a - G^* G from Q = 0, a finite-horizon bounded-real
         Riccati recursion. The n pivots H are its Schur complements, so by
         Sylvester's law of inertia it is positive definite exactly when every
-        Cholesky factorization succeeds. No inverse of Psi, Phi^k or D is
-        taken. numpy's Cholesky passes NaN through, so a pivot that overflows
-        fails the test too."""
+        Cholesky factorization succeeds. No inverse of a, b or c is taken.
+        numpy's Cholesky passes NaN through, so a pivot that overflows fails
+        the test too."""
         if not (s > 0.0 and math.isfinite(s)):
             return False
-        psi, m = self.psi, self.m
-        dd = self.defect.conj().T @ self.defect
-        eye = np.eye(psi.shape[0])
-        q = np.zeros_like(dd)
+        a, b = self.a, self.b
+        cc = self.c.conj().T @ self.c
+        eye = np.eye(b.shape[1])
+        q = np.zeros_like(cc)
         for i in range(self.n):
-            p = q - dd
-            mp = m.conj().T @ p
+            p = q - cc
+            bp = b.conj().T @ p
             try:
-                chol = np.linalg.cholesky(s * eye + mp @ m)
+                chol = np.linalg.cholesky(s * eye + bp @ b)
             except np.linalg.LinAlgError:
                 return False
             if not np.isfinite(chol).all():
                 return False
             if i < self.n - 1:
-                g = np.linalg.solve(chol, mp @ psi)
-                q = psi.conj().T @ p @ psi - g.conj().T @ g
+                g = np.linalg.solve(chol, bp @ a)
+                q = a.conj().T @ p @ a - g.conj().T @ g
         return True
 
 
@@ -365,7 +375,7 @@ def _lanczos_norm(op: CoarseOperator, size: int,
     continues, and the result is uncertified when no pass succeeds by step
     n N_x, where the Krylov space is the whole space. A block that
     overflows gives an infinite, uncertified value."""
-    dim = op.n * op.psi.shape[0]
+    dim = op.n * op.b.shape[1]
     vector = np.zeros(size, dtype=complex)
     vector[0] = 1.0       # attains a zero norm
 
@@ -373,7 +383,7 @@ def _lanczos_norm(op: CoarseOperator, size: int,
         return CoarseNorm(value, value * (1.0 + 2.0 * TOL), certified,
                           "lanczos", vector if with_vector else None)
 
-    if not (dim and op.defect.any() and op.m.any()):
+    if not (dim and op.c.any() and op.b.any()):
         return result(0.0, True)
     rng = np.random.default_rng(LANCZOS_SEED)
     vs = np.zeros((min(dim, 32), dim), dtype=complex)

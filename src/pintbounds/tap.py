@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import StepperPair, ill_conditioned, matrix_power
+from .operators import StepperPair, coarse_factors, ill_conditioned, matrix_power
 
 STACK_ENTRIES = 2**18  # most matrix entries one stacked evaluation holds
 
@@ -38,11 +38,6 @@ class TapResult:
 
 def _as_matrix(psi) -> np.ndarray:
     return psi.matrix if hasattr(psi, "matrix") else np.asarray(psi, dtype=complex)
-
-
-def _check_relaxation(relaxation: str):
-    if relaxation not in ("F", "FCF"):
-        raise ValueError(f"unknown relaxation {relaxation!r}")
 
 
 def _evaluate(fun, xs: np.ndarray, entries: int) -> np.ndarray:
@@ -210,7 +205,8 @@ def _hinf(a, b, c, skip=None):
     does the best phase: where it is a local minimum, as 0 and pi can be, the
     level's two crossings near it are nearly tangent and may be missed. The
     result is certified when the proof is reached within LEVEL_ROUNDS with
-    exact crossings and not on the flank of a pole."""
+    exact crossings and not on the flank of a pole; a maximum beyond the
+    floating-point range is infinite and uncertified."""
     edges = np.empty(0)
     if skip is not None:
         centre, half = skip.arcs()
@@ -245,7 +241,9 @@ def _hinf(a, b, c, skip=None):
         if gamma <= level:
             certified = exact and not _on_pole_flank(a, b, c, skip, x, gamma)
             break
-    return x, math.ldexp(gamma, eb + ec), certified
+    with np.errstate(over="ignore"):
+        gamma = float(np.ldexp(gamma, eb + ec))
+    return x, gamma, certified and math.isfinite(gamma)
 
 
 def _unit(m: np.ndarray):
@@ -277,18 +275,21 @@ def _on_pole_flank(a, b, c, skip, x: float, gamma: float) -> bool:
     return bool(gamma > (1.0 + 2.0 * TOL) * _gain(a, b, c, beyond).max())
 
 
-def _tap_realization(psi, m, left, p: int):
-    """(A, B, C) with C (I - zA)^{-1} B = left ((I - z psi)^{-1} m)^p: the
-    state stacks the p partial products, so A = (I - S)^{-1} (I_p x psi),
-    B = (I - S)^{-1} E_1 m and C = left E_p^T, with m on the block subdiagonal
-    of S."""
-    n = psi.shape[0]
+def _tap_realization(psi, m, left, p: int, link=None):
+    """(A, B, C) with C (I - zA)^{-1} B = left ((I - z psi)^{-1} link)^{p-1}
+    (I - z psi)^{-1} m, link = m by default: the state stacks the p partial
+    products, so A = (I - S)^{-1} (I_p x psi), B = (I - S)^{-1} E_1 m and
+    C = left E_p^T, with link on the block subdiagonal of S. I - S is block
+    unit lower bidiagonal, and block forward substitution applies its inverse
+    by products; a pivoted solve would lose the small blocks next to a large
+    link."""
     blocks = np.eye(p)
-    lhs = np.eye(p * n) - np.kron(np.eye(p, k=-1), m)
-    a = np.linalg.solve(lhs, np.kron(blocks, psi))
-    b = np.linalg.solve(lhs, np.kron(blocks[:, :1], m))
-    c = np.kron(blocks[-1:], left)
-    return a, b, c
+    link = m if link is None else link
+    a, b = [np.kron(blocks[:1], psi)], [m]
+    for i in range(1, p):
+        a.append(np.kron(blocks[i:i + 1], psi) + link @ a[-1])
+        b.append(link @ b[-1])
+    return np.vstack(a), np.vstack(b), np.kron(blocks[-1:], left)
 
 
 def tap_constant(pair: StepperPair, relaxation: str = "F",
@@ -302,24 +303,24 @@ def tap_constant(pair: StepperPair, relaxation: str = "F",
     whose maximizer is the top right singular vector at the best phase
     mapped through denominator(x)^{-p}.
     """
-    _check_relaxation(relaxation)
     if p < 1:
         raise ValueError("power must be >= 1")
-    if relaxation == "FCF" and ill_conditioned(pair.fine_power_sv):
-        raise ValueError("fine-propagator power is singular; FCF constant undefined")
     if pair.normal:
         res = teap_constant(pair, relaxation)
         value = res.value ** p
         return TapResult(value, res.maximizer, res.phase, "eigenvalue", True,
                          value)
 
-    m = pair.fine_power if relaxation == "FCF" else np.eye(pair.dim)
-    a, b, c = _tap_realization(pair.coarse.matrix, m,
-                               matrix_power(pair.coarse_defect, p), p)
+    lft, rgt = coarse_factors(pair, relaxation, "residual")
+    a, b, c = _tap_realization(pair.coarse.matrix, rgt, matrix_power(lft, p), p)
     x, gamma, certified = _hinf(a, b, c, _psi_poles(pair))
+    if math.isinf(gamma):   # beyond the floating-point range
+        return TapResult(gamma, None, x, "level-set", False, gamma)
     state = np.linalg.solve(np.eye(a.shape[0]) - np.exp(1j * x) * a, b)
     _, _, vh = np.linalg.svd(c @ state)
     v = state[-pair.dim:] @ vh[0].conj()
+    if not v.any():     # B = 0 (Phi^k = 0): every vector attains the zero
+        v = vh[0].conj()
     v /= np.linalg.norm(v)
     return TapResult(gamma, v, x, "level-set", certified,
                      gamma * (1.0 + 2.0 * TOL))
@@ -327,23 +328,18 @@ def tap_constant(pair: StepperPair, relaxation: str = "F",
 
 def itap_constant(pair: StepperPair, relaxation: str = "F") -> TapResult:
     """max_x sigma_max((I - e^{ix} Psi)^{-1} (Psi - Phi^k) [Phi^k])."""
-    _check_relaxation(relaxation)
+    lft, rgt = coarse_factors(pair, relaxation, "error")
     if _psi_poles(pair) is not None:
         raise ValueError("phase singularity: coarse stepper has a unit-circle eigenvalue")
-    if relaxation == "FCF" and ill_conditioned(pair.fine_power_sv):
-        raise ValueError("fine-propagator power is singular; FCF constant undefined")
-    psi = pair.coarse.matrix
-    tail = pair.coarse_defect
-    if relaxation == "FCF":
-        tail = tail @ pair.fine_power
-    x, gamma, certified = _hinf(psi, tail, np.eye(pair.dim))
+    x, gamma, certified = _hinf(pair.coarse.matrix, rgt, lft)
     return TapResult(gamma, None, x, "level-set", certified,
                      gamma * (1.0 + 2.0 * TOL))
 
 
 def teap_constant(pair: StepperPair, relaxation: str = "F") -> TapResult:
     """max_i |mu_i - lambda_i^k| (|lambda_i^k| for FCF) / (1 - |mu_i|)."""
-    _check_relaxation(relaxation)
+    if relaxation not in ("F", "FCF"):
+        raise ValueError(f"unknown relaxation {relaxation!r}")
     e = pair.shared_eig
     if e is None:
         raise ValueError("eigenvalue constant needs a shared eigendecomposition")

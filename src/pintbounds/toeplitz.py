@@ -4,8 +4,8 @@ and the convergence-bound formulas built on them.
 Covers the symbol-side norm predictors (certified max singular value / min
 eigenvalue over phase of symbols held as coefficient blocks), explicit
 pseudoinverses of the structured strictly-lower block-Toeplitz operators and
-their powers, the two-sided diagonalizable-case convergence brackets, and the
-time-dependent tridiagonal reduction.
+their powers, the two-sided diagonalizable-case convergence brackets, the
+time-dependent tridiagonal reduction, and the necessary lower bound.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import StepperPair, ill_conditioned, matrix_power
+from .operators import StepperPair, coarse_factors, ill_conditioned, matrix_power
 from .spacetime import GridSpec
 from .tridiag import bidiagonal_gram, gershgorin_min, tridiag_min_eig
 from . import spacetime as _st
@@ -24,8 +24,6 @@ from . import tap as _tap
 BRACKET_MIN_N = 10     # smallest N_c for which the bracket is proven
 BISECT_ROUNDS = 40     # most bisection rounds of a certified symbol maximum
 BISECT_CELLS = 1024    # most phase cells one bisection round may split
-
-SYMBOL_KINDS = ("F-relaxation", "FCF-relaxation", "error-side-F", "error-side-FCF")
 
 
 # ---------------------------------------------------------------------------
@@ -60,26 +58,16 @@ def _fir(coeffs: np.ndarray, turns: np.ndarray, low: int) -> np.ndarray:
     return (z @ coeffs.reshape(n, d * d)).reshape(-1, d, d)
 
 
-def build_symbol(pair: StepperPair, grid: GridSpec, kind: str) -> SymbolFunction:
+def build_symbol(pair: StepperPair, grid: GridSpec, relaxation: str,
+                 side: str = "residual") -> SymbolFunction:
     """Generating function of the assembled coarse-level propagation block.
 
     It is the polynomial z (I - z^{N_c} Psi^{N_c}) (I - z Psi)^{-1} =
-    sum_{j < N_c} z^{j+1} Psi^j on either side of the defect: F(z) =
-    sum_j z^{j+1} L Psi^j R with (L, R) = (Psi - Phi^k, M) on the residual
-    side and (I, (Psi - Phi^k) M) on the error side, M = I for F and Phi^k
-    for FCF."""
-    if kind not in SYMBOL_KINDS:
-        raise ValueError(f"unknown symbol kind {kind!r}")
+    sum_{j < N_c} z^{j+1} Psi^j between the factors (L, R) of
+    operators.coarse_factors: F(z) = sum_j z^{j+1} L Psi^j R."""
+    lft, rgt = coarse_factors(pair, relaxation, side)
     psi = pair.coarse.matrix
-    defect = pair.coarse_defect
-    d = psi.shape[0]
-    fcf = kind in ("FCF-relaxation", "error-side-FCF")
-    if fcf and ill_conditioned(pair.fine_power_sv):
-        raise ValueError("fine-propagator power is singular")
-    m = pair.fine_power if fcf else np.eye(d)
-    lft, rgt = (np.eye(d), defect @ m) if kind.startswith("error") \
-        else (defect, m)
-    coeffs = np.empty((grid.n_coarse, d, d), dtype=complex)
+    coeffs = np.empty((grid.n_coarse,) + psi.shape, dtype=complex)
     coeffs[0] = rgt
     for j in range(1, grid.n_coarse):
         coeffs[j] = psi @ coeffs[j - 1]
@@ -105,8 +93,14 @@ def symbol_max_sv(sym: SymbolFunction) -> _tap.TapResult:
     bisected. upper is that bound with every sample raised by a pad for the
     rounding of its evaluation. The result is certified when every cell
     settles within BISECT_ROUNDS rounds of at most BISECT_CELLS splits, and
-    upper is within TOL of the value."""
-    norms = np.linalg.norm(sym.coeffs, axis=(1, 2))
+    upper is within TOL of the value. Blocks whose norms sum to 1e154 or
+    more could overflow the Gram matrices, and give an infinite, uncertified
+    upper."""
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(sym.coeffs, axis=(1, 2))
+    if not norms.sum() < 1e154:
+        # the Gram matrices of the evaluated symbol would overflow
+        return _tap.TapResult(math.inf, None, 0.0, "bernstein", False, math.inf)
     live = np.flatnonzero(norms)
     if live.size == 0:
         return _tap.TapResult(0.0, None, 0.0, "bernstein", True, 0.0)
@@ -180,8 +174,6 @@ def normal_symbol_max(pair: StepperPair, grid: GridSpec,
     vals = (np.abs(eig.coarse_values - lam)
             * (1.0 - mu_abs ** grid.n_coarse) / (1.0 - mu_abs))
     if relaxation == "FCF":
-        if ill_conditioned(pair.fine_power_sv):
-            raise ValueError("fine-propagator power is singular")
         vals = vals * np.abs(lam)
     return float(np.max(vals))
 
@@ -522,31 +514,6 @@ def timedep_exact_norm(spec: TimeDepSpec):
 # ---------------------------------------------------------------------------
 # necessary lower bounds on propagator norms
 
-def _mode_t_hat_min_sv(mu: np.ndarray, lam_k: np.ndarray, relaxation: str,
-                       side: str, n: int, p: int) -> float:
-    """Smallest singular value of t_hat for a pair with a unitary shared
-    eigenbasis (Psi eigenvalues mu, Phi^k eigenvalues lam_k): t_hat is
-    unitarily similar to the direct sum of its scalar per-mode versions, whose
-    T0 is upper bidiagonal with diagonal -f/(h g) and superdiagonal 1/(h g).
-    Only for p >= 2: the Gram matrix of T0^p is then banded, not tridiagonal."""
-    defect = mu - lam_k
-    one = np.ones_like(mu)
-    if side == "residual":
-        g, h = defect, one if relaxation == "F" else lam_k
-    else:
-        g, h = one, defect if relaxation == "F" else defect * lam_k
-    hg = h * g
-    t0 = np.zeros((mu.size, n, n), dtype=complex)
-    idx = np.arange(n)
-    t0[:, idx, idx] = (-mu / hg)[:, None]
-    t0[:, idx[:-1], idx[1:]] = (1.0 / hg)[:, None]
-    power = t0
-    for _ in range(p - 1):
-        power = power @ t0
-    sv = np.linalg.svd(power[:, :n - p, p:], compute_uv=False)
-    return float(np.min(sv[:, -1]))
-
-
 @dataclass(frozen=True)
 class NecessaryBound:
     value: float
@@ -558,69 +525,33 @@ def necessary_lower_bound(pair: StepperPair, grid: GridSpec,
                           relaxation: str = "F", p: int = 1,
                           side: str = "residual", *,
                           coarse_norm: float | None = None) -> NecessaryBound:
-    """Certified lower bound on the norm of the p-th power of the coarse-level
-    propagation block, through the minimum singular value of the structured
-    pseudoinverse's invertible Toeplitz sub-block. At p = 1 it is exact: the
-    residual-side coarse-block norm itself, taken from coarse_norm when the
-    caller already has it, and also the error-side one when the steppers
-    commute, because the two blocks then coincide; it inverts nothing, so a
-    singular D, Psi or Phi^k leaves it available. Only the assembled
-    sub-block of the other cases is subject to the dense cap."""
-    if relaxation not in ("F", "FCF"):
-        raise ValueError(f"unknown relaxation {relaxation!r}")
-    if side not in ("residual", "error"):
-        raise ValueError(f"unknown side {side!r}")
+    """Lower bound on the norm of the p-th power of the coarse-level
+    propagation block X on either side: ||X^p|| = ||T_n(G^p)||,
+    n = block_rows(grid, relaxation, p), by Golub-Kahan-Lanczos on a
+    realization of G^p with state dimension p N_x. A Ritz value is attained
+    by its Ritz vector, so it never exceeds the norm, and Lanczos runs until
+    the LDL* certificate of _lanczos_norm puts the norm within 2 TOL of it
+    or the Krylov space is the whole space. It inverts nothing, so a
+    singular D, Psi or Phi^k leaves it available. At p = 1 it is the
+    residual-side coarse norm, taken from coarse_norm when the caller
+    already has it, and also the error-side one when the steppers commute,
+    because the two blocks then coincide. It is unavailable only where X^p
+    is zero: n = 0."""
+    if p < 1:
+        raise ValueError("power must be >= 1")
+    lft, rgt = coarse_factors(pair, relaxation, side)
     if relaxation == "FCF" and grid.k == 1:
         return NecessaryBound(0.0, False, "FCF relaxation at k = 1 is a "
                               "sequential solve; the coarse block is zero")
-    # the offset-2 FCF block to the p-th power equals a zero-padded p-th power
-    # of the offset-1 family with p fewer block rows
-    n_eff = grid.n_coarse if relaxation == "F" else grid.n_coarse - p
-    if p >= n_eff / 2:
+    n = _st.block_rows(grid, relaxation, p)
+    if n == 0:
         return NecessaryBound(0.0, False,
                               "too few coarse points for the requested power")
     if p == 1 and (side == "residual" or pair.commuting):
-        # the block's pseudoinverse is t_hat padded with zeros, so
-        # 1/sigma_min(t_hat) is the block norm, which coarse_norm computes
-        # without assembling or inverting anything
         if coarse_norm is None:
             coarse_norm = _st.coarse_norm(pair, grid, relaxation).value
         return NecessaryBound(float(coarse_norm), True)
-    psi = pair.coarse.matrix
-    phik = pair.fine_power
-    defect = pair.coarse_defect
-    eig = pair.shared_eig
-    if pair.normal:
-        # singular values of normal matrices are their eigenvalue moduli
-        lam_k = eig.fine_values ** pair.k
-        defect_sv = np.abs(eig.coarse_values - lam_k)
-    else:
-        defect_sv = np.linalg.svd(defect, compute_uv=False)
-    if ill_conditioned(defect_sv):
-        return NecessaryBound(0.0, False,
-                              "coarse defect singular; pseudoinverse path unavailable")
-    if relaxation == "FCF":
-        if ill_conditioned(pair.fine_power_sv):
-            return NecessaryBound(0.0, False,
-                                  "fine-propagator power singular")
-        if p > 1 and not pair.commuting:
-            return NecessaryBound(0.0, False,
-                                  "FCF power bound needs commuting steppers")
-    if not pair.normal and ill_conditioned(np.linalg.svd(psi, compute_uv=False)):
-        return NecessaryBound(0.0, False, "coarse stepper singular; "
-                              "pseudoinverse path unavailable")
-    if not pair.normal and grid.n_coarse * psi.shape[0] > _st.DENSE_CAP:
-        return NecessaryBound(0.0, False, "exceeds dense cap")
-    if pair.normal:
-        sigma = _mode_t_hat_min_sv(eig.coarse_values, lam_k, relaxation, side,
-                                   n_eff, p)
-    else:
-        eye = np.eye(psi.shape[0], dtype=complex)
-        if side == "residual":
-            g, h = defect, eye if relaxation == "F" else phik
-        else:
-            g = eye
-            h = defect if relaxation == "F" else defect @ phik
-        spec = PinvSpec(psi, g, h, n_eff, p)
-        sigma = np.linalg.svd(t_hat(spec), compute_uv=False)[-1]
-    return NecessaryBound(float(1.0 / sigma), True)
+    a, b, c = _tap._tap_realization(pair.coarse.matrix, rgt, lft, p,
+                                    rgt @ lft)
+    op = _st.CoarseOperator(a, b, c, n)
+    return NecessaryBound(_st._lanczos_norm(op, n * pair.dim, False).value, True)

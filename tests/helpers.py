@@ -3,6 +3,7 @@
 import numpy as np
 
 from pintbounds import operators as ops
+from pintbounds import spacetime as st
 from pintbounds import tap
 
 
@@ -70,6 +71,14 @@ def rotating_pair(k=2):
     fine = ops.build_stepper(spatial, ops.SchemeSpec("backward-euler", 0.1))
     coarse = ops.build_stepper(spatial, ops.SchemeSpec("backward-euler", 0.1 * k))
     return ops.make_pair(fine, coarse, k)
+
+
+def dense_block(pair, grid, relaxation, side="residual"):
+    """The assembled coarse-level propagation block of one relaxation and
+    side."""
+    cgc_res, cgc_err, relax = st.coarse_defect_blocks(pair, grid)
+    block = cgc_res if side == "residual" else cgc_err
+    return block @ relax if relaxation == "FCF" else block
 
 
 def phase_oracle(fun, minimize=False, samples=4096):

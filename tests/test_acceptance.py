@@ -281,12 +281,13 @@ def test_criterion_09_symbol_bounds():
         for nc in (8, 16, 32, 64):
             grid = st.GridSpec(pair.k * (nc - 1) + 1, pair.k)
             cgc_res, cgc_err, relax = st.coarse_defect_blocks(pair, grid)
-            assembled = {"F-relaxation": cgc_res,
-                         "FCF-relaxation": cgc_res @ relax,
-                         "error-side-F": cgc_err,
-                         "error-side-FCF": cgc_err @ relax}
-            for kind, block in assembled.items():
-                bound = tp.symbol_max_sv(tp.build_symbol(pair, grid, kind)).upper
+            assembled = {("F", "residual"): cgc_res,
+                         ("FCF", "residual"): cgc_res @ relax,
+                         ("F", "error"): cgc_err,
+                         ("FCF", "error"): cgc_err @ relax}
+            for (relaxation, side), block in assembled.items():
+                bound = tp.symbol_max_sv(tp.build_symbol(
+                    pair, grid, relaxation, side)).upper
                 excess = np.linalg.norm(block, 2) - bound
                 worst_excess = max(worst_excess, excess)
                 ok = ok and excess <= 1e-10

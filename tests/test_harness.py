@@ -12,7 +12,7 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as hst
 
-from helpers import phase_oracle, raw_pair, tap_samples
+from helpers import dense_block, phase_oracle, raw_pair, tap_samples
 
 import pintbounds
 from pintbounds import cli, harness
@@ -205,7 +205,8 @@ class TestRunExperiment:
 
     def test_singular_fine_power_drops_only_fcf_rows(self):
         # forward Euler at dt * ell = -1 zeroes one eigenvalue of Phi^k; only
-        # the FCF stability factor needs Phi^{-k}
+        # the FCF stability factor, and the sufficient bound built on it,
+        # needs Phi^{-k}
         values = np.array([-2.0, -1.0], dtype=complex)
         eye = np.eye(2, dtype=complex)
         spatial = ops.SpatialOperator(np.diag(values), "diagonal",
@@ -221,6 +222,34 @@ class TestRunExperiment:
         rows = {r["kind"]: r for r in rows}
         assert rows["stability-decay"]["lower"] == amp
         assert rows["sufficient"]["upper"] == rows["tap"]["lower"] * (1 + amp)
+        # upwind SDIRK2 fine steps against backward-Euler coarse steps leave
+        # rcond(Phi^2) near 1e-14, a non-normal pair
+        spatial = ops.build_spatial("advection-1d-upwind", 16, 1.0 / 16)
+        fine = ops.build_stepper(spatial, ops.SchemeSpec("sdirk2", 0.125))
+        coarse = ops.build_stepper(spatial,
+                                   ops.SchemeSpec("backward-euler", 0.25))
+        upwind = ops.make_pair(fine, coarse, 2)
+        assert ops.ill_conditioned(upwind.fine_power_sv)
+        for pair, grid in ((pair, grid), (upwind, st.GridSpec(33, 2))):
+            kinds = {r["kind"] for r in harness._bound_rows(pair, grid, "FCF")}
+            assert {"tap", "necessary", "coarse-norm", "symbol"} <= kinds
+            assert not {"sufficient", "stability-decay"} & kinds
+
+    def test_overflowing_fcf_symbol_is_uncertified(self):
+        # Phi^2 reaches 6e123 and is singular; the FCF symbol's Gram
+        # matrices would overflow
+        spatial = ops.SpatialOperator(np.array([[0.0, 0.0, 1.5e-62],
+                                                [0.0, 0.0, 0.0],
+                                                [1.0, 0.0, 1.0]], complex),
+                                      "from-file")
+        fine = ops.build_stepper(spatial,
+                                 ops.SchemeSpec("backward-euler", 1.0))
+        coarse = ops.build_stepper(spatial, ops.SchemeSpec("forward-euler", 2.0))
+        pair = ops.make_pair(fine, coarse, 2)
+        rows = {r["kind"]: r for r in harness._bound_rows(
+            pair, st.GridSpec(3, 2), "FCF")}
+        assert rows["symbol"]["upper"] == np.inf
+        assert not rows["symbol"]["certified"]
 
     def test_bound_rows_present(self):
         cfg = harness.ExperimentConfig.from_dict(base_config())
@@ -464,6 +493,23 @@ class TestCli:
         err = capsys.readouterr().err
         assert "RuntimeWarning" not in err and "overflows" in err
 
+    def test_overflowing_fine_power_is_a_config_error(self, tmp_path, capsys):
+        # backward Euler next to a pole of its stability function: Phi^3 has
+        # infinite entries
+        (tmp_path / "op.txt").write_text("0 1\n6.962649271873385e-115 2\n")
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(base_config(
+            problem={"kind": "from-file", "path": str(tmp_path / "op.txt")},
+            fine={"scheme": "backward-euler", "dt": 0.5},
+            coarse={"scheme": "forward-euler", "dt": 1.5}, k=3, n_time=4)))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["run", "--config", str(path), "--out",
+                             str(tmp_path / "out")]) == 2
+            assert cli.main(["bounds", "--config", str(path)]) == 2
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert capsys.readouterr().err.count("Phi^k overflows") == 2
+
     def test_singular_coarse_stepper_without_traceback(self, tmp_path):
         # upwind at Courant number 1 with a forward-Euler coarse step: Psi is
         # the nilpotent shift; the necessary bound at p = 1 inverts nothing
@@ -597,8 +643,8 @@ class TestCli:
                        if r["relaxation"] == rel} for rel in ("F", "FCF")}
         assert {"tap", "sufficient", "stability-decay"} <= set(kinds["F"])
         assert "slack_constant" in kinds["F"]["necessary"]
-        assert not {"tap", "sufficient"} & set(kinds["FCF"])
-        assert "slack_constant" not in kinds["FCF"].get("necessary", {})
+        assert "tap" in kinds["FCF"] and "sufficient" not in kinds["FCF"]
+        assert "slack_constant" in kinds["FCF"]["necessary"]
         assert "coarse-norm" in kinds["FCF"]
 
     def test_run_does_not_import_scipy(self, tmp_path):
@@ -691,12 +737,23 @@ class TestConfigFuzz:
         grid = st.GridSpec(k * (n_coarse - 1) + 1, k)
         xs = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
         for relaxation in ("F", "FCF"):
+            for side in ("residual", "error"):
+                # the necessary bound at p = 2 is the norm of the squared
+                # block, up to the rounding of the dense I - A B^{-1}, which
+                # scales with ||B^{-1}|| (1 + ||Phi^k||)
+                block = dense_block(pair, grid, relaxation, side)
+                dense = np.linalg.norm(block @ block, 2)
+                scale = (np.linalg.norm(st.coarse_solve_operator(pair, grid), 2)
+                         * (1.0 + np.linalg.norm(pair.fine_power, 2)))
+                nb = tp.necessary_lower_bound(pair, grid, relaxation, 2, side)
+                assert nb.available or dense == 0.0
+                assert abs(nb.value - dense) <= 1e-12 * dense + 1e-13 * scale**2
             rows = {r["kind"]: r for r in rec["bounds"]
                     if r["relaxation"] == relaxation}
             symbol = rows.get("symbol")
             if symbol is None or not symbol["certified"]:
                 continue
-            sym = tp.build_symbol(pair, grid, f"{relaxation}-relaxation")
+            sym = tp.build_symbol(pair, grid, relaxation)
             top = float(np.max(np.linalg.svd(sym(xs), compute_uv=False)[:, 0]))
             assert top <= symbol["upper"] * (1 + 1e-12)
             assert rows["coarse-norm"]["lower"] <= symbol["upper"] * (1 + 1e-12)

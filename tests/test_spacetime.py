@@ -9,6 +9,7 @@ from helpers import (heat_pair, normal_pair, random_contraction, raw_pair,
                      raw_stepper, skewed_pair)
 from pintbounds import operators as ops
 from pintbounds import spacetime as st
+from pintbounds import tap
 
 
 def permuted_full(sys):
@@ -539,6 +540,13 @@ def lanczos_case(name):
     return pair, st.GridSpec(pair.k * (n_coarse - 1) + 1, pair.k)
 
 
+def coarse_operator(pair, grid, relaxation):
+    """The residual-side CoarseOperator of coarse_norm."""
+    lft, rgt = ops.coarse_factors(pair, relaxation, "residual")
+    return st.CoarseOperator(pair.coarse.matrix, rgt, lft,
+                             st.block_rows(grid, relaxation))
+
+
 LANCZOS_CASES = ["upwind3", "upwind4", "upwind8", "contractions",
                  "singular-phik", "ill-conditioned-phik", "unstable-psi",
                  "exact-coarse", "k1"]
@@ -564,7 +572,7 @@ class TestLanczosNorm:
         assert np.linalg.norm(res.vector) == pytest.approx(1.0, rel=1e-14)
         assert np.linalg.norm(block @ res.vector) == pytest.approx(
             res.value, rel=3e-12, abs=1e-14)
-        op = st.CoarseOperator(pair, grid, relaxation)
+        op = coarse_operator(pair, grid, relaxation)
         assert not op.definite((res.value * (1.0 - 1e-9)) ** 2)
         assert res.value == 0.0 or op.definite(res.upper ** 2)
 
@@ -573,11 +581,35 @@ class TestLanczosNorm:
         pair, grid = lanczos_case("contractions")
         cgc_res, _, relax = st.coarse_defect_blocks(pair, grid)
         block = cgc_res if relaxation == "F" else cgc_res @ relax
-        op = st.CoarseOperator(pair, grid, relaxation)
+        op = coarse_operator(pair, grid, relaxation)
         nx, n = pair.dim, op.n
         # past the zero first block row(s) and zero last block column(s),
         # up to the sign of I - A B^{-1}
         trimmed = -block[(grid.n_coarse - n) * nx:, :n * nx]
+        eye = np.eye(n * nx)
+        dense = np.column_stack([op.apply(e) for e in eye])
+        adjoint = np.column_stack([op.apply(e, adjoint=True) for e in eye])
+        assert np.allclose(dense, trimmed, rtol=0, atol=1e-13)
+        assert np.allclose(adjoint, trimmed.conj().T, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("side", ["residual", "error"])
+    @pytest.mark.parametrize("relaxation", ["F", "FCF"])
+    def test_power_operator_is_the_trimmed_power(self, relaxation, side):
+        # T_n(G^2) from the realization of G^2 with its link factor R L
+        pair, grid = lanczos_case("contractions")
+        cgc_res, cgc_err, relax = st.coarse_defect_blocks(pair, grid)
+        block = cgc_res if side == "residual" else cgc_err
+        if relaxation == "FCF":
+            block = block @ relax
+        lft, rgt = ops.coarse_factors(pair, relaxation, side)
+        op = st.CoarseOperator(*tap._tap_realization(
+            pair.coarse.matrix, rgt, lft, 2, rgt @ lft),
+            st.block_rows(grid, relaxation, 2))
+        nx, n = pair.dim, op.n
+        assert n == grid.n_coarse - (2 if relaxation == "F" else 4)
+        square = block @ block
+        trimmed = square[(grid.n_coarse - n) * nx:, :n * nx]
+        assert not square[:(grid.n_coarse - n) * nx].any()
         eye = np.eye(n * nx)
         dense = np.column_stack([op.apply(e) for e in eye])
         adjoint = np.column_stack([op.apply(e, adjoint=True) for e in eye])
@@ -591,7 +623,7 @@ class TestLanczosNorm:
         # into a NaN pivot, which numpy's Cholesky does not reject
         phi = np.array([[1.0, 0.0], [1.0, 0.0]])
         psi = 1e200 * np.array([[1.0, -1.0], [1.0, 1.0]]) + phi
-        op = st.CoarseOperator(raw_pair(phi, psi, 2), st.GridSpec(7, 2), "FCF")
+        op = coarse_operator(raw_pair(phi, psi, 2), st.GridSpec(7, 2), "FCF")
         assert not op.definite(1.0)
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",

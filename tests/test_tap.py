@@ -196,10 +196,20 @@ class TestTapConstant:
             with pytest.raises(ValueError):
                 call()
 
-    def test_fcf_singular_power_rejected(self):
-        pair = raw_pair(np.zeros((2, 2)), 0.5 * np.eye(2), 2)
-        with pytest.raises(ValueError, match="singular"):
-            tap.tap_constant(pair, "FCF")
+    def test_fcf_singular_power_matches_oracle(self):
+        # the FCF constants only multiply by Phi^k, so a singular Phi^k
+        # leaves them defined; Phi = 0 makes them zero
+        zero = raw_pair(np.zeros((2, 2)), 0.5 * np.eye(2), 2)
+        res = tap.tap_constant(zero, "FCF")
+        assert res.value == 0.0 and res.certified
+        assert np.linalg.norm(res.maximizer) == pytest.approx(1.0, rel=1e-14)
+        assert tap.itap_constant(zero, "FCF").value == 0.0
+        rng = np.random.default_rng(8)
+        pair = raw_pair([[0.0, 0.0], [0.3, 0.5]], random_contraction(rng, 2), 2)
+        assert ops.ill_conditioned(pair.fine_power_sv)
+        for p in (1, 2):
+            assert_matches_oracle(tap.tap_constant(pair, "FCF", p),
+                                  tap_samples(pair, "FCF", p))
 
 
 class TestItapConstant:

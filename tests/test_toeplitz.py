@@ -3,12 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from helpers import (assert_not_beaten, heat_pair, normal_pair, phase_oracle,
-                     random_contraction, raw_pair, rotating_pair, skewed_pair)
+from helpers import (assert_not_beaten, dense_block, heat_pair, normal_pair,
+                     phase_oracle, random_contraction, raw_pair, rotating_pair,
+                     skewed_pair)
 from pintbounds import operators as ops
 from pintbounds import spacetime as st
 from pintbounds import tap
 from pintbounds import toeplitz as tp
+
+
+# (relaxation, side) of each coarse-block symbol, under the ids its tests
+# have always had
+SYMBOL_CASES = [pytest.param("F", "residual", id="F-relaxation"),
+                pytest.param("FCF", "residual", id="FCF-relaxation"),
+                pytest.param("F", "error", id="error-side-F"),
+                pytest.param("FCF", "error", id="error-side-FCF")]
 
 
 def mp_residuals(a, ai):
@@ -87,7 +96,7 @@ class TestSymbols:
         rng = np.random.default_rng(2)
         phi = random_contraction(rng, 2)
         pair = raw_pair(phi, phi @ phi, 2)
-        sym = tp.build_symbol(pair, st.GridSpec(17, 2), "F-relaxation")
+        sym = tp.build_symbol(pair, st.GridSpec(17, 2), "F")
         assert np.max(np.abs(sym(0.7))) < 1e-14
         res = tp.symbol_max_sv(sym)
         assert res.value == res.upper == 0.0
@@ -95,15 +104,15 @@ class TestSymbols:
 
     def test_scalar_limit_value(self):
         pair = raw_pair([[0.5]], [[0.6]], 1)
-        sym = tp.build_symbol(pair, st.GridSpec(64, 1), "F-relaxation")
+        sym = tp.build_symbol(pair, st.GridSpec(64, 1), "F")
         expected = 0.1 * (1 - 0.6 ** 64) / 0.4
         assert abs(abs(sym(0.0)[0, 0]) - expected) < 1e-12
 
     def test_periodicity(self):
         pair = heat_pair(nx=3, dt=0.02, k=2)
         grid = st.GridSpec(17, 2)
-        for kind in tp.SYMBOL_KINDS:
-            sym = tp.build_symbol(pair, grid, kind)
+        for case in SYMBOL_CASES:
+            sym = tp.build_symbol(pair, grid, *case.values)
             assert np.allclose(sym(1.3), sym(1.3 + 2 * np.pi), atol=1e-12)
 
     def test_upper_bounds_assembled_norms(self):
@@ -111,12 +120,12 @@ class TestSymbols:
         for nc in (8, 16, 32):
             grid = st.GridSpec(2 * (nc - 1) + 1, 2)
             cgc_res, cgc_err, relax = st.coarse_defect_blocks(pair, grid)
-            assembled = {"F-relaxation": cgc_res,
-                         "FCF-relaxation": cgc_res @ relax,
-                         "error-side-F": cgc_err,
-                         "error-side-FCF": cgc_err @ relax}
-            for kind, block in assembled.items():
-                sym = tp.build_symbol(pair, grid, kind)
+            assembled = {("F", "residual"): cgc_res,
+                         ("FCF", "residual"): cgc_res @ relax,
+                         ("F", "error"): cgc_err,
+                         ("FCF", "error"): cgc_err @ relax}
+            for (relaxation, side), block in assembled.items():
+                sym = tp.build_symbol(pair, grid, relaxation, side)
                 assert np.linalg.norm(block, 2) <= tp.symbol_max_sv(sym).upper + 1e-10
 
     def test_bounded_by_sufficient_chain(self):
@@ -124,7 +133,7 @@ class TestSymbols:
         grid = st.GridSpec(2 * 15 + 1, 2)
         phi = tap.tap_constant(pair, "F").value
         decay, _ = tap.stability_decay(pair, grid)
-        sym = tp.build_symbol(pair, grid, "F-relaxation")
+        sym = tp.build_symbol(pair, grid, "F")
         assert tp.symbol_max_sv(sym).upper <= phi * (1 + decay) + 1e-10
 
     def test_min_eig_scalar(self):
@@ -151,27 +160,28 @@ class TestSymbols:
 
     def test_stacked_evaluation(self):
         pair = heat_pair(nx=3, dt=0.02, k=2)
-        sym = tp.build_symbol(pair, st.GridSpec(17, 2), "FCF-relaxation")
+        sym = tp.build_symbol(pair, st.GridSpec(17, 2), "FCF")
         xs = np.array([[0.1, 1.3], [2.0, 5.5]])
         stack = sym(xs)
         assert stack.shape == (2, 2, 3, 3)
         for idx in np.ndindex(xs.shape):
             assert np.allclose(stack[idx], sym(xs[idx]), rtol=0, atol=1e-15)
 
-    @pytest.mark.parametrize("kind", tp.SYMBOL_KINDS)
-    def test_non_normal_max_not_beaten_by_oracle(self, kind):
+    @pytest.mark.parametrize("relaxation,side", SYMBOL_CASES)
+    def test_non_normal_max_not_beaten_by_oracle(self, relaxation, side):
         rng = np.random.default_rng(12)
         for _ in range(2):
             d = int(rng.integers(2, 5))
             pair = raw_pair(random_contraction(rng, d),
                             random_contraction(rng, d, norm_bound=0.95), 2)
             grid = st.GridSpec(2 * 16 + 1, 2)
-            rational = rational_symbol(pair, grid, kind)
+            rational = rational_symbol(pair, grid, relaxation, side)
 
             def fun(xs):
                 return np.linalg.svd(rational(xs), compute_uv=False)[:, 0]
 
-            res = tp.symbol_max_sv(tp.build_symbol(pair, grid, kind))
+            res = tp.symbol_max_sv(tp.build_symbol(pair, grid, relaxation,
+                                                   side))
             assert res.certified
             assert_not_beaten(res.value, fun)
 
@@ -202,7 +212,7 @@ class TestSymbols:
             assert 0 < lam_min - sym_min <= np.pi**2 * mu / n**2
 
 
-def rational_symbol(pair, grid, kind):
+def rational_symbol(pair, grid, relaxation, side="residual"):
     """The generating function written out as a rational function of z:
     z (I - z^N Psi^N)(I - z Psi)^{-1} on either side of Psi - Phi^k, times
     Phi^k for FCF. Maps an array of phases to the stack of symbols."""
@@ -214,9 +224,9 @@ def rational_symbol(pair, grid, kind):
         z = np.exp(1j * xs)[:, None, None]
         osc = np.eye(d) - z**grid.n_coarse * psi_n
         geo = np.linalg.inv(np.eye(d) - z * psi)
-        m = (z * osc @ geo @ (psi - phik) if kind.startswith("error")
+        m = (z * osc @ geo @ (psi - phik) if side == "error"
              else z * (psi - phik) @ osc @ geo)
-        return m @ phik if "FCF" in kind else m
+        return m @ phik if relaxation == "FCF" else m
 
     return fun
 
@@ -245,34 +255,36 @@ class TestCertifiedSymbol:
     """symbol_max_sv on the coefficient blocks against the rational formula
     of the symbol."""
 
-    @pytest.mark.parametrize("kind", tp.SYMBOL_KINDS)
-    def test_bounds_dense_oracle(self, kind):
+    @pytest.mark.parametrize("relaxation,side", SYMBOL_CASES)
+    def test_bounds_dense_oracle(self, relaxation, side):
         rng = np.random.default_rng(14)
-        shift = tp.SYMBOL_KINDS.index(kind)
+        shift = [c.values for c in SYMBOL_CASES].index((relaxation, side))
         for i, n_coarse in enumerate((2, 3, 17, 64)):
-            # every kind meets every d in {2, 3, 4}
+            # every case meets every d in {2, 3, 4}
             pair, grid = random_symbol_case(rng, 2 + (i + shift) % 3, n_coarse)
-            res = tp.symbol_max_sv(tp.build_symbol(pair, grid, kind))
-            top = sampled_max(rational_symbol(pair, grid, kind))
+            res = tp.symbol_max_sv(tp.build_symbol(pair, grid, relaxation, side))
+            top = sampled_max(rational_symbol(pair, grid, relaxation, side))
             assert res.certified and res.method == "bernstein"
             assert res.upper >= top
             assert res.value >= top * (1.0 - 1e-12)
             assert res.upper <= res.value * (1.0 + tap.TOL)
 
-    @pytest.mark.parametrize("kind", tp.SYMBOL_KINDS)
-    def test_coefficients_match_rational_formula(self, kind):
+    @pytest.mark.parametrize("relaxation,side", SYMBOL_CASES)
+    def test_coefficients_match_rational_formula(self, relaxation, side):
         rng = np.random.default_rng(15)
         for n_coarse in (2, 3, 17, 64):
             pair, grid = random_symbol_case(rng, int(rng.integers(2, 5)),
                                             n_coarse)
             xs = rng.uniform(0.0, 2.0 * np.pi, 64)
-            want = rational_symbol(pair, grid, kind)(xs)
-            got = tp.build_symbol(pair, grid, kind)(xs)
+            want = rational_symbol(pair, grid, relaxation, side)(xs)
+            got = tp.build_symbol(pair, grid, relaxation, side)(xs)
             assert np.all(np.linalg.norm(got - want, axis=(1, 2))
                           <= 1e-13 * np.linalg.norm(want, axis=(1, 2)))
 
-    @pytest.mark.parametrize("kind", ["F-relaxation", "FCF-relaxation"])
-    def test_decayed_tail_left_out(self, kind):
+    @pytest.mark.parametrize("relaxation", [
+        pytest.param("F", id="F-relaxation"),
+        pytest.param("FCF", id="FCF-relaxation")])
+    def test_decayed_tail_left_out(self, relaxation):
         # upwind N_x = 8 at N_c = 512: the blocks C_j = L Psi^j R fall below
         # the tail floor long before j = 511, and only the kept ones set the
         # Bernstein degree and the rounding pad
@@ -282,8 +294,9 @@ class TestCertifiedSymbol:
                                    ops.SchemeSpec("backward-euler", 0.04))
         pair = ops.make_pair(fine, coarse, 2)
         grid = st.GridSpec(2 * 511 + 1, 2)
-        res = tp.symbol_max_sv(tp.build_symbol(pair, grid, kind))
-        top = sampled_max(rational_symbol(pair, grid, kind), samples=2**15)
+        res = tp.symbol_max_sv(tp.build_symbol(pair, grid, relaxation))
+        top = sampled_max(rational_symbol(pair, grid, relaxation),
+                          samples=2**15)
         assert res.certified
         assert res.upper >= top
         assert res.upper <= res.value * (1.0 + tap.TOL)
@@ -325,7 +338,7 @@ class TestNormalSymbol:
     def _check(pair, n_coarse, relaxation):
         grid = st.GridSpec(pair.k * (n_coarse - 1) + 1, pair.k)
         closed = tp.normal_symbol_max(pair, grid, relaxation)
-        sym = tp.build_symbol(pair, grid, f"{relaxation}-relaxation")
+        sym = tp.build_symbol(pair, grid, relaxation)
         sweep = phase_oracle(
             lambda xs: np.linalg.svd(sym(xs), compute_uv=False)[:, 0])[1]
         assert sweep > 0
@@ -336,8 +349,9 @@ class TestNormalSymbol:
         with pytest.raises(ValueError, match="unitary"):
             tp.normal_symbol_max(skewed_pair(), st.GridSpec(9, 2))
 
-    def test_fcf_singular_power_rejected_like_sweep(self):
-        # forward Euler at dt * ell = -1 zeroes one fine eigenvalue
+    def test_fcf_singular_power_matches_sweep(self):
+        # forward Euler at dt * ell = -1 zeroes one fine eigenvalue; the FCF
+        # symbol only multiplies by Phi^k, so its closed form still holds
         values = np.array([-2.0, -1.0], dtype=complex)
         eye = np.eye(2, dtype=complex)
         spatial = ops.SpatialOperator(np.diag(values), "diagonal",
@@ -345,13 +359,9 @@ class TestNormalSymbol:
         fine = ops.build_stepper(spatial, ops.SchemeSpec("forward-euler", 0.5))
         coarse = ops.build_stepper(spatial, ops.SchemeSpec("backward-euler", 1.0))
         pair = ops.make_pair(fine, coarse, 2)
-        grid = st.GridSpec(17, 2)
-        assert pair.normal
-        for call in (lambda: tp.normal_symbol_max(pair, grid, "FCF"),
-                     lambda: tp.build_symbol(pair, grid, "FCF-relaxation")):
-            with pytest.raises(ValueError, match="singular"):
-                call()
-        assert tp.normal_symbol_max(pair, grid, "F") > 0
+        assert pair.normal and ops.ill_conditioned(pair.fine_power_sv)
+        for relaxation in ("F", "FCF"):
+            self._check(pair, 9, relaxation)
 
 
 class TestPowerSymbol:
@@ -541,18 +551,57 @@ class TestTimeDependent:
             tp.timedep_pinv(spec, 0)
 
 
+def necessary_case(name):
+    """(pair, grid) of the dense-oracle cases of the necessary bound."""
+    if name == "upwind8":
+        spatial = ops.build_spatial("advection-1d-upwind", 8, 0.125)
+        fine = ops.build_stepper(spatial, ops.SchemeSpec("backward-euler", 0.02))
+        coarse = ops.build_stepper(spatial,
+                                   ops.SchemeSpec("backward-euler", 0.04))
+        pair, n_coarse = ops.make_pair(fine, coarse, 2), 17
+    elif name.startswith("heat"):
+        # SDIRK2 fine steps against one backward-Euler coarse step, with and
+        # without the shared eigenbasis
+        pair = heat_pair(nx=4, dt=0.02, k=4, scheme="sdirk2",
+                         coarse_scheme="backward-euler",
+                         attach_eig=name == "heat-eigenbasis")
+        n_coarse = 17
+    elif name == "non-commuting":
+        rng = np.random.default_rng(6)
+        pair = raw_pair(random_contraction(rng, 3), random_contraction(rng, 3), 2)
+        n_coarse = 33
+        assert not pair.commuting
+    else:   # "nilpotent": a singular coarse stepper
+        pair = raw_pair(0.5 * np.eye(2), [[0.0, 0.8], [0.0, 0.0]], 2)
+        n_coarse = 17
+    return pair, st.GridSpec(pair.k * (n_coarse - 1) + 1, pair.k)
+
+
 class TestNecessaryLowerBound:
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("relaxation", ["F", "FCF"])
+    @pytest.mark.parametrize("side", ["residual", "error"])
+    @pytest.mark.parametrize("name", ["upwind8", "heat-eigenbasis", "heat-bare",
+                                      "non-commuting", "nilpotent"])
+    def test_matches_dense_power(self, name, side, relaxation, p):
+        # singular and non-commuting steppers included: the bound is the
+        # norm of the p-th power itself, with no hypothesis on the pair
+        pair, grid = necessary_case(name)
+        nb = tp.necessary_lower_bound(pair, grid, relaxation, p, side)
+        assert nb.available
+        dense = ops.matrix_power(dense_block(pair, grid, relaxation, side), p)
+        assert nb.value == pytest.approx(np.linalg.norm(dense, 2), rel=1e-12)
+
     def test_exact_coarse_unavailable(self):
-        # the pseudoinverse path needs an invertible defect; p = 1 inverts
-        # nothing and is the coarse norm, here zero
+        # an exact coarse stepper, Psi = Phi^2, makes the block and every
+        # power of it zero; the bound is available and zero
         rng = np.random.default_rng(5)
         phi = random_contraction(rng, 2)
         pair = raw_pair(phi, phi @ phi, 2)
         grid = st.GridSpec(17, 2)
-        nb = tp.necessary_lower_bound(pair, grid, p=2)
-        assert not nb.available and "defect" in nb.reason
-        nb = tp.necessary_lower_bound(pair, grid)
-        assert nb.available and nb.value == 0.0
+        for p in (1, 2):
+            nb = tp.necessary_lower_bound(pair, grid, p=p)
+            assert nb.available and nb.value == 0.0
 
     @pytest.mark.parametrize("relaxation", ["F", "FCF"])
     @pytest.mark.parametrize("p", [1, 2])
@@ -570,11 +619,11 @@ class TestNecessaryLowerBound:
         assert nb.value <= dense * (1 + 1e-10)
 
     def test_singular_coarse_stepper_unavailable(self):
+        # a nilpotent Psi inverts nothing on the way; p >= 2 is in
+        # test_matches_dense_power
         shift = np.array([[0.0, 1.0], [0.0, 0.0]])
         pair = raw_pair(0.5 * np.eye(2), shift, 2)
         grid = st.GridSpec(17, 2)
-        nb = tp.necessary_lower_bound(pair, grid, p=2)
-        assert not nb.available and "coarse stepper" in nb.reason
         for relaxation in ("F", "FCF"):
             nb = tp.necessary_lower_bound(pair, grid, relaxation)
             assert nb.available
@@ -598,28 +647,29 @@ class TestNecessaryLowerBound:
         pair = ops.make_pair(fine, coarse, 2)
         assert pair.shared_eig.normal
         grid = st.GridSpec(17, 2)
-        nb = tp.necessary_lower_bound(pair, grid, p=2)
-        assert not nb.available and "defect" in nb.reason
         nb = tp.necessary_lower_bound(pair, grid)
         assert nb.available
         assert nb.value == st.coarse_norm(pair, grid, "F").value
+        # the defect is rounding, and so is the bound at p = 2
+        nb = tp.necessary_lower_bound(pair, grid, p=2)
+        assert nb.available and nb.value < 1e-12
 
     @pytest.mark.parametrize("k", [1, 2, 4])
     @pytest.mark.parametrize("relaxation", ["F", "FCF"])
     @pytest.mark.parametrize("p", [1, 2])
     @pytest.mark.parametrize("side", ["residual", "error"])
     def test_per_mode_matches_dense(self, k, relaxation, p, side):
+        # a normal pair, whose coarse norm at p = 1 comes per mode
+        pair = normal_pair(k)
         grid = st.GridSpec(8 * k + 1, k)
-        nb = tp.necessary_lower_bound(normal_pair(k), grid, relaxation, p, side)
-        dense = tp.necessary_lower_bound(normal_pair(k, attach_eig=False), grid,
-                                         relaxation, p, side)
+        nb = tp.necessary_lower_bound(pair, grid, relaxation, p, side)
         if relaxation == "FCF" and k == 1:
             # FCF relaxation at k = 1 is a sequential solve: the block is zero
-            assert not nb.available and not dense.available
-            assert "k = 1" in nb.reason and "k = 1" in dense.reason
+            assert not nb.available and "k = 1" in nb.reason
             return
-        assert nb.available and dense.available
-        assert nb.value == pytest.approx(dense.value, rel=1e-12)
+        assert nb.available
+        dense = ops.matrix_power(dense_block(pair, grid, relaxation, side), p)
+        assert nb.value == pytest.approx(np.linalg.norm(dense, 2), rel=1e-12)
 
     @pytest.mark.parametrize("k", [2, 4])
     @pytest.mark.parametrize("relaxation", ["F", "FCF"])
@@ -671,34 +721,3 @@ class TestNecessaryLowerBound:
             norm = np.linalg.norm(block, 2)
             assert nb.value == pytest.approx(norm, rel=1e-12)
             assert abs(st.coarse_norm(pair, grid, relaxation).value - norm) > 0.1
-
-    def test_dense_path_capped(self, monkeypatch):
-        # the cap guards the assembled sub-block of p >= 2; p = 1 is the
-        # matrix-free coarse norm
-        pair = skewed_pair()
-        grid = st.GridSpec(17, 2)
-        assert tp.necessary_lower_bound(pair, grid, "F", 2).available
-        monkeypatch.setattr(st, "DENSE_CAP", grid.n_coarse * pair.dim - 1)
-        nb = tp.necessary_lower_bound(pair, grid, "F", 2)
-        assert not nb.available and "dense cap" in nb.reason
-        assert tp.necessary_lower_bound(pair, grid).value == \
-            st.coarse_norm(pair, grid, "F").value
-
-    def test_non_unitary_basis_takes_dense_path(self, monkeypatch):
-        pair = skewed_pair()
-        grid = st.GridSpec(17, 2)
-        expected = tp.necessary_lower_bound(
-            ops.make_pair(pair.fine, pair.coarse, 2, attach_eig=False), grid)
-
-        def refuse(*args):
-            raise AssertionError("per-mode path taken")
-
-        monkeypatch.setattr(tp, "_mode_t_hat_min_sv", refuse)
-        monkeypatch.setattr(st, "mode_norms", refuse)
-        assert tp.necessary_lower_bound(pair, grid).value == expected.value
-
-    def test_fcf_noncommuting_power_flagged(self):
-        rng = np.random.default_rng(6)
-        pair = raw_pair(random_contraction(rng, 2), random_contraction(rng, 2), 2)
-        nb = tp.necessary_lower_bound(pair, st.GridSpec(17, 2), "FCF", 2)
-        assert not nb.available

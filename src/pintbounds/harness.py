@@ -22,6 +22,7 @@ from . import operators as ops
 from . import spacetime as st
 from . import tap as tap_mod
 from . import toeplitz as tp
+from .tridiag import tridiag_min_eig
 
 RATIO_FLOOR = 1e-300
 # a ratio whose previous error is at most this times the series' initial
@@ -550,6 +551,21 @@ def verify_suite(filter_name: str | None = None) -> list:
                 ok = ok and lo <= v <= hi
                 margin = min(margin, v - lo, hi - v)
         results.append(_check("appendix-bracket", ok, margin))
+
+    if want("per-mode-closed-form"):
+        # the closed-form minimum of the relaxed Toeplitz matrix against the
+        # Sturm kernel on its explicit entries, over the same grid
+        worst = 0.0
+        mus = np.arange(0.05, 1.0, 0.1)
+        for n in (10, 20, 50, 100, 200):
+            diag = np.repeat(1.0 + mus[:, None] ** 2, n, axis=1)
+            diag[:, -1] = 1.0
+            sturm = tridiag_min_eig(diag, np.repeat(-mus[:, None], n - 1, 1))
+            for mu, oracle in zip(mus, sturm):
+                value = tp.tridiag_perturbed_min_eig(float(mu), n)[0]
+                worst = max(worst, abs(value - oracle) / oracle)
+        results.append(_check("per-mode-closed-form", worst <= 1e-12,
+                              1e-12 - worst))
 
     if want("tap-teap"):
         worst = 0.0

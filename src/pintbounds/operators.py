@@ -243,11 +243,10 @@ def rk4_defect(L: SpatialOperator, dt: float) -> np.ndarray:
 
 
 def matrix_power(m: np.ndarray, k: int) -> np.ndarray:
-    # repeated multiplication; k stays small at desk scale
-    out = np.eye(m.shape[0], dtype=m.dtype)
-    for _ in range(k):
-        out = out @ m
-    return out
+    """m^k for k >= 0 by repeated squaring: about 2 log2(k) products, each of
+    powers of m no higher than k, so it overflows only where some power up
+    to m^k does."""
+    return np.linalg.matrix_power(m, k)
 
 
 @dataclass(frozen=True)

@@ -9,14 +9,15 @@ F- and FCF-relaxation are derived from that partition.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .operators import StepperPair, coarse_factors, matrix_power
-from .tap import TOL
-from .tridiag import bidiagonal_gram, tridiag_min_eig
+from .tap import TOL, _unit
+from .tridiag import relaxed_toeplitz_min
 
 DENSE_CAP = 4096       # largest order of a dense oracle block
 LANCZOS_SEED = 0       # seed of the fixed Lanczos start vector
@@ -188,12 +189,6 @@ def coarse_defect_blocks(pair: StepperPair, grid: GridSpec):
     return cgc_res, cgc_err, relax
 
 
-def _mode_grams(mu: np.ndarray, n: int):
-    """Per mode, C C^* for C unit lower bidiagonal of order n, subdiagonal -mu."""
-    return bidiagonal_gram(np.repeat(-mu[:, None], n - 1, axis=1),
-                           np.ones((mu.size, n)))
-
-
 def block_rows(grid: GridSpec, relaxation: str, p: int = 1) -> int:
     """The order n of the section T_n(G^p) whose norm is that of the p-th
     power of the coarse block. With s = 1 for F and 2 for FCF the block is
@@ -209,27 +204,41 @@ def block_rows(grid: GridSpec, relaxation: str, p: int = 1) -> int:
     return max(grid.n_coarse - (1 if relaxation == "F" else 2) * p, 0)
 
 
-def mode_norms(pair: StepperPair, grid: GridSpec, relaxation: str) -> np.ndarray:
-    """Norms of the per-mode residual-side coarse blocks of a pair whose
-    shared eigenbasis U is unitary. The dense block of coarse_defect_blocks is
-    unitarily similar to their direct sum, so its norm is the largest.
+def _mode_solve(pair: StepperPair, grid: GridSpec, relaxation: str):
+    """(n, norms, uppers, theta, certified) of the per-mode residual-side
+    coarse blocks of a pair whose shared eigenbasis U is unitary, from one
+    closed-form solve (relaxed_toeplitz_min) over every mode. The dense block
+    of coarse_defect_blocks is unitarily similar to their direct sum, so its
+    norm is the largest.
 
     With lam = lambda_m^k and mu = mu_m, block m is I - A_m B_m^{-1} (A_m unit
     lower bidiagonal with subdiagonal -lam, B_m^{-1} lower triangular with
     entries mu^(i-j)), whose entries are (lam - mu) mu^(i-j-1) below the
     diagonal. Past its zero first row and last column it is (lam - mu) C^{-1},
-    C unit lower bidiagonal of order N_c - 1 with subdiagonal -mu, so its norm
-    is |lam - mu| / sqrt(lambda_min(C C^*)). The FCF block is lam times the F
-    block at N_c - 1, and zero when k = 1 (no F-points). This is
-    CoarseOperator with 1 x 1 blocks, one per mode, and needs no dense
-    block."""
+    C unit lower bidiagonal of order n = N_c - 1 with subdiagonal -mu, so its
+    norm is |lam - mu| / sqrt(lambda_min(C C^*)). The FCF block is lam times
+    the F block at N_c - 1, and zero when k = 1 (no F-points). uppers come
+    from the low end of each certified root bracket, and theta is the root
+    angle that gives each mode's singular vector. This is CoarseOperator with
+    1 x 1 blocks, one per mode, and needs no dense block."""
     n = block_rows(grid, relaxation)
     eig = pair.shared_eig
     lam, mu = eig.fine_values ** pair.k, eig.coarse_values
     if n == 0:
-        return np.zeros(mu.size)
-    norms = np.abs(lam - mu) / np.sqrt(tridiag_min_eig(*_mode_grams(mu, n)))
-    return norms if relaxation == "F" else np.abs(lam) * norms
+        zero = np.zeros(mu.size)
+        return n, zero, zero, zero, True
+    low, low_bound, theta, certified = relaxed_toeplitz_min(mu, n)
+    gap = np.abs(lam - mu)
+    norms, uppers = gap / np.sqrt(low), gap / np.sqrt(low_bound)
+    if relaxation == "FCF":
+        norms, uppers = np.abs(lam) * norms, np.abs(lam) * uppers
+    return n, norms, uppers, theta, bool(certified.all())
+
+
+def mode_norms(pair: StepperPair, grid: GridSpec, relaxation: str) -> np.ndarray:
+    """Norms of the per-mode residual-side coarse blocks of a pair whose
+    shared eigenbasis is unitary (_mode_solve)."""
+    return _mode_solve(pair, grid, relaxation)[1]
 
 
 @dataclass(frozen=True)
@@ -249,26 +258,30 @@ def coarse_norm(pair: StepperPair, grid: GridSpec, relaxation: str,
     leading right singular vector. Per mode when the pair has a unitary
     shared eigenbasis, otherwise matrix-free by Golub-Kahan-Lanczos with a
     block LDL* certificate (_lanczos_norm); no dense block is built."""
-    n = block_rows(grid, relaxation)
     if not pair.normal:
         lft, rgt = coarse_factors(pair, relaxation, "residual")
-        return _lanczos_norm(CoarseOperator(pair.coarse.matrix, rgt, lft, n),
-                             grid.n_coarse * pair.dim, with_vector)
-    eig = pair.shared_eig
-    norms = mode_norms(pair, grid, relaxation)
+        op = CoarseOperator(pair.coarse.matrix, rgt, lft,
+                            block_rows(grid, relaxation))
+        return _lanczos_norm(op, grid.n_coarse * pair.dim, with_vector)
+    n, norms, uppers, theta, certified = _mode_solve(pair, grid, relaxation)
     m = int(np.argmax(norms))
-    value = float(norms[m])
-    if not with_vector:
-        return CoarseNorm(value, value, True, "per-mode", None)
-    # mode m's block is zero past its first n columns, where its right
-    # singular vector is the eigenvector of C C^* at lambda_min
-    n = max(n, 1)
-    diag, off = _mode_grams(eig.coarse_values[m:m + 1], n)
-    gram = np.diag(diag[0]) + np.diag(off[0], 1) + np.diag(off[0].conj(), -1)
-    v = np.zeros(grid.n_coarse, dtype=complex)
-    v[:n] = np.linalg.eigh(gram)[1][:, 0]
-    return CoarseNorm(value, value, True, "per-mode",
-                      np.kron(v, eig.vectors[:, m]))
+    vector = None
+    if with_vector:
+        # mode m's block is zero past its first n columns, where its right
+        # singular vector is the eigenvector of C C^* at lambda_min:
+        # v_j = e^{i j arg mu} sin((n + 1 - j) theta), j = 1 ... n
+        eig = pair.shared_eig
+        v = np.zeros(grid.n_coarse, dtype=complex)
+        if n == 0:
+            v[0] = 1.0      # the block is zero; any unit vector attains it
+        else:
+            j = np.arange(1, n + 1)
+            v[:n] = (np.exp(1j * np.angle(eig.coarse_values[m]) * j)
+                     * np.sin((n + 1 - j) * theta[m]))
+            v /= np.linalg.norm(v)
+        vector = np.kron(v, eig.vectors[:, m])
+    return CoarseNorm(float(norms[m]), float(uppers.max()), certified,
+                      "per-mode", vector)
 
 
 class CoarseOperator:
@@ -379,12 +392,19 @@ def _lanczos_norm(op: CoarseOperator, size: int,
     vector = np.zeros(size, dtype=complex)
     vector[0] = 1.0       # attains a zero norm
 
-    def result(value, certified):
-        return CoarseNorm(value, value * (1.0 + 2.0 * TOL), certified,
-                          "lanczos", vector if with_vector else None)
+    def result(value, certified, exp=0):
+        value = math.ldexp(value, exp)
+        return CoarseNorm(value, value * (1.0 + 2.0 * TOL),
+                          certified and math.isfinite(value), "lanczos",
+                          vector if with_vector else None)
 
     if not (dim and op.c.any() and op.b.any()):
         return result(0.0, True)
+    # K scales with b and c: entries below one keep tiny ones from
+    # underflowing when a norm squares them
+    (b, eb), (c, ec) = _unit(op.b), _unit(op.c)
+    op = copy.copy(op)
+    op.b, op.c = b, c
     rng = np.random.default_rng(LANCZOS_SEED)
     vs = np.zeros((min(dim, 32), dim), dtype=complex)
     us = np.zeros_like(vs)
@@ -424,7 +444,7 @@ def _lanczos_norm(op: CoarseOperator, size: int,
             failed = sv[0]
     ritz = right[0].conj() @ vs[:len(alphas)]
     vector[:dim] = ritz / np.linalg.norm(ritz)
-    return result(float(sv[0]), certified)
+    return result(float(sv[0]), certified, eb + ec)
 
 
 @dataclass(frozen=True)

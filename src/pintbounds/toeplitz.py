@@ -17,7 +17,8 @@ import numpy as np
 
 from .operators import StepperPair, coarse_factors, ill_conditioned, matrix_power
 from .spacetime import GridSpec
-from .tridiag import bidiagonal_gram, gershgorin_min, tridiag_min_eig
+from .tridiag import (bidiagonal_gram, gershgorin_min, relaxed_toeplitz_min,
+                      tridiag_min_eig)
 from . import spacetime as _st
 from . import tap as _tap
 
@@ -93,14 +94,17 @@ def symbol_max_sv(sym: SymbolFunction) -> _tap.TapResult:
     bisected. upper is that bound with every sample raised by a pad for the
     rounding of its evaluation. The result is certified when every cell
     settles within BISECT_ROUNDS rounds of at most BISECT_CELLS splits, and
-    upper is within TOL of the value. Blocks whose norms sum to 1e154 or
-    more could overflow the Gram matrices, and give an infinite, uncertified
-    upper."""
+    upper is within TOL of the value. The blocks are scaled by a power of
+    two to entries below one first, exactly, so that tiny ones do not
+    underflow when squared. Blocks whose norms sum to 1e154 or more, where
+    the Gram matrices of the unscaled symbol would overflow, give an
+    infinite, uncertified upper."""
+    scaled, exp = _tap._unit(sym.coeffs)
+    norms = np.linalg.norm(scaled, axis=(1, 2))
     with np.errstate(over="ignore"):
-        norms = np.linalg.norm(sym.coeffs, axis=(1, 2))
-    if not norms.sum() < 1e154:
-        # the Gram matrices of the evaluated symbol would overflow
-        return _tap.TapResult(math.inf, None, 0.0, "bernstein", False, math.inf)
+        if not np.ldexp(norms.sum(), exp) < 1e154:
+            return _tap.TapResult(math.inf, None, 0.0, "bernstein", False,
+                                  math.inf)
     live = np.flatnonzero(norms)
     if live.size == 0:
         return _tap.TapResult(0.0, None, 0.0, "bernstein", True, 0.0)
@@ -108,7 +112,7 @@ def symbol_max_sv(sym: SymbolFunction) -> _tap.TapResult:
     floor = _tap.TOL / 16.0 * norms.max() / math.sqrt(sym.dim)
     cut = int(np.flatnonzero(tails >= floor)[-1]) + 1
     tail = float(tails[cut]) if cut < norms.size else 0.0
-    coeffs, low = sym.coeffs[live[0]:cut], sym.low + int(live[0])
+    coeffs, low = scaled[live[0]:cut], sym.low + int(live[0])
     terms = coeffs.shape[0]
     deg2 = (0.5 * np.pi * (terms - 1)) ** 2 / 2.0    # n^2 (2 pi)^2 / 8
     pad = 2.0 * (terms + sym.dim) * np.finfo(float).eps \
@@ -150,8 +154,8 @@ def symbol_max_sv(sym: SymbolFunction) -> _tap.TapResult:
     upper = float(max(upper, np.max((np.maximum(fa, fb) + pad)
                                     / (1.0 - deg2 * h * h), initial=0.0))) + tail
     certified = bool(a.size == 0 and upper <= value * (1.0 + _tap.TOL))
-    return _tap.TapResult(value, None, 2.0 * np.pi * t_best, "bernstein",
-                          certified, upper)
+    return _tap.TapResult(math.ldexp(value, exp), None, 2.0 * np.pi * t_best,
+                          "bernstein", certified, math.ldexp(upper, exp))
 
 
 def normal_symbol_max(pair: StepperPair, grid: GridSpec,
@@ -404,6 +408,8 @@ def tridiag_perturbed_min_eig(mu: complex, n: int):
     """Minimum eigenvalue of the tridiagonal Toeplitz matrix whose last
     diagonal entry is relaxed from 1+|mu|^2 to 1, with the certified bracket
     (1-|mu|)^2 + pi^2 |mu|/(6 n^2) <= value <= (1-|mu|)^2 + pi^2 |mu|/n^2.
+    The matrix is the flip J T J of the per-mode Gram matrix T of
+    relaxed_toeplitz_min, whose closed form gives the value.
 
     The bracket proof needs n >= 10; below that the value is still computed
     and the bounds are omitted.
@@ -413,10 +419,7 @@ def tridiag_perturbed_min_eig(mu: complex, n: int):
         raise ValueError("need 0 < |mu| < 1")
     if n < 1:
         raise ValueError("need n >= 1")
-    diag = np.full(n, 1.0 + m * m)
-    diag[-1] = 1.0
-    off = np.full(n - 1, -m)
-    value = tridiag_min_eig(diag, off)
+    value = float(relaxed_toeplitz_min(np.array([m]), n)[0][0])
     if n < BRACKET_MIN_N:
         return value, None, None
     lower = (1.0 - m) ** 2 + np.pi**2 * m / (6.0 * n * n)

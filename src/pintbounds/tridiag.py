@@ -1,11 +1,15 @@
-"""Hermitian tridiagonal minimum-eigenvalue solver.
+"""Hermitian tridiagonal minimum-eigenvalue solvers.
 
-Sturm-sequence multisection, batched over a stack of matrices: each sweep
-counts the negative pivots of T - x I for a fan of shifts x in every matrix's
-bracket at once, and keeps the bracket between the last shift below the
-smallest eigenvalue and the first above it. A phase similarity reduces the
-Hermitian problem to real symmetric form, so only the off-diagonal magnitudes
-enter.
+tridiag_min_eig is a Sturm-sequence multisection, batched over a stack of
+matrices: each sweep counts the negative pivots of T - x I for a fan of
+shifts x in every matrix's bracket at once, and keeps the bracket between the
+last shift below the smallest eigenvalue and the first above it. A phase
+similarity reduces the Hermitian problem to real symmetric form, so only the
+off-diagonal magnitudes enter.
+
+relaxed_toeplitz_min is the closed form for the one family with constant
+entries, the per-mode Gram matrices of a normal pair: the root of a secular
+equation in one angle, for every matrix of a batch at once.
 """
 
 from __future__ import annotations
@@ -14,6 +18,9 @@ import numpy as np
 
 SHIFTS = 31        # interior shifts per sweep; a sweep cuts a bracket 32-fold
 MAX_SWEEPS = 32    # cap on sweeps: 160 bits of bracket reduction
+NEWTON_STEPS = 64  # cap on safeguarded Newton steps of the secular equation
+G_ROUNDING = 16    # rounding bound of the secular function, in units of eps
+RUNGS = (2.0 ** -44, 2.0 ** -36, 2.0 ** -28, 2.0 ** -20)  # its bracket's half-widths
 
 
 def bidiagonal_gram(sub, scale):
@@ -87,3 +94,102 @@ def tridiag_min_eig(diag, off):
             lo, hi = np.take_along_axis(x, np.hstack([j - 1, j]), axis=1).T
     mid = 0.5 * (lo + hi)
     return float(mid[0]) if d.ndim == 1 else mid
+
+
+def _secular(theta, m, n: int):
+    """g(theta) = sin((n + 1) theta) - m sin(n theta), written as
+    2 sin(theta/2) cos((2n + 1) theta/2) + (1 - m) sin(n theta), which keeps
+    its rounding error near the root small when m is near 1."""
+    half = 0.5 * theta
+    return (2.0 * np.sin(half) * np.cos((2 * n + 1) * half)
+            + (1.0 - m) * np.sin(n * theta))
+
+
+def _lam(theta, m):
+    """(1 - m)^2 + 4 m sin^2(theta/2): 1 + m^2 - 2 m cos(theta) without its
+    cancellation at m near 1."""
+    return (1.0 - m) ** 2 + 4.0 * m * np.sin(0.5 * theta) ** 2
+
+
+def relaxed_toeplitz_min(mu, n: int):
+    """(lam, lam_low, theta, certified) for the smallest eigenvalue of
+    T = C C^*, C unit lower bidiagonal of order n with subdiagonal -mu, for
+    every mu of a 1-d array with |mu| < 1 at once. T is tridiagonal Toeplitz
+    with diagonal 1 + m^2, off-diagonal -conj(mu), m = |mu|, and first
+    diagonal entry relaxed to 1.
+
+    The similarity D = diag(e^{i j arg mu}) makes the off-diagonal -m. With
+    lam = 1 + m^2 - 2 m cos(theta), the interior rows hold for
+    v_j = sin((n + 1 - j) theta), j = 1 ... n, and the last one because
+    v_{n+1} = 0; the relaxed first row holds exactly when
+    g(theta) = sin((n + 1) theta) - m sin(n theta) = 0 (Kulkarni, Schmidt
+    and Tsui, LAA 297, 1999; Yueh, AMEN 5, 2005). The eigenvector of T is
+    D v, and v_n = sin(theta) is not zero.
+
+    Why the root in (0, pi/(n + 1)) gives the smallest eigenvalue: T is the
+    unrelaxed Toeplitz matrix, whose smallest eigenvalue is lam at
+    theta = pi/(n + 1), less m^2 e_1 e_1^*, so by interlacing at most one
+    eigenvalue of T lies below that one. lam rises with theta on (0, pi),
+    so a root in the interval gives an eigenvalue below it: the smallest.
+    The root exists and is the only one below pi/n: g > 0 on
+    (0, pi/(2n + 1)], where both terms of
+    g = 2 sin(theta/2) cos((2n + 1) theta/2) + (1 - m) sin(n theta) are
+    nonnegative and the second is positive as m < 1, and g < 0 on
+    [pi/(n + 1), pi/n) for m > 0, where sin((n + 1) theta) <= 0 <
+    m sin(n theta). (For m = 0, T = I and lam = 1 for every theta.) Every
+    eigenvalue is at least (1 - m)^2, as ||C - I|| = m, so none lies on a
+    hyperbolic branch; make_pair attaches an eigenbasis only when every
+    |mu| < 1.
+
+    Newton steps safeguarded by bisection find the root inside the proven
+    bracket [lo, hi], lo just below pi/(2n + 1) and hi midway between
+    pi/(n + 1) and pi/n. It is certified by the bracket theta (1 -+ d),
+    clipped to [lo, hi], for the smallest d of RUNGS at which each end is a
+    proven end or a point where the evaluated g has the end's sign and
+    exceeds G_ROUNDING eps (2 sin(theta/2) + 1 - m) in size. That bounds
+    the rounding error of g: its arguments round by at most eps pi/2, each
+    sine and cosine by at most 4 ulps, and the products and the sum by a
+    unit each. lam_low is lam at the bracket's low end, lowered by 16 eps
+    for the rounding of the formula, so no eigenvalue of T lies below it.
+    Where no rung holds, certified is False and lam_low comes from lo. lam
+    is computed as (1 - m)^2 + 4 m sin^2(theta/2), which does not cancel at
+    m near 1."""
+    m = np.abs(np.asarray(mu, dtype=complex))
+    if m.ndim != 1 or n < 1:
+        raise ValueError("need a 1-d array of mu and n >= 1")
+    if not np.all(m < 1.0):
+        raise ValueError("need |mu| < 1")
+    eps = np.finfo(float).eps
+    lo0 = np.pi / (2 * n + 1) * (1.0 - 2.0 * eps)
+    hi0 = np.pi * (2 * n + 1) / (2 * n * (n + 1))    # between the two ends
+    lo, hi = np.full(m.shape, lo0), np.full(m.shape, hi0)
+    theta = 0.5 * (lo + hi)
+    for _ in range(NEWTON_STEPS):
+        g = _secular(theta, m, n)
+        slope = (n + 1) * np.cos((n + 1) * theta) - m * n * np.cos(n * theta)
+        up = g > 0.0
+        np.copyto(lo, theta, where=up)
+        np.copyto(hi, theta, where=~up)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = theta - g / slope
+        inside = (step >= lo) & (step <= hi)
+        new = np.where(inside, step, 0.5 * (lo + hi))
+        done = np.all(np.abs(new - theta) <= 2.0 * eps * theta)
+        theta = new
+        if done:
+            break
+    # certified bracket: the narrowest rung whose ends carry proven signs
+    rungs = np.array(RUNGS)[:, None]
+    a = np.maximum(theta * (1.0 - rungs), lo0)
+    b = np.minimum(theta * (1.0 + rungs), hi0)
+
+    def err(t):
+        return G_ROUNDING * eps * (2.0 * np.sin(0.5 * t) + 1.0 - m)
+
+    holds = (((_secular(a, m, n) > err(a)) | (a == lo0))
+             & ((_secular(b, m, n) < -err(b)) | (b == hi0)))
+    certified = holds.any(axis=0)
+    rung = np.argmax(holds, axis=0)
+    low = np.where(certified, a[rung, np.arange(m.size)], lo0)
+    return (_lam(theta, m), _lam(low, m) * (1.0 - 16.0 * eps), theta,
+            certified)

@@ -20,6 +20,7 @@ from pintbounds import operators as ops
 from pintbounds import spacetime as st
 from pintbounds import tap
 from pintbounds import toeplitz as tp
+from pintbounds import tridiag
 
 
 def base_config(**overrides):
@@ -235,6 +236,35 @@ class TestRunExperiment:
             assert {"tap", "necessary", "coarse-norm", "symbol"} <= kinds
             assert not {"sufficient", "stability-decay"} & kinds
 
+    # Psi - Phi^2 = -L^2 has the one entry TINY, whose square underflows:
+    # the F coarse norm is TINY and the symbol D (1 + z) z peaks at 2 TINY
+    TINY = 2.521048737311666e-232
+
+    def _tiny_rows(self):
+        spatial = ops.SpatialOperator(np.array([[0.0, 0.0, 0.0],
+                                                [0.0, 0.0, 1.0],
+                                                [self.TINY, 0.0, 0.0]],
+                                               complex), "from-file")
+        fine = ops.build_stepper(spatial, ops.SchemeSpec("forward-euler", 1.0))
+        coarse = ops.build_stepper(spatial,
+                                   ops.SchemeSpec("forward-euler", 2.0))
+        pair = ops.make_pair(fine, coarse, 2)
+        return {r["kind"]: r for r in harness._bound_rows(
+            pair, st.GridSpec(3, 2), "F")}
+
+    def test_tiny_coarse_norm_does_not_underflow(self):
+        rows = self._tiny_rows()
+        for kind in ("coarse-norm", "necessary"):
+            assert rows[kind]["lower"] == pytest.approx(self.TINY, rel=1e-12,
+                                                        abs=0.0)
+            assert rows[kind]["certified"] is True
+
+    def test_tiny_symbol_does_not_underflow(self):
+        rows = self._tiny_rows()
+        assert rows["symbol"]["upper"] == pytest.approx(2 * self.TINY,
+                                                        rel=1e-12, abs=0.0)
+        assert rows["symbol"]["certified"] is True
+
     def test_overflowing_fcf_symbol_is_uncertified(self):
         # Phi^2 reaches 6e123 and is singular; the FCF symbol's Gram
         # matrices would overflow
@@ -278,8 +308,9 @@ ROW_KINDS = ["tap", "sufficient", "stability-decay", "necessary", "coarse-norm",
 
 
 class TestNormalPairPath:
-    """A normal pair's rows come from closed forms and one tridiagonal kernel
-    pass per relaxation; no phase is swept."""
+    """A normal pair's rows come from closed forms and one closed-form
+    per-mode solve per relaxation; neither a phase sweep nor the Sturm
+    kernel runs."""
 
     @pytest.fixture
     def no_sweep(self, monkeypatch):
@@ -291,15 +322,21 @@ class TestNormalPairPath:
 
     @pytest.fixture
     def kernel_calls(self, monkeypatch):
-        calls = []
-        original = st.tridiag_min_eig
+        """Calls of the Sturm kernel (wherever it is imported) and of the
+        closed-form per-mode solve."""
+        calls = {"sturm": [], "closed": []}
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
+        def counted(key, original):
+            def wrapper(*args, **kwargs):
+                calls[key].append(args)
+                return original(*args, **kwargs)
+            return wrapper
 
-        monkeypatch.setattr(st, "tridiag_min_eig", counted)
-        monkeypatch.setattr(tp, "tridiag_min_eig", counted)
+        sturm = counted("sturm", tridiag.tridiag_min_eig)
+        for module in (tridiag, tp, harness):
+            monkeypatch.setattr(module, "tridiag_min_eig", sturm)
+        monkeypatch.setattr(st, "relaxed_toeplitz_min",
+                            counted("closed", st.relaxed_toeplitz_min))
         return calls
 
     @staticmethod
@@ -331,7 +368,8 @@ class TestNormalPairPath:
         cfg = harness.ExperimentConfig.from_dict(base_config())
         pair = harness.build_pair(cfg)
         harness._bound_rows(pair, st.GridSpec(cfg.n_time, cfg.k), relaxation)
-        assert len(kernel_calls) == 1
+        assert kernel_calls["sturm"] == []
+        assert len(kernel_calls["closed"]) == 1
 
     @pytest.mark.parametrize("initial_error", ["random", "worst-case"])
     def test_one_kernel_pass_per_relaxation_in_run(self, initial_error,
@@ -340,7 +378,8 @@ class TestNormalPairPath:
         cfg = harness.ExperimentConfig.from_dict(base_config(
             relaxations=["F", "FCF"], initial_error=initial_error))
         harness.run_experiment(cfg)
-        assert len(kernel_calls) == 2
+        assert kernel_calls["sturm"] == []
+        assert len(kernel_calls["closed"]) == 2
 
     def test_non_normal_symbol_is_certified(self):
         cfg = harness.ExperimentConfig.from_dict(base_config(

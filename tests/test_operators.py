@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings, strategies as hst
 
 from helpers import heat_pair, raw_pair, raw_stepper
+from pintbounds import cli
 from pintbounds import operators as ops
 
 
@@ -166,6 +168,30 @@ class TestPairs:
         m = np.array([[0.0, 1.0], [0.0, 0.0]])
         assert np.allclose(ops.matrix_power(m, 0), np.eye(2))
         assert np.allclose(ops.matrix_power(m, 2), 0.0)
+
+    @pytest.mark.parametrize("kind", ["laplacian-1d-dirichlet",
+                                      "advection-1d-upwind"])
+    def test_matrix_power_by_squaring_matches_loop(self, kind):
+        # Psi^{N_c} at N_c = 2049, for a normal and a non-normal Psi
+        spatial = ops.build_spatial(kind, 16, 1.0 / 17)
+        psi = ops.build_stepper(spatial,
+                                ops.SchemeSpec("backward-euler", 4e-3)).matrix
+        loop = np.eye(16, dtype=complex)
+        for _ in range(2049):
+            loop = loop @ psi
+        got = ops.matrix_power(psi, 2049)
+        assert np.linalg.norm(got - loop) <= 1e-12 * np.linalg.norm(loop)
+
+    def test_overflowing_power_still_exits_2(self, tmp_path, capsys):
+        # |mu| = 2.6 over N_c = 801 coarse steps overflows double precision
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump({
+            "problem": {"kind": "laplacian-1d-dirichlet", "n": 4, "h": 0.2},
+            "fine": {"scheme": "backward-euler", "dt": 0.01},
+            "coarse": {"scheme": "forward-euler", "dt": 0.04}, "k": 4,
+            "n_time": 3201, "iterations": 2}))
+        assert cli.main(["bounds", "--config", str(path)]) == 2
+        assert "Psi^N_c overflows" in capsys.readouterr().err
 
     def test_same_source_commutes(self):
         pair = heat_pair()

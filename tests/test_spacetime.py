@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as hst
 
 from helpers import (heat_pair, normal_pair, random_contraction, raw_pair,
-                     raw_stepper, skewed_pair)
+                     raw_stepper, rotating_pair, skewed_pair)
 from pintbounds import operators as ops
 from pintbounds import spacetime as st
 from pintbounds import tap
@@ -465,6 +465,20 @@ class TestModeBlocks:
                                                           abs=1e-15)
 
     @pytest.mark.parametrize("relaxation", ["F", "FCF"])
+    def test_complex_mu_vector_matches_dense(self, relaxation):
+        # complex mu: the vector's phases e^{i j arg mu} matter
+        pair = rotating_pair(k=2)
+        assert np.any(np.abs(pair.shared_eig.coarse_values.imag) > 0.1)
+        grid = st.GridSpec(2 * 16 + 1, 2)
+        res = st.coarse_norm(pair, grid, relaxation, True)
+        cgc_res, _, relax = st.coarse_defect_blocks(pair, grid)
+        block = cgc_res if relaxation == "F" else cgc_res @ relax
+        dense = np.linalg.norm(block, 2)
+        assert res.value == pytest.approx(dense, rel=1e-12)
+        assert np.linalg.norm(block @ res.vector) == pytest.approx(dense,
+                                                                   rel=1e-12)
+
+    @pytest.mark.parametrize("relaxation", ["F", "FCF"])
     def test_long_horizon_matches_dense(self, relaxation):
         # N_c = 257, where the slowest mode's tridiagonal is nearly singular
         pair = heat_pair(nx=2, dt=0.002, k=4)
@@ -477,6 +491,38 @@ class TestModeBlocks:
         assert norm == pytest.approx(dense, rel=1e-12)
         assert np.linalg.norm(block @ w) == pytest.approx(dense, rel=1e-12)
 
+    @pytest.mark.parametrize("relaxation", ["F", "FCF"])
+    def test_vector_at_long_horizon_without_eigh(self, relaxation,
+                                                 monkeypatch):
+        # N_c = 4097: the vector comes from the root angle of the norm's own
+        # solve, checked mode by mode through a scalar forward substitution
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense eigensolver called")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        pair = heat_pair(nx=4, dt=0.002, k=2)
+        grid = st.GridSpec(2 * 4096 + 1, 2)
+        res = st.coarse_norm(pair, grid, relaxation, True)
+        assert res.certified and res.value <= res.upper <= res.value * (1 + 1e-12)
+        eig = pair.shared_eig
+        modal = res.vector.reshape(grid.n_coarse, pair.dim) @ eig.vectors.conj()
+        m = int(np.argmax(np.linalg.norm(modal, axis=0)))
+        others = np.delete(modal, m, axis=1)
+        assert np.max(np.abs(others)) <= 1e-14
+        v = modal[:, m]
+        n = st.block_rows(grid, relaxation)
+        assert np.linalg.norm(v) == pytest.approx(1.0, rel=1e-14)
+        assert np.all(v[n:] == 0.0)
+        lam, mu = eig.fine_values[m] ** pair.k, eig.coarse_values[m]
+        # past its zero first row the block is (lam - mu) C^{-1}, times lam
+        # for FCF, with C unit lower bidiagonal, subdiagonal -mu
+        image = st.coarse_forward_solve(np.array([[mu]]), v[:n])
+        gain = abs(lam - mu) * (abs(lam) if relaxation == "FCF" else 1.0)
+        assert gain * np.linalg.norm(image) == pytest.approx(res.value,
+                                                             rel=1e-12)
+        assert res.value == pytest.approx(
+            st.mode_norms(pair, grid, relaxation).max(), rel=0.0)
+
     def test_non_unitary_basis_takes_dense_path(self, monkeypatch):
         pair = skewed_pair()
         assert pair.shared_eig is not None and not pair.shared_eig.normal
@@ -484,7 +530,7 @@ class TestModeBlocks:
         def refuse(*args):
             raise AssertionError("per-mode path taken")
 
-        monkeypatch.setattr(st, "mode_norms", refuse)
+        monkeypatch.setattr(st, "relaxed_toeplitz_min", refuse)
         grid = st.GridSpec(17, 2)
         cgc_res, _, _ = st.coarse_defect_blocks(pair, grid)
         norm = st.coarse_norm(pair, grid, "F").value

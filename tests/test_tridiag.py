@@ -119,3 +119,62 @@ class TestZeroPivots:
         scale = max(np.linalg.norm(dense, 1), 1.0)
         assert abs(got - oracle) <= 1e-14 * scale
         assert np.array_equal(batch, [got, got])
+
+
+def relaxed_gram(mu, n):
+    """C C^* for C unit lower bidiagonal of order n with subdiagonal -mu:
+    diagonal 1 + |mu|^2 with the first entry 1, off-diagonal -conj(mu)."""
+    diag = np.full(n, 1.0 + abs(mu) ** 2)
+    diag[0] = 1.0
+    return diag, np.full(n - 1, -np.conj(mu))
+
+
+MODULI = [0.0, 1e-3, 0.5, 0.93, 1 - 1e-4, 1 - 1e-7]
+
+
+class TestRelaxedToeplitzMin:
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 64, 1023])
+    def test_matches_sturm_and_dense(self, n):
+        phases = np.exp(1j * np.linspace(-3.0, 3.0, len(MODULI)))
+        mu = np.array(MODULI) * phases
+        lam, low, theta, certified = tridiag.relaxed_toeplitz_min(mu, n)
+        assert certified.all()
+        grams = [relaxed_gram(x, n) for x in mu]
+        sturm = tridiag.tridiag_min_eig(np.array([g[0] for g in grams]),
+                                        np.array([g[1] for g in grams]))
+        for i, (diag, off) in enumerate(grams):
+            # the Sturm oracle takes the complex entries; the dense one the
+            # real symmetric matrix they are similar to, which is faster
+            dense = assemble(diag, -np.abs(off)).real
+            oracle = np.linalg.eigvalsh(dense)[0]
+            # both oracles are accurate to rounding of the matrix norm
+            scale = 1e-14 * np.linalg.norm(dense, 1)
+            assert abs(lam[i] - oracle) <= scale
+            assert abs(lam[i] - sturm[i]) <= scale
+            assert lam[i] * (1 - 1e-12) <= low[i] <= lam[i]
+            assert 0.0 < theta[i] < np.pi / (n + 1) * (1 + 1e-15)
+
+    @pytest.mark.parametrize("m", [0.999, 1 - 1e-4, 1 - 1e-7])
+    def test_matches_high_precision(self, m):
+        mpmath = pytest.importorskip("mpmath")
+        n = 1023
+        with mpmath.workdps(50):
+            mm = mpmath.mpf(m)
+            root = mpmath.findroot(
+                lambda t: mpmath.sin((n + 1) * t) - mm * mpmath.sin(n * t),
+                (mpmath.pi / (2 * n + 1), mpmath.pi / (n + 1)),
+                solver="anderson")
+            ref = float((1 - mm) ** 2 + 4 * mm * mpmath.sin(root / 2) ** 2)
+        lam, low, _, certified = tridiag.relaxed_toeplitz_min(
+            np.array([m * np.exp(0.3j)]), n)
+        assert certified[0]
+        assert abs(lam[0] - ref) <= 1e-13 * ref
+        assert low[0] <= ref
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            tridiag.relaxed_toeplitz_min(np.array([1.0]), 4)
+        with pytest.raises(ValueError):
+            tridiag.relaxed_toeplitz_min(np.array([0.5]), 0)
+        with pytest.raises(ValueError):
+            tridiag.relaxed_toeplitz_min(np.array([[0.5]]), 4)

@@ -9,6 +9,7 @@ iterations). Exit codes: 0 success, 1 invariant or bound violation,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -47,8 +48,11 @@ def _cmd_bounds(args) -> int:
     cfg = harness.load_config(args.config)
     pair = harness.build_pair(cfg)
     grid = st.GridSpec(cfg.n_time, cfg.k)
+    # Psi^N_c and its two SVDs serve every relaxation
+    decay = harness._stability_decay(pair, grid)
     rows = [row for relaxation in cfg.relaxations
-            for row in harness._bound_rows(pair, grid, relaxation)]
+            for row in harness._bound_rows(pair, grid, relaxation,
+                                           decay=decay)]
     print(json.dumps(rows, indent=2, sort_keys=True))
     return 0
 
@@ -76,9 +80,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: each call of parse_args fills a
+    new namespace, so successive calls of main do not share state."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except harness.ConfigError as exc:

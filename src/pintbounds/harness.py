@@ -122,10 +122,15 @@ class ExperimentConfig:
             seed=seed, bound_margin=margin, raw=data)
 
 
+# libyaml's parser when pyyaml was built with it: the same safe
+# constructor and resolver, parsed in C
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def load_config(path: str) -> ExperimentConfig:
     with open(path) as fh:
         try:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, Loader=_LOADER)
         except yaml.YAMLError as exc:
             raise ConfigError(f"{path}: malformed YAML: {exc}") from exc
     if not isinstance(data, dict):
@@ -286,6 +291,16 @@ def _bound_rows(pair: ops.StepperPair, grid: st.GridSpec, relaxation: str,
     return rows
 
 
+def _solved(call, *args):
+    """call(*args) for a call that makes forward solves; one whose carried
+    power overflows (spacetime.ForwardSolver) is a ConfigError, like
+    an overflowing Psi^N_c."""
+    try:
+        return call(*args)
+    except OverflowError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def run_experiment(cfg: ExperimentConfig) -> ExperimentRecord:
     pair = build_pair(cfg)
     grid = st.GridSpec(cfg.n_time, cfg.k)
@@ -300,14 +315,14 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentRecord:
     decay = _stability_decay(pair, grid)
     rng = np.random.default_rng(cfg.seed)
     f_rhs = rng.standard_normal(sys.dim)
-    u_exact = st.sequential_solve(sys, f_rhs)
+    u_exact = _solved(st.sequential_solve, sys, f_rhs)
 
     trace, bounds, excluded = [], [], []
     worst_case = cfg.initial_error == "worst-case"
     for relaxation in cfg.relaxations:
         cnorm = st.coarse_norm(pair, grid, relaxation, with_vector=worst_case)
         if worst_case:
-            e0 = _worst_case_error(sys, cnorm.vector)
+            e0 = _solved(_worst_case_error, sys, cnorm.vector)
         else:
             e0 = rng.standard_normal(sys.dim) \
                 + 1j * rng.standard_normal(sys.dim)
@@ -315,7 +330,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentRecord:
         u = u_exact + e0
         values = {n: [_vector_norm(e0, n, sys, u_inv)] for n in cfg.norms}
         for _ in range(cfg.iterations):
-            u = st.apply_iteration(sys, relaxation, u, f_rhs)
+            u = _solved(st.apply_iteration, sys, relaxation, u, f_rhs)
             e = u - u_exact
             for n in cfg.norms:
                 values[n].append(_vector_norm(e, n, sys, u_inv))
@@ -634,7 +649,35 @@ def verify_suite(filter_name: str | None = None) -> list:
         results.append(_check("coarse-norm-lanczos", ok and worst <= 1e-12,
                               1e-12 - worst))
 
+    if want("forward-solve"):
+        # the two-level forward solve against one product per row, for Phi
+        # over N_t and for Psi and Phi^k over N_c, relative to the running
+        # maximum of the rows
+        worst = 0.0
+        for cfg in _default_configs():
+            pair = build_pair(cfg)
+            nc = st.GridSpec(cfg.n_time, cfg.k).n_coarse
+            for mat, n in ((pair.fine.matrix, cfg.n_time),
+                           (pair.coarse.matrix, nc), (pair.fine_power, nc)):
+                rhs = (rng.standard_normal((n, pair.dim))
+                       + 1j * rng.standard_normal((n, pair.dim)))
+                want_rows = _row_solve(mat, rhs)
+                got = st.coarse_forward_solve(mat, rhs).reshape(n, -1)
+                scale = np.maximum.accumulate(
+                    np.linalg.norm(want_rows, axis=1))
+                worst = max(worst, float(np.max(
+                    np.linalg.norm(got - want_rows, axis=1) / scale)))
+        results.append(_check("forward-solve", worst <= 1e-12, 1e-12 - worst))
+
     return results
+
+
+def _row_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """y_i = r_i + M y_{i-1} for the rows of rhs, one product per row."""
+    out = rhs.astype(complex)
+    for i in range(1, len(out)):
+        out[i] += mat @ out[i - 1]
+    return out
 
 
 def _draw_block(rng, d: int, off: float) -> np.ndarray:

@@ -90,6 +90,24 @@ class TestConfig:
         cfg = harness.load_config(str(path))
         assert cfg.k == 2 and cfg.n_time == 17
 
+    def test_libyaml_loader_reads_what_safe_load_reads(self, tmp_path):
+        assert harness._LOADER is getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+        text = (yaml.safe_dump(base_config(tolerances={"bound_margin": 1e-9}))
+                + "# comment\n")
+        text = text.replace("dt: 0.02", "dt: 2.0e-2").replace("k: 2", "k: 0x2")
+        path = tmp_path / "cfg.yaml"
+        path.write_text(text)
+        assert harness.load_config(str(path)).raw == yaml.safe_load(text)
+
+    @pytest.mark.parametrize("text", [
+        "problem: {kind: [unclosed\n", "k: 'open\n", "\tk: 2\n",
+        "k: *undefined\n", "k: !!python/object:os.system x\n"])
+    def test_malformed_yaml_is_config_error(self, tmp_path, text):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(text)
+        with pytest.raises(harness.ConfigError, match="malformed YAML"):
+            harness.load_config(str(path))
+
 
 class TestRunExperiment:
     def test_deterministic(self):
@@ -453,6 +471,14 @@ class TestVerifySuite:
         results = harness.verify_suite("moore-penrose")
         assert not results[0]["passed"]
 
+    def test_forward_solve_fault_detected(self, monkeypatch):
+        original = st.coarse_forward_solve
+        monkeypatch.setattr(harness.st, "coarse_forward_solve",
+                            lambda mat, rhs: original(mat, rhs) * (1 + 1e-11))
+        results = harness.verify_suite("forward-solve")
+        assert [r["name"] for r in results] == ["forward-solve"]
+        assert not results[0]["passed"]
+
     def test_deterministic_summary(self):
         a = harness.verify_suite("appendix-bracket")
         b = harness.verify_suite("appendix-bracket")
@@ -548,6 +574,88 @@ class TestCli:
             assert cli.main(["bounds", "--config", str(path)]) == 2
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert capsys.readouterr().err.count("Phi^k overflows") == 2
+
+    def test_overflowing_solve_power_is_a_config_error(self, tmp_path, capsys):
+        # Phi = 0.5 I + 1e25 N (N the shift) has spectral radius 0.5, and
+        # Phi^2 and Psi^N_c = (I + 1e-3 N)^200 are finite, but Phi^14, the
+        # carry of the exact solve over 399 points, is not
+        op = tmp_path / "op.txt"
+        np.savetxt(op, -0.5 * np.eye(16) + 1e25 * np.eye(16, k=1))
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(base_config(
+            problem={"kind": "from-file", "path": str(op)},
+            fine={"scheme": "forward-euler", "dt": 1.0},
+            coarse={"scheme": "forward-euler", "dt": 1e-28}, k=2,
+            n_time=399, relaxations=["F", "FCF"])))
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(["run", "--config", str(path), "--out", str(out),
+                             "--format", "json"])
+        assert code == 2
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert "power 14 overflows" in capsys.readouterr().err
+        assert not out.exists()      # no report, so no NaN trace
+
+    def test_successive_calls_match_fresh_processes(self, tmp_path, capsys,
+                                                    monkeypatch):
+        # one parser serves every call in a process; a --seed given to one
+        # run must not carry over to the next
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(base_config(relaxations=["F", "FCF"])))
+        calls = [["run", "--config", str(path), "--format", "json",
+                  "--seed", "99"],
+                 ["bounds", "--config", str(path)],
+                 ["run", "--config", str(path), "--format", "json"],
+                 ["verify", "--filter", "schur"]]
+        built = []
+        monkeypatch.setattr(cli, "build_parser",
+                            lambda f=cli.build_parser: built.append(1) or f())
+        cli._parser.cache_clear()
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(pintbounds.__file__)))
+        try:
+            for i, argv in enumerate(calls):
+                runs = {}
+                for where in ("here", "fresh"):
+                    out = tmp_path / f"{where}{i}"
+                    full = argv + ["--out", str(out)] if argv[0] == "run" \
+                        else argv
+                    if where == "here":
+                        code, text = cli.main(full), capsys.readouterr().out
+                    else:
+                        proc = subprocess.run(
+                            [sys.executable, "-m", "pintbounds.cli", *full],
+                            capture_output=True, text=True, env=env,
+                            timeout=120)
+                        code, text = proc.returncode, proc.stdout
+                    report = out / "experiment.json"
+                    runs[where] = (code, text.replace(str(out), "OUT"),
+                                   report.read_text() if report.exists()
+                                   else None)
+                assert runs["here"] == runs["fresh"]
+        finally:
+            cli._parser.cache_clear()
+        assert len(built) == 1
+
+    def test_bounds_computes_stability_decay_once(self, tmp_path, capsys,
+                                                  monkeypatch):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(base_config(relaxations=["F", "FCF"])))
+        cfg = harness.load_config(str(path))
+        pair = harness.build_pair(cfg)
+        grid = st.GridSpec(cfg.n_time, cfg.k)
+        # each relaxation computing its own decay, as bounds did before
+        want = [row for relaxation in ("F", "FCF")
+                for row in harness._bound_rows(pair, grid, relaxation)]
+        calls = []
+        original = tap.stability_decay
+        monkeypatch.setattr(tap, "stability_decay",
+                            lambda *a: calls.append(a) or original(*a))
+        assert cli.main(["bounds", "--config", str(path)]) == 0
+        assert len(calls) == 1
+        assert capsys.readouterr().out \
+            == json.dumps(want, indent=2, sort_keys=True) + "\n"
 
     def test_singular_coarse_stepper_without_traceback(self, tmp_path):
         # upwind at Courant number 1 with a forward-Euler coarse step: Psi is

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -91,6 +92,89 @@ class TestSequentialSolve:
         f = rng.standard_normal(sys.dim)
         u = st.sequential_solve(sys, f)
         assert np.linalg.norm(f - st.apply_full(sys, u)) <= 1e-13 * np.linalg.norm(f)
+
+
+def row_loop(mat, rhs):
+    """y_i = r_i + M y_{i-1}, one product per row: the reference for the
+    two-level coarse_forward_solve."""
+    out = rhs.astype(complex)
+    for i in range(1, len(out)):
+        out[i] += mat @ out[i - 1]
+    return out
+
+
+def random_step(rng, nx, rho, dtype):
+    """A random non-normal nx x nx matrix of spectral radius rho."""
+    m = rng.standard_normal((nx, nx))
+    if dtype is complex:
+        m = m + 1j * rng.standard_normal((nx, nx))
+    return m * (rho / np.max(np.abs(np.linalg.eigvals(m))))
+
+
+def transient_growth(nx=16, a=0.5, b=1e25):
+    """a I + b N, N the nilpotent shift: spectral radius a < 1, but its
+    powers grow like b^j before they decay, and its 14th is not finite."""
+    return a * np.eye(nx) + b * np.eye(nx, k=1)
+
+
+class TestForwardSolve:
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 49, 385, 2049])
+    @pytest.mark.parametrize("nx, rho, dtype", [
+        (1, 0.9, complex), (1, 1.05, complex), (3, 1.05, complex),
+        (4, 0.95, float), (4, 1.05, float)])
+    def test_matches_row_loop(self, n, nx, rho, dtype):
+        # n = 7, 49, 385 and 2049 are not multiples of their chunk size
+        # c = round(sqrt(n / 2)); rho > 1 makes the rows grow by up to e^100
+        rng = np.random.default_rng(n + nx)
+        mat = random_step(rng, nx, rho, dtype)
+        rhs = rng.standard_normal((n, nx)) + 1j * rng.standard_normal((n, nx))
+        want = row_loop(mat, rhs)
+        got = st.coarse_forward_solve(mat, rhs.ravel()).reshape(n, nx)
+        assert got.dtype == complex
+        scale = np.maximum.accumulate(np.linalg.norm(want, axis=1))
+        assert np.all(np.linalg.norm(got - want, axis=1) <= 1e-13 * scale)
+
+    @pytest.mark.parametrize("n", [49, 385, 2049])
+    def test_products_grow_like_sqrt_n(self, n):
+        # about 2c + N/c products, c = round(sqrt(N / 2)), and c - 1 more for
+        # M^c, in place of the N - 1 of the row loop
+        rng = np.random.default_rng(n)
+        step = random_step(rng, 3, 0.9, float)
+        pair, count = counting_pair(raw_pair(step, step, 1))
+        st.coarse_forward_solve(pair.fine.matrix, rng.standard_normal(3 * n))
+        c = round(math.sqrt(n / 2))
+        assert count[0] <= 3 * c + n / c
+        assert count[0] < n / 3
+
+    def test_system_makes_each_solver_once(self, monkeypatch):
+        # the exact solve and every iteration's coarse correction reuse the
+        # system's two solvers, so each M^c is formed once
+        made = []
+
+        class Recording(st.ForwardSolver):
+            def __init__(self, mat_step, n):
+                made.append(n)
+                super().__init__(mat_step, n)
+
+        monkeypatch.setattr(st, "ForwardSolver", Recording)
+        rng = np.random.default_rng(9)
+        pair = raw_pair(random_contraction(rng, 3), random_contraction(rng, 3), 2)
+        sys = st.assemble_system(pair, st.GridSpec(33, 2))
+        f = rng.standard_normal(sys.dim)
+        u = st.sequential_solve(sys, f)
+        for relaxation in ("F", "FCF", "F"):
+            u = st.apply_iteration(sys, relaxation, u, f)
+        assert made == [33, 17]
+
+    def test_transient_growth_overflow_raises(self):
+        mat = transient_growth()
+        assert np.max(np.abs(np.linalg.eigvals(mat))) < 1.0
+        rhs = np.random.default_rng(0).standard_normal(399 * 16)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isfinite(ops.matrix_power(mat, 2)).all()
+            with pytest.raises(OverflowError, match="power 14"):
+                st.coarse_forward_solve(mat, rhs)
 
 
 class TestIdealTransfer:
@@ -387,7 +471,7 @@ class TestIntervalBatching:
                 calls[relaxation].add(count[0])
         assert len(calls["F"]) == 1
         # at k = 1 every point is a C-point and C-relaxation is the
-        # sequential solve, one product per time step
+        # sequential solve, whose products grow with N_t
         assert len(calls["FCF"]) == (1 if k > 1 else 3)
 
 
@@ -601,6 +685,16 @@ LANCZOS_CASES = ["upwind3", "upwind4", "upwind8", "contractions",
 class TestLanczosNorm:
     """The matrix-free coarse norm of non-normal pairs against the dense
     SVD of the assembled block."""
+
+    def test_norm_past_the_double_range_is_infinite(self):
+        # b and c are scaled to entries below one for the iteration; the
+        # norm of the unscaled block, about 1e400, is infinite, not an error
+        big = 1e200 * np.eye(2)
+        op = st.CoarseOperator(0.5 * np.eye(2), big, big, 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = st._lanczos_norm(op, 8, False)
+        assert res.value == res.upper == math.inf and not res.certified
 
     @pytest.mark.parametrize("relaxation", ["F", "FCF"])
     @pytest.mark.parametrize("name", LANCZOS_CASES)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -185,6 +185,13 @@ def stability_matrix(scheme: SchemeSpec, z: np.ndarray) -> np.ndarray:
         raise ValueError(f"singular implicit solve for scheme {scheme.kind}") from exc
 
 
+def _unit(m: np.ndarray):
+    """(m 2^-e, e): m scaled by a power of two, exactly, to entries of size
+    below one."""
+    e = math.frexp(float(np.abs(m).max()))[1]
+    return np.ldexp(m.real, -e) + 1j * np.ldexp(m.imag, -e), e
+
+
 def _rcond(sv: np.ndarray) -> float:
     """Smallest over largest of the singular values sv; 0 for a zero matrix."""
     return float(sv.min() / sv.max()) if sv.max() > 0 else 0.0
@@ -317,8 +324,10 @@ def coarse_factors(pair: StepperPair, relaxation: str, side: str):
 def make_pair(fine: Stepper, coarse: Stepper, k: int,
               attach_eig: bool = True) -> StepperPair:
     phi, psi = fine.matrix, coarse.matrix
-    comm = np.linalg.norm(phi @ psi - psi @ phi)
-    commuting = comm <= COMMUTATION_TOL * max(1e-300, np.linalg.norm(phi) * np.linalg.norm(psi))
+    # exact under scaling by powers of two, which keeps huge entries finite
+    (p, _), (q, _) = _unit(phi), _unit(psi)
+    comm = np.linalg.norm(p @ q - q @ p)
+    commuting = comm <= COMMUTATION_TOL * max(1e-300, np.linalg.norm(p) * np.linalg.norm(q))
 
     shared = None
     if attach_eig and fine.source is coarse.source and fine.source.eig is not None:
@@ -348,7 +357,7 @@ class PairDiagnostics:
     max_abs_coarse_eig: float | None
 
 
-def verify_pair(pair: StepperPair, rcond_cap: float = RCOND_CAP) -> PairDiagnostics:
+def verify_pair(pair: StepperPair) -> PairDiagnostics:
     phi, psi = pair.fine.matrix, pair.coarse.matrix
     comm = float(np.linalg.norm(phi @ psi - psi @ phi))
     rc = _rcond(np.linalg.svd(pair.coarse_defect, compute_uv=False))
@@ -358,7 +367,7 @@ def verify_pair(pair: StepperPair, rcond_cap: float = RCOND_CAP) -> PairDiagnost
     return PairDiagnostics(
         commutator_norm=comm,
         defect_rcond=rc,
-        defect_invertible=rc > rcond_cap,
+        defect_invertible=rc > RCOND_CAP,
         fine_strongly_stable=pair.fine.strongly_stable,
         coarse_strongly_stable=pair.coarse.strongly_stable,
         fine_spectrally_stable=pair.fine.spectrally_stable,

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import StepperPair, coarse_factors, matrix_power
-from .tap import TOL, _unit
+from .operators import StepperPair, _unit, coarse_factors, matrix_power
+from .tap import TOL
 from .tridiag import relaxed_toeplitz_min
 
 DENSE_CAP = 4096       # largest order of a dense oracle block
@@ -586,12 +586,6 @@ class ForwardSolver:
         return out.reshape(-1, nx)[:n].ravel()
 
 
-def coarse_forward_solve(mat_step: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Forward substitution for the block unit lower bidiagonal system with
-    subdiagonal -mat_step, by a ForwardSolver made for this one solve."""
-    return ForwardSolver(mat_step, rhs.size // mat_step.shape[0]).solve(rhs)
-
-
 def apply_iteration(sys: SpaceTimeSystem, relaxation: str, u: np.ndarray,
                     f: np.ndarray) -> np.ndarray:
     """One two-level iteration (pre-relaxation, then coarse correction)."""
@@ -611,10 +605,10 @@ def apply_iteration(sys: SpaceTimeSystem, relaxation: str, u: np.ndarray,
             ub[k::k] = fb[k::k] + ub[k - 1:-1:k] @ phi.T
             _march_intervals(phi, ub, k, fb)
 
-    # coarse correction: restrict residual by injection, solve with Psi steps,
-    # interpolate ideally
-    r = fb - apply_full(sys, ub).reshape(nt, nx)
-    rc = r[sys.grid.c_points].ravel()
+    # coarse correction: inject the residual, which F-relaxation leaves zero
+    # at the F-points, solve with Psi steps, interpolate ideally
+    rc = fb[::k] - ub[::k]
+    rc[1:] += ub[k - 1:-1:k] @ phi.T
     w = sys.coarse_solver.solve(rc)
     return ub.ravel() + lift_coarse(sys, w)
 

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import StepperPair, coarse_factors, ill_conditioned, matrix_power
+from .operators import (StepperPair, _unit, coarse_factors, ill_conditioned,
+                        matrix_power)
 
 STACK_ENTRIES = 2**18  # most matrix entries one stacked evaluation holds
 
@@ -244,13 +245,6 @@ def _hinf(a, b, c, skip=None):
     with np.errstate(over="ignore"):
         gamma = float(np.ldexp(gamma, eb + ec))
     return x, gamma, certified and math.isfinite(gamma)
-
-
-def _unit(m: np.ndarray):
-    """(m 2^-e, e): m scaled by a power of two, exactly, to entries of size
-    below one."""
-    e = math.frexp(float(np.abs(m).max()))[1]
-    return np.ldexp(m.real, -e) + 1j * np.ldexp(m.imag, -e), e
 
 
 def _on_pole_flank(a, b, c, skip, x: float, gamma: float) -> bool:

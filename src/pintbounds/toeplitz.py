@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import StepperPair, coarse_factors, ill_conditioned, matrix_power
+from .operators import (StepperPair, _unit, coarse_factors, ill_conditioned,
+                        matrix_power)
 from .spacetime import GridSpec
 from .tridiag import (bidiagonal_gram, gershgorin_min, relaxed_toeplitz_min,
                       tridiag_min_eig)
@@ -65,14 +66,16 @@ def build_symbol(pair: StepperPair, grid: GridSpec, relaxation: str,
 
     It is the polynomial z (I - z^{N_c} Psi^{N_c}) (I - z Psi)^{-1} =
     sum_{j < N_c} z^{j+1} Psi^j between the factors (L, R) of
-    operators.coarse_factors: F(z) = sum_j z^{j+1} L Psi^j R."""
+    operators.coarse_factors: F(z) = sum_j z^{j+1} L Psi^j R. A block that
+    overflows is left infinite (symbol_max_sv)."""
     lft, rgt = coarse_factors(pair, relaxation, side)
     psi = pair.coarse.matrix
     coeffs = np.empty((grid.n_coarse,) + psi.shape, dtype=complex)
     coeffs[0] = rgt
-    for j in range(1, grid.n_coarse):
-        coeffs[j] = psi @ coeffs[j - 1]
-    return SymbolFunction(lft @ coeffs, 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(1, grid.n_coarse):
+            coeffs[j] = psi @ coeffs[j - 1]
+        return SymbolFunction(lft @ coeffs, 1)
 
 
 def symbol_max_sv(sym: SymbolFunction) -> _tap.TapResult:
@@ -96,15 +99,14 @@ def symbol_max_sv(sym: SymbolFunction) -> _tap.TapResult:
     settles within BISECT_ROUNDS rounds of at most BISECT_CELLS splits, and
     upper is within TOL of the value. The blocks are scaled by a power of
     two to entries below one first, exactly, so that tiny ones do not
-    underflow when squared. Blocks whose norms sum to 1e154 or more, where
-    the Gram matrices of the unscaled symbol would overflow, give an
-    infinite, uncertified upper."""
-    scaled, exp = _tap._unit(sym.coeffs)
+    underflow when squared, nor huge ones overflow; the value and upper are
+    scaled back. A block that is not finite, or a maximum beyond the
+    floating-point range, gives an infinite, uncertified upper."""
+    if not np.isfinite(sym.coeffs).all():
+        return _tap.TapResult(math.inf, None, 0.0, "bernstein", False,
+                              math.inf)
+    scaled, exp = _unit(sym.coeffs)
     norms = np.linalg.norm(scaled, axis=(1, 2))
-    with np.errstate(over="ignore"):
-        if not np.ldexp(norms.sum(), exp) < 1e154:
-            return _tap.TapResult(math.inf, None, 0.0, "bernstein", False,
-                                  math.inf)
     live = np.flatnonzero(norms)
     if live.size == 0:
         return _tap.TapResult(0.0, None, 0.0, "bernstein", True, 0.0)
@@ -154,8 +156,10 @@ def symbol_max_sv(sym: SymbolFunction) -> _tap.TapResult:
     upper = float(max(upper, np.max((np.maximum(fa, fb) + pad)
                                     / (1.0 - deg2 * h * h), initial=0.0))) + tail
     certified = bool(a.size == 0 and upper <= value * (1.0 + _tap.TOL))
-    return _tap.TapResult(math.ldexp(value, exp), None, 2.0 * np.pi * t_best,
-                          "bernstein", certified, math.ldexp(upper, exp))
+    with np.errstate(over="ignore"):
+        value, upper = (float(np.ldexp(v, exp)) for v in (value, upper))
+    return _tap.TapResult(value, None, 2.0 * np.pi * t_best, "bernstein",
+                          certified and math.isfinite(upper), upper)
 
 
 def normal_symbol_max(pair: StepperPair, grid: GridSpec,

@@ -160,6 +160,24 @@ class TestRunExperiment:
                          and r["norm"] == "AstarA" and r["iteration"] == 1)
             assert first == pytest.approx(dense, rel=1e-10)
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_worst_case_error_is_interpolated_coarse_solve(self, k):
+        # A^{-1} of a vector injected at the C-points is P_ideal A_Delta^{-1}
+        # of it, for a complex non-normal pair too
+        rng = np.random.default_rng(k)
+        phi, psi = (0.4 * (rng.standard_normal((3, 3))
+                           + 1j * rng.standard_normal((3, 3)))
+                    for _ in range(2))
+        sys = st.assemble_system(raw_pair(phi, psi, k),
+                                 st.GridSpec(6 * k + 1, k))
+        w = rng.standard_normal(21) + 1j * rng.standard_normal(21)
+        _, p_ideal = st.ideal_transfer(sys)
+        want = np.empty(sys.dim, dtype=complex)
+        want[sys.permutation] = p_ideal @ np.linalg.solve(
+            st.coarse_bidiagonal(sys.pair, sys.grid), w)
+        got = harness._worst_case_error(sys, w)
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
     @pytest.mark.parametrize("k", [2, 1])
     def test_roundoff_is_not_a_violation(self, k):
         # FCF is exact after a few sweeps: the error drops to round-off and
@@ -283,9 +301,10 @@ class TestRunExperiment:
                                                         rel=1e-12, abs=0.0)
         assert rows["symbol"]["certified"] is True
 
-    def test_overflowing_fcf_symbol_is_uncertified(self):
-        # Phi^2 reaches 6e123 and is singular; the FCF symbol's Gram
-        # matrices would overflow
+    def test_huge_fcf_symbol_is_certified(self):
+        # Phi^2 reaches 6e123 and is singular; the Gram matrices of the FCF
+        # symbol would overflow, those of its blocks scaled by a power of
+        # two do not
         spatial = ops.SpatialOperator(np.array([[0.0, 0.0, 1.5e-62],
                                                 [0.0, 0.0, 0.0],
                                                 [1.0, 0.0, 1.0]], complex),
@@ -294,10 +313,39 @@ class TestRunExperiment:
                                  ops.SchemeSpec("backward-euler", 1.0))
         coarse = ops.build_stepper(spatial, ops.SchemeSpec("forward-euler", 2.0))
         pair = ops.make_pair(fine, coarse, 2)
-        rows = {r["kind"]: r for r in harness._bound_rows(
-            pair, st.GridSpec(3, 2), "FCF")}
-        assert rows["symbol"]["upper"] == np.inf
-        assert not rows["symbol"]["certified"]
+        grid = st.GridSpec(3, 2)
+        rows = {r["kind"]: r for r in harness._bound_rows(pair, grid, "FCF")}
+        sym = tp.build_symbol(pair, grid, "FCF")
+        scaled, exp = ops._unit(sym.coeffs)
+        phases = 2.0 * np.pi * np.arange(2**16) / 2**16
+        sample = np.ldexp(np.linalg.svd(tp.SymbolFunction(scaled, sym.low)(
+            phases), compute_uv=False)[:, 0].max(), exp)
+        assert sample > 1e248 and rows["symbol"]["certified"]
+        assert sample <= rows["symbol"]["upper"] <= sample * (1.0 + tap.TOL)
+
+    def test_symbol_past_the_double_range_is_infinite(self, tmp_path,
+                                                       capsys):
+        # Phi = 1 - 1e154 and Psi = 0.9: the F symbol's blocks D Psi^j,
+        # D = Psi - Phi^2 = -1e308, are finite, but its maximum
+        # |D| (1 - 0.9^N_c) / 0.1 is about 1e309; the FCF blocks D Psi^j
+        # Phi^2 overflow
+        (tmp_path / "op.txt").write_text("-1e154\n")
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(base_config(
+            problem={"kind": "from-file", "path": str(tmp_path / "op.txt")},
+            fine={"scheme": "forward-euler", "dt": 1.0},
+            coarse={"scheme": "forward-euler", "dt": 1e-155}, n_time=41,
+            relaxations=["F", "FCF"])))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["bounds", "--config", str(path)]) == 0
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        out = capsys.readouterr().out
+        symbols = [r for r in json.loads(out) if r["kind"] == "symbol"]
+        assert len(symbols) == 2
+        for row in symbols:
+            assert row["upper"] == np.inf and not row["certified"]
+        assert out.count('"upper": Infinity') >= 2
 
     def test_bound_rows_present(self):
         cfg = harness.ExperimentConfig.from_dict(base_config())
@@ -472,9 +520,9 @@ class TestVerifySuite:
         assert not results[0]["passed"]
 
     def test_forward_solve_fault_detected(self, monkeypatch):
-        original = st.coarse_forward_solve
-        monkeypatch.setattr(harness.st, "coarse_forward_solve",
-                            lambda mat, rhs: original(mat, rhs) * (1 + 1e-11))
+        original = st.ForwardSolver.solve
+        monkeypatch.setattr(st.ForwardSolver, "solve",
+                            lambda self, rhs: original(self, rhs) * (1 + 1e-11))
         results = harness.verify_suite("forward-solve")
         assert [r["name"] for r in results] == ["forward-solve"]
         assert not results[0]["passed"]
@@ -521,17 +569,25 @@ class TestCli:
         yaml.safe_dump(base_config(
             coarse={"scheme": "forward-euler", "dt": 0.04}, k=4,
             n_time=3201)),
+        # entries of 2e307: the commutator of Phi and Psi, formed unscaled,
+        # would overflow before the forward solve's Phi^14 is refused
+        yaml.safe_dump(base_config(
+            problem={"kind": "from-file", "path": "op.txt"},
+            fine={"scheme": "forward-euler", "dt": 1.0},
+            coarse={"scheme": "forward-euler", "dt": 1e-10}, n_time=399)),
     ], ids=["unknown-kind", "negative-dt", "non-integer-k", "malformed-yaml",
-            "overflowing-coarse-power"])
+            "overflowing-coarse-power", "huge-stepper-entries"])
     def test_bad_config_exits_2_without_traceback(self, tmp_path, text):
         path = tmp_path / "cfg.yaml"
         path.write_text(text)
+        (tmp_path / "op.txt").write_text("-0.01 2e307\n0 -0.01\n")
         env = dict(os.environ, PYTHONPATH=os.path.dirname(
             os.path.dirname(pintbounds.__file__)))
         proc = subprocess.run(
             [sys.executable, "-m", "pintbounds.cli", "run", "--config",
              str(path), "--out", str(tmp_path / "out")],
-            capture_output=True, text=True, env=env, timeout=120)
+            capture_output=True, text=True, env=env, timeout=120,
+            cwd=tmp_path)
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert "RuntimeWarning" not in proc.stderr

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as hst
 
 from helpers import (heat_pair, normal_pair, random_contraction, raw_pair,
                      raw_stepper, rotating_pair, skewed_pair)
+from pintbounds import harness
 from pintbounds import operators as ops
 from pintbounds import spacetime as st
 from pintbounds import tap
@@ -96,7 +97,7 @@ class TestSequentialSolve:
 
 def row_loop(mat, rhs):
     """y_i = r_i + M y_{i-1}, one product per row: the reference for the
-    two-level coarse_forward_solve."""
+    two-level ForwardSolver."""
     out = rhs.astype(complex)
     for i in range(1, len(out)):
         out[i] += mat @ out[i - 1]
@@ -109,6 +110,19 @@ def random_step(rng, nx, rho, dtype):
     if dtype is complex:
         m = m + 1j * rng.standard_normal((nx, nx))
     return m * (rho / np.max(np.abs(np.linalg.eigvals(m))))
+
+
+def record_solvers(monkeypatch):
+    """The row counts of every ForwardSolver made from now on, in order."""
+    made = []
+
+    class Recording(st.ForwardSolver):
+        def __init__(self, mat_step, n):
+            made.append(n)
+            super().__init__(mat_step, n)
+
+    monkeypatch.setattr(st, "ForwardSolver", Recording)
+    return made
 
 
 def transient_growth(nx=16, a=0.5, b=1e25):
@@ -129,7 +143,7 @@ class TestForwardSolve:
         mat = random_step(rng, nx, rho, dtype)
         rhs = rng.standard_normal((n, nx)) + 1j * rng.standard_normal((n, nx))
         want = row_loop(mat, rhs)
-        got = st.coarse_forward_solve(mat, rhs.ravel()).reshape(n, nx)
+        got = st.ForwardSolver(mat, n).solve(rhs.ravel()).reshape(n, nx)
         assert got.dtype == complex
         scale = np.maximum.accumulate(np.linalg.norm(want, axis=1))
         assert np.all(np.linalg.norm(got - want, axis=1) <= 1e-13 * scale)
@@ -141,7 +155,7 @@ class TestForwardSolve:
         rng = np.random.default_rng(n)
         step = random_step(rng, 3, 0.9, float)
         pair, count = counting_pair(raw_pair(step, step, 1))
-        st.coarse_forward_solve(pair.fine.matrix, rng.standard_normal(3 * n))
+        st.ForwardSolver(pair.fine.matrix, n).solve(rng.standard_normal(3 * n))
         c = round(math.sqrt(n / 2))
         assert count[0] <= 3 * c + n / c
         assert count[0] < n / 3
@@ -149,14 +163,7 @@ class TestForwardSolve:
     def test_system_makes_each_solver_once(self, monkeypatch):
         # the exact solve and every iteration's coarse correction reuse the
         # system's two solvers, so each M^c is formed once
-        made = []
-
-        class Recording(st.ForwardSolver):
-            def __init__(self, mat_step, n):
-                made.append(n)
-                super().__init__(mat_step, n)
-
-        monkeypatch.setattr(st, "ForwardSolver", Recording)
+        made = record_solvers(monkeypatch)
         rng = np.random.default_rng(9)
         pair = raw_pair(random_contraction(rng, 3), random_contraction(rng, 3), 2)
         sys = st.assemble_system(pair, st.GridSpec(33, 2))
@@ -166,15 +173,27 @@ class TestForwardSolve:
             u = st.apply_iteration(sys, relaxation, u, f)
         assert made == [33, 17]
 
+    def test_worst_case_run_makes_two_solvers(self, monkeypatch):
+        # the worst-case seed is one solve with the fine solver, so a run
+        # with both relaxations forms Phi over N_t and Psi over N_c only
+        made = record_solvers(monkeypatch)
+        cfg = harness.ExperimentConfig.from_dict({
+            "problem": {"kind": "laplacian-1d-dirichlet", "n": 4, "h": 0.2},
+            "fine": {"scheme": "backward-euler", "dt": 0.02},
+            "coarse": "rediscretized", "k": 2, "n_time": 33,
+            "relaxations": ["F", "FCF"], "norms": ["AstarA"],
+            "iterations": 3, "initial_error": "worst-case", "seed": 3})
+        harness.run_experiment(cfg)
+        assert made == [33, 17]
+
     def test_transient_growth_overflow_raises(self):
         mat = transient_growth()
         assert np.max(np.abs(np.linalg.eigvals(mat))) < 1.0
-        rhs = np.random.default_rng(0).standard_normal(399 * 16)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert np.isfinite(ops.matrix_power(mat, 2)).all()
             with pytest.raises(OverflowError, match="power 14"):
-                st.coarse_forward_solve(mat, rhs)
+                st.ForwardSolver(mat, 399)
 
 
 class TestIdealTransfer:
@@ -600,7 +619,7 @@ class TestModeBlocks:
         lam, mu = eig.fine_values[m] ** pair.k, eig.coarse_values[m]
         # past its zero first row the block is (lam - mu) C^{-1}, times lam
         # for FCF, with C unit lower bidiagonal, subdiagonal -mu
-        image = st.coarse_forward_solve(np.array([[mu]]), v[:n])
+        image = st.ForwardSolver(np.array([[mu]]), n).solve(v[:n])
         gain = abs(lam - mu) * (abs(lam) if relaxation == "FCF" else 1.0)
         assert gain * np.linalg.norm(image) == pytest.approx(res.value,
                                                              rel=1e-12)

@@ -271,7 +271,7 @@ class TestLevelSet:
             a, b, c = tap._tap_realization(
                 pair.coarse.matrix, m,
                 np.linalg.matrix_power(pair.coarse_defect, p), p)
-            (b, eb), (c, ec) = tap._unit(b), tap._unit(c)
+            (b, eb), (c, ec) = ops._unit(b), ops._unit(c)
             upper = np.ldexp(res.upper, -eb - ec)
             assert res.certified
             assert res.upper == res.value * (1 + 2 * tap.TOL)

@@ -258,11 +258,14 @@ def _bound_rows(pair: ops.StepperPair, grid: st.GridSpec, relaxation: str,
     nb = tp.necessary_lower_bound(pair, grid, relaxation, 1, "residual",
                                   coarse_norm=cnorm.value)
     if nb.available:
+        # a coarse norm past the floating-point range certifies nothing
         row = {"relaxation": relaxation, "kind": "necessary",
-               "lower": nb.value, "upper": math.inf, "certified": True}
-        if nb.value > 0.0:
+               "lower": nb.value, "upper": math.inf,
+               "certified": math.isfinite(nb.value)}
+        if 0.0 < nb.value < math.inf and math.isfinite(tap_res.value):
             # the gap to the approximation constant, scaled by sqrt(N_c);
-            # none when Psi = Phi^k makes the coarse block zero
+            # none when Psi = Phi^k makes the coarse block zero, or when
+            # either side is past the floating-point range
             row["slack_constant"] = ((tap_res.value / nb.value - 1.0)
                                      * math.sqrt(grid.n_coarse))
         rows.append(row)

@@ -155,13 +155,18 @@ class _PoleMask:
 
 
 def _gain(a, b, c, xs: np.ndarray) -> np.ndarray:
-    """sigma_max(C (I - e^{ix} A)^{-1} B) at each phase of xs."""
+    """sigma_max(C (I - e^{ix} A)^{-1} B) at each phase of xs; inf where the
+    transfer function is not finite, beyond the floating-point range."""
     eye = np.eye(a.shape[0])
 
     def fun(chunk):
         den = eye - np.exp(1j * chunk)[:, None, None] * a
-        return np.linalg.svd(c @ np.linalg.solve(den, b),
-                             compute_uv=False)[:, 0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = c @ np.linalg.solve(den, b)
+        finite = np.isfinite(g).all(axis=(1, 2))
+        vals = np.full(chunk.shape, np.inf)
+        vals[finite] = np.linalg.svd(g[finite], compute_uv=False)[:, 0]
+        return vals
 
     return _evaluate(fun, xs, a.shape[0]**2)
 
@@ -228,6 +233,8 @@ def _hinf(a, b, c, skip=None):
     x, gamma = float(xs[i]), float(vals[i])
     certified = False
     for _ in range(LEVEL_ROUNDS):
+        if math.isinf(gamma):
+            break    # a sample beyond the floating-point range
         level = gamma * (1.0 + 2.0 * TOL)
         cross, exact = _crossings(a, b, c, level, skip)
         cuts = np.sort(np.concatenate([cross, edges, [x]]))

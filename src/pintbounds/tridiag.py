@@ -1,9 +1,12 @@
 """Hermitian tridiagonal minimum-eigenvalue solvers.
 
 tridiag_min_eig is a Sturm-sequence multisection, batched over a stack of
-matrices: each sweep counts the negative pivots of T - x I for a fan of
-shifts x in every matrix's bracket at once, and keeps the bracket between the
-last shift below the smallest eigenvalue and the first above it. A phase
+matrices: each sweep tests T - x I for a negative pivot at a fan of shifts x
+in every matrix's bracket at once, and keeps the bracket between the last
+shift below the smallest eigenvalue and the first above it. The pivots are
+those of a twisted factorization at the middle row, as in LAPACK's dlaneg:
+the top-down and bottom-up recurrences run side by side, so a sweep takes
+about n/2 sequential steps, done over contiguous blocks of rows. A phase
 similarity reduces the Hermitian problem to real symmetric form, so only the
 off-diagonal magnitudes enter.
 
@@ -14,10 +17,14 @@ equation in one angle, for every matrix of a batch at once.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-SHIFTS = 31        # interior shifts per sweep; a sweep cuts a bracket 32-fold
-MAX_SWEEPS = 32    # cap on sweeps: 160 bits of bracket reduction
+SHIFTS = 7         # interior shifts per sweep; a sweep cuts a bracket 8-fold
+# cap on sweeps: 160 bits of bracket reduction whatever the fan
+MAX_SWEEPS = math.ceil(160 / math.log2(SHIFTS + 1))
+BLOCK = 32         # pivot steps per block of rows
 NEWTON_STEPS = 64  # cap on safeguarded Newton steps of the secular equation
 G_ROUNDING = 16    # rounding bound of the secular function, in units of eps
 RUNGS = (2.0 ** -44, 2.0 ** -36, 2.0 ** -28, 2.0 ** -20)  # its bracket's half-widths
@@ -42,6 +49,78 @@ def gershgorin_min(diag, off):
     return np.min(diag - radius, axis=-1)
 
 
+class TwistedSturm:
+    """Negative-pivot test of T - x I for a stack of real symmetric
+    tridiagonal matrices with diagonals d (M, n) and squared off-diagonals
+    b2 (M, n - 1), twisted at the middle row r = n // 2.
+
+    The top-down pivots q+_i = d_i - x - b2_{i-1} / q+_{i-1} of rows
+    0 ... r - 1 and the bottom-up pivots q-_i = d_i - x - b2_i / q-_{i+1}
+    of rows n - 1 ... r + 1 advance together, half 0 and half 1 of one
+    (2, M, S) array per step, and the twist pivot
+    g_r = d_r - x - b2_{r-1} / q+_{r-1} - b2_r / q-_{r+1} closes the
+    factorization T - x I = N diag(q+, g_r, q-) N^T with N unit twisted
+    triangular. By Sylvester's law of inertia T - x I has as many negative
+    eigenvalues as these pivots (Dhillon and Parlett, LAA 387, 2004). For
+    even n the bottom half is one row short; it starts from a pad pivot of
+    +inf, which couples to the next row by b2 / inf = 0.
+
+    A zero pivot makes the next ratio infinite; with b2 floored above zero
+    it is never 0/0, and the pivot after it is -inf. The twist pivot is
+    inf - inf = NaN only when its two neighbours are zero or nearly so, with
+    opposite signs: one of them stands for a negative pivot, so a NaN twist
+    counts as negative."""
+
+    def __init__(self, d, b2):
+        m, n = d.shape
+        r = n // 2
+        pad = 2 * r + 1 - n
+        self.steps = r
+        # row values in step order, (steps, 2, M): d, and the b2 that
+        # couples each step to the one before (none into the first)
+        self.d = np.empty((r, 2, m))
+        self.d[:, 0] = d[:, :r].T
+        self.d[pad:, 1] = d[:, :r:-1].T
+        self.d[:pad, 1] = np.inf
+        self.b2 = np.zeros((r, 2, m))
+        self.b2[1:, 0] = b2[:, :r - 1].T
+        self.b2[pad + 1:, 1] = b2[:, n - 2:r:-1].T
+        self.mid = d[:, r, None]
+        self.twist = np.zeros((2, m, 1))
+        if r > 0:
+            self.twist[0, :, 0] = b2[:, r - 1]
+        if r < n - 1:
+            self.twist[1, :, 0] = b2[:, r]
+
+    def below(self, x):
+        """Boolean (M, S): whether matrix m has an eigenvalue below x[m, s]."""
+        shape = (2,) + x.shape
+        # row 0 carries the last pivot of the block before; the ratios are
+        # laid out at the pivots' shape, so each step is one divide and one
+        # subtract of same-shape contiguous arrays
+        piv = np.empty((min(BLOCK, self.steps) + 1,) + shape)
+        ratio = np.empty((min(BLOCK, self.steps),) + shape)
+        rows = list(zip(ratio, piv[:-1], piv[1:]))
+        low = np.full(shape, np.inf)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            for start in range(0, self.steps, BLOCK):
+                size = min(BLOCK, self.steps - start)
+                np.subtract(self.d[start:start + size, :, :, None], x,
+                            out=piv[1:size + 1])
+                np.copyto(ratio[:size], self.b2[start:start + size, :, :, None])
+                for rat, before, after in rows[start == 0:size]:
+                    np.divide(rat, before, out=rat)
+                    np.subtract(after, rat, out=after)
+                np.minimum(low, piv[1:size + 1].min(axis=0), out=low)
+                piv[0] = piv[size]
+            twist = self.mid - x
+            if self.steps:
+                ratio = self.twist / piv[0]
+                twist -= ratio[0]
+                twist -= ratio[1]
+        return (low < 0.0).any(axis=0) | ~(twist >= 0.0)
+
+
 def tridiag_min_eig(diag, off):
     """Smallest eigenvalue of the Hermitian tridiagonal matrix with the given
     diagonal and first superdiagonal; for a stack of diagonals (M, n) and
@@ -60,36 +139,24 @@ def tridiag_min_eig(diag, off):
     b = b.reshape(d2.shape[0], -1)
     # b^2 floored at the smallest normal number, as in LAPACK's dlaneg: a
     # zero pivot gives b^2/0 = +inf and the next pivot -inf, never 0/0
-    b2 = np.maximum(b * b, np.finfo(float).tiny)
+    sturm = TwistedSturm(d2, np.maximum(b * b, np.finfo(float).tiny))
     lo = gershgorin_min(d2, b)
     # Rayleigh quotients of unit vectors and of the constant vector, the
     # latter taken for the similar matrix with off-diagonals -|b|
     hi = np.minimum(np.min(d2, axis=1),
                     (d2.sum(axis=1) - 2.0 * b.sum(axis=1)) / d2.shape[1])
-    # one column per matrix row, so each step of the recurrence is one slice
-    dcol = list(np.ascontiguousarray(d2.T)[:, :, None])
-    bcol = list(np.ascontiguousarray(b2.T)[:, :, None])
     fan = np.arange(SHIFTS + 2) / (SHIFTS + 1)
-    with np.errstate(over="ignore", divide="ignore"):
+    neg = np.ones((d2.shape[0], SHIFTS + 2), dtype=bool)
+    with np.errstate(over="ignore"):
         for _ in range(MAX_SWEEPS):
             # the fan spans the bracket, ends included
             x = lo[:, None] + (hi - lo)[:, None] * fan
             x[:, 0], x[:, -1] = lo, hi
             if not np.any((x > lo[:, None]) & (x < hi[:, None])):
                 break    # every bracket is at rounding level: none can shrink
-            # pivots q_i = d_i - x - b_{i-1}^2 / q_{i-1}, in two rolling buffers
-            q = dcol[0] - x
-            qmin = q.copy()
-            ratio = np.empty_like(q)
-            for i in range(1, d2.shape[1]):
-                np.divide(bcol[i - 1], q, out=ratio)
-                np.subtract(dcol[i], x, out=q)
-                np.subtract(q, ratio, out=q)
-                np.minimum(qmin, q, out=qmin)
-            # a shift with a negative pivot lies above the smallest eigenvalue;
+            # a shift with an eigenvalue below it lies above the smallest one;
             # keep the bracket between the first such shift and the one below
-            neg = qmin < 0.0
-            neg[:, -1] = True
+            neg[:, 1:-1] = sturm.below(x[:, 1:-1])
             j = 1 + np.argmax(neg[:, 1:], axis=1)[:, None]
             lo, hi = np.take_along_axis(x, np.hstack([j - 1, j]), axis=1).T
     mid = 0.5 * (lo + hi)

@@ -347,6 +347,44 @@ class TestRunExperiment:
             assert row["upper"] == np.inf and not row["certified"]
         assert out.count('"upper": Infinity') >= 2
 
+    def test_infinite_coarse_norm_leaves_necessary_uncertified(
+            self, tmp_path, capsys):
+        # the same pair: the coarse norm, and the necessary bound at p = 1
+        # built on it, are past the double range
+        (tmp_path / "op.txt").write_text("-1e154\n")
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(base_config(
+            problem={"kind": "from-file", "path": str(tmp_path / "op.txt")},
+            fine={"scheme": "forward-euler", "dt": 1.0},
+            coarse={"scheme": "forward-euler", "dt": 1e-155}, n_time=41)))
+        assert cli.main(["bounds", "--config", str(path)]) == 0
+        out = capsys.readouterr().out
+        rows = {r["kind"]: r for r in json.loads(out)}
+        assert rows["coarse-norm"]["lower"] == np.inf
+        assert rows["necessary"]["lower"] == np.inf
+        assert not rows["necessary"]["certified"]
+        assert "slack_constant" not in rows["necessary"]
+        assert "NaN" not in out
+
+    def test_transfer_function_past_the_double_range_is_uncertified(
+            self, tmp_path, capsys):
+        # Psi = [[0.999, 1e304], [0, 0.999]]: (I - e^{ix} Psi)^{-1} B
+        # overflows, so the TAP is infinite, not an SVD of NaN entries
+        (tmp_path / "op.txt").write_text("-1 1e307\n0 -1\n")
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(base_config(
+            problem={"kind": "from-file", "path": str(tmp_path / "op.txt")},
+            fine={"scheme": "forward-euler", "dt": 0.5},
+            coarse={"scheme": "forward-euler", "dt": 1e-3}, n_time=2001)))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["bounds", "--config", str(path)]) == 0
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        rows = {r["kind"]: r for r in json.loads(capsys.readouterr().out)}
+        assert rows["tap"]["lower"] == np.inf
+        assert not rows["tap"]["certified"]
+        assert not rows["sufficient"]["certified"]
+
     def test_bound_rows_present(self):
         cfg = harness.ExperimentConfig.from_dict(base_config())
         rec = harness.run_experiment(cfg)

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -119,6 +120,103 @@ class TestZeroPivots:
         scale = max(np.linalg.norm(dense, 1), 1.0)
         assert abs(got - oracle) <= 1e-14 * scale
         assert np.array_equal(batch, [got, got])
+
+
+def sturm(diag, off):
+    """The twisted negative-pivot test of one real matrix, b^2 floored as
+    tridiag_min_eig floors it."""
+    b = np.abs(np.asarray(off, dtype=float))
+    return tridiag.TwistedSturm(np.array([diag], dtype=float),
+                                np.maximum(b * b, np.finfo(float).tiny)[None])
+
+
+class TestTwistedSturm:
+    """The twist at r = n // 2: the top-down pivots of rows 0 ... r - 1 and
+    the bottom-up ones of rows n - 1 ... r + 1 run together, the bottom half
+    padded by one row for even n."""
+
+    def test_cap_stays_at_160_bits(self):
+        assert tridiag.MAX_SWEEPS * math.log2(tridiag.SHIFTS + 1) >= 160
+        assert (tridiag.MAX_SWEEPS - 1) * math.log2(tridiag.SHIFTS + 1) < 160
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_counts_match_dense_at_every_shift(self, n):
+        # n = 1 is the twist alone, n = 2 a top row and the twist at the
+        # last row, n = 4 and 6 a padded bottom half, n = 3 and 5 two equal
+        # halves
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            diag = rng.uniform(-2.0, 3.0, n)
+            off = rng.uniform(-1.5, 1.5, n - 1)
+            eigs = np.linalg.eigvalsh(assemble(diag, off).real)
+            x = np.sort(rng.uniform(-4.0, 5.0, 9))
+            x = x[np.min(np.abs(x[:, None] - eigs), axis=1) > 1e-9]
+            got = sturm(diag, off).below(x[None])[0]
+            assert np.array_equal(got, x > eigs[0])
+
+    @pytest.mark.parametrize("diag, off", [
+        # x = 0: q+ = (1, 0), a zero pivot at row r - 1 = 1
+        ([1.0, 1.0, 3.0, 2.0, 2.0], [1.0, 1.0, 0.5, 0.5]),
+        # its mirror: q- = (1, 0) from the bottom, a zero pivot at row r + 1
+        ([2.0, 2.0, 3.0, 1.0, 1.0], [0.5, 0.5, 1.0, 1.0]),
+        # n = 4: the bottom half is the pad and row 3, whose pivot is zero
+        ([2.0, 2.0, 3.0, 0.0], [0.5, 0.5, 1.0]),
+        # both neighbours of the twist are zero pivots
+        ([1.0, 1.0, 3.0, 1.0, 1.0], [1.0, 1.0, 1.0, 1.0]),
+    ], ids=["zero-above-twist", "zero-below-twist", "zero-in-short-half",
+            "zeros-both-sides"])
+    def test_zero_pivot_next_to_the_twist(self, diag, off):
+        eigs = np.linalg.eigvalsh(assemble(diag, off).real)
+        assert eigs[0] < -1e-3         # x = 0 lies clearly above the minimum
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = sturm(diag, off).below(np.zeros((1, 1)))
+            value = tridiag.tridiag_min_eig(diag, off)
+        assert got[0, 0]
+        assert abs(value - eigs[0]) <= 1e-14 * np.linalg.norm(
+            assemble(diag, off), 1)
+
+    def test_nan_twist_counts_as_negative(self):
+        # at x = 0 the top pivot is +0 and the bottom one -0, so the twist
+        # is 0.5 - inf + inf = NaN; neither neighbour counts as negative,
+        # yet the matrix has eigenvalues 0 and (0.5 -+ sqrt(8.25)) / 2
+        diag, off = [0.0, 0.5, -0.0], [1.0, 1.0]
+        eigs = np.linalg.eigvalsh(assemble(diag, off).real)
+        assert eigs[0] < -1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert sturm(diag, off).below(np.zeros((1, 1)))[0, 0]
+            value = tridiag.tridiag_min_eig(diag, off)
+        assert abs(value - eigs[0]) <= 1e-14 * 2.5
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 33, 64, 65, 130])
+    def test_batch_equals_single_without_warnings(self, n):
+        # the lengths cover both parities and blocks of rows that end early
+        # or exactly at a block's end
+        rng = np.random.default_rng(100 + n)
+        diag = rng.uniform(-1.0, 2.0, (5, n))
+        off = rng.uniform(-1.0, 1.0, (5, n - 1))
+        off[1, n // 2 - 1:] = 0.0          # decoupled from the twist on
+        diag[2, :] = np.round(diag[2, :])  # shifts meet diagonal entries
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = tridiag.tridiag_min_eig(diag, off)
+            single = [tridiag.tridiag_min_eig(d, o) for d, o in zip(diag, off)]
+        assert np.array_equal(batch, single)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_graded_matches_dense_eigensolver(self, seed):
+        # entries from 1e-8 to 1e8, graded along the matrix
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 60))
+        g = 10.0 ** rng.uniform(-8.0, 8.0, n)
+        diag = g * rng.uniform(0.5, 2.0, n) * rng.choice([-1.0, 1.0], n)
+        off = np.sqrt(g[:-1] * g[1:]) * rng.uniform(-1.0, 1.0, n - 1)
+        dense = assemble(diag, off).real
+        oracle = np.linalg.eigvalsh(dense)[0]
+        got = tridiag.tridiag_min_eig(diag, off)
+        eps = np.finfo(float).eps
+        assert abs(got - oracle) <= 4.0 * eps * np.linalg.norm(dense, 1)
 
 
 def relaxed_gram(mu, n):

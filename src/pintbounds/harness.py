@@ -22,7 +22,7 @@ from . import operators as ops
 from . import spacetime as st
 from . import tap as tap_mod
 from . import toeplitz as tp
-from .tridiag import tridiag_min_eig
+from .tridiag import tridiag_min_eig, tridiag_stack_min
 
 RATIO_FLOOR = 1e-300
 # a ratio whose previous error is at most this times the series' initial
@@ -270,7 +270,8 @@ def _bound_rows(pair: ops.StepperPair, grid: st.GridSpec, relaxation: str,
                                      * math.sqrt(grid.n_coarse))
         rows.append(row)
     rows.append({"relaxation": relaxation, "kind": "coarse-norm",
-                 "lower": cnorm.value, "upper": math.inf,
+                 "lower": cnorm.value,
+                 "upper": cnorm.upper if cnorm.certified else math.inf,
                  "certified": cnorm.certified, "method": cnorm.method})
     # a normal pair's symbol splits into scalar modes with a closed-form
     # maximum; any other symbol is bounded from its coefficient blocks
@@ -321,19 +322,27 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentRecord:
     worst_case = cfg.initial_error == "worst-case"
     for relaxation in cfg.relaxations:
         cnorm = st.coarse_norm(pair, grid, relaxation, with_vector=worst_case)
-        if worst_case:
-            e0 = _worst_case_error(sys, cnorm.vector)
-        else:
-            e0 = rng.standard_normal(sys.dim) \
-                + 1j * rng.standard_normal(sys.dim)
-            e0 /= np.linalg.norm(e0)
-        u = u_exact + e0
-        values = {n: [_vector_norm(e0, n, sys, u_inv)] for n in cfg.norms}
-        for _ in range(cfg.iterations):
-            u = st.apply_iteration(sys, relaxation, u, f_rhs)
-            e = u - u_exact
-            for n in cfg.norms:
-                values[n].append(_vector_norm(e, n, sys, u_inv))
+        values = {n: [] for n in cfg.norms}
+        # iterates may overflow where the refused powers do not; an error
+        # norm past the floating-point range is refused as they are
+        with np.errstate(over="ignore", invalid="ignore"):
+            if worst_case:
+                e = _worst_case_error(sys, cnorm.vector)
+            else:
+                e = rng.standard_normal(sys.dim) \
+                    + 1j * rng.standard_normal(sys.dim)
+                e /= np.linalg.norm(e)
+            u = u_exact + e
+            for i in range(cfg.iterations + 1):
+                if i > 0:
+                    u = st.apply_iteration(sys, relaxation, u, f_rhs)
+                    e = u - u_exact
+                for n in cfg.norms:
+                    value = _vector_norm(e, n, sys, u_inv)
+                    if not math.isfinite(value):
+                        raise ConfigError(f"{relaxation}/{n} error norm "
+                                          f"overflows at iteration {i}")
+                    values[n].append(value)
         for n in cfg.norms:
             for i in range(cfg.iterations + 1):
                 ratio = None
@@ -571,16 +580,29 @@ def verify_suite(filter_name: str | None = None) -> list:
         # the closed-form minimum of the relaxed Toeplitz matrix against the
         # Sturm kernel on its explicit entries, over the same grid
         worst = 0.0
-        mus = np.arange(0.05, 1.0, 0.1)
-        for n in (10, 20, 50, 100, 200):
-            diag = np.repeat(1.0 + mus[:, None] ** 2, n, axis=1)
-            diag[:, -1] = 1.0
-            sturm = tridiag_min_eig(diag, np.repeat(-mus[:, None], n - 1, 1))
+        for mus, n, diag, off in _relaxed_grams():
+            sturm = tridiag_min_eig(diag, off)
             for mu, oracle in zip(mus, sturm):
                 value = tp.tridiag_perturbed_min_eig(float(mu), n)[0]
                 worst = max(worst, abs(value - oracle) / oracle)
         results.append(_check("per-mode-closed-form", worst <= 1e-12,
                               1e-12 - worst))
+
+    if want("stack-min"):
+        # the stack minimum that timedep_exact_norm resolves against the
+        # minimum of the per-matrix kernel: on the per-mode-closed-form grid,
+        # and through timedep_exact_norm on the sandwich configs' pairs
+        worst = 0.0
+        for _, _, diag, off in _relaxed_grams():
+            oracle = np.min(tridiag_min_eig(diag, off))
+            worst = max(worst, abs(tridiag_stack_min(diag, off) - oracle)
+                        / oracle)
+        for spec in _timedep_specs():
+            oracle = 1.0 / math.sqrt(np.min(tridiag_min_eig(
+                *tp.timedep_tridiagonal(spec))))
+            value = tp.timedep_exact_norm(spec)[0]
+            worst = max(worst, abs(value - oracle) / oracle)
+        results.append(_check("stack-min", worst <= 1e-14, 1e-14 - worst))
 
     if want("tap-teap"):
         worst = 0.0
@@ -670,6 +692,36 @@ def verify_suite(filter_name: str | None = None) -> list:
         results.append(_check("forward-solve", worst <= 1e-12, 1e-12 - worst))
 
     return results
+
+
+def _relaxed_grams():
+    """(mus, n, diag, off) for each n of the appendix-bracket grid: the
+    stack of relaxed Toeplitz Gram matrices of order n, one per mu."""
+    mus = np.arange(0.05, 1.0, 0.1)
+    for n in (10, 20, 50, 100, 200):
+        diag = np.repeat(1.0 + mus[:, None] ** 2, n, axis=1)
+        diag[:, -1] = 1.0
+        yield mus, n, diag, np.repeat(-mus[:, None], n - 1, 1)
+
+
+def _timedep_specs() -> list:
+    """Time-dependent sequences from the pairs of the sandwich configs: each
+    pair's eigenvalues repeated over its horizon, and the first pair's
+    raised to a power that varies from step to step."""
+    specs = []
+    for cfg in _default_configs():
+        pair = build_pair(cfg)
+        lam, mu = pair.shared_eig.fine_values, pair.shared_eig.coarse_values
+        nc = st.GridSpec(cfg.n_time, cfg.k).n_coarse
+        specs.append(tp.TimeDepSpec(np.tile(lam, (pair.k * (nc - 1), 1)),
+                                    np.tile(mu, (nc - 1, 1)), pair.k))
+    first = specs[0]
+    steps = np.arange(first.fine_values.shape[0])[:, None]
+    specs.append(tp.TimeDepSpec(
+        first.fine_values ** (1.0 + 0.5 * np.sin(steps)),
+        first.coarse_values ** (1.0 + 0.5 * np.cos(steps[::first.k])),
+        first.k))
+    return specs
 
 
 def _row_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ from .operators import (StepperPair, _unit, coarse_factors, ill_conditioned,
                         matrix_power)
 from .spacetime import GridSpec
 from .tridiag import (bidiagonal_gram, gershgorin_min, relaxed_toeplitz_min,
-                      tridiag_min_eig)
+                      tridiag_stack_min)
 from . import spacetime as _st
 from . import tap as _tap
 
@@ -158,6 +158,10 @@ def symbol_max_sv(sym: SymbolFunction) -> _tap.TapResult:
     certified = bool(a.size == 0 and upper <= value * (1.0 + _tap.TOL))
     with np.errstate(over="ignore"):
         value, upper = (float(np.ldexp(v, exp)) for v in (value, upper))
+    if upper < np.finfo(float).tiny:
+        # scaled back into the subnormal range, upper rounds to a multiple
+        # of the smallest subnormal, maybe down; one more is above the bound
+        upper = float(np.nextafter(upper, math.inf))
     return _tap.TapResult(value, None, 2.0 * np.pi * t_best, "bernstein",
                           certified and math.isfinite(upper), upper)
 
@@ -508,14 +512,15 @@ def timedep_exact_norm(spec: TimeDepSpec):
     """(exact modified-norm of the residual-propagation operator, Gershgorin
     sufficient bound). The exact value is max over modes of
     1/sqrt(lambda_min) of the tridiagonal reduction; the bound replaces
-    lambda_min by its smallest Gershgorin disc edge."""
+    lambda_min by its smallest Gershgorin disc edge. Only the smallest
+    lambda_min over the modes is resolved (tridiag_stack_min)."""
     diag, off = timedep_tridiagonal(spec)
-    lam_min = tridiag_min_eig(diag, off)
-    if np.any(lam_min <= 0):
+    lam_min = tridiag_stack_min(diag, off)
+    if lam_min <= 0:
         raise ValueError("nonpositive tridiagonal minimum eigenvalue")
     g = np.min(gershgorin_min(diag, off))
     bound = 1.0 / math.sqrt(g) if g > 0 else math.inf
-    return 1.0 / math.sqrt(np.min(lam_min)), bound
+    return 1.0 / math.sqrt(lam_min), bound
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,14 @@ about n/2 sequential steps, done over contiguous blocks of rows. A phase
 similarity reduces the Hermitian problem to real symmetric form, so only the
 off-diagonal magnitudes enter.
 
+tridiag_stack_min resolves only the smallest eigenvalue over the stack, for
+timedep_exact_norm, with the same test, start brackets and bracket rule.
+Before each sweep it drops every matrix whose bracket lies wholly above
+another's, and spreads a fixed budget of LANES shifts over the matrices
+left, so a stack whose minima separate soon sweeps one matrix with a wide
+fan. tridiag_min_eig, which resolves every matrix with a fan of SHIFTS, is
+its reference.
+
 relaxed_toeplitz_min is the closed form for the one family with constant
 entries, the per-mode Gram matrices of a normal pair: the root of a secular
 equation in one angle, for every matrix of a batch at once.
@@ -25,6 +33,7 @@ SHIFTS = 7         # interior shifts per sweep; a sweep cuts a bracket 8-fold
 # cap on sweeps: 160 bits of bracket reduction whatever the fan
 MAX_SWEEPS = math.ceil(160 / math.log2(SHIFTS + 1))
 BLOCK = 32         # pivot steps per block of rows
+LANES = 64         # shifts per sweep of tridiag_stack_min, over all matrices
 NEWTON_STEPS = 64  # cap on safeguarded Newton steps of the secular equation
 G_ROUNDING = 16    # rounding bound of the secular function, in units of eps
 RUNGS = (2.0 ** -44, 2.0 ** -36, 2.0 ** -28, 2.0 ** -20)  # its bracket's half-widths
@@ -92,6 +101,14 @@ class TwistedSturm:
         if r < n - 1:
             self.twist[1, :, 0] = b2[:, r]
 
+    def keep(self, rows):
+        """Restrict the test to the matrices that rows (a boolean mask or
+        index array over the stack) selects."""
+        self.d = self.d[:, :, rows]
+        self.b2 = self.b2[:, :, rows]
+        self.mid = self.mid[rows]
+        self.twist = self.twist[:, rows]
+
     def below(self, x):
         """Boolean (M, S): whether matrix m has an eigenvalue below x[m, s]."""
         shape = (2,) + x.shape
@@ -121,10 +138,10 @@ class TwistedSturm:
         return (low < 0.0).any(axis=0) | ~(twist >= 0.0)
 
 
-def tridiag_min_eig(diag, off):
-    """Smallest eigenvalue of the Hermitian tridiagonal matrix with the given
-    diagonal and first superdiagonal; for a stack of diagonals (M, n) and
-    off-diagonals (M, n - 1), the M smallest eigenvalues."""
+def _real_stack(diag, off):
+    """(d, d2, b): the validated diagonal, the stack of real diagonals
+    (M, n) and the off-diagonal magnitudes (M, n - 1) of one Hermitian
+    tridiagonal matrix or a stack of them."""
     d = np.asarray(diag)
     if d.ndim not in (1, 2) or d.size == 0:
         raise ValueError("diagonal must be a nonempty 1-d array or a stack of them")
@@ -136,7 +153,12 @@ def tridiag_min_eig(diag, off):
     if b.shape != d.shape[:-1] + (d.shape[-1] - 1,):
         raise ValueError("off-diagonal length must be n - 1")
     d2 = np.atleast_2d(d).astype(float)
-    b = b.reshape(d2.shape[0], -1)
+    return d, d2, b.reshape(d2.shape[0], -1)
+
+
+def _start(d2, b):
+    """(sturm, lo, hi): the negative-pivot test of the stack and a proven
+    bracket on each matrix's smallest eigenvalue."""
     # b^2 floored at the smallest normal number, as in LAPACK's dlaneg: a
     # zero pivot gives b^2/0 = +inf and the next pivot -inf, never 0/0
     sturm = TwistedSturm(d2, np.maximum(b * b, np.finfo(float).tiny))
@@ -145,22 +167,69 @@ def tridiag_min_eig(diag, off):
     # latter taken for the similar matrix with off-diagonals -|b|
     hi = np.minimum(np.min(d2, axis=1),
                     (d2.sum(axis=1) - 2.0 * b.sum(axis=1)) / d2.shape[1])
-    fan = np.arange(SHIFTS + 2) / (SHIFTS + 1)
-    neg = np.ones((d2.shape[0], SHIFTS + 2), dtype=bool)
+    return sturm, lo, hi
+
+
+def _sweep(sturm, lo, hi, shifts: int):
+    """The brackets (lo, hi) after one sweep of the given number of interior
+    shifts, or None when every bracket is at rounding level and none can
+    shrink."""
+    # the fan spans the bracket, ends included
+    fan = np.arange(shifts + 2) / (shifts + 1)
+    x = lo[:, None] + (hi - lo)[:, None] * fan
+    x[:, 0], x[:, -1] = lo, hi
+    if not np.any((x > lo[:, None]) & (x < hi[:, None])):
+        return None
+    # a shift with an eigenvalue below it lies above the smallest one; keep
+    # the bracket between the first such shift and the one below
+    neg = np.ones(x.shape, dtype=bool)
+    neg[:, 1:-1] = sturm.below(x[:, 1:-1])
+    j = 1 + np.argmax(neg[:, 1:], axis=1)[:, None]
+    return np.take_along_axis(x, np.hstack([j - 1, j]), axis=1).T
+
+
+def tridiag_min_eig(diag, off):
+    """Smallest eigenvalue of the Hermitian tridiagonal matrix with the given
+    diagonal and first superdiagonal; for a stack of diagonals (M, n) and
+    off-diagonals (M, n - 1), the M smallest eigenvalues."""
+    d, d2, b = _real_stack(diag, off)
+    sturm, lo, hi = _start(d2, b)
     with np.errstate(over="ignore"):
         for _ in range(MAX_SWEEPS):
-            # the fan spans the bracket, ends included
-            x = lo[:, None] + (hi - lo)[:, None] * fan
-            x[:, 0], x[:, -1] = lo, hi
-            if not np.any((x > lo[:, None]) & (x < hi[:, None])):
-                break    # every bracket is at rounding level: none can shrink
-            # a shift with an eigenvalue below it lies above the smallest one;
-            # keep the bracket between the first such shift and the one below
-            neg[:, 1:-1] = sturm.below(x[:, 1:-1])
-            j = 1 + np.argmax(neg[:, 1:], axis=1)[:, None]
-            lo, hi = np.take_along_axis(x, np.hstack([j - 1, j]), axis=1).T
+            bracket = _sweep(sturm, lo, hi, SHIFTS)
+            if bracket is None:
+                break
+            lo, hi = bracket
     mid = 0.5 * (lo + hi)
     return float(mid[0]) if d.ndim == 1 else mid
+
+
+def tridiag_stack_min(diag, off) -> float:
+    """Smallest eigenvalue over a stack of Hermitian tridiagonal matrices
+    (diagonals (M, n), off-diagonals (M, n - 1)), or of one matrix: the
+    minimum of tridiag_min_eig's M values, from the same start brackets,
+    bracket rule and stop rule.
+
+    Before each sweep a matrix whose bracket lies wholly above another's is
+    dropped: lambda_min(T_m) >= lo_m > hi_j >= lambda_min(T_j), so it cannot
+    hold the minimum. (A bracket whose ends crossed in rounding stands for
+    its own upper end by lo, so the stack never empties.) The sweep spreads
+    LANES shifts over the matrices left, at least SHIFTS each, so once one
+    matrix is left a sweep cuts its bracket (LANES + 1)-fold where
+    tridiag_min_eig cuts each 8-fold."""
+    _, d2, b = _real_stack(diag, off)
+    sturm, lo, hi = _start(d2, b)
+    with np.errstate(over="ignore"):
+        for _ in range(MAX_SWEEPS):
+            live = ~(lo > np.min(np.maximum(lo, hi)))
+            if not live.all():
+                sturm.keep(live)
+                lo, hi = lo[live], hi[live]
+            bracket = _sweep(sturm, lo, hi, max(SHIFTS, LANES // lo.size))
+            if bracket is None:
+                break
+            lo, hi = bracket
+    return float(np.min(0.5 * (lo + hi)))
 
 
 def _secular(theta, m, n: int):

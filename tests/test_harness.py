@@ -1,6 +1,8 @@
 import contextlib
+import dataclasses
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -399,6 +401,34 @@ class TestRunExperiment:
         assert rows["sufficient"]["upper"] >= rows["necessary"]["lower"]
         assert rows["coarse-norm"]["lower"] <= rows["symbol"]["upper"] + 1e-10
 
+    @pytest.mark.parametrize("problem, method", [
+        ({"kind": "laplacian-1d-dirichlet", "n": 4, "h": 0.2}, "per-mode"),
+        ({"kind": "advection-1d-upwind", "n": 3, "h": 0.25}, "lanczos"),
+    ])
+    @pytest.mark.parametrize("relaxation", ["F", "FCF"])
+    def test_coarse_norm_row_prints_its_certified_upper(self, problem, method,
+                                                       relaxation):
+        cfg = harness.ExperimentConfig.from_dict(base_config(problem=problem))
+        pair = harness.build_pair(cfg)
+        grid = st.GridSpec(cfg.n_time, cfg.k)
+        cnorm = st.coarse_norm(pair, grid, relaxation)
+        row = next(r for r in harness._bound_rows(pair, grid, relaxation)
+                   if r["kind"] == "coarse-norm")
+        assert row["method"] == method and row["certified"]
+        assert row["upper"] == cnorm.upper
+        dense = np.linalg.norm(dense_block(pair, grid, relaxation), 2)
+        assert row["lower"] <= row["upper"] <= row["lower"] * (1 + 1e-11)
+        assert dense <= row["upper"] * (1 + 1e-14)
+
+    def test_uncertified_coarse_norm_row_has_no_upper(self, monkeypatch):
+        original = st.coarse_norm
+        monkeypatch.setattr(st, "coarse_norm", lambda *args, **kwargs: (
+            dataclasses.replace(original(*args, **kwargs), certified=False)))
+        rec = harness.run_experiment(
+            harness.ExperimentConfig.from_dict(base_config()))
+        row = next(r for r in rec.bounds if r["kind"] == "coarse-norm")
+        assert not row["certified"] and row["upper"] == math.inf
+
     def test_modified_norm_needs_eigendecomposition(self):
         cfg = harness.ExperimentConfig.from_dict(base_config(
             problem={"kind": "advection-1d-upwind", "n": 3, "h": 0.25},
@@ -426,8 +456,8 @@ class TestNormalPairPath:
 
     @pytest.fixture
     def kernel_calls(self, monkeypatch):
-        """Calls of the Sturm kernel (wherever it is imported) and of the
-        closed-form per-mode solve."""
+        """Calls of the Sturm kernel's two entries (wherever they are
+        imported) and of the closed-form per-mode solve."""
         calls = {"sturm": [], "closed": []}
 
         def counted(key, original):
@@ -436,9 +466,11 @@ class TestNormalPairPath:
                 return original(*args, **kwargs)
             return wrapper
 
-        sturm = counted("sturm", tridiag.tridiag_min_eig)
-        for module in (tridiag, tp, harness):
-            monkeypatch.setattr(module, "tridiag_min_eig", sturm)
+        for name in ("tridiag_min_eig", "tridiag_stack_min"):
+            sturm = counted("sturm", getattr(tridiag, name))
+            for module in (tridiag, tp, harness):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, sturm)
         monkeypatch.setattr(st, "relaxed_toeplitz_min",
                             counted("closed", st.relaxed_toeplitz_min))
         return calls
@@ -565,6 +597,19 @@ class TestVerifySuite:
         assert [r["name"] for r in results] == ["forward-solve"]
         assert not results[0]["passed"]
 
+    def test_stack_min_fault_detected(self, monkeypatch):
+        # one part in 1e13 off the per-matrix kernel's minimum
+        original = tridiag.tridiag_stack_min
+
+        def fault(diag, off):
+            return original(diag, off) * (1 + 1e-13)
+
+        for module in (harness, tp):
+            monkeypatch.setattr(module, "tridiag_stack_min", fault)
+        results = harness.verify_suite("stack-min")
+        assert [r["name"] for r in results] == ["stack-min"]
+        assert not results[0]["passed"]
+
     def test_deterministic_summary(self):
         a = harness.verify_suite("appendix-bracket")
         b = harness.verify_suite("appendix-bracket")
@@ -689,6 +734,26 @@ class TestCli:
         assert code == 2
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert "power 14 overflows" in capsys.readouterr().err
+        assert not out.exists()      # no report, so no NaN trace
+
+    def test_overflowing_iterates_are_a_config_error(self, tmp_path, capsys):
+        # Phi, Psi and the refused powers are finite, but the iterates
+        # overflow from the first A*A norm on; every RuntimeWarning is an
+        # error here, as under -W error::RuntimeWarning
+        (tmp_path / "op.txt").write_text("-1 1e307\n0 -1\n")
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(base_config(
+            problem={"kind": "from-file", "path": str(tmp_path / "op.txt")},
+            fine={"scheme": "forward-euler", "dt": 0.5},
+            coarse={"scheme": "forward-euler", "dt": 1e-3}, k=2,
+            n_time=2001)))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = cli.main(["run", "--config", str(path), "--out", str(out),
+                             "--format", "json"])
+        assert code == 2
+        assert "error norm overflows" in capsys.readouterr().err
         assert not out.exists()      # no report, so no NaN trace
 
     def test_successive_calls_match_fresh_processes(self, tmp_path, capsys,

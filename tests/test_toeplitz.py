@@ -302,6 +302,18 @@ class TestCertifiedSymbol:
         assert res.upper <= res.value * (1.0 + tap.TOL)
 
 
+    def test_subnormal_upper_rounds_up(self):
+        # F(z) = z [[0, 0], [a, 0]] + z^2 [[0, 0], [a, a]], a the smallest
+        # subnormal, peaks at sqrt(5) a; scaled back, the bound rounds to
+        # 2 a unless it is rounded up
+        a = 5e-324
+        sym = tp.SymbolFunction(np.array([[[0, 0], [a, 0]], [[0, 0], [a, a]]],
+                                         dtype=complex), 1)
+        res = tp.symbol_max_sv(sym)
+        assert res.certified
+        assert res.upper == 3 * a
+
+
 # each k meets three of the four N_c, and each N_c three of the four k
 _N_COARSE = (5, 17, 65, 257)
 _NORMAL_SYMBOL_CASES = [

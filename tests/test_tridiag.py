@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
 
-from pintbounds import tridiag
+from pintbounds import operators as ops
+from pintbounds import toeplitz, tridiag
 
 
 def assemble(diag, off):
@@ -276,3 +277,169 @@ class TestRelaxedToeplitzMin:
             tridiag.relaxed_toeplitz_min(np.array([0.5]), 0)
         with pytest.raises(ValueError):
             tridiag.relaxed_toeplitz_min(np.array([[0.5]]), 4)
+
+
+def ulps(a, b):
+    """Distance of a from b in units of the spacing of doubles at b."""
+    return abs(a - b) / np.spacing(abs(b))
+
+
+def stack_sweeps(monkeypatch):
+    """The fan widths of the sweeps of TwistedSturm.below, one per call, as
+    (matrices, shifts) pairs."""
+    shapes = []
+    original = tridiag.TwistedSturm.below
+
+    def counted(self, x):
+        shapes.append(x.shape)
+        return original(self, x)
+
+    monkeypatch.setattr(tridiag.TwistedSturm, "below", counted)
+    return shapes
+
+
+def random_stack(rng, kind, m, n):
+    """(diag, off) of a stack of m matrices of order n."""
+    if kind == "random":
+        return (rng.uniform(-2.0, 5.0, (m, n)),
+                rng.uniform(-1.0, 1.0, (m, n - 1))
+                * np.exp(1j * rng.uniform(0, 7, (m, n - 1))))
+    if kind == "graded":
+        g = 10.0 ** rng.uniform(-8.0, 8.0, (m, n))
+        return (g * rng.uniform(0.5, 2.0, (m, n)) * rng.choice([-1.0, 1.0], (m, n)),
+                np.sqrt(g[:, :-1] * g[:, 1:]) * rng.uniform(-1.0, 1.0, (m, n - 1)))
+    if kind == "gram":
+        # C diag(1/scale) C^* with C unit lower bidiagonal
+        sub = rng.uniform(0.2, 0.95, (m, n - 1)) \
+            * np.exp(1j * rng.uniform(0, 7, (m, n - 1)))
+        return tridiag.bidiagonal_gram(sub, rng.uniform(0.1, 2.0, (m, n)))
+    return (rng.integers(-3, 4, (m, n)).astype(float),
+            rng.integers(-2, 3, (m, n - 1)).astype(float))
+
+
+class TestStackMin:
+    """tridiag_stack_min against the minimum of the per-matrix kernel."""
+
+    @pytest.mark.parametrize("kind", ["random", "graded", "gram", "integer"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_per_matrix_minimum(self, kind, seed):
+        rng = np.random.default_rng(seed)
+        m, n = int(rng.integers(1, 20)), int(rng.integers(1, 70))
+        diag, off = random_stack(rng, kind, m, n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = tridiag.tridiag_stack_min(diag, off)
+            want = np.min(tridiag.tridiag_min_eig(diag, off))
+        assert isinstance(got, float)
+        assert ulps(got, want) <= 2
+
+    def test_single_matrix(self):
+        diag, off = [2.0, 3.0, 1.5, 4.0], [0.5, -0.25, 1.0]
+        assert ulps(tridiag.tridiag_stack_min(diag, off),
+                    tridiag.tridiag_min_eig(diag, off)) <= 2
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            tridiag.tridiag_stack_min(np.ones((2, 3)), np.ones((2, 3)))
+        with pytest.raises(ValueError):
+            tridiag.tridiag_stack_min([], [])
+
+    def test_identical_matrices_are_all_kept(self, monkeypatch):
+        rng = np.random.default_rng(1)
+        diag = np.tile(rng.uniform(1.0, 3.0, 40), (5, 1))
+        off = np.tile(rng.uniform(-1.0, 1.0, 39), (5, 1))
+        want = np.min(tridiag.tridiag_min_eig(diag, off))
+        sweeps = stack_sweeps(monkeypatch)
+        got = tridiag.tridiag_stack_min(diag, off)
+        assert ulps(got, want) <= 2
+        # no bracket lies above another, so no sweep drops a matrix, and
+        # each keeps at least SHIFTS shifts
+        assert sweeps and all(s[0] == 5 for s in sweeps)
+        assert all(s[1] >= tridiag.SHIFTS for s in sweeps)
+
+    def test_tied_minima_are_both_kept(self, monkeypatch):
+        rng = np.random.default_rng(2)
+        diag = rng.uniform(1.0, 3.0, (6, 30))
+        off = rng.uniform(-1.0, 1.0, (6, 29))
+        diag[1:] += 1.0                       # minima above row 0's
+        diag[4], off[4] = diag[0], off[0]     # row 4 ties with row 0
+        want = np.min(tridiag.tridiag_min_eig(diag, off))
+        sweeps = stack_sweeps(monkeypatch)
+        got = tridiag.tridiag_stack_min(diag, off)
+        assert ulps(got, want) <= 2
+        assert sweeps[-1][0] == 2
+        assert min(s[0] for s in sweeps) == 2
+
+    def test_minimizer_with_the_widest_bracket(self, monkeypatch):
+        # row 0 has lambda_min = -2 cos(pi/21) = -1.978 and the start
+        # bracket [-2, -1.9]; row 1 the narrow bracket [-1.952, -1.95]
+        # inside it, which holds its minimum near -1.951; row 1 is dropped
+        # once row 0's upper end falls below -1.952
+        n = 20
+        diag = np.array([np.zeros(n), np.full(n, -1.95)])
+        off = np.array([np.ones(n - 1), np.full(n - 1, 1e-3)])
+        lo = tridiag.gershgorin_min(diag, off)
+        assert lo[0] < lo[1]
+        sweeps = stack_sweeps(monkeypatch)
+        got = tridiag.tridiag_stack_min(diag, off)
+        want = tridiag.tridiag_min_eig(diag[0], off[0])
+        assert ulps(got, want) <= 2
+        assert abs(got + 2.0 * math.cos(math.pi / (n + 1))) <= 1e-14
+        assert sweeps[0][0] == 2 and sweeps[-1][0] == 1
+
+    def test_crossed_start_bracket_is_kept(self):
+        # every row has d_i - r_i = -1, so -1 is the smallest eigenvalue,
+        # with the constant vector; the Gershgorin end rounds to -1 and the
+        # Rayleigh quotient to one unit below it, so the start bracket is
+        # crossed, and a matrix that pruned itself would leave no stack
+        diag, off = [-0.9, -0.7, -0.8], [0.1, 0.2]
+        _, lo, hi = tridiag._start(np.array([diag]), np.array([off]))
+        assert hi[0] < lo[0]
+        for stack in ([diag], [diag, np.add(diag, 1.0)]):
+            got = tridiag.tridiag_stack_min(np.array(stack),
+                                            np.array([off] * len(stack)))
+            assert ulps(got, tridiag.tridiag_min_eig(diag, off)) <= 2
+            assert abs(got + 1.0) <= 4 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("diag, off", [
+        ([1.0, 1.0, 3.0, 2.0, 2.0], [1.0, 1.0, 0.5, 0.5]),
+        ([2.0, 2.0, 3.0, 1.0, 1.0], [0.5, 0.5, 1.0, 1.0]),
+        ([2.0, 2.0, 3.0, 0.0], [0.5, 0.5, 1.0]),
+        ([1.0, 1.0, 3.0, 1.0, 1.0], [1.0, 1.0, 1.0, 1.0]),
+        ([0.0, 0.5, -0.0], [1.0, 1.0]),
+        ([0.5, 4.0, 0.25, 4.0], [0.5, 0.0, 0.1]),
+    ], ids=["zero-above-twist", "zero-below-twist", "zero-in-short-half",
+            "zeros-both-sides", "nan-twist", "shift-on-decoupled-diagonal"])
+    def test_zero_pivots_and_nan_twist(self, diag, off):
+        eigs = np.linalg.eigvalsh(assemble(diag, off).real)
+        scale = max(np.linalg.norm(assemble(diag, off), 1), 1.0)
+        shifted = np.asarray(diag) + 0.5      # a second matrix, minimum above
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            single = tridiag.tridiag_stack_min(diag, off)
+            stack = tridiag.tridiag_stack_min(np.array([shifted, diag]),
+                                              np.array([off, off]))
+            want = tridiag.tridiag_min_eig(diag, off)
+        assert ulps(single, want) <= 2 and ulps(stack, want) <= 2
+        assert abs(single - eigs[0]) <= 1e-14 * scale
+
+    def test_horizon_sweep_takes_at_most_nine_sweeps(self, monkeypatch):
+        # the 16 per-mode tridiagonals of the benchmark's horizon-sweep pair
+        # (SDIRK2 heat, N_x = 16, dt = 0.002, k = 4) at N_c = 1024; the
+        # per-matrix kernel takes 17 sweeps of 16 x 7 shifts on them
+        spatial = ops.build_spatial("laplacian-1d-dirichlet", 16, 1.0 / 17)
+        pair = ops.make_pair(
+            ops.build_stepper(spatial, ops.SchemeSpec("sdirk2", 0.002)),
+            ops.build_stepper(spatial, ops.SchemeSpec("sdirk2", 0.008)), 4)
+        lam, mu, nc = pair.shared_eig.fine_values, pair.shared_eig.coarse_values, 1024
+        spec = toeplitz.TimeDepSpec(np.tile(lam, (4 * (nc - 1), 1)),
+                                    np.tile(mu, (nc - 1, 1)), 4)
+        diag, off = toeplitz.timedep_tridiagonal(spec)
+        assert diag.shape == (16, nc - 1)
+        want = np.min(tridiag.tridiag_min_eig(diag, off))
+        sweeps = stack_sweeps(monkeypatch)
+        got = tridiag.tridiag_stack_min(diag, off)
+        assert ulps(got, want) <= 2
+        assert len(sweeps) <= 9
+        assert all(s[0] * s[1] <= max(tridiag.LANES, 16 * tridiag.SHIFTS)
+                   for s in sweeps)

@@ -509,20 +509,15 @@ def build_propagators(sys: SpaceTimeSystem) -> PropagatorSet:
                          p_ideal, cgc_res, cgc_err, relax, sys.permutation)
 
 
-def _march_intervals(phi: np.ndarray, ub: np.ndarray, k: int,
-                     fb: np.ndarray | None = None) -> None:
+def _march_intervals(phi: np.ndarray, ub: np.ndarray, k: int) -> None:
     """Step every coarse interval of the time grid ub, shape (N_t, N_x), from
-    its C-point through its k - 1 F-points in place: u_{ck+j} = f_{ck+j} +
-    Phi u_{ck+j-1}, with f = 0 when fb is None. The intervals are
-    independent, so on the (N_c - 1, k, N_x) view of points 0 ... N_t - 2
-    step j is one product over all of them."""
-    nx = ub.shape[1]
-    view = ub[:-1].reshape(-1, k, nx)
-    fview = None if fb is None else fb[:-1].reshape(-1, k, nx)
+    its C-point through its k - 1 F-points in place: u_{ck+j} = Phi
+    u_{ck+j-1}. The intervals are independent, so on the (N_c - 1, k, N_x)
+    view of points 0 ... N_t - 2 step j is one product over all of them."""
+    view = ub[:-1].reshape(-1, k, ub.shape[1])
     phi_t = phi.T
     for j in range(1, k):
-        step = view[:, j - 1] @ phi_t
-        view[:, j] = step if fview is None else fview[:, j] + step
+        view[:, j] = view[:, j - 1] @ phi_t
 
 
 def lift_coarse(sys: SpaceTimeSystem, w: np.ndarray) -> np.ndarray:
@@ -586,28 +581,29 @@ class ForwardSolver:
         return out.reshape(-1, nx)[:n].ravel()
 
 
-def apply_iteration(sys: SpaceTimeSystem, relaxation: str, u: np.ndarray,
-                    f: np.ndarray) -> np.ndarray:
-    """One two-level iteration (pre-relaxation, then coarse correction)."""
+def apply_iteration(sys: SpaceTimeSystem, relaxation: str,
+                    e: np.ndarray) -> np.ndarray:
+    """One two-level iteration (pre-relaxation, then coarse correction) on
+    the error: the iteration is linear, so its error obeys the same steps
+    with f = 0, e_{i+1} = E e_i for any right-hand side."""
     if relaxation not in ("F", "FCF"):
         raise ValueError(f"unknown relaxation {relaxation!r}")
     nx, k, nt = sys.pair.dim, sys.grid.k, sys.grid.n_time
     phi = sys.pair.fine.matrix
-    ub = u.reshape(nt, nx).astype(complex)
-    fb = f.reshape(nt, nx).astype(complex)
-    _march_intervals(phi, ub, k, fb)
+    ub = e.reshape(nt, nx).astype(complex)
+    _march_intervals(phi, ub, k)
     if relaxation == "FCF":
         if k == 1:
-            # every point is a C-point: C-relaxation is the sequential solve
-            ub = sys.fine_solver.solve(fb).reshape(nt, nx)
+            # every point is a C-point: C-relaxation solves A e = 0 exactly
+            ub[:] = 0.0
         else:
-            ub[0] = fb[0]
-            ub[k::k] = fb[k::k] + ub[k - 1:-1:k] @ phi.T
-            _march_intervals(phi, ub, k, fb)
+            ub[0] = 0.0
+            ub[k::k] = ub[k - 1:-1:k] @ phi.T
+            _march_intervals(phi, ub, k)
 
     # coarse correction: inject the residual, which F-relaxation leaves zero
     # at the F-points, solve with Psi steps, interpolate ideally
-    rc = fb[::k] - ub[::k]
+    rc = -ub[::k]
     rc[1:] += ub[k - 1:-1:k] @ phi.T
     w = sys.coarse_solver.solve(rc)
     return ub.ravel() + lift_coarse(sys, w)

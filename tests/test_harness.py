@@ -182,16 +182,84 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("k", [2, 1])
     def test_roundoff_is_not_a_violation(self, k):
-        # FCF is exact after a few sweeps: the error drops to round-off and
-        # the ratio of two round-off errors is about 1
+        # FCF is exact after a few sweeps: the error drops to round-off (to
+        # zero at k = 1), and no ratio of it is reported or undefined
         cfg = harness.ExperimentConfig.from_dict(base_config(
             k=k, n_time=9, relaxations=["FCF"], norms=["AstarA"],
             iterations=4, initial_error="worst-case", seed=7))
         rec = harness.run_experiment(cfg)
         values = [r["value"] for r in rec.trace]
         assert min(values[1:]) <= 1e-14 * values[0]
-        assert max(r["ratio"] for r in rec.trace[2:]) > 0.5
+        assert all(math.isfinite(r["ratio"]) for r in rec.trace[1:])
         assert rec.violations == []
+
+    @pytest.mark.parametrize("last, violated", [(1e-14, False),
+                                                (1e-12, True)])
+    def test_roundoff_floor_skips_only_round_off(self, last, violated):
+        # the ratio 1 of the last step exceeds the sufficient bound 0.5; it
+        # is skipped only when its previous error is at most the floor,
+        # ROUNDOFF_FLOOR (2.2e-13) times the first
+        assert 1e-14 < harness.ROUNDOFF_FLOOR < 1e-12
+        cfg = harness.ExperimentConfig.from_dict(base_config(
+            norms=["AstarA"], iterations=3, initial_error="worst-case"))
+        values = [1.0, 0.3, last, last]
+        trace = [{"iteration": i, "relaxation": "F", "norm": "AstarA",
+                  "value": v, "ratio": v / values[i - 1] if i else None}
+                 for i, v in enumerate(values)]
+        bounds = [{"relaxation": "F", "kind": "sufficient", "lower": 0.0,
+                   "upper": 0.5, "certified": True}]
+        rec = harness.ExperimentRecord(config=cfg.raw, seed=cfg.seed,
+                                       meta={"commuting": True}, trace=trace,
+                                       bounds=bounds, excluded=[])
+        violations = harness.check_bounds(cfg, rec)
+        assert violations == (["F/AstarA iteration 3: ratio 1.000000e+00 "
+                               "exceeds sufficient bound 5.000000e-01"]
+                              if violated else [])
+
+    @pytest.mark.parametrize("initial_error", ["worst-case", "random"])
+    @pytest.mark.parametrize("relaxation", ["F", "FCF"])
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_trace_is_the_dense_propagator_power(self, k, relaxation,
+                                                 initial_error, monkeypatch):
+        # run iterates the error itself, e_i = E^i e_0, with no solve for an
+        # exact solution: its l2 and A*A values are ||E^i e_0|| and
+        # ||A E^i e_0|| of the dense propagator, on a non-normal pair
+        def refuse(*args):
+            raise AssertionError("run solved A u = f")
+
+        monkeypatch.setattr(st, "sequential_solve", refuse)
+        cfg = harness.ExperimentConfig.from_dict(base_config(
+            problem={"kind": "advection-1d-upwind", "n": 3, "h": 0.25},
+            k=k, n_time=4 * k + 1, relaxations=[relaxation],
+            initial_error=initial_error, seed=5))
+        rec = harness.run_experiment(cfg)
+        pair = harness.build_pair(cfg)
+        assert not pair.normal
+        sys = st.assemble_system(pair, st.GridSpec(cfg.n_time, k))
+        if initial_error == "worst-case":
+            w = st.coarse_norm(pair, sys.grid, relaxation,
+                               with_vector=True).vector
+            e = harness._worst_case_error(sys, w)
+        else:
+            # the seed draws the initial error and nothing else
+            rng = np.random.default_rng(cfg.seed)
+            e = rng.standard_normal(sys.dim) + 1j * rng.standard_normal(sys.dim)
+            e /= np.linalg.norm(e)
+        props = st.build_propagators(sys)
+        perm = sys.permutation
+        prop = np.empty((sys.dim, sys.dim), dtype=complex)
+        prop[np.ix_(perm, perm)] = props.e_f if relaxation == "F" \
+            else props.e_fcf
+        a = sys.full_matrix()
+        want = {"l2": [], "AstarA": []}
+        for _ in range(cfg.iterations + 1):
+            want["l2"].append(np.linalg.norm(e))
+            want["AstarA"].append(np.linalg.norm(a @ e))
+            e = prop @ e
+        for norm, series in want.items():
+            got = [r["value"] for r in rec.trace if r["norm"] == norm]
+            assert np.max(np.abs(np.subtract(got, series))) \
+                <= 1e-13 * series[0]
 
     def test_fcf_bracket_lower_end_below_coarse_norm(self):
         cfg = harness.ExperimentConfig.from_dict(base_config(
@@ -241,6 +309,23 @@ class TestRunExperiment:
         nb = tp.necessary_lower_bound(pair, grid, relaxation)
         expected = (rows["tap"]["lower"] / nb.value - 1) * np.sqrt(grid.n_coarse)
         assert slack == pytest.approx(expected, rel=1e-12)
+
+    def test_unstable_coarse_stepper_has_no_slack(self):
+        # forward Euler at dt 0.04 on this heat operator has rho(Psi) =
+        # 11.57; the TAP is a convergence factor only for a stable Psi, and
+        # its slack to the necessary bound read -4.12 here
+        cfg = harness.ExperimentConfig.from_dict(base_config(
+            problem={"kind": "laplacian-1d-dirichlet", "n": 8, "h": 1 / 9},
+            fine={"scheme": "backward-euler", "dt": 0.01},
+            coarse={"scheme": "forward-euler", "dt": 0.04}, k=4, n_time=65,
+            initial_error="worst-case", seed=7))
+        pair = harness.build_pair(cfg)
+        assert pair.coarse.spectral_radius == pytest.approx(11.57, abs=5e-3)
+        rec = harness.run_experiment(cfg)
+        rows = {r["kind"]: r for r in rec.bounds}
+        assert rows["necessary"]["lower"] > 0.0
+        assert math.isfinite(rows["tap"]["lower"])
+        assert "slack_constant" not in rows["necessary"]
 
     def test_singular_fine_power_drops_only_fcf_rows(self):
         # forward Euler at dt * ell = -1 zeroes one eigenvalue of Phi^k; only
@@ -687,7 +772,6 @@ class TestCli:
             raise AssertionError("iterated before the overflow check")
 
         monkeypatch.setattr(st, "apply_iteration", refuse)
-        monkeypatch.setattr(st, "sequential_solve", refuse)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code = cli.main(["run", "--config", str(path), "--out",
@@ -717,7 +801,7 @@ class TestCli:
     def test_overflowing_solve_power_is_a_config_error(self, tmp_path, capsys):
         # Phi = 0.5 I + 1e25 N (N the shift) has spectral radius 0.5, and
         # Phi^2 and Psi^N_c = (I + 1e-3 N)^200 are finite, but Phi^14, the
-        # carry of the exact solve over 399 points, is not
+        # carry of the fine solver over 399 points, is not
         op = tmp_path / "op.txt"
         np.savetxt(op, -0.5 * np.eye(16) + 1e25 * np.eye(16, k=1))
         path = tmp_path / "cfg.yaml"

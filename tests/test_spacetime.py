@@ -161,16 +161,16 @@ class TestForwardSolve:
         assert count[0] < n / 3
 
     def test_system_makes_each_solver_once(self, monkeypatch):
-        # the exact solve and every iteration's coarse correction reuse the
-        # system's two solvers, so each M^c is formed once
+        # every solve with A and every iteration's coarse correction reuse
+        # the system's two solvers, so each M^c is formed once
         made = record_solvers(monkeypatch)
         rng = np.random.default_rng(9)
         pair = raw_pair(random_contraction(rng, 3), random_contraction(rng, 3), 2)
         sys = st.assemble_system(pair, st.GridSpec(33, 2))
-        f = rng.standard_normal(sys.dim)
-        u = st.sequential_solve(sys, f)
+        e = st.sequential_solve(sys, rng.standard_normal(sys.dim))
         for relaxation in ("F", "FCF", "F"):
-            u = st.apply_iteration(sys, relaxation, u, f)
+            e = st.apply_iteration(sys, relaxation, e)
+        st.sequential_solve(sys, e)
         assert made == [33, 17]
 
     def test_worst_case_run_makes_two_solvers(self, monkeypatch):
@@ -339,25 +339,24 @@ class TestPropagators:
 
 class TestApplyIteration:
     def test_fixed_point(self):
-        rng = np.random.default_rng(11)
-        pair = heat_pair(nx=4, dt=0.03, k=2)
-        sys = st.assemble_system(pair, st.GridSpec(9, 2))
-        f = rng.standard_normal(sys.dim)
-        u = st.sequential_solve(sys, f)
-        for relaxation in ("F", "FCF"):
-            out = st.apply_iteration(sys, relaxation, u, f)
-            assert np.linalg.norm(out - u) <= 1e-12 * np.linalg.norm(u)
+        # a zero error stays exactly zero
+        for k in (1, 2):
+            pair = heat_pair(nx=4, dt=0.03, k=k)
+            sys = st.assemble_system(pair, st.GridSpec(9, k))
+            for relaxation in ("F", "FCF"):
+                out = st.apply_iteration(sys, relaxation, np.zeros(sys.dim))
+                assert not out.any()
 
     def test_exact_coarse_one_iteration(self):
+        # Psi = Phi^k makes the coarse grid exact: one F iteration zeroes
+        # any error
         rng = np.random.default_rng(12)
         phi = random_contraction(rng, 2)
         pair = raw_pair(phi, phi @ phi, 2)
         sys = st.assemble_system(pair, st.GridSpec(9, 2))
-        f = rng.standard_normal(sys.dim)
-        u_exact = st.sequential_solve(sys, f)
-        u = u_exact + rng.standard_normal(sys.dim)
-        out = st.apply_iteration(sys, "F", u, f)
-        assert np.linalg.norm(out - u_exact) <= 1e-13 * np.linalg.norm(u_exact)
+        e0 = rng.standard_normal(sys.dim) + 1j * rng.standard_normal(sys.dim)
+        out = st.apply_iteration(sys, "F", e0)
+        assert np.linalg.norm(out) <= 1e-14 * np.linalg.norm(e0)
 
     @pytest.mark.parametrize("k", [1, 2, 4])
     @pytest.mark.parametrize("relaxation", ["F", "FCF"])
@@ -367,14 +366,12 @@ class TestApplyIteration:
         sys = st.assemble_system(pair, st.GridSpec(4 * k + 1, k))
         props = st.build_propagators(sys)
         e_dense = props.e_f if relaxation == "F" else props.e_fcf
-        f = rng.standard_normal(sys.dim)
-        u_exact = st.sequential_solve(sys, f)
         e0 = rng.standard_normal(sys.dim) + 1j * rng.standard_normal(sys.dim)
-        out = st.apply_iteration(sys, relaxation, u_exact + e0, f)
+        out = st.apply_iteration(sys, relaxation, e0)
         perm = sys.permutation
         predicted = np.empty_like(e0)
         predicted[perm] = e_dense @ e0[perm]
-        assert np.linalg.norm((out - u_exact) - predicted) < 1e-12
+        assert np.linalg.norm(out - predicted) <= 1e-14 * np.linalg.norm(e0)
 
     def test_lift_coarse_matches_p_ideal(self):
         rng = np.random.default_rng(14)
@@ -400,27 +397,27 @@ def loop_lift(sys, w):
     return out.ravel()
 
 
-def loop_iteration(sys, relaxation, u, f):
-    """One two-level iteration stepped one fine point at a time: the
-    per-point reference for the interval-batched apply_iteration."""
+def loop_iteration(sys, relaxation, e):
+    """One two-level iteration on the error stepped one fine point at a
+    time: the per-point reference for the interval-batched
+    apply_iteration."""
     nx, k, nt = sys.pair.dim, sys.grid.k, sys.grid.n_time
     nc = sys.grid.n_coarse
     phi = sys.pair.fine.matrix
-    ub = u.reshape(nt, nx).astype(complex)
-    fb = f.reshape(nt, nx).astype(complex)
+    ub = e.reshape(nt, nx).astype(complex)
 
     def f_relax():
         for c in range(nc - 1):
             for j in range(1, k):
-                ub[c * k + j] = fb[c * k + j] + phi @ ub[c * k + j - 1]
+                ub[c * k + j] = phi @ ub[c * k + j - 1]
 
     f_relax()
     if relaxation == "FCF":
-        ub[0] = fb[0]
+        ub[0] = 0.0
         for c in range(1, nc):
-            ub[c * k] = fb[c * k] + phi @ ub[c * k - 1]
+            ub[c * k] = phi @ ub[c * k - 1]
         f_relax()
-    r = fb - st.apply_full(sys, ub).reshape(nt, nx)
+    r = -st.apply_full(sys, ub).reshape(nt, nx)
     psi = sys.pair.coarse.matrix
     w = np.zeros((nc, nx), dtype=complex)
     w[0] = r[0]
@@ -460,10 +457,10 @@ class TestIntervalBatching:
             x = rng.standard_normal(n)
             return x + 1j * rng.standard_normal(n) if dtype is complex else x
 
-        u, f, w = draw(sys.dim), draw(sys.dim), draw(nc * 3)
+        e, w = draw(sys.dim), draw(nc * 3)
         for relaxation in ("F", "FCF"):
-            got = st.apply_iteration(sys, relaxation, u, f)
-            want = loop_iteration(sys, relaxation, u, f)
+            got = st.apply_iteration(sys, relaxation, e)
+            want = loop_iteration(sys, relaxation, e)
             assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
         want = loop_lift(sys, w)
         assert np.linalg.norm(st.lift_coarse(sys, w) - want) \
@@ -479,19 +476,18 @@ class TestIntervalBatching:
             sys = st.assemble_system(pair, st.GridSpec(k * (nc - 1) + 1, k))
             u = rng.standard_normal((sys.grid.n_time, 2)).astype(complex)
             count[0] = 0
-            st._march_intervals(pair.fine.matrix, u, k, np.zeros_like(u))
+            st._march_intervals(pair.fine.matrix, u, k)
             assert count[0] == k - 1
             count[0] = 0
             st.lift_coarse(sys, rng.standard_normal(nc * 2))
             assert count[0] == k - 1
             for relaxation in calls:
                 count[0] = 0
-                st.apply_iteration(sys, relaxation, u.ravel(), u.ravel())
+                st.apply_iteration(sys, relaxation, u.ravel())
                 calls[relaxation].add(count[0])
-        assert len(calls["F"]) == 1
-        # at k = 1 every point is a C-point and C-relaxation is the
-        # sequential solve, whose products grow with N_t
-        assert len(calls["FCF"]) == (1 if k > 1 else 3)
+        # at k = 1 every point is a C-point and C-relaxation zeroes the
+        # error without a product
+        assert len(calls["F"]) == len(calls["FCF"]) == 1
 
 
 class TestOperatorNorm:

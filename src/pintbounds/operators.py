@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -17,15 +17,22 @@ DECOMPOSITION_TOL = 1e-10
 RCOND_CAP = 1e-12
 
 
+def _real_if(m: np.ndarray) -> np.ndarray:
+    """m as a real array when its imaginary part is zero; products of real
+    arrays take a quarter of the flops."""
+    return m.real if np.iscomplexobj(m) and not m.imag.any() else m
+
+
 @dataclass(frozen=True)
 class Eigendecomposition:
     values: np.ndarray
     vectors: np.ndarray      # columns are eigenvectors
     vectors_inv: np.ndarray
 
-    @property
+    @functools.cached_property
     def is_unitary(self) -> bool:
-        u = self.vectors
+        """Whether U U^* = I; tested once per decomposition."""
+        u = _real_if(self.vectors)
         return np.linalg.norm(u @ u.conj().T - np.eye(u.shape[0])) <= 1e-10 * u.shape[0]
 
 
@@ -43,7 +50,8 @@ class SpatialOperator:
             raise ValueError("spatial operator has non-finite entries")
         if self.eig is not None:
             e = self.eig
-            defect = np.linalg.norm(e.vectors @ np.diag(e.values) @ e.vectors_inv - m)
+            rebuilt = _real_if(e.vectors * e.values) @ _real_if(e.vectors_inv)
+            defect = np.linalg.norm(rebuilt - m)
             scale = max(1.0, np.linalg.norm(m))
             if defect > DECOMPOSITION_TOL * scale:
                 raise ValueError("eigendecomposition does not reproduce the operator")
@@ -205,12 +213,26 @@ def ill_conditioned(sv: np.ndarray) -> bool:
 
 @dataclass(frozen=True)
 class Stepper:
-    matrix: np.ndarray
+    """The step u -> M u of a one-step scheme on a spatial operator.
+
+    On an operator with a unitary eigenbasis U the stepper holds its
+    eigenvalues values = R(dt ell), so that M = U diag(values) U^*: its norm,
+    spectral radius and condition follow from |values|, and the dense matrix
+    is formed (by stability_matrix) only when a consumer asks for it. Any
+    other stepper holds its dense matrix."""
     scheme: SchemeSpec
     source: SpatialOperator
     norm: float
     spectral_radius: float
     rcond: float
+    values: np.ndarray | None = None
+    dense: np.ndarray | None = field(default=None, repr=False)
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        if self.dense is not None:
+            return self.dense
+        return _stepper_matrix(self.scheme, self.source)
 
     @property
     def strongly_stable(self) -> bool:
@@ -226,17 +248,46 @@ class Stepper:
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.source.dim
+
+
+def _stepper_matrix(scheme: SchemeSpec, L: SpatialOperator) -> np.ndarray:
+    m = stability_matrix(scheme, scheme.dt * L.matrix)
+    if not np.isfinite(m).all():
+        raise ValueError("overflow in stability-function evaluation")
+    return m
+
+
+def _mode_values(scheme: SchemeSpec, ell: np.ndarray) -> np.ndarray:
+    """R(dt ell) at the eigenvalues ell of a normal operator. A denominator
+    value that rounding leaves without a correct digit (within its
+    evaluation error of zero) is a singular implicit solve, and a value past
+    the double range an overflow, as for the dense matrix."""
+    z = scheme.dt * ell
+    _, den = rational_coefficients(scheme)
+    with np.errstate(all="ignore"):
+        values = stability_eval(scheme, z)
+        q = sum(c * z**i for i, c in enumerate(den))
+        size = sum(abs(c) * np.abs(z) ** i for i, c in enumerate(den))
+    if np.any(np.abs(q) <= len(den) * np.finfo(float).eps * size):
+        raise ValueError(f"singular implicit solve for scheme {scheme.kind}")
+    if not np.isfinite(values).all():
+        raise ValueError("overflow in stability-function evaluation")
+    return values
 
 
 def build_stepper(L: SpatialOperator, scheme: SchemeSpec) -> Stepper:
-    z = scheme.dt * L.matrix
-    m = stability_matrix(scheme, z)
-    if not np.isfinite(m).all():
-        raise ValueError("overflow in stability-function evaluation")
+    """The stepper of scheme on L: from its eigenvalues alone when L has a
+    unitary eigenbasis, otherwise as a dense matrix."""
+    if L.eig is not None and L.eig.is_unitary:
+        values = _mode_values(scheme, L.eig.values)
+        size = np.abs(values)
+        top = float(size.max())
+        return Stepper(scheme, L, top, top, _rcond(size), values)
+    m = _stepper_matrix(scheme, L)
     s = np.linalg.svd(m, compute_uv=False)
     rho = float(np.max(np.abs(np.linalg.eigvals(m))))
-    return Stepper(m, scheme, L, float(s[0]), rho, _rcond(s))
+    return Stepper(scheme, L, float(s[0]), rho, _rcond(s), dense=m)
 
 
 def rk4_defect(L: SpatialOperator, dt: float) -> np.ndarray:
@@ -323,14 +374,29 @@ def coarse_factors(pair: StepperPair, relaxation: str, side: str):
 
 def make_pair(fine: Stepper, coarse: Stepper, k: int,
               attach_eig: bool = True) -> StepperPair:
+    """The pair (Phi, Psi) with coarsening factor k. Steppers on one
+    operator with a unitary eigenbasis commute and share that eigenbasis;
+    it is attached, and the pair is normal, when every |mu| < 1. They are
+    built from their eigenvalues (build_stepper), so the pair needs no
+    product of Phi and Psi; verify checks the eigenbasis against the dense
+    steppers. Any other pair is tested for commuting on its dense matrices,
+    and an eigenbasis of a common operator that is not unitary is attached
+    after U diag(lambda) U^{-1} is checked against Phi (and likewise Psi).
+    attach_eig=False gives the dense twin of a normal pair."""
+    same = fine.source is coarse.source
+    per_mode = same and fine.values is not None and coarse.values is not None
+    if attach_eig and per_mode and np.all(np.abs(coarse.values) < 1.0):
+        e = fine.source.eig
+        return StepperPair(fine, coarse, k, True, SharedEigendecomposition(
+            fine.values, coarse.values, e.vectors, e.vectors_inv,
+            e.is_unitary))
     phi, psi = fine.matrix, coarse.matrix
     # exact under scaling by powers of two, which keeps huge entries finite
     (p, _), (q, _) = _unit(phi), _unit(psi)
     comm = np.linalg.norm(p @ q - q @ p)
     commuting = comm <= COMMUTATION_TOL * max(1e-300, np.linalg.norm(p) * np.linalg.norm(q))
-
     shared = None
-    if attach_eig and fine.source is coarse.source and fine.source.eig is not None:
+    if attach_eig and same and not per_mode and fine.source.eig is not None:
         e = fine.source.eig
         lam = stability_eval(fine.scheme, fine.scheme.dt * e.values)
         mu = stability_eval(coarse.scheme, coarse.scheme.dt * e.values)

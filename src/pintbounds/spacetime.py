@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import StepperPair, _unit, coarse_factors, matrix_power
+from .operators import (StepperPair, _real_if, _unit, coarse_factors,
+                        matrix_power)
 from .tap import TOL
 from .tridiag import relaxed_toeplitz_min
 
@@ -55,8 +56,18 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class SpaceTimeSystem:
+    """A u = f over the grid. With modes, every space-time vector given to
+    or returned by the iteration path (apply_full, apply_iteration,
+    lift_coarse, the two solvers) holds the mode coordinates U^* u_i of a
+    normal pair's points, in which Phi and Psi are diagonal; otherwise it
+    holds u itself."""
     pair: StepperPair
     grid: GridSpec
+    modes: bool = False
+
+    def __post_init__(self):
+        if self.modes and not self.pair.normal:
+            raise ValueError("mode coordinates need a unitary shared eigenbasis")
 
     @property
     def dim(self) -> int:
@@ -85,16 +96,42 @@ class SpaceTimeSystem:
         return a
 
     @functools.cached_property
+    def fine_step(self) -> Step:
+        """Phi, as its eigenvalues in mode coordinates."""
+        if self.modes:
+            return Step(self.pair.shared_eig.fine_values)
+        return Step(self.pair.fine.matrix)
+
+    @functools.cached_property
+    def coarse_step(self) -> Step:
+        """Psi, as its eigenvalues in mode coordinates."""
+        if self.modes:
+            return Step(self.pair.shared_eig.coarse_values)
+        return Step(self.pair.coarse.matrix)
+
+    @functools.cached_property
     def fine_solver(self) -> ForwardSolver:
         """Forward solver of A itself, Phi over the N_t time points; made
         once per system, so every solve with it shares its Phi^c."""
-        return ForwardSolver(self.pair.fine.matrix, self.grid.n_time)
+        return ForwardSolver(self.fine_step, self.grid.n_time)
 
     @functools.cached_property
     def coarse_solver(self) -> ForwardSolver:
         """Forward solver of the coarse system, Psi over the N_c C-points;
         made once per system, so every coarse correction shares its Psi^c."""
-        return ForwardSolver(self.pair.coarse.matrix, self.grid.n_coarse)
+        return ForwardSolver(self.coarse_step, self.grid.n_coarse)
+
+    def to_modes(self, u: np.ndarray) -> np.ndarray:
+        """The space-time vector u in the coordinates of the system: U^* u_i
+        at every point with modes (one product of the N_t rows with
+        conj(U), in real arithmetic where U is real), u itself otherwise."""
+        if not self.modes:
+            return u
+        ub = u.reshape(self.grid.n_time, self.pair.dim)
+        u_conj = _real_if(self.pair.shared_eig.vectors.conj())
+        if np.iscomplexobj(u_conj) or not np.iscomplexobj(ub):
+            return (ub @ u_conj).ravel()
+        return (ub.real @ u_conj + 1j * (ub.imag @ u_conj)).ravel()
 
     def blocks(self):
         """Partitioned blocks (A_ff, A_fc, A_cf, A_cc) in the F-then-C ordering."""
@@ -106,16 +143,19 @@ class SpaceTimeSystem:
         return ap[:nf, :nf], ap[:nf, nf:], ap[nf:, :nf], ap[nf:, nf:]
 
 
-def assemble_system(pair: StepperPair, grid: GridSpec) -> SpaceTimeSystem:
-    return SpaceTimeSystem(pair, grid)
+def assemble_system(pair: StepperPair, grid: GridSpec,
+                    modes: bool = False) -> SpaceTimeSystem:
+    return SpaceTimeSystem(pair, grid, modes)
 
 
 def apply_full(sys: SpaceTimeSystem, u: np.ndarray) -> np.ndarray:
-    """Action of A on a space-time vector in time ordering."""
+    """Action of A on a space-time vector in time ordering. In mode
+    coordinates A has diag(lambda) on its block subdiagonal, and unitary U
+    leaves ||A u|| unchanged."""
     nx, nt = sys.pair.dim, sys.grid.n_time
     ub = u.reshape(nt, nx)
-    out = ub.copy()
-    out[1:] -= ub[:-1] @ sys.pair.fine.matrix.T
+    out = ub.astype(np.result_type(ub, sys.fine_step.dtype))
+    out[1:] -= sys.fine_step.apply(ub[:-1])
     return out.ravel()
 
 
@@ -266,11 +306,14 @@ class CoarseNorm:
 
 
 def coarse_norm(pair: StepperPair, grid: GridSpec, relaxation: str,
-                with_vector: bool = False) -> CoarseNorm:
+                with_vector: bool = False, modes: bool = False) -> CoarseNorm:
     """Norm of the residual-side coarse block and, with with_vector, its
     leading right singular vector. Per mode when the pair has a unitary
     shared eigenbasis, otherwise matrix-free by Golub-Kahan-Lanczos with a
-    block LDL* certificate (_lanczos_norm); no dense block is built."""
+    block LDL* certificate (_lanczos_norm); no dense block is built. With
+    modes, a per-mode vector is given in mode coordinates (SpaceTimeSystem):
+    mode m's own vector in column m and zeros elsewhere, real where mu_m
+    is."""
     if not pair.normal:
         lft, rgt = coarse_factors(pair, relaxation, "residual")
         op = CoarseOperator(pair.coarse.matrix, rgt, lft,
@@ -284,15 +327,22 @@ def coarse_norm(pair: StepperPair, grid: GridSpec, relaxation: str,
         # singular vector is the eigenvector of C C^* at lambda_min:
         # v_j = e^{i j arg mu} sin((n + 1 - j) theta), j = 1 ... n
         eig = pair.shared_eig
-        v = np.zeros(grid.n_coarse, dtype=complex)
+        mu = eig.coarse_values[m]
+        v = np.zeros(grid.n_coarse, dtype=float if mu.imag == 0 else complex)
         if n == 0:
             v[0] = 1.0      # the block is zero; any unit vector attains it
         else:
             j = np.arange(1, n + 1)
-            v[:n] = (np.exp(1j * np.angle(eig.coarse_values[m]) * j)
-                     * np.sin((n + 1 - j) * theta[m]))
+            turn = (np.exp(1j * np.angle(mu) * j) if mu.imag
+                    else np.where((mu.real < 0) & (j % 2 == 1), -1.0, 1.0))
+            v[:n] = turn * np.sin((n + 1 - j) * theta[m])
             v /= np.linalg.norm(v)
-        vector = np.kron(v, eig.vectors[:, m])
+        if modes:
+            vector = np.zeros((grid.n_coarse, pair.dim), dtype=v.dtype)
+            vector[:, m] = v
+            vector = vector.ravel()
+        else:
+            vector = np.kron(v, eig.vectors[:, m])
     return CoarseNorm(float(norms[m]), float(uppers.max()), certified,
                       "per-mode", vector)
 
@@ -509,75 +559,112 @@ def build_propagators(sys: SpaceTimeSystem) -> PropagatorSet:
                          p_ideal, cgc_res, cgc_err, relax, sys.permutation)
 
 
-def _march_intervals(phi: np.ndarray, ub: np.ndarray, k: int) -> None:
+class Step:
+    """The step y -> M y of one block row, applied to rows held as the rows
+    of an array (rows M^T): M dense, or diagonal (a normal pair's Phi or Psi
+    in mode coordinates, given as its eigenvalues), where a step is an
+    elementwise product. A dense M is held as complex, as the steppers are;
+    a diagonal one is real when its entries are."""
+
+    def __init__(self, m: np.ndarray):
+        m = np.asanyarray(m)
+        self.diagonal = m.ndim == 1
+        self.matrix = _real_if(m) if self.diagonal else m
+        # cast once: a real M would be cast to complex in every product
+        self._t = self.matrix if self.diagonal else m.T.astype(complex)
+
+    @staticmethod
+    def of(m) -> Step:
+        """m itself when it is a Step, else the Step of the matrix m."""
+        return m if isinstance(m, Step) else Step(m)
+
+    @property
+    def dtype(self):
+        return self._t.dtype
+
+    @property
+    def size(self) -> int:
+        return self._t.shape[0]
+
+    def apply(self, rows: np.ndarray) -> np.ndarray:
+        """M y for every row y of rows."""
+        return rows * self._t if self.diagonal else rows @ self._t
+
+    def power(self, c: int) -> Step:
+        """M^c, as a chain of c - 1 products, not by squaring: the forward
+        solve's carry applies it many times, so its rounding error adds up,
+        and that of a chain is the smaller (about sqrt(c) eps against
+        c eps). A real-valued dense M chains in real arithmetic, at a
+        quarter of the flops. An M^c that overflows raises OverflowError."""
+        base = self.matrix
+        if not self.diagonal and not np.imag(base).any():
+            base = base.real
+        carry = base
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(1, c):
+                carry = carry * base if self.diagonal else carry @ base
+        if not np.isfinite(carry).all():
+            raise OverflowError(f"the forward solve's step to the power "
+                                f"{c} overflows")
+        return Step(carry)
+
+
+def _march_intervals(step, ub: np.ndarray, k: int) -> None:
     """Step every coarse interval of the time grid ub, shape (N_t, N_x), from
     its C-point through its k - 1 F-points in place: u_{ck+j} = Phi
-    u_{ck+j-1}. The intervals are independent, so on the (N_c - 1, k, N_x)
-    view of points 0 ... N_t - 2 step j is one product over all of them."""
+    u_{ck+j-1}, with step Phi (a Step or a matrix). The intervals are
+    independent, so on the (N_c - 1, k, N_x) view of points 0 ... N_t - 2
+    step j is one product over all of them."""
+    step = Step.of(step)
     view = ub[:-1].reshape(-1, k, ub.shape[1])
-    phi_t = phi.T
     for j in range(1, k):
-        view[:, j] = view[:, j - 1] @ phi_t
+        view[:, j] = step.apply(view[:, j - 1])
 
 
 def lift_coarse(sys: SpaceTimeSystem, w: np.ndarray) -> np.ndarray:
     """Action of P_ideal on a coarse vector, returned in fine time ordering."""
     nx, k = sys.pair.dim, sys.grid.k
-    out = np.zeros((sys.grid.n_time, nx), dtype=complex)
+    step = sys.fine_step
+    out = np.zeros((sys.grid.n_time, nx), dtype=np.result_type(w, step.dtype))
     out[::k] = w.reshape(-1, nx)
-    _march_intervals(sys.pair.fine.matrix, out, k)
+    _march_intervals(step, out, k)
     return out.ravel()
 
 
 class ForwardSolver:
     """Solver of the block unit lower bidiagonal system of n block rows with
-    subdiagonal -mat_step (the coarse system, or A itself with Phi):
-    y_i = r_i + M y_{i-1}, in two levels. The rows are cut into chunks of
-    c = round(sqrt(n/2)) rows (zero rows pad the last one), or of one row,
-    the plain loop, where that is below 3 (n < 13). A batched march from a
-    zero carry gives every chunk's last row in c - 1 products, M^c carries
-    those across the chunks in n/c products, and a second batched march
-    from the carried starts fills in every row in c: about 2c + n/c
-    products over all chunks at once in place of n one-row ones, at two to
-    three times the flops.
+    subdiagonal -M, M = mat_step (the coarse system, or A itself with Phi; a
+    Step or a matrix): y_i = r_i + M y_{i-1}, in two levels. The rows are cut
+    into chunks of c = round(sqrt(n/2)) rows (zero rows pad the last one),
+    or of one row, the plain loop, where that is below 3 (n < 13). A batched
+    march from a zero carry gives every chunk's last row in c - 1 products,
+    M^c carries those across the chunks in n/c products, and a second
+    batched march from the carried starts fills in every row in c: about
+    2c + n/c products over all chunks at once in place of n one-row ones,
+    at two to three times the flops. M^c is formed once per solver
+    (Step.power), and one that overflows raises OverflowError."""
 
-    M^c is formed once per solver, as a chain of c products, not by
-    squaring: the carry applies it n/c times, so its rounding error adds
-    up, and that of a chain is the smaller (about sqrt(c) eps against
-    c eps). An M^c that overflows raises OverflowError."""
-
-    def __init__(self, mat_step: np.ndarray, n: int):
+    def __init__(self, mat_step, n: int):
         c = round(math.sqrt(n / 2))
         self.n, self.c = n, c if c >= 3 else 1
-        # steppers are held as complex; a real-valued one chains in real
-        # arithmetic, at a quarter of the flops
-        base = mat_step if np.imag(mat_step).any() else mat_step.real
-        carry = base
-        with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(1, self.c):
-                carry = carry @ base
-        if not np.isfinite(carry).all():
-            raise OverflowError(f"the forward solve's step to the power "
-                                f"{self.c} overflows")
-        # cast once: a real M would be cast to complex in every product
-        self.step_t = mat_step.T.astype(complex)
-        self.carry_t = carry.T.astype(complex)
+        self.step = Step.of(mat_step)
+        self.carry = self.step.power(self.c)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """y for the right-hand side rhs of n block rows, raveled."""
-        n, c, step_t = self.n, self.c, self.step_t
-        nx = step_t.shape[0]
+        n, c, step = self.n, self.c, self.step
+        nx = step.size
         chunks = -(-n // c)
-        out = np.zeros((chunks, c, nx), dtype=complex)
+        out = np.zeros((chunks, c, nx), dtype=np.result_type(rhs, step.dtype))
         out.reshape(-1, nx)[:n] = rhs.reshape(n, nx)
         ends = out[:, 0].copy()
         for j in range(1, c):
-            ends = out[:, j] + ends @ step_t
+            ends = out[:, j] + step.apply(ends)
         for b in range(1, chunks - 1):
-            ends[b] += ends[b - 1] @ self.carry_t
-        out[1:, 0] += ends[:-1] @ step_t
+            ends[b] += self.carry.apply(ends[b - 1])
+        out[1:, 0] += step.apply(ends[:-1])
         for j in range(1, c):
-            out[:, j] += out[:, j - 1] @ step_t
+            out[:, j] += step.apply(out[:, j - 1])
         return out.reshape(-1, nx)[:n].ravel()
 
 
@@ -585,26 +672,28 @@ def apply_iteration(sys: SpaceTimeSystem, relaxation: str,
                     e: np.ndarray) -> np.ndarray:
     """One two-level iteration (pre-relaxation, then coarse correction) on
     the error: the iteration is linear, so its error obeys the same steps
-    with f = 0, e_{i+1} = E e_i for any right-hand side."""
+    with f = 0, e_{i+1} = E e_i for any right-hand side. Every step goes
+    through the system's Steps, so a normal pair in mode coordinates takes
+    elementwise products."""
     if relaxation not in ("F", "FCF"):
         raise ValueError(f"unknown relaxation {relaxation!r}")
     nx, k, nt = sys.pair.dim, sys.grid.k, sys.grid.n_time
-    phi = sys.pair.fine.matrix
-    ub = e.reshape(nt, nx).astype(complex)
-    _march_intervals(phi, ub, k)
+    step = sys.fine_step
+    ub = e.reshape(nt, nx).astype(np.result_type(e, step.dtype))
+    _march_intervals(step, ub, k)
     if relaxation == "FCF":
         if k == 1:
             # every point is a C-point: C-relaxation solves A e = 0 exactly
             ub[:] = 0.0
         else:
             ub[0] = 0.0
-            ub[k::k] = ub[k - 1:-1:k] @ phi.T
-            _march_intervals(phi, ub, k)
+            ub[k::k] = step.apply(ub[k - 1:-1:k])
+            _march_intervals(step, ub, k)
 
     # coarse correction: inject the residual, which F-relaxation leaves zero
     # at the F-points, solve with Psi steps, interpolate ideally
     rc = -ub[::k]
-    rc[1:] += ub[k - 1:-1:k] @ phi.T
+    rc[1:] += step.apply(ub[k - 1:-1:k])
     w = sys.coarse_solver.solve(rc)
     return ub.ravel() + lift_coarse(sys, w)
 

@@ -360,13 +360,20 @@ def teap_constant(pair: StepperPair, relaxation: str = "F") -> TapResult:
 def stability_decay(pair: StepperPair, grid) -> tuple[float, float | None]:
     """Amplification factors ||Psi^{N_c}|| and ||Phi^{-k} Psi^{N_c} Phi^k||;
     the second is None when Phi^k is singular. A power that overflows gives
-    infinite factors."""
+    infinite factors. For a normal pair the first is max |mu|^{N_c}, and so
+    is the second, since Phi^{-k} Psi^{N_c} Phi^k = Psi^{N_c} when the
+    steppers commute."""
+    singular = ill_conditioned(pair.fine_power_sv)
+    if pair.normal:
+        first = float(np.max(np.abs(pair.shared_eig.coarse_values))) \
+            ** grid.n_coarse
+        return first, None if singular else first
     with np.errstate(over="ignore", invalid="ignore"):
         psi_nc = matrix_power(pair.coarse.matrix, grid.n_coarse)
     if not np.isfinite(psi_nc).all():
-        return math.inf, None if ill_conditioned(pair.fine_power_sv) else math.inf
+        return math.inf, None if singular else math.inf
     first = float(np.linalg.svd(psi_nc, compute_uv=False)[0])
-    if ill_conditioned(pair.fine_power_sv):
+    if singular:
         return first, None
     phik = pair.fine_power
     second = float(np.linalg.svd(np.linalg.solve(phik, psi_nc @ phik),

@@ -551,7 +551,6 @@ def necessary_lower_bound(pair: StepperPair, grid: GridSpec,
     is zero: n = 0."""
     if p < 1:
         raise ValueError("power must be >= 1")
-    lft, rgt = coarse_factors(pair, relaxation, side)
     if relaxation == "FCF" and grid.k == 1:
         return NecessaryBound(0.0, False, "FCF relaxation at k = 1 is a "
                               "sequential solve; the coarse block is zero")
@@ -563,6 +562,7 @@ def necessary_lower_bound(pair: StepperPair, grid: GridSpec,
         if coarse_norm is None:
             coarse_norm = _st.coarse_norm(pair, grid, relaxation).value
         return NecessaryBound(float(coarse_norm), True)
+    lft, rgt = coarse_factors(pair, relaxation, side)
     a, b, c = _tap._tap_realization(pair.coarse.matrix, rgt, lft, p,
                                     rgt @ lft)
     op = _st.CoarseOperator(a, b, c, n)

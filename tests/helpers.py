@@ -14,8 +14,8 @@ def raw_stepper(m, dt=1.0):
     rho = float(np.max(np.abs(np.linalg.eigvals(m)))) if m.size else 0.0
     rcond = float(s[-1] / s[0]) if s[0] > 0 else 0.0
     src = ops.SpatialOperator(m, "raw")
-    return ops.Stepper(m, ops.SchemeSpec("backward-euler", dt), src,
-                       float(s[0]), rho, rcond)
+    return ops.Stepper(ops.SchemeSpec("backward-euler", dt), src,
+                       float(s[0]), rho, rcond, dense=m)
 
 
 def raw_pair(phi, psi, k):

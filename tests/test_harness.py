@@ -8,13 +8,15 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings, strategies as hst
 
-from helpers import dense_block, phase_oracle, raw_pair, tap_samples
+from helpers import (dense_block, normal_pair, phase_oracle, raw_pair,
+                     rotating_pair, tap_samples)
 
 import pintbounds
 from pintbounds import cli, harness
@@ -216,6 +218,38 @@ class TestRunExperiment:
                                "exceeds sufficient bound 5.000000e-01"]
                               if violated else [])
 
+    @pytest.mark.parametrize("twin", [False, True])
+    def test_cancelling_first_value_is_not_a_violation(self, twin):
+        # Phi has the eigenvalue -36.4: the worst-case seed grows to 1e12,
+        # and A e_0 = w of norm 1 cancels to 1.5e-8 in the dense twin,
+        # which put the necessary bound 1.5e-8 above the first ratio; the
+        # ratio is checked over the rounding of its A*A values
+        # (1 + ||Phi||) ||e|| ROUNDOFF_FLOOR
+        cfg = harness.ExperimentConfig.from_dict(base_config(
+            problem={"kind": "laplacian-1d-dirichlet", "n": 2, "h": 1 / 3},
+            fine={"scheme": "custom-rational", "dt": 0.421875,
+                  "numerator": [1.0, 0.75], "denominator": [1.0, 0.25]},
+            coarse={"scheme": "backward-euler", "dt": 0.84375},
+            n_time=9, relaxations=["F", "FCF"], initial_error="worst-case"))
+        make_pair = ops.make_pair
+        with mock.patch.object(ops, "make_pair", lambda f, c, k: make_pair(
+                f, c, k, attach_eig=not twin)):
+            rec = harness.run_experiment(cfg)
+        assert rec.meta["normal"] is not twin
+        rows = [r for r in rec.trace if r["norm"] == "AstarA"]
+        assert rows[0]["rounding"] > rows[0]["value"]
+        assert rec.violations == []
+
+    def test_ratio_range_over_the_rounding(self):
+        prev = {"value": 2.0, "rounding": 0.5}
+        row = {"value": 3.0, "rounding": 1.0, "ratio": 1.5}
+        assert harness._ratio_range(prev, row) == (2.0 / 2.5, 4.0 / 1.5)
+        prev["rounding"] = 2.0
+        assert harness._ratio_range(prev, row) == (0.5, math.inf)
+        assert harness._ratio_range({"value": 2.0}, {"value": 3.0,
+                                                     "ratio": 1.5}) \
+            == (1.5, 1.5)
+
     @pytest.mark.parametrize("initial_error", ["worst-case", "random"])
     @pytest.mark.parametrize("relaxation", ["F", "FCF"])
     @pytest.mark.parametrize("k", [1, 2, 4])
@@ -260,6 +294,54 @@ class TestRunExperiment:
             got = [r["value"] for r in rec.trace if r["norm"] == norm]
             assert np.max(np.abs(np.subtract(got, series))) \
                 <= 1e-13 * series[0]
+
+    @pytest.mark.parametrize("initial_error", ["worst-case", "random"])
+    @pytest.mark.parametrize("relaxation", ["F", "FCF"])
+    @pytest.mark.parametrize("case", ["heat", "rotating"])
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_normal_trace_is_the_dense_twin_propagator_power(
+            self, k, case, relaxation, initial_error, monkeypatch):
+        # a normal pair iterates in its mode coordinates; its l2, A*A and
+        # modified values are ||E^i e_0||, ||A E^i e_0|| and
+        # ||(I x U^{-1}) E^i e_0|| with the dense propagator of its twin
+        # (attach_eig=False), from the same initial error
+        pair = normal_pair(k) if case == "heat" else rotating_pair(k)
+        assert pair.normal
+        monkeypatch.setattr(harness, "build_pair", lambda cfg: pair)
+        cfg = harness.ExperimentConfig.from_dict(base_config(
+            k=k, n_time=4 * k + 1, relaxations=[relaxation],
+            norms=["l2", "AstarA", "modified"], initial_error=initial_error,
+            seed=5))
+        rec = harness.run_experiment(cfg)
+        assert rec.meta["normal"]
+        twin = ops.make_pair(pair.fine, pair.coarse, k, attach_eig=False)
+        sys = st.assemble_system(twin, st.GridSpec(cfg.n_time, k))
+        if initial_error == "worst-case":
+            w = st.coarse_norm(pair, sys.grid, relaxation,
+                               with_vector=True).vector
+            e = harness._worst_case_error(sys, w)
+        else:
+            rng = np.random.default_rng(cfg.seed)
+            e = rng.standard_normal(sys.dim) + 1j * rng.standard_normal(sys.dim)
+            e /= np.linalg.norm(e)
+        props = st.build_propagators(sys)
+        perm = sys.permutation
+        prop = np.empty((sys.dim, sys.dim), dtype=complex)
+        prop[np.ix_(perm, perm)] = props.e_f if relaxation == "F" \
+            else props.e_fcf
+        a = sys.full_matrix()
+        u_inv = pair.shared_eig.vectors_inv
+        want = {"l2": [], "AstarA": [], "modified": []}
+        for _ in range(cfg.iterations + 1):
+            want["l2"].append(np.linalg.norm(e))
+            want["AstarA"].append(np.linalg.norm(a @ e))
+            want["modified"].append(np.linalg.norm(
+                e.reshape(cfg.n_time, -1) @ u_inv.T))
+            e = prop @ e
+        for norm, series in want.items():
+            got = [r["value"] for r in rec.trace if r["norm"] == norm]
+            assert np.all(np.abs(np.subtract(got, series))
+                          <= 1e-12 * np.maximum.accumulate(series))
 
     def test_fcf_bracket_lower_end_below_coarse_norm(self):
         cfg = harness.ExperimentConfig.from_dict(base_config(
@@ -601,6 +683,50 @@ class TestNormalPairPath:
         harness.run_experiment(cfg)
         assert kernel_calls["sturm"] == []
         assert len(kernel_calls["closed"]) == 2
+
+    def test_heat_run_and_bounds_make_no_dense_stepper(self, monkeypatch,
+                                                       tmp_path, capsys):
+        # the steppers of a normal pair come from their eigenvalues, and
+        # neither run nor bounds asks for a dense one: no stability_matrix,
+        # no SVD and no eigenvalue solve
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense stepper work on the normal-pair path")
+
+        monkeypatch.setattr(ops, "stability_matrix", refuse)
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        monkeypatch.setattr(np.linalg, "eigvals", refuse)
+        for initial_error in ("worst-case", "random"):
+            path = tmp_path / f"{initial_error}.yaml"
+            path.write_text(yaml.safe_dump(base_config(
+                relaxations=["F", "FCF"], norms=["l2", "AstarA", "modified"],
+                initial_error=initial_error)))
+            assert cli.main(["run", "--config", str(path), "--out",
+                             str(tmp_path / initial_error), "--format",
+                             "json"]) == 0
+            capsys.readouterr()
+            assert cli.main(["bounds", "--config", str(path)]) == 0
+            self._check_rows(json.loads(capsys.readouterr().out))
+
+    def test_upwind_pair_takes_the_dense_path(self, monkeypatch, tmp_path):
+        calls = {"stability_matrix": 0, "svd": 0}
+
+        def counted(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(ops, "stability_matrix")
+        counted(np.linalg, "svd")
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(base_config(
+            problem={"kind": "advection-1d-upwind", "n": 3, "h": 0.25},
+            relaxations=["F", "FCF"], initial_error="worst-case")))
+        assert cli.main(["run", "--config", str(path), "--out",
+                         str(tmp_path), "--format", "json"]) == 0
+        assert calls["stability_matrix"] == 2 and calls["svd"] > 2
 
     def test_non_normal_symbol_is_certified(self):
         cfg = harness.ExperimentConfig.from_dict(base_config(
@@ -1147,3 +1273,151 @@ class TestConfigFuzz:
             top = float(np.max(np.linalg.svd(sym(xs), compute_uv=False)[:, 0]))
             assert top <= symbol["upper"] * (1 + 1e-12)
             assert rows["coarse-norm"]["lower"] <= symbol["upper"] * (1 + 1e-12)
+
+
+# R(z) = (1 + 3z/4) / (1 + z/4), with a pole at z = -4 that a Laplacian
+# eigenvalue reaches at dt = -4 / ell
+RATIONAL = {"numerator": [1.0, 0.75], "denominator": [1.0, 0.25]}
+
+
+def _mode_scheme(name, dt):
+    section = _scheme(name, dt)
+    if name == "custom-rational":
+        section.update(RATIONAL)
+    return section
+
+
+def _cli(argv, twin):
+    """(exit code, standard output) of one command, with every pair made as
+    its dense twin (attach_eig=False) when twin; a RuntimeWarning or a
+    traceback fails the test."""
+    make_pair = ops.make_pair
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.ExitStack() as stack:
+        if twin:
+            stack.enter_context(mock.patch.object(
+                ops, "make_pair", lambda fine, coarse, k: make_pair(
+                    fine, coarse, k, attach_eig=False)))
+        caught = stack.enter_context(warnings.catch_warnings(record=True))
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert "Traceback" not in err.getvalue()
+    return code, out.getvalue()
+
+
+def _twin_trace(pair, twin, cfg, relaxation):
+    """{norm: values} of the dense twin's iteration from the initial error
+    of the per-mode run: the same random draw, or the twin's solve of the
+    per-mode worst-case vector."""
+    sys = st.assemble_system(twin, st.GridSpec(cfg.n_time, cfg.k))
+    if cfg.initial_error == "worst-case":
+        w = st.coarse_norm(pair, sys.grid, relaxation, with_vector=True)
+        e = harness._worst_case_error(sys, w.vector)
+    else:
+        rng = np.random.default_rng(cfg.seed)
+        for _ in range(cfg.relaxations.index(relaxation) + 1):
+            e = rng.standard_normal(sys.dim) + 1j * rng.standard_normal(sys.dim)
+        e /= np.linalg.norm(e)
+    values = {"l2": [], "AstarA": []}
+    for i in range(cfg.iterations + 1):
+        if i:
+            e = st.apply_iteration(sys, relaxation, e)
+        for norm, series in values.items():
+            series.append(harness._vector_norm(e, norm, sys, None))
+    return values
+
+
+class TestModeFuzz:
+    """Laplacian configs run per mode and as their dense twin: the same
+    exit codes, no traceback or RuntimeWarning, and the same rows and
+    traces up to the rounding of the dense computation."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=hst.integers(1, 6), fine=hst.sampled_from(SCHEMES + [
+               "custom-rational"]),
+           coarse=hst.sampled_from(SCHEMES + ["custom-rational",
+                                              "rediscretized"]),
+           dt=hst.floats(1e-3, 1.0), pole=hst.booleans(),
+           mode=hst.integers(0, 5), k=hst.integers(1, 3),
+           n_coarse=hst.integers(2, 6),
+           initial_error=hst.sampled_from(["random", "worst-case"]))
+    def test_per_mode_pair_matches_its_dense_twin(
+            self, n, fine, coarse, dt, pole, mode, k, n_coarse,
+            initial_error):
+        h = 1.0 / (n + 1)
+        if pole and "custom-rational" in (fine, coarse):
+            # dt ell_m at the pole, for the fine or else the coarse scheme
+            ell = ops.build_spatial("laplacian-1d-dirichlet", n, h).eig.values
+            dt = -4.0 / float(ell[mode % n].real)
+            if fine != "custom-rational":
+                dt /= k
+        data = base_config(
+            problem={"kind": "laplacian-1d-dirichlet", "n": n, "h": h},
+            fine=_mode_scheme(fine, dt),
+            coarse=(coarse if coarse == "rediscretized"
+                    else _mode_scheme(coarse, dt * k)),
+            k=k, n_time=k * (n_coarse - 1) + 1, relaxations=["F", "FCF"],
+            initial_error=initial_error)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "cfg.yaml")
+            with open(path, "w") as fh:
+                yaml.safe_dump(data, fh)
+            runs, rows = [], []
+            for twin in (False, True):
+                out = os.path.join(tmp, str(twin))
+                code, _ = _cli(["run", "--config", path, "--out", out,
+                                "--format", "json"], twin)
+                bounds_code, text = _cli(["bounds", "--config", path], twin)
+                assert bounds_code in (0, 2)
+                runs.append(code)
+                rows.append(json.loads(text) if bounds_code == 0 else None)
+            assert runs[0] == runs[1] and runs[0] in (0, 1, 2)
+            assert (rows[0] is None) == (rows[1] is None)
+            if runs[0] == 2:
+                return
+            with open(os.path.join(tmp, "False", "experiment.json")) as fh:
+                rec = json.load(fh)
+        cfg = harness.ExperimentConfig.from_dict(data)
+        pair = harness.build_pair(cfg)
+        twin = ops.make_pair(pair.fine, pair.coarse, k, attach_eig=False)
+        top = (lambda m: np.linalg.svd(m, compute_uv=False)[0])
+        # the twin forms D = Psi - Phi^k, which cancels by (||Psi|| +
+        # ||Phi^k||) / ||D||, and its FCF stability factor solves with Phi^k
+        defect = top(twin.coarse_defect)
+        cancel = ((top(twin.coarse.matrix) + top(twin.fine_power)) / defect
+                  if defect else math.inf)
+        sv = twin.fine_power_sv
+        solve = sv.max() / sv.min() if sv.min() else math.inf
+        twin_rows = {(r["relaxation"], r["kind"]): r for r in rows[1]}
+        for row in rows[0]:
+            other = twin_rows.get((row["relaxation"], row["kind"]))
+            if other is None:
+                assert row["kind"] == "diagonalizable-bracket"
+                continue
+            cond = 1.0 if row["kind"] == "stability-decay" else cancel
+            if row["relaxation"] == "FCF" and row["kind"] in (
+                    "stability-decay", "sufficient"):
+                cond = max(cond, solve)
+            for key in ("lower", "upper"):
+                a, b = row[key], other[key]
+                # the twin's uppers are certified to 2 TOL above its values
+                tol = 1e-12 * cond + (2.0 * tap.TOL if key == "upper" else 0.0)
+                assert a == b or abs(a - b) <= tol * max(abs(a), abs(b))
+        if not pair.normal:
+            return
+        # an unstable Phi amplifies the rounding of either iteration by up
+        # to ||Phi|| a step, and A e then cancels by up to 1 + ||Phi||
+        phi = pair.fine.norm
+        growth = 0.0 if phi <= 1.0 else phi ** (cfg.n_time - 1)
+        for relaxation in cfg.relaxations:
+            want = _twin_trace(pair, twin, cfg, relaxation)
+            for norm, series in want.items():
+                got = [r["value"] for r in rec["trace"]
+                       if r["relaxation"] == relaxation and r["norm"] == norm]
+                loss = growth * (1.0 + phi if norm == "AstarA" else 1.0)
+                scale = np.maximum(np.maximum.accumulate(series),
+                                   loss * np.maximum.accumulate(want["l2"]))
+                assert np.all(np.abs(np.subtract(got, series))
+                              <= 1e-12 * scale)

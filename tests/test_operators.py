@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -135,6 +136,64 @@ class TestBuildStepper:
                                                 numerator=(1.0,),
                                                 denominator=(1.0, -1.0)))
         assert np.allclose(a.matrix, b.matrix)
+
+
+class TestPerModeStepper:
+    @pytest.mark.parametrize("scheme,kw", [
+        ("forward-euler", {}), ("backward-euler", {}), ("rk4", {}),
+        ("sdirk2", {}), ("theta", {"theta": 0.7}),
+    ])
+    def test_eigenvalues_and_lazy_matrix(self, scheme, kw):
+        # a unitary eigenbasis gives the stepper from its eigenvalues alone;
+        # the dense matrix is formed only when asked for, and is the same
+        # stability function of dt L
+        L = ops.build_spatial("laplacian-1d-dirichlet", 7, 1.0 / 8)
+        spec = ops.SchemeSpec(scheme, 0.01, **kw)
+        s = ops.build_stepper(L, spec)
+        assert np.array_equal(s.values,
+                              ops.stability_eval(spec, spec.dt * L.eig.values))
+        size = np.abs(s.values)
+        assert s.norm == s.spectral_radius == size.max()
+        assert s.rcond == size.min() / size.max()
+        assert "matrix" not in vars(s)
+        dense = ops.stability_matrix(spec, spec.dt * L.matrix)
+        assert np.array_equal(s.matrix, dense)
+        u = L.eig.vectors
+        assert np.linalg.norm((u * s.values) @ u.conj().T - dense) \
+            <= 1e-13 * np.linalg.norm(dense)
+
+    def test_normal_pair_forms_no_matrix(self):
+        pair = heat_pair(nx=6, dt=0.02, k=3)
+        assert pair.normal and pair.commuting
+        assert "matrix" not in vars(pair.fine)
+        assert "matrix" not in vars(pair.coarse)
+        assert pair.shared_eig.fine_values is pair.fine.values
+
+    def test_unstable_coarse_pair_is_tested_densely(self):
+        # forward-Euler coarse steps with |mu| > 1: no eigenbasis is
+        # attached, and the commuting test forms both dense steppers
+        pair = heat_pair(nx=8, dt=0.01, k=4, coarse_scheme="forward-euler")
+        assert pair.shared_eig is None and pair.commuting
+        assert "matrix" in vars(pair.fine) and "matrix" in vars(pair.coarse)
+
+    def test_pole_is_a_singular_solve(self):
+        # R(z) = 1 / (1 + z / 4) at dt ell = -4 for the slowest mode
+        L = ops.build_spatial("laplacian-1d-dirichlet", 3, 0.25)
+        dt = -4.0 / float(L.eig.values[0].real)
+        spec = ops.SchemeSpec("custom-rational", dt, numerator=(1.0,),
+                              denominator=(1.0, 0.25))
+        with pytest.raises(ValueError, match="singular implicit solve"):
+            ops.build_stepper(L, spec)
+        near = ops.SchemeSpec("custom-rational", dt * (1 + 1e-6),
+                              numerator=(1.0,), denominator=(1.0, 0.25))
+        assert ops.build_stepper(L, near).norm > 1e5
+
+    def test_overflowing_eigenvalue_is_refused(self):
+        L = ops.build_spatial("laplacian-1d-dirichlet", 3, 1e-50)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflow"):
+                ops.build_stepper(L, ops.SchemeSpec("rk4", 1.0))
 
 
 class TestRk4Defect:

@@ -438,7 +438,7 @@ def counting_pair(pair):
             return getattr(ufunc, method)(*inputs, **kwargs)
 
     fine = dataclasses.replace(pair.fine,
-                               matrix=pair.fine.matrix.view(Counting))
+                               dense=pair.fine.matrix.view(Counting))
     return dataclasses.replace(pair, fine=fine), count
 
 
@@ -488,6 +488,68 @@ class TestIntervalBatching:
         # at k = 1 every point is a C-point and C-relaxation zeroes the
         # error without a product
         assert len(calls["F"]) == len(calls["FCF"]) == 1
+
+
+class TestModeCoordinates:
+    def test_step_of_a_diagonal(self):
+        rng = np.random.default_rng(3)
+        d = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        rows = rng.standard_normal((5, 4))
+        for values in (d, d.real.astype(complex)):
+            diag, dense = st.Step(values), st.Step(np.diag(values))
+            assert np.allclose(diag.apply(rows), dense.apply(rows),
+                               rtol=1e-15, atol=0)
+            assert np.allclose(diag.power(5).apply(rows),
+                               dense.power(5).apply(rows), rtol=1e-14, atol=0)
+        # a diagonal with zero imaginary part steps in real arithmetic
+        assert st.Step(d.real.astype(complex)).apply(rows).dtype == float
+        with pytest.raises(OverflowError):
+            st.Step(np.array([1e200, 0.5])).power(2)
+
+    def test_modes_need_a_unitary_eigenbasis(self):
+        with pytest.raises(ValueError, match="unitary"):
+            st.assemble_system(skewed_pair(), st.GridSpec(9, 2), modes=True)
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    @pytest.mark.parametrize("relaxation", ["F", "FCF"])
+    @pytest.mark.parametrize("case", ["heat", "rotating"])
+    def test_iteration_is_the_physical_one(self, case, relaxation, k):
+        # in mode coordinates every step is elementwise; mapped back by U
+        # the iterates, the lift and the solves are the physical ones
+        pair = normal_pair(k) if case == "heat" else rotating_pair(k)
+        grid = st.GridSpec(6 * k + 1, k)
+        modal = st.assemble_system(pair, grid, modes=True)
+        dense = st.assemble_system(pair, grid)
+        u = pair.shared_eig.vectors
+        rng = np.random.default_rng(k)
+        e = rng.standard_normal(dense.dim) + 1j * rng.standard_normal(dense.dim)
+        e_modes = modal.to_modes(e)
+        assert np.linalg.norm(e_modes) == pytest.approx(np.linalg.norm(e),
+                                                        rel=1e-14)
+        scale = 0.0
+        for i in range(4):
+            scale = max(scale, np.linalg.norm(e))
+            back = (e_modes.reshape(grid.n_time, -1) @ u.T).ravel()
+            assert np.linalg.norm(back - e) <= 1e-13 * scale
+            assert abs(np.linalg.norm(st.apply_full(modal, e_modes))
+                       - np.linalg.norm(st.apply_full(dense, e))) \
+                <= 1e-13 * scale
+            e = st.apply_iteration(dense, relaxation, e)
+            e_modes = st.apply_iteration(modal, relaxation, e_modes)
+
+    def test_heat_worst_case_seed_stays_real(self):
+        # real lambda, mu and seed: no complex array on the iteration path
+        pair = heat_pair(nx=6, dt=0.02, k=2)
+        grid = st.GridSpec(33, 2)
+        sys = st.assemble_system(pair, grid, modes=True)
+        for relaxation in ("F", "FCF"):
+            w = st.coarse_norm(pair, grid, relaxation, with_vector=True,
+                               modes=True).vector
+            e = harness._worst_case_error(sys, w)
+            assert e.dtype == float
+            e = st.apply_iteration(sys, relaxation, e)
+            assert e.dtype == float and e.any()
+            assert st.apply_full(sys, e).dtype == float
 
 
 class TestOperatorNorm:

@@ -317,7 +317,15 @@ def tap_constant(pair: StepperPair, relaxation: str = "F",
     x, gamma, certified = _hinf(a, b, c, _psi_poles(pair))
     if math.isinf(gamma):   # beyond the floating-point range
         return TapResult(gamma, None, x, "level-set", False, gamma)
-    state = np.linalg.solve(np.eye(a.shape[0]) - np.exp(1j * x) * a, b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        state = np.linalg.solve(np.eye(a.shape[0]) - np.exp(1j * x) * a, b)
+    if not np.isfinite(state).all():
+        return TapResult(gamma, None, x, "level-set", certified,
+                         gamma * (1.0 + 2.0 * TOL))
+    # only the state's direction matters: scaled, as c is, by a power of two
+    # to entries below one, it gives the vector without overflowing where
+    # I - e^{ix} A is nearly singular
+    (state, _), (c, _) = _unit(state), _unit(c)
     _, _, vh = np.linalg.svd(c @ state)
     v = state[-pair.dim:] @ vh[0].conj()
     if not v.any():     # B = 0 (Phi^k = 0): every vector attains the zero

@@ -51,8 +51,11 @@ class SpatialOperator:
         if self.eig is not None:
             e = self.eig
             rebuilt = _real_if(e.vectors * e.values) @ _real_if(e.vectors_inv)
-            defect = np.linalg.norm(rebuilt - m)
-            scale = max(1.0, np.linalg.norm(m))
+            # both norms of m scaled by one power of two, so that entries
+            # past 1e154 do not overflow when squared
+            unit, exp = _unit(m)
+            defect = np.linalg.norm(_ldexp(rebuilt - m, -exp))
+            scale = max(math.ldexp(1.0, -exp), np.linalg.norm(unit))
             if defect > DECOMPOSITION_TOL * scale:
                 raise ValueError("eigendecomposition does not reproduce the operator")
 
@@ -106,19 +109,20 @@ def build_spatial(kind: str, n: int | None = None, h: float = 1.0,
         u = np.sqrt(2.0 / (n + 1)) * np.sin(np.outer(j, ell) * np.pi / (n + 1))
         eig = Eigendecomposition(values.astype(complex), u.astype(complex),
                                  u.T.astype(complex))
-        return SpatialOperator(m.astype(complex), f"laplacian-1d-dirichlet(n={n},h={h})", eig)
+        return SpatialOperator(m, f"laplacian-1d-dirichlet(n={n},h={h})", eig)
     if kind == "advection-1d-upwind":
         if n is None or n < 1:
             raise ValueError("advection-1d-upwind needs n >= 1")
         if h <= 0:
             raise ValueError("mesh width must be positive")
         m = (-velocity / h) * np.eye(n) + (velocity / h) * np.diag(np.ones(n - 1), -1)
-        return SpatialOperator(m.astype(complex),
+        return SpatialOperator(m,
                                f"advection-1d-upwind(n={n},v={velocity},h={h})")
     if kind == "from-file":
         if path is None:
             raise ValueError("from-file needs a path")
-        return SpatialOperator(_read_matrix_file(path), f"from-file({path})")
+        return SpatialOperator(_real_if(_read_matrix_file(path)),
+                               f"from-file({path})")
     raise ValueError(f"unknown spatial operator kind {kind!r}")
 
 
@@ -193,11 +197,18 @@ def stability_matrix(scheme: SchemeSpec, z: np.ndarray) -> np.ndarray:
         raise ValueError(f"singular implicit solve for scheme {scheme.kind}") from exc
 
 
+def _ldexp(m: np.ndarray, e: int) -> np.ndarray:
+    """m 2^e, exactly, in the dtype of m."""
+    if np.iscomplexobj(m):
+        return np.ldexp(m.real, e) + 1j * np.ldexp(m.imag, e)
+    return np.ldexp(m, e)
+
+
 def _unit(m: np.ndarray):
     """(m 2^-e, e): m scaled by a power of two, exactly, to entries of size
-    below one."""
+    below one; real when m is."""
     e = math.frexp(float(np.abs(m).max()))[1]
-    return np.ldexp(m.real, -e) + 1j * np.ldexp(m.imag, -e), e
+    return _ldexp(m, -e), e
 
 
 def _rcond(sv: np.ndarray) -> float:
@@ -219,7 +230,8 @@ class Stepper:
     eigenvalues values = R(dt ell), so that M = U diag(values) U^*: its norm,
     spectral radius and condition follow from |values|, and the dense matrix
     is formed (by stability_matrix) only when a consumer asks for it. Any
-    other stepper holds its dense matrix."""
+    other stepper holds its dense matrix, real on a real operator, and the
+    eigenvalues that gave its spectral radius."""
     scheme: SchemeSpec
     source: SpatialOperator
     norm: float
@@ -227,12 +239,23 @@ class Stepper:
     rcond: float
     values: np.ndarray | None = None
     dense: np.ndarray | None = field(default=None, repr=False)
+    eigenvalues: np.ndarray | None = field(default=None, repr=False)
 
     @functools.cached_property
     def matrix(self) -> np.ndarray:
         if self.dense is not None:
             return self.dense
         return _stepper_matrix(self.scheme, self.source)
+
+    @functools.cached_property
+    def spectrum(self) -> np.ndarray:
+        """The eigenvalues of M: values, those build_stepper kept, or those
+        of the dense matrix, computed once."""
+        if self.values is not None:
+            return self.values
+        if self.eigenvalues is not None:
+            return self.eigenvalues
+        return np.linalg.eigvals(self.matrix)
 
     @property
     def strongly_stable(self) -> bool:
@@ -286,8 +309,9 @@ def build_stepper(L: SpatialOperator, scheme: SchemeSpec) -> Stepper:
         return Stepper(scheme, L, top, top, _rcond(size), values)
     m = _stepper_matrix(scheme, L)
     s = np.linalg.svd(m, compute_uv=False)
-    rho = float(np.max(np.abs(np.linalg.eigvals(m))))
-    return Stepper(scheme, L, float(s[0]), rho, _rcond(s), dense=m)
+    eigs = np.linalg.eigvals(m)
+    return Stepper(scheme, L, float(s[0]), float(np.max(np.abs(eigs))),
+                   _rcond(s), dense=m, eigenvalues=eigs)
 
 
 def rk4_defect(L: SpatialOperator, dt: float) -> np.ndarray:

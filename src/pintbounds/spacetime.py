@@ -369,8 +369,9 @@ class CoarseOperator:
     def _solve(self, rhs: np.ndarray, adjoint: bool) -> np.ndarray:
         """B_n^{-1} rhs, or B_n^{-*} rhs, for rhs with one block per row: the
         prefix sums y_i = sum_{j <= i} a^{i-j} rhs_j (the suffix sums with
-        a^* for the adjoint) in log2(n) doubling steps of one product each."""
-        y = (rhs[::-1] if adjoint else rhs).astype(complex)
+        a^* for the adjoint) in log2(n) doubling steps of one product each,
+        in the dtype of rhs and a: real for a real pair."""
+        y = (rhs[::-1] if adjoint else rhs).astype(np.result_type(rhs, self.a))
         for level, power in enumerate(self._up if adjoint else self._down):
             shift = 1 << level
             y[shift:] += y[:-shift] @ power
@@ -389,29 +390,31 @@ class CoarseOperator:
         its last block, by the backward recursion P = Q - c^* c,
         H = s I + b^* P b = L L^*, G = L^{-1} b^* P a,
         Q <- a^* P a - G^* G from Q = 0, a finite-horizon bounded-real
-        Riccati recursion. The n pivots H are its Schur complements, so by
-        Sylvester's law of inertia it is positive definite exactly when every
-        Cholesky factorization succeeds. No inverse of a, b or c is taken.
-        numpy's Cholesky passes NaN through, so a pivot that overflows fails
-        the test too."""
+        Riccati recursion. With Z = [b a], the one product Z^* P Z holds
+        b^* P b, b^* P a and a^* P a. The n pivots H are its Schur
+        complements, so by Sylvester's law of inertia it is positive definite
+        exactly when every Cholesky factorization succeeds. No inverse of a,
+        b or c is taken. numpy's Cholesky passes NaN through, so a pivot that
+        overflows fails the test too."""
         if not (s > 0.0 and math.isfinite(s)):
             return False
-        a, b = self.a, self.b
+        m = self.b.shape[1]
+        z = np.hstack([self.b, self.a])
+        zh = z.conj().T
         cc = self.c.conj().T @ self.c
-        eye = np.eye(b.shape[1])
+        eye = np.eye(m)
         q = np.zeros_like(cc)
         for i in range(self.n):
-            p = q - cc
-            bp = b.conj().T @ p
+            prods = zh @ ((q - cc) @ z)
             try:
-                chol = np.linalg.cholesky(s * eye + bp @ b)
+                chol = np.linalg.cholesky(s * eye + prods[:m, :m])
             except np.linalg.LinAlgError:
                 return False
             if not np.isfinite(chol).all():
                 return False
             if i < self.n - 1:
-                g = np.linalg.solve(chol, bp @ a)
-                q = a.conj().T @ p @ a - g.conj().T @ g
+                g = np.linalg.solve(chol, prods[:m, m:])
+                q = prods[m:, m:] - g.conj().T @ g
         return True
 
 
@@ -431,7 +434,7 @@ def _orthonormalize(w: np.ndarray, basis: np.ndarray, rng):
         if norm > 0.5 * size:
             return w / norm, norm
         size = norm
-    w = rng.standard_normal(w.size).astype(complex)
+    w = rng.standard_normal(w.size).astype(w.dtype)
     for _ in range(2):
         w = w - (basis @ w.conj()).conj() @ basis
     return w / np.linalg.norm(w), 0.0
@@ -445,14 +448,17 @@ def _lanczos_norm(op: CoarseOperator, size: int,
     Golub-Kahan-Lanczos with full reorthogonalization from a fixed seeded
     start vector builds K V = U B with B upper bidiagonal; the largest
     singular value of B is a Ritz value, attained by the Ritz vector, so it
-    never exceeds the norm. Once its residual is at TOL, one LDL* pass
-    (CoarseOperator.definite) at s = (value (1 + 2 TOL))^2 proves that no
-    singular value exceeds upper = value (1 + 2 TOL); otherwise Lanczos
-    continues, and the result is uncertified when no pass succeeds by step
-    n N_x, where the Krylov space is the whole space. A block that
-    overflows gives an infinite, uncertified value."""
+    never exceeds the norm. Once its residual or the Ritz gap says it has
+    converged, one LDL* pass (CoarseOperator.definite) at
+    s = (value (1 + 2 TOL))^2 proves that no singular value exceeds
+    upper = value (1 + 2 TOL); otherwise Lanczos continues, and the result
+    is uncertified when no pass succeeds by step n N_x, where the Krylov
+    space is the whole space. A block that overflows gives an infinite,
+    uncertified value. Everything is in the dtype of K's blocks, real for a
+    real pair."""
     dim = op.n * op.b.shape[1]
-    vector = np.zeros(size, dtype=complex)
+    dtype = np.result_type(op.a, op.b, op.c)
+    vector = np.zeros(size, dtype=dtype)
     vector[0] = 1.0       # attains a zero norm
 
     def result(value, certified, exp=0):
@@ -470,7 +476,7 @@ def _lanczos_norm(op: CoarseOperator, size: int,
     op = copy.copy(op)
     op.b, op.c = b, c
     rng = np.random.default_rng(LANCZOS_SEED)
-    vs = np.zeros((min(dim, 32), dim), dtype=complex)
+    vs = np.zeros((min(dim, 32), dim), dtype=dtype)
     us = np.zeros_like(vs)
     vs[0] = rng.standard_normal(dim)
     vs[0] /= np.linalg.norm(vs[0])
@@ -498,9 +504,15 @@ def _lanczos_norm(op: CoarseOperator, size: int,
         left, sv, right = np.linalg.svd(np.diag(alphas)
                                         + np.diag(betas[:-1], 1))
         # K^* K x - sv^2 x = sv beta p_last v_{j+1} for the Ritz vector
-        # x = V q: try a pass once that residual is at TOL and the value has
-        # risen past the last failed one
-        small = beta * abs(left[-1, 0]) <= TOL * sv[0]
+        # x = V q: try a pass once that residual is at TOL, or once the
+        # Kato-Temple estimate (sv_1 beta p_last)^2 / (sv_1^2 - sv_2^2) of
+        # ||K||^2 - sv_1^2, with the second Ritz value sv_2, is at most
+        # 2 TOL sv_1^2; and only once the value has risen past the last
+        # failed one
+        resid = beta * abs(left[-1, 0])
+        low = sv[1] if j else 0.0
+        small = (resid <= TOL * sv[0] or resid <= math.sqrt(
+            2.0 * TOL * (sv[0] - low)) * math.sqrt(sv[0] + low))
         if (small or j + 1 == dim) and sv[0] > failed * (1.0 + TOL):
             certified = op.definite((sv[0] * (1.0 + 2.0 * TOL)) ** 2)
             if certified:
@@ -563,15 +575,16 @@ class Step:
     """The step y -> M y of one block row, applied to rows held as the rows
     of an array (rows M^T): M dense, or diagonal (a normal pair's Phi or Psi
     in mode coordinates, given as its eigenvalues), where a step is an
-    elementwise product. A dense M is held as complex, as the steppers are;
-    a diagonal one is real when its entries are."""
+    elementwise product. M is held as a real array when its entries are
+    real, and real rows then step in real arithmetic."""
 
     def __init__(self, m: np.ndarray):
-        m = np.asanyarray(m)
-        self.diagonal = m.ndim == 1
-        self.matrix = _real_if(m) if self.diagonal else m
-        # cast once: a real M would be cast to complex in every product
-        self._t = self.matrix if self.diagonal else m.T.astype(complex)
+        self.matrix = _real_if(np.asanyarray(m))
+        self.diagonal = self.matrix.ndim == 1
+        self._t = self.matrix if self.diagonal else self.matrix.T
+        # complex rows take one complex product with M cast once, where
+        # numpy would cast a real M in every product
+        self._tc = self._t if self.diagonal else self._t.astype(complex)
 
     @staticmethod
     def of(m) -> Step:
@@ -588,18 +601,17 @@ class Step:
 
     def apply(self, rows: np.ndarray) -> np.ndarray:
         """M y for every row y of rows."""
-        return rows * self._t if self.diagonal else rows @ self._t
+        if self.diagonal:
+            return rows * self._t
+        return rows @ (self._tc if np.iscomplexobj(rows) else self._t)
 
     def power(self, c: int) -> Step:
         """M^c, as a chain of c - 1 products, not by squaring: the forward
         solve's carry applies it many times, so its rounding error adds up,
         and that of a chain is the smaller (about sqrt(c) eps against
-        c eps). A real-valued dense M chains in real arithmetic, at a
-        quarter of the flops. An M^c that overflows raises OverflowError."""
-        base = self.matrix
-        if not self.diagonal and not np.imag(base).any():
-            base = base.real
-        carry = base
+        c eps). A real M chains in real arithmetic, at a quarter of the
+        flops. An M^c that overflows raises OverflowError."""
+        base = carry = self.matrix
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(1, c):
                 carry = carry * base if self.diagonal else carry @ base

@@ -128,8 +128,8 @@ def _phase_newton(m, v, p: int, xs: np.ndarray):
 def _psi_poles(pair: StepperPair):
     """Mask of the phases x at which I - e^{ix} Psi is within POLE_GAP of
     singular, or None when no eigenvalue of Psi lies that near the unit
-    circle."""
-    eigs = np.linalg.eigvals(pair.coarse.matrix)
+    circle; from the eigenvalues the coarse stepper keeps."""
+    eigs = pair.coarse.spectrum
     on_circle = eigs[np.abs(np.abs(eigs) - 1.0) < POLE_GAP]
     return _PoleMask(on_circle) if on_circle.size else None
 
@@ -186,9 +186,14 @@ def _crossings(a, b, c, gamma: float, skip=None):
     much can hide a maximum about err above gamma, so exact is False when err
     exceeds TOL."""
     n = a.shape[0]
-    eye, zero = np.eye(n), np.zeros((n, n))
-    lft = np.block([[eye, -(b @ b.conj().T) / gamma], [zero, -a.conj().T]])
-    rgt = np.block([[a, zero], [(c.conj().T @ c) / gamma, -eye]])
+    lft = np.zeros((2 * n, 2 * n), dtype=np.result_type(a, b, c))
+    rgt = np.zeros_like(lft)
+    diag = np.arange(n)
+    lft[diag, diag], rgt[diag + n, diag + n] = 1.0, -1.0
+    lft[:n, n:] = (b @ b.conj().T) / -gamma
+    lft[n:, n:] = -a.conj().T
+    rgt[:n, :n] = a
+    rgt[n:, :n] = (c.conj().T @ c) / gamma
     den = rgt - np.conj(DISC) * lft
     err = np.finfo(float).eps * np.linalg.cond(den)
     s = np.linalg.eigvals(np.linalg.solve(den, lft - DISC * rgt))
@@ -198,10 +203,11 @@ def _crossings(a, b, c, gamma: float, skip=None):
     return (xs if skip is None else xs[~skip(xs)]), bool(err <= TOL)
 
 
-def _hinf(a, b, c, skip=None):
+def _hinf(a, b, c, eigs, skip=None):
     """(phase, gamma, certified): the largest sigma_max(C (I - e^{ix} A)^{-1} B)
     over the phases x outside the mask skip, by the level-set iteration of
-    Boyd and Balakrishnan.
+    Boyd and Balakrishnan, started from the phases 0, pi and those of eigs,
+    the eigenvalues of A, which the caller has.
 
     Each round finds the crossings of the level gamma (1 + 2 TOL) and
     evaluates the midpoints between consecutive ones; gamma rises to their
@@ -217,7 +223,7 @@ def _hinf(a, b, c, skip=None):
     if skip is not None:
         centre, half = skip.arcs()
         edges = np.concatenate([centre - half, centre + half]) % (2.0 * np.pi)
-    starts = [[0.0, np.pi], -np.angle(np.linalg.eigvals(a)), edges]
+    starts = [[0.0, np.pi], -np.angle(eigs), edges]
     xs = np.concatenate(starts) % (2.0 * np.pi)
     if skip is not None:
         xs = xs[~skip(xs)]
@@ -314,7 +320,9 @@ def tap_constant(pair: StepperPair, relaxation: str = "F",
 
     lft, rgt = coarse_factors(pair, relaxation, "residual")
     a, b, c = _tap_realization(pair.coarse.matrix, rgt, matrix_power(lft, p), p)
-    x, gamma, certified = _hinf(a, b, c, _psi_poles(pair))
+    # A is block lower triangular with p copies of Psi on its diagonal
+    x, gamma, certified = _hinf(a, b, c, np.tile(pair.coarse.spectrum, p),
+                                _psi_poles(pair))
     if math.isinf(gamma):   # beyond the floating-point range
         return TapResult(gamma, None, x, "level-set", False, gamma)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -340,7 +348,8 @@ def itap_constant(pair: StepperPair, relaxation: str = "F") -> TapResult:
     lft, rgt = coarse_factors(pair, relaxation, "error")
     if _psi_poles(pair) is not None:
         raise ValueError("phase singularity: coarse stepper has a unit-circle eigenvalue")
-    x, gamma, certified = _hinf(pair.coarse.matrix, rgt, lft)
+    x, gamma, certified = _hinf(pair.coarse.matrix, rgt, lft,
+                                pair.coarse.spectrum)
     return TapResult(gamma, None, x, "level-set", certified,
                      gamma * (1.0 + 2.0 * TOL))
 

@@ -347,10 +347,11 @@ def symbol_min_eig(a, b, p: int = 1) -> _tap.TapResult:
     a, b = _power_factors(a, b, p)
     _check_invertible(b, "b")
     psi = np.linalg.solve(b, a)
-    if np.any(np.abs(np.abs(np.linalg.eigvals(psi)) - 1.0) < _tap.POLE_GAP):
+    eigs = np.linalg.eigvals(psi)
+    if np.any(np.abs(np.abs(eigs) - 1.0) < _tap.POLE_GAP):
         raise ValueError("phase singularity: b^{-1} a has a unit-circle eigenvalue")
     w, gamma, certified = _tap._hinf(*_tap._tap_realization(
-        psi, np.linalg.inv(b), np.eye(psi.shape[0]), p))
+        psi, np.linalg.inv(b), np.eye(psi.shape[0]), p), np.tile(eigs, p))
     return _tap.TapResult(1.0 / gamma**2, None, float(-w % (2.0 * np.pi)),
                           "level-set", certified,
                           1.0 / (gamma * (1.0 + 2.0 * _tap.TOL)) ** 2)

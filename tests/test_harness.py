@@ -516,6 +516,23 @@ class TestRunExperiment:
             assert row["upper"] == np.inf and not row["certified"]
         assert out.count('"upper": Infinity') >= 2
 
+    def test_huge_laplacian_leaks_no_warning(self, tmp_path, capsys):
+        # entries near 4e160: the eigenbasis check of the operator takes
+        # its norms scaled by a power of two, where their squares overflowed
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(base_config(
+            problem={"kind": "laplacian-1d-dirichlet", "n": 3, "h": 1e-80},
+            fine={"scheme": "backward-euler", "dt": 1e-170}, k=2, n_time=9,
+            relaxations=["F", "FCF"])))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.main(["bounds", "--config", str(path)]) == 0
+            rows = json.loads(capsys.readouterr().out)
+            assert cli.main(["run", "--config", str(path), "--out",
+                             str(tmp_path), "--format", "json"]) == 0
+        norms = [r for r in rows if r["kind"] == "coarse-norm"]
+        assert len(norms) == 2 and all(r["certified"] for r in norms)
+
     def test_infinite_coarse_norm_leaves_necessary_uncertified(
             self, tmp_path, capsys):
         # the same pair: the coarse norm, and the necessary bound at p = 1

@@ -41,6 +41,45 @@ class TestBuildSpatial:
         L = ops.build_spatial("from-file", path=str(path))
         assert np.allclose(L.matrix, [[1 + 2j, 0], [-1, 3 - 1j]])
 
+    def test_laplacian_and_upwind_are_real(self):
+        for L in (ops.build_spatial("laplacian-1d-dirichlet", 4, 0.2),
+                  ops.build_spatial("advection-1d-upwind", 4, 0.25)):
+            assert L.matrix.dtype == float
+            for scheme in ("backward-euler", "rk4", "sdirk2"):
+                stepper = ops.build_stepper(L, ops.SchemeSpec(scheme, 0.01))
+                assert stepper.matrix.dtype == float
+
+    def test_unit_keeps_the_dtype(self):
+        m = np.array([[3.0, -1e-300], [0.5, 0.0]])
+        for arr in (m, m + 1j * m[::-1]):
+            scaled, e = ops._unit(arr)
+            assert scaled.dtype == arr.dtype and e == 2
+            assert np.array_equal(np.ldexp(scaled.real, e), arr.real)
+            assert np.array_equal(np.ldexp(scaled.imag, e), arr.imag)
+
+    # entries near 4e160: squared, they overflow a double
+    HUGE_H = 1e-80
+
+    def test_huge_decomposition_check_leaks_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            L = ops.build_spatial("laplacian-1d-dirichlet", 3, self.HUGE_H)
+        assert np.abs(L.matrix).max() > 1e160
+
+    def test_wrong_eigenbasis_at_huge_scale_is_rejected(self):
+        L = ops.build_spatial("laplacian-1d-dirichlet", 3, self.HUGE_H)
+        m, e = L.matrix, L.eig
+        swapped = ops.Eigendecomposition(e.values[::-1], e.vectors,
+                                         e.vectors_inv)
+        scaled = ops.Eigendecomposition(e.values * (1.0 + 1e-8), e.vectors,
+                                        e.vectors_inv)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for eig in (swapped, scaled):
+                with pytest.raises(ValueError, match="does not reproduce"):
+                    ops.SpatialOperator(m, "huge", eig)
+            ops.SpatialOperator(m, "huge", e)
+
     def test_from_file_not_square(self, tmp_path):
         path = tmp_path / "m.txt"
         path.write_text("1 2 3\n4 5 6\n")

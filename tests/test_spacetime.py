@@ -506,6 +506,22 @@ class TestModeCoordinates:
         with pytest.raises(OverflowError):
             st.Step(np.array([1e200, 0.5])).power(2)
 
+    def test_dense_step_takes_the_dtype_of_its_rows(self):
+        # a real M steps real rows in real arithmetic; complex rows take one
+        # complex product, bit for bit that of M cast to complex
+        rng = np.random.default_rng(4)
+        m = rng.standard_normal((3, 3))
+        real, cplx = rng.standard_normal((5, 3)), (
+            rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3)))
+        for matrix in (m, m.astype(complex)):
+            step = st.Step(matrix)
+            assert step.dtype == float
+            assert step.apply(real).dtype == float
+            assert np.array_equal(step.apply(real), real @ m.T)
+            assert np.array_equal(step.apply(cplx),
+                                  cplx @ m.T.astype(complex))
+        assert st.Step(m + 1j * m).apply(real).dtype == complex
+
     def test_modes_need_a_unitary_eigenbasis(self):
         with pytest.raises(ValueError, match="unitary"):
             st.assemble_system(skewed_pair(), st.GridSpec(9, 2), modes=True)
@@ -757,6 +773,13 @@ def coarse_operator(pair, grid, relaxation):
 LANCZOS_CASES = ["upwind3", "upwind4", "upwind8", "contractions",
                  "singular-phik", "ill-conditioned-phik", "unstable-psi",
                  "exact-coarse", "k1"]
+UPWIND_CASES = ["upwind3", "upwind4", "upwind8"]
+
+
+def complex_cast(pair):
+    """The pair with its dense steppers cast to complex (raw_stepper casts),
+    so that its coarse norm takes complex arithmetic."""
+    return raw_pair(pair.fine.matrix, pair.coarse.matrix, pair.k)
 
 
 class TestLanczosNorm:
@@ -832,6 +855,102 @@ class TestLanczosNorm:
         adjoint = np.column_stack([op.apply(e, adjoint=True) for e in eye])
         assert np.allclose(dense, trimmed, rtol=0, atol=1e-13)
         assert np.allclose(adjoint, trimmed.conj().T, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("cast", [False, True])
+    @pytest.mark.parametrize("relaxation", ["F", "FCF"])
+    @pytest.mark.parametrize("name", LANCZOS_CASES)
+    def test_definite_is_the_inertia_of_the_dense_gram(self, name, relaxation,
+                                                       cast):
+        # the fused pass (one product Z^* P Z per block) against the sign of
+        # the smallest eigenvalue of the assembled s I - K^* K, just below
+        # and just above ||K||^2
+        pair, grid = lanczos_case(name)
+        op = coarse_operator(complex_cast(pair) if cast else pair, grid,
+                             relaxation)
+        if op.n == 0:
+            assert op.definite(1.0)
+            return
+        assert np.iscomplexobj(op.a) == (cast or np.iscomplexobj(
+            pair.coarse.matrix))
+        eye = np.eye(op.n * op.b.shape[1])
+        k = np.column_stack([op.apply(e) for e in eye])
+        gram = k.conj().T @ k
+        top = np.linalg.norm(k, 2) ** 2
+        for s in (top * (1.0 - 1e-9), top * (1.0 + 1e-9)):
+            want = np.linalg.eigvalsh(s * eye - gram)[0] > 0.0
+            assert op.definite(s) == want
+
+    @pytest.mark.parametrize("name", UPWIND_CASES)
+    def test_real_pair_stays_real(self, name, monkeypatch):
+        # a real K from a real start vector: real bases, Ritz vector and
+        # worst-case error, and no complex product anywhere on the way
+        pair, grid = lanczos_case(name)
+        assert pair.fine.matrix.dtype == pair.coarse.matrix.dtype == float
+        seen = []
+        orthonormalize = st._orthonormalize
+
+        def record(w, basis, rng):
+            seen.extend([w.dtype, basis.dtype])
+            return orthonormalize(w, basis, rng)
+
+        monkeypatch.setattr(st, "_orthonormalize", record)
+        sys = st.assemble_system(pair, grid)
+        for relaxation in ("F", "FCF"):
+            res = st.coarse_norm(pair, grid, relaxation, with_vector=True)
+            assert res.vector.dtype == float
+            e = harness._worst_case_error(sys, res.vector)
+            assert e.dtype == float
+            assert st.apply_iteration(sys, relaxation, e).dtype == float
+        assert seen and set(seen) == {np.dtype(float)}
+
+    def test_from_file_with_zero_imaginary_parts_is_real(self, tmp_path):
+        # a matrix file whose imaginary parts are all zero gives a real
+        # operator, and its coarse norm runs in real arithmetic
+        path = tmp_path / "op.txt"
+        path.write_text("-1+0i, 0\n1, -1-0i\n")
+        spatial = ops.build_spatial("from-file", path=str(path))
+        assert spatial.matrix.dtype == float
+        assert np.array_equal(spatial.matrix, [[-1.0, 0.0], [1.0, -1.0]])
+        fine, coarse = (ops.build_stepper(spatial,
+                                          ops.SchemeSpec("backward-euler", dt))
+                        for dt in (0.1, 0.2))
+        pair = ops.make_pair(fine, coarse, 2)
+        assert pair.fine.matrix.dtype == pair.coarse.matrix.dtype == float
+        grid = st.GridSpec(17, 2)
+        res = st.coarse_norm(pair, grid, "F", with_vector=True)
+        assert res.certified and res.vector.dtype == float
+        cast = st.coarse_norm(complex_cast(pair), grid, "F")
+        assert abs(cast.value - res.value) <= 2.0 * tap.TOL * res.value
+
+    @pytest.mark.parametrize("relaxation", ["F", "FCF"])
+    @pytest.mark.parametrize("name", LANCZOS_CASES)
+    def test_complex_cast_agrees(self, name, relaxation):
+        pair, grid = lanczos_case(name)
+        real = st.coarse_norm(pair, grid, relaxation)
+        cast = st.coarse_norm(complex_cast(pair), grid, relaxation)
+        assert real.certified and cast.certified
+        assert abs(cast.value - real.value) <= 2.0 * tap.TOL * real.value
+
+    @pytest.mark.parametrize("cast", [False, True])
+    @pytest.mark.parametrize("name", UPWIND_CASES)
+    def test_one_ldl_pass_per_coarse_norm(self, name, cast, monkeypatch):
+        # the Ritz-gap trigger tries the pass once the value has converged,
+        # and that one pass succeeds
+        pair, grid = lanczos_case(name)
+        if cast:
+            pair = complex_cast(pair)
+        calls = []
+        definite = st.CoarseOperator.definite
+
+        def count(op, s):
+            calls.append(s)
+            return definite(op, s)
+
+        monkeypatch.setattr(st.CoarseOperator, "definite", count)
+        for relaxation in ("F", "FCF"):
+            calls.clear()
+            assert st.coarse_norm(pair, grid, relaxation).certified
+            assert len(calls) == 1
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                                 "ignore:invalid value:RuntimeWarning")

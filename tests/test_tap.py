@@ -283,6 +283,25 @@ class TestLevelSet:
             below, _ = tap._crossings(a, b, c, upper * (1 - 1e-6))
             assert below.size >= 2
 
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_rounds_reuse_the_kept_eigenvalues(self, p, monkeypatch):
+        # build_stepper keeps the eigenvalues of Psi; the pole mask and the
+        # start phases of the p-fold realization take them, so the only
+        # eigenvalue problems a TAP solves are its pencils of order 2 p N_x
+        pair = upwind_pair(n=4)
+        assert pair.coarse.eigenvalues is not None
+        shapes = []
+        eigvals = np.linalg.eigvals
+
+        def record(m):
+            shapes.append(m.shape)
+            return eigvals(m)
+
+        monkeypatch.setattr(np.linalg, "eigvals", record)
+        for relaxation in ("F", "FCF"):
+            assert tap.tap_constant(pair, relaxation, p).certified
+        assert shapes and set(shapes) == {(2 * p * pair.dim,) * 2}
+
     @pytest.mark.parametrize("relaxation", ["F", "FCF"])
     def test_singular_coarse_step_matches_oracle(self, relaxation):
         # the pencil's R = [[Psi, 0], [C*C/gamma, -I]] is singular here, so

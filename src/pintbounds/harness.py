@@ -194,19 +194,13 @@ class ExperimentRecord:
                 "excluded": self.excluded, "violations": self.violations}
 
 
-def _vector_norm(e: np.ndarray, norm: str, sys: st.SpaceTimeSystem,
-                 u_inv: np.ndarray | None) -> float:
-    """||e||, ||A e|| or ||(I x U^{-1}) e|| of a vector in the coordinates
-    of sys; in mode coordinates (unitary U) l2 and modified are both the
-    norm of the coordinates."""
+def _vector_norm(e: np.ndarray, norm: str, sys: st.SpaceTimeSystem) -> float:
+    """||A e|| for AstarA, else ||e||, of a vector in the coordinates of sys.
+    The modified norm ||(I x U^*) e|| is asked for only of a normal pair,
+    whose vectors hold those mode coordinates (U unitary), so it is their
+    l2 norm."""
     if norm == "AstarA":
         e = st.apply_full(sys, e)
-    elif norm == "modified" and not sys.modes:
-        if u_inv is None:
-            raise ConfigError("modified norm needs a shared eigendecomposition")
-        e = e.reshape(sys.grid.n_time, sys.pair.dim) @ u_inv.T
-    elif norm not in ("l2", "modified"):
-        raise ConfigError(f"unknown norm {norm!r}")
     return float(np.linalg.norm(e))
 
 
@@ -307,13 +301,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentRecord:
     grid = st.GridSpec(cfg.n_time, cfg.k)
     # a normal pair iterates in its mode coordinates, where Phi and Psi are
     # diagonal
-    sys = st.assemble_system(pair, grid, modes=pair.normal)
-    u_inv = None
-    if pair.shared_eig is not None:
-        u_inv = pair.shared_eig.vectors_inv
-    if "modified" in cfg.norms and u_inv is None:
-        raise ConfigError("modified norm requested without a shared "
-                          "eigendecomposition")
+    sys = st.assemble_system(pair, grid)
+    if "modified" in cfg.norms and not pair.normal:
+        raise ConfigError("modified norm requested without a unitary "
+                          "eigenbasis shared by Phi and Psi")
     # refuse powers that overflow before iterating: Phi^k, Psi^N_c, and the
     # carried powers of the fine (worst-case seed) and coarse solvers
     decay = _stability_decay(pair, grid)
@@ -326,8 +317,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentRecord:
     trace, bounds, excluded = [], [], []
     worst_case = cfg.initial_error == "worst-case"
     for relaxation in cfg.relaxations:
-        cnorm = st.coarse_norm(pair, grid, relaxation, with_vector=worst_case,
-                               modes=sys.modes)
+        cnorm = st.coarse_norm(pair, grid, relaxation, with_vector=worst_case)
         values = {n: [] for n in cfg.norms}
         sizes = []      # ||e_i||, which scales the rounding of A e_i
         # iterates may overflow where the refused powers do not; an error
@@ -336,18 +326,19 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentRecord:
             if worst_case:
                 e = _worst_case_error(sys, cnorm.vector)
             else:
-                # drawn in physical coordinates, so that a seed gives the
-                # same error whatever the coordinates of the iteration
+                # drawn in the coordinates of sys: a complex Gaussian is
+                # unitarily invariant, so a draw in mode coordinates has the
+                # law of a physical one
                 e = rng.standard_normal(sys.dim) \
                     + 1j * rng.standard_normal(sys.dim)
-                e = sys.to_modes(e / np.linalg.norm(e))
+                e /= np.linalg.norm(e)
             for i in range(cfg.iterations + 1):
                 if i > 0:
                     e = st.apply_iteration(sys, relaxation, e)
                 sizes.append(float(np.linalg.norm(e)))
                 for n in cfg.norms:
                     values[n].append(sizes[i] if n == "l2"
-                                     else _vector_norm(e, n, sys, u_inv))
+                                     else _vector_norm(e, n, sys))
                 for n, series in [("l2", sizes), *values.items()]:
                     if not math.isfinite(series[i]):
                         raise ConfigError(f"{relaxation}/{n} error norm "
@@ -734,10 +725,11 @@ def verify_suite(filter_name: str | None = None) -> list:
     if want("per-mode-iteration"):
         # each sandwich pair's per-mode iteration, in mode coordinates,
         # against that of its dense twin (attach_eig=False, Phi and Psi from
-        # stability_matrix) from the same random and worst-case seeds,
-        # relative to the running maximum of the dense error norms; and the
-        # shared eigenbasis against the dense steppers, U diag(lambda) U^*
-        # against Phi and U diag(mu) U^* against Psi
+        # stability_matrix) from the U-images of the same random seed and
+        # worst-case coarse vector, relative to the running maximum of the
+        # dense error norms; and the shared eigenbasis against the dense
+        # steppers, U diag(lambda) U^* against Phi and U diag(mu) U^*
+        # against Psi
         worst = 0.0
         for cfg in _default_configs():
             pair = build_pair(cfg)
@@ -750,18 +742,21 @@ def verify_suite(filter_name: str | None = None) -> list:
                 worst = max(worst, np.linalg.norm(
                     (u * values) @ u.conj().T - dense) / np.linalg.norm(dense))
             grid = st.GridSpec(cfg.n_time, cfg.k)
-            modal = st.assemble_system(pair, grid, modes=True)
+            modal = st.assemble_system(pair, grid)
             dense = st.assemble_system(twin, grid)
+
+            def physical(x):
+                return (x.reshape(-1, pair.dim) @ u.T).ravel()
+
             for relaxation in ("F", "FCF"):
-                e = rng.standard_normal(dense.dim) \
-                    + 1j * rng.standard_normal(dense.dim)
-                w = st.coarse_norm(pair, grid, relaxation, with_vector=True)
-                w_modes = st.coarse_norm(pair, grid, relaxation,
-                                         with_vector=True, modes=True)
-                for e_dense, e_modes in (
-                        (e, modal.to_modes(e)),
-                        (_worst_case_error(dense, w.vector),
-                         _worst_case_error(modal, w_modes.vector))):
+                e = rng.standard_normal(modal.dim) \
+                    + 1j * rng.standard_normal(modal.dim)
+                w = st.coarse_norm(pair, grid, relaxation,
+                                   with_vector=True).vector
+                for e_modes, e_dense in (
+                        (e, physical(e)),
+                        (_worst_case_error(modal, w),
+                         _worst_case_error(dense, physical(w)))):
                     scale = 0.0
                     for i in range(cfg.iterations + 1):
                         if i:
@@ -770,9 +765,8 @@ def verify_suite(filter_name: str | None = None) -> list:
                             e_modes = st.apply_iteration(modal, relaxation,
                                                          e_modes)
                         scale = max(scale, np.linalg.norm(e_dense))
-                        back = e_modes.reshape(grid.n_time, -1) @ u.T
                         worst = max(worst, np.linalg.norm(
-                            back.ravel() - e_dense) / scale)
+                            physical(e_modes) - e_dense) / scale)
         results.append(_check("per-mode-iteration", worst <= 1e-12,
                               1e-12 - worst))
 

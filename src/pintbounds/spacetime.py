@@ -56,18 +56,15 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class SpaceTimeSystem:
-    """A u = f over the grid. With modes, every space-time vector given to
-    or returned by the iteration path (apply_full, apply_iteration,
-    lift_coarse, the two solvers) holds the mode coordinates U^* u_i of a
-    normal pair's points, in which Phi and Psi are diagonal; otherwise it
-    holds u itself."""
+    """A u = f over the grid. The pair chooses the coordinates of the
+    iteration path (apply_full, apply_iteration, lift_coarse, the two
+    solvers): a normal pair's space-time vectors hold the mode coordinates
+    U^* u_i of its points, in which Phi and Psi are diagonal; any other
+    pair's hold u itself. The dense assembly (full_matrix, blocks,
+    permutation, build_propagators) is always the physical one; the twin
+    make_pair(..., attach_eig=False) iterates a normal pair physically."""
     pair: StepperPair
     grid: GridSpec
-    modes: bool = False
-
-    def __post_init__(self):
-        if self.modes and not self.pair.normal:
-            raise ValueError("mode coordinates need a unitary shared eigenbasis")
 
     @property
     def dim(self) -> int:
@@ -97,15 +94,15 @@ class SpaceTimeSystem:
 
     @functools.cached_property
     def fine_step(self) -> Step:
-        """Phi, as its eigenvalues in mode coordinates."""
-        if self.modes:
+        """Phi, as its eigenvalues for a normal pair."""
+        if self.pair.normal:
             return Step(self.pair.shared_eig.fine_values)
         return Step(self.pair.fine.matrix)
 
     @functools.cached_property
     def coarse_step(self) -> Step:
-        """Psi, as its eigenvalues in mode coordinates."""
-        if self.modes:
+        """Psi, as its eigenvalues for a normal pair."""
+        if self.pair.normal:
             return Step(self.pair.shared_eig.coarse_values)
         return Step(self.pair.coarse.matrix)
 
@@ -121,18 +118,6 @@ class SpaceTimeSystem:
         made once per system, so every coarse correction shares its Psi^c."""
         return ForwardSolver(self.coarse_step, self.grid.n_coarse)
 
-    def to_modes(self, u: np.ndarray) -> np.ndarray:
-        """The space-time vector u in the coordinates of the system: U^* u_i
-        at every point with modes (one product of the N_t rows with
-        conj(U), in real arithmetic where U is real), u itself otherwise."""
-        if not self.modes:
-            return u
-        ub = u.reshape(self.grid.n_time, self.pair.dim)
-        u_conj = _real_if(self.pair.shared_eig.vectors.conj())
-        if np.iscomplexobj(u_conj) or not np.iscomplexobj(ub):
-            return (ub @ u_conj).ravel()
-        return (ub.real @ u_conj + 1j * (ub.imag @ u_conj)).ravel()
-
     def blocks(self):
         """Partitioned blocks (A_ff, A_fc, A_cf, A_cc) in the F-then-C ordering."""
         a = self.full_matrix()
@@ -143,9 +128,8 @@ class SpaceTimeSystem:
         return ap[:nf, :nf], ap[:nf, nf:], ap[nf:, :nf], ap[nf:, nf:]
 
 
-def assemble_system(pair: StepperPair, grid: GridSpec,
-                    modes: bool = False) -> SpaceTimeSystem:
-    return SpaceTimeSystem(pair, grid, modes)
+def assemble_system(pair: StepperPair, grid: GridSpec) -> SpaceTimeSystem:
+    return SpaceTimeSystem(pair, grid)
 
 
 def apply_full(sys: SpaceTimeSystem, u: np.ndarray) -> np.ndarray:
@@ -306,14 +290,13 @@ class CoarseNorm:
 
 
 def coarse_norm(pair: StepperPair, grid: GridSpec, relaxation: str,
-                with_vector: bool = False, modes: bool = False) -> CoarseNorm:
+                with_vector: bool = False) -> CoarseNorm:
     """Norm of the residual-side coarse block and, with with_vector, its
-    leading right singular vector. Per mode when the pair has a unitary
-    shared eigenbasis, otherwise matrix-free by Golub-Kahan-Lanczos with a
-    block LDL* certificate (_lanczos_norm); no dense block is built. With
-    modes, a per-mode vector is given in mode coordinates (SpaceTimeSystem):
-    mode m's own vector in column m and zeros elsewhere, real where mu_m
-    is."""
+    leading right singular vector in the coordinates of the pair's
+    SpaceTimeSystem. Per mode when the pair has a unitary shared eigenbasis,
+    where the vector is mode m's own vector in column m and zeros elsewhere,
+    real where mu_m is; otherwise matrix-free by Golub-Kahan-Lanczos with a
+    block LDL* certificate (_lanczos_norm). No dense block is built."""
     if not pair.normal:
         lft, rgt = coarse_factors(pair, relaxation, "residual")
         op = CoarseOperator(pair.coarse.matrix, rgt, lft,
@@ -326,8 +309,7 @@ def coarse_norm(pair: StepperPair, grid: GridSpec, relaxation: str,
         # mode m's block is zero past its first n columns, where its right
         # singular vector is the eigenvector of C C^* at lambda_min:
         # v_j = e^{i j arg mu} sin((n + 1 - j) theta), j = 1 ... n
-        eig = pair.shared_eig
-        mu = eig.coarse_values[m]
+        mu = pair.shared_eig.coarse_values[m]
         v = np.zeros(grid.n_coarse, dtype=float if mu.imag == 0 else complex)
         if n == 0:
             v[0] = 1.0      # the block is zero; any unit vector attains it
@@ -337,12 +319,9 @@ def coarse_norm(pair: StepperPair, grid: GridSpec, relaxation: str,
                     else np.where((mu.real < 0) & (j % 2 == 1), -1.0, 1.0))
             v[:n] = turn * np.sin((n + 1 - j) * theta[m])
             v /= np.linalg.norm(v)
-        if modes:
-            vector = np.zeros((grid.n_coarse, pair.dim), dtype=v.dtype)
-            vector[:, m] = v
-            vector = vector.ravel()
-        else:
-            vector = np.kron(v, eig.vectors[:, m])
+        vector = np.zeros((grid.n_coarse, pair.dim), dtype=v.dtype)
+        vector[:, m] = v
+        vector = vector.ravel()
     return CoarseNorm(float(norms[m]), float(uppers.max()), certified,
                       "per-mode", vector)
 

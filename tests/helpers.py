@@ -73,6 +73,12 @@ def rotating_pair(k=2):
     return ops.make_pair(fine, coarse, k)
 
 
+def physical_vector(pair, x):
+    """The physical space-time vector whose mode coordinates (those of a
+    normal pair's SpaceTimeSystem) are x: U x_i at every point."""
+    return (x.reshape(-1, pair.dim) @ pair.shared_eig.vectors.T).ravel()
+
+
 def dense_block(pair, grid, relaxation, side="residual"):
     """The assembled coarse-level propagation block of one relaxation and
     side."""

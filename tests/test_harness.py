@@ -15,8 +15,8 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as hst
 
-from helpers import (dense_block, normal_pair, phase_oracle, raw_pair,
-                     rotating_pair, tap_samples)
+from helpers import (dense_block, normal_pair, phase_oracle, physical_vector,
+                     raw_pair, rotating_pair, skewed_pair, tap_samples)
 
 import pintbounds
 from pintbounds import cli, harness
@@ -218,6 +218,43 @@ class TestRunExperiment:
                                "exceeds sufficient bound 5.000000e-01"]
                               if violated else [])
 
+    @staticmethod
+    def _record(cfg, values, necessary, coarse):
+        """A record of one F/AstarA series with the given values and the
+        necessary and coarse-norm rows at the given lowers."""
+        trace = [{"iteration": i, "relaxation": "F", "norm": "AstarA",
+                  "value": v, "ratio": v / values[i - 1] if i else None}
+                 for i, v in enumerate(values)]
+        bounds = [{"relaxation": "F", "kind": "necessary", "lower": necessary,
+                   "upper": math.inf, "certified": True},
+                  {"relaxation": "F", "kind": "coarse-norm", "lower": coarse,
+                   "upper": coarse, "certified": True}]
+        return harness.ExperimentRecord(config=cfg.raw, seed=cfg.seed,
+                                        meta={"commuting": True}, trace=trace,
+                                        bounds=bounds, excluded=[])
+
+    @pytest.mark.parametrize("initial_error", ["worst-case", "random"])
+    def test_necessary_bound_above_the_worst_observed_ratio(self,
+                                                            initial_error):
+        # the necessary bound is a worst-case ratio: one above every
+        # observed ratio is a violation only when the seed is the worst case
+        cfg = harness.ExperimentConfig.from_dict(base_config(
+            norms=["AstarA"], iterations=2, initial_error=initial_error))
+        rec = self._record(cfg, [1.0, 0.25, 0.0625], 0.5, 0.5)
+        assert harness.check_bounds(cfg, rec) == (
+            ["F/AstarA: necessary bound 5.000000e-01 exceeds worst observed "
+             "ratio 2.500000e-01"] if initial_error == "worst-case" else [])
+
+    @pytest.mark.parametrize("initial_error", ["worst-case", "random"])
+    def test_necessary_bound_above_the_coarse_norm(self, initial_error):
+        # the coarse norm is the worst-case ratio itself, whatever the seed
+        cfg = harness.ExperimentConfig.from_dict(base_config(
+            norms=["AstarA"], iterations=2, initial_error=initial_error))
+        rec = self._record(cfg, [1.0, 0.5, 0.25], 0.5, 0.25)
+        assert harness.check_bounds(cfg, rec) == [
+            "F: necessary bound 5.000000e-01 exceeds the worst-case ratio "
+            "(coarse block norm) 2.500000e-01"]
+
     @pytest.mark.parametrize("twin", [False, True])
     def test_cancelling_first_value_is_not_a_violation(self, twin):
         # Phi has the eigenvalue -36.4: the worst-case seed grows to 1e12,
@@ -304,7 +341,9 @@ class TestRunExperiment:
         # a normal pair iterates in its mode coordinates; its l2, A*A and
         # modified values are ||E^i e_0||, ||A E^i e_0|| and
         # ||(I x U^{-1}) E^i e_0|| with the dense propagator of its twin
-        # (attach_eig=False), from the same initial error
+        # (attach_eig=False), from the U-image e_0 of the run's initial
+        # error (the random draw, or the worst-case solve of the coarse
+        # vector), both drawn in mode coordinates
         pair = normal_pair(k) if case == "heat" else rotating_pair(k)
         assert pair.normal
         monkeypatch.setattr(harness, "build_pair", lambda cfg: pair)
@@ -319,11 +358,11 @@ class TestRunExperiment:
         if initial_error == "worst-case":
             w = st.coarse_norm(pair, sys.grid, relaxation,
                                with_vector=True).vector
-            e = harness._worst_case_error(sys, w)
+            e = harness._worst_case_error(sys, physical_vector(pair, w))
         else:
             rng = np.random.default_rng(cfg.seed)
             e = rng.standard_normal(sys.dim) + 1j * rng.standard_normal(sys.dim)
-            e /= np.linalg.norm(e)
+            e = physical_vector(pair, e / np.linalg.norm(e))
         props = st.build_propagators(sys)
         perm = sys.permutation
         prop = np.empty((sys.dim, sys.dim), dtype=complex)
@@ -635,12 +674,43 @@ class TestRunExperiment:
         row = next(r for r in rec.bounds if r["kind"] == "coarse-norm")
         assert not row["certified"] and row["upper"] == math.inf
 
-    def test_modified_norm_needs_eigendecomposition(self):
-        cfg = harness.ExperimentConfig.from_dict(base_config(
-            problem={"kind": "advection-1d-upwind", "n": 3, "h": 0.25},
-            norms=["modified"]))
-        with pytest.raises(harness.ConfigError, match="shared"):
-            harness.run_experiment(cfg)
+    def test_modified_norm_needs_eigendecomposition(self, monkeypatch,
+                                                    tmp_path, capsys):
+        # the modified norm is that of a normal pair's mode coordinates; a
+        # pair with no unitary shared eigenbasis is a config error, in the
+        # API and as exit 2: upwind (no eigenbasis), the Laplacian under a
+        # coarse step with rho(Psi) = 11.57 (none attached) and a pair whose
+        # shared eigenbasis is not unitary
+        unstable = {"problem": {"kind": "laplacian-1d-dirichlet", "n": 8,
+                                "h": 1.0 / 9},
+                    "fine": {"scheme": "backward-euler", "dt": 0.01},
+                    "coarse": {"scheme": "forward-euler", "dt": 0.04},
+                    "k": 4, "n_time": 65}
+        cases = [({"problem": {"kind": "advection-1d-upwind", "n": 3,
+                               "h": 0.25}}, None),
+                 (unstable, None), ({}, skewed_pair)]
+        for i, (overrides, pair_of) in enumerate(cases):
+            data = base_config(norms=["modified"], **overrides)
+            cfg = harness.ExperimentConfig.from_dict(data)
+            with monkeypatch.context() as patch:
+                if pair_of is not None:
+                    patch.setattr(harness, "build_pair",
+                                  lambda cfg: pair_of(cfg.k))
+                pair = harness.build_pair(cfg)
+                assert not pair.normal
+                assert (pair.shared_eig is None) == (pair_of is None)
+                if overrides is unstable:
+                    assert pair.coarse.spectral_radius == pytest.approx(
+                        11.57, rel=1e-3)
+                with pytest.raises(harness.ConfigError,
+                                   match="unitary eigenbasis"):
+                    harness.run_experiment(cfg)
+                path = tmp_path / f"{i}.yaml"
+                path.write_text(yaml.safe_dump(data))
+                assert cli.main(["run", "--config", str(path), "--out",
+                                 str(tmp_path / str(i))]) == 2
+                err = capsys.readouterr().err
+                assert "unitary eigenbasis" in err and "Traceback" not in err
 
 
 ROW_KINDS = ["tap", "sufficient", "stability-decay", "necessary", "coarse-norm",
@@ -745,6 +815,25 @@ class TestNormalPairPath:
             capsys.readouterr()
             assert cli.main(["bounds", "--config", str(path)]) == 0
             self._check_rows(json.loads(capsys.readouterr().out))
+
+    def test_run_needs_only_the_eigenvalues(self, monkeypatch):
+        # a normal pair iterates on lambda and mu alone: with no eigenvector
+        # matrix and no dense stepper, run gives the same record
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense stepper work on the normal-pair path")
+
+        for initial_error in ("random", "worst-case"):
+            cfg = harness.ExperimentConfig.from_dict(base_config(
+                relaxations=["F", "FCF"], norms=["l2", "AstarA", "modified"],
+                initial_error=initial_error))
+            want = harness.run_experiment(cfg).to_dict()
+            pair = harness.build_pair(cfg)
+            bare = dataclasses.replace(pair, shared_eig=dataclasses.replace(
+                pair.shared_eig, vectors=None, vectors_inv=None))
+            with monkeypatch.context() as patch:
+                patch.setattr(harness, "build_pair", lambda cfg: bare)
+                patch.setattr(ops, "stability_matrix", refuse)
+                assert harness.run_experiment(cfg).to_dict() == want
 
     def test_upwind_pair_takes_the_dense_path(self, monkeypatch, tmp_path):
         calls = {"stability_matrix": 0, "svd": 0}
@@ -885,6 +974,27 @@ class TestCli:
                          "--format", "json", "--seed", "99"]) == 0
         rec = json.load(open(out / "experiment.json"))
         assert rec["seed"] == 99
+
+    def test_bound_violation_exits_1_with_its_report(self, tmp_path,
+                                                     monkeypatch, capsys):
+        # a TAP upper far too small makes every checked ratio break the
+        # sufficient bound: run still writes its report, prints one line per
+        # violation to stderr and exits 1
+        original = tap.tap_constant
+        monkeypatch.setattr(tap, "tap_constant", lambda *args, **kwargs: (
+            dataclasses.replace(original(*args, **kwargs), upper=1e-6)))
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(base_config(relaxations=["F", "FCF"])))
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(path), "--out", str(out),
+                         "--format", "json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.split() == [str(out / "experiment.json")]
+        with open(out / "experiment.json") as fh:
+            violations = json.load(fh)["violations"]
+        assert len(violations) > 1
+        assert captured.err.splitlines() == [f"bound violation: {v}"
+                                             for v in violations]
 
     def test_bad_config_exits_2(self, tmp_path):
         path = tmp_path / "cfg.yaml"
@@ -1347,24 +1457,24 @@ def _cli(argv, twin):
 
 
 def _twin_trace(pair, twin, cfg, relaxation):
-    """{norm: values} of the dense twin's iteration from the initial error
-    of the per-mode run: the same random draw, or the twin's solve of the
-    per-mode worst-case vector."""
+    """{norm: values} of the dense twin's iteration from the U-image of the
+    per-mode run's initial error: of the same random draw in mode
+    coordinates, or the twin's solve of the per-mode worst-case vector."""
     sys = st.assemble_system(twin, st.GridSpec(cfg.n_time, cfg.k))
     if cfg.initial_error == "worst-case":
         w = st.coarse_norm(pair, sys.grid, relaxation, with_vector=True)
-        e = harness._worst_case_error(sys, w.vector)
+        e = harness._worst_case_error(sys, physical_vector(pair, w.vector))
     else:
         rng = np.random.default_rng(cfg.seed)
         for _ in range(cfg.relaxations.index(relaxation) + 1):
             e = rng.standard_normal(sys.dim) + 1j * rng.standard_normal(sys.dim)
-        e /= np.linalg.norm(e)
+        e = physical_vector(pair, e / np.linalg.norm(e))
     values = {"l2": [], "AstarA": []}
     for i in range(cfg.iterations + 1):
         if i:
             e = st.apply_iteration(sys, relaxation, e)
         for norm, series in values.items():
-            series.append(harness._vector_norm(e, norm, sys, None))
+            series.append(harness._vector_norm(e, norm, sys))
     return values
 
 

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
 
-from helpers import (heat_pair, normal_pair, random_contraction, raw_pair,
-                     raw_stepper, rotating_pair, skewed_pair)
+from helpers import (heat_pair, normal_pair, physical_vector,
+                     random_contraction, raw_pair, raw_stepper, rotating_pair,
+                     skewed_pair)
 from pintbounds import harness
 from pintbounds import operators as ops
 from pintbounds import spacetime as st
@@ -522,31 +523,50 @@ class TestModeCoordinates:
                                   cplx @ m.T.astype(complex))
         assert st.Step(m + 1j * m).apply(real).dtype == complex
 
-    def test_modes_need_a_unitary_eigenbasis(self):
-        with pytest.raises(ValueError, match="unitary"):
-            st.assemble_system(skewed_pair(), st.GridSpec(9, 2), modes=True)
+    def test_skewed_pair_steps_with_its_dense_matrices(self):
+        # an eigenbasis that is not unitary leaves the pair non-normal: its
+        # system iterates in physical coordinates with the dense Phi and Psi
+        pair = skewed_pair()
+        assert pair.shared_eig is not None and not pair.normal
+        sys = st.assemble_system(pair, st.GridSpec(9, 2))
+        for step, stepper in ((sys.fine_step, pair.fine),
+                              (sys.coarse_step, pair.coarse)):
+            assert not step.diagonal
+            assert np.array_equal(step.matrix, stepper.matrix)
+        rng = np.random.default_rng(6)
+        e = rng.standard_normal(sys.dim) + 1j * rng.standard_normal(sys.dim)
+        for relaxation in ("F", "FCF"):
+            want = loop_iteration(sys, relaxation, e)
+            assert np.linalg.norm(st.apply_iteration(sys, relaxation, e)
+                                  - want) <= 1e-14 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("k", [1, 2, 4])
     @pytest.mark.parametrize("relaxation", ["F", "FCF"])
     @pytest.mark.parametrize("case", ["heat", "rotating"])
     def test_iteration_is_the_physical_one(self, case, relaxation, k):
-        # in mode coordinates every step is elementwise; mapped back by U
-        # the iterates, the lift and the solves are the physical ones
+        # a normal pair iterates in mode coordinates, where every step is
+        # elementwise; mapped by U the iterates, the lift and the solves are
+        # those of its dense twin in physical coordinates
         pair = normal_pair(k) if case == "heat" else rotating_pair(k)
+        twin = ops.make_pair(pair.fine, pair.coarse, k, attach_eig=False)
         grid = st.GridSpec(6 * k + 1, k)
-        modal = st.assemble_system(pair, grid, modes=True)
-        dense = st.assemble_system(pair, grid)
+        modal = st.assemble_system(pair, grid)
+        dense = st.assemble_system(twin, grid)
+        assert modal.fine_step.diagonal and not dense.fine_step.diagonal
         u = pair.shared_eig.vectors
         rng = np.random.default_rng(k)
-        e = rng.standard_normal(dense.dim) + 1j * rng.standard_normal(dense.dim)
-        e_modes = modal.to_modes(e)
+        e_modes = rng.standard_normal(modal.dim) \
+            + 1j * rng.standard_normal(modal.dim)
+        e = physical_vector(pair, e_modes)
         assert np.linalg.norm(e_modes) == pytest.approx(np.linalg.norm(e),
                                                         rel=1e-14)
+        assert np.linalg.norm((e.reshape(grid.n_time, -1) @ u.conj()).ravel()
+                              - e_modes) <= 1e-14 * np.linalg.norm(e_modes)
         scale = 0.0
         for i in range(4):
             scale = max(scale, np.linalg.norm(e))
-            back = (e_modes.reshape(grid.n_time, -1) @ u.T).ravel()
-            assert np.linalg.norm(back - e) <= 1e-13 * scale
+            assert np.linalg.norm(physical_vector(pair, e_modes) - e) \
+                <= 1e-13 * scale
             assert abs(np.linalg.norm(st.apply_full(modal, e_modes))
                        - np.linalg.norm(st.apply_full(dense, e))) \
                 <= 1e-13 * scale
@@ -557,10 +577,9 @@ class TestModeCoordinates:
         # real lambda, mu and seed: no complex array on the iteration path
         pair = heat_pair(nx=6, dt=0.02, k=2)
         grid = st.GridSpec(33, 2)
-        sys = st.assemble_system(pair, grid, modes=True)
+        sys = st.assemble_system(pair, grid)
         for relaxation in ("F", "FCF"):
-            w = st.coarse_norm(pair, grid, relaxation, with_vector=True,
-                               modes=True).vector
+            w = st.coarse_norm(pair, grid, relaxation, with_vector=True).vector
             e = harness._worst_case_error(sys, w)
             assert e.dtype == float
             e = st.apply_iteration(sys, relaxation, e)
@@ -631,7 +650,7 @@ class TestModeBlocks:
         pair = normal_pair(k)
         grid = st.GridSpec(8 * k + 1, k)
         res = st.coarse_norm(pair, grid, relaxation, True)
-        norm, w = res.value, res.vector
+        norm, w = res.value, physical_vector(pair, res.vector)
         assert res.certified and res.method == "per-mode"
         cgc_res, _, relax = st.coarse_defect_blocks(pair, grid)
         block = cgc_res if relaxation == "F" else cgc_res @ relax
@@ -652,8 +671,8 @@ class TestModeBlocks:
         block = cgc_res if relaxation == "F" else cgc_res @ relax
         dense = np.linalg.norm(block, 2)
         assert res.value == pytest.approx(dense, rel=1e-12)
-        assert np.linalg.norm(block @ res.vector) == pytest.approx(dense,
-                                                                   rel=1e-12)
+        w = physical_vector(pair, res.vector)
+        assert np.linalg.norm(block @ w) == pytest.approx(dense, rel=1e-12)
 
     @pytest.mark.parametrize("relaxation", ["F", "FCF"])
     def test_long_horizon_matches_dense(self, relaxation):
@@ -661,7 +680,7 @@ class TestModeBlocks:
         pair = heat_pair(nx=2, dt=0.002, k=4)
         grid = st.GridSpec(4 * 256 + 1, 4)
         res = st.coarse_norm(pair, grid, relaxation, True)
-        norm, w = res.value, res.vector
+        norm, w = res.value, physical_vector(pair, res.vector)
         cgc_res, _, relax = st.coarse_defect_blocks(pair, grid)
         block = cgc_res if relaxation == "F" else cgc_res @ relax
         dense = np.linalg.norm(block, 2)
@@ -682,7 +701,11 @@ class TestModeBlocks:
         res = st.coarse_norm(pair, grid, relaxation, True)
         assert res.certified and res.value <= res.upper <= res.value * (1 + 1e-12)
         eig = pair.shared_eig
-        modal = res.vector.reshape(grid.n_coarse, pair.dim) @ eig.vectors.conj()
+        # the vector is in mode coordinates; its U-image maps back to it
+        modal = res.vector.reshape(grid.n_coarse, pair.dim)
+        back = physical_vector(pair, res.vector).reshape(modal.shape) \
+            @ eig.vectors.conj()
+        assert np.max(np.abs(back - modal)) <= 1e-14
         m = int(np.argmax(np.linalg.norm(modal, axis=0)))
         others = np.delete(modal, m, axis=1)
         assert np.max(np.abs(others)) <= 1e-14
@@ -951,6 +974,37 @@ class TestLanczosNorm:
             calls.clear()
             assert st.coarse_norm(pair, grid, relaxation).certified
             assert len(calls) == 1
+
+    @pytest.mark.parametrize("relaxation", ["F", "FCF"])
+    def test_failed_pass_is_not_retried_at_the_same_value(self, relaxation,
+                                                          monkeypatch):
+        # a pass that fails (here the first, forced) proves nothing; Lanczos
+        # goes on, and tries another pass only once the Ritz value has risen
+        # past the failed one by TOL, which a converged value does not: the
+        # norm is uncertified, and its bound row has no upper
+        pair, grid = lanczos_case("upwind3")
+        cgc_res, _, relax = st.coarse_defect_blocks(pair, grid)
+        block = cgc_res if relaxation == "F" else cgc_res @ relax
+        dense = np.linalg.norm(block, 2)
+        calls = []
+        definite = st.CoarseOperator.definite
+
+        def fail_first(op, s):
+            calls.append(s)
+            return False if len(calls) == 1 else definite(op, s)
+
+        monkeypatch.setattr(st.CoarseOperator, "definite", fail_first)
+        res = st.coarse_norm(pair, grid, relaxation)
+        # a pass at the Ritz value v is at s = (v (1 + 2 TOL))^2
+        tried = np.sqrt(calls)
+        assert np.all(tried[1:] > tried[0] * (1.0 + tap.TOL))
+        assert res.method == "lanczos" and not res.certified
+        assert abs(res.value - dense) <= 2.0 * tap.TOL * dense
+        calls.clear()
+        row = next(r for r in harness._bound_rows(pair, grid, relaxation)
+                   if r["kind"] == "coarse-norm")
+        assert row["upper"] == math.inf and not row["certified"]
+        assert len(calls) == 1
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                                 "ignore:invalid value:RuntimeWarning")

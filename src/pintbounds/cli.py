@@ -91,10 +91,9 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except harness.ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (harness.ConfigError, OSError) as exc:
+        # an unreadable config or matrix file, or an output directory that
+        # cannot be made, is the caller's to fix, as is a bad value
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 

@@ -111,6 +111,11 @@ class ExperimentConfig:
         _require_keys(tols, _TOL_KEYS, "tolerances")
         margin = _convert(tols.get("bound_margin", 1e-8), float,
                           "tolerances.bound_margin")
+        # a NaN margin would make every bound comparison false, and a
+        # negative one report violations that do not hold
+        if not (math.isfinite(margin) and margin >= 0.0):
+            raise ConfigError("tolerances.bound_margin: must be finite and "
+                              "non-negative")
         seed = _convert(data.get("seed", 0), int, "seed")
         if seed < 0:
             raise ConfigError("seed: must be non-negative")
@@ -283,7 +288,7 @@ def _bound_rows(pair: ops.StepperPair, grid: st.GridSpec, relaxation: str,
     rows.append({"relaxation": relaxation, "kind": "symbol",
                  "lower": 0.0, "upper": upper, "certified": certified,
                  "method": method})
-    if pair.shared_eig is not None:
+    if pair.normal:
         # a mode's FCF block is |lambda^k| times its F block at N_c - 1
         n_bracket = grid.n_coarse - (relaxation == "FCF")
         db = tp.diag_bounds(pair.shared_eig.fine_values,
@@ -727,20 +732,21 @@ def verify_suite(filter_name: str | None = None) -> list:
         # against that of its dense twin (attach_eig=False, Phi and Psi from
         # stability_matrix) from the U-images of the same random seed and
         # worst-case coarse vector, relative to the running maximum of the
-        # dense error norms; and the shared eigenbasis against the dense
-        # steppers, U diag(lambda) U^* against Phi and U diag(mu) U^*
-        # against Psi
+        # dense error norms; and the Laplacian's eigenbasis U against the
+        # dense steppers: U^T U against I, U diag(lambda) U^T against Phi
+        # and U diag(mu) U^T against Psi
         worst = 0.0
         for cfg in _default_configs():
             pair = build_pair(cfg)
             twin = ops.make_pair(pair.fine, pair.coarse, pair.k,
                                  attach_eig=False)
             eig = pair.shared_eig
-            u = eig.vectors
+            u = ops.laplacian_basis(pair.dim)
+            worst = max(worst, np.linalg.norm(u.T @ u - np.eye(pair.dim)))
             for values, dense in ((eig.fine_values, twin.fine.matrix),
                                   (eig.coarse_values, twin.coarse.matrix)):
                 worst = max(worst, np.linalg.norm(
-                    (u * values) @ u.conj().T - dense) / np.linalg.norm(dense))
+                    (u * values) @ u.T - dense) / np.linalg.norm(dense))
             grid = st.GridSpec(cfg.n_time, cfg.k)
             modal = st.assemble_system(pair, grid)
             dense = st.assemble_system(twin, grid)
@@ -813,7 +819,7 @@ def _row_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 def _complex_cast(pair: ops.StepperPair) -> ops.StepperPair:
     """The pair of the same schemes on its operator cast to complex, with no
-    eigenbasis: its dense steppers, and so its coarse norm, take complex
+    eigenvalues: its dense steppers, and so its coarse norm, take complex
     arithmetic."""
     spatial = ops.SpatialOperator(pair.fine.source.matrix.astype(complex),
                                   "complex cast")

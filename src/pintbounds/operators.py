@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 COMMUTATION_TOL = 1e-12
-DECOMPOSITION_TOL = 1e-10
+NORMAL_TOL = 1e-10
 RCOND_CAP = 1e-12
 
 
@@ -24,23 +24,10 @@ def _real_if(m: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Eigendecomposition:
-    values: np.ndarray
-    vectors: np.ndarray      # columns are eigenvectors
-    vectors_inv: np.ndarray
-
-    @functools.cached_property
-    def is_unitary(self) -> bool:
-        """Whether U U^* = I; tested once per decomposition."""
-        u = _real_if(self.vectors)
-        return np.linalg.norm(u @ u.conj().T - np.eye(u.shape[0])) <= 1e-10 * u.shape[0]
-
-
-@dataclass(frozen=True)
 class SpatialOperator:
     matrix: np.ndarray
     label: str
-    eig: Eigendecomposition | None = None
+    eigenvalues: np.ndarray | None = None   # those of a normal matrix
 
     def __post_init__(self):
         m = self.matrix
@@ -48,16 +35,22 @@ class SpatialOperator:
             raise ValueError("spatial operator must be a square matrix")
         if not np.isfinite(m).all():
             raise ValueError("spatial operator has non-finite entries")
-        if self.eig is not None:
-            e = self.eig
-            rebuilt = _real_if(e.vectors * e.values) @ _real_if(e.vectors_inv)
-            # both norms of m scaled by one power of two, so that entries
-            # past 1e154 do not overflow when squared
+        if self.eigenvalues is not None:
+            # Schur: the eigenvalues ell of m sum to tr m, and sum |ell|^2
+            # = ||m||_F^2 exactly when m is normal. Both sides are scaled
+            # by one power of two, so that entries past 1e154 do not
+            # overflow when squared
             unit, exp = _unit(m)
-            defect = np.linalg.norm(_ldexp(rebuilt - m, -exp))
-            scale = max(math.ldexp(1.0, -exp), np.linalg.norm(unit))
-            if defect > DECOMPOSITION_TOL * scale:
-                raise ValueError("eigendecomposition does not reproduce the operator")
+            ell = _ldexp(np.asarray(self.eigenvalues), -exp)
+            fro2 = float(np.vdot(unit, unit).real)
+            scale = max(math.ldexp(1.0, -exp), math.sqrt(fro2))
+            if (ell.shape != (m.shape[0],)
+                    or abs(ell.sum() - np.trace(unit))
+                    > NORMAL_TOL * math.sqrt(m.shape[0]) * scale
+                    or abs(float(np.vdot(ell, ell).real) - fro2)
+                    > NORMAL_TOL * scale**2):
+                raise ValueError("eigenvalues are not those of a normal "
+                                 "operator")
 
     @property
     def dim(self) -> int:
@@ -105,11 +98,8 @@ def build_spatial(kind: str, n: int | None = None, h: float = 1.0,
              + np.diag(np.ones(n - 1), -1)) / h**2
         ell = np.arange(1, n + 1)
         values = (-2.0 + 2.0 * np.cos(ell * np.pi / (n + 1))) / h**2
-        j = np.arange(1, n + 1)
-        u = np.sqrt(2.0 / (n + 1)) * np.sin(np.outer(j, ell) * np.pi / (n + 1))
-        eig = Eigendecomposition(values.astype(complex), u.astype(complex),
-                                 u.T.astype(complex))
-        return SpatialOperator(m, f"laplacian-1d-dirichlet(n={n},h={h})", eig)
+        return SpatialOperator(m, f"laplacian-1d-dirichlet(n={n},h={h})",
+                               values.astype(complex))
     if kind == "advection-1d-upwind":
         if n is None or n < 1:
             raise ValueError("advection-1d-upwind needs n >= 1")
@@ -126,6 +116,15 @@ def build_spatial(kind: str, n: int | None = None, h: float = 1.0,
     raise ValueError(f"unknown spatial operator kind {kind!r}")
 
 
+def laplacian_basis(n: int) -> np.ndarray:
+    """The orthogonal DST-I matrix U of order n, whose column l is the
+    eigenvector of the n-point Dirichlet Laplacian for its eigenvalue l in
+    the order of build_spatial: L = U diag(ell) U^T. No bound or iteration
+    reads it; it maps mode coordinates to physical ones for checks."""
+    j = np.arange(1, n + 1)
+    return np.sqrt(2.0 / (n + 1)) * np.sin(np.outer(j, j) * np.pi / (n + 1))
+
+
 _SDIRK2_GAMMA = 1.0 - 1.0 / math.sqrt(2.0)
 
 
@@ -138,8 +137,8 @@ class SchemeSpec:
     denominator: tuple | None = None
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError("dt must be finite and positive")
         if self.kind == "theta":
             if self.theta is None or not 0.0 <= self.theta <= 1.0:
                 raise ValueError("theta scheme needs theta in [0, 1]")
@@ -226,12 +225,12 @@ def ill_conditioned(sv: np.ndarray) -> bool:
 class Stepper:
     """The step u -> M u of a one-step scheme on a spatial operator.
 
-    On an operator with a unitary eigenbasis U the stepper holds its
-    eigenvalues values = R(dt ell), so that M = U diag(values) U^*: its norm,
-    spectral radius and condition follow from |values|, and the dense matrix
-    is formed (by stability_matrix) only when a consumer asks for it. Any
-    other stepper holds its dense matrix, real on a real operator, and the
-    eigenvalues that gave its spectral radius."""
+    On a normal operator with eigenvalues ell the stepper holds its own,
+    values = R(dt ell), and is normal too: its norm, spectral radius and
+    condition follow from |values|, and the dense matrix is formed (by
+    stability_matrix) only when a consumer asks for it. Any other stepper
+    holds its dense matrix, real on a real operator, and the eigenvalues
+    that gave its spectral radius."""
     scheme: SchemeSpec
     source: SpatialOperator
     norm: float
@@ -300,10 +299,10 @@ def _mode_values(scheme: SchemeSpec, ell: np.ndarray) -> np.ndarray:
 
 
 def build_stepper(L: SpatialOperator, scheme: SchemeSpec) -> Stepper:
-    """The stepper of scheme on L: from its eigenvalues alone when L has a
-    unitary eigenbasis, otherwise as a dense matrix."""
-    if L.eig is not None and L.eig.is_unitary:
-        values = _mode_values(scheme, L.eig.values)
+    """The stepper of scheme on L: from its eigenvalues alone when L is
+    normal with known eigenvalues, otherwise as a dense matrix."""
+    if L.eigenvalues is not None:
+        values = _mode_values(scheme, L.eigenvalues)
         size = np.abs(values)
         top = float(size.max())
         return Stepper(scheme, L, top, top, _rcond(size), values)
@@ -335,9 +334,6 @@ def matrix_power(m: np.ndarray, k: int) -> np.ndarray:
 class SharedEigendecomposition:
     fine_values: np.ndarray    # eigenvalues of Phi
     coarse_values: np.ndarray  # eigenvalues of Psi
-    vectors: np.ndarray
-    vectors_inv: np.ndarray
-    normal: bool
 
 
 @dataclass(frozen=True)
@@ -360,8 +356,9 @@ class StepperPair:
 
     @property
     def normal(self) -> bool:
-        """Whether Phi and Psi share a unitary eigenbasis."""
-        return bool(self.shared_eig is not None and self.shared_eig.normal)
+        """Whether Phi and Psi are normal with one shared eigenbasis, their
+        eigenvalues paired in shared_eig, and every |mu| < 1."""
+        return self.shared_eig is not None
 
     @functools.cached_property
     def fine_power(self) -> np.ndarray:
@@ -398,41 +395,23 @@ def coarse_factors(pair: StepperPair, relaxation: str, side: str):
 
 def make_pair(fine: Stepper, coarse: Stepper, k: int,
               attach_eig: bool = True) -> StepperPair:
-    """The pair (Phi, Psi) with coarsening factor k. Steppers on one
-    operator with a unitary eigenbasis commute and share that eigenbasis;
-    it is attached, and the pair is normal, when every |mu| < 1. They are
-    built from their eigenvalues (build_stepper), so the pair needs no
-    product of Phi and Psi; verify checks the eigenbasis against the dense
-    steppers. Any other pair is tested for commuting on its dense matrices,
-    and an eigenbasis of a common operator that is not unitary is attached
-    after U diag(lambda) U^{-1} is checked against Phi (and likewise Psi).
-    attach_eig=False gives the dense twin of a normal pair."""
-    same = fine.source is coarse.source
-    per_mode = same and fine.values is not None and coarse.values is not None
-    if attach_eig and per_mode and np.all(np.abs(coarse.values) < 1.0):
-        e = fine.source.eig
+    """The pair (Phi, Psi) with coarsening factor k. Steppers on one normal
+    operator, built from its eigenvalues (build_stepper), commute and share
+    its eigenbasis; the pair is normal, and carries their eigenvalues, when
+    every |mu| < 1. It needs no product of Phi and Psi; verify checks the
+    eigenvalues against the dense steppers. Any other pair is tested for
+    commuting on its dense matrices. attach_eig=False gives the dense twin
+    of a normal pair."""
+    if (attach_eig and fine.source is coarse.source
+            and fine.values is not None
+            and np.all(np.abs(coarse.values) < 1.0)):
         return StepperPair(fine, coarse, k, True, SharedEigendecomposition(
-            fine.values, coarse.values, e.vectors, e.vectors_inv,
-            e.is_unitary))
-    phi, psi = fine.matrix, coarse.matrix
+            fine.values, coarse.values))
     # exact under scaling by powers of two, which keeps huge entries finite
-    (p, _), (q, _) = _unit(phi), _unit(psi)
+    (p, _), (q, _) = _unit(fine.matrix), _unit(coarse.matrix)
     comm = np.linalg.norm(p @ q - q @ p)
     commuting = comm <= COMMUTATION_TOL * max(1e-300, np.linalg.norm(p) * np.linalg.norm(q))
-    shared = None
-    if attach_eig and same and not per_mode and fine.source.eig is not None:
-        e = fine.source.eig
-        lam = stability_eval(fine.scheme, fine.scheme.dt * e.values)
-        mu = stability_eval(coarse.scheme, coarse.scheme.dt * e.values)
-        scale = max(1.0, np.linalg.norm(phi), np.linalg.norm(psi))
-        ok = (np.linalg.norm(e.vectors @ np.diag(lam) @ e.vectors_inv - phi) <=
-              DECOMPOSITION_TOL * scale and
-              np.linalg.norm(e.vectors @ np.diag(mu) @ e.vectors_inv - psi) <=
-              DECOMPOSITION_TOL * scale)
-        if ok and np.all(np.abs(mu) < 1.0):
-            shared = SharedEigendecomposition(lam, mu, e.vectors, e.vectors_inv,
-                                              e.is_unitary)
-    return StepperPair(fine, coarse, k, commuting, shared)
+    return StepperPair(fine, coarse, k, commuting)
 
 
 @dataclass(frozen=True)

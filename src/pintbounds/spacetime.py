@@ -59,7 +59,8 @@ class SpaceTimeSystem:
     """A u = f over the grid. The pair chooses the coordinates of the
     iteration path (apply_full, apply_iteration, lift_coarse, the two
     solvers): a normal pair's space-time vectors hold the mode coordinates
-    U^* u_i of its points, in which Phi and Psi are diagonal; any other
+    U^* u_i of its points (U the shared unitary eigenbasis, never formed),
+    in which Phi and Psi are the diagonals lambda and mu; any other
     pair's hold u itself. The dense assembly (full_matrix, blocks,
     permutation, build_propagators) is always the physical one; the twin
     make_pair(..., attach_eig=False) iterates a normal pair physically."""
@@ -243,9 +244,9 @@ def block_rows(grid: GridSpec, relaxation: str, p: int = 1) -> int:
 
 def _mode_solve(pair: StepperPair, grid: GridSpec, relaxation: str):
     """(n, norms, uppers, theta, certified) of the per-mode residual-side
-    coarse blocks of a pair whose shared eigenbasis U is unitary, from one
-    closed-form solve (relaxed_toeplitz_min) over every mode. The dense block
-    of coarse_defect_blocks is unitarily similar to their direct sum, so its
+    coarse blocks of a normal pair, from one closed-form solve
+    (relaxed_toeplitz_min) over every mode. The dense block of
+    coarse_defect_blocks is unitarily similar to their direct sum, so its
     norm is the largest.
 
     With lam = lambda_m^k and mu = mu_m, block m is I - A_m B_m^{-1} (A_m unit
@@ -273,8 +274,8 @@ def _mode_solve(pair: StepperPair, grid: GridSpec, relaxation: str):
 
 
 def mode_norms(pair: StepperPair, grid: GridSpec, relaxation: str) -> np.ndarray:
-    """Norms of the per-mode residual-side coarse blocks of a pair whose
-    shared eigenbasis is unitary (_mode_solve)."""
+    """Norms of the per-mode residual-side coarse blocks of a normal pair
+    (_mode_solve)."""
     return _mode_solve(pair, grid, relaxation)[1]
 
 
@@ -293,10 +294,10 @@ def coarse_norm(pair: StepperPair, grid: GridSpec, relaxation: str,
                 with_vector: bool = False) -> CoarseNorm:
     """Norm of the residual-side coarse block and, with with_vector, its
     leading right singular vector in the coordinates of the pair's
-    SpaceTimeSystem. Per mode when the pair has a unitary shared eigenbasis,
-    where the vector is mode m's own vector in column m and zeros elsewhere,
-    real where mu_m is; otherwise matrix-free by Golub-Kahan-Lanczos with a
-    block LDL* certificate (_lanczos_norm). No dense block is built."""
+    SpaceTimeSystem. Per mode when the pair is normal, where the vector is
+    mode m's own vector in column m and zeros elsewhere, real where mu_m is;
+    otherwise matrix-free by Golub-Kahan-Lanczos with a block LDL*
+    certificate (_lanczos_norm). No dense block is built."""
     if not pair.normal:
         lft, rgt = coarse_factors(pair, relaxation, "residual")
         op = CoarseOperator(pair.coarse.matrix, rgt, lft,

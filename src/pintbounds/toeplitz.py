@@ -169,12 +169,12 @@ def symbol_max_sv(sym: SymbolFunction) -> _tap.TapResult:
 def normal_symbol_max(pair: StepperPair, grid: GridSpec,
                       relaxation: str = "F") -> float:
     """Exact max over phase of the largest singular value of the F- or
-    FCF-relaxation symbol of a pair with a unitary shared eigenbasis.
+    FCF-relaxation symbol of a normal pair.
 
     The symbol splits into scalar modes z (mu - lam) sum_{j<N_c} (z mu)^j,
     times lam for FCF, with lam = lambda^k. Since |sum_j (z mu)^j| <=
     sum_j |mu|^j with equality at z mu = |mu|, mode m peaks at
-    |mu - lam| (1 - |mu|^N_c) / (1 - |mu|); make_pair attaches the eigenbasis
+    |mu - lam| (1 - |mu|^N_c) / (1 - |mu|); make_pair makes a pair normal
     only when every |mu| < 1."""
     if relaxation not in ("F", "FCF"):
         raise ValueError(f"unknown relaxation {relaxation!r}")

@@ -274,7 +274,7 @@ def relaxed_toeplitz_min(mu, n: int):
     [pi/(n + 1), pi/n) for m > 0, where sin((n + 1) theta) <= 0 <
     m sin(n theta). (For m = 0, T = I and lam = 1 for every theta.) Every
     eigenvalue is at least (1 - m)^2, as ||C - I|| = m, so none lies on a
-    hyperbolic branch; make_pair attaches an eigenbasis only when every
+    hyperbolic branch; make_pair makes a pair normal only when every
     |mu| < 1.
 
     Newton steps safeguarded by bisection find the root inside the proven

@@ -46,37 +46,50 @@ def normal_pair(k, attach_eig=True):
                      coarse_scheme="backward-euler")
 
 
-def skewed_pair(k=2):
-    """Backward-Euler pair whose shared eigenbasis is not unitary."""
+SKEWED_VALUES = np.array([-1.0, -3.0])
+
+
+def skewed_matrix():
+    """V diag(SKEWED_VALUES) V^{-1} with an eigenbasis V that is not
+    unitary: a non-normal matrix."""
     v = np.array([[1.0, 0.5], [0.0, 1.0]], dtype=complex)
-    v_inv = np.linalg.inv(v)
-    values = np.array([-1.0, -3.0], dtype=complex)
-    eig = ops.Eigendecomposition(values, v, v_inv)
-    spatial = ops.SpatialOperator(v @ np.diag(values) @ v_inv, "skewed", eig)
+    return v @ np.diag(SKEWED_VALUES) @ np.linalg.inv(v)
+
+
+def skewed_pair(k=2):
+    """Backward-Euler pair on skewed_matrix(), a non-normal operator."""
+    spatial = ops.SpatialOperator(skewed_matrix(), "skewed")
     fine = ops.build_stepper(spatial, ops.SchemeSpec("backward-euler", 0.1))
     coarse = ops.build_stepper(spatial, ops.SchemeSpec("backward-euler", 0.1 * k))
     return ops.make_pair(fine, coarse, k)
 
 
-def rotating_pair(k=2):
-    """Backward-Euler pair on a normal operator with complex eigenvalues in a
-    random unitary basis, so that mu and lambda^k are complex."""
+def rotating_basis():
+    """The fixed random unitary eigenbasis of rotating_pair's operator."""
     rng = np.random.default_rng(5)
     q, _ = np.linalg.qr(rng.standard_normal((3, 3))
                         + 1j * rng.standard_normal((3, 3)))
+    return q
+
+
+def rotating_pair(k=2):
+    """Backward-Euler pair on a normal operator with complex eigenvalues in
+    the unitary basis rotating_basis(), so that mu and lambda^k are
+    complex."""
+    q = rotating_basis()
     values = np.array([-1.0 + 3.0j, -2.0 - 1.0j, -0.5 + 0.2j])
-    eig = ops.Eigendecomposition(values, q, q.conj().T)
     spatial = ops.SpatialOperator(q @ np.diag(values) @ q.conj().T, "rotating",
-                                  eig)
+                                  values)
     fine = ops.build_stepper(spatial, ops.SchemeSpec("backward-euler", 0.1))
     coarse = ops.build_stepper(spatial, ops.SchemeSpec("backward-euler", 0.1 * k))
     return ops.make_pair(fine, coarse, k)
 
 
-def physical_vector(pair, x):
+def physical_vector(u, x):
     """The physical space-time vector whose mode coordinates (those of a
-    normal pair's SpaceTimeSystem) are x: U x_i at every point."""
-    return (x.reshape(-1, pair.dim) @ pair.shared_eig.vectors.T).ravel()
+    normal pair's SpaceTimeSystem) in the eigenbasis u are x: u x_i at
+    every point."""
+    return (x.reshape(-1, u.shape[0]) @ u.T).ravel()
 
 
 def dense_block(pair, grid, relaxation, side="residual"):

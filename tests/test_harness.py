@@ -16,7 +16,8 @@ import yaml
 from hypothesis import given, settings, strategies as hst
 
 from helpers import (dense_block, normal_pair, phase_oracle, physical_vector,
-                     raw_pair, rotating_pair, skewed_pair, tap_samples)
+                     raw_pair, rotating_basis, rotating_pair, skewed_pair,
+                     tap_samples)
 
 import pintbounds
 from pintbounds import cli, harness
@@ -340,11 +341,13 @@ class TestRunExperiment:
             self, k, case, relaxation, initial_error, monkeypatch):
         # a normal pair iterates in its mode coordinates; its l2, A*A and
         # modified values are ||E^i e_0||, ||A E^i e_0|| and
-        # ||(I x U^{-1}) E^i e_0|| with the dense propagator of its twin
+        # ||(I x U^*) E^i e_0|| with the dense propagator of its twin
         # (attach_eig=False), from the U-image e_0 of the run's initial
         # error (the random draw, or the worst-case solve of the coarse
         # vector), both drawn in mode coordinates
         pair = normal_pair(k) if case == "heat" else rotating_pair(k)
+        u = (ops.laplacian_basis(pair.dim) if case == "heat"
+             else rotating_basis())
         assert pair.normal
         monkeypatch.setattr(harness, "build_pair", lambda cfg: pair)
         cfg = harness.ExperimentConfig.from_dict(base_config(
@@ -358,24 +361,23 @@ class TestRunExperiment:
         if initial_error == "worst-case":
             w = st.coarse_norm(pair, sys.grid, relaxation,
                                with_vector=True).vector
-            e = harness._worst_case_error(sys, physical_vector(pair, w))
+            e = harness._worst_case_error(sys, physical_vector(u, w))
         else:
             rng = np.random.default_rng(cfg.seed)
             e = rng.standard_normal(sys.dim) + 1j * rng.standard_normal(sys.dim)
-            e = physical_vector(pair, e / np.linalg.norm(e))
+            e = physical_vector(u, e / np.linalg.norm(e))
         props = st.build_propagators(sys)
         perm = sys.permutation
         prop = np.empty((sys.dim, sys.dim), dtype=complex)
         prop[np.ix_(perm, perm)] = props.e_f if relaxation == "F" \
             else props.e_fcf
         a = sys.full_matrix()
-        u_inv = pair.shared_eig.vectors_inv
         want = {"l2": [], "AstarA": [], "modified": []}
         for _ in range(cfg.iterations + 1):
             want["l2"].append(np.linalg.norm(e))
             want["AstarA"].append(np.linalg.norm(a @ e))
             want["modified"].append(np.linalg.norm(
-                e.reshape(cfg.n_time, -1) @ u_inv.T))
+                e.reshape(cfg.n_time, -1) @ u.conj()))
             e = prop @ e
         for norm, series in want.items():
             got = [r["value"] for r in rec.trace if r["norm"] == norm]
@@ -453,9 +455,7 @@ class TestRunExperiment:
         # the FCF stability factor, and the sufficient bound built on it,
         # needs Phi^{-k}
         values = np.array([-2.0, -1.0], dtype=complex)
-        eye = np.eye(2, dtype=complex)
-        spatial = ops.SpatialOperator(np.diag(values), "diagonal",
-                                      ops.Eigendecomposition(values, eye, eye))
+        spatial = ops.SpatialOperator(np.diag(values), "diagonal", values)
         fine = ops.build_stepper(spatial, ops.SchemeSpec("forward-euler", 0.5))
         coarse = ops.build_stepper(spatial,
                                    ops.SchemeSpec("backward-euler", 1.0))
@@ -676,11 +676,10 @@ class TestRunExperiment:
 
     def test_modified_norm_needs_eigendecomposition(self, monkeypatch,
                                                     tmp_path, capsys):
-        # the modified norm is that of a normal pair's mode coordinates; a
-        # pair with no unitary shared eigenbasis is a config error, in the
-        # API and as exit 2: upwind (no eigenbasis), the Laplacian under a
-        # coarse step with rho(Psi) = 11.57 (none attached) and a pair whose
-        # shared eigenbasis is not unitary
+        # the modified norm is that of a normal pair's mode coordinates; any
+        # other pair is a config error, in the API and as exit 2: upwind,
+        # the Laplacian under a coarse step with rho(Psi) = 11.57 and a
+        # pair on an operator whose eigenbasis is not unitary
         unstable = {"problem": {"kind": "laplacian-1d-dirichlet", "n": 8,
                                 "h": 1.0 / 9},
                     "fine": {"scheme": "backward-euler", "dt": 0.01},
@@ -697,8 +696,7 @@ class TestRunExperiment:
                     patch.setattr(harness, "build_pair",
                                   lambda cfg: pair_of(cfg.k))
                 pair = harness.build_pair(cfg)
-                assert not pair.normal
-                assert (pair.shared_eig is None) == (pair_of is None)
+                assert not pair.normal and pair.shared_eig is None
                 if overrides is unstable:
                     assert pair.coarse.spectral_radius == pytest.approx(
                         11.57, rel=1e-3)
@@ -816,24 +814,33 @@ class TestNormalPairPath:
             assert cli.main(["bounds", "--config", str(path)]) == 0
             self._check_rows(json.loads(capsys.readouterr().out))
 
-    def test_run_needs_only_the_eigenvalues(self, monkeypatch):
-        # a normal pair iterates on lambda and mu alone: with no eigenvector
-        # matrix and no dense stepper, run gives the same record
+    def test_run_needs_only_the_eigenvalues(self, monkeypatch, tmp_path):
+        # a normal pair iterates and is bounded on lambda and mu alone: with
+        # no eigenvector matrix and no dense stepper, run gives the same
+        # record and bounds the same output
         def refuse(*args, **kwargs):
-            raise AssertionError("dense stepper work on the normal-pair path")
+            raise AssertionError("eigenvector matrix or dense stepper work "
+                                 "on the normal-pair path")
+
+        def bounds(path):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert cli.main(["bounds", "--config", str(path)]) == 0
+            return out.getvalue()
 
         for initial_error in ("random", "worst-case"):
-            cfg = harness.ExperimentConfig.from_dict(base_config(
-                relaxations=["F", "FCF"], norms=["l2", "AstarA", "modified"],
-                initial_error=initial_error))
-            want = harness.run_experiment(cfg).to_dict()
-            pair = harness.build_pair(cfg)
-            bare = dataclasses.replace(pair, shared_eig=dataclasses.replace(
-                pair.shared_eig, vectors=None, vectors_inv=None))
+            data = base_config(relaxations=["F", "FCF"],
+                               norms=["l2", "AstarA", "modified"],
+                               initial_error=initial_error)
+            cfg = harness.ExperimentConfig.from_dict(data)
+            path = tmp_path / f"{initial_error}.yaml"
+            path.write_text(yaml.safe_dump(data))
+            want = harness.run_experiment(cfg).to_dict(), bounds(path)
             with monkeypatch.context() as patch:
-                patch.setattr(harness, "build_pair", lambda cfg: bare)
+                patch.setattr(ops, "laplacian_basis", refuse)
                 patch.setattr(ops, "stability_matrix", refuse)
-                assert harness.run_experiment(cfg).to_dict() == want
+                assert (harness.run_experiment(cfg).to_dict(),
+                        bounds(path)) == want
 
     def test_upwind_pair_takes_the_dense_path(self, monkeypatch, tmp_path):
         calls = {"stability_matrix": 0, "svd": 0}
@@ -1333,6 +1340,47 @@ class TestCli:
     def test_missing_file_exits_2(self, tmp_path):
         assert cli.main(["run", "--config", str(tmp_path / "nope.yaml")]) == 2
 
+    @pytest.mark.parametrize("overrides,key", [
+        ({"tolerances": {"bound_margin": math.nan}}, "tolerances.bound_margin"),
+        ({"tolerances": {"bound_margin": math.inf}}, "tolerances.bound_margin"),
+        ({"tolerances": {"bound_margin": -1}}, "tolerances.bound_margin"),
+        ({"fine": {"scheme": "backward-euler", "dt": math.nan}}, "dt"),
+        ({"fine": {"scheme": "backward-euler", "dt": math.inf}}, "dt"),
+        ({"coarse": {"scheme": "backward-euler", "dt": math.inf}}, "dt"),
+    ], ids=["nan-margin", "inf-margin", "negative-margin", "nan-dt", "inf-dt",
+            "inf-coarse-dt"])
+    def test_non_finite_or_negative_value_exits_2(self, tmp_path, capsys,
+                                                  overrides, key):
+        # a NaN or infinite margin would switch every bound check off and a
+        # negative one report false violations (exit 1); a non-finite dt
+        # would fail later as an overflow or a singular solve
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(base_config(
+            initial_error="worst-case", **overrides)))
+        assert cli.main(["run", "--config", str(path), "--out",
+                         str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("configuration error")
+        assert key in err[0]
+
+    def test_unusable_paths_exit_2(self, tmp_path, capsys):
+        # a config or matrix file that is a directory, and an output
+        # directory that is a file, are configuration errors, not tracebacks
+        # with the exit code of a bound violation
+        good = tmp_path / "cfg.yaml"
+        good.write_text(yaml.safe_dump(base_config()))
+        matrix = tmp_path / "matrix.yaml"
+        matrix.write_text(yaml.safe_dump(base_config(
+            problem={"kind": "from-file", "path": str(tmp_path)})))
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        for argv in (["run", "--config", str(tmp_path)],
+                     ["bounds", "--config", str(matrix)],
+                     ["run", "--config", str(good), "--out", str(taken)]):
+            assert cli.main(argv) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("configuration error")
+
     def test_verify_filter(self, capsys):
         assert cli.main(["verify", "--filter", "schur"]) == 0
         assert "schur" in capsys.readouterr().out
@@ -1461,14 +1509,15 @@ def _twin_trace(pair, twin, cfg, relaxation):
     per-mode run's initial error: of the same random draw in mode
     coordinates, or the twin's solve of the per-mode worst-case vector."""
     sys = st.assemble_system(twin, st.GridSpec(cfg.n_time, cfg.k))
+    u = ops.laplacian_basis(pair.dim)
     if cfg.initial_error == "worst-case":
         w = st.coarse_norm(pair, sys.grid, relaxation, with_vector=True)
-        e = harness._worst_case_error(sys, physical_vector(pair, w.vector))
+        e = harness._worst_case_error(sys, physical_vector(u, w.vector))
     else:
         rng = np.random.default_rng(cfg.seed)
         for _ in range(cfg.relaxations.index(relaxation) + 1):
             e = rng.standard_normal(sys.dim) + 1j * rng.standard_normal(sys.dim)
-        e = physical_vector(pair, e / np.linalg.norm(e))
+        e = physical_vector(u, e / np.linalg.norm(e))
     values = {"l2": [], "AstarA": []}
     for i in range(cfg.iterations + 1):
         if i:
@@ -1493,7 +1542,7 @@ def _eigenvalue_rounding(stepper):
     size of the numerator's terms and |R| times the denominator's, over
     |q(z)|."""
     num, den = ops.rational_coefficients(stepper.scheme)
-    z = stepper.scheme.dt * stepper.source.eig.values
+    z = stepper.scheme.dt * stepper.source.eigenvalues
     size = lambda coeffs: sum(abs(c) * np.abs(z) ** i
                               for i, c in enumerate(coeffs))
     q = np.abs(sum(c * z ** i for i, c in enumerate(den)))
@@ -1544,7 +1593,7 @@ class TestModeFuzz:
         h = 1.0 / (n + 1)
         if pole and "custom-rational" in (fine, coarse):
             # dt ell_m at the pole, for the fine or else the coarse scheme
-            ell = ops.build_spatial("laplacian-1d-dirichlet", n, h).eig.values
+            ell = ops.build_spatial("laplacian-1d-dirichlet", n, h).eigenvalues
             dt = -4.0 / float(ell[mode % n].real)
             if fine != "custom-rational":
                 dt /= k

@@ -6,7 +6,8 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as hst
 
-from helpers import heat_pair, raw_pair, raw_stepper
+from helpers import (SKEWED_VALUES, heat_pair, raw_pair, raw_stepper,
+                     skewed_matrix)
 from pintbounds import cli
 from pintbounds import operators as ops
 
@@ -22,14 +23,20 @@ class TestBuildSpatial:
         assert np.allclose(L.matrix, expected)
         # analytic eigenvalues against the dense eigensolver
         oracle = np.sort(np.linalg.eigvalsh(expected))
-        assert np.allclose(np.sort(L.eig.values.real), oracle, atol=1e-12)
+        assert np.allclose(np.sort(L.eigenvalues.real), oracle, atol=1e-12)
 
     def test_laplacian_eigendecomposition_reproduces(self):
+        # U diag(ell) U^T with the orthogonal DST-I basis, column l for
+        # eigenvalue l; the same basis with the eigenvalues reversed does
+        # not reproduce L
         L = ops.build_spatial("laplacian-1d-dirichlet", 16, 1.0 / 17)
-        e = L.eig
-        rebuilt = e.vectors @ np.diag(e.values) @ e.vectors_inv
-        assert np.linalg.norm(rebuilt - L.matrix) <= 1e-9 * np.linalg.norm(L.matrix)
-        assert e.is_unitary
+        u = ops.laplacian_basis(16)
+        scale = np.linalg.norm(L.matrix)
+        rebuilt = u @ np.diag(L.eigenvalues) @ u.T
+        assert np.linalg.norm(rebuilt - L.matrix) <= 1e-9 * scale
+        assert np.linalg.norm(u @ u.T - np.eye(16)) <= 1e-10 * 16
+        swapped = u @ np.diag(L.eigenvalues[::-1]) @ u.T
+        assert np.linalg.norm(swapped - L.matrix) > 1e-9 * scale
 
     def test_advection_example(self):
         L = ops.build_spatial("advection-1d-upwind", 2, 1.0, velocity=1.0)
@@ -67,18 +74,25 @@ class TestBuildSpatial:
         assert np.abs(L.matrix).max() > 1e160
 
     def test_wrong_eigenbasis_at_huge_scale_is_rejected(self):
+        # eigenvalues off by 1e-8 relative fail Schur's equality
+        # sum |ell|^2 = ||L||_F^2 of a normal operator
         L = ops.build_spatial("laplacian-1d-dirichlet", 3, self.HUGE_H)
-        m, e = L.matrix, L.eig
-        swapped = ops.Eigendecomposition(e.values[::-1], e.vectors,
-                                         e.vectors_inv)
-        scaled = ops.Eigendecomposition(e.values * (1.0 + 1e-8), e.vectors,
-                                        e.vectors_inv)
+        m, ell = L.matrix, L.eigenvalues
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for eig in (swapped, scaled):
-                with pytest.raises(ValueError, match="does not reproduce"):
-                    ops.SpatialOperator(m, "huge", eig)
-            ops.SpatialOperator(m, "huge", e)
+            with pytest.raises(ValueError,
+                               match="not those of a normal operator"):
+                ops.SpatialOperator(m, "huge", ell * (1.0 + 1e-8))
+            ops.SpatialOperator(m, "huge", ell)
+
+    def test_non_normal_operator_refuses_eigenvalues(self):
+        # the eigenvalues of a matrix whose eigenbasis is not unitary: the
+        # trace matches, but sum |ell|^2 = 10 falls short of ||m||_F^2 = 11
+        m = skewed_matrix()
+        assert np.allclose(np.sort(np.linalg.eigvals(m).real),
+                           np.sort(SKEWED_VALUES))
+        with pytest.raises(ValueError, match="not those of a normal operator"):
+            ops.SpatialOperator(m, "skewed", SKEWED_VALUES)
 
     def test_from_file_not_square(self, tmp_path):
         path = tmp_path / "m.txt"
@@ -108,8 +122,9 @@ class TestSchemeSpec:
         ops.SchemeSpec("theta", 0.1, theta=0.5)
 
     def test_positive_dt(self):
-        with pytest.raises(ValueError):
-            ops.SchemeSpec("backward-euler", 0.0)
+        for dt in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite and positive"):
+                ops.SchemeSpec("backward-euler", dt)
 
     def test_custom_rational_constant_term(self):
         with pytest.raises(ValueError):
@@ -153,7 +168,7 @@ class TestBuildStepper:
         L = ops.build_spatial("laplacian-1d-dirichlet", 7, 1.0 / 8)
         spec = ops.SchemeSpec(scheme, 0.01, **kw)
         s = ops.build_stepper(L, spec)
-        for z, v in zip(L.eig.values, L.eig.vectors.T):
+        for z, v in zip(L.eigenvalues, ops.laplacian_basis(7).T):
             r = ops.stability_eval(spec, spec.dt * z)
             assert np.linalg.norm(s.matrix @ v - r * v) < 1e-10
 
@@ -183,22 +198,22 @@ class TestPerModeStepper:
         ("sdirk2", {}), ("theta", {"theta": 0.7}),
     ])
     def test_eigenvalues_and_lazy_matrix(self, scheme, kw):
-        # a unitary eigenbasis gives the stepper from its eigenvalues alone;
+        # a normal operator gives the stepper from its eigenvalues alone;
         # the dense matrix is formed only when asked for, and is the same
         # stability function of dt L
         L = ops.build_spatial("laplacian-1d-dirichlet", 7, 1.0 / 8)
         spec = ops.SchemeSpec(scheme, 0.01, **kw)
         s = ops.build_stepper(L, spec)
         assert np.array_equal(s.values,
-                              ops.stability_eval(spec, spec.dt * L.eig.values))
+                              ops.stability_eval(spec, spec.dt * L.eigenvalues))
         size = np.abs(s.values)
         assert s.norm == s.spectral_radius == size.max()
         assert s.rcond == size.min() / size.max()
         assert "matrix" not in vars(s)
         dense = ops.stability_matrix(spec, spec.dt * L.matrix)
         assert np.array_equal(s.matrix, dense)
-        u = L.eig.vectors
-        assert np.linalg.norm((u * s.values) @ u.conj().T - dense) \
+        u = ops.laplacian_basis(7)
+        assert np.linalg.norm((u * s.values) @ u.T - dense) \
             <= 1e-13 * np.linalg.norm(dense)
 
     def test_normal_pair_forms_no_matrix(self):
@@ -218,7 +233,7 @@ class TestPerModeStepper:
     def test_pole_is_a_singular_solve(self):
         # R(z) = 1 / (1 + z / 4) at dt ell = -4 for the slowest mode
         L = ops.build_spatial("laplacian-1d-dirichlet", 3, 0.25)
-        dt = -4.0 / float(L.eig.values[0].real)
+        dt = -4.0 / float(L.eigenvalues[0].real)
         spec = ops.SchemeSpec("custom-rational", dt, numerator=(1.0,),
                               denominator=(1.0, 0.25))
         with pytest.raises(ValueError, match="singular implicit solve"):
@@ -301,7 +316,7 @@ class TestPairs:
     def test_shared_eig_attached_and_stable(self):
         pair = heat_pair(nx=16, dt=0.001, k=4)
         assert pair.shared_eig is not None
-        assert pair.shared_eig.normal
+        assert pair.normal
         assert np.all(np.abs(pair.shared_eig.coarse_values) < 1.0)
 
     def test_fine_power_singular_values(self):

@@ -415,8 +415,7 @@ class TestTeapConstant:
     def _pair_with_eig(self, lam, mu):
         lam = np.atleast_1d(np.asarray(lam, dtype=complex))
         mu = np.atleast_1d(np.asarray(mu, dtype=complex))
-        eye = np.eye(lam.size, dtype=complex)
-        shared = ops.SharedEigendecomposition(lam, mu, eye, eye, True)
+        shared = ops.SharedEigendecomposition(lam, mu)
         return ops.StepperPair(raw_stepper(np.diag(lam)), raw_stepper(np.diag(mu)),
                                1, True, shared)
 

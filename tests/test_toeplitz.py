@@ -365,9 +365,7 @@ class TestNormalSymbol:
         # forward Euler at dt * ell = -1 zeroes one fine eigenvalue; the FCF
         # symbol only multiplies by Phi^k, so its closed form still holds
         values = np.array([-2.0, -1.0], dtype=complex)
-        eye = np.eye(2, dtype=complex)
-        spatial = ops.SpatialOperator(np.diag(values), "diagonal",
-                                      ops.Eigendecomposition(values, eye, eye))
+        spatial = ops.SpatialOperator(np.diag(values), "diagonal", values)
         fine = ops.build_stepper(spatial, ops.SchemeSpec("forward-euler", 0.5))
         coarse = ops.build_stepper(spatial, ops.SchemeSpec("backward-euler", 1.0))
         pair = ops.make_pair(fine, coarse, 2)
@@ -657,7 +655,7 @@ class TestNecessaryLowerBound:
             "custom-rational", 0.04, numerator=(1.0,),
             denominator=(1.0, -1.0, 0.25)))
         pair = ops.make_pair(fine, coarse, 2)
-        assert pair.shared_eig.normal
+        assert pair.normal
         grid = st.GridSpec(17, 2)
         nb = tp.necessary_lower_bound(pair, grid)
         assert nb.available

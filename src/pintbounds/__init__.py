@@ -8,11 +8,10 @@ convergence at desk scale.
 """
 
 from .operators import (SchemeSpec, SpatialOperator, Stepper, StepperPair,
-                        build_spatial, build_stepper, make_pair, rk4_defect,
-                        verify_pair)
+                        build_spatial, build_stepper, make_pair, rk4_defect)
 from .spacetime import (GridSpec, PropagatorSet, SpaceTimeSystem,
-                        apply_iteration, assemble_system, build_propagators,
-                        operator_norm, schur_complement, ideal_transfer)
+                        apply_iteration, build_propagators, operator_norm,
+                        schur_complement, ideal_transfer)
 from .tap import (TapResult, itap_constant, min_phase_norm, stability_decay,
                   tap_constant, teap_constant)
 from .toeplitz import (DiagBound, PinvSpec, SymbolFunction, TimeDepSpec,

@@ -59,6 +59,16 @@ def _convert(value, convert, where: str):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
+def _integer(value, where: str) -> int:
+    """value as an int. A bool, which int() reads as 0 or 1, and a float
+    with a fractional part, which it truncates, are ConfigErrors, as is a
+    non-finite float."""
+    if isinstance(value, bool) or (isinstance(value, float)
+                                   and not value.is_integer()):
+        raise ConfigError(f"{where}: must be an integer, not {value!r}")
+    return _convert(value, int, where)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     problem: dict
@@ -85,13 +95,13 @@ class ExperimentConfig:
         coarse = data.get("coarse", "rediscretized")
         if coarse != "rediscretized":
             _require_keys(coarse, _SCHEME_KEYS, "coarse")
-        k = _convert(data["k"], int, "k")
-        n_time = _convert(data["n_time"], int, "n_time")
+        k = _integer(data["k"], "k")
+        n_time = _integer(data["n_time"], "n_time")
         if k < 1:
             raise ConfigError("k: must be positive")
         if n_time < 2 or (n_time - 1) % k != 0:
             raise ConfigError("n_time: (n_time - 1) must be divisible by k")
-        iterations = _convert(data["iterations"], int, "iterations")
+        iterations = _integer(data["iterations"], "iterations")
         if iterations < 2:
             raise ConfigError("iterations: need at least 2 (one is excluded "
                               "from bound checks)")
@@ -116,7 +126,7 @@ class ExperimentConfig:
         if not (math.isfinite(margin) and margin >= 0.0):
             raise ConfigError("tolerances.bound_margin: must be finite and "
                               "non-negative")
-        seed = _convert(data.get("seed", 0), int, "seed")
+        seed = _integer(data.get("seed", 0), "seed")
         if seed < 0:
             raise ConfigError("seed: must be non-negative")
         return ExperimentConfig(
@@ -160,11 +170,18 @@ def build_pair(cfg: ExperimentConfig) -> ops.StepperPair:
     """The configured stepper pair; an operator, scheme or stepper that the
     config asks for but that cannot be built is a ConfigError."""
     prob = cfg.problem
+    n = _integer(prob.get("n", 1), "problem.n")
+    h = _convert(prob.get("h", 1.0), float, "problem.h")
+    # an infinite h would give the zero operator
+    if not (math.isfinite(h) and h > 0.0):
+        raise ConfigError("problem.h: must be finite and positive")
+    velocity = _convert(prob.get("velocity", 1.0), float, "problem.velocity")
+    if not math.isfinite(velocity):
+        raise ConfigError("problem.velocity: must be finite")
     try:
         spatial = ops.build_spatial(
-            prob.get("kind", "laplacian-1d-dirichlet"), int(prob.get("n", 1)),
-            float(prob.get("h", 1.0)), velocity=float(prob.get("velocity", 1.0)),
-            path=prob.get("path"))
+            prob.get("kind", "laplacian-1d-dirichlet"), n, h,
+            velocity=velocity, path=prob.get("path"))
         fine_scheme = _build_scheme(cfg.fine)
         if cfg.coarse == "rediscretized":
             coarse_scheme = ops.SchemeSpec(
@@ -306,7 +323,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentRecord:
     grid = st.GridSpec(cfg.n_time, cfg.k)
     # a normal pair iterates in its mode coordinates, where Phi and Psi are
     # diagonal
-    sys = st.assemble_system(pair, grid)
+    sys = st.SpaceTimeSystem(pair, grid)
     if "modified" in cfg.norms and not pair.normal:
         raise ConfigError("modified norm requested without a unitary "
                           "eigenbasis shared by Phi and Psi")
@@ -568,7 +585,7 @@ def verify_suite(filter_name: str | None = None) -> list:
         worst = 0.0
         for _ in range(5):
             pair, grid = _random_pair(rng)
-            sys = st.assemble_system(pair, grid)
+            sys = st.SpaceTimeSystem(pair, grid)
             props = st.build_propagators(sys)
             perm = sys.permutation
             a = sys.full_matrix()[np.ix_(perm, perm)]
@@ -586,7 +603,7 @@ def verify_suite(filter_name: str | None = None) -> list:
         worst = 0.0
         for k in (2, 3, 4, 8):
             pair, grid = _random_pair(rng, k=k)
-            sys = st.assemble_system(pair, grid)
+            sys = st.SpaceTimeSystem(pair, grid)
             diff = np.max(np.abs(st.schur_complement(sys)
                                  - st.coarse_bidiagonal(pair, grid)))
             worst = max(worst, diff)
@@ -634,8 +651,7 @@ def verify_suite(filter_name: str | None = None) -> list:
         worst = 0.0
         for _ in range(3):
             pair, _ = _random_pair(rng)
-            bare = ops.make_pair(pair.fine, pair.coarse, pair.k,
-                                 attach_eig=False)
+            bare = _dense_twin(pair)
             for relaxation in ("F", "FCF"):
                 teap = tap_mod.teap_constant(pair, relaxation).value
                 gen = tap_mod.tap_constant(bare, relaxation).value
@@ -646,8 +662,7 @@ def verify_suite(filter_name: str | None = None) -> list:
         worst, ok = 0.0, True
         for _ in range(3):
             pair, grid = _random_pair(rng, n_coarse=33)
-            bare = ops.make_pair(pair.fine, pair.coarse, pair.k,
-                                 attach_eig=False)
+            bare = _dense_twin(pair)
             for relaxation in ("F", "FCF"):
                 closed = tp.normal_symbol_max(pair, grid, relaxation)
                 res = tp.symbol_max_sv(tp.build_symbol(bare, grid, relaxation))
@@ -679,8 +694,7 @@ def verify_suite(filter_name: str | None = None) -> list:
         worst, gap, ok = 0.0, 0.0, True
         for i in range(3):
             pair, grid = _random_pair(rng, n_coarse=33)
-            bare = ops.make_pair(pair.fine, pair.coarse, pair.k,
-                                 attach_eig=False)
+            bare = _dense_twin(pair)
             cgc_res, cgc_err, relax = st.coarse_defect_blocks(bare, grid)
             for relaxation in ("F", "FCF"):
                 blocks = {"residual": cgc_res, "error": cgc_err}
@@ -692,8 +706,8 @@ def verify_suite(filter_name: str | None = None) -> list:
                 ok = ok and res.certified and res.upper >= dense
                 worst = max(worst, abs(res.value - dense) / dense)
                 if i == 0:
-                    cast = st.coarse_norm(_complex_cast(bare), grid,
-                                          relaxation)
+                    cast = st.coarse_norm(_dense_twin(pair, complex),
+                                          grid, relaxation)
                     ok = ok and cast.certified
                     gap = max(gap, abs(cast.value - res.value) / res.value)
                 for side, block in blocks.items():
@@ -720,7 +734,8 @@ def verify_suite(filter_name: str | None = None) -> list:
                 rhs = (rng.standard_normal((n, pair.dim))
                        + 1j * rng.standard_normal((n, pair.dim)))
                 want_rows = _row_solve(mat, rhs)
-                got = st.ForwardSolver(mat, n).solve(rhs).reshape(n, -1)
+                got = st.ForwardSolver(st.Step(mat), n).solve(rhs)
+                got = got.reshape(n, -1)
                 scale = np.maximum.accumulate(
                     np.linalg.norm(want_rows, axis=1))
                 worst = max(worst, float(np.max(
@@ -729,7 +744,7 @@ def verify_suite(filter_name: str | None = None) -> list:
 
     if want("per-mode-iteration"):
         # each sandwich pair's per-mode iteration, in mode coordinates,
-        # against that of its dense twin (attach_eig=False, Phi and Psi from
+        # against that of its dense twin (_dense_twin, Phi and Psi from
         # stability_matrix) from the U-images of the same random seed and
         # worst-case coarse vector, relative to the running maximum of the
         # dense error norms; and the Laplacian's eigenbasis U against the
@@ -738,8 +753,7 @@ def verify_suite(filter_name: str | None = None) -> list:
         worst = 0.0
         for cfg in _default_configs():
             pair = build_pair(cfg)
-            twin = ops.make_pair(pair.fine, pair.coarse, pair.k,
-                                 attach_eig=False)
+            twin = _dense_twin(pair)
             eig = pair.shared_eig
             u = ops.laplacian_basis(pair.dim)
             worst = max(worst, np.linalg.norm(u.T @ u - np.eye(pair.dim)))
@@ -748,8 +762,8 @@ def verify_suite(filter_name: str | None = None) -> list:
                 worst = max(worst, np.linalg.norm(
                     (u * values) @ u.T - dense) / np.linalg.norm(dense))
             grid = st.GridSpec(cfg.n_time, cfg.k)
-            modal = st.assemble_system(pair, grid)
-            dense = st.assemble_system(twin, grid)
+            modal = st.SpaceTimeSystem(pair, grid)
+            dense = st.SpaceTimeSystem(twin, grid)
 
             def physical(x):
                 return (x.reshape(-1, pair.dim) @ u.T).ravel()
@@ -817,12 +831,14 @@ def _row_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _complex_cast(pair: ops.StepperPair) -> ops.StepperPair:
-    """The pair of the same schemes on its operator cast to complex, with no
-    eigenvalues: its dense steppers, and so its coarse norm, take complex
-    arithmetic."""
-    spatial = ops.SpatialOperator(pair.fine.source.matrix.astype(complex),
-                                  "complex cast")
+def _dense_twin(pair: ops.StepperPair, dtype=None) -> ops.StepperPair:
+    """The dense twin of pair: the same schemes on its operator without its
+    eigenvalues, cast to dtype when one is given. A normal pair's twin takes
+    the dense path: Phi and Psi from stability_matrix, its iteration in
+    physical coordinates, and, cast to complex, complex arithmetic."""
+    m = pair.fine.source.matrix
+    spatial = ops.SpatialOperator(m if dtype is None else m.astype(dtype),
+                                  "dense twin")
     fine, coarse = (ops.build_stepper(spatial, s.scheme)
                     for s in (pair.fine, pair.coarse))
     return ops.make_pair(fine, coarse, pair.k)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -210,74 +210,62 @@ def _unit(m: np.ndarray):
     return _ldexp(m, -e), e
 
 
-def _rcond(sv: np.ndarray) -> float:
-    """Smallest over largest of the singular values sv; 0 for a zero matrix."""
-    return float(sv.min() / sv.max()) if sv.max() > 0 else 0.0
-
-
 def ill_conditioned(sv: np.ndarray) -> bool:
     """Whether the singular values sv are those of a singular or numerically
     singular matrix."""
-    return _rcond(sv) <= RCOND_CAP
+    top = sv.max()
+    return bool(top == 0 or sv.min() / top <= RCOND_CAP)
 
 
 @dataclass(frozen=True)
 class Stepper:
-    """The step u -> M u of a one-step scheme on a spatial operator.
-
-    On a normal operator with eigenvalues ell the stepper holds its own,
-    values = R(dt ell), and is normal too: its norm, spectral radius and
-    condition follow from |values|, and the dense matrix is formed (by
-    stability_matrix) only when a consumer asks for it. Any other stepper
-    holds its dense matrix, real on a real operator, and the eigenvalues
-    that gave its spectral radius."""
+    """The step u -> M u, M = R(dt L), of a one-step scheme on a spatial
+    operator L. Everything else is derived from the two when first read.
+    On a normal operator with eigenvalues ell the stepper is normal too,
+    with eigenvalues values = R(dt ell): its norm, spectral radius and
+    spectrum follow from them, and the dense matrix is formed (by
+    stability_matrix) only when a consumer asks for it. The same schemes on
+    the operator without its eigenvalues give the dense twin, whose values
+    are None and whose norm and spectrum come from its matrix."""
     scheme: SchemeSpec
     source: SpatialOperator
-    norm: float
-    spectral_radius: float
-    rcond: float
-    values: np.ndarray | None = None
-    dense: np.ndarray | None = field(default=None, repr=False)
-    eigenvalues: np.ndarray | None = field(default=None, repr=False)
+
+    @functools.cached_property
+    def values(self) -> np.ndarray | None:
+        ell = self.source.eigenvalues
+        return None if ell is None else _mode_values(self.scheme, ell)
 
     @functools.cached_property
     def matrix(self) -> np.ndarray:
-        if self.dense is not None:
-            return self.dense
-        return _stepper_matrix(self.scheme, self.source)
+        m = stability_matrix(self.scheme, self.scheme.dt * self.source.matrix)
+        if not np.isfinite(m).all():
+            raise ValueError("overflow in stability-function evaluation")
+        return m
 
     @functools.cached_property
     def spectrum(self) -> np.ndarray:
-        """The eigenvalues of M: values, those build_stepper kept, or those
-        of the dense matrix, computed once."""
+        """The eigenvalues of M."""
         if self.values is not None:
             return self.values
-        if self.eigenvalues is not None:
-            return self.eigenvalues
         return np.linalg.eigvals(self.matrix)
 
-    @property
-    def strongly_stable(self) -> bool:
-        return self.norm < 1.0
+    @functools.cached_property
+    def norm(self) -> float:
+        if self.values is not None:
+            return float(np.abs(self.values).max())
+        return float(np.linalg.svd(self.matrix, compute_uv=False)[0])
+
+    @functools.cached_property
+    def spectral_radius(self) -> float:
+        return float(np.abs(self.spectrum).max())
 
     @property
     def spectrally_stable(self) -> bool:
         return self.spectral_radius < 1.0
 
     @property
-    def invertible(self) -> bool:
-        return self.rcond > RCOND_CAP
-
-    @property
     def dim(self) -> int:
         return self.source.dim
-
-
-def _stepper_matrix(scheme: SchemeSpec, L: SpatialOperator) -> np.ndarray:
-    m = stability_matrix(scheme, scheme.dt * L.matrix)
-    if not np.isfinite(m).all():
-        raise ValueError("overflow in stability-function evaluation")
-    return m
 
 
 def _mode_values(scheme: SchemeSpec, ell: np.ndarray) -> np.ndarray:
@@ -300,17 +288,15 @@ def _mode_values(scheme: SchemeSpec, ell: np.ndarray) -> np.ndarray:
 
 def build_stepper(L: SpatialOperator, scheme: SchemeSpec) -> Stepper:
     """The stepper of scheme on L: from its eigenvalues alone when L is
-    normal with known eigenvalues, otherwise as a dense matrix."""
+    normal with known eigenvalues, otherwise as a dense matrix. Either is
+    formed here, so that a singular solve or an overflow raises ValueError
+    now and not where it is first read."""
+    stepper = Stepper(scheme, L)
     if L.eigenvalues is not None:
-        values = _mode_values(scheme, L.eigenvalues)
-        size = np.abs(values)
-        top = float(size.max())
-        return Stepper(scheme, L, top, top, _rcond(size), values)
-    m = _stepper_matrix(scheme, L)
-    s = np.linalg.svd(m, compute_uv=False)
-    eigs = np.linalg.eigvals(m)
-    return Stepper(scheme, L, float(s[0]), float(np.max(np.abs(eigs))),
-                   _rcond(s), dense=m, eigenvalues=eigs)
+        stepper.values
+    else:
+        stepper.matrix
+    return stepper
 
 
 def rk4_defect(L: SpatialOperator, dt: float) -> np.ndarray:
@@ -393,17 +379,15 @@ def coarse_factors(pair: StepperPair, relaxation: str, side: str):
     return np.eye(pair.dim), pair.coarse_defect @ m
 
 
-def make_pair(fine: Stepper, coarse: Stepper, k: int,
-              attach_eig: bool = True) -> StepperPair:
+def make_pair(fine: Stepper, coarse: Stepper, k: int) -> StepperPair:
     """The pair (Phi, Psi) with coarsening factor k. Steppers on one normal
     operator, built from its eigenvalues (build_stepper), commute and share
     its eigenbasis; the pair is normal, and carries their eigenvalues, when
     every |mu| < 1. It needs no product of Phi and Psi; verify checks the
-    eigenvalues against the dense steppers. Any other pair is tested for
-    commuting on its dense matrices. attach_eig=False gives the dense twin
-    of a normal pair."""
-    if (attach_eig and fine.source is coarse.source
-            and fine.values is not None
+    eigenvalues against the dense twin, the same schemes on the operator
+    without its eigenvalues. Any other pair is tested for commuting on its
+    dense matrices."""
+    if (fine.source is coarse.source and fine.values is not None
             and np.all(np.abs(coarse.values) < 1.0)):
         return StepperPair(fine, coarse, k, True, SharedEigendecomposition(
             fine.values, coarse.values))
@@ -412,34 +396,3 @@ def make_pair(fine: Stepper, coarse: Stepper, k: int,
     comm = np.linalg.norm(p @ q - q @ p)
     commuting = comm <= COMMUTATION_TOL * max(1e-300, np.linalg.norm(p) * np.linalg.norm(q))
     return StepperPair(fine, coarse, k, commuting)
-
-
-@dataclass(frozen=True)
-class PairDiagnostics:
-    commutator_norm: float
-    defect_rcond: float
-    defect_invertible: bool
-    fine_strongly_stable: bool
-    coarse_strongly_stable: bool
-    fine_spectrally_stable: bool
-    coarse_spectrally_stable: bool
-    max_abs_coarse_eig: float | None
-
-
-def verify_pair(pair: StepperPair) -> PairDiagnostics:
-    phi, psi = pair.fine.matrix, pair.coarse.matrix
-    comm = float(np.linalg.norm(phi @ psi - psi @ phi))
-    rc = _rcond(np.linalg.svd(pair.coarse_defect, compute_uv=False))
-    max_mu = None
-    if pair.shared_eig is not None:
-        max_mu = float(np.max(np.abs(pair.shared_eig.coarse_values)))
-    return PairDiagnostics(
-        commutator_norm=comm,
-        defect_rcond=rc,
-        defect_invertible=rc > RCOND_CAP,
-        fine_strongly_stable=pair.fine.strongly_stable,
-        coarse_strongly_stable=pair.coarse.strongly_stable,
-        fine_spectrally_stable=pair.fine.spectrally_stable,
-        coarse_spectrally_stable=pair.coarse.spectrally_stable,
-        max_abs_coarse_eig=max_mu,
-    )

@@ -62,8 +62,9 @@ class SpaceTimeSystem:
     U^* u_i of its points (U the shared unitary eigenbasis, never formed),
     in which Phi and Psi are the diagonals lambda and mu; any other
     pair's hold u itself. The dense assembly (full_matrix, blocks,
-    permutation, build_propagators) is always the physical one; the twin
-    make_pair(..., attach_eig=False) iterates a normal pair physically."""
+    permutation, build_propagators) is always the physical one. The dense
+    twin of a normal pair, the same schemes on its operator without its
+    eigenvalues, is not normal, so it iterates physically."""
     pair: StepperPair
     grid: GridSpec
 
@@ -127,10 +128,6 @@ class SpaceTimeSystem:
         p = self.permutation
         ap = a[np.ix_(p, p)]
         return ap[:nf, :nf], ap[:nf, nf:], ap[nf:, :nf], ap[nf:, nf:]
-
-
-def assemble_system(pair: StepperPair, grid: GridSpec) -> SpaceTimeSystem:
-    return SpaceTimeSystem(pair, grid)
 
 
 def apply_full(sys: SpaceTimeSystem, u: np.ndarray) -> np.ndarray:
@@ -271,12 +268,6 @@ def _mode_solve(pair: StepperPair, grid: GridSpec, relaxation: str):
     if relaxation == "FCF":
         norms, uppers = np.abs(lam) * norms, np.abs(lam) * uppers
     return n, norms, uppers, theta, bool(certified.all())
-
-
-def mode_norms(pair: StepperPair, grid: GridSpec, relaxation: str) -> np.ndarray:
-    """Norms of the per-mode residual-side coarse blocks of a normal pair
-    (_mode_solve)."""
-    return _mode_solve(pair, grid, relaxation)[1]
 
 
 @dataclass(frozen=True)
@@ -566,11 +557,6 @@ class Step:
         # numpy would cast a real M in every product
         self._tc = self._t if self.diagonal else self._t.astype(complex)
 
-    @staticmethod
-    def of(m) -> Step:
-        """m itself when it is a Step, else the Step of the matrix m."""
-        return m if isinstance(m, Step) else Step(m)
-
     @property
     def dtype(self):
         return self._t.dtype
@@ -601,13 +587,12 @@ class Step:
         return Step(carry)
 
 
-def _march_intervals(step, ub: np.ndarray, k: int) -> None:
+def _march_intervals(step: Step, ub: np.ndarray, k: int) -> None:
     """Step every coarse interval of the time grid ub, shape (N_t, N_x), from
     its C-point through its k - 1 F-points in place: u_{ck+j} = Phi
-    u_{ck+j-1}, with step Phi (a Step or a matrix). The intervals are
-    independent, so on the (N_c - 1, k, N_x) view of points 0 ... N_t - 2
-    step j is one product over all of them."""
-    step = Step.of(step)
+    u_{ck+j-1}, with step Phi. The intervals are independent, so on the
+    (N_c - 1, k, N_x) view of points 0 ... N_t - 2 step j is one product
+    over all of them."""
     view = ub[:-1].reshape(-1, k, ub.shape[1])
     for j in range(1, k):
         view[:, j] = step.apply(view[:, j - 1])
@@ -625,8 +610,8 @@ def lift_coarse(sys: SpaceTimeSystem, w: np.ndarray) -> np.ndarray:
 
 class ForwardSolver:
     """Solver of the block unit lower bidiagonal system of n block rows with
-    subdiagonal -M, M = mat_step (the coarse system, or A itself with Phi; a
-    Step or a matrix): y_i = r_i + M y_{i-1}, in two levels. The rows are cut
+    subdiagonal -M, step the Step of M (the coarse system, or A itself with
+    Phi): y_i = r_i + M y_{i-1}, in two levels. The rows are cut
     into chunks of c = round(sqrt(n/2)) rows (zero rows pad the last one),
     or of one row, the plain loop, where that is below 3 (n < 13). A batched
     march from a zero carry gives every chunk's last row in c - 1 products,
@@ -636,10 +621,10 @@ class ForwardSolver:
     at two to three times the flops. M^c is formed once per solver
     (Step.power), and one that overflows raises OverflowError."""
 
-    def __init__(self, mat_step, n: int):
+    def __init__(self, step: Step, n: int):
         c = round(math.sqrt(n / 2))
         self.n, self.c = n, c if c >= 3 else 1
-        self.step = Step.of(mat_step)
+        self.step = step
         self.carry = self.step.power(self.c)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:

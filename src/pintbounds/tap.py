@@ -37,10 +37,6 @@ class TapResult:
     upper: float        # certified: no phase exceeds it (falls below, for a min)
 
 
-def _as_matrix(psi) -> np.ndarray:
-    return psi.matrix if hasattr(psi, "matrix") else np.asarray(psi, dtype=complex)
-
-
 def _evaluate(fun, xs: np.ndarray, entries: int) -> np.ndarray:
     """fun at the phases xs, passed in chunks that hold at most STACK_ENTRIES
     array entries, given entries per phase."""
@@ -63,7 +59,7 @@ def _power_coeffs(c0, c1, p: int, x) -> np.ndarray:
     return coeffs
 
 
-def min_phase_norm(psi, v: np.ndarray, p: int = 1):
+def min_phase_norm(psi: np.ndarray, v: np.ndarray, p: int = 1):
     """min over x of ||(I - e^{ix} Psi)^p v|| and the minimizing phase.
 
     For p = 1 the closed form sqrt(||v||^2 + ||Psi v||^2 - 2 |<Psi v, v>|)
@@ -76,7 +72,7 @@ def min_phase_norm(psi, v: np.ndarray, p: int = 1):
     """
     if p < 1:
         raise ValueError("power must be >= 1")
-    m = _as_matrix(psi)
+    m = np.asarray(psi, dtype=complex)
     v = np.asarray(v, dtype=complex)
     nv = np.linalg.norm(v)
     if nv == 0:

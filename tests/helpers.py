@@ -6,16 +6,17 @@ from pintbounds import operators as ops
 from pintbounds import spacetime as st
 from pintbounds import tap
 
+# R(z) = z at dt 1: the stepper of an operator is the operator itself, bit
+# for bit
+IDENTITY_SCHEME = ops.SchemeSpec("custom-rational", 1.0, numerator=(0.0, 1.0),
+                                 denominator=(1.0,))
 
-def raw_stepper(m, dt=1.0):
-    """Wrap an explicit matrix as a Stepper without a scheme derivation."""
-    m = np.asarray(m, dtype=complex)
-    s = np.linalg.svd(m, compute_uv=False)
-    rho = float(np.max(np.abs(np.linalg.eigvals(m)))) if m.size else 0.0
-    rcond = float(s[-1] / s[0]) if s[0] > 0 else 0.0
-    src = ops.SpatialOperator(m, "raw")
-    return ops.Stepper(ops.SchemeSpec("backward-euler", dt), src,
-                       float(s[0]), rho, rcond, dense=m)
+
+def raw_stepper(m):
+    """The explicit complex matrix m as a Stepper: IDENTITY_SCHEME on the
+    operator m."""
+    src = ops.SpatialOperator(np.asarray(m, dtype=complex), "raw")
+    return ops.build_stepper(src, IDENTITY_SCHEME)
 
 
 def raw_pair(phi, psi, k):
@@ -28,21 +29,20 @@ def random_contraction(rng, d, norm_bound=0.9):
 
 
 def heat_pair(nx=8, dt=0.02, k=4, scheme="backward-euler", theta=None,
-              attach_eig=True, coarse_scheme=None):
+              coarse_scheme=None):
     spatial = ops.build_spatial("laplacian-1d-dirichlet", nx, 1.0 / (nx + 1))
     kw = {} if theta is None else {"theta": theta}
     fine = ops.build_stepper(spatial, ops.SchemeSpec(scheme, dt, **kw))
     coarse = ops.build_stepper(
         spatial, ops.SchemeSpec(coarse_scheme or scheme, dt * k, **kw))
-    return ops.make_pair(fine, coarse, k, attach_eig=attach_eig)
+    return ops.make_pair(fine, coarse, k)
 
 
-def normal_pair(k, attach_eig=True):
-    """Heat pair with a unitary shared eigenbasis (a dense-path twin without
-    it when attach_eig is False) and a nonzero defect also at k = 1, where
-    SDIRK2 fine steps meet a backward-Euler coarse step."""
+def normal_pair(k):
+    """Heat pair with a unitary shared eigenbasis and a nonzero defect also
+    at k = 1, where SDIRK2 fine steps meet a backward-Euler coarse step."""
     fine = "sdirk2" if k == 1 else "backward-euler"
-    return heat_pair(nx=4, dt=0.02, k=k, scheme=fine, attach_eig=attach_eig,
+    return heat_pair(nx=4, dt=0.02, k=k, scheme=fine,
                      coarse_scheme="backward-euler")
 
 

@@ -86,7 +86,7 @@ def test_criterion_02_norm_identity():
         k = int(rng.choice([2, 3]))
         pair = raw_pair(random_contraction(rng, nx),
                         random_contraction(rng, nx), k)
-        sys = st.assemble_system(pair, st.GridSpec(k * (nc - 1) + 1, k))
+        sys = st.SpaceTimeSystem(pair, st.GridSpec(k * (nc - 1) + 1, k))
         props = st.build_propagators(sys)
         perm = sys.permutation
         ap = sys.full_matrix()[np.ix_(perm, perm)]
@@ -110,7 +110,7 @@ def test_criterion_03_schur_exactness():
         phi = random_contraction(rng, nx, norm_bound=0.9)   # ||Phi|| < 1
         pair = raw_pair(phi, random_contraction(rng, nx), k)
         grid = st.GridSpec(k * 4 + 1, k)
-        sys = st.assemble_system(pair, grid)
+        sys = st.SpaceTimeSystem(pair, grid)
         closed = st.coarse_bidiagonal(pair, grid)
         diff = np.max(np.abs(st.schur_complement(sys) - closed))
         worst = max(worst, diff / max(np.max(np.abs(closed)), 1e-300))
@@ -129,7 +129,7 @@ def test_criterion_04_ideal_transfer_bound():
     for k in (2, 4):
         cases.append((heat_pair(nx=6, dt=0.02, k=k), k))
     for pair, k in cases:
-        sys = st.assemble_system(pair, st.GridSpec(k * 4 + 1, k))
+        sys = st.SpaceTimeSystem(pair, st.GridSpec(k * 4 + 1, k))
         r_ideal, p_ideal = st.ideal_transfer(sys)
         for m in (r_ideal, p_ideal):
             margin = min(margin, math.sqrt(k) - np.linalg.norm(m, 2))
@@ -207,8 +207,7 @@ def test_criterion_07_tap_teap_equivalence():
     assert len(cases) == 10
     for nx, dt, k, scheme, theta in cases:
         full = heat_pair(nx=nx, dt=dt, k=k, scheme=scheme, theta=theta)
-        bare = heat_pair(nx=nx, dt=dt, k=k, scheme=scheme, theta=theta,
-                         attach_eig=False)
+        bare = harness._dense_twin(full)
         assert full.normal
         assert bare.commuting
         for relaxation in ("F", "FCF"):

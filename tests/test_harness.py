@@ -173,7 +173,7 @@ class TestRunExperiment:
         phi, psi = (0.4 * (rng.standard_normal((3, 3))
                            + 1j * rng.standard_normal((3, 3)))
                     for _ in range(2))
-        sys = st.assemble_system(raw_pair(phi, psi, k),
+        sys = st.SpaceTimeSystem(raw_pair(phi, psi, k),
                                  st.GridSpec(6 * k + 1, k))
         w = rng.standard_normal(21) + 1j * rng.standard_normal(21)
         _, p_ideal = st.ideal_transfer(sys)
@@ -269,9 +269,9 @@ class TestRunExperiment:
                   "numerator": [1.0, 0.75], "denominator": [1.0, 0.25]},
             coarse={"scheme": "backward-euler", "dt": 0.84375},
             n_time=9, relaxations=["F", "FCF"], initial_error="worst-case"))
-        make_pair = ops.make_pair
-        with mock.patch.object(ops, "make_pair", lambda f, c, k: make_pair(
-                f, c, k, attach_eig=not twin)):
+        with contextlib.ExitStack() as stack:
+            if twin:
+                stack.enter_context(_twin_pairs())
             rec = harness.run_experiment(cfg)
         assert rec.meta["normal"] is not twin
         rows = [r for r in rec.trace if r["norm"] == "AstarA"]
@@ -307,7 +307,7 @@ class TestRunExperiment:
         rec = harness.run_experiment(cfg)
         pair = harness.build_pair(cfg)
         assert not pair.normal
-        sys = st.assemble_system(pair, st.GridSpec(cfg.n_time, k))
+        sys = st.SpaceTimeSystem(pair, st.GridSpec(cfg.n_time, k))
         if initial_error == "worst-case":
             w = st.coarse_norm(pair, sys.grid, relaxation,
                                with_vector=True).vector
@@ -342,7 +342,7 @@ class TestRunExperiment:
         # a normal pair iterates in its mode coordinates; its l2, A*A and
         # modified values are ||E^i e_0||, ||A E^i e_0|| and
         # ||(I x U^*) E^i e_0|| with the dense propagator of its twin
-        # (attach_eig=False), from the U-image e_0 of the run's initial
+        # (harness._dense_twin), from the U-image e_0 of the run's initial
         # error (the random draw, or the worst-case solve of the coarse
         # vector), both drawn in mode coordinates
         pair = normal_pair(k) if case == "heat" else rotating_pair(k)
@@ -356,8 +356,8 @@ class TestRunExperiment:
             seed=5))
         rec = harness.run_experiment(cfg)
         assert rec.meta["normal"]
-        twin = ops.make_pair(pair.fine, pair.coarse, k, attach_eig=False)
-        sys = st.assemble_system(twin, st.GridSpec(cfg.n_time, k))
+        twin = harness._dense_twin(pair)
+        sys = st.SpaceTimeSystem(twin, st.GridSpec(cfg.n_time, k))
         if initial_error == "worst-case":
             w = st.coarse_norm(pair, sys.grid, relaxation,
                                with_vector=True).vector
@@ -1347,13 +1347,26 @@ class TestCli:
         ({"fine": {"scheme": "backward-euler", "dt": math.nan}}, "dt"),
         ({"fine": {"scheme": "backward-euler", "dt": math.inf}}, "dt"),
         ({"coarse": {"scheme": "backward-euler", "dt": math.inf}}, "dt"),
+        ({"problem": {"kind": "laplacian-1d-dirichlet", "n": 4,
+                      "h": math.inf}}, "problem.h"),
+        ({"problem": {"kind": "laplacian-1d-dirichlet", "n": 4,
+                      "h": math.nan}}, "problem.h"),
+        ({"problem": {"kind": "laplacian-1d-dirichlet", "n": 4,
+                      "h": -0.2}}, "problem.h"),
+        ({"problem": {"kind": "advection-1d-upwind", "n": 4, "h": 0.25,
+                      "velocity": math.nan}}, "problem.velocity"),
+        ({"problem": {"kind": "advection-1d-upwind", "n": 4, "h": 0.25,
+                      "velocity": -math.inf}}, "problem.velocity"),
     ], ids=["nan-margin", "inf-margin", "negative-margin", "nan-dt", "inf-dt",
-            "inf-coarse-dt"])
+            "inf-coarse-dt", "inf-h", "nan-h", "negative-h", "nan-velocity",
+            "inf-velocity"])
     def test_non_finite_or_negative_value_exits_2(self, tmp_path, capsys,
                                                   overrides, key):
         # a NaN or infinite margin would switch every bound check off and a
         # negative one report false violations (exit 1); a non-finite dt
-        # would fail later as an overflow or a singular solve
+        # would fail later as an overflow or a singular solve, an infinite
+        # h would give the zero operator, and a NaN h or velocity would be
+        # refused without naming its key
         path = tmp_path / "cfg.yaml"
         path.write_text(yaml.safe_dump(base_config(
             initial_error="worst-case", **overrides)))
@@ -1362,6 +1375,28 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("configuration error")
         assert key in err[0]
+
+    @pytest.mark.parametrize("overrides,key", [
+        ({"problem": {"kind": "laplacian-1d-dirichlet", "n": 2.7,
+                      "h": 0.2}}, "problem.n"),
+        ({"k": 2.5}, "k"),
+        ({"k": True}, "k"),
+        ({"n_time": 9.9}, "n_time"),
+        ({"iterations": 3.7}, "iterations"),
+        ({"seed": True}, "seed"),
+        ({"seed": math.inf}, "seed"),
+    ], ids=["fractional-n", "fractional-k", "bool-k", "fractional-n-time",
+            "fractional-iterations", "bool-seed", "inf-seed"])
+    def test_non_integral_or_bool_integer_exits_2(self, tmp_path, capsys,
+                                                   overrides, key):
+        # int() would truncate each of these to a usable integer, and a
+        # bool is one
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(base_config(**overrides)))
+        assert cli.main(["bounds", "--config", str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"configuration error: {key}: ")
 
     def test_unusable_paths_exit_2(self, tmp_path, capsys):
         # a config or matrix file that is a directory, and an output
@@ -1484,17 +1519,30 @@ def _mode_scheme(name, dt):
     return section
 
 
+def _twin_pairs():
+    """A patch under which harness.build_pair gives the dense twin of each
+    configured pair; a twin that cannot be built is a ConfigError, as the
+    pair would be."""
+    build_pair = harness.build_pair
+
+    def build_twin(cfg):
+        pair = build_pair(cfg)
+        try:
+            return harness._dense_twin(pair)
+        except ValueError as exc:
+            raise harness.ConfigError(str(exc)) from exc
+
+    return mock.patch.object(harness, "build_pair", build_twin)
+
+
 def _cli(argv, twin):
     """(exit code, standard output) of one command, with every pair made as
-    its dense twin (attach_eig=False) when twin; a RuntimeWarning or a
-    traceback fails the test."""
-    make_pair = ops.make_pair
+    its dense twin when twin; a RuntimeWarning or a traceback fails the
+    test."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.ExitStack() as stack:
         if twin:
-            stack.enter_context(mock.patch.object(
-                ops, "make_pair", lambda fine, coarse, k: make_pair(
-                    fine, coarse, k, attach_eig=False)))
+            stack.enter_context(_twin_pairs())
         caught = stack.enter_context(warnings.catch_warnings(record=True))
         warnings.simplefilter("always")
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -1508,7 +1556,7 @@ def _twin_trace(pair, twin, cfg, relaxation):
     """{norm: values} of the dense twin's iteration from the U-image of the
     per-mode run's initial error: of the same random draw in mode
     coordinates, or the twin's solve of the per-mode worst-case vector."""
-    sys = st.assemble_system(twin, st.GridSpec(cfg.n_time, cfg.k))
+    sys = st.SpaceTimeSystem(twin, st.GridSpec(cfg.n_time, cfg.k))
     u = ops.laplacian_basis(pair.dim)
     if cfg.initial_error == "worst-case":
         w = st.coarse_norm(pair, sys.grid, relaxation, with_vector=True)
@@ -1625,7 +1673,7 @@ class TestModeFuzz:
                 rec = json.load(fh)
         cfg = harness.ExperimentConfig.from_dict(data)
         pair = harness.build_pair(cfg)
-        twin = ops.make_pair(pair.fine, pair.coarse, k, attach_eig=False)
+        twin = harness._dense_twin(pair)
         grid = st.GridSpec(cfg.n_time, k)
         top = (lambda m: np.linalg.svd(m, compute_uv=False)[0])
         # the twin forms D = Psi - Phi^k, which cancels by (||Psi|| +

@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import math
 import warnings
 
@@ -6,9 +8,9 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as hst
 
-from helpers import (SKEWED_VALUES, heat_pair, raw_pair, raw_stepper,
-                     skewed_matrix)
-from pintbounds import cli
+from helpers import (IDENTITY_SCHEME, SKEWED_VALUES, heat_pair, raw_pair,
+                     raw_stepper, skewed_matrix)
+from pintbounds import cli, harness
 from pintbounds import operators as ops
 
 
@@ -157,8 +159,37 @@ class TestBuildStepper:
 
     def test_stability_flags(self):
         pair = heat_pair(nx=6, dt=0.05, k=2)
-        assert pair.fine.strongly_stable and pair.fine.spectrally_stable
-        assert pair.fine.invertible
+        assert pair.fine.spectrally_stable and pair.fine.norm < 1.0
+
+    def test_a_stepper_is_a_scheme_on_an_operator(self):
+        # every other value of a stepper is derived from these two
+        assert [f.name for f in dataclasses.fields(ops.Stepper)] == [
+            "scheme", "source"]
+        assert list(inspect.signature(ops.make_pair).parameters) == [
+            "fine", "coarse", "k"]
+
+    def test_identity_scheme_gives_the_file_matrix(self, tmp_path):
+        # R(z) = z at dt 1 on a from-file operator is its matrix, bit for
+        # bit, real or complex: so raw_stepper wraps an explicit matrix
+        for text in ("-2 1.5e-300 0.1\n0 -1e300 0.3\n0.7 0 -1\n",
+                     "-1+2i 0.25\n1e-17i -3\n"):
+            path = tmp_path / "m.txt"
+            path.write_text(text)
+            L = ops.build_spatial("from-file", path=str(path))
+            s = ops.build_stepper(L, IDENTITY_SCHEME)
+            assert s.matrix.dtype == L.matrix.dtype
+            assert np.array_equal(s.matrix, L.matrix)
+        m = np.array([[0.5, -0.25j], [1e-200, 0.3]])
+        assert np.array_equal(raw_stepper(m).matrix, m)
+
+    def test_dense_singular_solve_raises_at_build(self):
+        # R(z) = 1 / (1 + z / 4) at z = -4: the dense implicit solve is
+        # singular, and build_stepper forms the matrix, so it raises there
+        L = ops.SpatialOperator(np.array([[-4.0]]), "pole")
+        spec = ops.SchemeSpec("custom-rational", 1.0, numerator=(1.0,),
+                              denominator=(1.0, 0.25))
+        with pytest.raises(ValueError, match="singular implicit solve"):
+            ops.build_stepper(L, spec)
 
     @pytest.mark.parametrize("scheme,kw", [
         ("forward-euler", {}), ("backward-euler", {}), ("rk4", {}),
@@ -208,7 +239,6 @@ class TestPerModeStepper:
                               ops.stability_eval(spec, spec.dt * L.eigenvalues))
         size = np.abs(s.values)
         assert s.norm == s.spectral_radius == size.max()
-        assert s.rcond == size.min() / size.max()
         assert "matrix" not in vars(s)
         dense = ops.stability_matrix(spec, spec.dt * L.matrix)
         assert np.array_equal(s.matrix, dense)
@@ -331,27 +361,53 @@ class TestPairs:
         assert np.array_equal(skewed.fine_power_sv, np.linalg.svd(
             skewed.fine_power, compute_uv=False))
 
-    def test_attach_eig_false(self):
-        pair = heat_pair(attach_eig=False)
-        assert pair.shared_eig is None
-        assert pair.commuting
+    def test_dense_twin(self):
+        # the same schemes on the operator without its eigenvalues: Phi and
+        # Psi bit for bit those of the normal pair, on the dense path, with
+        # norm and spectral radius from an SVD and eigvals of the matrix
+        pair = heat_pair()
+        twin = harness._dense_twin(pair)
+        assert twin.shared_eig is None and twin.commuting
+        assert twin.fine.source.eigenvalues is None
+        for a, b in ((pair.fine, twin.fine), (pair.coarse, twin.coarse)):
+            assert b.values is None
+            assert np.array_equal(a.matrix, b.matrix)
+            assert b.norm == pytest.approx(a.norm, rel=1e-14, abs=0)
+            assert b.spectral_radius == pytest.approx(a.spectral_radius,
+                                                      rel=1e-14, abs=0)
+
+    def test_upwind_build_reads_no_spectrum_or_norm(self, monkeypatch):
+        # building a dense pair forms Phi and Psi and their commutator only:
+        # the eigenvalues and the SVD of a stepper are computed when first
+        # read, once
+        calls = {"eigvals": 0, "svd": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(np.linalg, name),
+                        **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        cfg = harness.ExperimentConfig.from_dict({
+            "problem": {"kind": "advection-1d-upwind", "n": 8, "h": 0.125},
+            "fine": {"scheme": "backward-euler", "dt": 0.02}, "k": 4,
+            "n_time": 33, "iterations": 2})
+        pair = harness.build_pair(cfg)
+        assert not pair.normal
+        assert calls == {"eigvals": 0, "svd": 0}
+        for _ in range(2):
+            pair.fine.norm, pair.coarse.spectral_radius
+        assert calls == {"eigvals": 1, "svd": 1}
+        assert "spectrum" not in vars(pair.fine)
+        assert "norm" not in vars(pair.coarse)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             raw_pair(np.eye(2) * 0.5, np.eye(3) * 0.5, 2)
 
-    def test_verify_pair_singular_defect(self):
-        phi = 0.5 * np.eye(2)
-        pair = raw_pair(phi, phi @ phi, 2)     # Psi = Phi^k exactly
-        diag = ops.verify_pair(pair)
-        assert not diag.defect_invertible
-
-    def test_verify_pair_scalar(self):
+    def test_scalar_defect(self):
         pair = raw_pair([[0.5]], [[0.3]], 2)
-        diag = ops.verify_pair(pair)
-        assert diag.defect_invertible
+        assert pair.commuting
         assert abs(pair.coarse_defect[0, 0] - 0.05) < 1e-15
-        assert diag.commutator_norm < 1e-15
 
 
 @settings(max_examples=20, deadline=None)

@@ -43,12 +43,12 @@ class TestGridSpec:
 
 class TestAssembly:
     def test_scalar_matrix(self):
-        sys = st.assemble_system(raw_pair([[0.5]], [[0.3]], 1), st.GridSpec(3, 1))
+        sys = st.SpaceTimeSystem(raw_pair([[0.5]], [[0.3]], 1), st.GridSpec(3, 1))
         expected = [[1, 0, 0], [-0.5, 1, 0], [0, -0.5, 1]]
         assert np.allclose(sys.full_matrix(), expected)
 
     def test_identity_block_form(self):
-        sys = st.assemble_system(raw_pair(np.eye(2), np.eye(2) * 0.5, 1),
+        sys = st.SpaceTimeSystem(raw_pair(np.eye(2), np.eye(2) * 0.5, 1),
                                  st.GridSpec(2, 1))
         expected = np.block([[np.eye(2), np.zeros((2, 2))],
                              [-np.eye(2), np.eye(2)]])
@@ -57,7 +57,7 @@ class TestAssembly:
     def test_blocks_reassemble(self):
         rng = np.random.default_rng(0)
         pair = raw_pair(random_contraction(rng, 2), random_contraction(rng, 2), 3)
-        sys = st.assemble_system(pair, st.GridSpec(7, 3))
+        sys = st.SpaceTimeSystem(pair, st.GridSpec(7, 3))
         a_ff, a_fc, a_cf, a_cc = sys.blocks()
         rebuilt = np.block([[a_ff, a_fc], [a_cf, a_cc]])
         assert np.allclose(rebuilt, permuted_full(sys))
@@ -65,32 +65,32 @@ class TestAssembly:
     def test_apply_full_matches_dense(self):
         rng = np.random.default_rng(1)
         pair = raw_pair(random_contraction(rng, 3), random_contraction(rng, 3), 2)
-        sys = st.assemble_system(pair, st.GridSpec(5, 2))
+        sys = st.SpaceTimeSystem(pair, st.GridSpec(5, 2))
         u = rng.standard_normal(sys.dim) + 1j * rng.standard_normal(sys.dim)
         assert np.allclose(st.apply_full(sys, u), sys.full_matrix() @ u)
 
     def test_dense_cap(self, monkeypatch):
         monkeypatch.setattr(st, "DENSE_CAP", 10)
         pair = heat_pair(nx=8)
-        sys = st.assemble_system(pair, st.GridSpec(9, 4))
+        sys = st.SpaceTimeSystem(pair, st.GridSpec(9, 4))
         with pytest.raises(ValueError, match="dense cap"):
             sys.full_matrix()
 
 
 class TestSequentialSolve:
     def test_scalar_geometric(self):
-        sys = st.assemble_system(raw_pair([[0.5]], [[0.3]], 1), st.GridSpec(3, 1))
+        sys = st.SpaceTimeSystem(raw_pair([[0.5]], [[0.3]], 1), st.GridSpec(3, 1))
         u = st.sequential_solve(sys, np.array([1.0, 0.0, 0.0]))
         assert np.allclose(u, [1.0, 0.5, 0.25])
 
     def test_zero_input(self):
-        sys = st.assemble_system(raw_pair([[0.5]], [[0.3]], 1), st.GridSpec(3, 1))
+        sys = st.SpaceTimeSystem(raw_pair([[0.5]], [[0.3]], 1), st.GridSpec(3, 1))
         assert np.allclose(st.sequential_solve(sys, np.zeros(3)), 0.0)
 
     def test_residual(self):
         rng = np.random.default_rng(3)
         pair = raw_pair(random_contraction(rng, 4), random_contraction(rng, 4), 4)
-        sys = st.assemble_system(pair, st.GridSpec(17, 4))
+        sys = st.SpaceTimeSystem(pair, st.GridSpec(17, 4))
         f = rng.standard_normal(sys.dim)
         u = st.sequential_solve(sys, f)
         assert np.linalg.norm(f - st.apply_full(sys, u)) <= 1e-13 * np.linalg.norm(f)
@@ -144,7 +144,7 @@ class TestForwardSolve:
         mat = random_step(rng, nx, rho, dtype)
         rhs = rng.standard_normal((n, nx)) + 1j * rng.standard_normal((n, nx))
         want = row_loop(mat, rhs)
-        got = st.ForwardSolver(mat, n).solve(rhs.ravel()).reshape(n, nx)
+        got = st.ForwardSolver(st.Step(mat), n).solve(rhs.ravel()).reshape(n, nx)
         assert got.dtype == complex
         scale = np.maximum.accumulate(np.linalg.norm(want, axis=1))
         assert np.all(np.linalg.norm(got - want, axis=1) <= 1e-13 * scale)
@@ -156,7 +156,8 @@ class TestForwardSolve:
         rng = np.random.default_rng(n)
         step = random_step(rng, 3, 0.9, float)
         pair, count = counting_pair(raw_pair(step, step, 1))
-        st.ForwardSolver(pair.fine.matrix, n).solve(rng.standard_normal(3 * n))
+        st.ForwardSolver(st.Step(pair.fine.matrix), n).solve(
+            rng.standard_normal(3 * n))
         c = round(math.sqrt(n / 2))
         assert count[0] <= 3 * c + n / c
         assert count[0] < n / 3
@@ -167,7 +168,7 @@ class TestForwardSolve:
         made = record_solvers(monkeypatch)
         rng = np.random.default_rng(9)
         pair = raw_pair(random_contraction(rng, 3), random_contraction(rng, 3), 2)
-        sys = st.assemble_system(pair, st.GridSpec(33, 2))
+        sys = st.SpaceTimeSystem(pair, st.GridSpec(33, 2))
         e = st.sequential_solve(sys, rng.standard_normal(sys.dim))
         for relaxation in ("F", "FCF", "F"):
             e = st.apply_iteration(sys, relaxation, e)
@@ -194,14 +195,14 @@ class TestForwardSolve:
             warnings.simplefilter("error")
             assert np.isfinite(ops.matrix_power(mat, 2)).all()
             with pytest.raises(OverflowError, match="power 14"):
-                st.ForwardSolver(mat, 399)
+                st.ForwardSolver(st.Step(mat), 399)
 
 
 class TestIdealTransfer:
     def test_matches_block_formula(self):
         rng = np.random.default_rng(4)
         pair = raw_pair(random_contraction(rng, 2), random_contraction(rng, 2), 2)
-        sys = st.assemble_system(pair, st.GridSpec(5, 2))
+        sys = st.SpaceTimeSystem(pair, st.GridSpec(5, 2))
         a_ff, a_fc, a_cf, _ = sys.blocks()
         r_ideal, p_ideal = st.ideal_transfer(sys)
         nf = a_ff.shape[0]
@@ -210,7 +211,7 @@ class TestIdealTransfer:
 
     def test_scalar_entries(self):
         pair = raw_pair([[0.5]], [[0.3]], 2)
-        sys = st.assemble_system(pair, st.GridSpec(5, 2))
+        sys = st.SpaceTimeSystem(pair, st.GridSpec(5, 2))
         r_ideal, _ = st.ideal_transfer(sys)
         # each interior C-row picks up Phi applied to the preceding F-point
         assert np.count_nonzero(np.abs(r_ideal - 0.5) < 1e-15) == 2
@@ -220,7 +221,7 @@ class TestIdealTransfer:
         for k in (2, 3, 4):
             phi = random_contraction(rng, 2, norm_bound=0.95)
             pair = raw_pair(phi, random_contraction(rng, 2), k)
-            sys = st.assemble_system(pair, st.GridSpec(4 * k + 1, k))
+            sys = st.SpaceTimeSystem(pair, st.GridSpec(4 * k + 1, k))
             r_ideal, p_ideal = st.ideal_transfer(sys)
             for m in (r_ideal, p_ideal):
                 assert np.linalg.norm(m, 2) < np.sqrt(k)
@@ -229,20 +230,20 @@ class TestIdealTransfer:
 class TestSchur:
     def test_scalar_subdiagonal(self):
         pair = raw_pair([[0.5]], [[0.3]], 2)
-        sys = st.assemble_system(pair, st.GridSpec(5, 2))
+        sys = st.SpaceTimeSystem(pair, st.GridSpec(5, 2))
         s = st.schur_complement(sys)
         assert np.allclose(s, [[1, 0, 0], [-0.25, 1, 0], [0, -0.25, 1]])
 
     def test_k1_gives_full_system(self):
         pair = raw_pair([[0.5]], [[0.3]], 1)
-        sys = st.assemble_system(pair, st.GridSpec(5, 1))
+        sys = st.SpaceTimeSystem(pair, st.GridSpec(5, 1))
         assert np.allclose(st.schur_complement(sys), sys.full_matrix())
 
     def test_matches_power_closed_form(self):
         rng = np.random.default_rng(6)
         phi = random_contraction(rng, 3)
         pair = raw_pair(phi, random_contraction(rng, 3), 3)
-        sys = st.assemble_system(pair, st.GridSpec(7, 3))
+        sys = st.SpaceTimeSystem(pair, st.GridSpec(7, 3))
         s = st.schur_complement(sys)
         closed = st.coarse_bidiagonal(pair, st.GridSpec(7, 3))
         assert np.max(np.abs(s - closed)) <= 1e-13 * np.linalg.norm(phi @ phi @ phi)
@@ -277,14 +278,14 @@ class TestPropagators:
     def test_exact_coarse_grid_zero(self):
         phi = 0.5 * np.eye(2)
         pair = raw_pair(phi, phi @ phi, 2)
-        sys = st.assemble_system(pair, st.GridSpec(5, 2))
+        sys = st.SpaceTimeSystem(pair, st.GridSpec(5, 2))
         props = st.build_propagators(sys)
         for m in (props.e_f, props.e_fcf, props.r_f, props.r_fcf):
             assert np.max(np.abs(m)) < 1e-14
 
     def test_scalar_defect_band(self):
         pair = raw_pair([[0.5]], [[0.3]], 2)
-        props = st.build_propagators(st.assemble_system(pair, st.GridSpec(5, 2)))
+        props = st.build_propagators(st.SpaceTimeSystem(pair, st.GridSpec(5, 2)))
         sub = np.diag(props.cgc_res, -1)
         # first band carries the coarse defect Psi - Phi^k (sign from I - AB)
         assert np.allclose(np.abs(sub), 0.05)
@@ -293,7 +294,7 @@ class TestPropagators:
     def test_zero_structure(self):
         rng = np.random.default_rng(8)
         pair = raw_pair(random_contraction(rng, 2), random_contraction(rng, 2), 2)
-        sys = st.assemble_system(pair, st.GridSpec(9, 2))
+        sys = st.SpaceTimeSystem(pair, st.GridSpec(9, 2))
         props = st.build_propagators(sys)
         nf = len(sys.grid.f_points) * 2
         # residual propagator vanishes on F-point rows, error propagator on
@@ -304,7 +305,7 @@ class TestPropagators:
     def test_similarity_identity(self):
         rng = np.random.default_rng(9)
         pair = raw_pair(random_contraction(rng, 2), random_contraction(rng, 2), 2)
-        sys = st.assemble_system(pair, st.GridSpec(9, 2))
+        sys = st.SpaceTimeSystem(pair, st.GridSpec(9, 2))
         props = st.build_propagators(sys)
         ap = permuted_full(sys)
         assert np.linalg.norm(props.r_f - ap @ props.e_f @ np.linalg.inv(ap)) < 1e-12
@@ -313,7 +314,7 @@ class TestPropagators:
     def test_norm_identity(self):
         rng = np.random.default_rng(10)
         pair = raw_pair(random_contraction(rng, 2), random_contraction(rng, 2), 3)
-        sys = st.assemble_system(pair, st.GridSpec(13, 3))
+        sys = st.SpaceTimeSystem(pair, st.GridSpec(13, 3))
         props = st.build_propagators(sys)
         ap = permuted_full(sys)
         for r, e in ((props.r_f, props.e_f), (props.r_fcf, props.e_fcf)):
@@ -324,13 +325,13 @@ class TestPropagators:
 
     def test_commuting_defect_sides_agree(self):
         pair = heat_pair(nx=4, dt=0.03, k=2)
-        props = st.build_propagators(st.assemble_system(pair, st.GridSpec(9, 2)))
+        props = st.build_propagators(st.SpaceTimeSystem(pair, st.GridSpec(9, 2)))
         diff = np.linalg.norm(props.cgc_res - props.cgc_err)
         assert diff <= 1e-10 * np.linalg.norm(props.cgc_res)
 
     def test_coarse_block_selector(self):
         pair = heat_pair(nx=3, dt=0.03, k=2)
-        props = st.build_propagators(st.assemble_system(pair, st.GridSpec(9, 2)))
+        props = st.build_propagators(st.SpaceTimeSystem(pair, st.GridSpec(9, 2)))
         assert props.coarse_block("F") is props.cgc_res
         assert np.allclose(props.coarse_block("FCF", "error"),
                            props.cgc_err @ props.relax_factor)
@@ -343,7 +344,7 @@ class TestApplyIteration:
         # a zero error stays exactly zero
         for k in (1, 2):
             pair = heat_pair(nx=4, dt=0.03, k=k)
-            sys = st.assemble_system(pair, st.GridSpec(9, k))
+            sys = st.SpaceTimeSystem(pair, st.GridSpec(9, k))
             for relaxation in ("F", "FCF"):
                 out = st.apply_iteration(sys, relaxation, np.zeros(sys.dim))
                 assert not out.any()
@@ -354,7 +355,7 @@ class TestApplyIteration:
         rng = np.random.default_rng(12)
         phi = random_contraction(rng, 2)
         pair = raw_pair(phi, phi @ phi, 2)
-        sys = st.assemble_system(pair, st.GridSpec(9, 2))
+        sys = st.SpaceTimeSystem(pair, st.GridSpec(9, 2))
         e0 = rng.standard_normal(sys.dim) + 1j * rng.standard_normal(sys.dim)
         out = st.apply_iteration(sys, "F", e0)
         assert np.linalg.norm(out) <= 1e-14 * np.linalg.norm(e0)
@@ -364,7 +365,7 @@ class TestApplyIteration:
     def test_matches_dense_propagator(self, k, relaxation):
         rng = np.random.default_rng(13)
         pair = raw_pair(random_contraction(rng, 2), random_contraction(rng, 2), k)
-        sys = st.assemble_system(pair, st.GridSpec(4 * k + 1, k))
+        sys = st.SpaceTimeSystem(pair, st.GridSpec(4 * k + 1, k))
         props = st.build_propagators(sys)
         e_dense = props.e_f if relaxation == "F" else props.e_fcf
         e0 = rng.standard_normal(sys.dim) + 1j * rng.standard_normal(sys.dim)
@@ -377,7 +378,7 @@ class TestApplyIteration:
     def test_lift_coarse_matches_p_ideal(self):
         rng = np.random.default_rng(14)
         pair = raw_pair(random_contraction(rng, 2), random_contraction(rng, 2), 2)
-        sys = st.assemble_system(pair, st.GridSpec(9, 2))
+        sys = st.SpaceTimeSystem(pair, st.GridSpec(9, 2))
         _, p_ideal = st.ideal_transfer(sys)
         w = rng.standard_normal(sys.grid.n_coarse * 2)
         lifted = st.lift_coarse(sys, w)
@@ -438,8 +439,8 @@ def counting_pair(pair):
             inputs = tuple(np.asarray(x) for x in inputs)
             return getattr(ufunc, method)(*inputs, **kwargs)
 
-    fine = dataclasses.replace(pair.fine,
-                               dense=pair.fine.matrix.view(Counting))
+    fine = ops.Stepper(pair.fine.scheme, pair.fine.source)
+    vars(fine)["matrix"] = pair.fine.matrix.view(Counting)
     return dataclasses.replace(pair, fine=fine), count
 
 
@@ -452,7 +453,7 @@ class TestIntervalBatching:
         pair = raw_pair(random_contraction(rng, 3), random_contraction(rng, 3), k)
         assert not np.allclose(pair.fine.matrix @ pair.fine.matrix.conj().T,
                                pair.fine.matrix.conj().T @ pair.fine.matrix)
-        sys = st.assemble_system(pair, st.GridSpec(k * (nc - 1) + 1, k))
+        sys = st.SpaceTimeSystem(pair, st.GridSpec(k * (nc - 1) + 1, k))
 
         def draw(n):
             x = rng.standard_normal(n)
@@ -474,10 +475,10 @@ class TestIntervalBatching:
         pair, count = counting_pair(base)
         calls = {"F": set(), "FCF": set()}
         for nc in (2, 3, 17):
-            sys = st.assemble_system(pair, st.GridSpec(k * (nc - 1) + 1, k))
+            sys = st.SpaceTimeSystem(pair, st.GridSpec(k * (nc - 1) + 1, k))
             u = rng.standard_normal((sys.grid.n_time, 2)).astype(complex)
             count[0] = 0
-            st._march_intervals(pair.fine.matrix, u, k)
+            st._march_intervals(st.Step(pair.fine.matrix), u, k)
             assert count[0] == k - 1
             count[0] = 0
             st.lift_coarse(sys, rng.standard_normal(nc * 2))
@@ -529,7 +530,7 @@ class TestModeCoordinates:
         # Phi and Psi
         pair = skewed_pair()
         assert pair.shared_eig is None and not pair.normal
-        sys = st.assemble_system(pair, st.GridSpec(9, 2))
+        sys = st.SpaceTimeSystem(pair, st.GridSpec(9, 2))
         for step, stepper in ((sys.fine_step, pair.fine),
                               (sys.coarse_step, pair.coarse)):
             assert not step.diagonal
@@ -549,10 +550,10 @@ class TestModeCoordinates:
         # elementwise; mapped by U the iterates, the lift and the solves are
         # those of its dense twin in physical coordinates
         pair = normal_pair(k) if case == "heat" else rotating_pair(k)
-        twin = ops.make_pair(pair.fine, pair.coarse, k, attach_eig=False)
+        twin = harness._dense_twin(pair)
         grid = st.GridSpec(6 * k + 1, k)
-        modal = st.assemble_system(pair, grid)
-        dense = st.assemble_system(twin, grid)
+        modal = st.SpaceTimeSystem(pair, grid)
+        dense = st.SpaceTimeSystem(twin, grid)
         assert modal.fine_step.diagonal and not dense.fine_step.diagonal
         u = (ops.laplacian_basis(pair.dim) if case == "heat"
              else rotating_basis())
@@ -579,7 +580,7 @@ class TestModeCoordinates:
         # real lambda, mu and seed: no complex array on the iteration path
         pair = heat_pair(nx=6, dt=0.02, k=2)
         grid = st.GridSpec(33, 2)
-        sys = st.assemble_system(pair, grid)
+        sys = st.SpaceTimeSystem(pair, grid)
         for relaxation in ("F", "FCF"):
             w = st.coarse_norm(pair, grid, relaxation, with_vector=True).vector
             e = harness._worst_case_error(sys, w)
@@ -627,7 +628,7 @@ class TestModeBlocks:
     @pytest.mark.parametrize("relaxation", ["F", "FCF"])
     def test_direct_sum_of_dense_block(self, k, relaxation):
         # in the shared eigenbasis the dense block is a direct sum of one
-        # N_c x N_c block per mode, whose norms mode_norms gives
+        # N_c x N_c block per mode, whose norms _mode_solve gives
         pair = normal_pair(k)
         grid = st.GridSpec(8 * k + 1, k)
         cgc_res, _, relax = st.coarse_defect_blocks(pair, grid)
@@ -641,7 +642,7 @@ class TestModeBlocks:
         modal[idx, idx] = 0.0
         assert np.max(np.abs(modal)) <= 1e-14
         expected = np.linalg.svd(blocks, compute_uv=False)[:, 0]
-        norms = st.mode_norms(pair, grid, relaxation)
+        norms = st._mode_solve(pair, grid, relaxation)[1]
         assert np.allclose(norms, expected, rtol=1e-12, atol=1e-15)
         if relaxation == "FCF" and k == 1:
             assert np.all(norms == 0.0)
@@ -720,12 +721,12 @@ class TestModeBlocks:
         lam, mu = eig.fine_values[m] ** pair.k, eig.coarse_values[m]
         # past its zero first row the block is (lam - mu) C^{-1}, times lam
         # for FCF, with C unit lower bidiagonal, subdiagonal -mu
-        image = st.ForwardSolver(np.array([[mu]]), n).solve(v[:n])
+        image = st.ForwardSolver(st.Step(np.array([[mu]])), n).solve(v[:n])
         gain = abs(lam - mu) * (abs(lam) if relaxation == "FCF" else 1.0)
         assert gain * np.linalg.norm(image) == pytest.approx(res.value,
                                                              rel=1e-12)
         assert res.value == pytest.approx(
-            st.mode_norms(pair, grid, relaxation).max(), rel=0.0)
+            st._mode_solve(pair, grid, relaxation)[1].max(), rel=0.0)
 
 
 def _upwind_pair(nx, dt, k, scheme="backward-euler", coarse_scheme=None):
@@ -763,8 +764,7 @@ def lanczos_case(name):
                                       "backward-euler"), 17
     elif name == "unstable-psi":
         # forward-Euler coarse steps of the heat equation: |mu| up to 11.6
-        pair = heat_pair(nx=8, dt=0.01, k=4, coarse_scheme="forward-euler",
-                         attach_eig=False)
+        pair = heat_pair(nx=8, dt=0.01, k=4, coarse_scheme="forward-euler")
         n_coarse = 17
     elif name == "exact-coarse":
         phi = random_contraction(rng, 3)
@@ -908,7 +908,7 @@ class TestLanczosNorm:
             return orthonormalize(w, basis, rng)
 
         monkeypatch.setattr(st, "_orthonormalize", record)
-        sys = st.assemble_system(pair, grid)
+        sys = st.SpaceTimeSystem(pair, grid)
         for relaxation in ("F", "FCF"):
             res = st.coarse_norm(pair, grid, relaxation, with_vector=True)
             assert res.vector.dtype == float

@@ -148,7 +148,7 @@ class TestTapConstant:
 
     def test_general_path_matches_eigen_path(self):
         full = heat_pair(nx=5, dt=0.03, k=2)
-        bare = heat_pair(nx=5, dt=0.03, k=2, attach_eig=False)
+        bare = harness._dense_twin(full)
         for relaxation in ("F", "FCF"):
             teap = tap.teap_constant(full, relaxation)
             gen = tap.tap_constant(bare, relaxation)
@@ -285,11 +285,12 @@ class TestLevelSet:
 
     @pytest.mark.parametrize("p", [1, 2])
     def test_rounds_reuse_the_kept_eigenvalues(self, p, monkeypatch):
-        # build_stepper keeps the eigenvalues of Psi; the pole mask and the
-        # start phases of the p-fold realization take them, so the only
-        # eigenvalue problems a TAP solves are its pencils of order 2 p N_x
+        # the coarse stepper computes the eigenvalues of Psi once, when its
+        # spectrum is first read; the pole mask and the start phases of the
+        # p-fold realization share them, so the only other eigenvalue
+        # problems a TAP solves are its pencils of order 2 p N_x
         pair = upwind_pair(n=4)
-        assert pair.coarse.eigenvalues is not None
+        assert "spectrum" not in vars(pair.coarse)
         shapes = []
         eigvals = np.linalg.eigvals
 
@@ -300,7 +301,8 @@ class TestLevelSet:
         monkeypatch.setattr(np.linalg, "eigvals", record)
         for relaxation in ("F", "FCF"):
             assert tap.tap_constant(pair, relaxation, p).certified
-        assert shapes and set(shapes) == {(2 * p * pair.dim,) * 2}
+        assert shapes.count((pair.dim,) * 2) == 1
+        assert set(shapes) == {(pair.dim,) * 2, (2 * p * pair.dim,) * 2}
 
     @pytest.mark.parametrize("relaxation", ["F", "FCF"])
     def test_singular_coarse_step_matches_oracle(self, relaxation):

@@ -53,20 +53,42 @@ def _require_keys(section: dict, allowed: set, where: str):
 
 
 def _convert(value, convert, where: str):
+    """convert(value) for a numeric config value. A bool, which int() and
+    float() read as 0 or 1, is a ConfigError, as is a value convert
+    refuses."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{where}: must be a number, not {value!r}")
     try:
         return convert(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _integer(value, where: str) -> int:
-    """value as an int. A bool, which int() reads as 0 or 1, and a float
-    with a fractional part, which it truncates, are ConfigErrors, as is a
-    non-finite float."""
-    if isinstance(value, bool) or (isinstance(value, float)
-                                   and not value.is_integer()):
+    """value as an int. A float with a fractional part, which int()
+    truncates, is a ConfigError, as is a non-finite float."""
+    if isinstance(value, float) and not value.is_integer():
         raise ConfigError(f"{where}: must be an integer, not {value!r}")
     return _convert(value, int, where)
+
+
+def _list(value, where: str) -> list:
+    """value, a non-empty list, and not a bare string, which tuple() splits."""
+    if not (isinstance(value, list) and value):
+        raise ConfigError(f"{where}: must be a non-empty list, not {value!r}")
+    return value
+
+
+def _entries(data: dict, key: str, default: list, allowed: tuple) -> tuple:
+    """The entries of allowed listed under key (default when absent), each
+    once: a repeated one would have its rows computed and reported twice."""
+    entries = _list(data.get(key, default), key)
+    for entry in entries:
+        if entry not in allowed:
+            raise ConfigError(f"{key}: unknown entry {entry!r}")
+    if len(set(entries)) < len(entries):
+        raise ConfigError(f"{key}: repeated entry in {entries!r}")
+    return tuple(entries)
 
 
 @dataclass(frozen=True)
@@ -105,15 +127,9 @@ class ExperimentConfig:
         if iterations < 2:
             raise ConfigError("iterations: need at least 2 (one is excluded "
                               "from bound checks)")
-        relaxations = _convert(data.get("relaxations", ["F"]), tuple,
-                               "relaxations")
-        for r in relaxations:
-            if r not in ("F", "FCF"):
-                raise ConfigError(f"relaxations: unknown entry {r!r}")
-        norms = _convert(data.get("norms", ["l2", "AstarA"]), tuple, "norms")
-        for nname in norms:
-            if nname not in ("l2", "AstarA", "modified"):
-                raise ConfigError(f"norms: unknown entry {nname!r}")
+        relaxations = _entries(data, "relaxations", ["F"], ("F", "FCF"))
+        norms = _entries(data, "norms", ["l2", "AstarA"],
+                         ("l2", "AstarA", "modified"))
         initial_error = data.get("initial_error", "random")
         if initial_error not in ("random", "worst-case"):
             raise ConfigError(f"initial_error: unknown mode {initial_error!r}")
@@ -153,17 +169,20 @@ def load_config(path: str) -> ExperimentConfig:
     return ExperimentConfig.from_dict(data)
 
 
-def _build_scheme(section: dict) -> ops.SchemeSpec:
+def _build_scheme(section: dict, where: str) -> ops.SchemeSpec:
+    """The scheme of the config section named where ("fine" or "coarse")."""
     if "scheme" not in section or "dt" not in section:
-        raise ConfigError("scheme section needs 'scheme' and 'dt'")
+        raise ConfigError(f"{where}: needs 'scheme' and 'dt'")
     kw = {}
     if "theta" in section:
-        kw["theta"] = float(section["theta"])
-    if "numerator" in section:
-        kw["numerator"] = tuple(section["numerator"])
-    if "denominator" in section:
-        kw["denominator"] = tuple(section["denominator"])
-    return ops.SchemeSpec(section["scheme"], float(section["dt"]), **kw)
+        kw["theta"] = _convert(section["theta"], float, f"{where}.theta")
+    for key in ("numerator", "denominator"):
+        if key in section:
+            name = f"{where}.{key}"
+            kw[key] = tuple(_convert(c, float, f"{name}[{i}]") for i, c
+                            in enumerate(_list(section[key], name)))
+    return ops.SchemeSpec(section["scheme"],
+                          _convert(section["dt"], float, f"{where}.dt"), **kw)
 
 
 def build_pair(cfg: ExperimentConfig) -> ops.StepperPair:
@@ -182,14 +201,14 @@ def build_pair(cfg: ExperimentConfig) -> ops.StepperPair:
         spatial = ops.build_spatial(
             prob.get("kind", "laplacian-1d-dirichlet"), n, h,
             velocity=velocity, path=prob.get("path"))
-        fine_scheme = _build_scheme(cfg.fine)
+        fine_scheme = _build_scheme(cfg.fine, "fine")
         if cfg.coarse == "rediscretized":
             coarse_scheme = ops.SchemeSpec(
                 fine_scheme.kind, fine_scheme.dt * cfg.k, theta=fine_scheme.theta,
                 numerator=fine_scheme.numerator,
                 denominator=fine_scheme.denominator)
         else:
-            coarse_scheme = _build_scheme(cfg.coarse)
+            coarse_scheme = _build_scheme(cfg.coarse, "coarse")
         fine = ops.build_stepper(spatial, fine_scheme)
         coarse = ops.build_stepper(spatial, coarse_scheme)
         return ops.make_pair(fine, coarse, cfg.k)
@@ -273,21 +292,20 @@ def _bound_rows(pair: ops.StepperPair, grid: st.GridSpec, relaxation: str,
                      "lower": amp, "upper": amp, "certified": True})
     if cnorm is None:
         cnorm = st.coarse_norm(pair, grid, relaxation)
-    # the necessary bound at p = 1 is this same coarse norm
-    nb = tp.necessary_lower_bound(pair, grid, relaxation, 1, "residual",
-                                  coarse_norm=cnorm.value)
-    if nb.available:
+    # the necessary bound at p = 1 is the coarse norm itself, available
+    # wherever the block is not zero
+    if st.block_rows(grid, relaxation) > 0:
         # a coarse norm past the floating-point range certifies nothing
         row = {"relaxation": relaxation, "kind": "necessary",
-               "lower": nb.value, "upper": math.inf,
-               "certified": math.isfinite(nb.value)}
-        if (0.0 < nb.value < math.inf and math.isfinite(tap_res.value)
+               "lower": cnorm.value, "upper": math.inf,
+               "certified": math.isfinite(cnorm.value)}
+        if (0.0 < cnorm.value < math.inf and math.isfinite(tap_res.value)
                 and pair.coarse.spectrally_stable):
             # the gap to the approximation constant, scaled by sqrt(N_c);
             # none when Psi = Phi^k makes the coarse block zero, when
             # either side is past the floating-point range, or when Psi is
             # not spectrally stable, where the TAP is no convergence factor
-            row["slack_constant"] = ((tap_res.value / nb.value - 1.0)
+            row["slack_constant"] = ((tap_res.value / cnorm.value - 1.0)
                                      * math.sqrt(grid.n_coarse))
         rows.append(row)
     rows.append({"relaxation": relaxation, "kind": "coarse-norm",

@@ -18,7 +18,7 @@ import numpy as np
 
 from .operators import (StepperPair, _real_if, _unit, coarse_factors,
                         matrix_power)
-from .tap import TOL
+from .tap import TOL, _tap_realization
 from .tridiag import relaxed_toeplitz_min
 
 DENSE_CAP = 4096       # largest order of a dense oracle block
@@ -234,6 +234,8 @@ def block_rows(grid: GridSpec, relaxation: str, p: int = 1) -> int:
     for FCF at k = 1, which has no F-points."""
     if relaxation not in ("F", "FCF"):
         raise ValueError(f"unknown relaxation {relaxation!r}")
+    if p < 1:
+        raise ValueError("power must be >= 1")
     if relaxation == "FCF" and grid.k == 1:
         return 0
     return max(grid.n_coarse - (1 if relaxation == "F" else 2) * p, 0)
@@ -272,8 +274,9 @@ def _mode_solve(pair: StepperPair, grid: GridSpec, relaxation: str):
 
 @dataclass(frozen=True)
 class CoarseNorm:
-    """Spectral norm of the residual-side coarse block. value is attained by
-    vector (a lower bound); when certified no singular value exceeds upper."""
+    """Spectral norm of a power of the coarse-level block on either side.
+    value is attained by vector (a lower bound); when certified no singular
+    value exceeds upper."""
     value: float
     upper: float
     certified: bool
@@ -282,17 +285,25 @@ class CoarseNorm:
 
 
 def coarse_norm(pair: StepperPair, grid: GridSpec, relaxation: str,
-                with_vector: bool = False) -> CoarseNorm:
-    """Norm of the residual-side coarse block and, with with_vector, its
-    leading right singular vector in the coordinates of the pair's
-    SpaceTimeSystem. Per mode when the pair is normal, where the vector is
-    mode m's own vector in column m and zeros elsewhere, real where mu_m is;
-    otherwise matrix-free by Golub-Kahan-Lanczos with a block LDL*
-    certificate (_lanczos_norm). No dense block is built."""
-    if not pair.normal:
-        lft, rgt = coarse_factors(pair, relaxation, "residual")
-        op = CoarseOperator(pair.coarse.matrix, rgt, lft,
-                            block_rows(grid, relaxation))
+                with_vector: bool = False, *, p: int = 1,
+                side: str = "residual") -> CoarseNorm:
+    """Norm of the p-th power X^p of the coarse-level block on side,
+    ||T_n(G^p)|| with n = block_rows(grid, relaxation, p), and, with
+    with_vector, its leading right singular vector in the coordinates of the
+    pair's SpaceTimeSystem. Per mode for a normal pair at p = 1, on either
+    side, since its steppers commute and the two blocks coincide; the vector
+    is then mode m's own vector in column m and zeros elsewhere, real where
+    mu_m is. Otherwise matrix-free, by Golub-Kahan-Lanczos with a block LDL*
+    certificate (_lanczos_norm) on a realization of G^p with state dimension
+    p N_x (tap._tap_realization), which inverts nothing: a singular D, Psi
+    or Phi^k needs no special case. No dense block is built."""
+    if not (pair.normal and p == 1):
+        lft, rgt = coarse_factors(pair, relaxation, side)
+        # the link R L enters from p = 2 on; unused at p = 1, it may overflow
+        link = rgt @ lft if p >= 2 else None
+        op = CoarseOperator(*_tap_realization(pair.coarse.matrix, rgt, lft,
+                                              p, link),
+                            block_rows(grid, relaxation, p))
         return _lanczos_norm(op, grid.n_coarse * pair.dim, with_vector)
     n, norms, uppers, theta, certified = _mode_solve(pair, grid, relaxation)
     m = int(np.argmax(norms))
@@ -322,11 +333,8 @@ class CoarseOperator:
     """K = T_n(c (I - z a)^{-1} b), the lower block-Toeplitz section of order
     n with blocks c a^j b below and on the diagonal: K = (I_n x c) B_n^{-1}
     (I_n x b), B_n block unit lower bidiagonal with -a below the diagonal.
-    The residual-side coarse block past its zero first block row and its
-    zero last block column (two of them for FCF) is (a, b, c) = (Psi, M, D)
-    at n = block_rows; its p-th power is a realization of G^p
-    (tap._tap_realization) at n = block_rows(grid, relaxation, p). n is 0
-    where the block is zero."""
+    coarse_norm builds it from a realization (a, b, c) of G^p at
+    n = block_rows(grid, relaxation, p), which is 0 where X^p is zero."""
 
     def __init__(self, a: np.ndarray, b: np.ndarray, c: np.ndarray, n: int):
         self.a, self.b, self.c, self.n = a, b, c, n
@@ -413,8 +421,9 @@ def _orthonormalize(w: np.ndarray, basis: np.ndarray, rng):
 
 def _lanczos_norm(op: CoarseOperator, size: int,
                   with_vector: bool) -> CoarseNorm:
-    """Certified norm of the CoarseOperator K and, with with_vector, its
-    Ritz right vector padded with zero blocks to length size.
+    """Certified norm of the CoarseOperator K of coarse_norm and, with
+    with_vector, its Ritz right vector padded with zero blocks to length
+    size.
 
     Golub-Kahan-Lanczos with full reorthogonalization from a fixed seeded
     start vector builds K V = U B with B upper bidiagonal; the largest
@@ -500,14 +509,9 @@ class PropagatorSet:
     e_fcf: np.ndarray
     r_f: np.ndarray
     r_fcf: np.ndarray
-    a_delta: np.ndarray
-    b_delta_inv: np.ndarray
-    r_ideal: np.ndarray
-    p_ideal: np.ndarray
     cgc_res: np.ndarray      # I - A_d B_d^{-1}
     cgc_err: np.ndarray      # I - B_d^{-1} A_d
     relax_factor: np.ndarray # A_cf A_ff^{-1} A_fc
-    permutation: np.ndarray  # F-then-C ordering of the fine unknowns
 
     def coarse_block(self, relaxation: str, side: str = "residual") -> np.ndarray:
         """C-level propagation block whose powers drive post-first iterations."""
@@ -522,8 +526,6 @@ class PropagatorSet:
 def build_propagators(sys: SpaceTimeSystem) -> PropagatorSet:
     sys._require_dense()
     r_ideal, p_ideal = ideal_transfer(sys)
-    a_delta = schur_complement(sys)
-    b_inv = coarse_solve_operator(sys.pair, sys.grid)
     cgc_res, cgc_err, relax = coarse_defect_blocks(sys.pair, sys.grid)
     nf = len(sys.grid.f_points) * sys.pair.dim
     nc_dim = sys.grid.n_coarse * sys.pair.dim
@@ -538,8 +540,7 @@ def build_propagators(sys: SpaceTimeSystem) -> PropagatorSet:
     r_fcf = pad_rows(cgc_res @ relax) @ r_ideal
     e_f = p_ideal @ pad_cols(cgc_err)
     e_fcf = p_ideal @ pad_cols(cgc_err @ relax)
-    return PropagatorSet(e_f, e_fcf, r_f, r_fcf, a_delta, b_inv, r_ideal,
-                         p_ideal, cgc_res, cgc_err, relax, sys.permutation)
+    return PropagatorSet(e_f, e_fcf, r_f, r_fcf, cgc_res, cgc_err, relax)
 
 
 class Step:

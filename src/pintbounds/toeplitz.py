@@ -17,10 +17,9 @@ import numpy as np
 
 from .operators import (StepperPair, _unit, coarse_factors, ill_conditioned,
                         matrix_power)
-from .spacetime import GridSpec
+from .spacetime import GridSpec, block_rows, coarse_norm
 from .tridiag import (bidiagonal_gram, gershgorin_min, relaxed_toeplitz_min,
                       tridiag_stack_min)
-from . import spacetime as _st
 from . import tap as _tap
 
 BRACKET_MIN_N = 10     # smallest N_c for which the bracket is proven
@@ -366,10 +365,6 @@ class DiagBound:
     upper: float
     index: int
     asymptote: float
-    k: int
-    n_coarse: int
-    p: int
-    relaxation: str
 
 
 def diag_bounds(fine_values, coarse_values, k: int, n_coarse: int,
@@ -396,8 +391,7 @@ def diag_bounds(fine_values, coarse_values, k: int, n_coarse: int,
     up_i = (num / den_up) ** p
     idx = int(np.argmax(up_i))
     asym = float(np.max(num / (1.0 - mu_abs)) ** p)
-    return DiagBound(float(np.max(low_i)), float(np.max(up_i)), idx, asym,
-                     k, n_coarse, p, relaxation)
+    return DiagBound(float(np.max(low_i)), float(np.max(up_i)), idx, asym)
 
 
 # ---------------------------------------------------------------------------
@@ -536,35 +530,20 @@ class NecessaryBound:
 
 def necessary_lower_bound(pair: StepperPair, grid: GridSpec,
                           relaxation: str = "F", p: int = 1,
-                          side: str = "residual", *,
-                          coarse_norm: float | None = None) -> NecessaryBound:
+                          side: str = "residual") -> NecessaryBound:
     """Lower bound on the norm of the p-th power of the coarse-level
-    propagation block X on either side: ||X^p|| = ||T_n(G^p)||,
-    n = block_rows(grid, relaxation, p), by Golub-Kahan-Lanczos on a
-    realization of G^p with state dimension p N_x. A Ritz value is attained
-    by its Ritz vector, so it never exceeds the norm, and Lanczos runs until
-    the LDL* certificate of _lanczos_norm puts the norm within 2 TOL of it
-    or the Krylov space is the whole space. It inverts nothing, so a
-    singular D, Psi or Phi^k leaves it available. At p = 1 it is the
-    residual-side coarse norm, taken from coarse_norm when the caller
-    already has it, and also the error-side one when the steppers commute,
-    because the two blocks then coincide. It is unavailable only where X^p
-    is zero: n = 0."""
-    if p < 1:
-        raise ValueError("power must be >= 1")
+    propagation block X on either side: ||X^p||, the value of
+    spacetime.coarse_norm, which is attained by its vector and so never
+    exceeds the norm. At p = 1 the error-side block of a commuting pair is
+    the residual-side one, whose norm is taken. It is unavailable only where
+    X^p is zero: n = block_rows(grid, relaxation, p) = 0."""
+    n = block_rows(grid, relaxation, p)
     if relaxation == "FCF" and grid.k == 1:
         return NecessaryBound(0.0, False, "FCF relaxation at k = 1 is a "
                               "sequential solve; the coarse block is zero")
-    n = _st.block_rows(grid, relaxation, p)
     if n == 0:
         return NecessaryBound(0.0, False,
                               "too few coarse points for the requested power")
-    if p == 1 and (side == "residual" or pair.commuting):
-        if coarse_norm is None:
-            coarse_norm = _st.coarse_norm(pair, grid, relaxation).value
-        return NecessaryBound(float(coarse_norm), True)
-    lft, rgt = coarse_factors(pair, relaxation, side)
-    a, b, c = _tap._tap_realization(pair.coarse.matrix, rgt, lft, p,
-                                    rgt @ lft)
-    op = _st.CoarseOperator(a, b, c, n)
-    return NecessaryBound(_st._lanczos_norm(op, n * pair.dim, False).value, True)
+    side = "residual" if p == 1 and pair.commuting else side
+    return NecessaryBound(coarse_norm(pair, grid, relaxation, p=p,
+                                      side=side).value, True)

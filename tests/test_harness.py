@@ -256,6 +256,40 @@ class TestRunExperiment:
             "F: necessary bound 5.000000e-01 exceeds the worst-case ratio "
             "(coarse block norm) 2.500000e-01"]
 
+    def test_necessary_row_is_read_from_the_coarse_norm(self, tmp_path,
+                                                         monkeypatch, capsys):
+        # run and bounds take the necessary row from the coarse norm they
+        # hold: one CoarseOperator per relaxation, and no second Lanczos
+        # through necessary_lower_bound
+        built, called = [], []
+        original = tp.necessary_lower_bound
+
+        class Counted(st.CoarseOperator):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(st, "CoarseOperator", Counted)
+        monkeypatch.setattr(tp, "necessary_lower_bound", lambda *a, **kw: (
+            called.append(a) or original(*a, **kw)))
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(base_config(
+            problem={"kind": "advection-1d-upwind", "n": 4, "h": 0.25},
+            relaxations=["F", "FCF"], initial_error="worst-case")))
+        for argv in (["run", "--config", str(path), "--out",
+                      str(tmp_path / "out")],
+                     ["bounds", "--config", str(path)]):
+            built.clear()
+            capsys.readouterr()
+            assert cli.main(argv) == 0
+            assert len(built) == 2
+        assert not called
+        rows = {(r["relaxation"], r["kind"]): r["lower"]
+                for r in json.loads(capsys.readouterr().out)}
+        for relaxation in ("F", "FCF"):
+            assert rows[relaxation, "necessary"] == \
+                rows[relaxation, "coarse-norm"] > 0.0
+
     @pytest.mark.parametrize("twin", [False, True])
     def test_cancelling_first_value_is_not_a_violation(self, twin):
         # Phi has the eigenvalue -36.4: the worst-case seed grows to 1e12,
@@ -1393,6 +1427,56 @@ class TestCli:
         # bool is one
         path = tmp_path / "cfg.yaml"
         path.write_text(yaml.safe_dump(base_config(**overrides)))
+        assert cli.main(["bounds", "--config", str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"configuration error: {key}: ")
+
+    @pytest.mark.parametrize("overrides,key,shown", [
+        ({"relaxations": ["F", "F"]}, "relaxations", "['F', 'F']"),
+        ({"norms": ["l2", "l2", "AstarA"]}, "norms", "['l2', 'l2', 'AstarA']"),
+        ({"relaxations": "F"}, "relaxations", "'F'"),
+        ({"norms": "AstarA"}, "norms", "'AstarA'"),
+        ({"relaxations": []}, "relaxations", "[]"),
+    ], ids=["repeated-relaxation", "repeated-norm", "bare-relaxation",
+            "bare-norm", "no-relaxation"])
+    def test_malformed_entry_list_exits_2(self, tmp_path, capsys, overrides,
+                                          key, shown):
+        # a repeated entry computed and printed its rows twice, and ended
+        # run in a traceback; a bare string was split into its letters
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(base_config(**overrides)))
+        for argv in (["run", "--config", str(path), "--out",
+                      str(tmp_path / "out")],
+                     ["bounds", "--config", str(path)]):
+            assert cli.main(argv) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1
+            assert err[0].startswith(f"configuration error: {key}: ")
+            assert shown in err[0]
+
+    @pytest.mark.parametrize("fine,key", [
+        ({"scheme": "backward-euler", "dt": True}, "fine.dt"),
+        ({"scheme": "theta", "dt": 0.02, "theta": "abc"}, "fine.theta"),
+        ({"scheme": "custom-rational", "dt": 0.02, "numerator": [1, True],
+          "denominator": [1, -1]}, "fine.numerator[1]"),
+        ({"scheme": "custom-rational", "dt": 0.02, "numerator": [1, "abc"],
+          "denominator": [1, -1]}, "fine.numerator[1]"),
+        ({"scheme": "custom-rational", "dt": 0.02, "numerator": [1],
+          "denominator": 3}, "fine.denominator"),
+    ], ids=["bool-dt", "text-theta", "bool-coefficient", "text-coefficient",
+            "scalar-coefficients"])
+    @pytest.mark.parametrize("section", ["fine", "coarse"])
+    def test_malformed_scheme_value_exits_2(self, tmp_path, capsys, fine, key,
+                                            section):
+        # float() read true as 1.0, and tuple() kept a bool coefficient; the
+        # other values failed with messages that named no key
+        coarse = {"scheme": "backward-euler", "dt": 0.04}
+        if section == "coarse":
+            fine, coarse = coarse, fine
+            key = key.replace("fine", "coarse")
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(base_config(fine=fine, coarse=coarse)))
         assert cli.main(["bounds", "--config", str(path)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1

@@ -811,6 +811,17 @@ class TestLanczosNorm:
         assert res.value == res.upper == math.inf and not res.certified
 
     @pytest.mark.parametrize("relaxation", ["F", "FCF"])
+    def test_error_side_matches_dense_block(self, relaxation):
+        # without commuting steppers the error-side block I - B^{-1} A is
+        # not the residual-side one, and its norm comes from its own factors
+        pair, grid = lanczos_case("contractions")
+        _, cgc_err, relax = st.coarse_defect_blocks(pair, grid)
+        block = cgc_err if relaxation == "F" else cgc_err @ relax
+        res = st.coarse_norm(pair, grid, relaxation, p=1, side="error")
+        assert res.method == "lanczos" and res.certified
+        assert res.value == pytest.approx(np.linalg.norm(block, 2), rel=1e-12)
+
+    @pytest.mark.parametrize("relaxation", ["F", "FCF"])
     @pytest.mark.parametrize("name", LANCZOS_CASES)
     def test_matches_dense_block(self, name, relaxation):
         pair, grid = lanczos_case(name)

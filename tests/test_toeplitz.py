@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -603,6 +604,12 @@ class TestNecessaryLowerBound:
         assert nb.available
         dense = ops.matrix_power(dense_block(pair, grid, relaxation, side), p)
         assert nb.value == pytest.approx(np.linalg.norm(dense, 2), rel=1e-12)
+
+    def test_takes_no_coarse_norm(self):
+        # the coarse norm is computed by spacetime.coarse_norm alone; a
+        # caller that holds it reads the bound from it
+        params = inspect.signature(tp.necessary_lower_bound).parameters
+        assert "coarse_norm" not in params and len(params) == 5
 
     def test_exact_coarse_unavailable(self):
         # an exact coarse stepper, Psi = Phi^2, makes the block and every

@@ -328,7 +328,7 @@ def _bound_rows(pair: ops.StepperPair, grid: st.GridSpec, relaxation: str,
         n_bracket = grid.n_coarse - (relaxation == "FCF")
         db = tp.diag_bounds(pair.shared_eig.fine_values,
                             pair.shared_eig.coarse_values, pair.k,
-                            n_bracket, 1, relaxation)
+                            n_bracket, relaxation)
         rows.append({"relaxation": relaxation, "kind": "diagonalizable-bracket",
                      "lower": db.lower, "upper": db.upper,
                      "certified": n_bracket >= tp.BRACKET_MIN_N,

@@ -379,6 +379,17 @@ def coarse_factors(pair: StepperPair, relaxation: str, side: str):
     return np.eye(pair.dim), pair.coarse_defect @ m
 
 
+def mode_defects(fine_values, coarse_values, k: int, relaxation: str):
+    """(|mu|, d), the per-mode twin of coarse_factors: d_m = |mu_m - lam_m|,
+    times |lam_m| for FCF, lam = lambda^k, for the eigenvalues lambda of Phi
+    and mu of Psi. Every per-mode closed form is d over a function of |mu|."""
+    if relaxation not in ("F", "FCF"):
+        raise ValueError(f"unknown relaxation {relaxation!r}")
+    lam, mu = np.asarray(fine_values) ** k, np.asarray(coarse_values)
+    d = np.abs(mu - lam)
+    return np.abs(mu), (d * np.abs(lam) if relaxation == "FCF" else d)
+
+
 def make_pair(fine: Stepper, coarse: Stepper, k: int) -> StepperPair:
     """The pair (Phi, Psi) with coarsening factor k. Steppers on one normal
     operator, built from its eigenvalues (build_stepper), commute and share

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import (StepperPair, _real_if, _unit, coarse_factors,
-                        matrix_power)
+                        matrix_power, mode_defects)
 from .tap import TOL, _tap_realization
 from .tridiag import relaxed_toeplitz_min
 
@@ -253,23 +253,22 @@ def _mode_solve(pair: StepperPair, grid: GridSpec, relaxation: str):
     entries mu^(i-j)), whose entries are (lam - mu) mu^(i-j-1) below the
     diagonal. Past its zero first row and last column it is (lam - mu) C^{-1},
     C unit lower bidiagonal of order n = N_c - 1 with subdiagonal -mu, so its
-    norm is |lam - mu| / sqrt(lambda_min(C C^*)). The FCF block is lam times
-    the F block at N_c - 1, and zero when k = 1 (no F-points). uppers come
-    from the low end of each certified root bracket, and theta is the root
-    angle that gives each mode's singular vector. This is CoarseOperator with
-    1 x 1 blocks, one per mode, and needs no dense block."""
+    norm is d / sqrt(lambda_min(C C^*)), d of mode_defects. The FCF block is
+    lam times the F block at N_c - 1, and zero when k = 1 (no F-points).
+    uppers come from the low end of each certified root bracket, and theta
+    is the root angle that gives each mode's singular vector. This is
+    CoarseOperator with 1 x 1 blocks, one per mode, with no dense block."""
     n = block_rows(grid, relaxation)
     eig = pair.shared_eig
-    lam, mu = eig.fine_values ** pair.k, eig.coarse_values
     if n == 0:
-        zero = np.zeros(mu.size)
+        zero = np.zeros(pair.dim)
         return n, zero, zero, zero, True
-    low, low_bound, theta, certified = relaxed_toeplitz_min(mu, n)
-    gap = np.abs(lam - mu)
-    norms, uppers = gap / np.sqrt(low), gap / np.sqrt(low_bound)
-    if relaxation == "FCF":
-        norms, uppers = np.abs(lam) * norms, np.abs(lam) * uppers
-    return n, norms, uppers, theta, bool(certified.all())
+    _, d = mode_defects(eig.fine_values, eig.coarse_values, pair.k,
+                        relaxation)
+    low, low_bound, theta, certified = relaxed_toeplitz_min(
+        eig.coarse_values, n)
+    return (n, d / np.sqrt(low), d / np.sqrt(low_bound), theta,
+            bool(certified.all()))
 
 
 @dataclass(frozen=True)
@@ -297,6 +296,8 @@ def coarse_norm(pair: StepperPair, grid: GridSpec, relaxation: str,
     certificate (_lanczos_norm) on a realization of G^p with state dimension
     p N_x (tap._tap_realization), which inverts nothing: a singular D, Psi
     or Phi^k needs no special case. No dense block is built."""
+    if side not in ("residual", "error"):
+        raise ValueError(f"unknown side {side!r}")
     if not (pair.normal and p == 1):
         lft, rgt = coarse_factors(pair, relaxation, side)
         # the link R L enters from p = 2 on; unused at p = 1, it may overflow
@@ -304,7 +305,8 @@ def coarse_norm(pair: StepperPair, grid: GridSpec, relaxation: str,
         op = CoarseOperator(*_tap_realization(pair.coarse.matrix, rgt, lft,
                                               p, link),
                             block_rows(grid, relaxation, p))
-        return _lanczos_norm(op, grid.n_coarse * pair.dim, with_vector)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _lanczos_norm(op, grid.n_coarse * pair.dim, with_vector)
     n, norms, uppers, theta, certified = _mode_solve(pair, grid, relaxation)
     m = int(np.argmax(norms))
     vector = None

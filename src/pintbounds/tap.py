@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import (StepperPair, _unit, coarse_factors, ill_conditioned,
-                        matrix_power)
+                        matrix_power, mode_defects)
 
 STACK_ENTRIES = 2**18  # most matrix entries one stacked evaluation holds
 
@@ -351,19 +351,13 @@ def itap_constant(pair: StepperPair, relaxation: str = "F") -> TapResult:
 
 
 def teap_constant(pair: StepperPair, relaxation: str = "F") -> TapResult:
-    """max_i |mu_i - lambda_i^k| (|lambda_i^k| for FCF) / (1 - |mu_i|)."""
-    if relaxation not in ("F", "FCF"):
-        raise ValueError(f"unknown relaxation {relaxation!r}")
+    """max_i d_i / (1 - |mu_i|), d of operators.mode_defects."""
     e = pair.shared_eig
     if e is None:
         raise ValueError("eigenvalue constant needs a shared eigendecomposition")
-    mu_abs = np.abs(e.coarse_values)
-    if np.any(mu_abs >= 1.0):
-        raise ValueError("coarse eigenvalue magnitude >= 1")
-    lam_k = e.fine_values ** pair.k
-    vals = np.abs(e.coarse_values - lam_k) / (1.0 - mu_abs)
-    if relaxation == "FCF":
-        vals = vals * np.abs(lam_k)
+    mu_abs, d = mode_defects(e.fine_values, e.coarse_values, pair.k,
+                             relaxation)
+    vals = d / (1.0 - mu_abs)
     idx = int(np.argmax(vals))
     phase = float(np.angle(e.coarse_values[idx]) % (2.0 * np.pi))
     value = float(vals[idx])

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import (StepperPair, _unit, coarse_factors, ill_conditioned,
-                        matrix_power)
+                        matrix_power, mode_defects)
 from .spacetime import GridSpec, block_rows, coarse_norm
 from .tridiag import (bidiagonal_gram, gershgorin_min, relaxed_toeplitz_min,
                       tridiag_stack_min)
@@ -173,20 +173,14 @@ def normal_symbol_max(pair: StepperPair, grid: GridSpec,
     The symbol splits into scalar modes z (mu - lam) sum_{j<N_c} (z mu)^j,
     times lam for FCF, with lam = lambda^k. Since |sum_j (z mu)^j| <=
     sum_j |mu|^j with equality at z mu = |mu|, mode m peaks at
-    |mu - lam| (1 - |mu|^N_c) / (1 - |mu|); make_pair makes a pair normal
-    only when every |mu| < 1."""
-    if relaxation not in ("F", "FCF"):
-        raise ValueError(f"unknown relaxation {relaxation!r}")
+    d_m (1 - |mu|^N_c) / (1 - |mu|), d of operators.mode_defects; make_pair
+    makes a pair normal only when every |mu| < 1."""
     if not pair.normal:
         raise ValueError("closed-form symbol needs a unitary shared eigenbasis")
     eig = pair.shared_eig
-    lam = eig.fine_values ** pair.k
-    mu_abs = np.abs(eig.coarse_values)
-    vals = (np.abs(eig.coarse_values - lam)
-            * (1.0 - mu_abs ** grid.n_coarse) / (1.0 - mu_abs))
-    if relaxation == "FCF":
-        vals = vals * np.abs(lam)
-    return float(np.max(vals))
+    mu_abs, d = mode_defects(eig.fine_values, eig.coarse_values, pair.k,
+                             relaxation)
+    return float(np.max(d * (1.0 - mu_abs ** grid.n_coarse) / (1.0 - mu_abs)))
 
 
 # ---------------------------------------------------------------------------
@@ -367,31 +361,30 @@ class DiagBound:
     asymptote: float
 
 
+def _bracket(m, n: int):
+    """(lower, upper): the appendix bracket (1 - m)^2 + pi^2 m / (c n^2),
+    c = 6 and 1, of tridiag_perturbed_min_eig at |mu| = m."""
+    return tuple((1.0 - m) ** 2 + np.pi**2 * m / (c * n * n) for c in (6.0, 1.0))
+
+
 def diag_bounds(fine_values, coarse_values, k: int, n_coarse: int,
-                p: int = 1, relaxation: str = "F") -> DiagBound:
-    """Two-sided per-mode convergence bracket for simultaneously
-    diagonalizable pairs, plus the infinite-horizon asymptote."""
-    lam = np.asarray(fine_values, dtype=complex)
-    mu = np.asarray(coarse_values, dtype=complex)
+                relaxation: str = "F") -> DiagBound:
+    """Two-sided per-mode convergence bracket d / sqrt(_bracket) for
+    simultaneously diagonalizable pairs, d of operators.mode_defects, and the
+    infinite-horizon asymptote max d / (1 - |mu|), the TEAP."""
+    lam, mu = np.asarray(fine_values), np.asarray(coarse_values)
     if lam.shape != mu.shape or lam.ndim != 1:
         raise ValueError("eigenvalue arrays must be 1-d and congruent")
-    if relaxation not in ("F", "FCF"):
-        raise ValueError(f"unknown relaxation {relaxation!r}")
-    mu_abs = np.abs(mu)
+    mu_abs, num = mode_defects(lam, mu, k, relaxation)
     if np.any(mu_abs >= 1.0):
         raise ValueError("coarse eigenvalue magnitude >= 1")
-    lam_k = lam ** k
-    num = np.abs(mu - lam_k)
-    if relaxation == "FCF":
-        # with k = 1 there are no F-points: FCF relaxation solves exactly
-        num = num * np.abs(lam_k) * (k >= 2)
-    den_lo = np.sqrt((1.0 - mu_abs) ** 2 + np.pi**2 * mu_abs / n_coarse**2)
-    den_up = np.sqrt((1.0 - mu_abs) ** 2 + np.pi**2 * mu_abs / (6.0 * n_coarse**2))
-    low_i = (num / den_lo) ** p
-    up_i = (num / den_up) ** p
+    # with k = 1 there are no F-points: FCF relaxation solves exactly
+    num = num * (relaxation == "F" or k >= 2)
+    eig_lo, eig_up = _bracket(mu_abs, n_coarse)
+    up_i = num / np.sqrt(eig_lo)
     idx = int(np.argmax(up_i))
-    asym = float(np.max(num / (1.0 - mu_abs)) ** p)
-    return DiagBound(float(np.max(low_i)), float(np.max(up_i)), idx, asym)
+    return DiagBound(float(np.max(num / np.sqrt(eig_up))), float(up_i[idx]),
+                     idx, float(np.max(num / (1.0 - mu_abs))))
 
 
 # ---------------------------------------------------------------------------
@@ -410,9 +403,9 @@ def tridiag_toeplitz_eigs(mu: complex, n: int) -> np.ndarray:
 def tridiag_perturbed_min_eig(mu: complex, n: int):
     """Minimum eigenvalue of the tridiagonal Toeplitz matrix whose last
     diagonal entry is relaxed from 1+|mu|^2 to 1, with the certified bracket
-    (1-|mu|)^2 + pi^2 |mu|/(6 n^2) <= value <= (1-|mu|)^2 + pi^2 |mu|/n^2.
-    The matrix is the flip J T J of the per-mode Gram matrix T of
-    relaxed_toeplitz_min, whose closed form gives the value.
+    lower <= value <= upper of _bracket. The matrix is the flip J T J of the
+    per-mode Gram matrix T of relaxed_toeplitz_min, whose closed form gives
+    the value.
 
     The bracket proof needs n >= 10; below that the value is still computed
     and the bounds are omitted.
@@ -425,8 +418,7 @@ def tridiag_perturbed_min_eig(mu: complex, n: int):
     value = float(relaxed_toeplitz_min(np.array([m]), n)[0][0])
     if n < BRACKET_MIN_N:
         return value, None, None
-    lower = (1.0 - m) ** 2 + np.pi**2 * m / (6.0 * n * n)
-    upper = (1.0 - m) ** 2 + np.pi**2 * m / (n * n)
+    lower, upper = _bracket(m, n)
     return value, float(lower), float(upper)
 
 

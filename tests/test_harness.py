@@ -606,6 +606,34 @@ class TestRunExperiment:
         norms = [r for r in rows if r["kind"] == "coarse-norm"]
         assert len(norms) == 2 and all(r["certified"] for r in norms)
 
+    def _rk4_config(self, tmp_path):
+        # RK4 at dt 0.01 on h = 1/9: Psi is unstable, its powers pass 1e154,
+        # and the coarse norm's Lanczos squares overflow
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(base_config(
+            problem={"kind": "laplacian-1d-dirichlet", "n": 8, "h": 1 / 9},
+            fine={"scheme": "rk4", "dt": 0.01}, k=4, n_time=257)))
+        return path
+
+    def test_overflowing_lanczos_norm_leaks_no_warning(self, tmp_path,
+                                                       capsys):
+        path = self._rk4_config(tmp_path)
+        assert cli.main(["bounds", "--config", str(path)]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        rows = {r["kind"]: r for r in json.loads(out)}
+        assert rows["coarse-norm"]["method"] == "lanczos"
+        assert not rows["coarse-norm"]["certified"]
+        assert rows["symbol"]["certified"]
+
+    def test_overflowing_lanczos_norm_run_is_a_config_error(self, tmp_path,
+                                                           capsys):
+        path = self._rk4_config(tmp_path)
+        assert cli.main(["run", "--config", str(path), "--out",
+                         str(tmp_path)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("configuration error")
+
     def test_infinite_coarse_norm_leaves_necessary_uncertified(
             self, tmp_path, capsys):
         # the same pair: the coarse norm, and the necessary bound at p = 1
@@ -792,6 +820,29 @@ class TestNormalPairPath:
             assert by_kind["symbol"]["certified"] is True
             assert by_kind["symbol"]["method"] == "closed-form"
             assert by_kind["necessary"]["lower"] == by_kind["coarse-norm"]["lower"]
+
+    @pytest.mark.parametrize("overrides", [
+        # FCF printed tap 0.07205137792508112 and asymptote
+        # 0.07205137792508111 while each rebuilt the defects itself
+        {"fine": {"scheme": "backward-euler", "dt": 1e-3}, "k": 4},
+        {"problem": {"kind": "laplacian-1d-dirichlet", "n": 8, "h": 1 / 9},
+         "fine": {"scheme": "sdirk2", "dt": 0.01},
+         "coarse": {"scheme": "backward-euler", "dt": 0.02}, "k": 2},
+        {"fine": {"scheme": "theta", "theta": 0.75, "dt": 0.05}, "k": 4,
+         "n_time": 33},
+    ])
+    def test_tap_row_is_the_bracket_asymptote(self, overrides):
+        # both are the TEAP, max d / (1 - |mu|) over the defects of
+        # operators.mode_defects, so they agree to the last bit
+        cfg = harness.ExperimentConfig.from_dict(base_config(
+            relaxations=["F", "FCF"], **overrides))
+        rec = harness.run_experiment(cfg)
+        for relaxation in ("F", "FCF"):
+            rows = {r["kind"]: r for r in rec.bounds
+                    if r["relaxation"] == relaxation}
+            assert rows["tap"]["method"] == "eigenvalue"
+            assert (rows["tap"]["lower"]
+                    == rows["diagonalizable-bracket"]["asymptote"] > 0.0)
 
     def test_run_without_phase_sweep(self, no_sweep):
         cfg = harness.ExperimentConfig.from_dict(base_config(

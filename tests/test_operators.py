@@ -409,6 +409,22 @@ class TestPairs:
         assert pair.commuting
         assert abs(pair.coarse_defect[0, 0] - 0.05) < 1e-15
 
+    @pytest.mark.parametrize("relaxation", ["F", "FCF"])
+    def test_mode_defects_are_the_factor_moduli(self, relaxation):
+        # on diagonal steppers the factors (D, M) of coarse_factors are
+        # diagonal, and d_m is the modulus of mode m of D M
+        lam = np.array([0.9, -0.5 + 0.2j, 0.3j])
+        mu = np.array([0.8, 0.25, -0.1 + 0.1j])
+        pair = raw_pair(np.diag(lam), np.diag(mu), 3)
+        mu_abs, d = ops.mode_defects(lam, mu, 3, relaxation)
+        lft, rgt = ops.coarse_factors(pair, relaxation, "residual")
+        assert np.allclose(d, np.abs(np.diag(lft @ rgt)), rtol=1e-14)
+        assert np.array_equal(mu_abs, np.abs(mu))
+
+    def test_mode_defects_refuse_an_unknown_relaxation(self):
+        with pytest.raises(ValueError, match="unknown relaxation 'CF'"):
+            ops.mode_defects([0.5], [0.6], 1, "CF")
+
 
 @settings(max_examples=20, deadline=None)
 @given(hst.integers(min_value=1, max_value=6), hst.integers(min_value=1, max_value=5))

@@ -821,6 +821,17 @@ class TestLanczosNorm:
         assert res.method == "lanczos" and res.certified
         assert res.value == pytest.approx(np.linalg.norm(block, 2), rel=1e-12)
 
+    @pytest.mark.parametrize("method", ["per-mode", "lanczos"])
+    def test_unknown_side_is_refused(self, method):
+        # the per-mode path reads no factors, and checks side itself
+        if method == "per-mode":
+            pair, grid = heat_pair(nx=8, dt=0.02, k=4), st.GridSpec(65, 4)
+        else:
+            pair, grid = lanczos_case("contractions")
+        assert st.coarse_norm(pair, grid, "F").method == method
+        with pytest.raises(ValueError, match="unknown side 'bogus'"):
+            st.coarse_norm(pair, grid, "F", side="bogus")
+
     @pytest.mark.parametrize("relaxation", ["F", "FCF"])
     @pytest.mark.parametrize("name", LANCZOS_CASES)
     def test_matches_dense_block(self, name, relaxation):

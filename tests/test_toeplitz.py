@@ -434,8 +434,16 @@ class TestDiagBounds:
         block = cgc_res if relaxation == "F" else cgc_res @ relax
         dense = np.linalg.norm(block, 2)
         e = pair.shared_eig
-        db = tp.diag_bounds(e.fine_values, e.coarse_values, 2, nc, 1, relaxation)
+        db = tp.diag_bounds(e.fine_values, e.coarse_values, 2, nc,
+                            relaxation=relaxation)
         assert db.lower <= dense <= db.upper
+
+    def test_takes_no_power(self):
+        # the bracket is that of the block itself; horizon sweeps pass the
+        # first four parameters positionally
+        params = list(inspect.signature(tp.diag_bounds).parameters)
+        assert params == ["fine_values", "coarse_values", "k", "n_coarse",
+                          "relaxation"]
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -25,6 +25,7 @@ from . import toeplitz as tp
 from .tridiag import tridiag_min_eig, tridiag_stack_min
 
 RATIO_FLOOR = 1e-300
+CHUNK_ENTRIES = 2**18  # most space-time entries of a random seed per chunk
 # a ratio whose previous error is at most this times the series' initial
 # error measures round-off, not convergence, and is not checked
 ROUNDOFF_FLOOR = 1e3 * np.finfo(float).eps
@@ -249,10 +250,68 @@ def _worst_case_error(sys: st.SpaceTimeSystem, w: np.ndarray) -> np.ndarray:
     """Initial error whose first measured A*A ratio equals the norm of the
     coarse-level propagation block: P_ideal A_Delta^{-1} w, w its leading
     right singular vector, which is A^{-1} of w injected at the C-points."""
-    nx = sys.pair.dim
-    rhs = np.zeros((sys.grid.n_time, nx), dtype=w.dtype)
-    rhs[::sys.grid.k] = w.reshape(-1, nx)
+    rhs = np.zeros((sys.grid.n_time, sys.width), dtype=w.dtype)
+    rhs[::sys.grid.k] = w.reshape(-1, sys.width)
     return sys.fine_solver.solve(rhs)
+
+
+def _error_norms(sys: st.SpaceTimeSystem, relaxation: str,
+                 cfg: ExperimentConfig, cnorm: st.CoarseNorm,
+                 rng) -> np.ndarray:
+    """The norms (_norm_series) of the iterates of the initial error: the
+    worst-case one where rng is None, else a random one, a complex
+    Gaussian drawn in the coordinates of sys, which is unitarily invariant,
+    so a draw in mode coordinates has the law of a physical one.
+
+    A normal pair's modes never mix, and each part below is iterated on the
+    system restricted to its modes. The worst-case error of a per-mode
+    coarse vector is nonzero in one mode alone. A random error is drawn in
+    chunks of whole modes of at most CHUNK_ENTRIES entries (one mode at
+    least); every norm is a root of a sum of squares over modes, so those
+    of the parts combine by hypot, and since they are homogeneous they are
+    divided by the norm of the whole draw at the end. A draw that one chunk
+    holds is normalized as drawn instead. Each initial error is passed on
+    unnamed, so that it is freed once it is iterated."""
+    if rng is None:
+        part = sys if cnorm.mode is None else st.SpaceTimeSystem(
+            sys.pair, sys.grid, slice(cnorm.mode, cnorm.mode + 1))
+        return _norm_series(part, relaxation,
+                            _worst_case_error(part, cnorm.vector), cfg)
+    dim, nt = sys.pair.dim, sys.grid.n_time
+    width = max(CHUNK_ENTRIES // nt, 1) if sys.pair.normal else dim
+    if width >= dim:
+        return _norm_series(sys, relaxation, _gaussian(rng, sys.dim, True),
+                            cfg)
+    series = 0.0
+    for start in range(0, dim, width):
+        part = st.SpaceTimeSystem(sys.pair, sys.grid,
+                                  slice(start, start + width))
+        series = np.hypot(series, _norm_series(
+            part, relaxation, _gaussian(rng, nt * part.width), cfg))
+    return series / series[0, 0]
+
+
+def _gaussian(rng, n: int, unit: bool = False) -> np.ndarray:
+    """n entries of a standard complex Gaussian, normalized when unit."""
+    e = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    if unit:
+        e /= np.linalg.norm(e)
+    return e
+
+
+def _norm_series(sys: st.SpaceTimeSystem, relaxation: str, e: np.ndarray,
+                 cfg: ExperimentConfig) -> np.ndarray:
+    """One row per iterate e_i = E^i e, i = 0 ... cfg.iterations: ||e_i||,
+    which scales the rounding of A e_i, and then each of cfg.norms of
+    e_i."""
+    out = np.empty((cfg.iterations + 1, 1 + len(cfg.norms)))
+    for i in range(cfg.iterations + 1):
+        if i > 0:
+            e = st.apply_iteration(sys, relaxation, e)
+        size = float(np.linalg.norm(e))
+        out[i] = [size, *(size if n == "l2" else _vector_norm(e, n, sys)
+                          for n in cfg.norms)]
+    return out
 
 
 def _stability_decay(pair: ops.StepperPair, grid: st.GridSpec):
@@ -352,37 +411,26 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentRecord:
         sys.fine_solver, sys.coarse_solver
     except OverflowError as exc:
         raise ConfigError(str(exc)) from exc
-    rng = np.random.default_rng(cfg.seed)
+    worst_case = cfg.initial_error == "worst-case"
+    # made only where a seed is drawn: the import of numpy.random alone
+    # costs about 6 MB
+    rng = None if worst_case else np.random.default_rng(cfg.seed)
 
     trace, bounds, excluded = [], [], []
-    worst_case = cfg.initial_error == "worst-case"
     for relaxation in cfg.relaxations:
         cnorm = st.coarse_norm(pair, grid, relaxation, with_vector=worst_case)
-        values = {n: [] for n in cfg.norms}
-        sizes = []      # ||e_i||, which scales the rounding of A e_i
         # iterates may overflow where the refused powers do not; an error
         # norm past the floating-point range is refused as they are
         with np.errstate(over="ignore", invalid="ignore"):
-            if worst_case:
-                e = _worst_case_error(sys, cnorm.vector)
-            else:
-                # drawn in the coordinates of sys: a complex Gaussian is
-                # unitarily invariant, so a draw in mode coordinates has the
-                # law of a physical one
-                e = rng.standard_normal(sys.dim) \
-                    + 1j * rng.standard_normal(sys.dim)
-                e /= np.linalg.norm(e)
-            for i in range(cfg.iterations + 1):
-                if i > 0:
-                    e = st.apply_iteration(sys, relaxation, e)
-                sizes.append(float(np.linalg.norm(e)))
-                for n in cfg.norms:
-                    values[n].append(sizes[i] if n == "l2"
-                                     else _vector_norm(e, n, sys))
-                for n, series in [("l2", sizes), *values.items()]:
-                    if not math.isfinite(series[i]):
-                        raise ConfigError(f"{relaxation}/{n} error norm "
-                                          f"overflows at iteration {i}")
+            series = _error_norms(sys, relaxation, cfg, cnorm, rng)
+        for i, row in enumerate(series):
+            for n, value in zip(("l2", *cfg.norms), row):
+                if not math.isfinite(value):
+                    raise ConfigError(f"{relaxation}/{n} error norm "
+                                      f"overflows at iteration {i}")
+        sizes = series[:, 0].tolist()
+        values = {n: series[:, j].tolist()
+                  for j, n in enumerate(cfg.norms, start=1)}
         for n in cfg.norms:
             for i in range(cfg.iterations + 1):
                 ratio = None
@@ -763,11 +811,14 @@ def verify_suite(filter_name: str | None = None) -> list:
     if want("per-mode-iteration"):
         # each sandwich pair's per-mode iteration, in mode coordinates,
         # against that of its dense twin (_dense_twin, Phi and Psi from
-        # stability_matrix) from the U-images of the same random seed and
-        # worst-case coarse vector, relative to the running maximum of the
-        # dense error norms; and the Laplacian's eigenbasis U against the
-        # dense steppers: U^T U against I, U diag(lambda) U^T against Phi
-        # and U diag(mu) U^T against Psi
+        # stability_matrix) from the U-image of the same random seed,
+        # relative to the running maximum of the dense error norms; the
+        # trace that run_experiment records from the worst-case seed, which
+        # iterates one mode alone, against the dense twin's full-grid trace
+        # from the U-image of the seed's coarse vector, relative to the
+        # running maximum of each dense norm; and the Laplacian's eigenbasis
+        # U against the dense steppers: U^T U against I, U diag(lambda) U^T
+        # against Phi and U diag(mu) U^T against Psi
         worst = 0.0
         for cfg in _default_configs():
             pair = build_pair(cfg)
@@ -787,24 +838,41 @@ def verify_suite(filter_name: str | None = None) -> list:
                 return (x.reshape(-1, pair.dim) @ u.T).ravel()
 
             for relaxation in ("F", "FCF"):
-                e = rng.standard_normal(modal.dim) \
+                e_modes = rng.standard_normal(modal.dim) \
                     + 1j * rng.standard_normal(modal.dim)
-                w = st.coarse_norm(pair, grid, relaxation,
-                                   with_vector=True).vector
-                for e_modes, e_dense in (
-                        (e, physical(e)),
-                        (_worst_case_error(modal, w),
-                         _worst_case_error(dense, physical(w)))):
-                    scale = 0.0
-                    for i in range(cfg.iterations + 1):
-                        if i:
-                            e_dense = st.apply_iteration(dense, relaxation,
-                                                         e_dense)
-                            e_modes = st.apply_iteration(modal, relaxation,
-                                                         e_modes)
-                        scale = max(scale, np.linalg.norm(e_dense))
-                        worst = max(worst, np.linalg.norm(
-                            physical(e_modes) - e_dense) / scale)
+                e_dense = physical(e_modes)
+                scale = 0.0
+                for i in range(cfg.iterations + 1):
+                    if i:
+                        e_dense = st.apply_iteration(dense, relaxation,
+                                                     e_dense)
+                        e_modes = st.apply_iteration(modal, relaxation,
+                                                     e_modes)
+                    scale = max(scale, np.linalg.norm(e_dense))
+                    worst = max(worst, np.linalg.norm(
+                        physical(e_modes) - e_dense) / scale)
+            seeded = ExperimentConfig.from_dict({
+                **cfg.raw, "relaxations": ["F", "FCF"],
+                "initial_error": "worst-case"})
+            rec = run_experiment(seeded)
+            for relaxation in seeded.relaxations:
+                w = st.coarse_norm(pair, grid, relaxation, with_vector=True)
+                e = _worst_case_error(dense, physical(w.spread(pair.dim)))
+                # a physical vector's modified norm is its l2 norm, U
+                # being orthogonal
+                want_values = {n: [] for n in seeded.norms}
+                for i in range(seeded.iterations + 1):
+                    if i:
+                        e = st.apply_iteration(dense, relaxation, e)
+                    for n, series in want_values.items():
+                        series.append(_vector_norm(e, n, dense))
+                for n, series in want_values.items():
+                    got = [r["value"] for r in rec.trace
+                           if r["relaxation"] == relaxation
+                           and r["norm"] == n]
+                    scale = np.maximum.accumulate(series)
+                    worst = max(worst, float(np.max(
+                        np.abs(np.subtract(got, series)) / scale)))
         results.append(_check("per-mode-iteration", worst <= 1e-12,
                               1e-12 - worst))
 

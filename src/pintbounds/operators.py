@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 COMMUTATION_TOL = 1e-12
+DENSE_CAP = 4096       # largest order of a dense oracle block or operator
 NORMAL_TOL = 1e-10
 RCOND_CAP = 1e-12
 
@@ -23,38 +24,69 @@ def _real_if(m: np.ndarray) -> np.ndarray:
     return m.real if np.iscomplexobj(m) and not m.imag.any() else m
 
 
-@dataclass(frozen=True)
 class SpatialOperator:
-    matrix: np.ndarray
-    label: str
-    eigenvalues: np.ndarray | None = None   # those of a normal matrix
+    """The spatial operator L of u_t = L u, of order dim: a dense matrix, or
+    a symmetric tridiagonal Toeplitz one (the Dirichlet Laplacian) given by
+    band = (dim, diagonal value, off-diagonal value), whose matrix is formed
+    only when a consumer reads it. eigenvalues are those of a normal L,
+    checked on construction against Schur's equalities: the eigenvalues ell
+    of L sum to tr L, and sum |ell|^2 = ||L||_F^2 exactly when L is normal.
+    For a band these are n d and n d^2 + 2 (n - 1) o^2, so that no N_x^2
+    array is made."""
 
-    def __post_init__(self):
-        m = self.matrix
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("spatial operator must be a square matrix")
-        if not np.isfinite(m).all():
+    def __init__(self, matrix: np.ndarray | None, label: str,
+                 eigenvalues: np.ndarray | None = None,
+                 band: tuple[int, float, float] | None = None):
+        self.label, self.eigenvalues, self.band = label, eigenvalues, band
+        if band is None:
+            if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+                raise ValueError("spatial operator must be a square matrix")
+            if not np.isfinite(matrix).all():
+                raise ValueError("spatial operator has non-finite entries")
+            self.matrix = matrix
+        elif not (math.isfinite(band[1]) and math.isfinite(band[2])):
             raise ValueError("spatial operator has non-finite entries")
-        if self.eigenvalues is not None:
-            # Schur: the eigenvalues ell of m sum to tr m, and sum |ell|^2
-            # = ||m||_F^2 exactly when m is normal. Both sides are scaled
-            # by one power of two, so that entries past 1e154 do not
-            # overflow when squared
-            unit, exp = _unit(m)
-            ell = _ldexp(np.asarray(self.eigenvalues), -exp)
-            fro2 = float(np.vdot(unit, unit).real)
-            scale = max(math.ldexp(1.0, -exp), math.sqrt(fro2))
-            if (ell.shape != (m.shape[0],)
-                    or abs(ell.sum() - np.trace(unit))
-                    > NORMAL_TOL * math.sqrt(m.shape[0]) * scale
+        n = self.dim = matrix.shape[0] if band is None else band[0]
+        if eigenvalues is not None:
+            # both sides of Schur's equalities scaled by one power of two
+            trace, fro2, e = self._unit_moments()
+            ell = _ldexp(np.asarray(eigenvalues), -e)
+            scale = max(math.ldexp(1.0, -e), math.sqrt(fro2))
+            if (ell.shape != (n,)
+                    or abs(ell.sum() - trace)
+                    > NORMAL_TOL * math.sqrt(n) * scale
                     or abs(float(np.vdot(ell, ell).real) - fro2)
                     > NORMAL_TOL * scale**2):
                 raise ValueError("eigenvalues are not those of a normal "
                                  "operator")
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
+    def _unit_moments(self):
+        """(tr, ||.||_F^2, e) of L 2^-e, L scaled by a power of two, exactly,
+        to entries below one, so that entries past 1e154 do not overflow
+        when squared; from the band where there is one, with no N_x^2
+        array."""
+        if self.band is None:
+            unit, e = _unit(self.matrix)
+            return np.trace(unit), float(np.vdot(unit, unit).real), e
+        n, diag, off = self.band
+        # the largest entry, the off-diagonal one only where there is one
+        e = math.frexp(max(abs(diag), abs(off) if n > 1 else 0.0))[1]
+        diag, off = math.ldexp(diag, -e), math.ldexp(off, -e)
+        return n * diag, n * diag**2 + 2 * (n - 1) * off**2, e
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense matrix of a band; an order past DENSE_CAP raises
+        ValueError and allocates nothing."""
+        n, diag, off = self.band
+        if n > DENSE_CAP:
+            raise ValueError(f"the dense matrix of the spatial operator at "
+                             f"N_x = {n} exceeds the dense cap {DENSE_CAP}")
+        m = np.zeros((n, n))
+        i = np.arange(n)
+        m[i, i] = diag
+        m[i[1:], i[:-1]] = m[i[:-1], i[1:]] = off
+        return m
 
 
 def _parse_entry(tok: str) -> complex:
@@ -94,12 +126,11 @@ def build_spatial(kind: str, n: int | None = None, h: float = 1.0,
             raise ValueError("laplacian-1d-dirichlet needs n >= 1")
         if h <= 0:
             raise ValueError("mesh width must be positive")
-        m = (np.diag(np.full(n, -2.0)) + np.diag(np.ones(n - 1), 1)
-             + np.diag(np.ones(n - 1), -1)) / h**2
         ell = np.arange(1, n + 1)
         values = (-2.0 + 2.0 * np.cos(ell * np.pi / (n + 1))) / h**2
-        return SpatialOperator(m, f"laplacian-1d-dirichlet(n={n},h={h})",
-                               values.astype(complex))
+        return SpatialOperator(None, f"laplacian-1d-dirichlet(n={n},h={h})",
+                               values.astype(complex),
+                               band=(n, *np.array([-2.0, 1.0]) / h**2))
     if kind == "advection-1d-upwind":
         if n is None or n < 1:
             raise ValueError("advection-1d-upwind needs n >= 1")

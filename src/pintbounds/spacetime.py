@@ -12,16 +12,15 @@ from __future__ import annotations
 import copy
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import (StepperPair, _real_if, _unit, coarse_factors,
-                        matrix_power, mode_defects)
+from .operators import (DENSE_CAP, StepperPair, _real_if, _unit,
+                        coarse_factors, matrix_power, mode_defects)
 from .tap import TOL, _tap_realization
 from .tridiag import relaxed_toeplitz_min
 
-DENSE_CAP = 4096       # largest order of a dense oracle block
 LANCZOS_SEED = 0       # seed of the fixed Lanczos start vector
 RITZ_STRIDE = 4        # fewest Lanczos steps between two Ritz-value checks
 
@@ -64,13 +63,27 @@ class SpaceTimeSystem:
     pair's hold u itself. The dense assembly (full_matrix, blocks,
     permutation, build_propagators) is always the physical one. The dense
     twin of a normal pair, the same schemes on its operator without its
-    eigenvalues, is not normal, so it iterates physically."""
+    eigenvalues, is not normal, so it iterates physically. A normal pair's
+    system may hold the modes in a slice alone, since no step mixes modes:
+    its iteration path then has width columns, while dim is still the
+    order of A over every mode."""
     pair: StepperPair
     grid: GridSpec
+    modes: slice = field(default_factory=lambda: slice(None))
+
+    def __post_init__(self):
+        if self.modes != slice(None) and not self.pair.normal:
+            raise ValueError("only a normal pair splits into modes")
 
     @property
     def dim(self) -> int:
         return self.grid.n_time * self.pair.dim
+
+    @property
+    def width(self) -> int:
+        """The number of columns of the iteration path's space-time
+        vectors: N_x, or the number of modes held."""
+        return len(range(self.pair.dim)[self.modes])
 
     def _require_dense(self):
         if self.dim > DENSE_CAP:
@@ -96,16 +109,16 @@ class SpaceTimeSystem:
 
     @functools.cached_property
     def fine_step(self) -> Step:
-        """Phi, as its eigenvalues for a normal pair."""
+        """Phi, as the eigenvalues of the modes held for a normal pair."""
         if self.pair.normal:
-            return Step(self.pair.shared_eig.fine_values)
+            return Step(self.pair.shared_eig.fine_values[self.modes])
         return Step(self.pair.fine.matrix)
 
     @functools.cached_property
     def coarse_step(self) -> Step:
-        """Psi, as its eigenvalues for a normal pair."""
+        """Psi, as the eigenvalues of the modes held for a normal pair."""
         if self.pair.normal:
-            return Step(self.pair.shared_eig.coarse_values)
+            return Step(self.pair.shared_eig.coarse_values[self.modes])
         return Step(self.pair.coarse.matrix)
 
     @functools.cached_property
@@ -134,7 +147,7 @@ def apply_full(sys: SpaceTimeSystem, u: np.ndarray) -> np.ndarray:
     """Action of A on a space-time vector in time ordering. In mode
     coordinates A has diag(lambda) on its block subdiagonal, and unitary U
     leaves ||A u|| unchanged."""
-    nx, nt = sys.pair.dim, sys.grid.n_time
+    nx, nt = sys.width, sys.grid.n_time
     ub = u.reshape(nt, nx)
     out = ub.astype(np.result_type(ub, sys.fine_step.dtype))
     out[1:] -= sys.fine_step.apply(ub[:-1])
@@ -275,12 +288,25 @@ def _mode_solve(pair: StepperPair, grid: GridSpec, relaxation: str):
 class CoarseNorm:
     """Spectral norm of a power of the coarse-level block on either side.
     value is attained by vector (a lower bound); when certified no singular
-    value exceeds upper."""
+    value exceeds upper. A per-mode norm is that of the block of mode, and
+    its vector has that mode's N_c entries alone: it is in the coordinates
+    of the pair's SpaceTimeSystem restricted to the mode, where any other
+    vector is in those of the whole system."""
     value: float
     upper: float
     certified: bool
     method: str                  # "per-mode" or "lanczos"
     vector: np.ndarray | None    # unit right singular vector, when asked for
+    mode: int | None = None      # the mode attaining value, per mode
+
+    def spread(self, nx: int) -> np.ndarray:
+        """vector in the coordinates of the whole system of N_x modes: a
+        per-mode one in column mode, with zeros elsewhere."""
+        if self.mode is None:
+            return self.vector
+        out = np.zeros((self.vector.size, nx), dtype=self.vector.dtype)
+        out[:, self.mode] = self.vector
+        return out.ravel()
 
 
 def coarse_norm(pair: StepperPair, grid: GridSpec, relaxation: str,
@@ -288,14 +314,15 @@ def coarse_norm(pair: StepperPair, grid: GridSpec, relaxation: str,
                 side: str = "residual") -> CoarseNorm:
     """Norm of the p-th power X^p of the coarse-level block on side,
     ||T_n(G^p)|| with n = block_rows(grid, relaxation, p), and, with
-    with_vector, its leading right singular vector in the coordinates of the
-    pair's SpaceTimeSystem. Per mode for a normal pair at p = 1, on either
-    side, since its steppers commute and the two blocks coincide; the vector
-    is then mode m's own vector in column m and zeros elsewhere, real where
-    mu_m is. Otherwise matrix-free, by Golub-Kahan-Lanczos with a block LDL*
-    certificate (_lanczos_norm) on a realization of G^p with state dimension
-    p N_x (tap._tap_realization), which inverts nothing: a singular D, Psi
-    or Phi^k needs no special case. No dense block is built."""
+    with_vector, its leading right singular vector (CoarseNorm). Per mode for
+    a normal pair at p = 1, on either side, since its steppers commute and
+    the two blocks coincide; the vector then holds the N_c entries of the
+    vector of the mode m that attains the norm, real where mu_m is.
+    Otherwise matrix-free, by Golub-Kahan-Lanczos with a block LDL*
+    certificate (_lanczos_norm) on a realization of G^p with state
+    dimension p N_x (tap._tap_realization), which inverts nothing: a
+    singular D, Psi or Phi^k needs no special case. No dense block is
+    built."""
     if side not in ("residual", "error"):
         raise ValueError(f"unknown side {side!r}")
     if not (pair.normal and p == 1):
@@ -309,7 +336,7 @@ def coarse_norm(pair: StepperPair, grid: GridSpec, relaxation: str,
             return _lanczos_norm(op, grid.n_coarse * pair.dim, with_vector)
     n, norms, uppers, theta, certified = _mode_solve(pair, grid, relaxation)
     m = int(np.argmax(norms))
-    vector = None
+    v = None
     if with_vector:
         # mode m's block is zero past its first n columns, where its right
         # singular vector is the eigenvector of C C^* at lambda_min:
@@ -324,11 +351,8 @@ def coarse_norm(pair: StepperPair, grid: GridSpec, relaxation: str,
                     else np.where((mu.real < 0) & (j % 2 == 1), -1.0, 1.0))
             v[:n] = turn * np.sin((n + 1 - j) * theta[m])
             v /= np.linalg.norm(v)
-        vector = np.zeros((grid.n_coarse, pair.dim), dtype=v.dtype)
-        vector[:, m] = v
-        vector = vector.ravel()
     return CoarseNorm(float(norms[m]), float(uppers.max()), certified,
-                      "per-mode", vector)
+                      "per-mode", v, m)
 
 
 class CoarseOperator:
@@ -399,6 +423,18 @@ class CoarseOperator:
         return True
 
 
+def _norm(w: np.ndarray) -> float:
+    """||w||; retaken on w scaled by a power of two, exactly, only where the
+    plain norm is not finite, since its squares may overflow where the norm
+    itself does not."""
+    size = float(np.linalg.norm(w))
+    if math.isfinite(size):
+        return size
+    unit, e = _unit(w)
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(np.linalg.norm(unit), e))
+
+
 def _orthonormalize(w: np.ndarray, basis: np.ndarray, rng):
     """(unit vector, coefficient): w less its components along the
     orthonormal rows of basis, and its norm. A Gram-Schmidt pass that
@@ -406,12 +442,12 @@ def _orthonormalize(w: np.ndarray, basis: np.ndarray, rng):
     Stewart); a w that a second pass cancels too lies in the span of basis
     to rounding, and a fresh random direction with coefficient 0 replaces
     it, which keeps the Lanczos relations exact."""
-    size = float(np.linalg.norm(w))
+    size = _norm(w)
     if not math.isfinite(size):
         return w, size
     for _ in range(2):
         w = w - (basis @ w.conj()).conj() @ basis
-        norm = float(np.linalg.norm(w))
+        norm = _norm(w)
         if norm > 0.5 * size:
             return w / norm, norm
         size = norm
@@ -496,8 +532,10 @@ def _lanczos_norm(op: CoarseOperator, size: int,
         small = (resid <= TOL * sv[0] or resid <= math.sqrt(
             2.0 * TOL * (sv[0] - low)) * math.sqrt(sv[0] + low))
         if (small or j + 1 == dim) and sv[0] > failed * (1.0 + TOL):
-            certified = op.definite((sv[0] * (1.0 + 2.0 * TOL)) ** 2)
-            if certified:
+            s = (sv[0] * (1.0 + 2.0 * TOL)) ** 2
+            certified = op.definite(s)
+            # an s past the double range fails every later pass too
+            if certified or not math.isfinite(s):
                 break
             failed = sv[0]
     ritz = right[0].conj() @ vs[:len(alphas)]
@@ -603,7 +641,7 @@ def _march_intervals(step: Step, ub: np.ndarray, k: int) -> None:
 
 def lift_coarse(sys: SpaceTimeSystem, w: np.ndarray) -> np.ndarray:
     """Action of P_ideal on a coarse vector, returned in fine time ordering."""
-    nx, k = sys.pair.dim, sys.grid.k
+    nx, k = sys.width, sys.grid.k
     step = sys.fine_step
     out = np.zeros((sys.grid.n_time, nx), dtype=np.result_type(w, step.dtype))
     out[::k] = w.reshape(-1, nx)
@@ -657,7 +695,7 @@ def apply_iteration(sys: SpaceTimeSystem, relaxation: str,
     elementwise products."""
     if relaxation not in ("F", "FCF"):
         raise ValueError(f"unknown relaxation {relaxation!r}")
-    nx, k, nt = sys.pair.dim, sys.grid.k, sys.grid.n_time
+    nx, k, nt = sys.width, sys.grid.k, sys.grid.n_time
     step = sys.fine_step
     ub = e.reshape(nt, nx).astype(np.result_type(e, step.dtype))
     _march_intervals(step, ub, k)

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -394,7 +395,7 @@ class TestRunExperiment:
         sys = st.SpaceTimeSystem(twin, st.GridSpec(cfg.n_time, k))
         if initial_error == "worst-case":
             w = st.coarse_norm(pair, sys.grid, relaxation,
-                               with_vector=True).vector
+                               with_vector=True).spread(pair.dim)
             e = harness._worst_case_error(sys, physical_vector(u, w))
         else:
             rng = np.random.default_rng(cfg.seed)
@@ -957,6 +958,120 @@ class TestNormalPairPath:
         assert symbol["certified"] is True
         assert symbol["method"] == "bernstein"
         assert symbol["upper"] >= rows["coarse-norm"]["lower"] > 0
+
+
+def _heat_config(nx, **overrides):
+    return base_config(**{
+        "problem": {"kind": "laplacian-1d-dirichlet", "n": nx,
+                    "h": 1.0 / (nx + 1)},
+        "fine": {"scheme": "backward-euler", "dt": 1e-3}, "k": 4,
+        "n_time": 65, "relaxations": ["F", "FCF"], "norms": ["l2", "AstarA"],
+        "initial_error": "worst-case", **overrides})
+
+
+class TestNormalPairScale:
+    """A normal pair's run and bounds work in per-mode memory: a worst-case
+    run iterates one mode, a random seed is drawn and iterated in chunks of
+    modes, and no dense Laplacian is formed."""
+
+    def test_random_generator_only_where_a_seed_is_drawn(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(pintbounds.__file__)))
+        code = ("import sys; from pintbounds import cli; "
+                "code = cli.main(sys.argv[1:]); "
+                "print(code, 'numpy.random' in sys.modules)")
+        for initial_error, loaded in (("worst-case", False), ("random", True)):
+            path = tmp_path / f"{initial_error}.yaml"
+            path.write_text(yaml.safe_dump(_heat_config(
+                16, initial_error=initial_error)))
+            proc = subprocess.run(
+                [sys.executable, "-c", code, "run", "--config", str(path),
+                 "--out", str(tmp_path / initial_error), "--format", "json"],
+                capture_output=True, text=True, env=env, timeout=120)
+            assert proc.stdout.split()[-2:] == ["0", str(loaded)], proc.stderr
+
+    def test_65536_modes_in_per_mode_memory(self, tmp_path, capsys):
+        # N_x^2 doubles would be 34 GB, and one N_t x N_x array 34 MB
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(_heat_config(65536)))
+        out = tmp_path / "out"
+        tracemalloc.start()
+        try:
+            assert cli.main(["bounds", "--config", str(path)]) == 0
+            rows = json.loads(capsys.readouterr().out)
+            assert cli.main(["run", "--config", str(path), "--out", str(out),
+                             "--format", "json"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
+        rec = json.load(open(out / "experiment.json"))
+        assert rec["bounds"] == rows and rec["meta"]["dim"] == 65 * 65536
+        pair = harness.build_pair(harness.load_config(str(path)))
+        grid = st.GridSpec(65, 4)
+        for relaxation in ("F", "FCF"):
+            cnorm = next(r["lower"] for r in rows
+                         if r["relaxation"] == relaxation
+                         and r["kind"] == "coarse-norm")
+            assert cnorm == st._mode_solve(pair, grid, relaxation)[1].max()
+            first = next(r["ratio"] for r in rec["trace"]
+                         if r["relaxation"] == relaxation
+                         and r["norm"] == "AstarA" and r["iteration"] == 1)
+            assert first == pytest.approx(cnorm, rel=1e-10)
+        assert "matrix" not in vars(pair.fine.source)
+
+    def test_laplacian_pair_past_dense_cap_is_a_config_error(self, tmp_path,
+                                                             capsys):
+        # a forward-Euler coarse step leaves |mu| >= 1, so the pair is not
+        # normal and would take the dense path with an N_x^2 Laplacian
+        n = st.DENSE_CAP + 1
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(_heat_config(
+            n, fine={"scheme": "backward-euler", "dt": 1e-7},
+            coarse={"scheme": "forward-euler", "dt": 4e-7})))
+        tracemalloc.start()
+        try:
+            assert cli.main(["run", "--config", str(path), "--out",
+                             str(tmp_path / "out")]) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6 < 8 * n * n
+        err = capsys.readouterr().err
+        assert f"N_x = {n} exceeds the dense cap {st.DENSE_CAP}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("entries", [10**9, 3 * 17])
+    def test_random_seed_in_chunks_is_one_draw(self, monkeypatch, entries):
+        # chunks of three modes (of 7) at N_t = 17, or one chunk: the trace
+        # is that of the chunks' draws side by side, iterated on every mode
+        # at once; one chunk is the whole draw, to the bit
+        monkeypatch.setattr(harness, "CHUNK_ENTRIES", entries)
+        cfg = harness.ExperimentConfig.from_dict(_heat_config(
+            7, n_time=17, norms=["l2", "AstarA", "modified"],
+            initial_error="random", iterations=3))
+        rec = harness.run_experiment(cfg)
+        pair = harness.build_pair(cfg)
+        sys_ = st.SpaceTimeSystem(pair, st.GridSpec(17, 4))
+        rng = np.random.default_rng(cfg.seed)
+        widths = [7] if entries > 17 * 7 else [3, 3, 1]
+        for relaxation in cfg.relaxations:
+            e = np.hstack([(rng.standard_normal(17 * w)
+                            + 1j * rng.standard_normal(17 * w)).reshape(17, w)
+                           for w in widths]).ravel()
+            e /= np.linalg.norm(e)
+            for i in range(cfg.iterations + 1):
+                if i:
+                    e = st.apply_iteration(sys_, relaxation, e)
+                for norm in cfg.norms:
+                    got = next(r["value"] for r in rec.trace
+                               if r["relaxation"] == relaxation
+                               and r["norm"] == norm and r["iteration"] == i)
+                    want = harness._vector_norm(e, norm, sys_)
+                    if len(widths) == 1:
+                        assert got == want
+                    else:
+                        assert got == pytest.approx(want, rel=1e-13)
 
 
 class TestNonNormalSymbolRow:
@@ -1695,7 +1810,8 @@ def _twin_trace(pair, twin, cfg, relaxation):
     u = ops.laplacian_basis(pair.dim)
     if cfg.initial_error == "worst-case":
         w = st.coarse_norm(pair, sys.grid, relaxation, with_vector=True)
-        e = harness._worst_case_error(sys, physical_vector(u, w.vector))
+        e = harness._worst_case_error(sys,
+                                      physical_vector(u, w.spread(pair.dim)))
     else:
         rng = np.random.default_rng(cfg.seed)
         for _ in range(cfg.relaxations.index(relaxation) + 1):

@@ -40,6 +40,31 @@ class TestBuildSpatial:
         swapped = u @ np.diag(L.eigenvalues[::-1]) @ u.T
         assert np.linalg.norm(swapped - L.matrix) > 1e-9 * scale
 
+    def test_laplacian_matrix_is_formed_only_when_read(self):
+        L = ops.build_spatial("laplacian-1d-dirichlet", 5, 0.25)
+        assert "matrix" not in vars(L) and L.dim == 5
+        expected = (np.diag(np.full(5, -2.0)) + np.eye(5, k=1)
+                    + np.eye(5, k=-1)) / 0.25**2
+        assert np.array_equal(L.matrix, expected)
+
+    def test_laplacian_past_dense_cap_forms_no_matrix(self):
+        n = ops.DENSE_CAP + 1
+        L = ops.build_spatial("laplacian-1d-dirichlet", n, 1.0 / (n + 1))
+        with pytest.raises(ValueError, match=f"N_x = {n} exceeds the dense "
+                           f"cap {ops.DENSE_CAP}"):
+            L.matrix
+
+    def test_band_refuses_eigenvalues_of_another_operator(self):
+        # Schur's equalities on the band: the trace matches, but the sum of
+        # squares does not
+        L = ops.build_spatial("laplacian-1d-dirichlet", 6, 1.0 / 7)
+        n, diag, off = L.band
+        with pytest.raises(ValueError, match="not those of a normal operator"):
+            ops.SpatialOperator(None, "band", L.eigenvalues,
+                                band=(n, diag, 1.01 * off))
+        with pytest.raises(ValueError, match="non-finite entries"):
+            ops.SpatialOperator(None, "band", band=(n, diag, math.inf))
+
     def test_advection_example(self):
         L = ops.build_spatial("advection-1d-upwind", 2, 1.0, velocity=1.0)
         assert np.allclose(L.matrix, [[-1, 0], [1, -1]])

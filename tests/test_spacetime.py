@@ -13,6 +13,7 @@ from pintbounds import harness
 from pintbounds import operators as ops
 from pintbounds import spacetime as st
 from pintbounds import tap
+from pintbounds import toeplitz as tp
 
 
 def permuted_full(sys):
@@ -175,9 +176,11 @@ class TestForwardSolve:
         st.sequential_solve(sys, e)
         assert made == [33, 17]
 
-    def test_worst_case_run_makes_two_solvers(self, monkeypatch):
-        # the worst-case seed is one solve with the fine solver, so a run
-        # with both relaxations forms Phi over N_t and Psi over N_c only
+    def test_worst_case_run_makes_two_solvers_per_system(self, monkeypatch):
+        # the worst-case seed is one solve with the fine solver: a run with
+        # both relaxations forms Phi over N_t and Psi over N_c for every
+        # mode, which refuses powers that overflow, and once more for the
+        # one mode that each relaxation iterates
         made = record_solvers(monkeypatch)
         cfg = harness.ExperimentConfig.from_dict({
             "problem": {"kind": "laplacian-1d-dirichlet", "n": 4, "h": 0.2},
@@ -186,7 +189,7 @@ class TestForwardSolve:
             "relaxations": ["F", "FCF"], "norms": ["AstarA"],
             "iterations": 3, "initial_error": "worst-case", "seed": 3})
         harness.run_experiment(cfg)
-        assert made == [33, 17]
+        assert made == [33, 17] * 3
 
     def test_transient_growth_overflow_raises(self):
         mat = transient_growth()
@@ -582,8 +585,8 @@ class TestModeCoordinates:
         grid = st.GridSpec(33, 2)
         sys = st.SpaceTimeSystem(pair, grid)
         for relaxation in ("F", "FCF"):
-            w = st.coarse_norm(pair, grid, relaxation, with_vector=True).vector
-            e = harness._worst_case_error(sys, w)
+            w = st.coarse_norm(pair, grid, relaxation, with_vector=True)
+            e = harness._worst_case_error(sys, w.spread(pair.dim))
             assert e.dtype == float
             e = st.apply_iteration(sys, relaxation, e)
             assert e.dtype == float and e.any()
@@ -654,7 +657,8 @@ class TestModeBlocks:
         grid = st.GridSpec(8 * k + 1, k)
         res = st.coarse_norm(pair, grid, relaxation, True)
         norm = res.value
-        w = physical_vector(ops.laplacian_basis(pair.dim), res.vector)
+        w = physical_vector(ops.laplacian_basis(pair.dim),
+                            res.spread(pair.dim))
         assert res.certified and res.method == "per-mode"
         cgc_res, _, relax = st.coarse_defect_blocks(pair, grid)
         block = cgc_res if relaxation == "F" else cgc_res @ relax
@@ -675,7 +679,7 @@ class TestModeBlocks:
         block = cgc_res if relaxation == "F" else cgc_res @ relax
         dense = np.linalg.norm(block, 2)
         assert res.value == pytest.approx(dense, rel=1e-12)
-        w = physical_vector(rotating_basis(), res.vector)
+        w = physical_vector(rotating_basis(), res.spread(pair.dim))
         assert np.linalg.norm(block @ w) == pytest.approx(dense, rel=1e-12)
 
     @pytest.mark.parametrize("relaxation", ["F", "FCF"])
@@ -685,7 +689,8 @@ class TestModeBlocks:
         grid = st.GridSpec(4 * 256 + 1, 4)
         res = st.coarse_norm(pair, grid, relaxation, True)
         norm = res.value
-        w = physical_vector(ops.laplacian_basis(pair.dim), res.vector)
+        w = physical_vector(ops.laplacian_basis(pair.dim),
+                            res.spread(pair.dim))
         cgc_res, _, relax = st.coarse_defect_blocks(pair, grid)
         block = cgc_res if relaxation == "F" else cgc_res @ relax
         dense = np.linalg.norm(block, 2)
@@ -707,11 +712,12 @@ class TestModeBlocks:
         assert res.certified and res.value <= res.upper <= res.value * (1 + 1e-12)
         eig = pair.shared_eig
         # the vector is in mode coordinates; its U-image maps back to it
-        modal = res.vector.reshape(grid.n_coarse, pair.dim)
+        modal = res.spread(pair.dim).reshape(grid.n_coarse, pair.dim)
         u = ops.laplacian_basis(pair.dim)
-        back = physical_vector(u, res.vector).reshape(modal.shape) @ u
+        back = physical_vector(u, modal.ravel()).reshape(modal.shape) @ u
         assert np.max(np.abs(back - modal)) <= 1e-14
         m = int(np.argmax(np.linalg.norm(modal, axis=0)))
+        assert m == res.mode
         others = np.delete(modal, m, axis=1)
         assert np.max(np.abs(others)) <= 1e-14
         v = modal[:, m]
@@ -1037,3 +1043,29 @@ class TestLanczosNorm:
         res = st.coarse_norm(pair, st.GridSpec(2 * 399 + 1, 2), "F", True)
         assert res.value == math.inf and not res.certified
         assert np.linalg.norm(res.vector) == 1.0
+
+    @pytest.mark.parametrize("relaxation", ["F", "FCF"])
+    def test_norm_past_the_square_range_stays_finite(self, relaxation):
+        # RK4 heat with |mu| up to about 775: Krylov vectors near 1e184,
+        # whose squares overflow; their norms are retaken on scaled copies,
+        # so the Ritz value is finite and at most the symbol's upper end
+        pair = heat_pair(nx=8, dt=0.01, k=4, scheme="rk4")
+        assert not pair.normal
+        grid = st.GridSpec(257, 4)
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = st.coarse_norm(pair, grid, relaxation)
+            upper = tp.symbol_max_sv(tp.build_symbol(pair, grid,
+                                                     relaxation)).upper
+        assert 1e180 < res.value <= upper < math.inf
+        cgc_res, _, relax = st.coarse_defect_blocks(pair, grid)
+        block = cgc_res if relaxation == "F" else cgc_res @ relax
+        assert res.value == pytest.approx(
+            np.linalg.svd(block, compute_uv=False)[0], rel=1e-10)
+
+    def test_norm_of_a_vector_whose_squares_overflow(self):
+        w = np.full(4, 1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(over="ignore"):
+                assert st._norm(w) == 2e300
+                assert st._norm(np.array([1e300, np.inf])) == math.inf

@@ -482,7 +482,8 @@ def _ratio_range(prev: dict, row: dict):
 
 def check_bounds(cfg: ExperimentConfig, rec: ExperimentRecord) -> list:
     """Sufficient bound must dominate every checked ratio; the necessary
-    lower bound must not exceed the worst checked ratio. A ratio of values
+    lower bound must not exceed the worst checked ratio; the coarse norm
+    must not exceed a certified symbol upper bound. A ratio of values
     with a recorded rounding is violated only if it is for every value
     within that rounding."""
     tol = cfg.bound_margin
@@ -532,6 +533,14 @@ def check_bounds(cfg: ExperimentConfig, rec: ExperimentRecord) -> list:
                 violations.append(
                     f"{relaxation}: necessary bound {nec:.6e} exceeds the "
                     f"worst-case ratio (coarse block norm) {cnorm:.6e}")
+        # a finite section of the symbol is a compression of its Laurent
+        # operator, so a certified symbol bounds the coarse norm for any Psi
+        sym = brows.get("symbol", {})
+        if cnorm is not None and sym.get("certified"):
+            if cnorm > sym["upper"] * (1.0 + tol) + tol:
+                violations.append(
+                    f"{relaxation}: coarse-norm {cnorm:.6e} exceeds the "
+                    f"certified symbol upper bound {sym['upper']:.6e}")
     return violations
 
 

@@ -55,8 +55,9 @@ class SpatialOperator:
             if (ell.shape != (n,)
                     or abs(ell.sum() - trace)
                     > NORMAL_TOL * math.sqrt(n) * scale
+                    # scale**2 would raise OverflowError for tiny entries
                     or abs(float(np.vdot(ell, ell).real) - fro2)
-                    > NORMAL_TOL * scale**2):
+                    > NORMAL_TOL * scale * scale):
                 raise ValueError("eigenvalues are not those of a normal "
                                  "operator")
 
@@ -126,6 +127,10 @@ def build_spatial(kind: str, n: int | None = None, h: float = 1.0,
             raise ValueError("laplacian-1d-dirichlet needs n >= 1")
         if h <= 0:
             raise ValueError("mesh width must be positive")
+        # eigenvalues reach -4 / h^2: h^2 must be finite and keep them so
+        if not 4.0 * np.finfo(float).tiny <= h * h < math.inf:
+            raise ValueError(f"mesh width {h!r}: h^2 and 4 / h^2 must be "
+                             "finite")
         ell = np.arange(1, n + 1)
         values = (-2.0 + 2.0 * np.cos(ell * np.pi / (n + 1))) / h**2
         return SpatialOperator(None, f"laplacian-1d-dirichlet(n={n},h={h})",

@@ -220,7 +220,10 @@ def _hinf(a, b, c, eigs, skip=None):
         centre, half = skip.arcs()
         edges = np.concatenate([centre - half, centre + half]) % (2.0 * np.pi)
     starts = [[0.0, np.pi], -np.angle(eigs), edges]
-    xs = np.concatenate(starts) % (2.0 * np.pi)
+    # each phase once, in order: a repeated eigenvalue, as of the upwind
+    # operator, would repeat its solve and SVD
+    xs = np.array(list(dict.fromkeys(
+        (np.concatenate(starts) % (2.0 * np.pi)).tolist())))
     if skip is not None:
         xs = xs[~skip(xs)]
     if not (a.any() and b.any() and c.any()):
@@ -233,6 +236,10 @@ def _hinf(a, b, c, eigs, skip=None):
     vals = _gain(a, b, c, xs)
     i = int(np.argmax(vals))
     x, gamma = float(xs[i]), float(vals[i])
+    if gamma == 0.0:
+        # no level-0 pencil: G vanishes identically only if its Markov
+        # parameters C A^j B, j below the state dimension, all do
+        return x, 0.0, _markov_zero(a, b, c)
     certified = False
     for _ in range(LEVEL_ROUNDS):
         if math.isinf(gamma):
@@ -254,6 +261,17 @@ def _hinf(a, b, c, eigs, skip=None):
     with np.errstate(over="ignore"):
         gamma = float(np.ldexp(gamma, eb + ec))
     return x, gamma, certified and math.isfinite(gamma)
+
+
+def _markov_zero(a, b, c) -> bool:
+    """Whether C A^j B = 0 for every j below the order of A, which by
+    Cayley-Hamilton makes C (I - zA)^{-1} B identically zero."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(a.shape[0]):
+            if (c @ b).any():
+                return False
+            b = a @ b
+    return True
 
 
 def _on_pole_flank(a, b, c, skip, x: float, gamma: float) -> bool:

@@ -85,39 +85,41 @@ def symbol_max_sv(sym: SymbolFunction) -> _tap.TapResult:
     The tail blocks whose Frobenius norms sum below
     TOL / 16 max_j ||C_j||_F / sqrt(N_x), at most TOL / 16 of the maximum,
     are left out, and their sum, which bounds their share of every
-    sigma_max, is added to upper. Over the kept blocks C_lo..C_hi, from the
-    first nonzero one, each Re(u* e^{-icx} F(x) v), c the centre frequency
-    and u, v unit, is a trigonometric polynomial of degree n = (hi - lo) / 2
-    bounded by the maximum M, so Bernstein's inequality gives
-    |g''| <= n^2 M. On a phase cell [a, b] of width h, sigma_max then stays
-    below max(f(a), f(b)) + n^2 M h^2 / 8, and M below the largest
-    max(f(a), f(b)) / (1 - n^2 h^2 / 8) over the cells. From a uniform grid,
-    every cell whose bound exceeds the best sample by more than TOL / 2 is
-    bisected. upper is that bound with every sample raised by a pad for the
-    rounding of its evaluation. The result is certified when every cell
-    settles within BISECT_ROUNDS rounds of at most BISECT_CELLS splits, and
-    upper is within TOL of the value. The blocks are scaled by a power of
-    two to entries below one first, exactly, so that tiny ones do not
-    underflow when squared, nor huge ones overflow; the value and upper are
-    scaled back. A block that is not finite, or a maximum beyond the
-    floating-point range, gives an infinite, uncertified upper."""
+    sigma_max, is added to upper. Over the kept blocks C_j, for unit u and v,
+    g(x) = Re(u* e^{-icx} F(x) v) has |g''| <= sum_j (j - c)^2 w_j, with
+    w_j = min(||C_j||_F, sqrt(||C_j||_1 ||C_j||_inf)) >= ||C_j||_2 and c
+    the w-weighted mean frequency. So on a phase cell [a, b] of h turns,
+    sigma_max stays below max(f(a), f(b)) + kappa h^2,
+    kappa = (pi^2 / 2) sum_j (j - c)^2 w_j. From 16 cells, every cell whose
+    bound exceeds the best sample by more than TOL / 2, or by more than the
+    pad leaves of TOL, is bisected. upper is that bound with every sample
+    raised by a pad for the rounding of its evaluation. The result is
+    certified when every cell settles within BISECT_ROUNDS rounds of at most
+    BISECT_CELLS splits, and upper is within TOL of the value. The blocks
+    are scaled by a power of two to entries below one first, exactly, so
+    that tiny ones do not underflow when squared, nor huge ones overflow;
+    the value and upper are scaled back. A block that is not finite, or a
+    maximum beyond the floating-point range, gives an infinite, uncertified
+    upper."""
     if not np.isfinite(sym.coeffs).all():
-        return _tap.TapResult(math.inf, None, 0.0, "bernstein", False,
+        return _tap.TapResult(math.inf, None, 0.0, "curvature", False,
                               math.inf)
     scaled, exp = _unit(sym.coeffs)
     norms = np.linalg.norm(scaled, axis=(1, 2))
     live = np.flatnonzero(norms)
     if live.size == 0:
-        return _tap.TapResult(0.0, None, 0.0, "bernstein", True, 0.0)
+        return _tap.TapResult(0.0, None, 0.0, "curvature", True, 0.0)
     tails = np.cumsum(norms[::-1])[::-1]     # sum of the norms from j on
     floor = _tap.TOL / 16.0 * norms.max() / math.sqrt(sym.dim)
     cut = int(np.flatnonzero(tails >= floor)[-1]) + 1
     tail = float(tails[cut]) if cut < norms.size else 0.0
     coeffs, low = scaled[live[0]:cut], sym.low + int(live[0])
-    terms = coeffs.shape[0]
-    deg2 = (0.5 * np.pi * (terms - 1)) ** 2 / 2.0    # n^2 (2 pi)^2 / 8
-    pad = 2.0 * (terms + sym.dim) * np.finfo(float).eps \
-        * float(norms[live[0]:cut].sum())
+    terms, kept = coeffs.shape[0], norms[live[0]:cut]
+    pad = 2.0 * (terms + sym.dim) * np.finfo(float).eps * float(kept.sum())
+    mags = np.abs(coeffs)
+    w = np.minimum(kept, np.sqrt(mags.sum(1).max(1) * mags.sum(2).max(1)))
+    j = np.arange(terms)
+    kappa = 0.5 * np.pi**2 * float((j - j @ w / w.sum()) ** 2 @ w)
 
     def fun(t):
         f = _fir(coeffs, t, low)
@@ -127,33 +129,31 @@ def symbol_max_sv(sym: SymbolFunction) -> _tap.TapResult:
     def evaluate(t):
         return _tap._evaluate(fun, t, max(terms, sym.dim**2))
 
-    # cells [a, a + h] in turns, with dyadic ends; a real symbol has
-    # F(-x) = conj F(x), and half the circle holds its maximum
-    m = 1 << max(4, math.ceil(math.log2(max(1, 2 * (terms - 1)))))
-    cells = m if coeffs.imag.any() else m // 2
-    grid = np.arange(cells + 1) / m
+    # cells [a, a + h] in turns, with dyadic ends, all of one width; a real
+    # symbol has F(-x) = conj F(x), and half the circle holds its maximum
+    h = 1.0 / 16
+    grid = np.arange(17 if coeffs.imag.any() else 9) * h
     vals = evaluate(grid)
-    a, fa, fb, h = grid[:-1], vals[:-1], vals[1:], np.full(cells, 1.0 / m)
-    best = int(np.argmax(vals))
-    t_best, value = float(grid[best]), float(vals[best])
+    a, fa, fb = grid[:-1], vals[:-1], vals[1:]
+    t_best, value = float(grid[np.argmax(vals)]), float(vals.max())
     upper = 0.0
     for _ in range(BISECT_ROUNDS):
-        top, shrink = np.maximum(fa, fb), 1.0 - deg2 * h * h
-        split = top > value * (1.0 + 0.5 * _tap.TOL) * shrink
-        upper = max(upper, np.max(((top + pad) / shrink)[~split], initial=0.0))
-        a, fa, fb, h = a[split], fa[split], fb[split], h[split]
+        bound = np.maximum(fa, fb) + kappa * h * h
+        room, half = _tap.TOL * value - pad, 0.5 * _tap.TOL * value
+        split = bound > value + (min(room, half) if room > 0.0 else half)
+        upper = max(upper, np.max(bound[~split], initial=0.0) + pad)
+        a, fa, fb = a[split], fa[split], fb[split]
         if a.size == 0 or a.size > BISECT_CELLS:
             break
         h = 0.5 * h
         mid = a + h
         fm = evaluate(mid)
-        i = int(np.argmax(fm))
-        if fm[i] > value:
-            t_best, value = float(mid[i]), float(fm[i])
-        a, fa, fb, h = (np.concatenate([a, mid]), np.concatenate([fa, fm]),
-                        np.concatenate([fm, fb]), np.concatenate([h, h]))
-    upper = float(max(upper, np.max((np.maximum(fa, fb) + pad)
-                                    / (1.0 - deg2 * h * h), initial=0.0))) + tail
+        if fm.max() > value:
+            t_best, value = float(mid[np.argmax(fm)]), float(fm.max())
+        a, fa, fb = (np.concatenate([a, mid]), np.concatenate([fa, fm]),
+                     np.concatenate([fm, fb]))
+    upper = max(upper, np.max(np.maximum(fa, fb), initial=0.0)
+                + kappa * h * h + pad) + tail
     certified = bool(a.size == 0 and upper <= value * (1.0 + _tap.TOL))
     with np.errstate(over="ignore"):
         value, upper = (float(np.ldexp(v, exp)) for v in (value, upper))
@@ -161,7 +161,7 @@ def symbol_max_sv(sym: SymbolFunction) -> _tap.TapResult:
         # scaled back into the subnormal range, upper rounds to a multiple
         # of the smallest subnormal, maybe down; one more is above the bound
         upper = float(np.nextafter(upper, math.inf))
-    return _tap.TapResult(value, None, 2.0 * np.pi * t_best, "bernstein",
+    return _tap.TapResult(value, None, 2.0 * np.pi * t_best, "curvature",
                           certified and math.isfinite(upper), upper)
 
 

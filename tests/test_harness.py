@@ -257,6 +257,20 @@ class TestRunExperiment:
             "F: necessary bound 5.000000e-01 exceeds the worst-case ratio "
             "(coarse block norm) 2.500000e-01"]
 
+    @pytest.mark.parametrize("certified", [True, False])
+    def test_coarse_norm_above_the_symbol(self, certified):
+        # a certified symbol upper bounds the coarse norm for any Psi; an
+        # uncertified one bounds nothing
+        cfg = harness.ExperimentConfig.from_dict(base_config(
+            norms=["AstarA"], iterations=2))
+        rec = self._record(cfg, [1.0, 0.5, 0.25], 0.5, 0.5)
+        rec.bounds.append({"relaxation": "F", "kind": "symbol", "lower": 0.0,
+                           "upper": 0.25, "certified": certified,
+                           "method": "curvature"})
+        assert harness.check_bounds(cfg, rec) == (
+            ["F: coarse-norm 5.000000e-01 exceeds the certified symbol upper "
+             "bound 2.500000e-01"] if certified else [])
+
     def test_necessary_row_is_read_from_the_coarse_norm(self, tmp_path,
                                                          monkeypatch, capsys):
         # run and bounds take the necessary row from the coarse norm they
@@ -956,7 +970,7 @@ class TestNormalPairPath:
         rows = {r["kind"]: r for r in rec.bounds}
         symbol = rows["symbol"]
         assert symbol["certified"] is True
-        assert symbol["method"] == "bernstein"
+        assert symbol["method"] == "curvature"
         assert symbol["upper"] >= rows["coarse-norm"]["lower"] > 0
 
 
@@ -1091,7 +1105,7 @@ class TestNonNormalSymbolRow:
         if relaxation == "FCF":
             exact *= lam**2
         assert row["certified"] is True
-        assert row["method"] == "bernstein"
+        assert row["method"] == "curvature"
         assert exact <= row["upper"] <= exact * (1.0 + tap.TOL)
 
 
@@ -1431,6 +1445,46 @@ class TestCli:
         assert "necessary" not in rows
         assert rows["coarse-norm"]["lower"] == 0.0
         assert rows["diagonalizable-bracket"]["lower"] == 0.0
+
+    @pytest.mark.parametrize("command", ["bounds", "run"])
+    def test_identically_zero_transfer_function(self, tmp_path, capfd,
+                                                command):
+        # Phi = diag(0, 0.5) and Psi - Phi = diag(1/3, 0): the FCF transfer
+        # function (Psi - Phi) (I - z Psi)^{-1} Phi is zero though no factor
+        # is, and its zero level is certified without a level-0 pencil
+        (tmp_path / "op.txt").write_text("-2 0\n0 -1\n")
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(base_config(
+            problem={"kind": "from-file", "path": str(tmp_path / "op.txt")},
+            fine={"scheme": "forward-euler", "dt": 0.5},
+            coarse={"scheme": "backward-euler", "dt": 1.0}, k=1, n_time=9,
+            relaxations=["F", "FCF"], initial_error="worst-case")))
+        out = tmp_path / "out"
+        argv = [command, "--config", str(path)]
+        if command == "run":
+            argv += ["--out", str(out), "--format", "json"]
+        assert cli.main(argv) == 0
+        stdout, err = capfd.readouterr()
+        assert "Traceback" not in err
+        rows = (json.load(open(out / "experiment.json"))["bounds"]
+                if command == "run" else json.loads(stdout))
+        tap_row = next(r for r in rows
+                       if r["relaxation"] == "FCF" and r["kind"] == "tap")
+        assert tap_row["lower"] == tap_row["upper"] == 0.0
+        assert tap_row["certified"] is True
+
+    @pytest.mark.parametrize("h, code", [(1e200, 2), (1e-200, 2), (1e154, 0)])
+    def test_mesh_width_near_the_double_range(self, tmp_path, capfd, h, code):
+        # h^2 overflows at 1e200 and 4 / h^2 at 1e-200, and both are refused
+        # before dividing; at 1e154 the operator's entries are near 1e-308
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(base_config(
+            problem={"kind": "laplacian-1d-dirichlet", "n": 4, "h": h},
+            fine={"scheme": "backward-euler", "dt": 0.01}, k=2, n_time=9)))
+        assert cli.main(["bounds", "--config", str(path)]) == code
+        err = capfd.readouterr().err
+        assert "Traceback" not in err and "RuntimeWarning" not in err
+        assert ("mesh width" in err) == (code == 2)
 
     def test_normal_pair_past_dense_cap(self, tmp_path):
         # N_x * N_c = 4128 > DENSE_CAP: a normal pair builds no dense block

@@ -345,7 +345,7 @@ class TestLevelSet:
         assert all(r["certified"] and r["method"] == "level-set" for r in taps)
         rows = [r for r in rec.bounds if r["kind"] == "symbol"]
         assert len(rows) == 2
-        assert all(r["certified"] and r["method"] == "bernstein" for r in rows)
+        assert all(r["certified"] and r["method"] == "curvature" for r in rows)
 
     def test_unit_circle_pole_uncertified(self):
         # Psi has the eigenvalue 1: the maximum outside the masked arc sits
@@ -411,6 +411,33 @@ class TestLevelSet:
             row = next(r for r in rows if r["kind"] == "tap")
             assert row["certified"] is True
             assert row["lower"] == pytest.approx(exact, rel=1e-14)
+
+    def test_repeated_eigenvalue_starts_once(self, monkeypatch):
+        # upwind Psi has one eigenvalue N_x times, at phase 0: the first
+        # batch evaluates the phases 0 and pi once each
+        batches, gain = [], tap._gain
+        monkeypatch.setattr(tap, "_gain", lambda a, b, c, xs:
+                            batches.append(xs.tolist()) or gain(a, b, c, xs))
+        res = tap.tap_constant(upwind_pair(n=16), "F")
+        assert res.certified
+        assert batches[0] == [0.0, np.pi]
+
+    def test_identically_zero_transfer_function(self):
+        # A, B and C are nonzero, but C (I - zA)^{-1} B = 0: the zero level
+        # is certified from the Markov parameters, with no level-0 pencil
+        a, b, c = np.diag([0.5, 0.25]), np.eye(2)[:, :1], np.eye(2)[1:]
+        _, gamma, certified = tap._hinf(a, b, c, np.diag(a))
+        assert gamma == 0.0 and certified
+
+    def test_zero_samples_of_a_nonzero_transfer_function(self, monkeypatch):
+        # C (I - zA)^{-1} B = 1 - z^2 for the shift A vanishes at the start
+        # phases 0 and pi; zero samples of it certify nothing
+        monkeypatch.setattr(tap, "_gain",
+                            lambda a, b, c, xs: np.zeros(xs.size))
+        a, b = np.eye(3, k=-1), np.eye(3)[:, :1]
+        c = np.array([[1.0, 0.0, -1.0]])
+        _, gamma, certified = tap._hinf(a, b, c, np.zeros(3))
+        assert gamma == 0.0 and not certified
 
 
 class TestTeapConstant:

@@ -247,6 +247,16 @@ def sampled_max(fun, samples=2**16, chunk=2**14):
     return float(np.linalg.svd(keep, compute_uv=False)[:, 0].max())
 
 
+def upwind_pair(nx, dt):
+    """Upwind N_x = nx, h = 1 / nx, with backward-Euler steps of dt and a
+    backward-Euler coarse step of 2 dt."""
+    spatial = ops.build_spatial("advection-1d-upwind", nx, 1.0 / nx)
+    fine = ops.build_stepper(spatial, ops.SchemeSpec("backward-euler", dt))
+    coarse = ops.build_stepper(spatial,
+                               ops.SchemeSpec("backward-euler", 2 * dt))
+    return ops.make_pair(fine, coarse, 2)
+
+
 def random_symbol_case(rng, d, n_coarse):
     pair = raw_pair(random_contraction(rng, d),
                     random_contraction(rng, d, norm_bound=0.95), 2)
@@ -266,7 +276,7 @@ class TestCertifiedSymbol:
             pair, grid = random_symbol_case(rng, 2 + (i + shift) % 3, n_coarse)
             res = tp.symbol_max_sv(tp.build_symbol(pair, grid, relaxation, side))
             top = sampled_max(rational_symbol(pair, grid, relaxation, side))
-            assert res.certified and res.method == "bernstein"
+            assert res.certified and res.method == "curvature"
             assert res.upper >= top
             assert res.value >= top * (1.0 - 1e-12)
             assert res.upper <= res.value * (1.0 + tap.TOL)
@@ -289,12 +299,8 @@ class TestCertifiedSymbol:
     def test_decayed_tail_left_out(self, relaxation):
         # upwind N_x = 8 at N_c = 512: the blocks C_j = L Psi^j R fall below
         # the tail floor long before j = 511, and only the kept ones set the
-        # Bernstein degree and the rounding pad
-        spatial = ops.build_spatial("advection-1d-upwind", 8, 0.125)
-        fine = ops.build_stepper(spatial, ops.SchemeSpec("backward-euler", 0.02))
-        coarse = ops.build_stepper(spatial,
-                                   ops.SchemeSpec("backward-euler", 0.04))
-        pair = ops.make_pair(fine, coarse, 2)
+        # curvature constant and the rounding pad
+        pair = upwind_pair(8, 0.02)
         grid = st.GridSpec(2 * 511 + 1, 2)
         res = tp.symbol_max_sv(tp.build_symbol(pair, grid, relaxation))
         top = sampled_max(rational_symbol(pair, grid, relaxation),
@@ -303,6 +309,33 @@ class TestCertifiedSymbol:
         assert res.upper >= top
         assert res.upper <= res.value * (1.0 + tap.TOL)
 
+    def test_upwind_long_horizon_certified(self):
+        # upwind N_x = 8 at N_c = 513 and dt 1e-3 keeps hundreds of blocks,
+        # whose rounding pad leaves less than TOL / 2 under a certificate
+        sym = tp.build_symbol(upwind_pair(8, 1e-3), st.GridSpec(1025, 2), "F")
+        res = tp.symbol_max_sv(sym)
+        assert res.certified and res.method == "curvature"
+        assert res.upper >= sampled_max(sym, samples=4096, chunk=512)
+        assert res.upper <= res.value * (1.0 + 1e-12)
+
+    def test_complex_symbol_on_the_whole_circle(self):
+        pair = rotating_pair()
+        sym = tp.build_symbol(pair, st.GridSpec(33, 2), "F")
+        assert sym.coeffs.imag.any()
+        res = tp.symbol_max_sv(sym)
+        assert res.certified
+        assert res.upper >= sampled_max(sym, samples=4096)
+        assert res.upper <= res.value * (1.0 + 1e-12)
+
+    def test_evaluation_count(self, monkeypatch):
+        # from 16 cells the curvature bound settles upwind N_x = 64 at
+        # N_c = 65 in under 100 phases
+        phases, fir = [], tp._fir
+        monkeypatch.setattr(tp, "_fir", lambda c, turns, low:
+                            phases.append(turns.size) or fir(c, turns, low))
+        sym = tp.build_symbol(upwind_pair(64, 0.05), st.GridSpec(129, 2), "F")
+        assert tp.symbol_max_sv(sym).certified
+        assert sum(phases) <= 100
 
     def test_subnormal_upper_rounds_up(self):
         # F(z) = z [[0, 0], [a, 0]] + z^2 [[0, 0], [a, a]], a the smallest

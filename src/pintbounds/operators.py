@@ -400,30 +400,38 @@ class StepperPair:
         return self.coarse.matrix - self.fine_power
 
 
+# F(CF)^nu relaxation by name: nu, the number of CF sweeps after the F sweep
+RELAXATIONS = {"F": 0, "FCF": 1}
+
+
+def cf_sweeps(relaxation: str) -> int:
+    """nu of the relaxation named relaxation, from RELAXATIONS."""
+    if relaxation not in RELAXATIONS:
+        raise ValueError(f"unknown relaxation {relaxation!r}")
+    return RELAXATIONS[relaxation]
+
+
 def coarse_factors(pair: StepperPair, relaxation: str, side: str):
     """(L, R) with G(z) = L (I - z Psi)^{-1} R the generating function of the
     coarse-level propagation block, up to its leading power of z and its
     sign: (D, M) on the residual side and (I, D M) on the error side, with
-    D = Psi - Phi^k and M = I for F-relaxation, Phi^k for FCF."""
-    if relaxation not in ("F", "FCF"):
-        raise ValueError(f"unknown relaxation {relaxation!r}")
+    D = Psi - Phi^k and M = Phi^{k nu} for nu CF sweeps (cf_sweeps)."""
+    nu = cf_sweeps(relaxation)
     if side not in ("residual", "error"):
         raise ValueError(f"unknown side {side!r}")
-    m = pair.fine_power if relaxation == "FCF" else np.eye(pair.dim)
+    m = matrix_power(pair.fine_power, nu)
     if side == "residual":
         return pair.coarse_defect, m
     return np.eye(pair.dim), pair.coarse_defect @ m
 
 
 def mode_defects(fine_values, coarse_values, k: int, relaxation: str):
-    """(|mu|, d), the per-mode twin of coarse_factors: d_m = |mu_m - lam_m|,
-    times |lam_m| for FCF, lam = lambda^k, for the eigenvalues lambda of Phi
-    and mu of Psi. Every per-mode closed form is d over a function of |mu|."""
-    if relaxation not in ("F", "FCF"):
-        raise ValueError(f"unknown relaxation {relaxation!r}")
+    """(|mu|, d), the per-mode twin of coarse_factors: d_m = |mu_m - lam_m|
+    |lam_m|^nu for nu CF sweeps, lam = lambda^k, lambda and mu the eigenvalues
+    of Phi and Psi. Every per-mode closed form is d over a function of |mu|."""
+    nu = cf_sweeps(relaxation)
     lam, mu = np.asarray(fine_values) ** k, np.asarray(coarse_values)
-    d = np.abs(mu - lam)
-    return np.abs(mu), (d * np.abs(lam) if relaxation == "FCF" else d)
+    return np.abs(mu), np.abs(mu - lam) * np.abs(lam) ** nu
 
 
 def make_pair(fine: Stepper, coarse: Stepper, k: int) -> StepperPair:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .operators import (DENSE_CAP, StepperPair, _real_if, _unit,
-                        coarse_factors, matrix_power, mode_defects)
+                        cf_sweeps, coarse_factors, matrix_power, mode_defects)
 from .tap import TOL, _tap_realization
 from .tridiag import relaxed_toeplitz_min
 
@@ -239,19 +239,18 @@ def coarse_defect_blocks(pair: StepperPair, grid: GridSpec):
 
 def block_rows(grid: GridSpec, relaxation: str, p: int = 1) -> int:
     """The order n of the section T_n(G^p) whose norm is that of the p-th
-    power of the coarse block. With s = 1 for F and 2 for FCF the block is
+    power of the coarse block. With s = 1 + nu for nu CF sweeps the block is
     T_{N_c}(z^s G), G = L (I - z Psi)^{-1} R (coarse_factors), and products
     of lower block-Toeplitz sections are exact, so its p-th power is
     T_{N_c}(z^{sp} G^p): zero first sp block rows and last sp block columns
     around T_n(G^p), n = N_c - s p. n is 0 where the power is zero, also
-    for FCF at k = 1, which has no F-points."""
-    if relaxation not in ("F", "FCF"):
-        raise ValueError(f"unknown relaxation {relaxation!r}")
+    for nu >= 1 at k = 1, which has no F-points."""
+    nu = cf_sweeps(relaxation)
     if p < 1:
         raise ValueError("power must be >= 1")
-    if relaxation == "FCF" and grid.k == 1:
+    if nu and grid.k == 1:
         return 0
-    return max(grid.n_coarse - (1 if relaxation == "F" else 2) * p, 0)
+    return max(grid.n_coarse - (1 + nu) * p, 0)
 
 
 def _mode_solve(pair: StepperPair, grid: GridSpec, relaxation: str):
@@ -266,8 +265,8 @@ def _mode_solve(pair: StepperPair, grid: GridSpec, relaxation: str):
     entries mu^(i-j)), whose entries are (lam - mu) mu^(i-j-1) below the
     diagonal. Past its zero first row and last column it is (lam - mu) C^{-1},
     C unit lower bidiagonal of order n = N_c - 1 with subdiagonal -mu, so its
-    norm is d / sqrt(lambda_min(C C^*)), d of mode_defects. The FCF block is
-    lam times the F block at N_c - 1, and zero when k = 1 (no F-points).
+    norm is d / sqrt(lambda_min(C C^*)), d of mode_defects. After nu >= 1 CF
+    sweeps the block is lam^nu times the F block at N_c - nu, zero at k = 1.
     uppers come from the low end of each certified root bracket, and theta
     is the root angle that gives each mode's singular vector. This is
     CoarseOperator with 1 x 1 blocks, one per mode, with no dense block."""
@@ -554,13 +553,12 @@ class PropagatorSet:
     relax_factor: np.ndarray # A_cf A_ff^{-1} A_fc
 
     def coarse_block(self, relaxation: str, side: str = "residual") -> np.ndarray:
-        """C-level propagation block whose powers drive post-first iterations."""
-        base = self.cgc_res if side == "residual" else self.cgc_err
-        if relaxation == "F":
-            return base
-        if relaxation == "FCF":
-            return base @ self.relax_factor
-        raise ValueError(f"unknown relaxation {relaxation!r}")
+        """C-level propagation block whose powers drive post-first iterations:
+        the coarse correction times the relaxation factor once per CF sweep."""
+        block = self.cgc_res if side == "residual" else self.cgc_err
+        for _ in range(cf_sweeps(relaxation)):
+            block = block @ self.relax_factor
+        return block
 
 
 def build_propagators(sys: SpaceTimeSystem) -> PropagatorSet:
@@ -692,14 +690,13 @@ def apply_iteration(sys: SpaceTimeSystem, relaxation: str,
     the error: the iteration is linear, so its error obeys the same steps
     with f = 0, e_{i+1} = E e_i for any right-hand side. Every step goes
     through the system's Steps, so a normal pair in mode coordinates takes
-    elementwise products."""
-    if relaxation not in ("F", "FCF"):
-        raise ValueError(f"unknown relaxation {relaxation!r}")
+    elementwise products. The pre-relaxation is F(CF)^nu, nu of cf_sweeps."""
+    nu = cf_sweeps(relaxation)
     nx, k, nt = sys.width, sys.grid.k, sys.grid.n_time
     step = sys.fine_step
     ub = e.reshape(nt, nx).astype(np.result_type(e, step.dtype))
     _march_intervals(step, ub, k)
-    if relaxation == "FCF":
+    for _ in range(nu):
         if k == 1:
             # every point is a C-point: C-relaxation solves A e = 0 exactly
             ub[:] = 0.0

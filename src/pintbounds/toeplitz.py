@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import (StepperPair, _unit, coarse_factors, ill_conditioned,
-                        matrix_power, mode_defects)
+from .operators import (StepperPair, _unit, cf_sweeps, coarse_factors,
+                        ill_conditioned, matrix_power, mode_defects)
 from .spacetime import GridSpec, block_rows, coarse_norm
 from .tridiag import (bidiagonal_gram, gershgorin_min, relaxed_toeplitz_min,
                       tridiag_stack_min)
@@ -378,8 +378,8 @@ def diag_bounds(fine_values, coarse_values, k: int, n_coarse: int,
     mu_abs, num = mode_defects(lam, mu, k, relaxation)
     if np.any(mu_abs >= 1.0):
         raise ValueError("coarse eigenvalue magnitude >= 1")
-    # with k = 1 there are no F-points: FCF relaxation solves exactly
-    num = num * (relaxation == "F" or k >= 2)
+    # with k = 1 there are no F-points: a CF sweep solves exactly
+    num = num * (not cf_sweeps(relaxation) or k >= 2)
     eig_lo, eig_up = _bracket(mu_abs, n_coarse)
     up_i = num / np.sqrt(eig_lo)
     idx = int(np.argmax(up_i))
@@ -530,9 +530,9 @@ def necessary_lower_bound(pair: StepperPair, grid: GridSpec,
     the residual-side one, whose norm is taken. It is unavailable only where
     X^p is zero: n = block_rows(grid, relaxation, p) = 0."""
     n = block_rows(grid, relaxation, p)
-    if relaxation == "FCF" and grid.k == 1:
-        return NecessaryBound(0.0, False, "FCF relaxation at k = 1 is a "
-                              "sequential solve; the coarse block is zero")
+    if cf_sweeps(relaxation) and grid.k == 1:
+        return NecessaryBound(0.0, False, "a CF sweep at k = 1 is a sequential "
+                              "solve; the coarse block is zero")
     if n == 0:
         return NecessaryBound(0.0, False,
                               "too few coarse points for the requested power")

@@ -341,6 +341,32 @@ class TestPropagators:
         with pytest.raises(ValueError):
             props.coarse_block("FCFF")
 
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    @pytest.mark.parametrize("relaxation", list(ops.RELAXATIONS))
+    def test_block_rows_is_the_core_of_the_dense_power(self, relaxation, k,
+                                                       p):
+        # X^p is zero in its first s = (1 + nu) p block rows and its last s
+        # block columns; the core left over has order n = block_rows and
+        # carries the norm. Psi != Phi^k, so only FCF at k = 1 is zero.
+        pair = _upwind_pair(3, 0.05, k, "sdirk2", "backward-euler")
+        grid = st.GridSpec(6 * k + 1, k)
+        props = st.build_propagators(st.SpaceTimeSystem(pair, grid))
+        xp = np.linalg.matrix_power(props.coarse_block(relaxation), p)
+        n, nu = st.block_rows(grid, relaxation, p), ops.RELAXATIONS[relaxation]
+        if nu and k == 1:
+            assert n == 0 and not xp.any()
+            return
+        s, nx = (1 + nu) * p, pair.dim
+        rest = (grid.n_coarse - s) * nx
+        assert not xp[:s * nx].any() and not xp[:, rest:].any()
+        core = xp[s * nx:, :rest]
+        assert core.shape == (n * nx, n * nx)
+        assert core[:nx].any() and core[:, -nx:].any()
+        norm = np.linalg.svd(xp, compute_uv=False)[0]
+        assert abs(np.linalg.svd(core, compute_uv=False)[0] - norm) \
+            <= 1e-14 * norm
+
 
 class TestApplyIteration:
     def test_fixed_point(self):

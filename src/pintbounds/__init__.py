@@ -9,8 +9,8 @@ convergence at desk scale.
 
 from .operators import (SchemeSpec, SpatialOperator, Stepper, StepperPair,
                         build_spatial, build_stepper, make_pair, rk4_defect)
-from .spacetime import (GridSpec, PropagatorSet, SpaceTimeSystem,
-                        apply_iteration, build_propagators, operator_norm,
+from .spacetime import (GridSpec, SpaceTimeSystem, apply_iteration,
+                        build_propagators, coarse_block, operator_norm,
                         schur_complement, ideal_transfer)
 from .tap import (TapResult, itap_constant, min_phase_norm, stability_decay,
                   tap_constant, teap_constant)

@@ -658,12 +658,9 @@ def verify_suite(filter_name: str | None = None) -> list:
         for _ in range(5):
             pair, grid = _random_pair(rng)
             sys = st.SpaceTimeSystem(pair, grid)
-            props = st.build_propagators(sys)
-            perm = sys.permutation
-            a = sys.full_matrix()[np.ix_(perm, perm)]
+            a = sys.full_matrix()
             for relaxation in ops.RELAXATIONS:
-                r = getattr(props, "r_" + relaxation.lower())
-                e = getattr(props, "e_" + relaxation.lower())
+                e, r = st.build_propagators(sys, relaxation)
                 for p in (1, 2):
                     nr = st.operator_norm(np.linalg.matrix_power(r, p), "l2")
                     ne = st.operator_norm(np.linalg.matrix_power(e, p),
@@ -767,11 +764,9 @@ def verify_suite(filter_name: str | None = None) -> list:
         for i in range(3):
             pair, grid = _random_pair(rng, n_coarse=33)
             bare = _dense_twin(pair)
-            cgc_res, cgc_err, relax = st.coarse_defect_blocks(bare, grid)
-            for relaxation, nu in ops.RELAXATIONS.items():
-                blocks = {"residual": cgc_res, "error": cgc_err}
-                for _ in range(nu):
-                    blocks = {side: b @ relax for side, b in blocks.items()}
+            for relaxation in ops.RELAXATIONS:
+                blocks = {side: st.coarse_block(bare, grid, relaxation, side)
+                          for side in ("residual", "error")}
                 dense = float(np.linalg.svd(blocks["residual"],
                                             compute_uv=False)[0])
                 res = st.coarse_norm(bare, grid, relaxation)

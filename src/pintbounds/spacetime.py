@@ -4,7 +4,9 @@ The all-at-once system A u = f is block lower bidiagonal with identity diagonal
 blocks and -Phi subdiagonal blocks. Every k-th time point (starting at 0) is a
 C-point; partitioned blocks, ideal transfer operators, the Schur-complement
 coarse grid, and the dense error/residual propagators of two-level MGRiT with
-F- and FCF-relaxation are derived from that partition.
+F- and FCF-relaxation are derived from that partition. Every dense matrix is
+assembled by one builder (_lower_toeplitz) or formed from such matrices at no
+larger order, so an order past DENSE_CAP is refused before any allocation.
 """
 
 from __future__ import annotations
@@ -85,12 +87,6 @@ class SpaceTimeSystem:
         vectors: N_x, or the number of modes held."""
         return len(range(self.pair.dim)[self.modes])
 
-    def _require_dense(self):
-        if self.dim > DENSE_CAP:
-            raise ValueError(
-                f"problem size {self.dim} exceeds dense cap {DENSE_CAP}; "
-                "only the action path is available")
-
     @property
     def permutation(self) -> np.ndarray:
         """Unknown ordering F-points first, then C-points (time order within each)."""
@@ -99,13 +95,7 @@ class SpaceTimeSystem:
         return (pts[:, None] * nx + np.arange(nx)[None, :]).ravel()
 
     def full_matrix(self) -> np.ndarray:
-        self._require_dense()
-        nx, nt = self.pair.dim, self.grid.n_time
-        a = np.eye(nt * nx, dtype=complex)
-        phi = self.pair.fine.matrix
-        for i in range(1, nt):
-            a[i * nx:(i + 1) * nx, (i - 1) * nx:i * nx] = -phi
-        return a
+        return _bidiagonal(self.pair.fine.matrix, self.grid.n_time)
 
     @functools.cached_property
     def fine_step(self) -> Step:
@@ -159,30 +149,44 @@ def sequential_solve(sys: SpaceTimeSystem, f: np.ndarray) -> np.ndarray:
     return sys.fine_solver.solve(f)
 
 
-def fine_block_inverse(sys: SpaceTimeSystem) -> np.ndarray:
-    """Explicit inverse of A_ff: block lower triangular Phi powers per interval."""
-    nx, k = sys.pair.dim, sys.grid.k
-    nc = sys.grid.n_coarse
-    m = k - 1
-    nf = (nc - 1) * m * nx
-    out = np.zeros((nf, nf), dtype=complex)
-    powers = [matrix_power(sys.pair.fine.matrix, j) for j in range(m)]
-    for interval in range(nc - 1):
-        base = interval * m * nx
-        for i in range(m):
-            for j in range(i + 1):
-                out[base + i * nx: base + (i + 1) * nx,
-                    base + j * nx: base + (j + 1) * nx] = powers[i - j]
+def _lower_toeplitz(diagonals, n: int, nx: int) -> np.ndarray:
+    """The block lower Toeplitz matrix of n block rows of order nx with the
+    blocks of diagonals, in turn, on its block diagonal and those below; an
+    order past DENSE_CAP raises before anything is allocated."""
+    if n * nx > DENSE_CAP:
+        raise ValueError(f"problem size {n * nx} exceeds dense cap "
+                         f"{DENSE_CAP}; only the action path is available")
+    out = np.zeros((n * nx, n * nx), dtype=complex)
+    blocks = out.reshape(n, nx, n, nx)
+    rows = np.arange(n)
+    for d, block in zip(range(n), diagonals):
+        blocks[rows[d:], :, rows[:n - d]] = block
     return out
+
+
+def _bidiagonal(m: np.ndarray, n: int) -> np.ndarray:
+    """Block unit lower bidiagonal of n block rows with -m below the
+    diagonal."""
+    return _lower_toeplitz([np.eye(len(m)), -m], n, len(m))
+
+
+def _powers(m: np.ndarray, n: int) -> np.ndarray:
+    """The inverse of _bidiagonal(m, n): m^(i - j) on and below the block
+    diagonal."""
+    return _lower_toeplitz((matrix_power(m, d) for d in range(n)), n, len(m))
+
+
+def fine_block_inverse(sys: SpaceTimeSystem) -> np.ndarray:
+    """Explicit inverse of A_ff: one block of Phi powers per interval."""
+    inner = _powers(sys.pair.fine.matrix, sys.grid.k - 1)
+    return _lower_toeplitz([inner], sys.grid.n_coarse - 1, len(inner))
 
 
 def ideal_transfer(sys: SpaceTimeSystem):
     """Ideal restriction and interpolation (R_ideal, P_ideal), F-then-C ordering."""
-    sys._require_dense()
     _, a_fc, a_cf, _ = sys.blocks()
     aff_inv = fine_block_inverse(sys)
-    nc_dim = sys.grid.n_coarse * sys.pair.dim
-    eye = np.eye(nc_dim, dtype=complex)
+    eye = np.eye(len(a_cf), dtype=complex)
     r_ideal = np.hstack([-a_cf @ aff_inv, eye])
     p_ideal = np.vstack([-aff_inv @ a_fc, eye])
     return r_ideal, p_ideal
@@ -190,51 +194,64 @@ def ideal_transfer(sys: SpaceTimeSystem):
 
 def schur_complement(sys: SpaceTimeSystem) -> np.ndarray:
     """Coarse-grid operator A_cc - A_cf A_ff^{-1} A_fc."""
-    sys._require_dense()
     _, a_fc, a_cf, a_cc = sys.blocks()
-    if a_fc.shape[1] == 0 or a_fc.shape[0] == 0:
-        return a_cc
     return a_cc - a_cf @ fine_block_inverse(sys) @ a_fc
 
 
 def coarse_bidiagonal(pair: StepperPair, grid: GridSpec) -> np.ndarray:
     """Closed form of the Schur complement: bidiagonal with -Phi^k subdiagonal."""
-    nx, nc = pair.dim, grid.n_coarse
-    out = np.eye(nc * nx, dtype=complex)
-    phik = pair.fine_power
-    for i in range(1, nc):
-        out[i * nx:(i + 1) * nx, (i - 1) * nx:i * nx] = -phik
-    return out
+    return _bidiagonal(pair.fine_power, grid.n_coarse)
 
 
 def coarse_solve_operator(pair: StepperPair, grid: GridSpec) -> np.ndarray:
     """Inverse of the non-Galerkin coarse operator: lower triangle of Psi powers."""
-    nx, nc = pair.dim, grid.n_coarse
-    out = np.zeros((nc * nx, nc * nx), dtype=complex)
-    powers = [matrix_power(pair.coarse.matrix, j) for j in range(nc)]
-    for i in range(nc):
-        for j in range(i + 1):
-            out[i * nx:(i + 1) * nx, j * nx:(j + 1) * nx] = powers[i - j]
-    return out
+    return _powers(pair.coarse.matrix, grid.n_coarse)
 
 
 def coarse_defect_blocks(pair: StepperPair, grid: GridSpec):
     """Coarse-level defect operators (I - A_d B_d^{-1}, I - B_d^{-1} A_d) and
     the C-to-C relaxation factor A_cf A_ff^{-1} A_fc."""
-    nx, nc = pair.dim, grid.n_coarse
     b_inv = coarse_solve_operator(pair, grid)
     a_delta = coarse_bidiagonal(pair, grid)
-    eye = np.eye(nc * nx, dtype=complex)
+    eye = np.eye(len(a_delta), dtype=complex)
     cgc_res = eye - a_delta @ b_inv
     cgc_err = eye - b_inv @ a_delta
-    # A_cc is identity for k >= 2 and relax factor is a -Phi^k shift; for k = 1
-    # there are no F-points and the factor is zero.
-    relax = np.zeros((nc * nx, nc * nx), dtype=complex)
-    if grid.k >= 2:
-        phik = pair.fine_power
-        for i in range(1, nc):
-            relax[i * nx:(i + 1) * nx, (i - 1) * nx:i * nx] = phik
+    # A_cc is the identity for k >= 2, so the relaxation factor is I - A_d,
+    # a Phi^k shift; k = 1 has no F-points, and the factor is zero
+    relax = eye - a_delta if grid.k >= 2 else np.zeros_like(a_delta)
     return cgc_res, cgc_err, relax
+
+
+def coarse_block(pair: StepperPair, grid: GridSpec, relaxation: str,
+                 side: str = "residual") -> np.ndarray:
+    """The dense coarse-level block X on side, whose powers drive the
+    iterations after the first: the coarse correction of coarse_defect_blocks
+    times the relaxation factor once per CF sweep."""
+    if side not in ("residual", "error"):
+        raise ValueError(f"unknown side {side!r}")
+    nu = cf_sweeps(relaxation)
+    cgc_res, cgc_err, relax = coarse_defect_blocks(pair, grid)
+    block = cgc_res if side == "residual" else cgc_err
+    for _ in range(nu):
+        block = block @ relax
+    return block
+
+
+def build_propagators(sys: SpaceTimeSystem, relaxation: str):
+    """(E, R): the dense error and residual propagators of one two-level
+    iteration with relaxation, in time order, the order of full_matrix and
+    apply_iteration, so that R = A E A^{-1} with A = sys.full_matrix()."""
+    r_ideal, p_ideal = ideal_transfer(sys)
+    pad = np.zeros((len(sys.grid.f_points) * sys.pair.dim, len(r_ideal)),
+                   dtype=complex)
+    e = p_ideal @ np.hstack([pad.T, coarse_block(sys.pair, sys.grid,
+                                                  relaxation, "error")])
+    r = np.vstack([pad, coarse_block(sys.pair, sys.grid,
+                                     relaxation)]) @ r_ideal
+    # from the F-then-C ordering of the transfers back to time order
+    order = np.argsort(sys.permutation)
+    back = np.ix_(order, order)
+    return e[back], r[back]
 
 
 def block_rows(grid: GridSpec, relaxation: str, p: int = 1) -> int:
@@ -542,45 +559,6 @@ def _lanczos_norm(op: CoarseOperator, size: int,
     return result(float(sv[0]), certified, eb + ec)
 
 
-@dataclass(frozen=True)
-class PropagatorSet:
-    e_f: np.ndarray
-    e_fcf: np.ndarray
-    r_f: np.ndarray
-    r_fcf: np.ndarray
-    cgc_res: np.ndarray      # I - A_d B_d^{-1}
-    cgc_err: np.ndarray      # I - B_d^{-1} A_d
-    relax_factor: np.ndarray # A_cf A_ff^{-1} A_fc
-
-    def coarse_block(self, relaxation: str, side: str = "residual") -> np.ndarray:
-        """C-level propagation block whose powers drive post-first iterations:
-        the coarse correction times the relaxation factor once per CF sweep."""
-        block = self.cgc_res if side == "residual" else self.cgc_err
-        for _ in range(cf_sweeps(relaxation)):
-            block = block @ self.relax_factor
-        return block
-
-
-def build_propagators(sys: SpaceTimeSystem) -> PropagatorSet:
-    sys._require_dense()
-    r_ideal, p_ideal = ideal_transfer(sys)
-    cgc_res, cgc_err, relax = coarse_defect_blocks(sys.pair, sys.grid)
-    nf = len(sys.grid.f_points) * sys.pair.dim
-    nc_dim = sys.grid.n_coarse * sys.pair.dim
-
-    def pad_rows(m):
-        return np.vstack([np.zeros((nf, m.shape[1]), dtype=complex), m])
-
-    def pad_cols(m):
-        return np.hstack([np.zeros((m.shape[0], nf), dtype=complex), m])
-
-    r_f = pad_rows(cgc_res) @ r_ideal
-    r_fcf = pad_rows(cgc_res @ relax) @ r_ideal
-    e_f = p_ideal @ pad_cols(cgc_err)
-    e_fcf = p_ideal @ pad_cols(cgc_err @ relax)
-    return PropagatorSet(e_f, e_fcf, r_f, r_fcf, cgc_res, cgc_err, relax)
-
-
 class Step:
     """The step y -> M y of one block row, applied to rows held as the rows
     of an array (rows M^T): M dense, or diagonal (a normal pair's Phi or Psi
@@ -713,18 +691,9 @@ def apply_iteration(sys: SpaceTimeSystem, relaxation: str,
     return ub.ravel() + lift_coarse(sys, w)
 
 
-def block_diag_transform(m: np.ndarray, u: np.ndarray, u_inv: np.ndarray) -> np.ndarray:
-    """Similarity transform by the block-diagonal replication of u."""
-    nx = u.shape[0]
-    nt = m.shape[0] // nx
-    m4 = m.reshape(nt, nx, nt, nx)
-    return np.einsum("ij,ajbk,kl->aibl", u_inv, m4, u).reshape(m.shape)
-
-
-def operator_norm(m: np.ndarray, norm: str = "l2", a: np.ndarray | None = None,
-                  u: np.ndarray | None = None, u_inv: np.ndarray | None = None) -> float:
-    """Operator norm of a dense matrix: 'l2', 'AstarA' (needs a), or
-    'modified' (needs the per-point eigenvector matrix u)."""
+def operator_norm(m: np.ndarray, norm: str = "l2",
+                  a: np.ndarray | None = None) -> float:
+    """Operator norm of a dense matrix: 'l2', or 'AstarA' (needs a)."""
     if norm == "l2":
         return float(np.linalg.svd(m, compute_uv=False)[0])
     if norm == "AstarA":
@@ -732,11 +701,4 @@ def operator_norm(m: np.ndarray, norm: str = "l2", a: np.ndarray | None = None,
             raise ValueError("AstarA norm needs the system matrix")
         transformed = np.linalg.solve(a.conj().T, (a @ m).conj().T).conj().T
         return float(np.linalg.svd(transformed, compute_uv=False)[0])
-    if norm == "modified":
-        if u is None:
-            raise ValueError("modified norm needs the eigenvector matrix")
-        if u_inv is None:
-            u_inv = np.linalg.inv(u)
-        return float(np.linalg.svd(block_diag_transform(m, u, u_inv),
-                                   compute_uv=False)[0])
     raise ValueError(f"unknown norm {norm!r}")

@@ -3,7 +3,6 @@
 import numpy as np
 
 from pintbounds import operators as ops
-from pintbounds import spacetime as st
 from pintbounds import tap
 
 # R(z) = z at dt 1: the stepper of an operator is the operator itself, bit
@@ -92,14 +91,6 @@ def physical_vector(u, x):
     return (x.reshape(-1, u.shape[0]) @ u.T).ravel()
 
 
-def dense_block(pair, grid, relaxation, side="residual"):
-    """The assembled coarse-level propagation block of one relaxation and
-    side."""
-    cgc_res, cgc_err, relax = st.coarse_defect_blocks(pair, grid)
-    block = cgc_res if side == "residual" else cgc_err
-    return block @ relax if relaxation == "FCF" else block
-
-
 def phase_oracle(fun, minimize=False, samples=4096):
     """Brute-force extremum over x of a 2*pi-periodic function fun, which maps
     an array of phases to an array of values: the best of a dense grid,
@@ -135,19 +126,18 @@ def assert_not_beaten(value, fun, minimize=False):
 
 def tap_samples(pair, relaxation, p=1):
     """sigma_max((Psi - Phi^k)^p D(x)^{-p}) over an array of phases, with
-    D(x)^{-1} = (I - e^{ix} Psi)^{-1}, times Phi^k for FCF; 0 at the phases
-    the pole mask of Psi covers."""
+    D(x)^{-1} = (I - e^{ix} Psi)^{-1} Phi^{k nu} for nu CF sweeps; 0 at the
+    phases the pole mask of Psi covers."""
     psi, phik = pair.coarse.matrix, pair.fine_power
     num = np.linalg.matrix_power(psi - phik, p)
+    relaxed = ops.matrix_power(phik, ops.RELAXATIONS[relaxation])
     skip = tap._psi_poles(pair)
 
     def fun(xs):
         vals = np.zeros(len(xs))
         keep = np.ones(len(xs), bool) if skip is None else ~skip(xs)
         den = np.eye(pair.dim) - np.exp(1j * xs[keep])[:, None, None] * psi
-        di = np.linalg.inv(den)
-        if relaxation == "FCF":
-            di = di @ phik
+        di = np.linalg.inv(den) @ relaxed
         m = num @ np.linalg.matrix_power(di, p)
         vals[keep] = np.linalg.svd(m, compute_uv=False)[:, 0]
         return vals

@@ -16,9 +16,8 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as hst
 
-from helpers import (dense_block, normal_pair, phase_oracle, physical_vector,
-                     raw_pair, rotating_basis, rotating_pair, skewed_pair,
-                     tap_samples)
+from helpers import (normal_pair, phase_oracle, physical_vector, raw_pair,
+                     rotating_basis, rotating_pair, skewed_pair, tap_samples)
 
 import pintbounds
 from pintbounds import cli, harness
@@ -359,11 +358,7 @@ class TestRunExperiment:
             rng = np.random.default_rng(cfg.seed)
             e = rng.standard_normal(sys.dim) + 1j * rng.standard_normal(sys.dim)
             e /= np.linalg.norm(e)
-        props = st.build_propagators(sys)
-        perm = sys.permutation
-        prop = np.empty((sys.dim, sys.dim), dtype=complex)
-        prop[np.ix_(perm, perm)] = props.e_f if relaxation == "F" \
-            else props.e_fcf
+        prop, _ = st.build_propagators(sys, relaxation)
         a = sys.full_matrix()
         want = {"l2": [], "AstarA": []}
         for _ in range(cfg.iterations + 1):
@@ -408,11 +403,7 @@ class TestRunExperiment:
             rng = np.random.default_rng(cfg.seed)
             e = rng.standard_normal(sys.dim) + 1j * rng.standard_normal(sys.dim)
             e = physical_vector(u, e / np.linalg.norm(e))
-        props = st.build_propagators(sys)
-        perm = sys.permutation
-        prop = np.empty((sys.dim, sys.dim), dtype=complex)
-        prop[np.ix_(perm, perm)] = props.e_f if relaxation == "F" \
-            else props.e_fcf
+        prop, _ = st.build_propagators(sys, relaxation)
         a = sys.full_matrix()
         want = {"l2": [], "AstarA": [], "modified": []}
         for _ in range(cfg.iterations + 1):
@@ -731,7 +722,7 @@ class TestRunExperiment:
                    if r["kind"] == "coarse-norm")
         assert row["method"] == method and row["certified"]
         assert row["upper"] == cnorm.upper
-        dense = np.linalg.norm(dense_block(pair, grid, relaxation), 2)
+        dense = np.linalg.norm(st.coarse_block(pair, grid, relaxation), 2)
         assert row["lower"] <= row["upper"] <= row["lower"] * (1 + 1e-11)
         assert dense <= row["upper"] * (1 + 1e-14)
 
@@ -1796,7 +1787,7 @@ class TestConfigFuzz:
                 # the necessary bound at p = 2 is the norm of the squared
                 # block, up to the rounding of the dense I - A B^{-1}, which
                 # scales with ||B^{-1}|| (1 + ||Phi^k||)
-                block = dense_block(pair, grid, relaxation, side)
+                block = st.coarse_block(pair, grid, relaxation, side)
                 dense = np.linalg.norm(block @ block, 2)
                 scale = (np.linalg.norm(st.coarse_solve_operator(pair, grid), 2)
                          * (1.0 + np.linalg.norm(pair.fine_power, 2)))

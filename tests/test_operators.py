@@ -1,6 +1,8 @@
 import dataclasses
 import inspect
 import math
+import pathlib
+import re
 import warnings
 
 import numpy as np
@@ -449,6 +451,18 @@ class TestPairs:
     def test_mode_defects_refuse_an_unknown_relaxation(self):
         with pytest.raises(ValueError, match="unknown relaxation 'CF'"):
             ops.mode_defects([0.5], [0.6], 1, "CF")
+
+    def test_no_source_line_names_a_relaxation(self):
+        # every relaxation-dependent formula reads the sweep count nu of
+        # RELAXATIONS: no source line compares a relaxation name or builds
+        # an attribute name from one
+        pattern = re.compile(r'[=!]= "F(CF)?"|in \("F", "FCF"\)|"[er]_" \+')
+        src = pathlib.Path(ops.__file__).parent
+        hits = [f"{path.name}:{i}: {line.strip()}"
+                for path in sorted(src.glob("*.py"))
+                for i, line in enumerate(path.read_text().splitlines(), 1)
+                if pattern.search(line)]
+        assert not hits
 
 
 @settings(max_examples=20, deadline=None)

@@ -16,11 +16,6 @@ from pintbounds import tap
 from pintbounds import toeplitz as tp
 
 
-def permuted_full(sys):
-    p = sys.permutation
-    return sys.full_matrix()[np.ix_(p, p)]
-
-
 class TestGridSpec:
     def test_divisibility(self):
         with pytest.raises(ValueError):
@@ -61,7 +56,8 @@ class TestAssembly:
         sys = st.SpaceTimeSystem(pair, st.GridSpec(7, 3))
         a_ff, a_fc, a_cf, a_cc = sys.blocks()
         rebuilt = np.block([[a_ff, a_fc], [a_cf, a_cc]])
-        assert np.allclose(rebuilt, permuted_full(sys))
+        p = sys.permutation
+        assert np.allclose(rebuilt, sys.full_matrix()[np.ix_(p, p)])
 
     def test_apply_full_matches_dense(self):
         rng = np.random.default_rng(1)
@@ -70,12 +66,28 @@ class TestAssembly:
         u = rng.standard_normal(sys.dim) + 1j * rng.standard_normal(sys.dim)
         assert np.allclose(st.apply_full(sys, u), sys.full_matrix() @ u)
 
-    def test_dense_cap(self, monkeypatch):
-        monkeypatch.setattr(st, "DENSE_CAP", 10)
+    @pytest.mark.parametrize("build", [
+        lambda sys: sys.full_matrix(),
+        lambda sys: sys.blocks(),
+        st.fine_block_inverse,
+        st.ideal_transfer,
+        st.schur_complement,
+        lambda sys: st.coarse_bidiagonal(sys.pair, sys.grid),
+        lambda sys: st.coarse_solve_operator(sys.pair, sys.grid),
+        lambda sys: st.coarse_defect_blocks(sys.pair, sys.grid),
+        lambda sys: st.coarse_block(sys.pair, sys.grid, "FCF", "error"),
+        lambda sys: st.build_propagators(sys, "FCF"),
+    ], ids=["full_matrix", "blocks", "fine_block_inverse", "ideal_transfer",
+            "schur_complement", "coarse_bidiagonal", "coarse_solve_operator",
+            "coarse_defect_blocks", "coarse_block", "build_propagators"])
+    def test_dense_cap(self, build, monkeypatch):
+        # every dense builder refuses an order past the cap, also the coarse
+        # ones and fine_block_inverse, whose blocks have order 24
+        monkeypatch.setattr(st, "DENSE_CAP", 20)
         pair = heat_pair(nx=8)
         sys = st.SpaceTimeSystem(pair, st.GridSpec(9, 4))
-        with pytest.raises(ValueError, match="dense cap"):
-            sys.full_matrix()
+        with pytest.raises(ValueError, match="dense cap 20"):
+            build(sys)
 
 
 class TestSequentialSolve:
@@ -282,14 +294,14 @@ class TestPropagators:
         phi = 0.5 * np.eye(2)
         pair = raw_pair(phi, phi @ phi, 2)
         sys = st.SpaceTimeSystem(pair, st.GridSpec(5, 2))
-        props = st.build_propagators(sys)
-        for m in (props.e_f, props.e_fcf, props.r_f, props.r_fcf):
-            assert np.max(np.abs(m)) < 1e-14
+        for relaxation in ops.RELAXATIONS:
+            for m in st.build_propagators(sys, relaxation):
+                assert np.max(np.abs(m)) < 1e-14
 
     def test_scalar_defect_band(self):
         pair = raw_pair([[0.5]], [[0.3]], 2)
-        props = st.build_propagators(st.SpaceTimeSystem(pair, st.GridSpec(5, 2)))
-        sub = np.diag(props.cgc_res, -1)
+        cgc_res, _, _ = st.coarse_defect_blocks(pair, st.GridSpec(5, 2))
+        sub = np.diag(cgc_res, -1)
         # first band carries the coarse defect Psi - Phi^k (sign from I - AB)
         assert np.allclose(np.abs(sub), 0.05)
         assert np.allclose(sub, -(0.3 - 0.25))
@@ -298,48 +310,51 @@ class TestPropagators:
         rng = np.random.default_rng(8)
         pair = raw_pair(random_contraction(rng, 2), random_contraction(rng, 2), 2)
         sys = st.SpaceTimeSystem(pair, st.GridSpec(9, 2))
-        props = st.build_propagators(sys)
-        nf = len(sys.grid.f_points) * 2
+        e, r = st.build_propagators(sys, "F")
+        f_rows = (sys.grid.f_points[:, None] * 2 + np.arange(2)).ravel()
         # residual propagator vanishes on F-point rows, error propagator on
         # the first C-point rows
-        assert np.max(np.abs(props.r_f[:nf])) == 0.0
-        assert np.max(np.abs(props.e_f[nf:nf + 2])) < 1e-15
+        assert np.max(np.abs(r[f_rows])) == 0.0
+        assert np.max(np.abs(e[:2])) < 1e-15
 
     def test_similarity_identity(self):
         rng = np.random.default_rng(9)
         pair = raw_pair(random_contraction(rng, 2), random_contraction(rng, 2), 2)
         sys = st.SpaceTimeSystem(pair, st.GridSpec(9, 2))
-        props = st.build_propagators(sys)
-        ap = permuted_full(sys)
-        assert np.linalg.norm(props.r_f - ap @ props.e_f @ np.linalg.inv(ap)) < 1e-12
-        assert np.linalg.norm(props.r_fcf - ap @ props.e_fcf @ np.linalg.inv(ap)) < 1e-12
+        a = sys.full_matrix()
+        for relaxation in ops.RELAXATIONS:
+            e, r = st.build_propagators(sys, relaxation)
+            assert np.linalg.norm(r - a @ e @ np.linalg.inv(a)) < 1e-12
 
     def test_norm_identity(self):
         rng = np.random.default_rng(10)
         pair = raw_pair(random_contraction(rng, 2), random_contraction(rng, 2), 3)
         sys = st.SpaceTimeSystem(pair, st.GridSpec(13, 3))
-        props = st.build_propagators(sys)
-        ap = permuted_full(sys)
-        for r, e in ((props.r_f, props.e_f), (props.r_fcf, props.e_fcf)):
+        a = sys.full_matrix()
+        for relaxation in ops.RELAXATIONS:
+            e, r = st.build_propagators(sys, relaxation)
             for p in (1, 2, 3):
                 nr = st.operator_norm(np.linalg.matrix_power(r, p), "l2")
-                ne = st.operator_norm(np.linalg.matrix_power(e, p), "AstarA", a=ap)
+                ne = st.operator_norm(np.linalg.matrix_power(e, p), "AstarA", a=a)
                 assert abs(nr - ne) <= 1e-8 * nr
 
     def test_commuting_defect_sides_agree(self):
         pair = heat_pair(nx=4, dt=0.03, k=2)
-        props = st.build_propagators(st.SpaceTimeSystem(pair, st.GridSpec(9, 2)))
-        diff = np.linalg.norm(props.cgc_res - props.cgc_err)
-        assert diff <= 1e-10 * np.linalg.norm(props.cgc_res)
+        cgc_res, cgc_err, _ = st.coarse_defect_blocks(pair, st.GridSpec(9, 2))
+        diff = np.linalg.norm(cgc_res - cgc_err)
+        assert diff <= 1e-10 * np.linalg.norm(cgc_res)
 
     def test_coarse_block_selector(self):
         pair = heat_pair(nx=3, dt=0.03, k=2)
-        props = st.build_propagators(st.SpaceTimeSystem(pair, st.GridSpec(9, 2)))
-        assert props.coarse_block("F") is props.cgc_res
-        assert np.allclose(props.coarse_block("FCF", "error"),
-                           props.cgc_err @ props.relax_factor)
+        grid = st.GridSpec(9, 2)
+        cgc_res, cgc_err, relax = st.coarse_defect_blocks(pair, grid)
+        assert np.array_equal(st.coarse_block(pair, grid, "F"), cgc_res)
+        assert np.allclose(st.coarse_block(pair, grid, "FCF", "error"),
+                           cgc_err @ relax)
         with pytest.raises(ValueError):
-            props.coarse_block("FCFF")
+            st.coarse_block(pair, grid, "FCFF")
+        with pytest.raises(ValueError, match="unknown side 'errors'"):
+            st.coarse_block(pair, grid, "F", "errors")
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     @pytest.mark.parametrize("k", [1, 2, 4])
@@ -351,8 +366,8 @@ class TestPropagators:
         # carries the norm. Psi != Phi^k, so only FCF at k = 1 is zero.
         pair = _upwind_pair(3, 0.05, k, "sdirk2", "backward-euler")
         grid = st.GridSpec(6 * k + 1, k)
-        props = st.build_propagators(st.SpaceTimeSystem(pair, grid))
-        xp = np.linalg.matrix_power(props.coarse_block(relaxation), p)
+        xp = np.linalg.matrix_power(st.coarse_block(pair, grid, relaxation),
+                                    p)
         n, nu = st.block_rows(grid, relaxation, p), ops.RELAXATIONS[relaxation]
         if nu and k == 1:
             assert n == 0 and not xp.any()
@@ -395,13 +410,10 @@ class TestApplyIteration:
         rng = np.random.default_rng(13)
         pair = raw_pair(random_contraction(rng, 2), random_contraction(rng, 2), k)
         sys = st.SpaceTimeSystem(pair, st.GridSpec(4 * k + 1, k))
-        props = st.build_propagators(sys)
-        e_dense = props.e_f if relaxation == "F" else props.e_fcf
+        e_dense, _ = st.build_propagators(sys, relaxation)
         e0 = rng.standard_normal(sys.dim) + 1j * rng.standard_normal(sys.dim)
         out = st.apply_iteration(sys, relaxation, e0)
-        perm = sys.permutation
-        predicted = np.empty_like(e0)
-        predicted[perm] = e_dense @ e0[perm]
+        predicted = e_dense @ e0
         assert np.linalg.norm(out - predicted) <= 1e-14 * np.linalg.norm(e0)
 
     def test_lift_coarse_matches_p_ideal(self):
@@ -429,9 +441,9 @@ def loop_lift(sys, w):
 
 
 def loop_iteration(sys, relaxation, e):
-    """One two-level iteration on the error stepped one fine point at a
-    time: the per-point reference for the interval-batched
-    apply_iteration."""
+    """One two-level iteration on the error, with the nu CF sweeps of
+    relaxation, stepped one fine point at a time: the per-point reference
+    for the interval-batched apply_iteration."""
     nx, k, nt = sys.pair.dim, sys.grid.k, sys.grid.n_time
     nc = sys.grid.n_coarse
     phi = sys.pair.fine.matrix
@@ -443,7 +455,7 @@ def loop_iteration(sys, relaxation, e):
                 ub[c * k + j] = phi @ ub[c * k + j - 1]
 
     f_relax()
-    if relaxation == "FCF":
+    for _ in range(ops.RELAXATIONS[relaxation]):
         ub[0] = 0.0
         for c in range(1, nc):
             ub[c * k] = phi @ ub[c * k - 1]
@@ -623,18 +635,8 @@ class TestOperatorNorm:
     def test_identity_in_every_norm(self):
         eye = np.eye(4, dtype=complex)
         a = np.eye(4) + 0.1 * np.ones((4, 4))
-        u = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
         assert st.operator_norm(eye, "l2") == pytest.approx(1.0)
         assert st.operator_norm(eye, "AstarA", a=a) == pytest.approx(1.0)
-        assert st.operator_norm(eye, "modified", u=u) == pytest.approx(1.0)
-
-    def test_unitary_modified_reduces_to_l2(self):
-        rng = np.random.default_rng(15)
-        q, _ = np.linalg.qr(rng.standard_normal((3, 3))
-                            + 1j * rng.standard_normal((3, 3)))
-        m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        assert st.operator_norm(m, "modified", u=q) == \
-            pytest.approx(st.operator_norm(m, "l2"), rel=1e-10)
 
     def test_astara_is_similarity_norm(self):
         rng = np.random.default_rng(16)
@@ -660,11 +662,10 @@ class TestModeBlocks:
         # N_c x N_c block per mode, whose norms _mode_solve gives
         pair = normal_pair(k)
         grid = st.GridSpec(8 * k + 1, k)
-        cgc_res, _, relax = st.coarse_defect_blocks(pair, grid)
-        dense = cgc_res if relaxation == "F" else cgc_res @ relax
+        dense = st.coarse_block(pair, grid, relaxation)
         u = ops.laplacian_basis(pair.dim)
         nx, nc = pair.dim, grid.n_coarse
-        modal = st.block_diag_transform(dense, u, u.T)
+        modal = np.kron(np.eye(nc), u.T) @ dense @ np.kron(np.eye(nc), u)
         modal = modal.reshape(nc, nx, nc, nx).transpose(1, 3, 0, 2)
         idx = np.arange(nx)
         blocks = modal[idx, idx]
@@ -686,8 +687,7 @@ class TestModeBlocks:
         w = physical_vector(ops.laplacian_basis(pair.dim),
                             res.spread(pair.dim))
         assert res.certified and res.method == "per-mode"
-        cgc_res, _, relax = st.coarse_defect_blocks(pair, grid)
-        block = cgc_res if relaxation == "F" else cgc_res @ relax
+        block = st.coarse_block(pair, grid, relaxation)
         dense = np.linalg.norm(block, 2)
         assert norm == pytest.approx(dense, rel=1e-12)
         assert np.linalg.norm(w) == pytest.approx(1.0, rel=1e-14)
@@ -701,8 +701,7 @@ class TestModeBlocks:
         assert np.any(np.abs(pair.shared_eig.coarse_values.imag) > 0.1)
         grid = st.GridSpec(2 * 16 + 1, 2)
         res = st.coarse_norm(pair, grid, relaxation, True)
-        cgc_res, _, relax = st.coarse_defect_blocks(pair, grid)
-        block = cgc_res if relaxation == "F" else cgc_res @ relax
+        block = st.coarse_block(pair, grid, relaxation)
         dense = np.linalg.norm(block, 2)
         assert res.value == pytest.approx(dense, rel=1e-12)
         w = physical_vector(rotating_basis(), res.spread(pair.dim))
@@ -717,8 +716,7 @@ class TestModeBlocks:
         norm = res.value
         w = physical_vector(ops.laplacian_basis(pair.dim),
                             res.spread(pair.dim))
-        cgc_res, _, relax = st.coarse_defect_blocks(pair, grid)
-        block = cgc_res if relaxation == "F" else cgc_res @ relax
+        block = st.coarse_block(pair, grid, relaxation)
         dense = np.linalg.norm(block, 2)
         assert norm == pytest.approx(dense, rel=1e-12)
         assert np.linalg.norm(block @ w) == pytest.approx(dense, rel=1e-12)
@@ -847,8 +845,7 @@ class TestLanczosNorm:
         # without commuting steppers the error-side block I - B^{-1} A is
         # not the residual-side one, and its norm comes from its own factors
         pair, grid = lanczos_case("contractions")
-        _, cgc_err, relax = st.coarse_defect_blocks(pair, grid)
-        block = cgc_err if relaxation == "F" else cgc_err @ relax
+        block = st.coarse_block(pair, grid, relaxation, "error")
         res = st.coarse_norm(pair, grid, relaxation, p=1, side="error")
         assert res.method == "lanczos" and res.certified
         assert res.value == pytest.approx(np.linalg.norm(block, 2), rel=1e-12)
@@ -869,8 +866,7 @@ class TestLanczosNorm:
     def test_matches_dense_block(self, name, relaxation):
         pair, grid = lanczos_case(name)
         assert not pair.normal
-        cgc_res, _, relax = st.coarse_defect_blocks(pair, grid)
-        block = cgc_res if relaxation == "F" else cgc_res @ relax
+        block = st.coarse_block(pair, grid, relaxation)
         dense = np.linalg.norm(block, 2)
         res = st.coarse_norm(pair, grid, relaxation, with_vector=True)
         assert res.method == "lanczos" and res.certified
@@ -887,8 +883,7 @@ class TestLanczosNorm:
     @pytest.mark.parametrize("relaxation", ["F", "FCF"])
     def test_operator_is_the_trimmed_block(self, relaxation):
         pair, grid = lanczos_case("contractions")
-        cgc_res, _, relax = st.coarse_defect_blocks(pair, grid)
-        block = cgc_res if relaxation == "F" else cgc_res @ relax
+        block = st.coarse_block(pair, grid, relaxation)
         op = coarse_operator(pair, grid, relaxation)
         nx, n = pair.dim, op.n
         # past the zero first block row(s) and zero last block column(s),
@@ -905,10 +900,7 @@ class TestLanczosNorm:
     def test_power_operator_is_the_trimmed_power(self, relaxation, side):
         # T_n(G^2) from the realization of G^2 with its link factor R L
         pair, grid = lanczos_case("contractions")
-        cgc_res, cgc_err, relax = st.coarse_defect_blocks(pair, grid)
-        block = cgc_res if side == "residual" else cgc_err
-        if relaxation == "FCF":
-            block = block @ relax
+        block = st.coarse_block(pair, grid, relaxation, side)
         lft, rgt = ops.coarse_factors(pair, relaxation, side)
         op = st.CoarseOperator(*tap._tap_realization(
             pair.coarse.matrix, rgt, lft, 2, rgt @ lft),
@@ -1028,8 +1020,7 @@ class TestLanczosNorm:
         # past the failed one by TOL, which a converged value does not: the
         # norm is uncertified, and its bound row has no upper
         pair, grid = lanczos_case("upwind3")
-        cgc_res, _, relax = st.coarse_defect_blocks(pair, grid)
-        block = cgc_res if relaxation == "F" else cgc_res @ relax
+        block = st.coarse_block(pair, grid, relaxation)
         dense = np.linalg.norm(block, 2)
         calls = []
         definite = st.CoarseOperator.definite
@@ -1083,8 +1074,7 @@ class TestLanczosNorm:
             upper = tp.symbol_max_sv(tp.build_symbol(pair, grid,
                                                      relaxation)).upper
         assert 1e180 < res.value <= upper < math.inf
-        cgc_res, _, relax = st.coarse_defect_blocks(pair, grid)
-        block = cgc_res if relaxation == "F" else cgc_res @ relax
+        block = st.coarse_block(pair, grid, relaxation)
         assert res.value == pytest.approx(
             np.linalg.svd(block, compute_uv=False)[0], rel=1e-10)
 

@@ -1,12 +1,12 @@
 import inspect
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from helpers import (assert_not_beaten, dense_block, heat_pair, normal_pair,
-                     phase_oracle, random_contraction, raw_pair, rotating_pair,
-                     skewed_pair)
+from helpers import (assert_not_beaten, heat_pair, normal_pair, phase_oracle,
+                     random_contraction, raw_pair, rotating_pair, skewed_pair)
 from pintbounds import harness
 from pintbounds import operators as ops
 from pintbounds import spacetime as st
@@ -121,12 +121,9 @@ class TestSymbols:
         pair = heat_pair(nx=3, dt=0.05, k=2)
         for nc in (8, 16, 32):
             grid = st.GridSpec(2 * (nc - 1) + 1, 2)
-            cgc_res, cgc_err, relax = st.coarse_defect_blocks(pair, grid)
-            assembled = {("F", "residual"): cgc_res,
-                         ("FCF", "residual"): cgc_res @ relax,
-                         ("F", "error"): cgc_err,
-                         ("FCF", "error"): cgc_err @ relax}
-            for (relaxation, side), block in assembled.items():
+            for relaxation, side in itertools.product(
+                    ops.RELAXATIONS, ("residual", "error")):
+                block = st.coarse_block(pair, grid, relaxation, side)
                 sym = tp.build_symbol(pair, grid, relaxation, side)
                 assert np.linalg.norm(block, 2) <= tp.symbol_max_sv(sym).upper + 1e-10
 
@@ -463,8 +460,7 @@ class TestDiagBounds:
         pair = heat_pair(nx=4, dt=0.02, k=2)
         nc = 32
         grid = st.GridSpec(2 * (nc - 1) + 1, 2)
-        cgc_res, _, relax = st.coarse_defect_blocks(pair, grid)
-        block = cgc_res if relaxation == "F" else cgc_res @ relax
+        block = st.coarse_block(pair, grid, relaxation)
         dense = np.linalg.norm(block, 2)
         e = pair.shared_eig
         db = tp.diag_bounds(e.fine_values, e.coarse_values, 2, nc,
@@ -643,7 +639,7 @@ class TestNecessaryLowerBound:
         pair, grid = necessary_case(name)
         nb = tp.necessary_lower_bound(pair, grid, relaxation, p, side)
         assert nb.available
-        dense = ops.matrix_power(dense_block(pair, grid, relaxation, side), p)
+        dense = ops.matrix_power(st.coarse_block(pair, grid, relaxation, side), p)
         assert nb.value == pytest.approx(np.linalg.norm(dense, 2), rel=1e-12)
 
     def test_takes_no_coarse_norm(self):
@@ -672,9 +668,7 @@ class TestNecessaryLowerBound:
         grid = st.GridSpec(2 * (nc - 1) + 1, 2)
         nb = tp.necessary_lower_bound(pair, grid, relaxation, p, side)
         assert nb.available
-        cgc_res, cgc_err, relax = st.coarse_defect_blocks(pair, grid)
-        base = cgc_res if side == "residual" else cgc_err
-        block = base if relaxation == "F" else base @ relax
+        block = st.coarse_block(pair, grid, relaxation, side)
         dense = np.linalg.norm(np.linalg.matrix_power(block, p), 2)
         assert nb.value <= dense * (1 + 1e-10)
 
@@ -728,7 +722,7 @@ class TestNecessaryLowerBound:
             assert not nb.available and "k = 1" in nb.reason
             return
         assert nb.available
-        dense = ops.matrix_power(dense_block(pair, grid, relaxation, side), p)
+        dense = ops.matrix_power(st.coarse_block(pair, grid, relaxation, side), p)
         assert nb.value == pytest.approx(np.linalg.norm(dense, 2), rel=1e-12)
 
     @pytest.mark.parametrize("k", [2, 4])
@@ -775,8 +769,8 @@ class TestNecessaryLowerBound:
         pair = raw_pair(random_contraction(rng, 3), random_contraction(rng, 3), 2)
         grid = st.GridSpec(33, 2)
         assert not pair.commuting
-        _, cgc_err, relax = st.coarse_defect_blocks(pair, grid)
-        for relaxation, block in (("F", cgc_err), ("FCF", cgc_err @ relax)):
+        for relaxation in ops.RELAXATIONS:
+            block = st.coarse_block(pair, grid, relaxation, "error")
             nb = tp.necessary_lower_bound(pair, grid, relaxation, 1, "error")
             norm = np.linalg.norm(block, 2)
             assert nb.value == pytest.approx(norm, rel=1e-12)

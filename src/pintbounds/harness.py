@@ -316,15 +316,16 @@ def _norm_series(sys: st.SpaceTimeSystem, relaxation: str, e: np.ndarray,
 
 
 def _stability_decay(pair: ops.StepperPair, grid: st.GridSpec):
-    """tap.stability_decay; a Phi^k or Psi^N_c that overflows is a
-    ConfigError."""
+    """tap.stability_decay of every relaxation of ops.RELAXATIONS; a Phi^k
+    or Psi^N_c that overflows is a ConfigError. The factor of nu = 0 is
+    never None, so an overflowing Psi^N_c shows as an infinite factor."""
     with np.errstate(over="ignore", invalid="ignore"):
         finite = np.isfinite(pair.fine_power_sv if pair.normal
                              else pair.fine_power).all()
     if not finite:
         raise ConfigError(f"Phi^k overflows at k = {pair.k}")
-    decay = tap_mod.stability_decay(pair, grid)
-    if math.isinf(decay[0]):
+    decay = tap_mod.stability_decay(pair, grid, ops.RELAXATIONS)
+    if math.inf in decay.values():
         raise ConfigError(f"Psi^N_c overflows at N_c = {grid.n_coarse}")
     return decay
 
@@ -340,7 +341,7 @@ def _bound_rows(pair: ops.StepperPair, grid: st.GridSpec, relaxation: str,
     # the factor after a CF sweep needs Phi^{-k}: it is None when Phi^k is
     # singular, and the sufficient bound built on it is left out too
     nu = ops.cf_sweeps(relaxation)
-    amp = decay[nu]
+    amp = decay[relaxation]
     tap_res = tap_mod.tap_constant(pair, relaxation)
     rows.append({"relaxation": relaxation, "kind": "tap",
                  "lower": tap_res.value, "upper": tap_res.upper,

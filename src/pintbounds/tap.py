@@ -1,12 +1,11 @@
 """Temporal approximation constants.
 
-Computes the phase-minimized norms min_x ||(I - e^{ix} Psi)^p v||, in closed
-form for p = 1 and from the roots of one polynomial otherwise, and the
-approximation constants that bound two-level convergence: the vector form
-(sup over v, evaluated as the largest singular value over the unit circle
-of a transfer function, by a certified level-set iteration), its inverse
-form, and the eigenvalue form for simultaneously diagonalizable pairs, for
-F- and FCF-relaxation.
+Computes the approximation constants that bound two-level convergence: the
+vector form sup over v of ||(Psi - Phi^k)^p v|| / min_x ||(I - e^{ix} Psi)^p
+v||, evaluated as the largest singular value over the unit circle of a
+transfer function by a certified level-set iteration, its inverse form, and
+the eigenvalue form for simultaneously diagonalizable pairs, for every
+relaxation F(CF)^nu; and the coarse-stability decay factors.
 """
 
 from __future__ import annotations
@@ -16,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import (StepperPair, _unit, coarse_factors, ill_conditioned,
-                        matrix_power, mode_defects)
+from .operators import (StepperPair, _unit, cf_sweeps, coarse_factors,
+                        ill_conditioned, matrix_power, mode_defects)
 
 STACK_ENTRIES = 2**18  # most matrix entries one stacked evaluation holds
 
@@ -45,80 +44,6 @@ def _evaluate(fun, xs: np.ndarray, entries: int) -> np.ndarray:
     for start in range(0, xs.size, chunk):
         vals[start:start + chunk] = fun(xs[start:start + chunk])
     return vals
-
-
-def _power_coeffs(c0, c1, p: int, x) -> np.ndarray:
-    """Coefficient blocks X_0..X_p of (c0 + z c1)^p x = sum_m z^m X_m, for a
-    matrix x: each factor maps X_m to c0 X_m + c1 X_{m-1}."""
-    coeffs = np.asarray(x, dtype=complex)[None]
-    for _ in range(p):
-        nxt = np.zeros((coeffs.shape[0] + 1,) + coeffs.shape[1:], dtype=complex)
-        nxt[:-1] = c0 @ coeffs
-        nxt[1:] += c1 @ coeffs
-        coeffs = nxt
-    return coeffs
-
-
-def min_phase_norm(psi: np.ndarray, v: np.ndarray, p: int = 1):
-    """min over x of ||(I - e^{ix} Psi)^p v|| and the minimizing phase.
-
-    For p = 1 the closed form sqrt(||v||^2 + ||Psi v||^2 - 2 |<Psi v, v>|)
-    holds, attained at x = -arg <Psi v, v>. For higher powers, with
-    (I - z Psi)^p v = sum_m z^m c_m, the square norm sum_d r_d e^{idx},
-    r_d = sum_m <c_{m+d}, c_m>, is critical at the unit-circle roots of
-    sum_d d r_d z^{d+p}. Near an eigenvalue of Psi close to the circle these
-    roots are ill-conditioned, so each root, projected onto the circle, is
-    polished by Newton steps on the product form while its value falls.
-    """
-    if p < 1:
-        raise ValueError("power must be >= 1")
-    m = np.asarray(psi, dtype=complex)
-    v = np.asarray(v, dtype=complex)
-    nv = np.linalg.norm(v)
-    if nv == 0:
-        raise ValueError("zero vector")
-    if p == 1:
-        mv = m @ v
-        inner = np.vdot(v, mv)   # <Psi v, v>, conjugation on v
-        val = math.sqrt(max(0.0, nv**2 + np.linalg.norm(mv)**2 - 2.0 * abs(inner)))
-        x = float((-np.angle(inner)) % (2.0 * np.pi)) if inner != 0 else 0.0
-        return val, x
-    c = _power_coeffs(np.eye(m.shape[0]), -m, p, v[:, None])[:, :, 0]
-    gram = c.conj() @ c.T        # gram[j, l] = <c_l, c_j>
-    ds = np.arange(p, -p - 1, -1)
-    poly = ds * np.array([np.trace(gram, offset=d) for d in ds])
-    # a constant norm has no critical points; phase 0 then attains it
-    xs = np.append(np.angle(np.roots(poly)), 0.0)
-    f, step = _phase_newton(m, v, p, xs)
-    better = step != 0.0
-    while better.any():
-        f_new, step_new = _phase_newton(m, v, p, xs + step)
-        better = f_new < f
-        xs, f = np.where(better, xs + step, xs), np.where(better, f_new, f)
-        step = np.where(better, step_new, 0.0)
-    i = int(np.argmin(f))
-    return math.sqrt(f[i]), float(xs[i] % (2.0 * np.pi))
-
-
-def _phase_newton(m, v, p: int, xs: np.ndarray):
-    """(f, step): f = ||g||^2, g = (I - z Psi)^p v, at the phases xs in
-    product form, and the Newton step -f' / (f'' - (1 - 1/p) f'^2 / f) on
-    f^{1/p}, which is nearly quadratic at a minimum one eigenvalue of Psi
-    near the circle dominates. With u_j = (I - z Psi)^{p-j} v,
-    g' = -ip z Psi u_1 and g'' = p z Psi u_1 - p (p - 1) z^2 Psi^2 u_2."""
-    z = np.exp(1j * xs)[:, None]
-    us = [np.tile(v, (xs.size, 1))]
-    for _ in range(p):
-        us.append(us[-1] - z * (us[-1] @ m.T))
-    g, zu1, zzu2 = us[-1], z * (us[-2] @ m.T), z**2 * (us[-3] @ m.T @ m.T)
-    g1 = -1j * p * zu1
-    f = np.sum(np.abs(g) ** 2, axis=1)
-    f1 = 2.0 * np.real(np.sum(g.conj() * g1, axis=1))
-    f2 = 2.0 * (np.real(np.sum(g.conj() * (p * zu1 - p * (p - 1) * zzu2), axis=1))
-                + np.sum(np.abs(g1) ** 2, axis=1))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        step = -f1 / (f2 - (1.0 - 1.0 / p) * f1**2 / f)
-    return f, np.where(np.isfinite(step), step, 0.0)
 
 
 def _psi_poles(pair: StepperPair):
@@ -382,25 +307,33 @@ def teap_constant(pair: StepperPair, relaxation: str = "F") -> TapResult:
     return TapResult(value, idx, phase, "eigenvalue", True, value)
 
 
-def stability_decay(pair: StepperPair, grid) -> tuple[float, float | None]:
-    """Amplification factors ||Psi^{N_c}|| and ||Phi^{-k} Psi^{N_c} Phi^k||;
-    the second is None when Phi^k is singular. A power that overflows gives
-    infinite factors. For a normal pair the first is max |mu|^{N_c}, and so
-    is the second, since Phi^{-k} Psi^{N_c} Phi^k = Psi^{N_c} when the
-    steppers commute."""
+def stability_decay(pair: StepperPair, grid,
+                    relaxations) -> dict[str, float | None]:
+    """{relaxation: ||Phi^{-k nu} Psi^{N_c} Phi^{k nu}||} for the relaxations
+    named, nu = cf_sweeps(relaxation): the amplification factor after nu CF
+    sweeps, with M = Phi^{k nu}. nu = 0 gives ||Psi^{N_c}||. A factor is None
+    where nu >= 1 and Phi^k is singular; a Psi^{N_c} that overflows gives
+    infinite factors. For a normal pair each factor is max |mu|^{N_c}, since
+    M^{-1} Psi^{N_c} M = Psi^{N_c} when the steppers commute."""
     singular = ill_conditioned(pair.fine_power_sv)
+    # one value serves every factor that exists for a normal pair, whose
+    # steppers commute, and where Psi^{N_c} overflows
     if pair.normal:
-        first = float(np.max(np.abs(pair.shared_eig.coarse_values))) \
+        common = float(np.max(np.abs(pair.shared_eig.coarse_values))) \
             ** grid.n_coarse
-        return first, None if singular else first
-    with np.errstate(over="ignore", invalid="ignore"):
-        psi_nc = matrix_power(pair.coarse.matrix, grid.n_coarse)
-    if not np.isfinite(psi_nc).all():
-        return math.inf, None if singular else math.inf
-    first = float(np.linalg.svd(psi_nc, compute_uv=False)[0])
-    if singular:
-        return first, None
-    phik = pair.fine_power
-    second = float(np.linalg.svd(np.linalg.solve(phik, psi_nc @ phik),
-                                 compute_uv=False)[0])
-    return first, second
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            psi_nc = matrix_power(pair.coarse.matrix, grid.n_coarse)
+        common = None if np.isfinite(psi_nc).all() else math.inf
+    decay = {}
+    for relaxation in relaxations:
+        nu = cf_sweeps(relaxation)
+        if nu and singular:
+            decay[relaxation] = None
+        elif common is not None:
+            decay[relaxation] = common
+        else:
+            m = matrix_power(pair.fine_power, nu)
+            decay[relaxation] = float(np.linalg.svd(
+                np.linalg.solve(m, psi_nc @ m), compute_uv=False)[0])
+    return decay

@@ -10,6 +10,7 @@ time-dependent tridiagonal reduction, and the necessary lower bound.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from .operators import (StepperPair, _unit, cf_sweeps, coarse_factors,
                         ill_conditioned, matrix_power, mode_defects)
-from .spacetime import GridSpec, block_rows, coarse_norm
+from .spacetime import GridSpec, _lower_toeplitz, block_rows, coarse_norm
 from .tridiag import (bidiagonal_gram, gershgorin_min, relaxed_toeplitz_min,
                       tridiag_stack_min)
 from . import tap as _tap
@@ -231,57 +232,44 @@ class PinvSpec:
 
 def assemble_a0(spec: PinvSpec, shape: str = "A0") -> np.ndarray:
     """Dense assembly of A0 (blocks g f^{i-j-1} h for i > j) or A1 (the same
-    family shifted to offsets >= 2)."""
-    d, n = spec.dim, spec.n
-    offset = 1 if shape == "A0" else 2
+    family shifted to offsets >= 2): offset zero blocks, then g f^j h."""
     if shape not in ("A0", "A1"):
         raise ValueError(f"unknown shape {shape!r}")
-    out = np.zeros((n * d, n * d), dtype=complex)
-    powers = [matrix_power(spec.f, j) for j in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i - j >= offset:
-                out[i * d:(i + 1) * d, j * d:(j + 1) * d] = \
-                    spec.g @ powers[i - j - offset] @ spec.h
-    return out
+    offset = 1 if shape == "A0" else 2
+    zero = np.zeros_like(spec.f)
+    blocks = (spec.g @ matrix_power(spec.f, j) @ spec.h
+              for j in range(spec.n - offset))
+    return _lower_toeplitz(itertools.chain([zero] * offset, blocks), spec.n,
+                           spec.dim)
 
 
 def pinv_a0(spec: PinvSpec, shape: str = "A0") -> np.ndarray:
-    """Closed-form Moore-Penrose pseudoinverse of A0 or A1."""
+    """Closed-form Moore-Penrose pseudoinverse of A0, toeplitz_t0 with its
+    last block row and first block column zeroed, or of A1, that of A0 with
+    n - 1 block rows shifted one block up and right."""
     if shape not in ("A0", "A1"):
         raise ValueError(f"unknown shape {shape!r}")
-    d, n = spec.dim, spec.n
-    h_inv = np.linalg.inv(spec.h)
-    g_inv = np.linalg.inv(spec.g)
-    sup = h_inv @ g_inv               # (i, i+1) entries
-    dia = -h_inv @ spec.f @ g_inv     # (i, i) entries, i = 1..n-2
-    if shape == "A0":
-        out = np.zeros((n * d, n * d), dtype=complex)
-        for i in range(n - 1):
-            out[i * d:(i + 1) * d, (i + 1) * d:(i + 2) * d] = sup
-        for i in range(1, n - 1):
-            out[i * d:(i + 1) * d, i * d:(i + 1) * d] = dia
+    d = spec.dim
+    if shape == "A1":
+        # no diagonals: the zero matrix, refused past DENSE_CAP first
+        out = _lower_toeplitz([], spec.n, d)
+        out[:-d, d:] = pinv_a0(PinvSpec(spec.f, spec.g, spec.h, spec.n - 1))
         return out
-    inner = pinv_a0(PinvSpec(spec.f, spec.g, spec.h, n - 1), "A0")
-    out = np.zeros((n * d, n * d), dtype=complex)
-    out[0:(n - 1) * d, d:n * d] = inner
+    out = toeplitz_t0(spec)
+    out[-d:] = 0.0
+    out[:, :d] = 0.0
     return out
 
 
 def toeplitz_t0(spec: PinvSpec) -> np.ndarray:
     """Upper-bidiagonal block Toeplitz with diagonal -h^{-1} f g^{-1} and
-    superdiagonal h^{-1} g^{-1}."""
-    d, n = spec.dim, spec.n
+    superdiagonal h^{-1} g^{-1}: the transpose of the lower one of the
+    transposed blocks, which is exact."""
     h_inv = np.linalg.inv(spec.h)
     g_inv = np.linalg.inv(spec.g)
     a = h_inv @ spec.f @ g_inv
     b = h_inv @ g_inv
-    out = np.zeros((n * d, n * d), dtype=complex)
-    for i in range(n):
-        out[i * d:(i + 1) * d, i * d:(i + 1) * d] = -a
-        if i + 1 < n:
-            out[i * d:(i + 1) * d, (i + 1) * d:(i + 2) * d] = b
-    return out
+    return _lower_toeplitz([-a.T, b.T], spec.n, spec.dim).T.copy()
 
 
 def pinv_power(spec: PinvSpec) -> np.ndarray:
@@ -289,8 +277,9 @@ def pinv_power(spec: PinvSpec) -> np.ndarray:
     upper-bidiagonal Toeplitz with its last p block rows and first p block
     columns zeroed."""
     d, n, p = spec.dim, spec.n, spec.p
+    inner = t_hat(spec)     # refuses an order past DENSE_CAP first
     out = np.zeros((n * d, n * d), dtype=complex)
-    out[:(n - p) * d, p * d:] = t_hat(spec)
+    out[:(n - p) * d, p * d:] = inner
     return out
 
 
@@ -302,27 +291,6 @@ def t_hat(spec: PinvSpec) -> np.ndarray:
         raise ValueError("power too large for the block count (need p < n/2)")
     tp = matrix_power(toeplitz_t0(spec), p)
     return tp[0:(n - p) * d, p * d:]
-
-
-def _power_factors(a, b, p: int):
-    a, b = _as_block(a), _as_block(b)
-    if a.shape != b.shape:
-        raise ValueError("a and b must share one dimension")
-    if p < 1:
-        raise ValueError("power must be >= 1")
-    return a, b
-
-
-def power_symbol(a, b, p: int) -> SymbolFunction:
-    """Hermitian normal-equation symbol F_p(x) = M(x) M(x)^* with
-    M(x) = (-a + b e^{ix})^p = sum_j e^{ijx} M_j: its 2p + 1 blocks
-    sum_{j - l = d} M_j M_l^*, for d from -p."""
-    a, b = _power_factors(a, b, p)
-    m = _tap._power_coeffs(-a, b, p, np.eye(a.shape[0]))
-    prods = m[:, None] @ m.conj().swapaxes(1, 2)     # [j, l] = M_j M_l^*
-    coeffs = np.array([np.diagonal(prods, -d).sum(axis=-1)
-                       for d in range(-p, p + 1)])
-    return SymbolFunction(coeffs, -p)
 
 
 def symbol_min_eig(a, b, p: int = 1) -> _tap.TapResult:
@@ -337,7 +305,11 @@ def symbol_min_eig(a, b, p: int = 1) -> _tap.TapResult:
     phase; no phase falls below upper = 1 / (gamma (1 + 2 TOL))^2. A
     singular b, or an eigenvalue of A within POLE_GAP of the unit circle, is
     a ValueError."""
-    a, b = _power_factors(a, b, p)
+    a, b = _as_block(a), _as_block(b)
+    if a.shape != b.shape:
+        raise ValueError("a and b must share one dimension")
+    if p < 1:
+        raise ValueError("power must be >= 1")
     _check_invertible(b, "b")
     psi = np.linalg.solve(b, a)
     eigs = np.linalg.eigvals(psi)

@@ -27,6 +27,32 @@ def random_contraction(rng, d, norm_bound=0.9):
     return m * (norm_bound / np.linalg.svd(m, compute_uv=False)[0])
 
 
+def mp_residuals(a, ai):
+    """The largest residual of the four Moore-Penrose conditions for ai as
+    the pseudoinverse of a, the first two relative to a and ai."""
+    na = max(np.linalg.norm(a), 1e-300)
+    ni = max(np.linalg.norm(ai), 1e-300)
+    return max(np.linalg.norm(a @ ai @ a - a) / na,
+               np.linalg.norm(ai @ a @ ai - ai) / ni,
+               np.linalg.norm((a @ ai).conj().T - a @ ai),
+               np.linalg.norm((ai @ a).conj().T - ai @ a))
+
+
+def stable_block(rng, d, rho=0.9):
+    """A random complex d x d block of spectral radius at most rho."""
+    m = 0.5 * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return m / max(1.0, np.max(np.abs(np.linalg.eigvals(m))) / rho)
+
+
+def shifted_block(rng, d):
+    """I plus a stable_block, redrawn until its condition number is at most
+    10."""
+    while True:
+        m = stable_block(rng, d) + np.eye(d)
+        if np.linalg.cond(m) <= 10.0:
+            return m
+
+
 def heat_pair(nx=8, dt=0.02, k=4, scheme="backward-euler", theta=None,
               coarse_scheme=None):
     spatial = ops.build_spatial("laplacian-1d-dirichlet", nx, 1.0 / (nx + 1))

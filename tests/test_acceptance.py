@@ -11,7 +11,8 @@ import time
 import numpy as np
 import pytest
 
-from helpers import heat_pair, random_contraction, raw_pair
+from helpers import (heat_pair, mp_residuals, random_contraction, raw_pair,
+                     shifted_block, stable_block)
 from pintbounds import cli, harness, operators as ops, spacetime as st
 from pintbounds import tap
 from pintbounds import toeplitz as tp
@@ -21,27 +22,6 @@ def report(num, name, passed, detail=""):
     status = "PASS" if passed else "FAIL"
     print(f"criterion-{num:02d} {name}: {status}  {detail}")
     return passed
-
-
-def mp_residuals(a, ai):
-    na = max(np.linalg.norm(a), 1e-300)
-    ni = max(np.linalg.norm(ai), 1e-300)
-    return max(np.linalg.norm(a @ ai @ a - a) / na,
-               np.linalg.norm(ai @ a @ ai - ai) / ni,
-               np.linalg.norm((a @ ai).conj().T - a @ ai),
-               np.linalg.norm((ai @ a).conj().T - ai @ a))
-
-
-def stable_block(rng, d, rho=0.9):
-    m = 0.5 * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
-    return m / max(1.0, np.max(np.abs(np.linalg.eigvals(m))) / rho)
-
-
-def shifted_block(rng, d):
-    while True:
-        m = stable_block(rng, d) + np.eye(d)
-        if np.linalg.cond(m) <= 10.0:
-            return m
 
 
 def test_criterion_01_moore_penrose_suite():

@@ -168,6 +168,38 @@ class TestRunExperiment:
                          and r["norm"] == "AstarA" and r["iteration"] == 1)
             assert first == pytest.approx(dense, rel=1e-10)
 
+    @pytest.mark.parametrize("problem", [
+        {"kind": "laplacian-1d-dirichlet", "n": 4, "h": 0.2},
+        {"kind": "advection-1d-upwind", "n": 4, "h": 0.25}],
+        ids=["heat", "upwind"])
+    def test_more_cf_sweeps_match_dense_oracles(self, problem, monkeypatch):
+        # F(CF)^nu for nu = 2 and 3: each row reads its relaxation's own
+        # factors, so a sweep count past FCF runs end to end
+        monkeypatch.setattr(ops, "RELAXATIONS",
+                            {**ops.RELAXATIONS, "FCFCF": 2, "FCFCFCF": 3})
+        cfg = harness.ExperimentConfig.from_dict(base_config(
+            problem=problem, initial_error="worst-case", norms=["AstarA"],
+            iterations=3, relaxations=["FCFCF", "FCFCFCF"]))
+        rec = harness.run_experiment(cfg)
+        pair = harness.build_pair(cfg)
+        grid = st.GridSpec(cfg.n_time, cfg.k)
+        psi_nc = np.linalg.matrix_power(pair.coarse.matrix, grid.n_coarse)
+        for relaxation, nu in (("FCFCF", 2), ("FCFCFCF", 3)):
+            rows = {r["kind"]: r for r in rec.bounds
+                    if r["relaxation"] == relaxation}
+            dense = np.linalg.norm(st.coarse_block(pair, grid, relaxation), 2)
+            assert rows["coarse-norm"]["lower"] == pytest.approx(dense,
+                                                                 rel=1e-13)
+            first = next(r["ratio"] for r in rec.trace
+                         if r["relaxation"] == relaxation
+                         and r["iteration"] == 1)
+            assert first == pytest.approx(dense, rel=1e-10)
+            m = np.linalg.matrix_power(pair.fine_power, nu)
+            decay = np.linalg.norm(np.linalg.solve(m, psi_nc @ m), 2)
+            assert rows["stability-decay"]["lower"] == pytest.approx(
+                decay, rel=1e-12)
+        assert not rec.violations
+
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_worst_case_error_is_interpolated_coarse_solve(self, k):
         # A^{-1} of a vector injected at the C-points is P_ideal A_Delta^{-1}
@@ -494,7 +526,8 @@ class TestRunExperiment:
                                    ops.SchemeSpec("backward-euler", 1.0))
         pair = ops.make_pair(fine, coarse, 2)
         grid = st.GridSpec(17, 2)
-        amp, fcf_amp = tap.stability_decay(pair, grid)
+        decay = tap.stability_decay(pair, grid, ops.RELAXATIONS)
+        amp, fcf_amp = decay["F"], decay["FCF"]
         assert fcf_amp is None
         rows = harness._bound_rows(pair, grid, "F")
         rows = {r["kind"]: r for r in rows}

@@ -37,6 +37,12 @@ class TestGridSpec:
         assert np.all(c % k == 0)
 
 
+def _pinv_spec(sys):
+    """The PinvSpec of 3 block rows with f = Psi and g = h = I."""
+    eye = np.eye(sys.pair.dim)
+    return tp.PinvSpec(sys.pair.coarse.matrix, eye, eye, 3)
+
+
 class TestAssembly:
     def test_scalar_matrix(self):
         sys = st.SpaceTimeSystem(raw_pair([[0.5]], [[0.3]], 1), st.GridSpec(3, 1))
@@ -77,12 +83,19 @@ class TestAssembly:
         lambda sys: st.coarse_defect_blocks(sys.pair, sys.grid),
         lambda sys: st.coarse_block(sys.pair, sys.grid, "FCF", "error"),
         lambda sys: st.build_propagators(sys, "FCF"),
+        lambda sys: tp.assemble_a0(_pinv_spec(sys)),
+        lambda sys: tp.pinv_a0(_pinv_spec(sys), "A1"),
+        lambda sys: tp.toeplitz_t0(_pinv_spec(sys)),
+        lambda sys: tp.pinv_power(_pinv_spec(sys)),
     ], ids=["full_matrix", "blocks", "fine_block_inverse", "ideal_transfer",
             "schur_complement", "coarse_bidiagonal", "coarse_solve_operator",
-            "coarse_defect_blocks", "coarse_block", "build_propagators"])
+            "coarse_defect_blocks", "coarse_block", "build_propagators",
+            "assemble_a0", "pinv_a0", "toeplitz_t0", "pinv_power"])
     def test_dense_cap(self, build, monkeypatch):
         # every dense builder refuses an order past the cap, also the coarse
-        # ones and fine_block_inverse, whose blocks have order 24
+        # ones and fine_block_inverse, whose blocks have order 24, and the
+        # pseudoinverses of 3 blocks of order 8, whose A1 form builds one of
+        # 2 blocks within the cap
         monkeypatch.setattr(st, "DENSE_CAP", 20)
         pair = heat_pair(nx=8)
         sys = st.SpaceTimeSystem(pair, st.GridSpec(9, 4))

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as hst
 
 from helpers import (assert_not_beaten, heat_pair, phase_oracle,
                      random_contraction, raw_pair, raw_stepper, tap_samples)
@@ -53,77 +52,6 @@ class TestPhaseSweep:
                                      compute_uv=False)[:, 0]
 
             assert_not_beaten(tap.itap_constant(pair, relaxation).value, fun)
-
-
-class TestMinPhaseNorm:
-    def test_zero_psi(self):
-        v = np.array([3.0, 4.0])
-        val, _ = tap.min_phase_norm(np.zeros((2, 2)), v)
-        assert val == pytest.approx(5.0)
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(ValueError):
-            tap.min_phase_norm(np.eye(2), np.zeros(2))
-
-    def test_closed_form_vs_grid(self):
-        rng = np.random.default_rng(0)
-        for _ in range(30):
-            d = int(rng.integers(1, 5))
-            psi = random_contraction(rng, d, norm_bound=0.95)
-            v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-            val, x = tap.min_phase_norm(psi, v)
-            oracle = phase_oracle(denominator_norms(psi, v, 1), minimize=True)[1]
-            assert abs(val - oracle) <= 1e-9 * max(oracle, 1e-12)
-            # returned phase attains the minimum
-            attained = np.linalg.norm((np.eye(d) - np.exp(1j * x) * psi) @ v)
-            assert attained == pytest.approx(val, abs=1e-10)
-
-    @settings(max_examples=25, deadline=None)
-    @given(hst.integers(min_value=0, max_value=10_000))
-    def test_real_two_case_form(self, seed):
-        # for real Psi and real v the minimum is ||(I -+ Psi) v|| depending on
-        # the sign of <Psi v, v>
-        rng = np.random.default_rng(seed)
-        d = int(rng.integers(1, 5))
-        psi = random_contraction(rng, d, norm_bound=0.9).real
-        v = rng.standard_normal(d)
-        val, _ = tap.min_phase_norm(psi, v)
-        inner = np.dot(psi @ v, v)
-        sign = -1.0 if inner > 0 else 1.0
-        assert val == pytest.approx(
-            np.linalg.norm((np.eye(d) + sign * psi) @ v), rel=1e-12)
-
-    def test_power_two_vs_grid(self):
-        rng = np.random.default_rng(1)
-        for _ in range(10):
-            psi = random_contraction(rng, 3, norm_bound=0.9)
-            v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-            val, _ = tap.min_phase_norm(psi, v, p=2)
-            oracle = phase_oracle(denominator_norms(psi, v, 2), minimize=True)[1]
-            assert abs(val - oracle) <= 1e-8 * max(oracle, 1e-12)
-
-    @pytest.mark.parametrize("p", [2, 3])
-    def test_higher_powers_not_beaten_by_oracle(self, p):
-        rng = np.random.default_rng(11)
-        for _ in range(5):
-            d = int(rng.integers(1, 5))
-            psi = random_contraction(rng, d, norm_bound=0.95)
-            v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-            fun = denominator_norms(psi, v, p)
-            val, x = tap.min_phase_norm(psi, v, p)
-            assert_not_beaten(val, fun, minimize=True)
-            assert fun(np.array([x]))[0] == pytest.approx(val, rel=1e-12)
-
-    @pytest.mark.parametrize("p", [2, 3, 4, 6])
-    def test_eigenvalue_near_unit_circle(self, p):
-        # the expanded polynomial has (p - 1)-fold roots at conj(mu) and
-        # 1 / mu, next to the minimum (1 - |mu|)^p, and its computed roots
-        # alone miss that minimum by up to 3e-2 relative
-        for mu in (0.999, 0.999 * np.exp(2.1j), 0.99j, -0.95 + 0.2j):
-            val, x = tap.min_phase_norm(np.array([[mu]]), np.array([1.0]), p)
-            attained = abs(1 - np.exp(1j * x) * mu) ** p
-            assert val == pytest.approx((1 - abs(mu)) ** p, rel=1e-12)
-            assert attained == pytest.approx(val, rel=1e-12)
 
 
 class TestTapConstant:
@@ -477,11 +405,13 @@ class TestTeapConstant:
 class TestStabilityDecay:
     def test_zero_coarse(self):
         pair = raw_pair(0.5 * np.eye(2), np.zeros((2, 2)), 2)
-        assert tap.stability_decay(pair, st.GridSpec(9, 2)) == (0.0, 0.0)
+        assert tap.stability_decay(pair, st.GridSpec(9, 2), ops.RELAXATIONS) \
+            == {"F": 0.0, "FCF": 0.0}
 
     def test_singular_fine_power_has_no_fcf_factor(self):
         pair = raw_pair(np.diag([0.0, 0.5]), 0.5 * np.eye(2), 2)
-        first, second = tap.stability_decay(pair, st.GridSpec(9, 2))
+        decay = tap.stability_decay(pair, st.GridSpec(9, 2), ops.RELAXATIONS)
+        first, second = decay["F"], decay["FCF"]
         assert first == pytest.approx(0.5 ** 5, rel=1e-14)
         assert second is None
 
@@ -491,7 +421,8 @@ class TestStabilityDecay:
         psi = random_contraction(rng, 3)
         pair = raw_pair(phi, psi, 2)
         grid = st.GridSpec(2 * 63 + 1, 2)
-        first, second = tap.stability_decay(pair, grid)
+        decay = tap.stability_decay(pair, grid, ops.RELAXATIONS)
+        first, second = decay["F"], decay["FCF"]
         psi_nc = np.linalg.matrix_power(psi, 64)
         phik = phi @ phi
         assert first == pytest.approx(np.linalg.norm(psi_nc, 2), rel=1e-10)
@@ -501,5 +432,5 @@ class TestStabilityDecay:
     def test_submultiplicative(self):
         pair = heat_pair(nx=6, dt=0.02, k=2)
         grid = st.GridSpec(2 * 31 + 1, 2)
-        first, _ = tap.stability_decay(pair, grid)
+        first = tap.stability_decay(pair, grid, ["F"])["F"]
         assert first <= pair.coarse.norm ** grid.n_coarse + 1e-14

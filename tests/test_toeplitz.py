@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from helpers import (assert_not_beaten, heat_pair, normal_pair, phase_oracle,
-                     random_contraction, raw_pair, rotating_pair, skewed_pair)
+from helpers import (assert_not_beaten, heat_pair, mp_residuals, normal_pair,
+                     phase_oracle, random_contraction, raw_pair, rotating_pair,
+                     shifted_block, skewed_pair, stable_block)
 from pintbounds import harness
 from pintbounds import operators as ops
 from pintbounds import spacetime as st
@@ -20,27 +21,6 @@ SYMBOL_CASES = [pytest.param("F", "residual", id="F-relaxation"),
                 pytest.param("FCF", "residual", id="FCF-relaxation"),
                 pytest.param("F", "error", id="error-side-F"),
                 pytest.param("FCF", "error", id="error-side-FCF")]
-
-
-def mp_residuals(a, ai):
-    na = max(np.linalg.norm(a), 1e-300)
-    ni = max(np.linalg.norm(ai), 1e-300)
-    return max(np.linalg.norm(a @ ai @ a - a) / na,
-               np.linalg.norm(ai @ a @ ai - ai) / ni,
-               np.linalg.norm((a @ ai).conj().T - a @ ai),
-               np.linalg.norm((ai @ a).conj().T - ai @ a))
-
-
-def stable_block(rng, d, rho=0.9):
-    m = 0.5 * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
-    return m / max(1.0, np.max(np.abs(np.linalg.eigvals(m))) / rho)
-
-
-def shifted_block(rng, d):
-    while True:
-        m = stable_block(rng, d) + np.eye(d)
-        if np.linalg.cond(m) <= 10.0:
-            return m
 
 
 class TestPinv:
@@ -131,7 +111,7 @@ class TestSymbols:
         pair = heat_pair(nx=4, dt=0.05, k=2)
         grid = st.GridSpec(2 * 15 + 1, 2)
         phi = tap.tap_constant(pair, "F").value
-        decay, _ = tap.stability_decay(pair, grid)
+        decay = tap.stability_decay(pair, grid, ["F"])["F"]
         sym = tp.build_symbol(pair, grid, "F")
         assert tp.symbol_max_sv(sym).upper <= phi * (1 + decay) + 1e-10
 
@@ -407,24 +387,6 @@ class TestNormalSymbol:
 
 
 class TestPowerSymbol:
-    def test_scalar_expansion(self):
-        mu = 0.4 + 0.1j
-        sym = tp.power_symbol(mu, 1.0, 1)
-        for x in (0.0, 0.9, 2.7):
-            expected = 1 + abs(mu) ** 2 - 2 * (mu * np.exp(-1j * x)).real
-            assert abs(sym(x)[0, 0] - expected) < 1e-12
-
-    def test_coefficients_match_assembly(self):
-        a, b, p, n = 0.5, 1.0, 2, 12
-        t = np.diag(np.full(n, -a)) + np.diag(np.full(n - 1, b), 1)
-        tp_hat = np.linalg.matrix_power(t, p)[: n - p, p:]
-        gram = tp_hat @ tp_hat.conj().T
-        sym = tp.power_symbol(a, b, p)
-        assert sym.low == -p and sym.coeffs.shape == (2 * p + 1, 1, 1)
-        row = (n - p) // 2
-        for m in range(p + 1):
-            assert abs(sym.coeffs[p + m][0, 0] - gram[row, row + m]) < 1e-11
-
     def test_scalar_min_is_contraction_power(self):
         for mu in (0.6, -0.3, 0.4 + 0.3j):
             for p in (1, 2, 3):

@@ -434,3 +434,47 @@ class TestStabilityDecay:
         grid = st.GridSpec(2 * 31 + 1, 2)
         first = tap.stability_decay(pair, grid, ["F"])["F"]
         assert first <= pair.coarse.norm ** grid.n_coarse + 1e-14
+
+    @staticmethod
+    def _more_sweeps(monkeypatch):
+        monkeypatch.setattr(ops, "RELAXATIONS",
+                            {**ops.RELAXATIONS, "FCFCF": 2, "FCFCFCF": 3})
+        return ops.RELAXATIONS
+
+    @pytest.mark.parametrize("nu", [2, 3])
+    def test_more_sweeps_match_the_dense_factor(self, nu, monkeypatch):
+        # each relaxation reads its own sweep count: M = Phi^{k nu}
+        relaxations = self._more_sweeps(monkeypatch)
+        name = next(r for r, n in relaxations.items() if n == nu)
+        rng = np.random.default_rng(7)
+        phi = random_contraction(rng, 3)
+        psi = random_contraction(rng, 3)
+        pair = raw_pair(phi, psi, 2)
+        grid = st.GridSpec(2 * 20 + 1, 2)
+        got = tap.stability_decay(pair, grid, [name])
+        m = np.linalg.matrix_power(phi @ phi, nu)
+        want = np.linalg.norm(
+            np.linalg.solve(m, np.linalg.matrix_power(psi, 21) @ m), 2)
+        assert list(got) == [name]
+        assert got[name] == pytest.approx(want, rel=1e-10)
+
+    def test_singular_fine_power_drops_every_sweep(self, monkeypatch):
+        relaxations = self._more_sweeps(monkeypatch)
+        pair = raw_pair(np.diag([0.0, 0.5]), 0.5 * np.eye(2), 2)
+        decay = tap.stability_decay(pair, st.GridSpec(9, 2), relaxations)
+        assert decay == {"F": 0.5 ** 5, "FCF": None, "FCFCF": None,
+                         "FCFCFCF": None}
+
+    def test_normal_pair_gives_the_eigenvalue_power(self, monkeypatch):
+        # commuting steppers: M^{-1} Psi^{N_c} M = Psi^{N_c} for every nu
+        relaxations = self._more_sweeps(monkeypatch)
+        pair = heat_pair(nx=4, dt=0.05, k=2)
+        grid = st.GridSpec(2 * 15 + 1, 2)
+        decay = tap.stability_decay(pair, grid, relaxations)
+        want = np.max(np.abs(np.linalg.eigvals(pair.coarse.matrix))) ** 16
+        psi_nc = np.linalg.matrix_power(pair.coarse.matrix, 16)
+        for relaxation, nu in relaxations.items():
+            assert decay[relaxation] == pytest.approx(want, rel=1e-12)
+            m = np.linalg.matrix_power(pair.fine_power, nu)
+            assert decay[relaxation] == pytest.approx(
+                np.linalg.norm(np.linalg.solve(m, psi_nc @ m), 2), rel=1e-10)

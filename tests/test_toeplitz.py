@@ -72,6 +72,58 @@ class TestPinv:
         with pytest.raises(ValueError):
             tp.PinvSpec(np.zeros((2, 2)), np.eye(2), np.eye(2), 4)
 
+    @staticmethod
+    def _spec(d, n, seed=3):
+        rng = np.random.default_rng(seed)
+        return tp.PinvSpec(stable_block(rng, d), shifted_block(rng, d),
+                           shifted_block(rng, d), n)
+
+    @pytest.mark.parametrize("shape, offset", [("A0", 1), ("A1", 2)])
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_assembly_is_the_block_family(self, d, shape, offset):
+        # block (i, j) is g f^{i-j-offset} h on and below the offset-th
+        # subdiagonal and zero elsewhere
+        spec = self._spec(d, 6)
+        a = tp.assemble_a0(spec, shape)
+        for i, j in itertools.product(range(spec.n), repeat=2):
+            block = a[i * d:(i + 1) * d, j * d:(j + 1) * d]
+            want = (spec.g @ np.linalg.matrix_power(spec.f, i - j - offset)
+                    @ spec.h if i - j >= offset else np.zeros((d, d)))
+            np.testing.assert_allclose(block, want, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_t0_is_upper_bidiagonal_and_pinv_its_trimmed_copy(self, d):
+        # T0 has diagonal -h^{-1} f g^{-1} and superdiagonal h^{-1} g^{-1};
+        # the A0 pseudoinverse is T0 with its last block row and first block
+        # column zeroed, and the A1 one is that of n - 1 rows shifted up-right
+        spec = self._spec(d, 5)
+        h_inv, g_inv = np.linalg.inv(spec.h), np.linalg.inv(spec.g)
+        t0 = tp.toeplitz_t0(spec)
+        for i, j in itertools.product(range(spec.n), repeat=2):
+            want = {0: -h_inv @ spec.f @ g_inv, 1: h_inv @ g_inv}.get(
+                j - i, np.zeros((d, d)))
+            np.testing.assert_allclose(t0[i * d:(i + 1) * d, j * d:(j + 1) * d],
+                                       want, rtol=0, atol=1e-14)
+        trimmed = t0.copy()
+        trimmed[-d:] = 0.0
+        trimmed[:, :d] = 0.0
+        assert np.array_equal(tp.pinv_a0(spec), trimmed)
+        shifted = np.zeros_like(t0)
+        shifted[:-d, d:] = tp.pinv_a0(
+            tp.PinvSpec(spec.f, spec.g, spec.h, spec.n - 1))
+        assert np.array_equal(tp.pinv_a0(spec, "A1"), shifted)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_two_block_rows(self, d):
+        # the A0 pseudoinverse needs no room for a power: at n = 2 it is the
+        # inverse of the one nonzero block, gh, in the upper-right corner
+        spec = self._spec(d, 2)
+        a, ai = tp.assemble_a0(spec), tp.pinv_a0(spec)
+        assert mp_residuals(a, ai) <= 1e-12
+        np.testing.assert_allclose(ai[:d, d:], np.linalg.inv(spec.g @ spec.h),
+                                   rtol=0, atol=1e-12)
+        assert not ai[d:].any() and not ai[:, :d].any()
+
 
 class TestSymbols:
     def test_exact_coarse_zero_symbol(self):

@@ -316,7 +316,7 @@ def _norm_series(sys: st.SpaceTimeSystem, relaxation: str, e: np.ndarray,
 
 
 def _stability_decay(pair: ops.StepperPair, grid: st.GridSpec):
-    """tap.stability_decay of every relaxation of ops.RELAXATIONS; a Phi^k
+    """tap.stability_decay, every relaxation of ops.RELAXATIONS; a Phi^k
     or Psi^N_c that overflows is a ConfigError. The factor of nu = 0 is
     never None, so an overflowing Psi^N_c shows as an infinite factor."""
     with np.errstate(over="ignore", invalid="ignore"):
@@ -324,7 +324,7 @@ def _stability_decay(pair: ops.StepperPair, grid: st.GridSpec):
                              else pair.fine_power).all()
     if not finite:
         raise ConfigError(f"Phi^k overflows at k = {pair.k}")
-    decay = tap_mod.stability_decay(pair, grid, ops.RELAXATIONS)
+    decay = tap_mod.stability_decay(pair, grid)
     if math.inf in decay.values():
         raise ConfigError(f"Psi^N_c overflows at N_c = {grid.n_coarse}")
     return decay

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import (StepperPair, _unit, cf_sweeps, coarse_factors,
-                        ill_conditioned, matrix_power, mode_defects)
+from . import operators
+from .operators import (StepperPair, _unit, coarse_factors, ill_conditioned,
+                        matrix_power, mode_defects)
 
 STACK_ENTRIES = 2**18  # most matrix entries one stacked evaluation holds
 
@@ -307,15 +308,14 @@ def teap_constant(pair: StepperPair, relaxation: str = "F") -> TapResult:
     return TapResult(value, idx, phase, "eigenvalue", True, value)
 
 
-def stability_decay(pair: StepperPair, grid,
-                    relaxations) -> dict[str, float | None]:
-    """{relaxation: ||Phi^{-k nu} Psi^{N_c} Phi^{k nu}||} for the relaxations
-    named, nu = cf_sweeps(relaxation): the amplification factor after nu CF
-    sweeps, with M = Phi^{k nu}. nu = 0 gives ||Psi^{N_c}||. A factor is None
-    where nu >= 1 and Phi^k is singular; a Psi^{N_c} that overflows gives
-    infinite factors. For a normal pair each factor is max |mu|^{N_c}, since
-    M^{-1} Psi^{N_c} M = Psi^{N_c} when the steppers commute."""
-    singular = ill_conditioned(pair.fine_power_sv)
+def stability_decay(pair: StepperPair, grid) -> dict[str, float | None]:
+    """{relaxation: ||M^{-1} Psi^{N_c} M||} for every relaxation of
+    operators.RELAXATIONS, M = Phi^{k nu} with nu its CF sweep count: the
+    amplification factor after nu CF sweeps. nu = 0 gives ||Psi^{N_c}||. A
+    factor is None where nu >= 1 and cond(Phi^k)^nu, which bounds cond(M),
+    is numerically singular (ill_conditioned); a Psi^{N_c} that overflows
+    gives infinite factors. For a normal pair each factor is max |mu|^{N_c},
+    since M^{-1} Psi^{N_c} M = Psi^{N_c} when the steppers commute."""
     # one value serves every factor that exists for a normal pair, whose
     # steppers commute, and where Psi^{N_c} overflows
     if pair.normal:
@@ -326,9 +326,8 @@ def stability_decay(pair: StepperPair, grid,
             psi_nc = matrix_power(pair.coarse.matrix, grid.n_coarse)
         common = None if np.isfinite(psi_nc).all() else math.inf
     decay = {}
-    for relaxation in relaxations:
-        nu = cf_sweeps(relaxation)
-        if nu and singular:
+    for relaxation, nu in operators.RELAXATIONS.items():
+        if nu and ill_conditioned(pair.fine_power_sv ** nu):
             decay[relaxation] = None
         elif common is not None:
             decay[relaxation] = common

@@ -10,7 +10,6 @@ time-dependent tridiagonal reduction, and the necessary lower bound.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -236,11 +235,10 @@ def assemble_a0(spec: PinvSpec, shape: str = "A0") -> np.ndarray:
     if shape not in ("A0", "A1"):
         raise ValueError(f"unknown shape {shape!r}")
     offset = 1 if shape == "A0" else 2
-    zero = np.zeros_like(spec.f)
-    blocks = (spec.g @ matrix_power(spec.f, j) @ spec.h
-              for j in range(spec.n - offset))
-    return _lower_toeplitz(itertools.chain([zero] * offset, blocks), spec.n,
-                           spec.dim)
+    blocks = [np.zeros_like(spec.f)] * offset + [
+        spec.g @ matrix_power(spec.f, j) @ spec.h
+        for j in range(spec.n - offset)]
+    return _lower_toeplitz(blocks, spec.n, spec.dim)
 
 
 def pinv_a0(spec: PinvSpec, shape: str = "A0") -> np.ndarray:

@@ -526,7 +526,7 @@ class TestRunExperiment:
                                    ops.SchemeSpec("backward-euler", 1.0))
         pair = ops.make_pair(fine, coarse, 2)
         grid = st.GridSpec(17, 2)
-        decay = tap.stability_decay(pair, grid, ops.RELAXATIONS)
+        decay = tap.stability_decay(pair, grid)
         amp, fcf_amp = decay["F"], decay["FCF"]
         assert fcf_amp is None
         rows = harness._bound_rows(pair, grid, "F")

@@ -163,7 +163,7 @@ class TestSymbols:
         pair = heat_pair(nx=4, dt=0.05, k=2)
         grid = st.GridSpec(2 * 15 + 1, 2)
         phi = tap.tap_constant(pair, "F").value
-        decay = tap.stability_decay(pair, grid, ["F"])["F"]
+        decay = tap.stability_decay(pair, grid)["F"]
         sym = tp.build_symbol(pair, grid, "F")
         assert tp.symbol_max_sv(sym).upper <= phi * (1 + decay) + 1e-10
 

@@ -47,12 +47,8 @@ def _cmd_verify(args) -> int:
 def _cmd_bounds(args) -> int:
     cfg = harness.load_config(args.config)
     pair = harness.build_pair(cfg)
-    grid = st.GridSpec(cfg.n_time, cfg.k)
-    # Psi^N_c and its two SVDs serve every relaxation
-    decay = harness._stability_decay(pair, grid)
-    rows = [row for relaxation in cfg.relaxations
-            for row in harness._bound_rows(pair, grid, relaxation,
-                                           decay=decay)]
+    rows, _ = harness.bound_rows(pair, st.GridSpec(cfg.n_time, cfg.k),
+                                 cfg.relaxations)
     print(json.dumps(rows, indent=2, sort_keys=True))
     return 0
 

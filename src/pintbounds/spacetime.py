@@ -312,7 +312,7 @@ class CoarseNorm:
     upper: float
     certified: bool
     method: str                  # "per-mode" or "lanczos"
-    vector: np.ndarray | None    # unit right singular vector, when asked for
+    vector: np.ndarray           # unit right singular vector
     mode: int | None = None      # the mode attaining value, per mode
 
     def spread(self, nx: int) -> np.ndarray:
@@ -325,12 +325,11 @@ class CoarseNorm:
         return out.ravel()
 
 
-def coarse_norm(pair: StepperPair, grid: GridSpec, relaxation: str,
-                with_vector: bool = False, *, p: int = 1,
-                side: str = "residual") -> CoarseNorm:
+def coarse_norm(pair: StepperPair, grid: GridSpec, relaxation: str, *,
+                p: int = 1, side: str = "residual") -> CoarseNorm:
     """Norm of the p-th power X^p of the coarse-level block on side,
-    ||T_n(G^p)|| with n = block_rows(grid, relaxation, p), and, with
-    with_vector, its leading right singular vector (CoarseNorm). Per mode for
+    ||T_n(G^p)|| with n = block_rows(grid, relaxation, p), and its leading
+    right singular vector (CoarseNorm). Per mode for
     a normal pair at p = 1, on either side, since its steppers commute and
     the two blocks coincide; the vector then holds the N_c entries of the
     vector of the mode m that attains the norm, real where mu_m is.
@@ -349,24 +348,22 @@ def coarse_norm(pair: StepperPair, grid: GridSpec, relaxation: str,
                                               p, link),
                             block_rows(grid, relaxation, p))
         with np.errstate(over="ignore", invalid="ignore"):
-            return _lanczos_norm(op, grid.n_coarse * pair.dim, with_vector)
+            return _lanczos_norm(op, grid.n_coarse * pair.dim)
     n, norms, uppers, theta, certified = _mode_solve(pair, grid, relaxation)
     m = int(np.argmax(norms))
-    v = None
-    if with_vector:
-        # mode m's block is zero past its first n columns, where its right
-        # singular vector is the eigenvector of C C^* at lambda_min:
-        # v_j = e^{i j arg mu} sin((n + 1 - j) theta), j = 1 ... n
-        mu = pair.shared_eig.coarse_values[m]
-        v = np.zeros(grid.n_coarse, dtype=float if mu.imag == 0 else complex)
-        if n == 0:
-            v[0] = 1.0      # the block is zero; any unit vector attains it
-        else:
-            j = np.arange(1, n + 1)
-            turn = (np.exp(1j * np.angle(mu) * j) if mu.imag
-                    else np.where((mu.real < 0) & (j % 2 == 1), -1.0, 1.0))
-            v[:n] = turn * np.sin((n + 1 - j) * theta[m])
-            v /= np.linalg.norm(v)
+    # mode m's block is zero past its first n columns, where its right
+    # singular vector is the eigenvector of C C^* at lambda_min:
+    # v_j = e^{i j arg mu} sin((n + 1 - j) theta), j = 1 ... n
+    mu = pair.shared_eig.coarse_values[m]
+    v = np.zeros(grid.n_coarse, dtype=float if mu.imag == 0 else complex)
+    if n == 0:
+        v[0] = 1.0      # the block is zero; any unit vector attains it
+    else:
+        j = np.arange(1, n + 1)
+        turn = (np.exp(1j * np.angle(mu) * j) if mu.imag
+                else np.where((mu.real < 0) & (j % 2 == 1), -1.0, 1.0))
+        v[:n] = turn * np.sin((n + 1 - j) * theta[m])
+        v /= np.linalg.norm(v)
     return CoarseNorm(float(norms[m]), float(uppers.max()), certified,
                       "per-mode", v, m)
 
@@ -473,11 +470,9 @@ def _orthonormalize(w: np.ndarray, basis: np.ndarray, rng):
     return w / np.linalg.norm(w), 0.0
 
 
-def _lanczos_norm(op: CoarseOperator, size: int,
-                  with_vector: bool) -> CoarseNorm:
-    """Certified norm of the CoarseOperator K of coarse_norm and, with
-    with_vector, its Ritz right vector padded with zero blocks to length
-    size.
+def _lanczos_norm(op: CoarseOperator, size: int) -> CoarseNorm:
+    """Certified norm of the CoarseOperator K of coarse_norm and its Ritz
+    right vector padded with zero blocks to length size.
 
     Golub-Kahan-Lanczos with full reorthogonalization from a fixed seeded
     start vector builds K V = U B with B upper bidiagonal; the largest
@@ -500,7 +495,7 @@ def _lanczos_norm(op: CoarseOperator, size: int,
             value = float(np.ldexp(value, exp))
         return CoarseNorm(value, value * (1.0 + 2.0 * TOL),
                           certified and math.isfinite(value), "lanczos",
-                          vector if with_vector else None)
+                          vector)
 
     if not (dim and op.c.any() and op.b.any()):
         return result(0.0, True)

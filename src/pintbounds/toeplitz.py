@@ -17,7 +17,7 @@ import numpy as np
 
 from .operators import (StepperPair, _unit, cf_sweeps, coarse_factors,
                         ill_conditioned, matrix_power, mode_defects)
-from .spacetime import GridSpec, _lower_toeplitz, block_rows, coarse_norm
+from .spacetime import GridSpec, _lower_toeplitz, coarse_norm
 from .tridiag import (bidiagonal_gram, gershgorin_min, relaxed_toeplitz_min,
                       tridiag_stack_min)
 from . import tap as _tap
@@ -483,29 +483,14 @@ def timedep_exact_norm(spec: TimeDepSpec):
 # ---------------------------------------------------------------------------
 # necessary lower bounds on propagator norms
 
-@dataclass(frozen=True)
-class NecessaryBound:
-    value: float
-    available: bool
-    reason: str = ""
-
-
 def necessary_lower_bound(pair: StepperPair, grid: GridSpec,
                           relaxation: str = "F", p: int = 1,
-                          side: str = "residual") -> NecessaryBound:
+                          side: str = "residual") -> float:
     """Lower bound on the norm of the p-th power of the coarse-level
     propagation block X on either side: ||X^p||, the value of
     spacetime.coarse_norm, which is attained by its vector and so never
     exceeds the norm. At p = 1 the error-side block of a commuting pair is
-    the residual-side one, whose norm is taken. It is unavailable only where
-    X^p is zero: n = block_rows(grid, relaxation, p) = 0."""
-    n = block_rows(grid, relaxation, p)
-    if cf_sweeps(relaxation) and grid.k == 1:
-        return NecessaryBound(0.0, False, "a CF sweep at k = 1 is a sequential "
-                              "solve; the coarse block is zero")
-    if n == 0:
-        return NecessaryBound(0.0, False,
-                              "too few coarse points for the requested power")
+    the residual-side one, whose norm is taken. It is 0 where X^p is zero:
+    n = block_rows(grid, relaxation, p) = 0."""
     side = "residual" if p == 1 and pair.commuting else side
-    return NecessaryBound(coarse_norm(pair, grid, relaxation, p=p,
-                                      side=side).value, True)
+    return coarse_norm(pair, grid, relaxation, p=p, side=side).value

@@ -636,7 +636,7 @@ class TestModeCoordinates:
         grid = st.GridSpec(33, 2)
         sys = st.SpaceTimeSystem(pair, grid)
         for relaxation in ("F", "FCF"):
-            w = st.coarse_norm(pair, grid, relaxation, with_vector=True)
+            w = st.coarse_norm(pair, grid, relaxation)
             e = harness._worst_case_error(sys, w.spread(pair.dim))
             assert e.dtype == float
             e = st.apply_iteration(sys, relaxation, e)
@@ -695,7 +695,7 @@ class TestModeBlocks:
     def test_norm_and_vector_match_dense(self, k, relaxation):
         pair = normal_pair(k)
         grid = st.GridSpec(8 * k + 1, k)
-        res = st.coarse_norm(pair, grid, relaxation, True)
+        res = st.coarse_norm(pair, grid, relaxation)
         norm = res.value
         w = physical_vector(ops.laplacian_basis(pair.dim),
                             res.spread(pair.dim))
@@ -713,7 +713,7 @@ class TestModeBlocks:
         pair = rotating_pair(k=2)
         assert np.any(np.abs(pair.shared_eig.coarse_values.imag) > 0.1)
         grid = st.GridSpec(2 * 16 + 1, 2)
-        res = st.coarse_norm(pair, grid, relaxation, True)
+        res = st.coarse_norm(pair, grid, relaxation)
         block = st.coarse_block(pair, grid, relaxation)
         dense = np.linalg.norm(block, 2)
         assert res.value == pytest.approx(dense, rel=1e-12)
@@ -725,7 +725,7 @@ class TestModeBlocks:
         # N_c = 257, where the slowest mode's tridiagonal is nearly singular
         pair = heat_pair(nx=2, dt=0.002, k=4)
         grid = st.GridSpec(4 * 256 + 1, 4)
-        res = st.coarse_norm(pair, grid, relaxation, True)
+        res = st.coarse_norm(pair, grid, relaxation)
         norm = res.value
         w = physical_vector(ops.laplacian_basis(pair.dim),
                             res.spread(pair.dim))
@@ -745,7 +745,7 @@ class TestModeBlocks:
         monkeypatch.setattr(np.linalg, "eigh", refuse)
         pair = heat_pair(nx=4, dt=0.002, k=2)
         grid = st.GridSpec(2 * 4096 + 1, 2)
-        res = st.coarse_norm(pair, grid, relaxation, True)
+        res = st.coarse_norm(pair, grid, relaxation)
         assert res.certified and res.value <= res.upper <= res.value * (1 + 1e-12)
         eig = pair.shared_eig
         # the vector is in mode coordinates; its U-image maps back to it
@@ -850,7 +850,7 @@ class TestLanczosNorm:
         op = st.CoarseOperator(0.5 * np.eye(2), big, big, 4)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            res = st._lanczos_norm(op, 8, False)
+            res = st._lanczos_norm(op, 8)
         assert res.value == res.upper == math.inf and not res.certified
 
     @pytest.mark.parametrize("relaxation", ["F", "FCF"])
@@ -881,7 +881,7 @@ class TestLanczosNorm:
         assert not pair.normal
         block = st.coarse_block(pair, grid, relaxation)
         dense = np.linalg.norm(block, 2)
-        res = st.coarse_norm(pair, grid, relaxation, with_vector=True)
+        res = st.coarse_norm(pair, grid, relaxation)
         assert res.method == "lanczos" and res.certified
         # an exact coarse stepper leaves only rounding in the dense block
         assert res.value == pytest.approx(dense, rel=3e-12, abs=1e-14)
@@ -969,7 +969,7 @@ class TestLanczosNorm:
         monkeypatch.setattr(st, "_orthonormalize", record)
         sys = st.SpaceTimeSystem(pair, grid)
         for relaxation in ("F", "FCF"):
-            res = st.coarse_norm(pair, grid, relaxation, with_vector=True)
+            res = st.coarse_norm(pair, grid, relaxation)
             assert res.vector.dtype == float
             e = harness._worst_case_error(sys, res.vector)
             assert e.dtype == float
@@ -990,7 +990,7 @@ class TestLanczosNorm:
         pair = ops.make_pair(fine, coarse, 2)
         assert pair.fine.matrix.dtype == pair.coarse.matrix.dtype == float
         grid = st.GridSpec(17, 2)
-        res = st.coarse_norm(pair, grid, "F", with_vector=True)
+        res = st.coarse_norm(pair, grid, "F")
         assert res.certified and res.vector.dtype == float
         cast = st.coarse_norm(complex_cast(pair), grid, "F")
         assert abs(cast.value - res.value) <= 2.0 * tap.TOL * res.value
@@ -1050,7 +1050,7 @@ class TestLanczosNorm:
         assert res.method == "lanczos" and not res.certified
         assert abs(res.value - dense) <= 2.0 * tap.TOL * dense
         calls.clear()
-        row = next(r for r in harness._bound_rows(pair, grid, relaxation)
+        row = next(r for r in harness.bound_rows(pair, grid, [relaxation])[0]
                    if r["kind"] == "coarse-norm")
         assert row["upper"] == math.inf and not row["certified"]
         assert len(calls) == 1
@@ -1070,7 +1070,7 @@ class TestLanczosNorm:
     def test_non_finite_block_is_uncertified(self):
         # |mu| = 10 over N_c = 400 coarse steps overflows double precision
         pair = raw_pair([[0.5]], [[10.0]], 2)
-        res = st.coarse_norm(pair, st.GridSpec(2 * 399 + 1, 2), "F", True)
+        res = st.coarse_norm(pair, st.GridSpec(2 * 399 + 1, 2), "F")
         assert res.value == math.inf and not res.certified
         assert np.linalg.norm(res.vector) == 1.0
 

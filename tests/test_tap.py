@@ -296,7 +296,7 @@ class TestLevelSet:
             "n_time": 17, "relaxations": ["F"], "iterations": 3})
         pair = harness.build_pair(cfg)
         assert tap._psi_poles(pair) is not None
-        rows = harness._bound_rows(pair, st.GridSpec(17, 2), "F")
+        rows = harness.bound_rows(pair, st.GridSpec(17, 2), ["F"])[0]
         row = next(r for r in rows if r["kind"] == "tap")
         assert row["certified"] is True
         assert row["lower"] == pytest.approx(0.05843857695756814, rel=1e-10)
@@ -335,7 +335,8 @@ class TestLevelSet:
             "n_time": 17, "relaxations": ["F", "FCF"], "iterations": 3})
         pair = harness.build_pair(cfg)
         for relaxation, exact in (("F", 4 / 9), ("FCF", 16 / 81)):
-            rows = harness._bound_rows(pair, st.GridSpec(17, 2), relaxation)
+            rows = harness.bound_rows(pair, st.GridSpec(17, 2),
+                                      [relaxation])[0]
             row = next(r for r in rows if r["kind"] == "tap")
             assert row["certified"] is True
             assert row["lower"] == pytest.approx(exact, rel=1e-14)

@@ -440,11 +440,12 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentRecord:
                 row = {"iteration": i, "relaxation": relaxation, "norm": n,
                        "value": values[n][i], "ratio": ratio}
                 if n == "AstarA":
-                    # A e_i = e_i - Phi e_{i-1} may cancel: rounding of the
-                    # iterate and of the product is of order
-                    # (1 + ||Phi||) ||e_i|| eps
+                    # the rows u_j - Phi u_{j-1} of A e_i may cancel, and
+                    # e_i is computed from e_{i-1}: rounding of the iterate
+                    # and of the product is of order (1 + ||Phi||) eps
+                    # times the larger of ||e_{i-1}|| and ||e_i||
                     row["rounding"] = (ROUNDOFF_FLOOR * (1.0 + pair.fine.norm)
-                                       * sizes[i])
+                                       * max(sizes[max(i - 1, 0):i + 1]))
                 trace.append(row)
         # one non-contractive iteration per theory: the interpolation factor
         # enters the first measured ratio except under worst-case seeding,

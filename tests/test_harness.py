@@ -351,6 +351,29 @@ class TestRunExperiment:
         assert rows[0]["rounding"] > rows[0]["value"]
         assert rec.violations == []
 
+    def test_rounded_iterate_is_not_a_violation(self):
+        # an exact coarse solver, Psi = Phi at k = 1, makes E = 0: e_1 is
+        # the rounding of the unstable RK4 worst-case seed, of l2 norm
+        # 4.2e14, and its A*A value 0.15 had a rounding scaled by ||e_1||
+        # alone, so iteration 1 read as a ratio above the zero bound
+        cfg = harness.ExperimentConfig.from_dict(base_config(
+            fine={"scheme": "rk4", "dt": 0.05}, k=1, n_time=17,
+            relaxations=["F", "FCF"], initial_error="worst-case"))
+        rec = harness.run_experiment(cfg)
+        norm = harness.build_pair(cfg).fine.norm
+        for relaxation in ("F", "FCF"):
+            sizes = [r["value"] for r in rec.trace if r["norm"] == "l2"
+                     and r["relaxation"] == relaxation]
+            rows = [r for r in rec.trace if r["norm"] == "AstarA"
+                    and r["relaxation"] == relaxation]
+            assert sizes[0] > 1e14
+            for i, row in enumerate(rows):
+                assert row["rounding"] == (harness.ROUNDOFF_FLOOR
+                                           * (1.0 + norm)
+                                           * max(sizes[max(i - 1, 0):i + 1]))
+            assert rows[1]["rounding"] > rows[1]["value"]
+        assert rec.violations == []
+
     def test_ratio_range_over_the_rounding(self):
         prev = {"value": 2.0, "rounding": 0.5}
         row = {"value": 3.0, "rounding": 1.0, "ratio": 1.5}

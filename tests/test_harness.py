@@ -1263,6 +1263,26 @@ class TestCli:
         path.write_text(yaml.safe_dump(base_config(typo=True)))
         assert cli.main(["run", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize("text, message", [
+        (yaml.safe_dump(base_config(k=0)), "k: must be positive"),
+        (yaml.safe_dump(base_config(initial_error="zero")),
+         "initial_error: unknown mode 'zero'"),
+        (yaml.safe_dump([base_config()]), "config must be a mapping"),
+        (yaml.safe_dump(base_config(tolerances=3)),
+         "tolerances: expected a mapping"),
+        (yaml.safe_dump(base_config(fine={"scheme": "backward-euler"})),
+         "fine: needs 'scheme' and 'dt'"),
+    ], ids=["zero-k", "unknown-initial-error", "list-document",
+            "scalar-tolerances", "fine-without-dt"])
+    def test_bad_config_exits_2_with_its_message(self, tmp_path, capsys,
+                                                  text, message):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(text)
+        assert cli.main(["run", "--config", str(path), "--out",
+                         str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
     @pytest.mark.parametrize("text", [
         yaml.safe_dump(base_config(problem={"kind": "heat-2d", "n": 4,
                                             "h": 0.2})),

@@ -860,19 +860,14 @@ def verify_suite(filter_name: str | None = None) -> list:
                 e = _worst_case_error(dense, physical(w.spread(pair.dim)))
                 # a physical vector's modified norm is its l2 norm, U
                 # being orthogonal
-                want_values = {n: [] for n in seeded.norms}
-                for i in range(seeded.iterations + 1):
-                    if i:
-                        e = st.apply_iteration(dense, relaxation, e)
-                    for n, series in want_values.items():
-                        series.append(_vector_norm(e, n, dense))
-                for n, series in want_values.items():
+                series = _norm_series(dense, relaxation, e, seeded)
+                for j, n in enumerate(seeded.norms, start=1):
                     got = [r["value"] for r in rec.trace
                            if r["relaxation"] == relaxation
                            and r["norm"] == n]
-                    scale = np.maximum.accumulate(series)
+                    scale = np.maximum.accumulate(series[:, j])
                     worst = max(worst, float(np.max(
-                        np.abs(np.subtract(got, series)) / scale)))
+                        np.abs(np.subtract(got, series[:, j])) / scale)))
         results.append(_check("per-mode-iteration", worst <= 1e-12,
                               1e-12 - worst))
 

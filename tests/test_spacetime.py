@@ -122,15 +122,6 @@ class TestSequentialSolve:
         assert np.linalg.norm(f - st.apply_full(sys, u)) <= 1e-13 * np.linalg.norm(f)
 
 
-def row_loop(mat, rhs):
-    """y_i = r_i + M y_{i-1}, one product per row: the reference for the
-    two-level ForwardSolver."""
-    out = rhs.astype(complex)
-    for i in range(1, len(out)):
-        out[i] += mat @ out[i - 1]
-    return out
-
-
 def random_step(rng, nx, rho, dtype):
     """A random non-normal nx x nx matrix of spectral radius rho."""
     m = rng.standard_normal((nx, nx))
@@ -169,7 +160,7 @@ class TestForwardSolve:
         rng = np.random.default_rng(n + nx)
         mat = random_step(rng, nx, rho, dtype)
         rhs = rng.standard_normal((n, nx)) + 1j * rng.standard_normal((n, nx))
-        want = row_loop(mat, rhs)
+        want = harness._row_solve(mat, rhs)
         got = st.ForwardSolver(st.Step(mat), n).solve(rhs.ravel()).reshape(n, nx)
         assert got.dtype == complex
         scale = np.maximum.accumulate(np.linalg.norm(want, axis=1))

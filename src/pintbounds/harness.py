@@ -918,8 +918,7 @@ def _dense_twin(pair: ops.StepperPair, dtype=None) -> ops.StepperPair:
     the dense path: Phi and Psi from stability_matrix, its iteration in
     physical coordinates, and, cast to complex, complex arithmetic."""
     m = pair.fine.source.matrix
-    spatial = ops.SpatialOperator(m if dtype is None else m.astype(dtype),
-                                  "dense twin")
+    spatial = ops.SpatialOperator(m if dtype is None else m.astype(dtype))
     fine, coarse = (ops.build_stepper(spatial, s.scheme)
                     for s in (pair.fine, pair.coarse))
     return ops.make_pair(fine, coarse, pair.k)

@@ -34,10 +34,10 @@ class SpatialOperator:
     For a band these are n d and n d^2 + 2 (n - 1) o^2, so that no N_x^2
     array is made."""
 
-    def __init__(self, matrix: np.ndarray | None, label: str,
+    def __init__(self, matrix: np.ndarray | None,
                  eigenvalues: np.ndarray | None = None,
                  band: tuple[int, float, float] | None = None):
-        self.label, self.eigenvalues, self.band = label, eigenvalues, band
+        self.eigenvalues, self.band = eigenvalues, band
         if band is None:
             if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
                 raise ValueError("spatial operator must be a square matrix")
@@ -133,8 +133,7 @@ def build_spatial(kind: str, n: int | None = None, h: float = 1.0,
                              "finite")
         ell = np.arange(1, n + 1)
         values = (-2.0 + 2.0 * np.cos(ell * np.pi / (n + 1))) / h**2
-        return SpatialOperator(None, f"laplacian-1d-dirichlet(n={n},h={h})",
-                               values.astype(complex),
+        return SpatialOperator(None, values.astype(complex),
                                band=(n, *np.array([-2.0, 1.0]) / h**2))
     if kind == "advection-1d-upwind":
         if n is None or n < 1:
@@ -142,13 +141,11 @@ def build_spatial(kind: str, n: int | None = None, h: float = 1.0,
         if h <= 0:
             raise ValueError("mesh width must be positive")
         m = (-velocity / h) * np.eye(n) + (velocity / h) * np.diag(np.ones(n - 1), -1)
-        return SpatialOperator(m,
-                               f"advection-1d-upwind(n={n},v={velocity},h={h})")
+        return SpatialOperator(m)
     if kind == "from-file":
         if path is None:
             raise ValueError("from-file needs a path")
-        return SpatialOperator(_real_if(_read_matrix_file(path)),
-                               f"from-file({path})")
+        return SpatialOperator(_real_if(_read_matrix_file(path)))
     raise ValueError(f"unknown spatial operator kind {kind!r}")
 
 

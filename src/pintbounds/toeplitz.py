@@ -423,10 +423,6 @@ class TimeDepSpec:
         return self.coarse_values.shape[0] + 1
 
     @property
-    def n_modes(self) -> int:
-        return self.coarse_values.shape[1]
-
-    @property
     def slice_products(self) -> np.ndarray:
         """Per coarse step, the product of the k fine eigenvalues it spans."""
         fv = self.fine_values
@@ -457,7 +453,7 @@ def timedep_pinv(spec: TimeDepSpec, index: int) -> np.ndarray:
 
 
 def timedep_tridiagonal(spec: TimeDepSpec):
-    """Diagonals (n_modes, N_c - 1) and superdiagonals (n_modes, N_c - 2) of
+    """Diagonals (modes, N_c - 1) and superdiagonals (modes, N_c - 2) of
     the Hermitian tridiagonal matrices whose minimum eigenvalues give the
     exact mode norms: C diag(1/|d|^2) C^*, with d the per-step defects and C
     unit lower bidiagonal with subdiagonal -mu."""

@@ -14,7 +14,7 @@ IDENTITY_SCHEME = ops.SchemeSpec("custom-rational", 1.0, numerator=(0.0, 1.0),
 def raw_stepper(m):
     """The explicit complex matrix m as a Stepper: IDENTITY_SCHEME on the
     operator m."""
-    src = ops.SpatialOperator(np.asarray(m, dtype=complex), "raw")
+    src = ops.SpatialOperator(np.asarray(m, dtype=complex))
     return ops.build_stepper(src, IDENTITY_SCHEME)
 
 
@@ -57,7 +57,7 @@ def skewed_matrix():
 
 def skewed_pair(k=2):
     """Backward-Euler pair on skewed_matrix(), a non-normal operator."""
-    spatial = ops.SpatialOperator(skewed_matrix(), "skewed")
+    spatial = ops.SpatialOperator(skewed_matrix())
     fine = ops.build_stepper(spatial, ops.SchemeSpec("backward-euler", 0.1))
     coarse = ops.build_stepper(spatial, ops.SchemeSpec("backward-euler", 0.1 * k))
     return ops.make_pair(fine, coarse, k)
@@ -77,8 +77,7 @@ def rotating_pair(k=2):
     complex."""
     q = rotating_basis()
     values = np.array([-1.0 + 3.0j, -2.0 - 1.0j, -0.5 + 0.2j])
-    spatial = ops.SpatialOperator(q @ np.diag(values) @ q.conj().T, "rotating",
-                                  values)
+    spatial = ops.SpatialOperator(q @ np.diag(values) @ q.conj().T, values)
     fine = ops.build_stepper(spatial, ops.SchemeSpec("backward-euler", 0.1))
     coarse = ops.build_stepper(spatial, ops.SchemeSpec("backward-euler", 0.1 * k))
     return ops.make_pair(fine, coarse, k)

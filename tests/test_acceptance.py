@@ -205,7 +205,7 @@ def test_criterion_08_rk4_defect_identity():
         m = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
         dt = 0.5
         m = m / (dt * np.linalg.norm(m, 2))
-        L = ops.SpatialOperator(m, "r")
+        L = ops.SpatialOperator(m)
         phi = ops.build_stepper(L, ops.SchemeSpec("rk4", dt)).matrix
         psi = ops.build_stepper(L, ops.SchemeSpec("rk4", 2 * dt)).matrix
         direct = psi - phi @ phi
@@ -229,7 +229,7 @@ def test_criterion_08_rk4_defect_identity():
     # vanish at each target relative to the leading factor |z|^5/4.
     residual = 0.0
     for z in targets:
-        L = ops.SpatialOperator(np.array([[z / dt]]), "r")
+        L = ops.SpatialOperator(np.array([[z / dt]]))
         phi = ops.build_stepper(L, ops.SchemeSpec("rk4", dt)).matrix
         psi = ops.build_stepper(L, ops.SchemeSpec("rk4", 2 * dt)).matrix
         scale = abs(z) ** 5 / 4

@@ -542,7 +542,7 @@ class TestRunExperiment:
         # the FCF stability factor, and the sufficient bound built on it,
         # needs Phi^{-k}
         values = np.array([-2.0, -1.0], dtype=complex)
-        spatial = ops.SpatialOperator(np.diag(values), "diagonal", values)
+        spatial = ops.SpatialOperator(np.diag(values), values)
         fine = ops.build_stepper(spatial, ops.SchemeSpec("forward-euler", 0.5))
         coarse = ops.build_stepper(spatial,
                                    ops.SchemeSpec("backward-euler", 1.0))
@@ -577,7 +577,7 @@ class TestRunExperiment:
         spatial = ops.SpatialOperator(np.array([[0.0, 0.0, 0.0],
                                                 [0.0, 0.0, 1.0],
                                                 [self.TINY, 0.0, 0.0]],
-                                               complex), "from-file")
+                                               complex))
         fine = ops.build_stepper(spatial, ops.SchemeSpec("forward-euler", 1.0))
         coarse = ops.build_stepper(spatial,
                                    ops.SchemeSpec("forward-euler", 2.0))
@@ -604,8 +604,7 @@ class TestRunExperiment:
         # two do not
         spatial = ops.SpatialOperator(np.array([[0.0, 0.0, 1.5e-62],
                                                 [0.0, 0.0, 0.0],
-                                                [1.0, 0.0, 1.0]], complex),
-                                      "from-file")
+                                                [1.0, 0.0, 1.0]], complex))
         fine = ops.build_stepper(spatial,
                                  ops.SchemeSpec("backward-euler", 1.0))
         coarse = ops.build_stepper(spatial, ops.SchemeSpec("forward-euler", 2.0))

@@ -62,10 +62,10 @@ class TestBuildSpatial:
         L = ops.build_spatial("laplacian-1d-dirichlet", 6, 1.0 / 7)
         n, diag, off = L.band
         with pytest.raises(ValueError, match="not those of a normal operator"):
-            ops.SpatialOperator(None, "band", L.eigenvalues,
+            ops.SpatialOperator(None, L.eigenvalues,
                                 band=(n, diag, 1.01 * off))
         with pytest.raises(ValueError, match="non-finite entries"):
-            ops.SpatialOperator(None, "band", band=(n, diag, math.inf))
+            ops.SpatialOperator(None, band=(n, diag, math.inf))
 
     def test_advection_example(self):
         L = ops.build_spatial("advection-1d-upwind", 2, 1.0, velocity=1.0)
@@ -111,8 +111,8 @@ class TestBuildSpatial:
             warnings.simplefilter("error")
             with pytest.raises(ValueError,
                                match="not those of a normal operator"):
-                ops.SpatialOperator(m, "huge", ell * (1.0 + 1e-8))
-            ops.SpatialOperator(m, "huge", ell)
+                ops.SpatialOperator(m, ell * (1.0 + 1e-8))
+            ops.SpatialOperator(m, ell)
 
     def test_non_normal_operator_refuses_eigenvalues(self):
         # the eigenvalues of a matrix whose eigenbasis is not unitary: the
@@ -121,7 +121,7 @@ class TestBuildSpatial:
         assert np.allclose(np.sort(np.linalg.eigvals(m).real),
                            np.sort(SKEWED_VALUES))
         with pytest.raises(ValueError, match="not those of a normal operator"):
-            ops.SpatialOperator(m, "skewed", SKEWED_VALUES)
+            ops.SpatialOperator(m, SKEWED_VALUES)
 
     def test_from_file_not_square(self, tmp_path):
         path = tmp_path / "m.txt"
@@ -167,17 +167,17 @@ class TestSchemeSpec:
 
 class TestBuildStepper:
     def test_backward_euler_scalar(self):
-        L = ops.SpatialOperator(np.array([[-1.0 + 0j]]), "s")
+        L = ops.SpatialOperator(np.array([[-1.0 + 0j]]))
         s = ops.build_stepper(L, ops.SchemeSpec("backward-euler", 1.0))
         assert np.allclose(s.matrix, [[0.5]])
 
     def test_rk4_zero_operator(self):
-        L = ops.SpatialOperator(np.zeros((1, 1), dtype=complex), "z")
+        L = ops.SpatialOperator(np.zeros((1, 1), dtype=complex))
         s = ops.build_stepper(L, ops.SchemeSpec("rk4", 0.3))
         assert np.allclose(s.matrix, [[1.0]])
 
     def test_rk4_horner_value(self):
-        L = ops.SpatialOperator(np.array([[-2.0 + 0j]]), "s")
+        L = ops.SpatialOperator(np.array([[-2.0 + 0j]]))
         s = ops.build_stepper(L, ops.SchemeSpec("rk4", 0.1))
         z = -0.2
         expected = 1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24
@@ -212,7 +212,7 @@ class TestBuildStepper:
     def test_dense_singular_solve_raises_at_build(self):
         # R(z) = 1 / (1 + z / 4) at z = -4: the dense implicit solve is
         # singular, and build_stepper forms the matrix, so it raises there
-        L = ops.SpatialOperator(np.array([[-4.0]]), "pole")
+        L = ops.SpatialOperator(np.array([[-4.0]]))
         spec = ops.SchemeSpec("custom-rational", 1.0, numerator=(1.0,),
                               denominator=(1.0, 0.25))
         with pytest.raises(ValueError, match="singular implicit solve"):
@@ -309,11 +309,11 @@ class TestPerModeStepper:
 
 class TestRk4Defect:
     def test_zero_operator(self):
-        L = ops.SpatialOperator(np.zeros((2, 2), dtype=complex), "z")
+        L = ops.SpatialOperator(np.zeros((2, 2), dtype=complex))
         assert np.allclose(ops.rk4_defect(L, 1.0), 0.0)
 
     def test_scalar_value(self):
-        L = ops.SpatialOperator(np.array([[-1.0 + 0j]]), "s")
+        L = ops.SpatialOperator(np.array([[-1.0 + 0j]]))
         expected = 0.25 * (1 - 5 / 18 + 1 / 18 - 1 / 144)
         assert abs(ops.rk4_defect(L, 1.0)[0, 0] - expected) < 1e-15
         assert abs(expected - 0.1927083) < 5e-7
@@ -324,7 +324,7 @@ class TestRk4Defect:
             m = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
             dt = 0.4
             m = m / (dt * np.linalg.norm(m, 2))   # ||dt L|| = 1
-            L = ops.SpatialOperator(m, "r")
+            L = ops.SpatialOperator(m)
             phi = ops.build_stepper(L, ops.SchemeSpec("rk4", dt)).matrix
             psi = ops.build_stepper(L, ops.SchemeSpec("rk4", 2 * dt)).matrix
             direct = psi - phi @ phi
@@ -471,7 +471,7 @@ def test_random_rational_pairs_commute(nx, seed):
     # steppers built from the same operator always commute
     rng = np.random.default_rng(seed)
     m = rng.standard_normal((nx, nx))
-    L = ops.SpatialOperator(m.astype(complex), "r")
+    L = ops.SpatialOperator(m.astype(complex))
     dt = 0.1 / max(1.0, np.linalg.norm(m, 2))
     fine = ops.build_stepper(L, ops.SchemeSpec("sdirk2", dt))
     coarse = ops.build_stepper(L, ops.SchemeSpec("rk4", 2 * dt))

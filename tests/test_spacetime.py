@@ -786,8 +786,7 @@ def lanczos_case(name):
     elif name == "singular-phik":
         # forward Euler at dt * ell = -1 zeroes an eigenvalue of Phi^2; the
         # operator carries no eigenbasis, as one read from a file
-        spatial = ops.SpatialOperator(np.diag([-2.0, -1.0]).astype(complex),
-                                      "from-file")
+        spatial = ops.SpatialOperator(np.diag([-2.0, -1.0]).astype(complex))
         fine = ops.build_stepper(spatial, ops.SchemeSpec("forward-euler", 0.5))
         coarse = ops.build_stepper(spatial,
                                    ops.SchemeSpec("backward-euler", 1.0))

@@ -429,7 +429,7 @@ class TestNormalSymbol:
         # forward Euler at dt * ell = -1 zeroes one fine eigenvalue; the FCF
         # symbol only multiplies by Phi^k, so its closed form still holds
         values = np.array([-2.0, -1.0], dtype=complex)
-        spatial = ops.SpatialOperator(np.diag(values), "diagonal", values)
+        spatial = ops.SpatialOperator(np.diag(values), values)
         fine = ops.build_stepper(spatial, ops.SchemeSpec("forward-euler", 0.5))
         coarse = ops.build_stepper(spatial, ops.SchemeSpec("backward-euler", 1.0))
         pair = ops.make_pair(fine, coarse, 2)
@@ -572,7 +572,7 @@ class TestTimeDependent:
         for j in range(mu.shape[0]):
             assert np.array_equal(prods[j], np.prod(fv[j * k:(j + 1) * k], axis=0))
         delta = np.abs(prods - mu) ** 2
-        for m in range(spec.n_modes):
+        for m in range(mu.shape[1]):
             assert diag[m, 0] == 1.0 / delta[0, m]
             for i in range(1, mu.shape[0]):
                 assert diag[m, i] == (np.abs(mu[i - 1, m]) ** 2 / delta[i - 1, m]
@@ -583,7 +583,7 @@ class TestTimeDependent:
     def test_pinv_moore_penrose(self):
         rng = np.random.default_rng(3)
         spec = random_timedep(rng)
-        for i in range(spec.n_modes):
+        for i in range(spec.coarse_values.shape[1]):
             a = tp.assemble_timedep(spec, i)
             assert harness._mp_relative(a, tp.timedep_pinv(spec, i)) <= 1e-10
 
@@ -592,7 +592,7 @@ class TestTimeDependent:
         spec = random_timedep(rng)
         exact, bound = tp.timedep_exact_norm(spec)
         dense = max(np.linalg.norm(tp.assemble_timedep(spec, i), 2)
-                    for i in range(spec.n_modes))
+                    for i in range(spec.coarse_values.shape[1]))
         assert exact == pytest.approx(dense, rel=1e-8)
         assert bound >= exact * (1 - 1e-10)
 

@@ -139,8 +139,9 @@ def _hinf(a, b, c, eigs, skip=None):
     does the best phase: where it is a local minimum, as 0 and pi can be, the
     level's two crossings near it are nearly tangent and may be missed. The
     result is certified when the proof is reached within LEVEL_ROUNDS with
-    exact crossings and not on the flank of a pole; a maximum beyond the
-    floating-point range is infinite and uncertified."""
+    exact crossings, not on the flank of a pole, and with a value that
+    its refinement (_refined_gain) moves by at most TOL; a maximum beyond
+    the floating-point range is infinite and uncertified."""
     edges = np.empty(0)
     if skip is not None:
         centre, half = skip.arcs()
@@ -182,11 +183,31 @@ def _hinf(a, b, c, eigs, skip=None):
             i = int(np.argmax(vals))
             x, gamma = float(mids[i]), float(vals[i])
         if gamma <= level:
-            certified = exact and not _on_pole_flank(a, b, c, skip, x, gamma)
+            certified = (exact and not _on_pole_flank(a, b, c, skip, x, gamma)
+                         and abs(_refined_gain(a, b, c, x) - gamma)
+                         <= TOL * gamma)
             break
     with np.errstate(over="ignore"):
         gamma = float(np.ldexp(gamma, eb + ec))
     return x, gamma, certified and math.isfinite(gamma)
+
+
+def _refined_gain(a, b, c, x: float) -> float:
+    """sigma_max(C (I - e^{ix} A)^{-1} B) after one step of iterative
+    refinement whose residual, and the product with C, are formed in
+    extended precision. Near a pole of (I - e^{ix} A)^{-1} that C or B
+    cancels, _gain's value errs by up to about eps cond(I - e^{ix} A)
+    relative to it; the refinement removes most of that."""
+    den = np.eye(a.shape[0]) - np.exp(1j * x) * a
+    wide = (np.eye(a.shape[0]) - np.exp(1j * np.longdouble(x))
+            * a.astype(np.clongdouble))
+    with np.errstate(over="ignore", invalid="ignore"):
+        sol = np.linalg.solve(den, b).astype(np.clongdouble)
+        sol += np.linalg.solve(den, (b - wide @ sol).astype(complex))
+        g = (c.astype(np.clongdouble) @ sol).astype(complex)
+        if not np.isfinite(g).all():
+            return math.inf
+        return float(np.linalg.svd(g, compute_uv=False)[0])
 
 
 def _markov_zero(a, b, c) -> bool:

@@ -251,6 +251,27 @@ class TestLevelSet:
             assert_matches_oracle(tap.tap_constant(pair, relaxation, 3),
                                   tap_samples(pair, relaxation, 3))
 
+    @pytest.mark.parametrize("entries, fine, coarse, relaxation", [
+        ([[0.0, 1e-6], [2.0, 0.75]], ("backward-euler", 1.0),
+         ("forward-euler", 2.0), "F"),
+        ([[0.0, 1e-8], [4.0, 0.0625]], ("forward-euler", 0.01),
+         ("forward-euler", 0.02), "FCF"),
+    ], ids=["one-minus-5e-6", "one-minus-1e-8"])
+    def test_value_past_its_rounding_is_uncertified(self, entries, fine,
+                                                    coarse, relaxation):
+        # Psi has an eigenvalue 1 - 5.3e-6 (1 - 1.3e-8) whose pole
+        # Psi - Phi^k cancels: the gain at the best phase is evaluated
+        # through a solve of condition 2e6 (4e8), which put the certified
+        # upper below the oracle's maximum by 4e-12 (2e-11) relative
+        spatial = ops.SpatialOperator(np.array(entries))
+        pair = ops.make_pair(
+            ops.build_stepper(spatial, ops.SchemeSpec(*fine)),
+            ops.build_stepper(spatial, ops.SchemeSpec(*coarse)), 2)
+        res = tap.tap_constant(pair, relaxation)
+        samples, polished = phase_oracle(tap_samples(pair, relaxation))
+        best = max(float(np.max(samples)), polished)
+        assert not res.certified or best <= res.upper * (1 + 1e-12)
+
     def test_constants_sweep_no_phase(self):
         pair = upwind_pair(n=5)
         for relaxation in ("F", "FCF"):

@@ -329,10 +329,10 @@ def coarse_norm(pair: StepperPair, grid: GridSpec, relaxation: str, *,
                 p: int = 1, side: str = "residual") -> CoarseNorm:
     """Norm of the p-th power X^p of the coarse-level block on side,
     ||T_n(G^p)|| with n = block_rows(grid, relaxation, p), and its leading
-    right singular vector (CoarseNorm). Per mode for
-    a normal pair at p = 1, on either side, since its steppers commute and
-    the two blocks coincide; the vector then holds the N_c entries of the
-    vector of the mode m that attains the norm, real where mu_m is.
+    right singular vector (CoarseNorm). Per mode for a normal pair at
+    p = 1, on either side, since its steppers commute and the two blocks
+    coincide; the vector then holds the N_c entries of the vector of the
+    mode m that attains the norm, real where mu_m is.
     Otherwise matrix-free, by Golub-Kahan-Lanczos with a block LDL*
     certificate (_lanczos_norm) on a realization of G^p with state
     dimension p N_x (tap._tap_realization), which inverts nothing: a

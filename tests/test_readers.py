@@ -37,13 +37,11 @@ def _reads(tree, skip=None):
             yield name
 
 
-def _decorated(node, name):
-    """Whether a decorator of node is name, bare, called or an attribute."""
+def _decorators(node):
+    """The names of the decorators of node, bare, called or attributes."""
     for dec in node.decorator_list:
         dec = dec.func if isinstance(dec, ast.Call) else dec
-        if (dec.attr if isinstance(dec, ast.Attribute) else dec.id) == name:
-            return True
-    return False
+        yield dec.attr if isinstance(dec, ast.Attribute) else dec.id
 
 
 def _attributes(tree):
@@ -52,15 +50,14 @@ def _attributes(tree):
     for cls in tree.body:
         if not isinstance(cls, ast.ClassDef):
             continue
-        fields = _decorated(cls, "dataclass")
+        fields = "dataclass" in _decorators(cls)
         for node in cls.body:
             if (fields and isinstance(node, ast.AnnAssign)
                     and isinstance(node.target, ast.Name)):
                 yield cls.name, node.target.id, node.lineno
             if not isinstance(node, ast.FunctionDef):
                 continue
-            if _decorated(node, "property") or _decorated(node,
-                                                          "cached_property"):
+            if {"property", "cached_property"} & set(_decorators(node)):
                 yield cls.name, node.name, node.lineno
             for sub in ast.walk(node):
                 if (isinstance(sub, ast.Attribute)
